@@ -8,6 +8,7 @@
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
+#   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
@@ -54,18 +55,33 @@ serve-smoke:
 eco-smoke:
 	$(GO) run -race ./cmd/mbrserved -selftest -eco
 
-# End-to-end scale sweep: generate, STA, compat and streamed composition on
-# all five profiles at Scale 5 (a fifth of the paper's cell counts), with the
-# process peak RSS asserted under 4 GB. Catches both wall-time blowups (CI's
-# job timeout) and memory regressions in the streaming pipeline.
+# End-to-end scale sweep: generate, STA, compat and composition on all five
+# profiles at Scale 5 (a fifth of the paper's cell counts), with the process
+# peak RSS asserted under 4 GB. Catches both wall-time blowups (CI's job
+# timeout) and memory regressions anywhere in the pipeline.
 scale-smoke:
 	$(GO) run ./cmd/scalebench -profiles D1,D2,D3,D4,D5 -scales 5 -maxrss-mb 4096 -out /dev/null
 
 golden:
 	$(GO) test ./internal/flow -run TestGolden -update
 
+# Every fuzz target, as package:Target pairs. FUZZTIME shortens the run
+# (CI's fuzz-smoke uses a few seconds). A listed target that no longer
+# exists fails the run: go test -fuzz on an unmatched name only warns, so
+# each name is first checked against go test -list.
+FUZZ_TARGETS = \
+	./internal/clique:FuzzEnumerateSubCliques \
+	./internal/clique:FuzzParallelSubCliqueMerge \
+	./internal/route:FuzzEstimateDeltaEquivalence \
+	./internal/ilp:FuzzSolveCoverMatchesBruteForce
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test ./internal/clique -fuzz FuzzEnumerateSubCliques -fuzztime 30s
-	$(GO) test ./internal/clique -fuzz FuzzParallelSubCliqueMerge -fuzztime 30s
-	$(GO) test ./internal/route -fuzz FuzzEstimateDeltaEquivalence -fuzztime 30s
-	$(GO) test ./internal/ilp -fuzz FuzzSolveCoverWarmStart -fuzztime 30s
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		if ! $(GO) test -list "^$$name\$$" $$pkg | grep -qx "$$name"; then \
+			echo "fuzz: $$name not found in $$pkg"; exit 1; \
+		fi; \
+		echo "fuzz: $$pkg $$name ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME); \
+	done

@@ -35,7 +35,6 @@ import (
 	"repro/internal/cts"
 	"repro/internal/flow"
 	"repro/internal/geom"
-	"repro/internal/ilp"
 	"repro/internal/netlist"
 	"repro/internal/paperex"
 	"repro/internal/place"
@@ -297,7 +296,7 @@ func BenchmarkAblationDecompose(b *testing.B) {
 			var rep *flow.Report
 			for i := 0; i < b.N; i++ {
 				rep = runFlowOnce(b, spec, func(cfg *flow.Config) {
-					cfg.DecomposeExisting = decompose
+					cfg.Decompose = flow.DecomposeConfig{All: decompose}
 				})
 			}
 			b.ReportMetric(float64(rep.Ours.TotalRegs), "regs_after")
@@ -307,13 +306,6 @@ func BenchmarkAblationDecompose(b *testing.B) {
 	}
 }
 
-// BenchmarkComposeOnly_D1 isolates the cost of the new steps (candidate
-// enumeration + weighting + ILP + mapping + placement LP), the quantity
-// behind the paper's "Exec. Time" column. Sub-benchmarks sweep the worker
-// count of the parallel per-subgraph pipeline: workers=1 is the sequential
-// legacy path, workers=N is full fan-out; on a multi-core host the speedup
-// between them is the headline of the parallel execution layer (results are
-// byte-identical either way, so only time differs).
 // wiggleRegs applies small random moves to n movable registers — the ≤1%
 // parametric edit pattern of the flow's skew/sizing hot loop.
 func wiggleRegs(d *netlist.Design, regs []*netlist.Inst, rng *rand.Rand, n int) {
@@ -471,6 +463,13 @@ func BenchmarkSTA_FullRun_D1(b *testing.B) {
 	}
 }
 
+// BenchmarkComposeOnly_D1 isolates the cost of the new steps (candidate
+// enumeration + weighting + ILP + mapping + placement LP), the quantity
+// behind the paper's "Exec. Time" column. Sub-benchmarks sweep the worker
+// count of the parallel per-subgraph pipeline: workers=1 is a single
+// worker, workers=N is full fan-out; on a multi-core host the speedup
+// between them is the headline of the parallel execution layer (results are
+// byte-identical either way, so only time differs).
 func BenchmarkComposeOnly_D1(b *testing.B) {
 	spec := profileByName("D1")
 	counts := []int{1}
@@ -754,9 +753,8 @@ func BenchmarkRoute_FullVsDelta(b *testing.B) {
 }
 
 // BenchmarkCompose_MemoVsFresh compares the retained compose engine (memo =
-// signature-keyed subgraph solve reuse + ILP warm starts) against the
-// memo-free ComposeWith on twin designs composed to convergence first. Two
-// regimes:
+// signature-keyed subgraph solve reuse) against the memo-free core.Compose
+// on twin designs composed to convergence first. Two regimes:
 //
 //   - settled: no edits between rounds — the multi-pass flow's tail (pass ≥
 //     3 recomposes an unchanged design to confirm convergence). The engine
@@ -795,7 +793,9 @@ func benchComposeMemoVsFresh(b *testing.B, wiggle bool) {
 	// The surrounding pipeline is the flow's retained one on BOTH twins —
 	// incremental STA plus the compatgraph engine's subgraph feed — and it
 	// runs outside the timers: the timed region is the compose phase alone,
-	// memoized versus memo-free, over the exact same subgraphs.
+	// memoized versus memo-free over the same graph (core.Compose
+	// decomposes it itself; the engine takes the compat engine's cached
+	// decomposition, as the flow does).
 	stA, stB := sta.New(dA), sta.New(dB)
 	stA.SetIdealClocks(true)
 	stB.SetIdealClocks(true)
@@ -824,7 +824,7 @@ func benchComposeMemoVsFresh(b *testing.B, wiggle bool) {
 		opts := core.DefaultOptions()
 		opts.NamePrefix = fmt.Sprintf("mvf%d", pass)
 		gA, subsA, hintsA := graphOf(stA, cgA)
-		gB, subsB, _ := graphOf(stB, cgB)
+		gB, _, _ := graphOf(stB, cgB)
 		t0 := time.Now()
 		resA, err := ce.Compose(gA, genA.Plan, subsA, hintsA, opts)
 		dMemo := time.Since(t0)
@@ -832,7 +832,7 @@ func benchComposeMemoVsFresh(b *testing.B, wiggle bool) {
 			b.Fatal(err)
 		}
 		t0 = time.Now()
-		resB, err := core.ComposeWith(dB, gB, genB.Plan, subsB, opts)
+		resB, err := core.Compose(dB, gB, genB.Plan, opts)
 		dFresh := time.Since(t0)
 		if err != nil {
 			b.Fatal(err)
@@ -893,144 +893,6 @@ func benchComposeMemoVsFresh(b *testing.B, wiggle bool) {
 	b.ReportMetric(float64(tMemo.Nanoseconds())/n, "memo_ns/update")
 	b.ReportMetric(float64(tFresh.Nanoseconds())/n, "full_ns/update")
 	b.ReportMetric(float64(tFresh)/float64(tMemo), "speedup_x")
-}
-
-// BenchmarkILP_WarmVsCold measures the warm start's branch & bound cost on
-// cover instances re-solved after a weight drift — the retained engine's
-// regime when a dirty subgraph reappears slightly changed. Each pooled
-// instance was solved once up front; multi-member columns outside that
-// optimum then got cheaper, and every iteration re-solves the perturbed
-// instance cold and warm-started from the stale selection. Two sub-regimes
-// are reported separately because the warm contract prices them oppositely:
-//
-//   - improved: the drift made a strictly better cover available. The warm
-//     incumbent bounds the search from node one and is simply improved on —
-//     no retry, fewer nodes than cold.
-//   - unchanged: the old selection is still optimal. The seeded probe proves
-//     no improvement exists, then the canonical greedy-seeded retry runs for
-//     selection neutrality — the warm solve pays for the proof.
-//
-// The selections are asserted identical to cold every iteration (the warm
-// contract); nodes_cold vs nodes_warm is the search-tree delta.
-func BenchmarkILP_WarmVsCold(b *testing.B) {
-	type warmCase struct {
-		inst ilp.CoverInstance
-		warm []int
-	}
-	rng := rand.New(rand.NewSource(23))
-	var improved, unchanged []warmCase
-	for attempts := 0; (len(improved) < 16 || len(unchanged) < 16) && attempts < 4096; attempts++ {
-		// Greedy-adversarial blocks (the warm_test trap shape, with noise):
-		// per 6-element block one column is simultaneously the largest, the
-		// cheapest, and the best weight-per-member, so every greedy ordering
-		// grabs it and strands two elements. The previous optimum (the two
-		// triples) prices well below greedy — exactly the regime where a
-		// stale-but-good warm cover has information the bound does not.
-		const blocks = 3
-		inst := ilp.CoverInstance{NumElems: 6 * blocks}
-		for bl := 0; bl < blocks; bl++ {
-			o := 6 * bl
-			for e := 0; e < 6; e++ {
-				inst.Sets = append(inst.Sets, ilp.CoverSet{Members: []int{o + e}, Weight: 1})
-			}
-			inst.Sets = append(inst.Sets,
-				ilp.CoverSet{Members: []int{o + 1, o + 2, o + 3, o + 4}, Weight: 0.2 + rng.Float64()*0.05},
-				ilp.CoverSet{Members: []int{o, o + 1, o + 2}, Weight: 0.6 + rng.Float64()*0.05},
-				ilp.CoverSet{Members: []int{o + 3, o + 4, o + 5}, Weight: 0.6 + rng.Float64()*0.05},
-				ilp.CoverSet{Members: []int{o, o + 1}, Weight: 0.55 + rng.Float64()*0.1},
-				ilp.CoverSet{Members: []int{o + 2, o + 3}, Weight: 0.55 + rng.Float64()*0.1},
-				ilp.CoverSet{Members: []int{o + 4, o + 5}, Weight: 0.55 + rng.Float64()*0.1},
-			)
-		}
-		// Cross-block columns entangle the blocks so the LP relaxation goes
-		// fractional and branch & bound actually branches.
-		for i := 0; i < 18; i++ {
-			var ms []int
-			for e := 0; e < inst.NumElems; e++ {
-				if rng.Intn(5) == 0 {
-					ms = append(ms, e)
-				}
-			}
-			if len(ms) < 2 {
-				continue
-			}
-			inst.Sets = append(inst.Sets, ilp.CoverSet{
-				Members: ms,
-				Weight:  0.3 + 0.25*float64(len(ms)) + rng.Float64()*0.3,
-			})
-		}
-		prev, err := ilp.SolveCover(inst)
-		if err != nil {
-			continue
-		}
-		chosen := make(map[int]bool, len(prev.Chosen))
-		for _, c := range prev.Chosen {
-			chosen[c] = true
-		}
-		for i := range inst.Sets {
-			if len(inst.Sets[i].Members) > 1 && !chosen[i] && rng.Intn(2) == 0 {
-				inst.Sets[i].Weight *= 0.6
-			}
-		}
-		wc := warmCase{inst, append([]int(nil), prev.Chosen...)}
-		// Chosen columns kept their weights, so the warm cover still prices
-		// at prev.Objective; a cheaper cold optimum means the drift opened a
-		// strict improvement.
-		post, err := ilp.SolveCover(inst)
-		if err != nil {
-			continue
-		}
-		if post.Objective < prev.Objective-1e-9 {
-			improved = append(improved, wc)
-		} else {
-			unchanged = append(unchanged, wc)
-		}
-	}
-	if len(improved) == 0 || len(unchanged) == 0 {
-		b.Fatalf("case pool degenerate: %d improved, %d unchanged", len(improved), len(unchanged))
-	}
-
-	run := func(b *testing.B, cases []warmCase) {
-		var nodesCold, nodesWarm int
-		var tCold, tWarm time.Duration
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c := cases[i%len(cases)]
-			cold := c.inst
-			cold.Warm = nil
-			t0 := time.Now()
-			rc, err := ilp.SolveCover(cold)
-			tCold += time.Since(t0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warm := c.inst
-			warm.Warm = c.warm
-			t0 = time.Now()
-			rw, err := ilp.SolveCover(warm)
-			tWarm += time.Since(t0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if math.Abs(rw.Objective-rc.Objective) > 1e-9 || len(rw.Chosen) != len(rc.Chosen) {
-				b.Fatalf("warm solve diverged: obj %g/%g, %d/%d columns",
-					rw.Objective, rc.Objective, len(rw.Chosen), len(rc.Chosen))
-			}
-			nodesCold += rc.Nodes
-			nodesWarm += rw.Nodes
-		}
-		b.StopTimer()
-		n := float64(b.N)
-		b.ReportMetric(float64(nodesCold)/n, "nodes_cold")
-		b.ReportMetric(float64(nodesWarm)/n, "nodes_warm")
-		b.ReportMetric(float64(tCold.Nanoseconds())/n, "cold_ns/solve")
-		b.ReportMetric(float64(tWarm.Nanoseconds())/n, "warm_ns/solve")
-		if tWarm > 0 {
-			b.ReportMetric(float64(tCold)/float64(tWarm), "speedup_x")
-		}
-	}
-	b.Run("improved", func(b *testing.B) { run(b, improved) })
-	b.Run("unchanged", func(b *testing.B) { run(b, unchanged) })
 }
 
 // BenchmarkBankDebankLoop closes the bank/debank ECO loop on the

@@ -405,10 +405,6 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		ps.SubgraphsReplayed = es.SubgraphsReused - esBefore.SubgraphsReused
 		ps.SubgraphsSolved = es.SubgraphsSolved - esBefore.SubgraphsSolved
 		ps.ILPNodesSaved = es.ILPNodesSaved - esBefore.ILPNodesSaved
-		ps.WarmSeeded = es.WarmSeeded - esBefore.WarmSeeded
-		ps.WarmAccepted = es.WarmAccepted - esBefore.WarmAccepted
-		ps.WarmRetried = es.WarmRetried - esBefore.WarmRetried
-		ps.TightenPruned = es.TightenPruned - esBefore.TightenPruned
 		ps.SchedShards = es.SchedShards - esBefore.SchedShards
 		ps.SchedSteals = es.SchedSteals - esBefore.SchedSteals
 		if text {
@@ -418,8 +414,6 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 				ps.ComposeKind, ps.SubgraphsReplayed, ps.SubgraphsSolved, ps.ILPNodesSaved,
 				es.HintedClean-esBefore.HintedClean,
 				es.HintMisses-esBefore.HintMisses)
-			fmt.Printf("  compose warm: %d seeded, %d accepted, %d retried; %d columns tighten-pruned\n",
-				ps.WarmSeeded, ps.WarmAccepted, ps.WarmRetried, ps.TightenPruned)
 			fmt.Printf("  compose sched: %d shards scheduled, %d stolen (workers %d)\n",
 				ps.SchedShards, ps.SchedSteals, cres.Workers)
 		}

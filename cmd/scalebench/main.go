@@ -3,9 +3,9 @@
 // scale roadmap item asks for. Scale 20 is the historical benchmark size;
 // Scale 1 is the paper's full size (0.87M–3.3M cells). For every
 // (profile, scale) point it generates the design, runs STA, builds the
-// compatibility graph and composes through the streamed pipeline, reporting
-// per-phase wall times, the streaming high-water marks, and peak memory
-// (sampled heap + process MaxRSS).
+// compatibility graph and composes (core.Compose), reporting per-phase wall
+// times, the shard scheduler's counters, and peak memory (sampled heap +
+// process MaxRSS).
 //
 //	scalebench -profiles D1,D4 -scales 20,5,2,1 -out BENCH_scale.json
 //	scalebench -profiles D1,D2,D3,D4,D5 -scales 5 -maxrss-mb 4096
@@ -48,17 +48,14 @@ type Row struct {
 	ComposeMS float64 `json:"composeMS"`
 	TotalMS   float64 `json:"totalMS"`
 
-	MBRs           int     `json:"mbrs"`
-	RegsAfter      int     `json:"regsAfter"`
-	Subgraphs      int     `json:"subgraphs"`
-	Candidates     int     `json:"candidates"`
-	ObjectiveSum   float64 `json:"objectiveSum"`
-	StreamedShards int     `json:"streamedShards"`
-	PeakLiveShards int     `json:"peakLiveShards"`
-	PeakLiveCands  int     `json:"peakLiveCands"`
-	SchedShards    int     `json:"schedShards"`
-	SchedSteals    int     `json:"schedSteals"`
-	Workers        int     `json:"workers"`
+	MBRs         int     `json:"mbrs"`
+	RegsAfter    int     `json:"regsAfter"`
+	Subgraphs    int     `json:"subgraphs"`
+	Candidates   int     `json:"candidates"`
+	ObjectiveSum float64 `json:"objectiveSum"`
+	SchedShards  int     `json:"schedShards"`
+	SchedSteals  int     `json:"schedSteals"`
+	Workers      int     `json:"workers"`
 
 	PeakHeapMB float64 `json:"peakHeapMB"`
 	MaxRSSMB   float64 `json:"maxRSSMB"`
@@ -67,22 +64,20 @@ type Row struct {
 // Output is the BENCH_scale.json shape.
 type Output struct {
 	GoMaxProcs int    `json:"goMaxProcs"`
-	Streaming  bool   `json:"streaming"`
 	Rows       []Row  `json:"rows"`
 	Note       string `json:"note,omitempty"`
 }
 
 func main() {
 	var (
-		profiles    = flag.String("profiles", "D1,D4", "comma-separated profiles to sweep (D1..D5)")
-		scales      = flag.String("scales", "20,5,2,1", "comma-separated scale divisors, typically largest first")
-		out         = flag.String("out", "", "write the sweep as JSON to this file (default stdout)")
-		workers     = flag.Int("workers", 0, "composition worker count (0 = GOMAXPROCS)")
-		noStreaming = flag.Bool("nostreaming", false, "materialize the decomposition instead of streaming (comparison runs)")
-		maxRSSMB    = flag.Float64("maxrss-mb", 0, "exit 1 when the process MaxRSS exceeds this many MB (0 = no assertion)")
-		note        = flag.String("note", "", "free-form note recorded in the output")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		profiles   = flag.String("profiles", "D1,D4", "comma-separated profiles to sweep (D1..D5)")
+		scales     = flag.String("scales", "20,5,2,1", "comma-separated scale divisors, typically largest first")
+		out        = flag.String("out", "", "write the sweep as JSON to this file (default stdout)")
+		workers    = flag.Int("workers", 0, "composition worker count (0 = GOMAXPROCS)")
+		maxRSSMB   = flag.Float64("maxrss-mb", 0, "exit 1 when the process MaxRSS exceeds this many MB (0 = no assertion)")
+		note       = flag.String("note", "", "free-form note recorded in the output")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -98,18 +93,18 @@ func main() {
 	}
 	profileList := strings.Split(*profiles, ",")
 
-	output := Output{GoMaxProcs: runtime.GOMAXPROCS(0), Streaming: !*noStreaming, Note: *note}
+	output := Output{GoMaxProcs: runtime.GOMAXPROCS(0), Note: *note}
 	for _, scale := range scaleList {
 		for _, p := range profileList {
-			row, err := runPoint(strings.TrimSpace(p), scale, *workers, *noStreaming)
+			row, err := runPoint(strings.TrimSpace(p), scale, *workers)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr,
-				"%s scale=%d: %d cells, %d regs -> %d, compose %.0f ms (total %.0f ms), peak heap %.0f MB, live %d/%d shards, %d/%d cands\n",
+				"%s scale=%d: %d cells, %d regs -> %d, compose %.0f ms (total %.0f ms), peak heap %.0f MB, %d shards (%d stolen), %d cands\n",
 				row.Profile, row.Scale, row.Cells, row.Regs, row.RegsAfter,
 				row.ComposeMS, row.TotalMS, row.PeakHeapMB,
-				row.PeakLiveShards, row.StreamedShards, row.PeakLiveCands, row.Candidates)
+				row.SchedShards, row.SchedSteals, row.Candidates)
 			output.Rows = append(output.Rows, row)
 		}
 	}
@@ -138,7 +133,7 @@ func main() {
 // the compatibility graph, compose. The heap sampler brackets only this
 // point; a forced GC before it starts keeps the previous point's garbage
 // out of the measurement.
-func runPoint(profile string, scale, workers int, noStreaming bool) (Row, error) {
+func runPoint(profile string, scale, workers int) (Row, error) {
 	spec, err := profileSpec(profile, scale)
 	if err != nil {
 		return Row{}, err
@@ -174,7 +169,6 @@ func runPoint(profile string, scale, workers int, noStreaming bool) (Row, error)
 
 	opts := core.DefaultOptions()
 	opts.Workers = workers
-	opts.DisableStreaming = noStreaming
 	t = time.Now()
 	cres, err := core.Compose(d, g, b.Plan, opts)
 	if err != nil {
@@ -188,9 +182,6 @@ func runPoint(profile string, scale, workers int, noStreaming bool) (Row, error)
 	row.Subgraphs = cres.Subgraphs
 	row.Candidates = cres.Candidates
 	row.ObjectiveSum = cres.ObjectiveSum
-	row.StreamedShards = cres.StreamedShards
-	row.PeakLiveShards = cres.PeakLiveShards
-	row.PeakLiveCands = cres.PeakLiveCands
 	row.SchedShards = cres.SchedShards
 	row.SchedSteals = cres.SchedSteals
 	row.Workers = cres.Workers

@@ -19,8 +19,21 @@ import (
 // compatibility graph for the design's current state (compat.Build); plan
 // may be nil for unscanned designs. The design, and the plan when present,
 // are modified in place.
+//
+// Compose decomposes g (partition.Decompose) and runs composeRound without
+// a memo; the retained Engine runs the same round over its cached
+// decomposition with its subgraph memo, so the two are byte-identical.
 func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
-	return ComposeWith(d, g, plan, nil, opts)
+	start := time.Now()
+	opts = normalizeOptions(opts)
+	subgraphs := partition.Decompose(len(g.Regs), g.Adj,
+		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
+	res, _, err := composeRound(d, g, plan, newRegIndex(d), subgraphs, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.Runtime = time.Since(start)
+	return res, nil
 }
 
 // normalizeOptions applies the defaulting every composition entry point
@@ -46,66 +59,65 @@ func normalizeOptions(opts Options) Options {
 	return opts
 }
 
-// ComposeWith is Compose with an optional precomputed decomposition of g
-// into subgraphs (node-id lists), as maintained by the incremental
-// compatibility engine's partition cache; nil means decompose here. The
-// subgraphs must equal what partition.Decompose(g, opts.MaxSubgraphNodes)
-// returns — the caches guarantee that — so results are identical either way.
-func ComposeWith(d *netlist.Design, g *compat.Graph, plan *scan.Plan, subgraphs [][]int, opts Options) (*Result, error) {
-	start := time.Now()
-	opts = normalizeOptions(opts)
+// composeRound is the composition pipeline every entry point runs. It
+// solves each subgraph (enumeration → §3.2 weights → selection) on the
+// work-stealing shard scheduler, folds the outcomes into a Result by the
+// ordered reduce and commits the selection. replay, when non-nil, is asked
+// first for each subgraph index and a hit stands in for the solve (the
+// retained engine's memo). It returns the per-subgraph outcomes, indexed
+// like subgraphs, so the engine can rotate its memo. Errors are reported
+// by the lowest-index failing subgraph. Runtime is left to the caller.
+func composeRound(
+	d *netlist.Design,
+	g *compat.Graph,
+	plan *scan.Plan,
+	ri *regIndex,
+	subgraphs [][]int,
+	opts Options,
+	replay func(i int) (subgraphResult, bool),
+) (*Result, []subgraphResult, error) {
 	res := &Result{
 		RegsBefore:     len(d.Registers()),
 		ComposableRegs: len(g.Regs),
+		Subgraphs:      len(subgraphs),
+		Workers:        resolveWorkers(opts.Workers),
+		PeakLiveShards: len(subgraphs),
 	}
-
-	ri := newRegIndex(d)
-	var selected []candidate
-	if subgraphs == nil && !opts.DisableStreaming {
-		// Streamed pipeline: decompose, solve and reduce shard by shard
-		// through bounded channels — the decomposition is never materialized
-		// and peak memory tracks live shards. See stream.go.
-		var err error
-		selected, err = solveStreamed(d, g, ri, opts, res)
+	// The pool is clamped against schedulable units rather than subgraphs:
+	// with a few huge subgraphs, the extra workers pick up the
+	// intra-subgraph clique branches instead of idling.
+	workers := res.Workers
+	if u := schedulableUnits(subgraphs, opts.ParallelCliqueThreshold); workers > u {
+		workers = u
+	}
+	results := make([]subgraphResult, len(subgraphs))
+	errs := make([]error, len(subgraphs))
+	st := runSharded(estimateShardCosts(g, subgraphs), workers, func(i int) {
+		if replay != nil {
+			if sr, ok := replay(i); ok {
+				results[i] = sr
+				return
+			}
+		}
+		results[i], errs[i] = solveSubgraph(d, g, ri, subgraphs[i], opts)
+	})
+	res.SchedShards = st.shards
+	res.SchedSteals = st.steals
+	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		res.Workers = resolveWorkers(opts.Workers)
-	} else {
-		if subgraphs == nil {
-			subgraphs = partition.Decompose(len(g.Regs), g.Adj,
-				func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
-		}
-		res.Subgraphs = len(subgraphs)
-		res.Workers = resolveWorkers(opts.Workers)
-
-		// Per-partition pipeline (enumeration → scoring → selection), sharded
-		// across the worker pool; see parallel.go for the determinism argument.
-		subResults, st, err := solveSubgraphs(d, g, ri, subgraphs, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.SchedShards = st.shards
-		res.SchedSteals = st.steals
-
-		// Ordered reduce: accumulate in subgraph index order — the same order
-		// the sequential loop used — so counts, the floating-point objective sum
-		// and the selected list are identical for any worker count.
-		selected = reduceResults(subResults, res)
 	}
-
-	if err := commitSelected(d, g, plan, selected, opts, res); err != nil {
-		return nil, err
+	if err := commitSelected(d, g, plan, reduceResults(results, res), opts, res); err != nil {
+		return nil, nil, err
 	}
-	res.Runtime = time.Since(start)
-	return res, nil
+	return res, results, nil
 }
 
 // reduceResults folds per-subgraph outcomes into res in subgraph index
 // order and returns the concatenated selections — the ordered reduce that
 // keeps counts, the floating-point objective sum and the selected list
-// identical for any worker count. Shared by the memo-free path and the
-// retained engine (which feeds it a mix of fresh solves and replays).
+// identical for any worker count and any mix of fresh solves and replays.
 func reduceResults(subResults []subgraphResult, res *Result) []candidate {
 	var selected []candidate
 	for _, sr := range subResults {
@@ -180,13 +192,7 @@ func overWeighted(weight float64, members int) bool {
 // never be in an optimal cover (see overWeighted). With the §3.2 weights
 // this removes every blocked candidate (b·2ⁿ ≥ 2b ≥ 2·members), typically
 // shrinking the LP by an order of magnitude without changing the optimum.
-//
-// warm, when non-nil, is the previous pass's selection for this subgraph as
-// sorted member-ordinal sets; it is mapped onto the kept columns and handed
-// to the solver as CoverInstance.Warm, whose contract guarantees the result
-// still matches a cold solve column-for-column. An unmappable warm set
-// (candidate churn) is silently dropped.
-func selectILP(nodes []int, cands []candidate, opts Options, warm [][]int) ([]candidate, *ilp.CoverResult, error) {
+func selectILP(nodes []int, cands []candidate, opts Options) ([]candidate, *ilp.CoverResult, error) {
 	local := map[int]int{}
 	for i, n := range nodes {
 		local[n] = i
@@ -204,9 +210,6 @@ func selectILP(nodes []int, cands []candidate, opts Options, warm [][]int) ([]ca
 		inst.Sets = append(inst.Sets, ilp.CoverSet{Members: ms, Weight: c.weight})
 		kept = append(kept, ci)
 	}
-	if len(warm) > 0 {
-		inst.Warm = mapWarmColumns(len(nodes), inst.Sets, warm)
-	}
 	cr, err := ilp.SolveCover(inst)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: subgraph ILP: %w", err)
@@ -216,63 +219,6 @@ func selectILP(nodes []int, cands []candidate, opts Options, warm [][]int) ([]ca
 		out = append(out, cands[kept[ci]])
 	}
 	return out, cr, nil
-}
-
-// mapWarmColumns maps a previous selection — sorted member-ordinal sets for
-// the multi-member picks — onto column indices of the current instance,
-// completing the partition with the singleton columns of uncovered
-// ordinals. Returns nil when any pick no longer has a matching column.
-func mapWarmColumns(numElems int, sets []ilp.CoverSet, warm [][]int) []int {
-	singleton := make([]int, numElems)
-	for i := range singleton {
-		singleton[i] = -1
-	}
-	multi := make(map[string]int)
-	for si, s := range sets {
-		if len(s.Members) == 1 {
-			if singleton[s.Members[0]] < 0 {
-				singleton[s.Members[0]] = si
-			}
-			continue
-		}
-		multi[ordKey(s.Members)] = si
-	}
-	covered := make([]bool, numElems)
-	cols := make([]int, 0, len(warm))
-	for _, ords := range warm {
-		si, ok := multi[ordKey(ords)]
-		if !ok {
-			return nil
-		}
-		cols = append(cols, si)
-		for _, o := range ords {
-			if o < 0 || o >= numElems || covered[o] {
-				return nil
-			}
-			covered[o] = true
-		}
-	}
-	for o := 0; o < numElems; o++ {
-		if covered[o] {
-			continue
-		}
-		if singleton[o] < 0 {
-			return nil
-		}
-		cols = append(cols, singleton[o])
-	}
-	return cols
-}
-
-// ordKey is an order-insensitive key for a member-ordinal set.
-func ordKey(ords []int) string {
-	ms := append([]int(nil), ords...)
-	sort.Ints(ms)
-	buf := make([]byte, 0, len(ms)*4)
-	for _, m := range ms {
-		buf = append(buf, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
-	}
-	return string(buf)
 }
 
 // selectGreedy is the Fig. 6 baseline: the same methodology with the ILP
@@ -287,7 +233,7 @@ func ordKey(ords []int) string {
 // its neighbours into odd-sized remainders that no library width covers —
 // the fragmentation the exact cover avoids, and the source of the ~12%
 // register-count gap of Fig. 6.
-func selectGreedy(d *netlist.Design, g *compat.Graph, nodes []int, cands []candidate) ([]candidate, float64) {
+func selectGreedy(g *compat.Graph, nodes []int, cands []candidate) ([]candidate, float64) {
 	order := make([]int, 0, len(cands))
 	for i, c := range cands {
 		if len(c.nodes) < 2 {
@@ -339,7 +285,6 @@ func selectGreedy(d *netlist.Design, g *compat.Graph, nodes []int, cands []candi
 			obj++
 		}
 	}
-	_ = d
 	return out, obj
 }
 

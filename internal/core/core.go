@@ -18,10 +18,13 @@
 //     inside the group's common timing-feasible region (§4.2), committed to
 //     the netlist, and legalized incrementally.
 //
-// Steps 2–4 are independent per subgraph and run concurrently on a bounded
-// worker pool (Options.Workers); results are merged by a deterministic
-// ordered reduce, so the outcome is byte-identical for any worker count.
-// See parallel.go.
+// Steps 2–4 are independent per subgraph and run as one pipeline
+// (composeRound) on a work-stealing worker pool (Options.Workers); results
+// are merged by a deterministic ordered reduce, so the outcome is
+// byte-identical for any worker count. Compose runs that pipeline over a
+// fresh decomposition; the retained Engine runs the same pipeline over a
+// cached decomposition and replays unchanged subgraphs from a memo. See
+// parallel.go.
 //
 // A greedy maximal-clique heuristic (in the spirit of the comparison in
 // Fig. 6) is provided as the baseline composer.
@@ -85,9 +88,8 @@ type Options struct {
 	NamePrefix string
 	// Workers bounds the worker pool that the per-partition stages (clique
 	// enumeration, candidate scoring, subgraph ILP solves) fan out across:
-	// 0 = one worker per available CPU (runtime.GOMAXPROCS), 1 = the legacy
-	// sequential path. The result is byte-identical for any value — see
-	// parallel.go.
+	// 0 = one worker per available CPU (runtime.GOMAXPROCS), 1 = a single
+	// worker. The result is byte-identical for any value — see parallel.go.
 	Workers int
 	// ReleaseClocks, when set, is called with each group's member registers
 	// immediately before they are merged. The retained clock-tree engine
@@ -96,23 +98,6 @@ type Options struct {
 	// check sees one common clock net and the MBR lands on the root (the
 	// next tree update re-parents it under a leaf).
 	ReleaseClocks func(regs []*netlist.Inst)
-
-	// DisableSolveMemo turns off the retained compose engine's
-	// signature-keyed per-subgraph solve memo; every pass then runs the
-	// memo-free pipeline. The zero value (memo on) is the recommended
-	// default. Ignored by the plain Compose/ComposeWith entry points,
-	// which are always memo-free.
-	DisableSolveMemo bool
-	// DisableWarmStart turns off seeding dirty subgraphs' branch & bound
-	// with the previous pass's selection. The zero value (warm starts on)
-	// is the recommended default; either setting yields bit-identical
-	// selections (see ilp.CoverInstance.Warm).
-	DisableWarmStart bool
-	// MemoLimit bounds the engine's memo to this many subgraph entries
-	// (0 = default 65536). A round presenting more subgraphs than the
-	// limit falls back to the memo-free path for that round.
-	MemoLimit int
-
 	// ParallelCliqueThreshold is the subgraph node count at or above which
 	// sub-clique enumeration splits its top-level Bron–Kerbosch branches
 	// across the worker pool (clique.EnumerateSubCliquesParallel); smaller
@@ -121,14 +106,6 @@ type Options struct {
 	// parallelism. Result-neutral: the parallel enumeration is
 	// byte-identical to the sequential one at any worker count.
 	ParallelCliqueThreshold int
-	// DisableStreaming makes the batch entry points (Compose/ComposeWith
-	// with subgraphs == nil) materialize the whole decomposition up front,
-	// the pre-streaming behavior. The zero value (streaming on) decomposes,
-	// solves and reduces shard by shard through bounded channels, keeping
-	// peak memory proportional to live shards instead of the whole
-	// decomposition. Result-neutral: both paths are byte-identical.
-	// Ignored when subgraphs are supplied (the retained engines' path).
-	DisableStreaming bool
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -175,7 +152,7 @@ type Result struct {
 	// Subgraphs is the number of ILP subproblems solved.
 	Subgraphs int
 	// Workers is the resolved worker-pool size the per-partition stages ran
-	// with (1 = sequential).
+	// with.
 	Workers int
 	// Candidates is the total number of enumerated valid candidates.
 	Candidates int
@@ -195,23 +172,17 @@ type Result struct {
 	LegalizationFailed int
 
 	// SchedShards / SchedSteals report the work-stealing shard scheduler:
-	// shards scheduled this run (0 when the sequential or streaming path
-	// ran) and shards a worker claimed from another worker's queue.
-	// SchedSteals depends on the goroutine schedule and is excluded from
-	// byte-identity oracles.
+	// shards scheduled this run (every subgraph) and shards a worker
+	// claimed from another worker's queue. SchedSteals depends on the
+	// goroutine schedule and is excluded from byte-identity oracles.
 	SchedShards int
 	SchedSteals int
-	// StreamedShards counts subgraphs that flowed through the streaming
-	// pipeline (0 when a materialized decomposition was solved).
-	StreamedShards int
-	// PeakLiveShards / PeakLiveCands are streaming high-water marks: the
-	// most shards simultaneously in the pipeline (queued, solving, or
-	// awaiting the ordered reduce) and the largest concurrent sum of their
-	// candidate counts — the evidence that peak memory tracks live shards,
-	// not the whole decomposition. Both depend on the goroutine schedule
-	// and are excluded from byte-identity oracles.
+	// PeakLiveShards is the most shard results held at once. Every shard's
+	// result slot lives until the ordered reduce, so it equals Subgraphs;
+	// it is kept so per-layer reports (the repo benchmark's
+	// core.peak_live_shards) can track the resident shard count should the
+	// pipeline ever release results earlier.
 	PeakLiveShards int
-	PeakLiveCands  int
 }
 
 // BitWidthHistogram returns register-instance counts keyed by bit width —

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/compat"
@@ -19,10 +18,7 @@ import (
 // full signature of everything solveSubgraph reads, so a pass re-solves
 // only the subgraphs something actually changed under. The memo follows the
 // partition.Cache discipline — exact encoding, not a hash, with entries not
-// touched in a round evicted — and dirty subgraphs warm-start their branch
-// & bound from the previous selection of the same member set
-// (ilp.CoverInstance.Warm), whose contract keeps every solve bit-identical
-// to a cold one.
+// touched in a round evicted.
 //
 // The signature covers, per subgraph: the member list in order (instance
 // ID, cell name — which pins bits, dimensions, drive and class — position,
@@ -40,18 +36,14 @@ import (
 // are consumed for accounting only — a hinted-clean subgraph whose
 // signature missed is counted as a hint miss, not trusted.
 //
-// Engine.Compose is bit-identical to the memo-free ComposeWith at any
-// worker count: replays restore the stored selection, objective and counts
-// verbatim; fresh solves run the identical pipeline; and the ordered reduce
-// and commit are shared code. The only field that may legitimately diverge
-// is Result.ILPNodes on warm-started solves, where the probe/retry
-// accounting differs from a cold search while the chosen columns do not.
-// A round with the memo disabled or more subgraphs than MemoLimit falls
-// back to the memo-free path wholesale and drops the retained state.
+// Engine.Compose is byte-identical to Compose at any worker count,
+// Result.ILPNodes included: both run composeRound, replays restore the
+// stored selection, objective and counts verbatim, and fresh solves run the
+// identical pipeline. A round presenting more subgraphs than memoLimit runs
+// without the memo and drops the retained state.
 type Engine struct {
 	d       *netlist.Design
 	memo    map[string]*memoEntry
-	lineage map[string][][]netlist.InstID
 	optsSig string
 	workers int
 	stats   EngineStats
@@ -62,6 +54,11 @@ type Engine struct {
 	ri      *regIndex
 	riEpoch uint64
 }
+
+// memoLimit bounds the engine's memo in subgraph entries. A round
+// presenting more subgraphs than this runs memo-free (an "overflow"
+// round), keeping the memo's memory bounded on huge designs.
+var memoLimit = 65536
 
 // memoPick is one selected multi-member candidate in index-independent
 // form: member ordinals within the subgraph's node list plus the scored
@@ -97,26 +94,15 @@ type EngineStats struct {
 	// ILPNodesSaved sums the stored branch & bound node counts of replayed
 	// subgraphs — the search work the memo avoided re-spending.
 	ILPNodesSaved int
-	// WarmSeeded / WarmAccepted / WarmRetried count dirty-subgraph solves
-	// whose branch & bound was seeded from the previous selection, solves
-	// where that selection proved still optimal, and probes that had to
-	// re-run with the canonical greedy seed.
-	WarmSeeded   int
-	WarmAccepted int
-	WarmRetried  int
-	// TightenPruned sums columns removed by reduced-cost root tightening
-	// across fresh solves.
-	TightenPruned int
 	// HintedClean / HintMisses count subgraphs the caller hinted clean,
 	// and those hints contradicted by a signature miss.
 	HintedClean int
 	HintMisses  int
-	// Fallbacks counts rounds served by the memo-free path (memo disabled
-	// or subgraph count over MemoLimit).
+	// Fallbacks counts overflow rounds: rounds that presented more
+	// subgraphs than the memo bound and ran without the memo.
 	Fallbacks int
 	// SchedShards / SchedSteals accumulate the work-stealing scheduler's
-	// counters across rounds: shards scheduled on the parallel path, and
-	// shards a worker claimed from another worker's queue. SchedSteals is
+	// counters across rounds: shards scheduled, and shards a worker claimed from another worker's queue. SchedSteals is
 	// schedule-dependent diagnostics, not part of any identity oracle.
 	SchedShards int
 	SchedSteals int
@@ -132,11 +118,10 @@ func NewEngine(d *netlist.Design) *Engine {
 	return &Engine{d: d}
 }
 
-// Invalidate drops the memo and warm-start lineage; the next Compose
-// re-solves everything (engine.Retained contract).
+// Invalidate drops the memo; the next Compose re-solves everything
+// (engine.Retained contract).
 func (e *Engine) Invalidate() {
 	e.memo = nil
-	e.lineage = nil
 	e.optsSig = ""
 	e.ri = nil
 	e.stats.Invalidations++
@@ -166,25 +151,21 @@ func (e *Engine) Summary() engine.Summary { return e.sum }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Compose runs one composition pass through the retained memo. The
-// arguments mirror ComposeWith; clean, when non-nil, carries per-subgraph
-// clean hints aligned with subgraphs (see compatgraph.Engine.SubgraphHints)
-// and is used for accounting only.
+// arguments mirror Compose, plus subgraphs — the decomposition of g, as
+// maintained by the compat engine's partition cache (nil means decompose
+// here; either way it must equal partition.Decompose's) — and clean, which
+// when non-nil carries per-subgraph clean hints aligned with subgraphs (see
+// compatgraph.Engine.SubgraphHints) and is used for accounting only.
 func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, clean []bool, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = normalizeOptions(opts)
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
 	}
-	res := &Result{
-		RegsBefore:     len(e.d.Registers()),
-		ComposableRegs: len(g.Regs),
-	}
 	if subgraphs == nil {
 		subgraphs = partition.Decompose(len(g.Regs), g.Adj,
 			func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
 	}
-	res.Subgraphs = len(subgraphs)
-	res.Workers = resolveWorkers(opts.Workers)
 	e.sum.Updates++
 	e.stats.Rounds++
 	e.stats.SubgraphsSeen += len(subgraphs)
@@ -194,122 +175,61 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 			e.stats.Invalidations++
 		}
 		e.memo = nil
-		e.lineage = nil
 		e.optsSig = os
 	}
 
-	limit := opts.MemoLimit
-	if limit <= 0 {
-		limit = 65536
-	}
-	if opts.DisableSolveMemo || len(subgraphs) > limit {
-		// Memo-free fallback: the exact pipeline ComposeWith runs. The
-		// retained state is dropped — bounded memory beats stale warmth.
-		kind := "memo-off"
-		if !opts.DisableSolveMemo {
-			kind = "overflow"
-		}
+	ri := e.regIndex()
+	if len(subgraphs) > memoLimit {
+		// Overflow round: the memo-free pipeline, with the retained state
+		// dropped — bounded memory beats stale warmth.
 		e.memo = nil
-		e.lineage = nil
 		e.stats.Fallbacks++
-		e.stats.SubgraphsSolved += len(subgraphs)
 		e.stats.MemoEntries = 0
 		e.sum.Rebuilds++
-		e.sum.LastKind = kind
-		ri := e.regIndex()
-		subResults, st, err := solveSubgraphs(e.d, g, ri, subgraphs, opts)
+		e.sum.LastKind = "overflow"
+		res, _, err := composeRound(e.d, g, plan, ri, subgraphs, opts, nil)
 		if err != nil {
 			return nil, err
 		}
-		res.SchedShards = st.shards
-		res.SchedSteals = st.steals
-		e.stats.SchedShards += st.shards
-		e.stats.SchedSteals += st.steals
-		selected := reduceResults(subResults, res)
-		if err := commitSelected(e.d, g, plan, selected, opts, res); err != nil {
-			return nil, err
-		}
+		e.stats.SubgraphsSolved += len(subgraphs)
+		e.stats.SchedShards += res.SchedShards
+		e.stats.SchedSteals += res.SchedSteals
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
 
-	ri := e.regIndex()
-	type slot struct {
-		sr     subgraphResult
-		sig    string
-		ent    *memoEntry
-		reused bool
-		err    error
+	// Memo lookups, signature encoding included, run inside the shard
+	// workers; the memo is only read, never written, until the round ends.
+	sigs := make([]string, len(subgraphs))
+	hits := make([]*memoEntry, len(subgraphs))
+	replay := func(i int) (subgraphResult, bool) {
+		sigs[i] = subgraphSig(g, ri, subgraphs[i])
+		ent, ok := e.memo[sigs[i]]
+		if !ok {
+			return subgraphResult{}, false
+		}
+		hits[i] = ent
+		return ent.replay(subgraphs[i]), true
 	}
-	slots := make([]slot, len(subgraphs))
-	process := func(i int) {
-		nodes := subgraphs[i]
-		sig := subgraphSig(g, ri, nodes)
-		slots[i].sig = sig
-		if ent, ok := e.memo[sig]; ok {
-			slots[i].ent = ent
-			slots[i].sr = ent.replay(nodes)
-			slots[i].reused = true
-			return
-		}
-		var warm [][]int
-		if !opts.DisableWarmStart && opts.Method == MethodILP {
-			if prev, ok := e.lineage[memberKey(g, nodes)]; ok {
-				warm = mapIDsToOrds(g, nodes, prev)
-			}
-		}
-		sr, err := solveSubgraph(e.d, g, ri, nodes, opts, warm)
-		if err != nil {
-			slots[i].err = err
-			return
-		}
-		slots[i].sr = sr
-		slots[i].ent = entryOf(sr, nodes)
+	res, results, err := composeRound(e.d, g, plan, ri, subgraphs, opts, replay)
+	if err != nil {
+		e.memo = nil
+		return nil, err
 	}
+	e.stats.SchedShards += res.SchedShards
+	e.stats.SchedSteals += res.SchedSteals
 
-	// Shard the round across the pool with the work-stealing scheduler
-	// (scheduler.go). Memo hits make the cost model an overestimate for
-	// replayed shards, but stealing absorbs the imbalance; the clamp runs
-	// against schedulable units so large subgraphs' intra-clique branches
-	// can still use idle CPUs.
-	workers := resolveWorkers(opts.Workers)
-	if u := schedulableUnits(subgraphs, opts.ParallelCliqueThreshold); workers > u {
-		workers = u
-	}
-	if workers <= 1 {
-		for i := range subgraphs {
-			process(i)
-		}
-	} else {
-		st := runSharded(estimateShardCosts(g, subgraphs), workers, process)
-		res.SchedShards = st.shards
-		res.SchedSteals = st.steals
-		e.stats.SchedShards += st.shards
-		e.stats.SchedSteals += st.steals
-	}
-
-	// Sequential merge in subgraph index order: surface the lowest-index
-	// error (what the sequential loop would have hit first), rotate the
-	// memo partition.Cache-style (untouched entries are stale — their
-	// subgraph changed or vanished — and are dropped), and refresh the
-	// member-set lineage that seeds the next round's warm starts.
+	// Rotate the memo partition.Cache-style: entries this round did not
+	// touch are stale — their subgraph changed or vanished — and are dropped.
 	nextMemo := make(map[string]*memoEntry, len(subgraphs))
-	nextLineage := make(map[string][][]netlist.InstID, len(subgraphs))
-	subResults := make([]subgraphResult, len(subgraphs))
 	reusedCount := 0
-	for i := range slots {
-		if slots[i].err != nil {
-			e.memo = nil
-			e.lineage = nil
-			return nil, slots[i].err
-		}
-		sr := slots[i].sr
-		subResults[i] = sr
+	for i, sr := range results {
 		hinted := clean != nil && i < len(clean) && clean[i]
 		if hinted {
 			e.stats.HintedClean++
 		}
-		if slots[i].reused {
+		ent := hits[i]
+		if ent != nil {
 			reusedCount++
 			e.stats.SubgraphsReused++
 			e.stats.ILPNodesSaved += sr.ilpNodes
@@ -318,22 +238,11 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 			if hinted {
 				e.stats.HintMisses++
 			}
-			if sr.warmSeeded {
-				e.stats.WarmSeeded++
-			}
-			if sr.warmAccepted {
-				e.stats.WarmAccepted++
-			}
-			if sr.warmRetried {
-				e.stats.WarmRetried++
-			}
-			e.stats.TightenPruned += sr.tightenPruned
+			ent = entryOf(sr, subgraphs[i])
 		}
-		nextMemo[slots[i].sig] = slots[i].ent
-		nextLineage[memberKey(g, subgraphs[i])] = pickIDs(g, subgraphs[i], slots[i].ent)
+		nextMemo[sigs[i]] = ent
 	}
 	e.memo = nextMemo
-	e.lineage = nextLineage
 	e.stats.MemoEntries = len(nextMemo)
 	switch {
 	case e.sum.Updates == 1:
@@ -345,11 +254,6 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 	default:
 		e.sum.Rebuilds++
 		e.sum.LastKind = "all-fresh"
-	}
-
-	selected := reduceResults(subResults, res)
-	if err := commitSelected(e.d, g, plan, selected, opts, res); err != nil {
-		return nil, err
 	}
 	res.Runtime = time.Since(start)
 	return res, nil
@@ -409,72 +313,11 @@ func entryOf(sr subgraphResult, nodes []int) *memoEntry {
 	return ent
 }
 
-// pickIDs rewrites an entry's picks as member instance-ID sets — the
-// node-index-independent form the warm-start lineage stores.
-func pickIDs(g *compat.Graph, nodes []int, ent *memoEntry) [][]netlist.InstID {
-	out := make([][]netlist.InstID, 0, len(ent.picks))
-	for _, p := range ent.picks {
-		ids := make([]netlist.InstID, len(p.ords))
-		for j, o := range p.ords {
-			ids[j] = regOf(g, nodes[o]).ID
-		}
-		out = append(out, ids)
-	}
-	return out
-}
-
-// mapIDsToOrds maps a previous selection (instance-ID sets) onto the
-// current subgraph's member ordinals, sorted per set. Picks naming an
-// instance outside the subgraph are dropped — the remaining picks plus
-// singleton fill still form a feasible warm cover.
-func mapIDsToOrds(g *compat.Graph, nodes []int, picks [][]netlist.InstID) [][]int {
-	ord := make(map[netlist.InstID]int, len(nodes))
-	for i, n := range nodes {
-		ord[regOf(g, n).ID] = i
-	}
-	out := make([][]int, 0, len(picks))
-	for _, ids := range picks {
-		os := make([]int, 0, len(ids))
-		ok := true
-		for _, id := range ids {
-			o, found := ord[id]
-			if !found {
-				ok = false
-				break
-			}
-			os = append(os, o)
-		}
-		if !ok {
-			continue
-		}
-		sort.Ints(os)
-		out = append(out, os)
-	}
-	return out
-}
-
-// memberKey encodes a subgraph's member set (sorted instance IDs) — the
-// lineage key that pairs a dirty subgraph with its previous selection.
-func memberKey(g *compat.Graph, nodes []int) string {
-	ids := make([]int64, len(nodes))
-	for i, n := range nodes {
-		ids[i] = int64(regOf(g, n).ID)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	buf := make([]byte, 0, 8*len(ids))
-	var w [8]byte
-	for _, id := range ids {
-		binary.LittleEndian.PutUint64(w[:], uint64(id))
-		buf = append(buf, w[:]...)
-	}
-	return string(buf)
-}
-
 // encodeOptsSig captures the solve-relevant Options plus the plan's global
 // cross-chain flag — everything a subgraph solve reads that the
 // per-subgraph signature does not carry. Commit-only fields (NamePrefix,
-// ReleaseClocks) and result-neutral knobs (Workers, the memo and
-// warm-start toggles) stay out: changing them must not drop the memo.
+// ReleaseClocks) and result-neutral knobs (Workers,
+// ParallelCliqueThreshold) stay out: changing them must not drop the memo.
 func encodeOptsSig(opts Options, plan *scan.Plan) string {
 	buf := make([]byte, 0, 64)
 	var w [8]byte

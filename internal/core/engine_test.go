@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -27,22 +28,13 @@ func rebuildGraph(t testing.TB, d *netlist.Design, plan *scan.Plan) *compat.Grap
 	return compat.Build(d, res, plan, compat.DefaultOptions())
 }
 
-// summaryNoNodes is composeSummary with ILPNodes masked out — the one field
-// the retained engine may legitimately report differently when warm starts
-// are enabled (probe/retry node accounting), while the selection and the
-// design state stay bit-identical.
-func summaryNoNodes(res *Result, d *netlist.Design) string {
-	c := *res
-	c.ILPNodes = 0
-	return composeSummary(&c, d)
-}
-
 // engineOracleRounds drives twin designs through `rounds` composition
 // passes with identical ≤1% register wiggles in between: one twin through
-// the retained engine, the other through the memo-free ComposeWith. Every
-// round, the results and final design states must match. invalidateAt, when
-// ≥ 0, forces a full retained-state drop before that round.
-func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, disableWarm bool, invalidateAt int) *Engine {
+// the retained engine, the other through the memo-free Compose. Every
+// round, the results — branch & bound node counts included — and final
+// design states must match. invalidateAt, when ≥ 0, forces a full
+// retained-state drop before that round.
+func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, invalidateAt int) *Engine {
 	t.Helper()
 	genE, err := bench.Generate(spec)
 	if err != nil {
@@ -81,7 +73,6 @@ func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, disa
 		}
 		opts := DefaultOptions()
 		opts.Workers = workers
-		opts.DisableWarmStart = disableWarm
 		// Per-round MBR name prefix, as the flow does between passes. The
 		// prefix is commit-only and must not perturb the memo.
 		opts.NamePrefix = fmt.Sprintf("p%d", round)
@@ -91,17 +82,11 @@ func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, disa
 		if err != nil {
 			t.Fatal(err)
 		}
-		resF, err := ComposeWith(dF, gF, genF.Plan, nil, opts)
+		resF, err := Compose(dF, gF, genF.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sumE, sumF string
-		if disableWarm {
-			sumE, sumF = composeSummary(resE, dE), composeSummary(resF, dF)
-		} else {
-			sumE, sumF = summaryNoNodes(resE, dE), summaryNoNodes(resF, dF)
-		}
-		if sumE != sumF {
+		if sumE, sumF := composeSummary(resE, dE), composeSummary(resF, dF); sumE != sumF {
 			t.Fatalf("round %d: engine diverged from memo-free compose:\nengine:\n%s\nfresh:\n%s",
 				round, sumE, sumF)
 		}
@@ -111,8 +96,8 @@ func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, disa
 
 // TestEngineMatchesComposeWithProfiles is the oracle: on all five design
 // profiles and multiple worker counts, multi-round retained composition is
-// bit-identical (selections, counts, objective, final design state) to
-// rebuilding from scratch every round.
+// byte-identical (selections, counts, branch & bound nodes, objective,
+// final design state) to composing from scratch every round.
 func TestEngineMatchesComposeWithProfiles(t *testing.T) {
 	o := bench.ProfileOpts{Scale: 150}
 	profiles := []struct {
@@ -125,7 +110,10 @@ func TestEngineMatchesComposeWithProfiles(t *testing.T) {
 		{"D4", bench.D4(o)},
 		{"D5", bench.D5(o)},
 	}
-	workerCounts := []int{1, 4}
+	workerCounts := []int{1, 2, 4}
+	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
+		workerCounts = append(workerCounts, n)
+	}
 	if testing.Short() {
 		profiles = profiles[:2]
 		workerCounts = []int{4}
@@ -134,7 +122,7 @@ func TestEngineMatchesComposeWithProfiles(t *testing.T) {
 		for _, w := range workerCounts {
 			p, w := p, w
 			t.Run(fmt.Sprintf("%s/workers=%d", p.name, w), func(t *testing.T) {
-				eng := engineOracleRounds(t, p.spec, w, 3, false, -1)
+				eng := engineOracleRounds(t, p.spec, w, 3, -1)
 				st := eng.Stats()
 				if st.Rounds != 3 {
 					t.Fatalf("engine served %d rounds, want 3: %+v", st.Rounds, st)
@@ -147,8 +135,9 @@ func TestEngineMatchesComposeWithProfiles(t *testing.T) {
 	}
 }
 
-// TestEngineNoWarmFullyIdentical disables warm starts, where even the
-// branch & bound node counts must match the memo-free path exactly.
+// TestEngineNoWarmFullyIdentical pins D1 and D3 at four workers, whatever
+// the test mode: with no warm starts anywhere, even the branch & bound node
+// counts must match the memo-free path exactly.
 func TestEngineNoWarmFullyIdentical(t *testing.T) {
 	o := bench.ProfileOpts{Scale: 150}
 	for _, p := range []struct {
@@ -160,7 +149,7 @@ func TestEngineNoWarmFullyIdentical(t *testing.T) {
 	} {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
-			engineOracleRounds(t, p.spec, 4, 3, true, -1)
+			engineOracleRounds(t, p.spec, 4, 3, -1)
 		})
 	}
 }
@@ -168,7 +157,7 @@ func TestEngineNoWarmFullyIdentical(t *testing.T) {
 // TestEngineInvalidateMidSequence forces a retained-state drop before the
 // last round: the next Compose must re-solve everything and still match.
 func TestEngineInvalidateMidSequence(t *testing.T) {
-	eng := engineOracleRounds(t, bench.D2(bench.ProfileOpts{Scale: 150}), 4, 3, false, 2)
+	eng := engineOracleRounds(t, bench.D2(bench.ProfileOpts{Scale: 150}), 4, 3, 2)
 	st := eng.Stats()
 	if st.Invalidations == 0 {
 		t.Fatalf("Invalidate not recorded: %+v", st)
@@ -235,10 +224,9 @@ func TestEngineMemoFullReuseOnIdenticalRound(t *testing.T) {
 	}
 }
 
-// TestEngineFallbackPaths covers the memo-free fallbacks: a subgraph count
-// over MemoLimit and an explicit DisableSolveMemo must both serve the round
-// through the plain pipeline, drop the retained state, and still produce
-// the memo-free result.
+// TestEngineFallbackPaths covers the memo-free fallback: a round with more
+// subgraphs than the memo bound must run without the memo, drop the
+// retained state, and still produce the memo-free result.
 func TestEngineFallbackPaths(t *testing.T) {
 	spec := bench.D1(bench.ProfileOpts{Scale: 150})
 	genE, err := bench.Generate(spec)
@@ -253,43 +241,29 @@ func TestEngineFallbackPaths(t *testing.T) {
 	eng := NewEngine(dE)
 	eng.SetWorkers(4)
 
-	fallbackRound := 0
-	check := func(opts Options, wantKind string) {
-		t.Helper()
-		opts.Workers = 4
-		opts.NamePrefix = fmt.Sprintf("p%d", fallbackRound)
-		fallbackRound++
-		gE := rebuildGraph(t, dE, genE.Plan)
-		gF := rebuildGraph(t, dF, genF.Plan)
-		resE, err := eng.Compose(gE, genE.Plan, nil, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resF, err := ComposeWith(dF, gF, genF.Plan, nil, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sumE, sumF := composeSummary(resE, dE), composeSummary(resF, dF); sumE != sumF {
-			t.Fatalf("fallback %q diverged:\nengine:\n%s\nfresh:\n%s", wantKind, sumE, sumF)
-		}
-		if kind := eng.Summary().LastKind; kind != wantKind {
-			t.Fatalf("LastKind = %q, want %q", kind, wantKind)
-		}
-		if st := eng.Stats(); st.MemoEntries != 0 {
-			t.Fatalf("fallback %q retained %d memo entries", wantKind, st.MemoEntries)
-		}
+	defer func(limit int) { memoLimit = limit }(memoLimit)
+	memoLimit = 1 // any real decomposition exceeds this
+
+	opts := DefaultOptions()
+	opts.Workers = 4
+	gE := rebuildGraph(t, dE, genE.Plan)
+	gF := rebuildGraph(t, dF, genF.Plan)
+	resE, err := eng.Compose(gE, genE.Plan, nil, nil, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	over := DefaultOptions()
-	over.MemoLimit = 1 // any real decomposition exceeds this
-	check(over, "overflow")
-
-	off := DefaultOptions()
-	off.DisableSolveMemo = true
-	check(off, "memo-off")
-
-	if st := eng.Stats(); st.Fallbacks != 2 {
-		t.Fatalf("expected 2 fallbacks, got %+v", st)
+	resF, err := Compose(dF, gF, genF.Plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sumE, sumF := composeSummary(resE, dE), composeSummary(resF, dF); sumE != sumF {
+		t.Fatalf("overflow round diverged:\nengine:\n%s\nfresh:\n%s", sumE, sumF)
+	}
+	if kind := eng.Summary().LastKind; kind != "overflow" {
+		t.Fatalf("LastKind = %q, want overflow", kind)
+	}
+	if st := eng.Stats(); st.MemoEntries != 0 || st.Fallbacks != 1 {
+		t.Fatalf("overflow round: want 0 memo entries and 1 fallback, got %+v", st)
 	}
 }
 
@@ -326,7 +300,7 @@ func TestEngineOptionChangeDropsMemo(t *testing.T) {
 }
 
 // TestEngineGreedyMethod runs the retained engine under the greedy selector
-// (no ILP, no warm starts): memoization must still be exact.
+// (no ILP): memoization must still be exact.
 func TestEngineGreedyMethod(t *testing.T) {
 	spec := bench.D2(bench.ProfileOpts{Scale: 200})
 	genE, err := bench.Generate(spec)
@@ -349,7 +323,7 @@ func TestEngineGreedyMethod(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resF, err := ComposeWith(dF, gF, genF.Plan, nil, opts)
+		resF, err := Compose(dF, gF, genF.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +354,7 @@ func TestWeightPruneBoundaryConsistent(t *testing.T) {
 			{nodes: []int{1}, totalBits: 1, width: 1, weight: 1},
 			{nodes: []int{0, 1}, totalBits: 2, width: 2, weight: pairWeight},
 		}
-		picked, _, err := selectILP(nodes, cands, normalizeOptions(DefaultOptions()), nil)
+		picked, _, err := selectILP(nodes, cands, normalizeOptions(DefaultOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +363,7 @@ func TestWeightPruneBoundaryConsistent(t *testing.T) {
 				ilpPicked = true
 			}
 		}
-		gPicked, _ := selectGreedy(d, g, nodes, cands)
+		gPicked, _ := selectGreedy(g, nodes, cands)
 		for _, c := range gPicked {
 			if len(c.nodes) > 1 {
 				greedyPicked = true

@@ -16,20 +16,20 @@ import (
 // plan, the register index) is immutable while they run. Only the commit
 // phase mutates the design, and it stays sequential.
 //
-// solveSubgraphs exploits that: subgraphs are sharded across a bounded
-// worker pool by the work-stealing scheduler (scheduler.go), and the
-// results are merged by an ordered reduce — every
-// accumulation (candidate counts, branch & bound nodes, the floating-point
-// objective sum, the selected candidate list) happens in subgraph index
-// order, exactly as the sequential loop would have done it. Together with
-// the deterministic commit order this makes the composition result
+// composeRound exploits that: subgraphs are sharded across a bounded
+// worker pool by the work-stealing scheduler (scheduler.go), each shard
+// writes only its own index-addressed result slot, and the results are
+// merged by an ordered reduce — every accumulation (candidate counts,
+// branch & bound nodes, the floating-point objective sum, the selected
+// candidate list) happens in subgraph index order. Together with the
+// deterministic commit order this makes the composition result
 // byte-identical for any worker count and any goroutine schedule.
 
 // subgraphResult is the outcome of the per-partition pipeline on one
 // subgraph, before the ordered reduce.
 type subgraphResult struct {
 	// picked are the selected multi-member candidates (singleton "keep"
-	// decisions are dropped here, as the sequential path does).
+	// decisions are dropped).
 	picked []candidate
 	// objective is the subgraph's selection objective (ILP or greedy).
 	objective float64
@@ -39,18 +39,11 @@ type subgraphResult struct {
 	candidates int
 	// truncated reports that candidate enumeration hit its cap.
 	truncated bool
-	// warmSeeded/warmAccepted/warmRetried and tightenPruned carry the
-	// solver's warm-start and root-tightening accounting up to the retained
-	// engine's stats; they do not participate in the ordered reduce.
-	warmSeeded    bool
-	warmAccepted  bool
-	warmRetried   bool
-	tightenPruned int
 }
 
 // resolveWorkers maps the Options.Workers convention to a concrete worker
-// count: 0 (or negative) means one worker per available CPU, 1 is the
-// sequential legacy path, anything else is taken literally.
+// count: 0 (or negative) means one worker per available CPU, anything else
+// is taken literally.
 func resolveWorkers(w int) int {
 	if w <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -60,17 +53,13 @@ func resolveWorkers(w int) int {
 
 // solveSubgraph runs the full per-partition pipeline on one subgraph:
 // enumeration, scoring, selection. It only reads shared state and is safe to
-// call concurrently for disjoint subgraphs. warm, when non-nil, is the
-// previous pass's selection for this subgraph (sorted member-ordinal sets)
-// and seeds the ILP's branch & bound; the solver contract keeps the outcome
-// bit-identical to a cold solve.
+// call concurrently for disjoint subgraphs.
 func solveSubgraph(
 	d *netlist.Design,
 	g *compat.Graph,
 	ri *regIndex,
 	nodes []int,
 	opts Options,
-	warm [][]int,
 ) (subgraphResult, error) {
 	var sr subgraphResult
 	cands, truncated, err := enumerateCandidates(d, g, ri, nodes, opts)
@@ -83,19 +72,15 @@ func solveSubgraph(
 	var picked []candidate
 	switch opts.Method {
 	case MethodGreedy:
-		picked, sr.objective = selectGreedy(d, g, nodes, cands)
+		picked, sr.objective = selectGreedy(g, nodes, cands)
 	default:
 		var cr *ilp.CoverResult
-		picked, cr, err = selectILP(nodes, cands, opts, warm)
+		picked, cr, err = selectILP(nodes, cands, opts)
 		if err != nil {
 			return sr, err
 		}
 		sr.objective = cr.Objective
 		sr.ilpNodes = cr.Nodes
-		sr.warmSeeded = cr.WarmSeeded
-		sr.warmAccepted = cr.WarmAccepted
-		sr.warmRetried = cr.WarmRetried
-		sr.tightenPruned = cr.TightenPruned
 	}
 	for _, c := range picked {
 		if len(c.nodes) > 1 {
@@ -103,50 +88,4 @@ func solveSubgraph(
 		}
 	}
 	return sr, nil
-}
-
-// solveSubgraphs runs solveSubgraph over every subgraph and returns the
-// results indexed like the input. With workers == 1 it runs the legacy
-// sequential loop; otherwise the subgraphs are sharded across the pool by
-// the work-stealing scheduler (see scheduler.go) so a skewed cost
-// distribution no longer serializes the tail. The pool is clamped against
-// schedulableUnits rather than len(subgraphs): with a few huge subgraphs,
-// the extra workers pick up the intra-subgraph clique branches instead of
-// idling. Each shard writes only its own result slot, so no locking is
-// needed beyond the completion barrier. Errors are reported by the
-// lowest-index failing subgraph, matching what the sequential loop would
-// have surfaced first.
-func solveSubgraphs(
-	d *netlist.Design,
-	g *compat.Graph,
-	ri *regIndex,
-	subgraphs [][]int,
-	opts Options,
-) ([]subgraphResult, schedStats, error) {
-	results := make([]subgraphResult, len(subgraphs))
-	workers := resolveWorkers(opts.Workers)
-	if u := schedulableUnits(subgraphs, opts.ParallelCliqueThreshold); workers > u {
-		workers = u
-	}
-	if workers <= 1 {
-		for i, nodes := range subgraphs {
-			sr, err := solveSubgraph(d, g, ri, nodes, opts, nil)
-			if err != nil {
-				return nil, schedStats{}, err
-			}
-			results[i] = sr
-		}
-		return results, schedStats{}, nil
-	}
-
-	errs := make([]error, len(subgraphs))
-	st := runSharded(estimateShardCosts(g, subgraphs), workers, func(idx int) {
-		results[idx], errs[idx] = solveSubgraph(d, g, ri, subgraphs[idx], opts, nil)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, st, err
-		}
-	}
-	return results, st, nil
 }

@@ -138,3 +138,23 @@ func TestEstimateShardCost(t *testing.T) {
 		prev = c
 	}
 }
+
+// TestComposeSchedulesEveryShard pins that Compose runs its subgraphs
+// through the shard scheduler: at two workers every subgraph is scheduled
+// exactly once and every result slot is live until the ordered reduce.
+func TestComposeSchedulesEveryShard(t *testing.T) {
+	d, g, plan := genComposeInput(t, randomSpec(11))
+	opts := DefaultOptions()
+	opts.Workers = 2
+	res, err := Compose(d, g, plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Subgraphs == 0 {
+		t.Fatal("spec decomposed into no subgraphs")
+	}
+	if res.SchedShards != res.Subgraphs || res.PeakLiveShards != res.Subgraphs {
+		t.Fatalf("scheduled %d shards, peak live %d, for %d subgraphs",
+			res.SchedShards, res.PeakLiveShards, res.Subgraphs)
+	}
+}

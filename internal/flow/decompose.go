@@ -4,9 +4,9 @@
 // degraded — victims come from the retained STA engine's changed-slack
 // feed, worst cones first — and splits them back into single-bit
 // registers so the next composition pass can regroup their bits with
-// better neighbours. The legacy Config.DecomposeExisting debank-all
-// behavior (split every max-width MBR before the first compose) is the
-// All preset of the same pass.
+// better neighbours. The debank-all behavior (split every max-width MBR
+// before the first compose, the paper's §5 future-work idea) is the All
+// preset of the same pass.
 package flow
 
 import (
@@ -30,9 +30,9 @@ type DecomposeConfig struct {
 	// below this value (0 = only violating registers, the WNS cones).
 	SlackThresholdPS float64 `json:"slackThresholdPS,omitempty"`
 	// All ignores Budget and the slack rule and splits every movable
-	// register at its class's maximum library width — the legacy
-	// debank-all preset (Config.DecomposeExisting), most useful before a
-	// first compose on designs already rich in max-width MBRs.
+	// register at its class's maximum library width — the debank-all
+	// preset, most useful before a first compose on designs already rich
+	// in max-width MBRs (the D4 situation).
 	All bool `json:"all,omitempty"`
 }
 
@@ -201,7 +201,7 @@ func (s *Session) slackVictims(dcfg DecomposeConfig, tres *sta.Results) ([]*netl
 
 // maxWidthVictims is the All preset's selection: every movable register
 // sitting at its class's maximum library width with a 1-bit cell
-// available (the legacy DecomposeExisting semantics).
+// available.
 func maxWidthVictims(d *netlist.Design) []*netlist.Inst {
 	var victims []*netlist.Inst
 	for _, r := range d.Registers() {

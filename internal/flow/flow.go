@@ -120,16 +120,11 @@ type Config struct {
 	// compose and restores leftovers after the last; sessions drive
 	// DecomposePass/RestorePass directly.
 	Decompose DecomposeConfig
-	// DecomposeExisting is the legacy debank-all flag, kept as an alias
-	// for Decompose.All (the paper's §5 future-work preset: split every
-	// max-width MBR before the first compose). Most useful on designs
-	// already rich in 8-bit MBRs (the D4 situation).
-	DecomposeExisting bool
 	// Workers bounds the worker pools the parallel stages fan out across:
 	// the per-partition composition stages (clique enumeration, candidate
 	// scoring, subgraph ILP solves) and the STA engine's levelized
 	// arrival/required sweeps. 0 = one worker per available CPU
-	// (runtime.GOMAXPROCS(0)), 1 = the legacy sequential path. Reports are
+	// (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports are
 	// byte-identical for any setting; it overrides Compose.Workers when
 	// non-zero.
 	Workers int
@@ -184,16 +179,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// normalizedDecompose folds the legacy DecomposeExisting alias into the
-// decompose config: the old flag is exactly the All preset.
-func (c Config) normalizedDecompose() DecomposeConfig {
-	dc := c.Decompose
-	if c.DecomposeExisting {
-		dc.All = true
-	}
-	return dc
-}
-
 // DefaultConfig returns the paper-default flow.
 func DefaultConfig() Config {
 	return Config{
@@ -233,7 +218,7 @@ type Report struct {
 	// rebuild decisions, re-contributed nets, touched grid edges).
 	RouteStats route.Stats
 	// ComposeStats accounts for the retained compose engine (subgraph memo
-	// replays vs fresh solves, ILP nodes saved, warm-start outcomes).
+	// replays vs fresh solves, ILP nodes saved, scheduler shards).
 	ComposeStats core.EngineStats
 	// Engines is the uniform engine.Retained contract view of the retained
 	// engines, keyed "sta", "compat", "cts", "metrics", "route", "compose".
@@ -242,8 +227,7 @@ type Report struct {
 	SkewedMBRs  int
 	ResizedMBRs int
 	// DecomposedMBRs counts the MBRs the decompose pass split before
-	// composition (Config.Decompose, or the legacy DecomposeExisting
-	// alias); RestoredMBRs counts the merges that re-grouped leftover
+	// composition (Config.Decompose); RestoredMBRs counts the merges that re-grouped leftover
 	// split bits afterwards. Both come from the one decompose/restore code
 	// path the session passes share.
 	DecomposedMBRs int
@@ -362,10 +346,9 @@ func (s *Session) runFlow() (*Report, error) {
 	// their bits can recompose with neighbours; leftovers are restored
 	// after composition. One code path serves this, the session's
 	// DecomposePass and the ablations — the report counts always agree.
-	dcfg := cfg.normalizedDecompose()
-	if dcfg.enabled() {
+	if cfg.Decompose.enabled() {
 		eng.SetIdealClocks(true)
-		dres, err := s.decomposePass(dcfg)
+		dres, err := s.decomposePass(cfg.Decompose)
 		eng.SetIdealClocks(false)
 		if err != nil {
 			return nil, fmt.Errorf("flow: decompose: %w", err)
@@ -423,7 +406,7 @@ func (s *Session) runFlow() (*Report, error) {
 	}
 	newMBRs = live
 
-	if dcfg.enabled() {
+	if cfg.Decompose.enabled() {
 		groups := s.splitGroups
 		s.splitGroups = nil
 		n, err := restoreSplitLeftovers(d, plan, groups, engs.cts.ReleaseClocks, 0)

@@ -156,7 +156,7 @@ func TestFlowDecomposeExisting(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := DefaultConfig()
-		cfg.DecomposeExisting = decompose
+		cfg.Decompose = DecomposeConfig{All: decompose}
 		rep, err := Run(b.Design, b.Plan, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,8 @@
 // package lp.
 //
 // It also provides a weighted exact-cover (set-partitioning) front end with
-// problem-specific reductions — unit propagation, column dominance and a
-// greedy warm start — because that is exactly the ILP the paper's MBR
+// problem-specific reductions — unit propagation, column dominance, a
+// greedy incumbent and reduced-cost root tightening — because that is exactly the ILP the paper's MBR
 // composition step solves (§3.1: minimize Σ wᵢxᵢ subject to each register
 // being covered by exactly one selected candidate).
 //
@@ -140,9 +140,8 @@ func (h nodeHeap) Len() int { return len(h) }
 // Less orders by (bound, creation seq). The seq tie-break makes the pop
 // order a total order over nodes, so the explored sequence — and therefore
 // the returned solution among equal-objective optima — does not depend on
-// heap-internal array layout. That is what lets an incumbent cutoff prune
-// the high-bound tail of the search without perturbing the canonical
-// low-bound prefix (see SolveCover's warm-start contract).
+// heap-internal array layout, so equal inputs always return the same
+// optimum among ties.
 func (h nodeHeap) Less(i, j int) bool {
 	if h[i].bound != h[j].bound {
 		return h[i].bound < h[j].bound
@@ -364,17 +363,6 @@ type CoverInstance struct {
 	// Exact=false in the result; highly degenerate instances (many equal
 	// weights) would otherwise branch combinatorially for no QoR gain.
 	NodeLimit int
-	// Warm optionally names a known feasible exact cover — indices into
-	// Sets — typically the previous pass's selection for this subproblem.
-	// When it prices strictly below the greedy cover it seeds branch &
-	// bound as the incumbent, so the search only has to *improve on* the
-	// old selection rather than rediscover it. The result is guaranteed to
-	// match a cold solve of the same instance column-for-column: if the
-	// warm incumbent would be returned unimproved, SolveCover reruns the
-	// search with the canonical greedy seed (the probe has already paid for
-	// itself by proving no strict improvement exists). A stale or
-	// infeasible Warm is silently ignored.
-	Warm []int
 }
 
 // CoverResult reports the chosen columns of a cover solve.
@@ -393,19 +381,6 @@ type CoverResult struct {
 	// Exact is false when the node limit stopped the search and Chosen is
 	// the best incumbent rather than a proven optimum.
 	Exact bool
-	// WarmFeasible reports that CoverInstance.Warm mapped onto a feasible
-	// cover of the presolved instance.
-	WarmFeasible bool
-	// WarmSeeded reports that the warm cover priced strictly below the
-	// greedy cover and therefore seeded branch & bound as the incumbent.
-	WarmSeeded bool
-	// WarmAccepted reports that the final objective matches the warm
-	// cover's objective — the previous selection is still optimal.
-	WarmAccepted bool
-	// WarmRetried reports that the warm incumbent survived the probe
-	// search unimproved, forcing a canonical re-solve with the greedy seed
-	// (Nodes then includes both searches).
-	WarmRetried bool
 }
 
 // ErrCoverInfeasible is returned when no exact cover exists.
@@ -604,76 +579,41 @@ func SolveCover(inst CoverInstance) (*CoverResult, error) {
 		greedyX = keptX
 	}
 
-	buildAndSolve := func(seedX []float64, seedObj float64, seed bool) (*Solution, error) {
-		prob := New(lp.Minimize)
-		if inst.NodeLimit > 0 {
-			prob.SetNodeLimit(inst.NodeLimit)
-		} else {
-			// Default budget scales inversely with LP size, so a node costs
-			// roughly constant total work regardless of column count.
-			lim := 300_000 / (len(inst.Sets) + 1)
-			if lim < 100 {
-				lim = 100
-			}
-			if lim > 50_000 {
-				lim = 50_000
-			}
-			prob.SetNodeLimit(lim)
+	prob := New(lp.Minimize)
+	if inst.NodeLimit > 0 {
+		prob.SetNodeLimit(inst.NodeLimit)
+	} else {
+		// Default budget scales inversely with LP size, so a node costs
+		// roughly constant total work regardless of column count.
+		lim := 300_000 / (len(inst.Sets) + 1)
+		if lim < 100 {
+			lim = 100
 		}
-		for _, ci := range cols {
-			prob.AddBinary(inst.Sets[ci].Weight, "")
+		if lim > 50_000 {
+			lim = 50_000
 		}
-		for _, e := range remElems {
-			var terms []lp.Term
-			for vi, ci := range cols {
-				for _, m := range inst.Sets[ci].Members {
-					if m == e {
-						terms = append(terms, lp.Term{Var: vi, Coef: 1})
-					}
+		prob.SetNodeLimit(lim)
+	}
+	for _, ci := range cols {
+		prob.AddBinary(inst.Sets[ci].Weight, "")
+	}
+	for _, e := range remElems {
+		var terms []lp.Term
+		for vi, ci := range cols {
+			for _, m := range inst.Sets[ci].Members {
+				if m == e {
+					terms = append(terms, lp.Term{Var: vi, Coef: 1})
 				}
 			}
-			prob.AddConstraint(terms, lp.EQ, 1)
 		}
-		if seed {
-			prob.SetIncumbent(seedX, seedObj)
-		}
-		return prob.Solve()
+		prob.AddConstraint(terms, lp.EQ, 1)
 	}
-
-	res := &CoverResult{Reduced: reduced, TightenPruned: tightPruned}
-
-	// Warm start from the caller's previous selection. Only a cover that
-	// prices strictly below the greedy seed is worth seeding; on a tie the
-	// greedy seed already prunes just as hard and keeps the solve
-	// bit-identical to a cold run for free.
-	warmX, warmObj, warmOK := mapWarmCover(inst, cols, forced, covered)
-	res.WarmFeasible = warmOK
-	seedX, seedObj, hasSeed := greedyX, greedyObj, hasGreedy
-	warmSeeded := warmOK && (!hasGreedy || warmObj < greedyObj-1e-9)
-	if warmSeeded {
-		seedX, seedObj, hasSeed = warmX, warmObj, true
-		res.WarmSeeded = true
+	if hasGreedy {
+		prob.SetIncumbent(greedyX, greedyObj)
 	}
-
-	sol, err := buildAndSolve(seedX, seedObj, hasSeed)
+	sol, err := prob.Solve()
 	if err != nil {
 		return nil, err
-	}
-	if warmSeeded && sol.X != nil && sol.Objective >= warmObj-1e-9 {
-		// The warm incumbent survived unimproved. Returning it would leak
-		// the previous pass's tie-break into this solve (a cold run returns
-		// its own first-found optimum among ties), so re-run with the
-		// canonical greedy seed. The probe was not wasted: it proved no
-		// strict improvement exists, and its cutoff pruned the whole search
-		// plateau, so the retry dominates total cost only when the warm
-		// start had nothing to offer anyway.
-		res.WarmRetried = true
-		probeNodes := sol.Nodes
-		sol, err = buildAndSolve(greedyX, greedyObj, hasGreedy)
-		if err != nil {
-			return nil, err
-		}
-		sol.Nodes += probeNodes
 	}
 	if sol.Status == Infeasible {
 		return nil, ErrCoverInfeasible
@@ -687,9 +627,6 @@ func SolveCover(inst CoverInstance) (*CoverResult, error) {
 	default:
 		return nil, fmt.Errorf("ilp: cover solve ended with status %v", sol.Status)
 	}
-	if warmOK && math.Abs(sol.Objective-warmObj) <= 1e-9 {
-		res.WarmAccepted = true
-	}
 	chosen := append([]int(nil), forced...)
 	for vi, ci := range cols {
 		if sol.X[vi] > 0.5 {
@@ -697,64 +634,14 @@ func SolveCover(inst CoverInstance) (*CoverResult, error) {
 		}
 	}
 	sort.Ints(chosen)
-	res.Chosen = chosen
-	res.Objective = objForced + sol.Objective
-	res.Nodes = sol.Nodes
-	res.Exact = sol.Status == Optimal
-	return res, nil
-}
-
-// mapWarmCover projects CoverInstance.Warm onto the presolved instance: the
-// ILP variable assignment over cols plus its objective. ok=false when Warm
-// is absent, references deleted columns, clashes with presolve forcing, or
-// fails to partition the remaining elements — any staleness just disables
-// the warm start, it is never an error.
-func mapWarmCover(inst CoverInstance, cols []int, forced []int, covered []bool) ([]float64, float64, bool) {
-	if len(inst.Warm) == 0 {
-		return nil, 0, false
-	}
-	forcedSet := make(map[int]bool, len(forced))
-	for _, ci := range forced {
-		forcedSet[ci] = true
-	}
-	varOf := make(map[int]int, len(cols))
-	for vi, ci := range cols {
-		varOf[ci] = vi
-	}
-	x := make([]float64, len(cols))
-	obj := 0.0
-	seen := append([]bool(nil), covered...)
-	remaining := 0
-	for _, c := range seen {
-		if !c {
-			remaining++
-		}
-	}
-	for _, wi := range inst.Warm {
-		if wi < 0 || wi >= len(inst.Sets) {
-			return nil, 0, false
-		}
-		if forcedSet[wi] {
-			continue // already applied outside the ILP
-		}
-		vi, ok := varOf[wi]
-		if !ok || x[vi] == 1 {
-			return nil, 0, false
-		}
-		for _, m := range inst.Sets[wi].Members {
-			if seen[m] {
-				return nil, 0, false
-			}
-			seen[m] = true
-		}
-		remaining -= len(inst.Sets[wi].Members)
-		x[vi] = 1
-		obj += inst.Sets[wi].Weight
-	}
-	if remaining != 0 {
-		return nil, 0, false
-	}
-	return x, obj, true
+	return &CoverResult{
+		Chosen:        chosen,
+		Objective:     objForced + sol.Objective,
+		Nodes:         sol.Nodes,
+		Reduced:       reduced,
+		TightenPruned: tightPruned,
+		Exact:         sol.Status == Optimal,
+	}, nil
 }
 
 // greedyCover builds a feasible exact cover over the reduced instance

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -245,8 +246,9 @@ func coverBrute(inst CoverInstance) (float64, bool) {
 	n := len(inst.Sets)
 	best := math.Inf(1)
 	found := false
+	cnt := make([]int, inst.NumElems)
 	for mask := 0; mask < 1<<n; mask++ {
-		cnt := make([]int, inst.NumElems)
+		clear(cnt)
 		w := 0.0
 		ok := true
 		for i := 0; i < n && ok; i++ {
@@ -281,6 +283,64 @@ func coverBrute(inst CoverInstance) (float64, bool) {
 	return best, found
 }
 
+// coverMatchesBrute solves inst and checks the result against coverBrute:
+// the same infeasibility verdict, an exact cover, and the optimal objective.
+func coverMatchesBrute(inst CoverInstance) error {
+	wantObj, feasible := coverBrute(inst)
+	res, err := SolveCover(inst)
+	if !feasible {
+		if err != ErrCoverInfeasible {
+			return fmt.Errorf("infeasible instance: got %v, want ErrCoverInfeasible", err)
+		}
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	cnt := make([]int, inst.NumElems)
+	for _, ci := range res.Chosen {
+		for _, m := range inst.Sets[ci].Members {
+			cnt[m]++
+		}
+	}
+	for e, c := range cnt {
+		if c != 1 {
+			return fmt.Errorf("element %d covered %d times by %v", e, c, res.Chosen)
+		}
+	}
+	if math.Abs(res.Objective-wantObj) >= 1e-6 {
+		return fmt.Errorf("objective %g, brute force %g", res.Objective, wantObj)
+	}
+	return nil
+}
+
+// randomCover builds a random feasible-or-not cover instance. Singleton
+// columns for every element are optionally guaranteed (the shape the
+// composition ILP always has).
+func randomCover(rng *rand.Rand, withSingletons bool) CoverInstance {
+	ne := 1 + rng.Intn(8)
+	inst := CoverInstance{NumElems: ne}
+	if withSingletons {
+		for e := 0; e < ne; e++ {
+			inst.Sets = append(inst.Sets, CoverSet{Members: []int{e}, Weight: 0.5 + rng.Float64()*2})
+		}
+	}
+	ns := rng.Intn(12)
+	for i := 0; i < ns; i++ {
+		var ms []int
+		for e := 0; e < ne; e++ {
+			if rng.Intn(3) == 0 {
+				ms = append(ms, e)
+			}
+		}
+		if len(ms) == 0 {
+			ms = []int{rng.Intn(ne)}
+		}
+		inst.Sets = append(inst.Sets, CoverSet{Members: ms, Weight: 0.1 + rng.Float64()*5})
+	}
+	return inst
+}
+
 // Property: SolveCover matches brute force on random small instances, and
 // the chosen sets always form an exact cover.
 func TestSolveCoverMatchesBruteForce(t *testing.T) {
@@ -301,31 +361,26 @@ func TestSolveCoverMatchesBruteForce(t *testing.T) {
 			}
 			inst.Sets = append(inst.Sets, CoverSet{Members: ms, Weight: 0.1 + rng.Float64()*5})
 		}
-		wantObj, feasible := coverBrute(inst)
-		res, err := SolveCover(inst)
-		if !feasible {
-			return err == ErrCoverInfeasible
-		}
-		if err != nil {
-			return false
-		}
-		// Verify exact cover property.
-		cnt := make([]int, ne)
-		for _, ci := range res.Chosen {
-			for _, m := range inst.Sets[ci].Members {
-				cnt[m]++
-			}
-		}
-		for _, c := range cnt {
-			if c != 1 {
-				return false
-			}
-		}
-		return math.Abs(res.Objective-wantObj) < 1e-6
+		return coverMatchesBrute(inst) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSolveCoverMatchesBruteForce fuzzes the TestSolveCoverMatchesBruteForce
+// property over randomCover instances, with and without the singleton
+// columns the composition ILP always carries.
+func FuzzSolveCoverMatchesBruteForce(f *testing.F) {
+	f.Add(int64(1))
+	f.Add(int64(42))
+	f.Add(int64(-7))
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		if err := coverMatchesBrute(randomCover(rng, rng.Intn(2) == 0)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // Property: branch & bound matches brute force on random binary knapsacks.

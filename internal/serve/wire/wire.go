@@ -100,12 +100,8 @@ type PassStats struct {
 	SubgraphsReplayed  int    `json:"subgraphsReplayed"`
 	SubgraphsSolved    int    `json:"subgraphsSolved"`
 	ILPNodesSaved      int    `json:"ilpNodesSaved"`
-	WarmSeeded         int    `json:"warmSeeded"`
-	WarmAccepted       int    `json:"warmAccepted"`
-	WarmRetried        int    `json:"warmRetried"`
-	TightenPruned      int    `json:"tightenPruned"`
-	// Work-stealing shard scheduler (0/0 when the pass ran sequentially).
-	// SchedSteals varies with the goroutine schedule — diagnostics, not
+	// Work-stealing shard scheduler: shards scheduled (every subgraph) and
+	// shards stolen from another worker's queue. SchedSteals varies with the goroutine schedule — diagnostics, not
 	// part of any determinism oracle.
 	SchedShards int `json:"schedShards"`
 	SchedSteals int `json:"schedSteals"`
