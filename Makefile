@@ -4,7 +4,7 @@
 #   make race       # vet + race-detector test sweep (the CI gate)
 #   make lint       # gofmt + vet static checks (the CI lint gate)
 #   make bench      # paper-reproduction benchmark suite
-#   make bench-smoke # one-iteration benchmark pass (CI: catches bit-rot)
+#   make bench-smoke # one iteration of every benchmark in every package (CI: catches bit-rot)
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
@@ -38,7 +38,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' .
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

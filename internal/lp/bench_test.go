@@ -53,6 +53,20 @@ func BenchmarkSimplexSetPartitioning(b *testing.B) {
 	}
 }
 
+// BenchmarkSimplexPlacement measures the §4.2 MBR-placement LP of a
+// 16-pin (8-bit) MBR: 66 variables, 128 rows, built and solved per
+// iteration as the placer does.
+func BenchmarkSimplexPlacement(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < b.N; i++ {
+		rng.Seed(11)
+		s, err := placementLP(rng, 16).Solve()
+		if err != nil || s.Status != Optimal {
+			b.Fatalf("status %v err %v", s.Status, err)
+		}
+	}
+}
+
 // BenchmarkSimplexDense measures a dense medium LP.
 func BenchmarkSimplexDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))

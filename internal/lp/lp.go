@@ -1,6 +1,8 @@
 // Package lp implements a small, dependency-free linear programming solver:
 // a dense-tableau, two-phase primal simplex with a Dantzig pivot rule that
 // falls back to Bland's rule to guarantee termination on degenerate bases.
+// The tableau is stored densely; each pivot updates rows only at the pivot
+// row's nonzero columns.
 //
 // The solver supports minimization and maximization, ≤ / = / ≥ row types and
 // per-variable bounds (including free and semi-bounded variables, which are
@@ -96,6 +98,9 @@ type Problem struct {
 	hi    []float64
 	names []string
 	rows  []constraint
+	// slot is AddConstraint's scratch index: slot[v] is 1 + the position
+	// of variable v in the row being merged, 0 when v is not in it yet.
+	slot []int32
 }
 
 // New returns an empty problem with the given optimization sense.
@@ -136,19 +141,30 @@ func (p *Problem) SetBounds(v int, lo, hi float64) {
 func (p *Problem) Bounds(v int) (lo, hi float64) { return p.lo[v], p.hi[v] }
 
 // AddConstraint adds the row Σ terms (op) rhs. Terms referencing the same
-// variable more than once are summed. Variable indices must already exist.
+// variable more than once are summed, and the merged terms keep the order
+// in which their variables first appear. Variable indices must already
+// exist.
 func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
-	merged := make(map[int]float64, len(terms))
+	if len(p.slot) < len(p.cost) {
+		p.slot = make([]int32, len(p.cost))
+	}
+	merged := make([]Term, 0, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(p.cost) {
 			panic(fmt.Sprintf("lp: constraint references unknown variable %d", t.Var))
 		}
-		merged[t.Var] += t.Coef
+		if k := p.slot[t.Var]; k > 0 {
+			merged[k-1].Coef += t.Coef
+			continue
+		}
+		merged = append(merged, t)
+		p.slot[t.Var] = int32(len(merged))
 	}
-	row := constraint{op: op, rhs: rhs}
-	for v, c := range merged {
-		if c != 0 {
-			row.terms = append(row.terms, Term{v, c})
+	row := constraint{op: op, rhs: rhs, terms: merged[:0]}
+	for _, t := range merged {
+		p.slot[t.Var] = 0
+		if t.Coef != 0 {
+			row.terms = append(row.terms, t)
 		}
 	}
 	p.rows = append(p.rows, row)
@@ -213,6 +229,13 @@ type internalVar struct {
 //
 // with b ≥ 0 after row normalization. Artificial columns occupy indices
 // [nStruct+nSlack, nCols).
+//
+// Storage is dense, but a pivot only touches the pivot row's nonzero
+// columns: nz holds their indices after each pivot, and both the row
+// updates and the reduced-cost update walk that list instead of all n
+// columns. Skipping a zero column is exact (a − f·0 == a for finite a);
+// at most the sign of an exact zero differs, which no comparison,
+// division or extracted value observes.
 type tableau struct {
 	m, n     int // rows, total columns (incl. slack + artificial)
 	nReal    int // structural + slack columns (excludes artificials)
@@ -220,6 +243,7 @@ type tableau struct {
 	b        []float64
 	c        []float64 // phase-2 objective over all columns
 	basis    []int     // basis[i] = column basic in row i
+	nz       []int     // nonzero columns of the last pivot row
 	vars     []internalVar
 	maxIters int
 }
@@ -280,18 +304,34 @@ func (p *Problem) build() (*tableau, error) {
 		vars:     vars,
 		maxIters: 50000 + 200*(m+nReal),
 	}
+	// Shifted right-hand sides first: their signs decide which rows end up
+	// ≥ or = after normalization and so need an artificial column, which
+	// fixes the final row width before any row is allocated.
+	t.b = make([]float64, m)
+	nArt := 0
+	for ri, r := range p.rows {
+		rhs := r.rhs
+		for _, term := range r.terms {
+			rhs -= term.Coef * vars[term.Var].shift
+		}
+		t.b[ri] = rhs
+		if r.op == EQ || (r.op == LE) == (rhs < 0) {
+			nArt++
+		}
+	}
+	t.n = nReal + nArt
+	cells := make([]float64, m*t.n)
 	t.a = make([][]float64, m)
 	for i := range t.a {
-		t.a[i] = make([]float64, nReal) // artificials appended later
+		t.a[i] = cells[i*t.n : (i+1)*t.n : (i+1)*t.n]
 	}
-	t.b = make([]float64, m)
 	t.basis = make([]int, m)
 	for i := range t.basis {
 		t.basis[i] = -1
 	}
 
-	// Structural objective.
-	t.c = make([]float64, nReal)
+	// Structural objective (zero over the artificial columns).
+	t.c = make([]float64, t.n)
 	sign := 1.0
 	if p.sense == Maximize {
 		sign = -1
@@ -309,10 +349,9 @@ func (p *Problem) build() (*tableau, error) {
 	slack := ncols
 	// User constraint rows.
 	for ri, r := range p.rows {
-		rhs := r.rhs
+		rhs := t.b[ri]
 		for _, term := range r.terms {
 			v := vars[term.Var]
-			rhs -= term.Coef * v.shift
 			if v.plus >= 0 {
 				t.a[ri][v.plus] += term.Coef
 			}
@@ -344,7 +383,7 @@ func (p *Problem) build() (*tableau, error) {
 			t.a[ri][slack] = -1
 			slack++
 		case EQ:
-			// artificial added in phase1
+			// artificial installed in phase1
 		}
 	}
 	// Upper-bound rows: x_col ≤ rhs (rhs ≥ 0 by construction).
@@ -362,22 +401,12 @@ func (p *Problem) build() (*tableau, error) {
 // phase1 installs artificial variables in rows without a basic column and
 // minimizes their sum. Returns Optimal when a feasible basis was found.
 func (t *tableau) phase1() Status {
-	needArt := 0
-	for i := 0; i < t.m; i++ {
-		if t.basis[i] == -1 {
-			needArt++
-		}
-	}
-	if needArt == 0 {
+	if t.n == t.nReal {
 		return Optimal
 	}
-	t.n = t.nReal + needArt
 	art := t.nReal
 	artObj := make([]float64, t.n)
 	for i := 0; i < t.m; i++ {
-		row := make([]float64, t.n)
-		copy(row, t.a[i])
-		t.a[i] = row
 		if t.basis[i] == -1 {
 			t.a[i][art] = 1
 			t.basis[i] = art
@@ -385,10 +414,6 @@ func (t *tableau) phase1() Status {
 			art++
 		}
 	}
-	// Extend phase-2 cost vector with zeros for artificials.
-	c2 := make([]float64, t.n)
-	copy(c2, t.c)
-	t.c = c2
 
 	status, obj := t.simplex(artObj)
 	if status != Optimal {
@@ -445,9 +470,6 @@ func (t *tableau) blockArtificials() {
 }
 
 func (t *tableau) phase2() Status {
-	if t.n == 0 { // no artificials were needed
-		t.n = t.nReal
-	}
 	status, _ := t.simplex(t.c)
 	return status
 }
@@ -526,11 +548,12 @@ func (t *tableau) simplex(obj []float64) (Status, float64) {
 		}
 		t.pivot(leave, enter)
 		// Reduced-cost update: after the pivot, row `leave` holds the
-		// entering column's updated coefficients; rcⱼ ← rcⱼ − rc_enter·āₗⱼ.
+		// entering column's updated coefficients; rcⱼ ← rcⱼ − rc_enter·āₗⱼ
+		// over the row's nonzero columns.
 		f := rc[enter]
 		if f != 0 {
 			rowL := t.a[leave]
-			for j := 0; j < n; j++ {
+			for _, j := range t.nz {
 				rc[j] -= f * rowL[j]
 			}
 			rc[enter] = 0 // exact
@@ -539,26 +562,31 @@ func (t *tableau) simplex(obj []float64) (Status, float64) {
 	return IterLimit, 0
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave, recording the pivot row's
+// nonzero columns in t.nz.
 func (t *tableau) pivot(leave, enter int) {
-	piv := t.a[leave][enter]
-	inv := 1.0 / piv
 	row := t.a[leave]
-	for j := 0; j < t.n; j++ {
-		row[j] *= inv
+	inv := 1.0 / row[enter]
+	nz := t.nz[:0]
+	for j, v := range row {
+		if v != 0 {
+			row[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	t.b[leave] *= inv
 	row[enter] = 1 // exact
 	for i := 0; i < t.m; i++ {
 		if i == leave {
 			continue
 		}
-		f := t.a[i][enter]
+		ai := t.a[i]
+		f := ai[enter]
 		if f == 0 {
 			continue
 		}
-		ai := t.a[i]
-		for j := 0; j < t.n; j++ {
+		for _, j := range nz {
 			ai[j] -= f * row[j]
 		}
 		ai[enter] = 0 // exact

@@ -143,6 +143,30 @@ func TestDuplicateTermsMerged(t *testing.T) {
 	}
 }
 
+// Merged terms keep the order in which their variables first appear, so
+// build sums a row's shifted right-hand side in a fixed order; terms that
+// cancel are dropped.
+func TestAddConstraintMergeOrder(t *testing.T) {
+	p := New(Minimize)
+	for i := 0; i < 4; i++ {
+		p.AddVar(0, Inf, 1, "")
+	}
+	p.AddConstraint([]Term{{3, 1}, {0, 2}, {3, -1}, {2, 0.5}, {0, 1}, {2, 0.25}}, GE, 1)
+	p.AddConstraint([]Term{{1, 1}, {3, 2}, {1, 1}}, LE, 5)
+	want := [][]Term{{{0, 3}, {2, 0.75}}, {{1, 2}, {3, 2}}}
+	for ri, w := range want {
+		got := p.rows[ri].terms
+		if len(got) != len(w) {
+			t.Fatalf("row %d: terms %v, want %v", ri, got, w)
+		}
+		for k := range w {
+			if got[k] != w[k] {
+				t.Fatalf("row %d: terms %v, want %v", ri, got, w)
+			}
+		}
+	}
+}
+
 func TestDegenerateCyclingGuard(t *testing.T) {
 	// Classic Beale cycling example; Bland fallback must terminate.
 	p := New(Minimize)

@@ -7,6 +7,7 @@ package scan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/lib"
@@ -80,10 +81,8 @@ func (p *Plan) ChainOf(id netlist.InstID) (*Chain, int, bool) {
 // same chain when either sits in an ordered section or cross-chain movement
 // is disallowed.
 func (p *Plan) PairCompatible(a, b netlist.InstID) bool {
-	ca, pa, oka := p.ChainOf(a)
-	cb, pb, okb := p.ChainOf(b)
-	_ = pa
-	_ = pb
+	ca, _, oka := p.ChainOf(a)
+	cb, _, okb := p.ChainOf(b)
 	if oka != okb {
 		return false
 	}
@@ -155,7 +154,8 @@ func (p *Plan) MergeOrder(ids []netlist.InstID) []netlist.InstID {
 // ApplyMerge updates the plan after the registers in group were merged into
 // mbr: the group members are removed from their chains and the MBR takes
 // the position of the earliest member (of the first chain touched). The
-// group must be GroupCompatible.
+// group must be GroupCompatible. Only the chains holding members are
+// rewritten and re-indexed; a chain left empty holds a nil Regs.
 func (p *Plan) ApplyMerge(group []netlist.InstID, mbr netlist.InstID) error {
 	if len(group) == 0 {
 		return fmt.Errorf("scan: empty merge group")
@@ -168,15 +168,23 @@ func (p *Plan) ApplyMerge(group []netlist.InstID, mbr netlist.InstID) error {
 	}
 	// Find the anchor: lowest (chain, pos) among members.
 	anchor := Ref{Chain: 1 << 30, Pos: 1 << 30}
-	inGroup := map[netlist.InstID]bool{}
+	inGroup := make(map[netlist.InstID]bool, len(group))
+	var touched []int
 	for _, id := range group {
 		inGroup[id] = true
 		r := p.ref[id]
 		if r.Chain < anchor.Chain || (r.Chain == anchor.Chain && r.Pos < anchor.Pos) {
 			anchor = r
 		}
+		if !slices.Contains(touched, r.Chain) {
+			touched = append(touched, r.Chain)
+		}
 	}
-	for ci, c := range p.chains {
+	for id := range inGroup {
+		delete(p.ref, id)
+	}
+	for _, ci := range touched {
+		c := p.chains[ci]
 		var kept []netlist.InstID
 		for pos, id := range c.Regs {
 			if ci == anchor.Chain && pos == anchor.Pos {
@@ -187,17 +195,15 @@ func (p *Plan) ApplyMerge(group []netlist.InstID, mbr netlist.InstID) error {
 			}
 		}
 		c.Regs = kept
+		p.reindexChain(ci)
 	}
-	p.reindex()
 	return nil
 }
 
-func (p *Plan) reindex() {
-	p.ref = map[netlist.InstID]Ref{}
-	for ci, c := range p.chains {
-		for pos, id := range c.Regs {
-			p.ref[id] = Ref{Chain: ci, Pos: pos}
-		}
+// reindexChain refreshes the register→position index for one chain.
+func (p *Plan) reindexChain(ci int) {
+	for pos, id := range p.chains[ci].Regs {
+		p.ref[id] = Ref{Chain: ci, Pos: pos}
 	}
 }
 

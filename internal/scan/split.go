@@ -28,6 +28,7 @@ func (p *Plan) ApplySplit(orig netlist.InstID, parts []netlist.InstID) error {
 	repl = append(repl, parts...)
 	repl = append(repl, c.Regs[pos+1:]...)
 	c.Regs = repl
-	p.reindex()
+	delete(p.ref, orig)
+	p.reindexChain(c.ID)
 	return nil
 }
