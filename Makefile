@@ -8,12 +8,13 @@
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
+#   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-smoke serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench bench-smoke bench-module serve-smoke eco-smoke scale-smoke golden fuzz
 
 all: build test
 
@@ -39,6 +40,12 @@ bench:
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
+
+# benchmark/ is its own Go module (it replaces repro with ../), so the root
+# build and test never compile it. Vetting and testing it here catches a
+# production API change that breaks the benchmark driver.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every
@@ -71,7 +78,6 @@ golden:
 # each name is first checked against go test -list.
 FUZZ_TARGETS = \
 	./internal/clique:FuzzEnumerateSubCliques \
-	./internal/clique:FuzzParallelSubCliqueMerge \
 	./internal/route:FuzzEstimateDeltaEquivalence \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce
 FUZZTIME ?= 30s

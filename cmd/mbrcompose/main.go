@@ -34,7 +34,7 @@ func main() {
 		method       = flag.String("method", "ilp", "composition method: ilp | greedy")
 		noWeights    = flag.Bool("noweights", false, "disable the placement-aware weights (§3.2)")
 		noIncomplete = flag.Bool("noincomplete", false, "disallow incomplete MBRs")
-		bound        = flag.Int("bound", 30, "max subgraph nodes (§3 partition bound)")
+		bound        = flag.Int("bound", 30, "max subgraph nodes (§3 partition bound, at most 64)")
 		noSkew       = flag.Bool("noskew", false, "skip useful-skew assignment")
 		noSizing     = flag.Bool("nosizing", false, "skip MBR sizing")
 		fig5         = flag.Bool("fig5", false, "also print the bit-width histograms (Fig. 5)")

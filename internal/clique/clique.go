@@ -5,7 +5,8 @@
 // under) an available MBR library width.
 //
 // Subgraphs reach this package only after partitioning (§3 caps them at 30
-// nodes), so the 64-node bitmask limit is never the binding constraint.
+// nodes by default); composition rejects a subgraph bound above MaxNodes
+// before it builds any graph.
 package clique
 
 import (

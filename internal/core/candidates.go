@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/clique"
 	"repro/internal/compat"
@@ -154,20 +153,7 @@ func enumerateCandidates(
 		AllowIncomplete: opts.AllowIncomplete,
 		MaxCandidates:   maxCands,
 	}
-	// Large subgraphs split their top-level Bron–Kerbosch branches across
-	// the worker pool — byte-identical output by the clique package's
-	// contract — so the single biggest component stops being the critical
-	// path. Small subgraphs stay sequential; the goroutine machinery would
-	// cost more than the enumeration.
-	var res *clique.SubCliqueResult
-	if thr := opts.ParallelCliqueThreshold; thr > 0 && len(nodes) >= thr {
-		if w := resolveWorkers(opts.Workers); w > 1 {
-			res, err = clique.EnumerateSubCliquesParallel(cg, spec, w)
-		}
-	}
-	if res == nil && err == nil {
-		res, err = clique.EnumerateSubCliques(cg, spec)
-	}
+	res, err := clique.EnumerateSubCliques(cg, spec)
 	if err != nil {
 		return nil, false, err
 	}
@@ -182,15 +168,14 @@ func enumerateCandidates(
 		})
 	}
 
-	// Multi-member groups are processed in two phases: a cheap sequential
-	// generation pass lists the groups in the exact order the historical
-	// single-pass loop appended them (clique enumeration order, then
-	// truncation windows, with the same mask dedup), and an expensive
-	// evaluation pass — scan/region/area filters, blocker counting,
-	// weighting — runs over that list, possibly fanned out across workers
-	// (evalSpecs). Survivors are appended in list order, so the candidate
-	// slice is byte-identical for any worker count.
-	var specs []candSpec
+	// Multi-member groups, in clique enumeration order and then truncation
+	// windows, deduplicated by member mask; each is evaluated as it is
+	// generated and appended when it survives the filters.
+	addGroup := func(members []int, total int) {
+		if c, ok := evalMulti(d, g, ri, nodes, widths, class, opts, members, total); ok {
+			cands = append(cands, c)
+		}
+	}
 	seen := map[uint64]bool{}
 	for ci, mask := range res.Cliques {
 		members := clique.Members(mask)
@@ -198,7 +183,7 @@ func enumerateCandidates(
 			continue // singletons already added above
 		}
 		seen[mask] = true
-		specs = append(specs, candSpec{members: members, total: res.TotalBits[ci]})
+		addGroup(members, res.TotalBits[ci])
 	}
 
 	// Contiguous-window candidates: when the layered enumeration was
@@ -239,29 +224,19 @@ func enumerateCandidates(
 				members = append(members, li)
 				if len(members) >= 2 && !seen[mask] {
 					seen[mask] = true
-					specs = append(specs, candSpec{
-						members: append([]int(nil), members...), total: total,
-					})
+					addGroup(members, total)
 				}
 			}
 		}
 	}
-	cands = append(cands, evalSpecs(d, g, ri, nodes, widths, class, opts, specs)...)
 	return cands, res.Truncated, nil
 }
 
-// candSpec is one multi-member candidate group awaiting evaluation, in the
-// order the sequential enumeration generated it.
-type candSpec struct {
-	// members are subgraph-local node indices.
-	members []int
-	total   int
-}
-
-// evalMulti validates one multi-member group against the §2/§3 filters —
-// library width, scan contiguity, non-empty common feasible region,
-// incomplete-MBR area rule — then counts blockers and weights it. It only
-// reads shared state and is safe to call concurrently.
+// evalMulti validates one multi-member group — members are subgraph-local
+// node indices, total their connected bit count — against the §2/§3
+// filters: library width, scan contiguity, non-empty common feasible
+// region, incomplete-MBR area rule. It then counts blockers and weights
+// the group.
 func evalMulti(
 	d *netlist.Design,
 	g *compat.Graph,
@@ -270,13 +245,13 @@ func evalMulti(
 	widths []int,
 	class lib.FuncClass,
 	opts Options,
-	spec candSpec,
+	members []int,
+	total int,
 ) (candidate, bool) {
-	global := make([]int, len(spec.members))
-	for i, m := range spec.members {
+	global := make([]int, len(members))
+	for i, m := range members {
 		global[i] = nodes[m]
 	}
-	total := spec.total
 	width, ok := widthFor(widths, total)
 	if !ok {
 		return candidate{}, false
@@ -310,61 +285,6 @@ func evalMulti(
 		weight:    w,
 		blockers:  blockers,
 	}, true
-}
-
-// evalSpecs evaluates the generated groups, fanning the per-group work out
-// across Options.Workers when there is enough of it, and returns the
-// survivors in generation order — the order the historical sequential loop
-// appended them, whatever the worker count or goroutine schedule. Each
-// evaluation lands in its index-addressed slot; the ordered compaction at
-// the end is the only cross-slot step.
-func evalSpecs(
-	d *netlist.Design,
-	g *compat.Graph,
-	ri *regIndex,
-	nodes []int,
-	widths []int,
-	class lib.FuncClass,
-	opts Options,
-	specs []candSpec,
-) []candidate {
-	if len(specs) == 0 {
-		return nil
-	}
-	out := make([]candidate, len(specs))
-	keep := make([]bool, len(specs))
-	// Fanning out pays only when the per-spec filter work dominates the
-	// goroutine machinery; tiny spec lists stay on the caller's goroutine.
-	const minParallelSpecs = 32
-	if workers := resolveWorkers(opts.Workers); workers > 1 && len(specs) >= minParallelSpecs {
-		var wg sync.WaitGroup
-		next := make(chan int, len(specs))
-		for i := range specs {
-			next <- i
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					out[i], keep[i] = evalMulti(d, g, ri, nodes, widths, class, opts, specs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			out[i], keep[i] = evalMulti(d, g, ri, nodes, widths, class, opts, specs[i])
-		}
-	}
-	kept := out[:0]
-	for i := range out {
-		if keep[i] {
-			kept = append(kept, out[i])
-		}
-	}
-	return kept
 }
 
 // widthFor returns the smallest library width ≥ total.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/clique"
 	"repro/internal/compat"
 	"repro/internal/geom"
 	"repro/internal/ilp"
@@ -26,6 +27,9 @@ import (
 func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = normalizeOptions(opts)
+	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+		return nil, err
+	}
 	subgraphs := partition.Decompose(len(g.Regs), g.Adj,
 		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
 	res, _, err := composeRound(d, g, plan, newRegIndex(d), subgraphs, opts, nil)
@@ -53,10 +57,17 @@ func normalizeOptions(opts Options) Options {
 	if !opts.UseWeights && (opts.MaxCandidatesPerSubgraph == 0 || opts.MaxCandidatesPerSubgraph > 1500) {
 		opts.MaxCandidatesPerSubgraph = 1500
 	}
-	if opts.ParallelCliqueThreshold == 0 {
-		opts.ParallelCliqueThreshold = 24
-	}
 	return opts
+}
+
+// checkSubgraphBound rejects a subgraph bound the clique enumeration cannot
+// hold: its bitmask graphs have at most clique.MaxNodes nodes, and a larger
+// partition would otherwise fail deep inside a shard worker.
+func checkSubgraphBound(maxNodes int) error {
+	if maxNodes > clique.MaxNodes {
+		return fmt.Errorf("core: Options.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", maxNodes, clique.MaxNodes)
+	}
+	return nil
 }
 
 // composeRound is the composition pipeline every entry point runs. It
@@ -83,12 +94,9 @@ func composeRound(
 		Workers:        resolveWorkers(opts.Workers),
 		PeakLiveShards: len(subgraphs),
 	}
-	// The pool is clamped against schedulable units rather than subgraphs:
-	// with a few huge subgraphs, the extra workers pick up the
-	// intra-subgraph clique branches instead of idling.
 	workers := res.Workers
-	if u := schedulableUnits(subgraphs, opts.ParallelCliqueThreshold); workers > u {
-		workers = u
+	if workers > len(subgraphs) {
+		workers = len(subgraphs)
 	}
 	results := make([]subgraphResult, len(subgraphs))
 	errs := make([]error, len(subgraphs))

@@ -63,7 +63,8 @@ type Options struct {
 	// Method selects ILP or the greedy baseline.
 	Method Method
 	// MaxSubgraphNodes bounds each partitioned subgraph (§3; the paper uses
-	// 30: smaller loses QoR, larger wastes runtime).
+	// 30: smaller loses QoR, larger wastes runtime). Values above
+	// clique.MaxNodes are rejected.
 	MaxSubgraphNodes int
 	// AllowIncomplete admits MBRs with unconnected D/Q pairs (§3).
 	AllowIncomplete bool
@@ -86,10 +87,11 @@ type Options struct {
 	ILPNodeLimit int
 	// NamePrefix names the created MBR instances (default "mbrc").
 	NamePrefix string
-	// Workers bounds the worker pool that the per-partition stages (clique
-	// enumeration, candidate scoring, subgraph ILP solves) fan out across:
-	// 0 = one worker per available CPU (runtime.GOMAXPROCS), 1 = a single
-	// worker. The result is byte-identical for any value — see parallel.go.
+	// Workers bounds the worker pool the subgraphs are sharded across; each
+	// subgraph's clique enumeration, candidate scoring and ILP solve run on
+	// the one worker that claimed it. 0 = one worker per available CPU
+	// (runtime.GOMAXPROCS), 1 = a single worker. The result is
+	// byte-identical for any value — see parallel.go.
 	Workers int
 	// ReleaseClocks, when set, is called with each group's member registers
 	// immediately before they are merged. The retained clock-tree engine
@@ -98,14 +100,6 @@ type Options struct {
 	// check sees one common clock net and the MBR lands on the root (the
 	// next tree update re-parents it under a leaf).
 	ReleaseClocks func(regs []*netlist.Inst)
-	// ParallelCliqueThreshold is the subgraph node count at or above which
-	// sub-clique enumeration splits its top-level Bron–Kerbosch branches
-	// across the worker pool (clique.EnumerateSubCliquesParallel); smaller
-	// subgraphs enumerate sequentially, where goroutine overhead would
-	// dominate. 0 = default 24; negative disables intra-subgraph clique
-	// parallelism. Result-neutral: the parallel enumeration is
-	// byte-identical to the sequential one at any worker count.
-	ParallelCliqueThreshold int
 }
 
 // DefaultOptions returns the paper's configuration.

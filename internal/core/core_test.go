@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -389,5 +390,30 @@ func TestComposeDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic MBR %d: %s vs %s", i, a[i], b[i])
 		}
+	}
+}
+
+// TestSubgraphBoundAboveCliqueLimit pins that a subgraph bound the clique
+// enumeration cannot hold is an error from every entry point, reported
+// before the design is touched, instead of a panic inside a shard worker.
+func TestSubgraphBoundAboveCliqueLimit(t *testing.T) {
+	d, g, plan := genComposeInput(t, randomSpec(3))
+	regs := len(d.Registers())
+	opts := DefaultOptions()
+	opts.MaxSubgraphNodes = 65
+	check := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "MaxSubgraphNodes") {
+			t.Fatalf("%s: err = %v, want an error naming MaxSubgraphNodes", name, err)
+		}
+	}
+	_, err := Compose(d, g, plan, opts)
+	check("Compose", err)
+	_, err = NewEngine(d).Compose(g, plan, nil, nil, opts)
+	check("Engine.Compose", err)
+	_, err = InspectCandidates(d, g, opts)
+	check("InspectCandidates", err)
+	if got := len(d.Registers()); got != regs {
+		t.Fatalf("rejected compose changed the register count %d -> %d", regs, got)
 	}
 }

@@ -159,6 +159,9 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, clean []bool, opts Options) (*Result, error) {
 	start := time.Now()
 	opts = normalizeOptions(opts)
+	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+		return nil, err
+	}
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
 	}
@@ -316,8 +319,8 @@ func entryOf(sr subgraphResult, nodes []int) *memoEntry {
 // encodeOptsSig captures the solve-relevant Options plus the plan's global
 // cross-chain flag — everything a subgraph solve reads that the
 // per-subgraph signature does not carry. Commit-only fields (NamePrefix,
-// ReleaseClocks) and result-neutral knobs (Workers,
-// ParallelCliqueThreshold) stay out: changing them must not drop the memo.
+// ReleaseClocks) and the result-neutral Workers stay out: changing them
+// must not drop the memo.
 func encodeOptsSig(opts Options, plan *scan.Plan) string {
 	buf := make([]byte, 0, 64)
 	var w [8]byte

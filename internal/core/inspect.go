@@ -29,6 +29,9 @@ func InspectCandidates(d *netlist.Design, g *compat.Graph, opts Options) ([]Cand
 	if opts.MaxSubgraphNodes <= 0 {
 		opts.MaxSubgraphNodes = 30
 	}
+	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+		return nil, err
+	}
 	ri := newRegIndex(d)
 	subgraphs := partition.Decompose(len(g.Regs), g.Adj,
 		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)

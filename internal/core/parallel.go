@@ -16,14 +16,20 @@ import (
 // plan, the register index) is immutable while they run. Only the commit
 // phase mutates the design, and it stays sequential.
 //
-// composeRound exploits that: subgraphs are sharded across a bounded
-// worker pool by the work-stealing scheduler (scheduler.go), each shard
-// writes only its own index-addressed result slot, and the results are
-// merged by an ordered reduce — every accumulation (candidate counts,
-// branch & bound nodes, the floating-point objective sum, the selected
-// candidate list) happens in subgraph index order. Together with the
-// deterministic commit order this makes the composition result
-// byte-identical for any worker count and any goroutine schedule.
+// composeRound exploits that at exactly one level: subgraphs are sharded
+// across a bounded worker pool (at most one worker per subgraph) by the
+// work-stealing scheduler (scheduler.go), each shard runs its whole
+// pipeline on the worker that claimed it and writes only its own
+// index-addressed result slot, and the results are merged by an ordered
+// reduce — every accumulation (candidate counts, branch & bound nodes, the
+// floating-point objective sum, the selected candidate list) happens in
+// subgraph index order. Together with the deterministic commit order this
+// makes the composition result byte-identical for any worker count and any
+// goroutine schedule.
+//
+// The §3 bound keeps each subgraph small, so the parallelism worth having
+// is across subgraphs, of which every real decomposition has hundreds or
+// more; nothing inside a shard starts a goroutine.
 
 // subgraphResult is the outcome of the per-partition pipeline on one
 // subgraph, before the ordered reduce.

@@ -64,36 +64,13 @@ func estimateShardCosts(g *compat.Graph, subgraphs [][]int) []int64 {
 	return costs
 }
 
-// schedulableUnits counts the independently schedulable work units in a
-// decomposition: one per subgraph, plus one per node for subgraphs at or
-// above the parallel-clique threshold, whose top-level Bron–Kerbosch
-// branches fan out on their own (clique.EnumerateSubCliquesParallel). The
-// worker pool is clamped against this instead of len(subgraphs), so a
-// decomposition of a few huge subgraphs no longer idles CPUs the
-// intra-subgraph stages could use.
-func schedulableUnits(subgraphs [][]int, threshold int) int {
-	units := 0
-	for _, sg := range subgraphs {
-		if threshold > 0 && len(sg) >= threshold {
-			units += len(sg)
-		} else {
-			units++
-		}
-	}
-	if units < 1 {
-		units = 1
-	}
-	return units
-}
-
 // runSharded executes process(i) exactly once for every i in [0,len(costs))
 // across `workers` goroutines. Shards are ranked by cost (descending, index
 // ascending on ties) and dealt to per-worker queues greedily onto the least
 // loaded queue — the classic LPT makespan heuristic — then each worker
 // drains its own queue through an atomic cursor and, when empty, steals the
-// unclaimed remainder of other queues the same way. Workers beyond the shard
-// count park on stealing immediately, which is how idle CPUs pick up work
-// that per-shard clique parallelism spawns elsewhere.
+// unclaimed remainder of other queues the same way. A shard runs start to
+// finish on the worker that claimed it.
 func runSharded(costs []int64, workers int, process func(int)) schedStats {
 	st := schedStats{shards: len(costs)}
 	if len(costs) == 0 || workers < 1 {

@@ -93,29 +93,6 @@ func TestRunShardedMoreWorkersThanShards(t *testing.T) {
 	}
 }
 
-// TestSchedulableUnits pins the clamp model: plain subgraphs count one unit,
-// subgraphs at or above the parallel-clique threshold count one per node.
-func TestSchedulableUnits(t *testing.T) {
-	sg := func(n int) []int { return make([]int, n) }
-	cases := []struct {
-		subgraphs [][]int
-		threshold int
-		want      int
-	}{
-		{nil, 24, 1},
-		{[][]int{sg(3), sg(5)}, 24, 2},
-		{[][]int{sg(3), sg(24)}, 24, 25},
-		{[][]int{sg(30), sg(30)}, 24, 60},
-		{[][]int{sg(30), sg(30)}, -1, 2}, // disabled threshold: subgraph count
-		{[][]int{sg(30)}, 31, 1},
-	}
-	for i, c := range cases {
-		if got := schedulableUnits(c.subgraphs, c.threshold); got != c.want {
-			t.Fatalf("case %d: units = %d want %d", i, got, c.want)
-		}
-	}
-}
-
 // TestEstimateShardCost pins the cost model's shape: cost grows with node
 // count and with local edge density, and ignores edges leaving the shard.
 func TestEstimateShardCost(t *testing.T) {

@@ -3,6 +3,7 @@ package cts
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -293,5 +294,22 @@ func TestDeterministicBuild(t *testing.T) {
 	b2, l2 := build()
 	if b1 != b2 || l1 != l2 {
 		t.Fatalf("nondeterministic: %d/%d vs %d/%d", b1, l1, b2, l2)
+	}
+}
+
+// TestSetWorkersZeroMeansPerCPU pins the engine.Retained worker convention:
+// 0 (or a negative count) selects one worker per available CPU, like every
+// other retained engine, and a positive count is taken literally.
+func TestSetWorkersZeroMeansPerCPU(t *testing.T) {
+	// Three is neither 1 nor the host's count, so a clamp to the sequential
+	// path cannot pass by coincidence.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	d, _ := sinkDesign(t, 8, 1)
+	e := NewEngine(d, DefaultOptions())
+	for _, c := range []struct{ set, want int }{{0, 3}, {-1, 3}, {1, 1}, {5, 5}} {
+		e.SetWorkers(c.set)
+		if e.workers != c.want {
+			t.Fatalf("SetWorkers(%d): workers = %d, want %d", c.set, e.workers, c.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cts
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"time"
@@ -169,11 +170,12 @@ func NewEngine(d *netlist.Design, opts Options) *Engine {
 	}
 }
 
-// SetWorkers bounds the parallelism of the clustering plan. Results are
-// identical for any worker count.
+// SetWorkers bounds the parallelism of the clustering plan, following the
+// engine.Retained convention (0 = one worker per available CPU). Results
+// are identical for any worker count.
 func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
 	e.workers = n
 }

@@ -31,8 +31,10 @@ type Retained interface {
 	// Invalidate drops the retained state; the next update rebuilds from
 	// scratch. Required after edits that bypassed the netlist API.
 	Invalidate()
-	// SetWorkers bounds the engine's parallelism. Results are identical
-	// for any value; 1 forces the sequential path.
+	// SetWorkers bounds the engine's parallelism. Every engine reads the
+	// value the same way: 0 (or negative) means one worker per available
+	// CPU (runtime.GOMAXPROCS(0)), 1 forces the sequential path, n > 1
+	// allows up to n workers. Results are identical for any value.
 	SetWorkers(n int)
 	// Summary reports the uniform update counters.
 	Summary() Summary

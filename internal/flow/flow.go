@@ -16,9 +16,9 @@ package flow
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
+	"repro/internal/clique"
 	"repro/internal/compat"
 	"repro/internal/compatgraph"
 	"repro/internal/core"
@@ -50,21 +50,11 @@ type Metrics struct {
 	WLSigMM          float64
 }
 
-// STAConfig groups the retained timing engine's options.
-type STAConfig struct {
-	// Workers bounds the levelized arrival/required sweep pool
-	// (0 = inherit Config.Workers).
-	Workers int
-}
-
 // CompatConfig groups the retained compatibility-graph engine's options.
 type CompatConfig struct {
 	// Rules are the pairwise compatibility tests' options (§3.1 rules,
 	// slack thresholds, region slack).
 	Rules compat.Options
-	// Workers bounds the pairwise re-test fan-out (0 = inherit
-	// Config.Workers).
-	Workers int
 	// MaxDeltaFrac is the changed-node fraction above which the retained
 	// engine's Update abandons the delta path for a full edge re-test
 	// (0 = the engine default, 0.25). Interactive sessions that prize
@@ -78,9 +68,6 @@ type CTSConfig struct {
 	// Tree holds the clustering limits and buffer model the trees are
 	// built with.
 	Tree cts.Options
-	// Workers bounds the clustering-plan fan-out (0 = inherit
-	// Config.Workers).
-	Workers int
 }
 
 // RouteConfig groups the retained congestion engine's options.
@@ -88,18 +75,14 @@ type RouteConfig struct {
 	// Est holds the G-cell pitch, edge capacities and clock-net inclusion
 	// the congestion map is estimated with.
 	Est route.Options
-	// Workers bounds the rebuild-path net-walk fan-out (0 = inherit
-	// Config.Workers).
-	Workers int
 }
 
 // Config selects the flow options.
 type Config struct {
+	// Compose holds the composition options. Its Workers must stay 0: the
+	// flow's one worker setting is Config.Workers.
 	Compose core.Options
-	// STA, Compat, CTS and Route configure the retained engines. Each
-	// group's Workers overrides the global Config.Workers for that engine
-	// only.
-	STA    STAConfig
+	// Compat, CTS and Route configure the retained engines.
 	Compat CompatConfig
 	CTS    CTSConfig
 	Route  RouteConfig
@@ -120,13 +103,12 @@ type Config struct {
 	// compose and restores leftovers after the last; sessions drive
 	// DecomposePass/RestorePass directly.
 	Decompose DecomposeConfig
-	// Workers bounds the worker pools the parallel stages fan out across:
-	// the per-partition composition stages (clique enumeration, candidate
-	// scoring, subgraph ILP solves) and the STA engine's levelized
-	// arrival/required sweeps. 0 = one worker per available CPU
+	// Workers is the flow's only worker setting. Every retained engine gets
+	// it: the composition shard pool, the STA engine's levelized sweeps,
+	// the compat engine's pairwise re-tests, the CTS clustering plan and
+	// the congestion rebuild. 0 = one worker per available CPU
 	// (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports are
-	// byte-identical for any setting; it overrides Compose.Workers when
-	// non-zero.
+	// byte-identical for any setting.
 	Workers int
 	// Passes runs the composition stage this many times (≤1 = once, the
 	// paper's flow). Later passes re-time the design and recompose over the
@@ -153,16 +135,17 @@ func (c Config) Validate() error {
 		{"Workers", c.Workers},
 		{"Passes", c.Passes},
 		{"TouchedLogCap", c.TouchedLogCap},
-		{"STA.Workers", c.STA.Workers},
-		{"Compat.Workers", c.Compat.Workers},
-		{"CTS.Workers", c.CTS.Workers},
-		{"Route.Workers", c.Route.Workers},
-		{"Compose.Workers", c.Compose.Workers},
 	}
 	for _, ck := range checks {
 		if ck.v < 0 {
 			return fmt.Errorf("flow: Config.%s = %d: must be >= 0 (0 selects the default)", ck.name, ck.v)
 		}
+	}
+	if c.Compose.Workers != 0 {
+		return fmt.Errorf("flow: Config.Compose.Workers = %d: must be 0 (set Config.Workers, the flow's one worker setting)", c.Compose.Workers)
+	}
+	if c.Compose.MaxSubgraphNodes > clique.MaxNodes {
+		return fmt.Errorf("flow: Config.Compose.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", c.Compose.MaxSubgraphNodes, clique.MaxNodes)
 	}
 	if c.UsefulSkew && c.UsefulSkewWindowPS < 0 {
 		return fmt.Errorf("flow: Config.UsefulSkewWindowPS = %v: must be >= 0 (0 selects the default window)", c.UsefulSkewWindowPS)
@@ -258,21 +241,12 @@ type engines struct {
 	comp *core.Engine
 }
 
-// pickWorkers resolves a per-engine worker override against the global
-// setting (group wins when non-zero).
-func pickWorkers(group, global int) int {
-	if group != 0 {
-		return group
-	}
-	return global
-}
-
 func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 	e := &engines{
 		sta: sta.New(d),
 		cg: compatgraph.New(d, plan, compatgraph.Options{
 			Compat:       cfg.Compat.Rules,
-			Workers:      pickWorkers(cfg.Compat.Workers, cfg.Workers),
+			Workers:      cfg.Workers,
 			MaxDeltaFrac: cfg.Compat.MaxDeltaFrac,
 		}),
 		cts:  cts.NewEngine(d, cfg.CTS.Tree),
@@ -280,17 +254,13 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 		rt:   route.NewEngine(d, cfg.Route.Est),
 		comp: core.NewEngine(d),
 	}
-	e.sta.SetWorkers(pickWorkers(cfg.STA.Workers, cfg.Workers))
-	e.rt.SetWorkers(pickWorkers(cfg.Route.Workers, cfg.Workers))
-	e.comp.SetWorkers(pickWorkers(cfg.Compose.Workers, cfg.Workers))
+	e.sta.SetWorkers(cfg.Workers)
+	e.rt.SetWorkers(cfg.Workers)
+	e.comp.SetWorkers(cfg.Workers)
+	e.cts.SetWorkers(cfg.Workers)
 	// The compat node phase consumes the STA engine's changed-slack feed;
 	// every cg.Update in the flow passes that engine's latest snapshot.
 	e.cg.SetTimingFeed(e.sta)
-	cw := pickWorkers(cfg.CTS.Workers, cfg.Workers)
-	if cw == 0 {
-		cw = runtime.GOMAXPROCS(0)
-	}
-	e.cts.SetWorkers(cw)
 	return e
 }
 

@@ -73,9 +73,8 @@ func TestParallelDeterminismAllProfiles(t *testing.T) {
 
 // TestShardedComposeDeterminismAllProfiles is the scheduler's acceptance
 // oracle: on all five benchmark profiles, the work-stealing shard scheduler
-// plus parallel Bron–Kerbosch (forced onto every multi-node subgraph via
-// ParallelCliqueThreshold=2) produce a report byte-identical to the serial
-// path at worker counts {2, NumCPU}. Runs under the -race CI gate.
+// produces a report byte-identical to the serial path at worker counts
+// {2, NumCPU}. Runs under the -race CI gate.
 func TestShardedComposeDeterminismAllProfiles(t *testing.T) {
 	scale := 150
 	if testing.Short() {
@@ -89,7 +88,6 @@ func TestShardedComposeDeterminismAllProfiles(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Workers = workers
-		cfg.Compose.ParallelCliqueThreshold = 2
 		rep, err := Run(b.Design, b.Plan, cfg)
 		if err != nil {
 			t.Fatal(err)

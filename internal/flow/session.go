@@ -159,14 +159,12 @@ func (s *Session) ComposePass() (*core.Result, error) {
 	return cres, nil
 }
 
-// composeOpts resolves the session's composition options: the global
-// worker override and the clock-release hook the retained trees require
-// before a merge.
+// composeOpts resolves the session's composition options: the configured
+// ones plus the clock-release hook the retained trees require before a
+// merge. Workers stays 0, so the compose engine uses the worker count
+// newEngines gave it.
 func (s *Session) composeOpts() core.Options {
 	opts := s.cfg.Compose
-	if s.cfg.Workers != 0 {
-		opts.Workers = s.cfg.Workers
-	}
 	// Merging registers that sit under different tree leaves would fail the
 	// merge's control-net agreement check; the engine releases each group's
 	// clock pins back to the domain root just before the merge, and the

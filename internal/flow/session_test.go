@@ -31,11 +31,10 @@ func TestConfigValidateRejectsEachField(t *testing.T) {
 		{"Workers", func(c *Config) { c.Workers = -1 }},
 		{"Passes", func(c *Config) { c.Passes = -2 }},
 		{"TouchedLogCap", func(c *Config) { c.TouchedLogCap = -1 }},
-		{"STA.Workers", func(c *Config) { c.STA.Workers = -1 }},
-		{"Compat.Workers", func(c *Config) { c.Compat.Workers = -3 }},
-		{"CTS.Workers", func(c *Config) { c.CTS.Workers = -1 }},
-		{"Route.Workers", func(c *Config) { c.Route.Workers = -1 }},
-		{"Compose.Workers", func(c *Config) { c.Compose.Workers = -5 }},
+		// Config.Workers is the flow's one worker setting; a per-compose
+		// value would be silently ignored, so any non-zero one is rejected.
+		{"Compose.Workers", func(c *Config) { c.Compose.Workers = 2 }},
+		{"Compose.MaxSubgraphNodes", func(c *Config) { c.Compose.MaxSubgraphNodes = 65 }},
 		{"UsefulSkewWindowPS", func(c *Config) {
 			c.UsefulSkew = true
 			c.UsefulSkewWindowPS = -1
@@ -59,6 +58,11 @@ func TestConfigValidateRejectsEachField(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config must validate: %v", err)
+	}
+	cfg := DefaultConfig()
+	cfg.Compose.Workers = 2
+	if err := cfg.Validate(); !strings.Contains(err.Error(), "Config.Workers") {
+		t.Fatalf("Compose.Workers error does not point at Config.Workers: %v", err)
 	}
 }
 

@@ -321,61 +321,51 @@ func (e *Engine) rebuild(reason string) {
 	if workers > len(live) {
 		workers = len(live)
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	// One chunk of nets per worker, each into its own partial grid; a
+	// single worker is the one-chunk case, not a separate loop.
 	type netEntry struct {
 		id netlist.NetID
 		c  contrib
 	}
-	if workers > 1 {
-		hParts := make([][]int64, workers)
-		vParts := make([][]int64, workers)
-		entries := make([][]netEntry, workers)
-		var wg sync.WaitGroup
-		chunk := (len(live) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(live) {
-				hi = len(live)
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				hD := make([]int64, nh)
-				vD := make([]int64, nv)
-				var ents []netEntry
-				for _, n := range live[lo:hi] {
-					if c, ok := netContribution(e.d, n, e.opts, e.g); ok {
-						c.addTo(hD, vD, e.g.nx, 1)
-						ents = append(ents, netEntry{n.ID, c})
-					}
+	hParts := make([][]int64, workers)
+	vParts := make([][]int64, workers)
+	entries := make([][]netEntry, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			hD := make([]int64, nh)
+			vD := make([]int64, nv)
+			var ents []netEntry
+			for _, n := range live[w*len(live)/workers : (w+1)*len(live)/workers] {
+				if c, ok := netContribution(e.d, n, e.opts, e.g); ok {
+					c.addTo(hD, vD, e.g.nx, 1)
+					ents = append(ents, netEntry{n.ID, c})
 				}
-				hParts[w], vParts[w], entries[w] = hD, vD, ents
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		e.hDem = make([]int64, nh)
-		e.vDem = make([]int64, nv)
-		e.nets = map[netlist.NetID]contrib{}
-		for w := 0; w < workers; w++ {
+			}
+			hParts[w], vParts[w], entries[w] = hD, vD, ents
+		}(w)
+	}
+	wg.Wait()
+	// The first partial grid becomes the demand map, so one worker copies
+	// nothing; the others add in.
+	e.hDem, e.vDem = hParts[0], vParts[0]
+	e.nets = map[netlist.NetID]contrib{}
+	for w := 0; w < workers; w++ {
+		if w > 0 {
 			for i, v := range hParts[w] {
 				e.hDem[i] += v
 			}
 			for i, v := range vParts[w] {
 				e.vDem[i] += v
 			}
-			for _, ent := range entries[w] {
-				e.nets[ent.id] = ent.c
-			}
 		}
-	} else {
-		e.hDem = make([]int64, nh)
-		e.vDem = make([]int64, nv)
-		e.nets = map[netlist.NetID]contrib{}
-		for _, n := range live {
-			if c, ok := netContribution(e.d, n, e.opts, e.g); ok {
-				c.addTo(e.hDem, e.vDem, e.g.nx, 1)
-				e.nets[n.ID] = c
-			}
+		for _, ent := range entries[w] {
+			e.nets[ent.id] = ent.c
 		}
 	}
 

@@ -359,3 +359,32 @@ func FuzzEstimateDeltaEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// TestRebuildAnyWorkerCount pins that the rebuild's per-worker chunking
+// covers every net exactly once whatever the worker count, including
+// counts that do not divide the net count.
+func TestRebuildAnyWorkerCount(t *testing.T) {
+	d := newDesign()
+	for i := 0; i < 5; i++ {
+		y := int64(8000 + 16000*i)
+		wireUp(t, d, i, geom.Point{X: 4000, Y: y}, geom.Point{X: 90000 - 9000*int64(i), Y: 96000 - y})
+	}
+	opts := DefaultOptions()
+	want := Estimate(d, opts)
+	for w := 1; w <= 6; w++ {
+		rt := NewEngine(d, opts)
+		rt.SetWorkers(w)
+		rt.Update()
+		got := rt.Map()
+		for i := range want.HDemand {
+			if got.HDemand[i] != want.HDemand[i] {
+				t.Fatalf("workers=%d: HDemand[%d] = %v, oracle %v", w, i, got.HDemand[i], want.HDemand[i])
+			}
+		}
+		for i := range want.VDemand {
+			if got.VDemand[i] != want.VDemand[i] {
+				t.Fatalf("workers=%d: VDemand[%d] = %v, oracle %v", w, i, got.VDemand[i], want.VDemand[i])
+			}
+		}
+	}
+}
