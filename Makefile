@@ -3,18 +3,17 @@
 #   make            # build + test (tier-1)
 #   make race       # vet + race-detector test sweep (the CI gate)
 #   make lint       # gofmt + vet static checks (the CI lint gate)
-#   make bench      # paper-reproduction benchmark suite
-#   make bench-smoke # one iteration of every benchmark in every package (CI: catches bit-rot)
+#   make bench-smoke # one iteration of every kernel benchmark in every package (CI: catches bit-rot)
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
-#   make scale-smoke # Scale:5 end-to-end sweep of all profiles with a peak-RSS bound
+#   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
 
-.PHONY: all build test race lint bench bench-smoke bench-module serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench-smoke bench-module serve-smoke eco-smoke scale-smoke golden fuzz
 
 all: build test
 
@@ -34,9 +33,6 @@ race:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
 
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...
@@ -62,12 +58,14 @@ serve-smoke:
 eco-smoke:
 	$(GO) run -race ./cmd/mbrserved -selftest -eco
 
-# End-to-end scale sweep: generate, STA, compat and composition on all five
-# profiles at Scale 5 (a fifth of the paper's cell counts), with the process
-# peak RSS asserted under 4 GB. Catches both wall-time blowups (CI's job
-# timeout) and memory regressions anywhere in the pipeline.
+# End-to-end scale run: Table 1 at Scale 5 (a fifth of the paper's cell
+# counts), i.e. the full paper flow (generate, STA, compat, compose, CTS,
+# route, useful skew, sizing) on all five profiles in one process, with its
+# peak RSS asserted under 4 GB (an unreadable RSS fails too). Catches both
+# wall-time blowups (CI's job timeout) and memory regressions anywhere in
+# the pipeline.
 scale-smoke:
-	$(GO) run ./cmd/scalebench -profiles D1,D2,D3,D4,D5 -scales 5 -maxrss-mb 4096 -out /dev/null
+	$(GO) run ./cmd/paperrepro -table1 -scale 5 -maxrss-mb 4096
 
 golden:
 	$(GO) test ./internal/flow -run TestGolden -update

@@ -37,24 +37,14 @@ func main() {
 	}
 	defer stopProf()
 
-	var spec bench.Spec
-	switch *profile {
-	case "D1":
-		spec = bench.D1(bench.ProfileOpts{Scale: *scale})
-	case "D2":
-		spec = bench.D2(bench.ProfileOpts{Scale: *scale})
-	case "D3":
-		spec = bench.D3(bench.ProfileOpts{Scale: *scale})
-	case "D4":
-		spec = bench.D4(bench.ProfileOpts{Scale: *scale})
-	case "D5":
-		spec = bench.D5(bench.ProfileOpts{Scale: *scale})
-	case "":
+	spec, ok := bench.ProfileByName(*profile, bench.ProfileOpts{Scale: *scale})
+	switch {
+	case *profile == "":
 		spec = bench.D1(bench.ProfileOpts{Scale: 1})
 		spec.Name = "custom"
 		spec.NumRegs = *regs
 		spec.Seed = *seed
-	default:
+	case !ok:
 		fmt.Fprintf(os.Stderr, "unknown profile %q (want D1..D5)\n", *profile)
 		os.Exit(2)
 	}

@@ -78,9 +78,9 @@ func main() {
 			}
 		}
 	case *profile != "":
-		spec, err := profileSpec(*profile, *scale)
-		if err != nil {
-			fatal(err)
+		spec, ok := bench.ProfileByName(*profile, bench.ProfileOpts{Scale: *scale})
+		if !ok {
+			fatal(fmt.Errorf("unknown profile %q", *profile))
 		}
 		res, err := bench.Generate(spec)
 		if err != nil {
@@ -118,23 +118,6 @@ func main() {
 		report.Histogram(os.Stdout, "Register bit widths before composition:", before)
 		report.Histogram(os.Stdout, "Register bit widths after composition:", core.BitWidthHistogram(d))
 	}
-}
-
-func profileSpec(name string, scale int) (bench.Spec, error) {
-	o := bench.ProfileOpts{Scale: scale}
-	switch name {
-	case "D1":
-		return bench.D1(o), nil
-	case "D2":
-		return bench.D2(o), nil
-	case "D3":
-		return bench.D3(o), nil
-	case "D4":
-		return bench.D4(o), nil
-	case "D5":
-		return bench.D5(o), nil
-	}
-	return bench.Spec{}, fmt.Errorf("unknown profile %q", name)
 }
 
 func fatal(err error) {

@@ -7,15 +7,14 @@
 // engine did (node/edge counts, connected components, delta-vs-rebuild
 // decision, edges re-tested), what the retained compose engine did
 // (subgraphs replayed from the solve memo vs solved fresh, truncated
-// subgraphs, branch & bound nodes saved, warm-start and root-tightening
-// activity), and what the retained clock-tree engine did to fold the
-// merges into its live trees (re-clustered leaves, repaired ancestors,
-// buffer churn, fallback reason).
+// subgraphs, branch & bound nodes saved, shards scheduled and stolen), and
+// what the retained clock-tree engine did to fold the merges into its live
+// trees (re-clustered leaves, repaired ancestors, buffer churn, fallback
+// reason).
 //
-// -json emits the same report as one JSON document using the wire package's
-// encodings (internal/serve/wire), so a report scraped from this tool parses
-// exactly like the composition server's responses: per-pass stats are
-// wire.PassStats, engine counters are wire.EngineSummaries.
+// -json emits the same report as one JSON document. Engine counters use the
+// wire package's encoding (internal/serve/wire), so they parse exactly like
+// the composition server's wire.EngineSummaries.
 //
 //	mbrstats -profile D1
 //	mbrstats -profile D1 -passes 3
@@ -46,7 +45,7 @@ import (
 )
 
 // report is the -json document. The sections mirror the text report; the
-// pass and engine shapes are shared with the composition server.
+// engine shape is shared with the composition server.
 type report struct {
 	Design     designReport         `json:"design"`
 	Registers  registersReport      `json:"registers"`
@@ -55,7 +54,7 @@ type report struct {
 	Clock      clockReport          `json:"clock"`
 	Scan       []chainReport        `json:"scan,omitempty"`
 	Congestion congestionReport     `json:"congestion"`
-	Passes     []wire.PassStats     `json:"passes,omitempty"`
+	Passes     []passStats          `json:"passes,omitempty"`
 	Engines    wire.EngineSummaries `json:"engines,omitempty"`
 }
 
@@ -339,11 +338,62 @@ func main() {
 	}
 }
 
+// passStats is one composition pass's retained-engine accounting: what the
+// compatibility-graph, compose, clock-tree and congestion engines did to
+// serve the pass. -passes emits one per pass.
+type passStats struct {
+	Pass int `json:"pass"`
+
+	// Compatibility-graph engine.
+	Nodes         int    `json:"nodes"`
+	Edges         int    `json:"edges"`
+	Components    int    `json:"components"`
+	UpdateKind    string `json:"updateKind"`
+	NodesAdded    int    `json:"nodesAdded"`
+	NodesRemoved  int    `json:"nodesRemoved"`
+	NodesDirty    int    `json:"nodesDirty"`
+	PairsTested   int    `json:"pairsTested"`
+	EdgesRetested int    `json:"edgesRetested"`
+
+	// Composition outcome and compose-engine memo accounting.
+	MBRs               int    `json:"mbrs"`
+	RegsBefore         int    `json:"regsBefore"`
+	RegsAfter          int    `json:"regsAfter"`
+	TruncatedSubgraphs int    `json:"truncatedSubgraphs"`
+	ComposeKind        string `json:"composeKind"`
+	SubgraphsReplayed  int    `json:"subgraphsReplayed"`
+	SubgraphsSolved    int    `json:"subgraphsSolved"`
+	ILPNodesSaved      int    `json:"ilpNodesSaved"`
+	// Work-stealing shard scheduler: shards scheduled (every subgraph) and
+	// shards stolen from another worker's queue. SchedSteals varies with
+	// the goroutine schedule — diagnostics, not part of any determinism
+	// oracle.
+	SchedShards int `json:"schedShards"`
+	SchedSteals int `json:"schedSteals"`
+
+	// Clock-tree engine.
+	CTSKind           string  `json:"ctsKind"`
+	ReclusteredLeaves int     `json:"reclusteredLeaves"`
+	RepairedAncestors int     `json:"repairedAncestors"`
+	BuffersAdded      int     `json:"buffersAdded"`
+	BuffersRemoved    int     `json:"buffersRemoved"`
+	CTSFallback       string  `json:"ctsFallback,omitempty"`
+	ClockBuffers      int     `json:"clockBuffers"`
+	ClockCapPF        float64 `json:"clockCapPF"`
+	ClockWLMM         float64 `json:"clockWLMM"`
+
+	// Congestion engine.
+	RouteKind     string `json:"routeKind"`
+	OverflowEdges int    `json:"overflowEdges"`
+	NetsDelta     int    `json:"netsDelta"`
+	TilesTouched  int    `json:"tilesTouched"`
+}
+
 // runPasses drives composition passes on the in-memory design, reporting
 // what the retained compatibility-graph, clock-tree and congestion engines
-// do on each one. It returns per-pass wire.PassStats and the final engine
-// summaries, so -json reports parse like the composition server's.
-func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgraph.Engine, passes int, text bool) ([]wire.PassStats, wire.EngineSummaries) {
+// do on each one. It returns per-pass stats and the final engine
+// summaries.
+func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgraph.Engine, passes int, text bool) ([]passStats, wire.EngineSummaries) {
 	ct := cts.NewEngine(d, cts.DefaultOptions())
 	if err := ct.Attach(); err != nil {
 		fatal(err)
@@ -351,7 +401,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	rt := route.NewEngine(d, route.DefaultOptions())
 	rt.Update() // baseline estimate, so pass deltas measure only the edits
 	ce := core.NewEngine(d)
-	var out []wire.PassStats
+	var out []passStats
 	if text {
 		fmt.Printf("\ncomposition passes (retained compat + compose + clock-tree + congestion engines):\n")
 	}
@@ -363,7 +413,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		g := cg.Update(res)
 		subs, hints := cg.SubgraphsHinted(30)
 		cs := cg.Stats()
-		ps := wire.PassStats{
+		ps := passStats{
 			Pass:          p,
 			Nodes:         cs.LastNodes,
 			Edges:         cs.LastEdges,

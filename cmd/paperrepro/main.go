@@ -9,9 +9,12 @@
 //	paperrepro -ablation bound      # §3 subgraph-bound sweep
 //	paperrepro -ablation weights    # §3.2 weights on/off
 //	paperrepro -ablation incomplete # incomplete-MBR admission sweep
+//	paperrepro -ablation decompose  # §5 decompose existing MBRs on/off
 //
 // -scale divides the paper's design sizes (default 20; smaller = bigger
-// designs and longer runtime).
+// designs and longer runtime). -maxrss-mb N exits 1 when the process's
+// peak resident set exceeds N MB, or cannot be read; the scale smoke gate
+// runs `paperrepro -table1 -scale 5 -maxrss-mb 4096`.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"repro/internal/flow"
 	"repro/internal/netlist"
 	"repro/internal/paperex"
+	"repro/internal/prof"
 	"repro/internal/report"
 )
 
@@ -36,8 +40,9 @@ func main() {
 		fig3     = flag.Bool("fig3", false, "Fig. 3 worked example")
 		fig5     = flag.Bool("fig5", false, "Fig. 5 bit-width histograms")
 		fig6     = flag.Bool("fig6", false, "Fig. 6 ILP vs heuristic")
-		ablation = flag.String("ablation", "", "bound | weights | incomplete")
+		ablation = flag.String("ablation", "", "bound | weights | incomplete | decompose")
 		scale    = flag.Int("scale", bench.DefaultScale, "design size divisor")
+		maxRSSMB = flag.Float64("maxrss-mb", 0, "exit 1 when the process peak RSS exceeds this many MB (0 = no bound)")
 	)
 	flag.IntVar(&workerCount, "workers", 0,
 		"composition worker count (0 = GOMAXPROCS, 1 = sequential; results are identical)")
@@ -90,6 +95,22 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *maxRSSMB > 0 {
+		checkPeakRSS(*maxRSSMB)
+	}
+}
+
+// checkPeakRSS enforces the -maxrss-mb bound. An unreadable peak RSS fails
+// the check: the bound must never pass by default.
+func checkPeakRSS(boundMB float64) {
+	rss, err := prof.PeakRSSMB()
+	if err != nil {
+		fatal(err)
+	}
+	if rss > boundMB {
+		fatal(fmt.Errorf("paperrepro: peak RSS %.0f MB exceeds the -maxrss-mb %.0f MB bound", rss, boundMB))
+	}
+	fmt.Fprintf(os.Stderr, "paperrepro: peak RSS %.0f MB within the %.0f MB bound\n", rss, boundMB)
 }
 
 func fatal(err error) {

@@ -4,7 +4,8 @@
 //
 // The implementation lives under internal/ (core is the paper's
 // contribution; the other packages are the substrates it needs), the
-// executables under cmd/, and runnable examples under examples/. The
-// benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md and EXPERIMENTS.md.
+// executables under cmd/, and runnable examples under examples/.
+// `go run ./cmd/paperrepro -all` regenerates every table and figure of the
+// paper's evaluation, and `bash benchmark/run.sh` is the repo's performance
+// benchmark; see DESIGN.md and EXPERIMENTS.md.
 package repro

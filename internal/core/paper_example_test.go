@@ -303,7 +303,7 @@ func TestGreedyWorseOrEqualOnExample(t *testing.T) {
 	// at three registers (BD → BCD → ABCD), but through the blocked ABCD
 	// polygon the ILP's weights deliberately avoid — same count, worse
 	// placement quality. The count gap of Fig. 6 appears on the full
-	// benchmarks (see bench_test.go / EXPERIMENTS.md).
+	// benchmarks (see `paperrepro -fig6` / EXPERIMENTS.md).
 	if ilpCount != 3 || greedyCount != 3 {
 		t.Fatalf("ILP=%d greedy=%d want 3/3", ilpCount, greedyCount)
 	}

@@ -326,28 +326,20 @@ func (s *Session) runFlow() (*Report, error) {
 		rep.DecomposedMBRs = len(dres.Victims)
 	}
 
-	// ---- Incremental MBR composition (ideal clocks, as post-place timing
-	// is analyzed before a tree exists). ----
-	eng.SetIdealClocks(true)
+	// ---- Incremental MBR composition: ComposePass analyzes timing under
+	// ideal clocks and folds each pass's merges into the retained trees by
+	// delta, so the next pass (and the optimization stages) see a
+	// maintained tree. ----
 	tc0 := time.Now()
-	composeOpts := s.composeOpts()
-	namePrefix := composeOpts.NamePrefix
-	if namePrefix == "" {
-		namePrefix = "mbrc"
-	}
 	passes := cfg.Passes
 	if passes < 1 {
 		passes = 1
 	}
 	var newMBRs []*netlist.Inst
 	for p := 0; p < passes; p++ {
-		if p > 0 {
-			// Keep MBR names unique across passes.
-			composeOpts.NamePrefix = fmt.Sprintf("%s_p%d", namePrefix, p+1)
-		}
-		cres, err := s.composePass(composeOpts)
+		cres, err := s.ComposePass()
 		if err != nil {
-			return nil, fmt.Errorf("flow: compose pass %d: %w", p+1, err)
+			return nil, fmt.Errorf("pass %d: %w", p+1, err)
 		}
 		if p == 0 {
 			rep.Compose = cres
@@ -360,11 +352,6 @@ func (s *Session) runFlow() (*Report, error) {
 		if len(cres.MBRs) == 0 {
 			break // converged: nothing left to merge
 		}
-		// Fold this pass's merges into the retained trees by delta, so the
-		// next pass (and the optimization stages) see a maintained tree.
-		if err := engs.cts.Update(); err != nil {
-			return nil, fmt.Errorf("flow: CTS update pass %d: %w", p+1, err)
-		}
 	}
 	// A later pass can merge an earlier pass's MBRs away; the skew and
 	// sizing stages only want the survivors.
@@ -375,6 +362,9 @@ func (s *Session) runFlow() (*Report, error) {
 		}
 	}
 	newMBRs = live
+	// Skew and sizing also analyze timing under ideal clocks; ComposePass
+	// turned them off on return.
+	eng.SetIdealClocks(true)
 
 	if cfg.Decompose.enabled() {
 		groups := s.splitGroups

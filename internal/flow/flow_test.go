@@ -194,6 +194,69 @@ func TestFlowDecomposeExisting(t *testing.T) {
 	}
 }
 
+// TestBankDebankLoopConverges closes the bank/debank ECO loop on the
+// 8-bit-rich D4 profile: rounds of slack-driven decompose (violating MBRs
+// debanked under a budget), a measurement in the debanked state, restore
+// (stranded bits re-banked to their original widths) and recomposition.
+// The loop must end with WNS no worse and the register count no higher
+// than a compose-only baseline on the same design.
+func TestBankDebankLoopConverges(t *testing.T) {
+	spec := bench.D4(bench.ProfileOpts{Scale: 40})
+	const rounds = 3
+	dcfg := DecomposeConfig{Budget: 8, SlackThresholdPS: 0}
+
+	composed := func() *Session {
+		b, err := bench.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSession(b.Design, b.Plan, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		if _, err := s.ComposePass(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	measure := func(s *Session) Metrics {
+		m, err := s.Measure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	base := measure(composed())
+	eco := composed()
+	measure(eco)
+	var final Metrics
+	for r := 0; r < rounds; r++ {
+		if _, err := eco.DecomposePassWith(dcfg); err != nil {
+			t.Fatal(err)
+		}
+		measure(eco)
+		if _, err := eco.RestorePass(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eco.ComposePass(); err != nil {
+			t.Fatal(err)
+		}
+		final = measure(eco)
+	}
+	t.Logf("baseline %d regs, WNS %.0f ps; after %d rounds %d regs, WNS %.0f ps",
+		base.TotalRegs, base.WNSPS, rounds, final.TotalRegs, final.WNSPS)
+	if final.WNSPS < base.WNSPS {
+		t.Fatalf("bank/debank loop worsened WNS: %.3f ps, baseline %.3f ps",
+			final.WNSPS, base.WNSPS)
+	}
+	if final.TotalRegs > base.TotalRegs {
+		t.Fatalf("bank/debank loop grew registers: %d, baseline %d",
+			final.TotalRegs, base.TotalRegs)
+	}
+}
+
 func TestFlowNoSkewNoSizing(t *testing.T) {
 	b := genSmall(t, 15)
 	cfg := DefaultConfig()

@@ -131,12 +131,18 @@ func (s *Session) MeasureCanonical() (Metrics, error) {
 // compatibility graph (timing under ideal clocks, as post-place
 // composition is analyzed before tree synthesis) and folds the merges
 // into the retained clock trees. MBR names are unique across a session's
-// passes, following Run's naming scheme.
+// passes: pass n > 1 gets the prefix "<NamePrefix>_p<n>".
 func (s *Session) ComposePass() (*core.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("flow: session closed")
 	}
-	opts := s.composeOpts()
+	// Merging registers that sit under different tree leaves would fail the
+	// merge's control-net agreement check; the engine releases each group's
+	// clock pins back to the domain root just before the merge, and the
+	// next tree update re-parents the MBR under a leaf. Workers stays 0, so
+	// the compose engine uses the worker count newEngines gave it.
+	opts := s.cfg.Compose
+	opts.ReleaseClocks = s.engs.cts.ReleaseClocks
 	if s.passSeq > 0 {
 		prefix := opts.NamePrefix
 		if prefix == "" {
@@ -144,9 +150,19 @@ func (s *Session) ComposePass() (*core.Result, error) {
 		}
 		opts.NamePrefix = fmt.Sprintf("%s_p%d", prefix, s.passSeq+1)
 	}
+	maxNodes := opts.MaxSubgraphNodes
+	if maxNodes <= 0 {
+		maxNodes = 30
+	}
 	s.engs.sta.SetIdealClocks(true)
 	defer s.engs.sta.SetIdealClocks(false)
-	cres, err := s.composePass(opts)
+	res, err := s.engs.sta.Run()
+	if err != nil {
+		return nil, fmt.Errorf("flow: compose: %w", err)
+	}
+	g := s.engs.cg.Update(res)
+	subs, hints := s.engs.cg.SubgraphsHinted(maxNodes)
+	cres, err := s.engs.comp.Compose(g, s.plan, subs, hints, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
@@ -157,37 +173,6 @@ func (s *Session) ComposePass() (*core.Result, error) {
 		}
 	}
 	return cres, nil
-}
-
-// composeOpts resolves the session's composition options: the configured
-// ones plus the clock-release hook the retained trees require before a
-// merge. Workers stays 0, so the compose engine uses the worker count
-// newEngines gave it.
-func (s *Session) composeOpts() core.Options {
-	opts := s.cfg.Compose
-	// Merging registers that sit under different tree leaves would fail the
-	// merge's control-net agreement check; the engine releases each group's
-	// clock pins back to the domain root just before the merge, and the
-	// next tree update re-parents the MBR under a leaf.
-	opts.ReleaseClocks = s.engs.cts.ReleaseClocks
-	return opts
-}
-
-// composePass runs one composition pass with the given options against
-// the retained engines. It does not touch the STA clock mode or the clock
-// trees — Run and ComposePass own that sequencing.
-func (s *Session) composePass(opts core.Options) (*core.Result, error) {
-	res, err := s.engs.sta.Run()
-	if err != nil {
-		return nil, err
-	}
-	g := s.engs.cg.Update(res)
-	maxNodes := opts.MaxSubgraphNodes
-	if maxNodes <= 0 {
-		maxNodes = 30
-	}
-	subs, hints := s.engs.cg.SubgraphsHinted(maxNodes)
-	return s.engs.comp.Compose(g, s.plan, subs, hints, opts)
 }
 
 // DumpState writes the session's observable state as deterministic bytes:

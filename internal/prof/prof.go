@@ -1,7 +1,9 @@
-// Package prof is the CLIs' shared pprof plumbing: one call wires the
+// Package prof is the CLIs' shared profiling plumbing: one call wires the
 // -cpuprofile/-memprofile flags every scale-run tool offers, so bottlenecks
 // at paper scale are attributable with `go tool pprof` instead of code
-// edits. Empty paths disable the respective profile.
+// edits (empty paths disable the respective profile), and PeakRSSMB reads
+// the process's peak resident set for memory bounds such as paperrepro's
+// -maxrss-mb.
 package prof
 
 import (

@@ -1,9 +1,9 @@
 // Package wire defines the JSON wire format shared by the composition
 // server (cmd/mbrserved, internal/serve) and the stats tool's machine
-// readable mode (cmd/mbrstats -json): retained-engine summaries, Table 1
-// metric snapshots and per-pass engine statistics. Keeping the encodings
-// in one package guarantees a report scraped from the CLI parses exactly
-// like one served over HTTP.
+// readable mode (cmd/mbrstats -json): retained-engine summaries and
+// Table 1 metric snapshots. Keeping the encodings in one package
+// guarantees a report scraped from the CLI parses exactly like one served
+// over HTTP.
 package wire
 
 import (
@@ -71,55 +71,4 @@ func FromMetrics(m flow.Metrics) Metrics {
 		WLClkMM:          m.WLClkMM,
 		WLSigMM:          m.WLSigMM,
 	}
-}
-
-// PassStats is one composition pass's retained-engine accounting: what the
-// compatibility-graph, compose, clock-tree and congestion engines did to
-// serve the pass. cmd/mbrstats -passes emits one per pass; the server's
-// compose endpoint emits the same shape per request.
-type PassStats struct {
-	Pass int `json:"pass"`
-
-	// Compatibility-graph engine.
-	Nodes         int    `json:"nodes"`
-	Edges         int    `json:"edges"`
-	Components    int    `json:"components"`
-	UpdateKind    string `json:"updateKind"`
-	NodesAdded    int    `json:"nodesAdded"`
-	NodesRemoved  int    `json:"nodesRemoved"`
-	NodesDirty    int    `json:"nodesDirty"`
-	PairsTested   int    `json:"pairsTested"`
-	EdgesRetested int    `json:"edgesRetested"`
-
-	// Composition outcome and compose-engine memo accounting.
-	MBRs               int    `json:"mbrs"`
-	RegsBefore         int    `json:"regsBefore"`
-	RegsAfter          int    `json:"regsAfter"`
-	TruncatedSubgraphs int    `json:"truncatedSubgraphs"`
-	ComposeKind        string `json:"composeKind"`
-	SubgraphsReplayed  int    `json:"subgraphsReplayed"`
-	SubgraphsSolved    int    `json:"subgraphsSolved"`
-	ILPNodesSaved      int    `json:"ilpNodesSaved"`
-	// Work-stealing shard scheduler: shards scheduled (every subgraph) and
-	// shards stolen from another worker's queue. SchedSteals varies with the goroutine schedule — diagnostics, not
-	// part of any determinism oracle.
-	SchedShards int `json:"schedShards"`
-	SchedSteals int `json:"schedSteals"`
-
-	// Clock-tree engine.
-	CTSKind           string  `json:"ctsKind"`
-	ReclusteredLeaves int     `json:"reclusteredLeaves"`
-	RepairedAncestors int     `json:"repairedAncestors"`
-	BuffersAdded      int     `json:"buffersAdded"`
-	BuffersRemoved    int     `json:"buffersRemoved"`
-	CTSFallback       string  `json:"ctsFallback,omitempty"`
-	ClockBuffers      int     `json:"clockBuffers"`
-	ClockCapPF        float64 `json:"clockCapPF"`
-	ClockWLMM         float64 `json:"clockWLMM"`
-
-	// Congestion engine.
-	RouteKind     string `json:"routeKind"`
-	OverflowEdges int    `json:"overflowEdges"`
-	NetsDelta     int    `json:"netsDelta"`
-	TilesTouched  int    `json:"tilesTouched"`
 }

@@ -65,7 +65,8 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 	for _, name := range []string{"D1", "D2", "D3", "D4", "D5"} {
 		for _, workers := range workerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				gen, err := bench.Generate(profileByName(name))
+				spec, _ := bench.ProfileByName(name, bench.ProfileOpts{Scale: 40})
+				gen, err := bench.Generate(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
