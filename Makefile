@@ -8,12 +8,13 @@
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
+#   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-module serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench-smoke bench-module examples-smoke serve-smoke eco-smoke scale-smoke golden fuzz
 
 all: build test
 
@@ -42,6 +43,15 @@ bench-smoke:
 # production API change that breaks the benchmark driver.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# go build ./... compiles the examples but nothing else runs them; they are
+# the only non-test callers of compat.Build. Each one exits non-zero when a
+# step it drives fails.
+examples-smoke:
+	@set -e; for e in ./examples/*/; do \
+		echo "examples: $$e"; \
+		$(GO) run $$e > /dev/null; \
+	done
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

@@ -73,6 +73,21 @@ type RegInfo struct {
 	ClockPos geom.Point
 }
 
+// FuncKey is the input of the functional pairwise test: two registers are
+// functionally compatible iff their keys are equal — same functional class,
+// same root-resolved clock net, same clock-gating group, and identical
+// control nets (reset, enable, scan enable) so the MBR's shared control pins
+// can connect legally. Callers that must find compatible pairs (the
+// incremental engine) bucket registers by it.
+type FuncKey struct {
+	Class     lib.FuncClass
+	GateGroup int
+	Clock     netlist.NetID
+	Reset     netlist.NetID
+	Enable    netlist.NetID
+	ScanEn    netlist.NetID
+}
+
 // StaticSig captures the structural inputs of the functional and scan
 // pairwise tests for one register: two registers pass both tests iff the
 // relevant fields agree (see PairTest). The signature only changes when the
@@ -84,12 +99,7 @@ type RegInfo struct {
 // distribution root stay clock-compatible even while a retained clock tree
 // parents them under different leaf buffers.
 type StaticSig struct {
-	Class     lib.FuncClass
-	GateGroup int
-	Clock     netlist.NetID
-	Reset     netlist.NetID
-	Enable    netlist.NetID
-	ScanEn    netlist.NetID
+	FuncKey
 	Scanned   bool
 	Chain     int
 	Partition int
@@ -99,14 +109,14 @@ type StaticSig struct {
 // SigOf computes the static signature of a register under a scan plan (plan
 // may be nil for unscanned designs).
 func SigOf(d *netlist.Design, plan *scan.Plan, in *netlist.Inst) StaticSig {
-	s := StaticSig{
+	s := StaticSig{FuncKey: FuncKey{
 		Class:     in.RegCell.Class,
 		GateGroup: in.GateGroup,
 		Clock:     d.ClockRootNet(d.ClockNet(in)),
 		Reset:     d.ControlNet(in, netlist.PinReset),
 		Enable:    d.ControlNet(in, netlist.PinEnable),
 		ScanEn:    d.ControlNet(in, netlist.PinScanEnable),
-	}
+	}}
 	if plan != nil {
 		if c, _, ok := plan.ChainOf(in.ID); ok {
 			s.Scanned = true
@@ -267,7 +277,7 @@ func (g *Graph) compatible(a, b *RegInfo) bool {
 // plan's AllowCrossChain flag (true for a nil plan).
 func PairTest(opts Options, a, b *RegInfo, sa, sb StaticSig, allowCross bool) (TestMask, bool) {
 	var m TestMask
-	if !functionalCompatibleSig(sa, sb) {
+	if sa.FuncKey != sb.FuncKey {
 		return m, false
 	}
 	m |= TestFunctional
@@ -292,18 +302,6 @@ func PairTestDynamic(opts Options, a, b *RegInfo) (TestMask, bool) {
 		return m, false
 	}
 	return m | TestTiming, true
-}
-
-// functionalCompatibleSig: same functional class, same clock net, same
-// clock-gating group, and identical control nets (reset, enable, scan
-// enable) so the MBR's shared control pins can connect legally.
-func functionalCompatibleSig(a, b StaticSig) bool {
-	return a.Class == b.Class &&
-		a.GateGroup == b.GateGroup &&
-		a.Clock == b.Clock &&
-		a.Reset == b.Reset &&
-		a.Enable == b.Enable &&
-		a.ScanEn == b.ScanEn
 }
 
 // scanCompatibleSig mirrors scan.Plan.PairCompatible over cached statics.

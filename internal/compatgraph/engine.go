@@ -1,16 +1,19 @@
 // Package compatgraph retains the register compatibility graph (§2) across
 // flow passes and maintains it by delta instead of rebuild. The engine keeps
 // the current node set (live composable registers with their cached RegInfo
-// and static signatures), the adjacency with a per-edge test mask, and
-// per-node reason bitmasks recording which of the four compatibility tests
-// rejected candidate pairs at that node. After each pass it consumes the
-// netlist epoch log plus the fresh STA results to remove merged/deleted
-// nodes, insert new MBR nodes, and re-test only pairs with at least one
-// changed endpoint — candidate pairs come from a geometric grid over the
-// move regions, not an all-pairs scan. On structural overflow (or when too
-// much of the design changed for a delta to pay off) it falls back to the
-// full pairwise sweep, which is also the package's correctness oracle
-// (compat.Build).
+// and static signatures) and the adjacency with a per-edge test mask. After
+// each pass it consumes the netlist epoch log plus the fresh STA results to
+// remove merged/deleted nodes, insert new MBR nodes, and re-test only pairs
+// with at least one changed endpoint.
+//
+// One edge sweep serves every Update. Only registers with equal
+// compat.FuncKey can pass the functional test, and only overlapping move
+// regions the placement test, so the sweep buckets the nodes by key and
+// finds a changed node's candidate partners through a geometric grid over
+// its bucket's regions, never by an all-pairs scan. A rebuild (first
+// Update, structural overflow, a timing change, or too many changed nodes)
+// is the same sweep against an empty graph with every node dirty. The
+// dense all-pairs compat.Build is the correctness oracle.
 //
 // Exactness strategy: a node's cached data (slacks, feasible region, clock
 // position, signature) is a pure function of that register's own pins'
@@ -23,14 +26,15 @@
 // against the cache, so the maintained node set is exactly what a linear
 // recompute would produce. Without a feed (or when either ring overflowed)
 // the node phase falls back to the PR-3 linear sweep over every register,
-// which remains the oracle. The edge phase is unchanged: pairs are
-// re-tested only when an endpoint's data differs from the cache, with the
-// full pairwise sweep as the overflow fallback, so the maintained graph is
-// exactly the graph Build would produce at every step.
+// which remains the oracle. In the edge phase pairs are re-tested only when
+// an endpoint's data differs from the cache (every pair in a rebuild), so
+// the maintained graph is exactly the graph Build would produce at every
+// step.
 package compatgraph
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -63,9 +67,11 @@ type Options struct {
 	// Workers bounds the fan-out of pairwise re-tests (0 = GOMAXPROCS,
 	// 1 = sequential). The result is byte-identical at any worker count.
 	Workers int
-	// MaxDeltaFrac is the changed-node fraction above which Update falls
-	// back to the full pairwise sweep (default 0.25: past that point the
-	// neighborhood queries cost more than the dense row sweep saves).
+	// MaxDeltaFrac is the changed-node fraction above which an Update is
+	// a rebuild (KindDirtyOverflow, default 0.25): it discards the
+	// retained edge masks and re-tests every candidate pair instead of
+	// only those with a changed endpoint. Both run the same grid sweep;
+	// the threshold decides what counts as a rebuild in Stats.
 	MaxDeltaFrac float64
 }
 
@@ -73,16 +79,16 @@ type Options struct {
 type UpdateKind string
 
 const (
-	// KindInitial: first Update after New or Invalidate — full sweep.
+	// KindInitial: first Update after New or Invalidate — rebuild.
 	KindInitial UpdateKind = "initial"
 	// KindOverflow: the bounded touched-log overflowed (bulk structural
-	// churn, e.g. a CTS rebuild) — full sweep.
+	// churn, e.g. a CTS rebuild) — rebuild.
 	KindOverflow UpdateKind = "touched-overflow"
 	// KindTimingChanged: the design's TimingSpec changed, invalidating
-	// every clamped slack and region — full sweep.
+	// every clamped slack and region — rebuild.
 	KindTimingChanged UpdateKind = "timing-changed"
 	// KindDirtyOverflow: more than MaxDeltaFrac of the nodes changed —
-	// full sweep.
+	// rebuild.
 	KindDirtyOverflow UpdateKind = "dirty-overflow"
 	// KindDelta: neighborhood-limited re-test of changed nodes only.
 	KindDelta UpdateKind = "delta"
@@ -91,7 +97,7 @@ const (
 // Stats describes the engine's work; Last* fields cover the latest Update.
 type Stats struct {
 	Updates  int
-	Rebuilds int // full pairwise sweeps (any non-delta kind)
+	Rebuilds int // sweeps from an empty graph (any non-delta kind)
 	Deltas   int
 	// TouchedOverflows counts the rebuilds forced by an overflowed
 	// touched ring (KindOverflow) — the failure mode edit-class scoping
@@ -112,7 +118,9 @@ type Stats struct {
 	LastPairsTested   int // pair tests evaluated by the last Update
 	LastEdgesRetested int // previously existing edges among them
 	// LastRejectsByTest counts pairs rejected by each test (functional,
-	// scan, placement, timing) in the last Update's evaluations.
+	// scan, placement, timing) in the last Update's evaluations. Only
+	// same-key pairs whose regions share a grid cell are evaluated, so the
+	// functional count is always 0.
 	LastRejectsByTest [4]int
 	// LastNodePhase is "delta" or "linear" for the last Update's node
 	// phase; LastNodesVisited counts the registers whose eligibility,
@@ -141,9 +149,6 @@ type node struct {
 	// edge was last confirmed (TestAll when fully tested; the static bits
 	// are carried from cache when only dynamics were re-run).
 	nbr map[netlist.InstID]compat.TestMask
-	// bound accumulates which tests rejected candidate pairs at this node
-	// (the per-node reason bitmask).
-	bound compat.TestMask
 }
 
 // Engine is the retained incremental compatibility graph. Not safe for
@@ -182,7 +187,7 @@ type Engine struct {
 }
 
 // New creates an engine over a design and scan plan (plan may be nil). The
-// first Update performs a full sweep.
+// first Update is a rebuild.
 func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
 	if opts.MaxDeltaFrac <= 0 {
 		opts.MaxDeltaFrac = 0.25
@@ -190,7 +195,7 @@ func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
 	return &Engine{d: d, plan: plan, opts: opts, part: partition.NewCache()}
 }
 
-// Invalidate forces the next Update to take the full-sweep path.
+// Invalidate forces the next Update to be a rebuild.
 func (e *Engine) Invalidate() { e.valid = false }
 
 // SetTimingFeed attaches the dirty-node feed that lets the node phase run
@@ -266,7 +271,7 @@ type nodeState struct {
 // Update brings the retained graph up to date with the design and the given
 // fresh STA results, and materializes it. The returned graph is exactly the
 // graph compat.Build would produce on the same inputs, independent of the
-// worker count and of whether the delta or the full path ran.
+// worker count and of whether the update was a delta or a rebuild.
 func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	d := e.d
 	opts := e.compatOpts()
@@ -326,11 +331,14 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	edgeStart := time.Now()
 	if kind == KindDelta {
 		st.Deltas++
-		e.applyDelta(opts, allowCross, &ns)
 	} else {
+		// A rebuild is the same sweep against an empty retained graph with
+		// every node dirty.
 		st.Rebuilds++
-		e.fullSweep(opts, allowCross, ns.order, ns.infos, ns.sigs)
+		e.nodes = make(map[netlist.InstID]*node, len(ns.order))
+		ns.markAllDirty()
 	}
+	e.sweep(opts, allowCross, &ns)
 	edgeNS := time.Since(edgeStart).Nanoseconds()
 
 	if ns.excluded != nil {
@@ -632,119 +640,74 @@ func (e *Engine) SubgraphsHinted(maxNodes int) ([][]int, []bool) {
 	return out, clean
 }
 
-// fullSweep rebuilds the whole adjacency with the same double loop as
-// compat.Build, row-parallel across workers.
-func (e *Engine) fullSweep(opts compat.Options, allowCross bool,
-	order []netlist.InstID, infos []*compat.RegInfo, sigs []compat.StaticSig) {
-
-	n := len(order)
-	rows := make([][]int32, n)   // per-row: ordinals j>i that passed
-	bound := make([]int32, n)    // per-row first-failing accumulation mask
-	rejects := make([][4]int, n) // per-row reject counts
-	pairs := make([]int, n)
-	workers := e.workers()
-	if workers > n {
-		workers = n
+// markAllDirty turns the node state into a rebuild's: every node dirty
+// with a changed signature, so each pair is tested in full exactly once.
+func (ns *nodeState) markAllDirty() {
+	n := len(ns.order)
+	ns.dirtyOrd = make([]int, n)
+	for i := range ns.dirtyOrd {
+		ns.dirtyOrd[i] = i
+		ns.isDirty[i] = true
+		ns.sDirty[i] = true
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Stride over rows: row i costs n-i tests, striding balances.
-			for i := w; i < n; i += workers {
-				var row []int32
-				for j := i + 1; j < n; j++ {
-					mask, ok := compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], allowCross)
-					pairs[i]++
-					if ok {
-						row = append(row, int32(j))
-					} else {
-						ff := firstFailing(mask)
-						bound[i] |= int32(ff)
-						rejects[i][testIndex(ff)]++
-					}
-				}
-				rows[i] = row
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	nodes := make(map[netlist.InstID]*node, n)
-	for i, id := range order {
-		nodes[id] = &node{
-			inst: infos[i].Inst,
-			info: infos[i],
-			sig:  sigs[i],
-			nbr:  map[netlist.InstID]compat.TestMask{},
-		}
-	}
-	st := &e.stats
-	for i := range rows {
-		st.LastPairsTested += pairs[i]
-		for t := 0; t < 4; t++ {
-			st.LastRejectsByTest[t] += rejects[i][t]
-		}
-		a := nodes[order[i]]
-		a.bound = compat.TestMask(bound[i])
-		for _, j := range rows[i] {
-			b := nodes[order[j]]
-			a.nbr[order[j]] = compat.TestAll
-			b.nbr[order[i]] = compat.TestAll
-		}
-	}
-	e.nodes = nodes
 }
 
-// deltaResult is one worker's verdicts for one dirty node's candidates.
-type deltaResult struct {
-	cand  []int32 // candidate ordinals, ascending
-	mask  []compat.TestMask
-	ok    []bool
-	retst []bool // pair was a previously confirmed edge
-	bound compat.TestMask
+// sweepResult is one worker's verdicts for one dirty node's candidates.
+type sweepResult struct {
+	nbr      []int32 // ordinals of the confirmed partners
+	mask     []compat.TestMask
+	pairs    int // candidates tested
+	retested int // candidates that were confirmed edges before
+	rejects  [4]int
 }
 
-// applyDelta re-tests only pairs with a changed endpoint, finding candidate
-// partners through a geometric grid over the move regions.
-func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState) {
+// sweep re-tests every pair with a dirty endpoint and patches the retained
+// adjacency. A dirty node's candidate partners are the nodes sharing its
+// compat.FuncKey — the only ones the functional test can pass — whose move
+// regions fall in the grid cells its own region covers, so only same-key,
+// nearby pairs are ever tested.
+func (e *Engine) sweep(opts compat.Options, allowCross bool, ns *nodeState) {
 	order, infos, sigs := ns.order, ns.infos, ns.sigs
 	isDirty, sDirty, dirtyOrd := ns.isDirty, ns.sDirty, ns.dirtyOrd
 	if len(dirtyOrd) == 0 && len(ns.removedIDs) == 0 {
 		return // nothing changed: the retained adjacency is already exact
 	}
 
+	// Bucket the nodes by functional key and index the regions of every
+	// bucket that holds a dirty node; clean buckets are never queried.
 	n := len(order)
-	// Neighborhood index: every node's region, bucketed over the core.
-	// Cell size tracks the average region: a finer grid would file every
-	// slack-generous region into hundreds of cells and make queries visit
-	// them all, degrading far below a plain O(n) candidate scan. With
-	// near-core-sized regions the dims collapse to 1x1, which IS that scan.
-	var sumW, sumH int64
-	for _, info := range infos {
-		sumW += info.Region.Hi.X - info.Region.Lo.X
-		sumH += info.Region.Hi.Y - info.Region.Lo.Y
+	bucketOf := make([]int32, n)
+	keys := make(map[compat.FuncKey]int32)
+	for i := range sigs {
+		b, ok := keys[sigs[i].FuncKey]
+		if !ok {
+			b = int32(len(keys))
+			keys[sigs[i].FuncKey] = b
+		}
+		bucketOf[i] = b
 	}
-	dimCap := int(math.Ceil(math.Sqrt(float64(n))))
-	if dimCap > 64 {
-		dimCap = 64
+	members := make([][]int32, len(keys))
+	queried := make([]bool, len(keys))
+	for _, i := range dirtyOrd {
+		queried[bucketOf[i]] = true
 	}
-	grid := geom.NewGrid(e.d.Core,
-		boundedDim(e.d.Core.Hi.X-e.d.Core.Lo.X, sumW, n, dimCap),
-		boundedDim(e.d.Core.Hi.Y-e.d.Core.Lo.Y, sumH, n, dimCap))
-	for i, info := range infos {
-		grid.InsertRect(int32(i), info.Region)
+	for i, b := range bucketOf {
+		if queried[b] {
+			members[b] = append(members[b], int32(i))
+		}
+	}
+	grids := make([]*geom.Grid, len(keys))
+	for b, m := range members {
+		if queried[b] {
+			grids[b] = e.bucketGrid(m, infos)
+		}
 	}
 
 	// Compute phase (read-only on the retained maps): each dirty node
-	// gathers overlap candidates and tests the pairs it owns — (dirty,
-	// clean) always, (dirty, dirty) only from the lower ordinal.
-	results := make([]deltaResult, len(dirtyOrd))
-	workers := e.workers()
-	if workers > len(dirtyOrd) {
-		workers = len(dirtyOrd)
-	}
+	// gathers its candidates and tests the pairs it owns — (dirty, clean)
+	// always, (dirty, dirty) only from the lower ordinal.
+	results := make([]sweepResult, len(dirtyOrd))
+	workers := min(e.workers(), len(dirtyOrd))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -754,10 +717,13 @@ func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState)
 			for k := range stamp {
 				stamp[k] = -1
 			}
+			// Stride over the dirty nodes: in a rebuild, lower ordinals own
+			// more pairs, and striding balances them.
 			for di := w; di < len(dirtyOrd); di += workers {
 				i := dirtyOrd[di]
 				r := &results[di]
-				grid.QueryRect(infos[i].Region, func(j int32) {
+				oldA := e.nodes[order[i]]
+				grids[bucketOf[i]].QueryRect(infos[i].Region, func(j int32) {
 					if int(j) == i || stamp[j] == int32(di) {
 						return
 					}
@@ -765,11 +731,6 @@ func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState)
 					if isDirty[j] && int(j) < i {
 						return // owned by the lower dirty ordinal
 					}
-					r.cand = append(r.cand, j)
-				})
-				sort.Slice(r.cand, func(a, b int) bool { return r.cand[a] < r.cand[b] })
-				oldA := e.nodes[order[i]]
-				for _, j := range r.cand {
 					var hadEdge bool
 					if oldA != nil {
 						_, hadEdge = oldA.nbr[order[j]]
@@ -779,18 +740,22 @@ func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState)
 					if hadEdge && !sDirty[i] && !sDirty[j] {
 						// Statics passed when the edge was confirmed and
 						// neither signature changed: re-run dynamics only.
-						mask, ok = compat.PairTestDynamic(opts, infos[i], infos[int(j)])
+						mask, ok = compat.PairTestDynamic(opts, infos[i], infos[j])
 						mask |= compat.TestStatic
 					} else {
-						mask, ok = compat.PairTest(opts, infos[i], infos[int(j)], sigs[i], sigs[int(j)], allowCross)
+						mask, ok = compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], allowCross)
 					}
-					r.mask = append(r.mask, mask)
-					r.ok = append(r.ok, ok)
-					r.retst = append(r.retst, hadEdge)
+					r.pairs++
+					if hadEdge {
+						r.retested++
+					}
 					if !ok {
-						r.bound |= firstFailing(mask)
+						r.rejects[firstFailing(mask)]++
+						return
 					}
-				}
+					r.nbr = append(r.nbr, j)
+					r.mask = append(r.mask, mask)
+				})
 			}
 		}(w)
 	}
@@ -828,21 +793,40 @@ func (e *Engine) applyDelta(opts compat.Options, allowCross bool, ns *nodeState)
 	for di, r := range results {
 		i := dirtyOrd[di]
 		a := e.nodes[order[i]]
-		a.bound = r.bound
-		st.LastPairsTested += len(r.cand)
-		for k, j := range r.cand {
-			if r.retst[k] {
-				st.LastEdgesRetested++
-			}
-			if !r.ok[k] {
-				st.LastRejectsByTest[testIndex(firstFailing(r.mask[k]))]++
-				continue
-			}
+		st.LastPairsTested += r.pairs
+		st.LastEdgesRetested += r.retested
+		for t, c := range r.rejects {
+			st.LastRejectsByTest[t] += c
+		}
+		for k, j := range r.nbr {
 			b := e.nodes[order[j]]
 			a.nbr[order[j]] = r.mask[k]
 			b.nbr[order[i]] = r.mask[k]
 		}
 	}
+}
+
+// bucketGrid indexes the move regions of one bucket's members over the
+// core. Cell size tracks the bucket's average region: a finer grid would
+// file every slack-generous region into hundreds of cells and make queries
+// visit them all, degrading far below a plain scan of the bucket. With
+// near-core-sized regions the dims collapse to 1x1, which IS that scan.
+func (e *Engine) bucketGrid(members []int32, infos []*compat.RegInfo) *geom.Grid {
+	var sumW, sumH int64
+	for _, i := range members {
+		sumW += infos[i].Region.W()
+		sumH += infos[i].Region.H()
+	}
+	n := len(members)
+	dimCap := min(int(math.Ceil(math.Sqrt(float64(n)))), 64)
+	core := e.d.Core
+	grid := geom.NewGrid(core,
+		boundedDim(core.W(), sumW, n, dimCap),
+		boundedDim(core.H(), sumH, n, dimCap))
+	for _, i := range members {
+		grid.InsertRect(i, infos[i].Region)
+	}
+	return grid
 }
 
 // materialize produces the compat.Graph view: nodes in ascending instance-ID
@@ -875,36 +859,10 @@ func (e *Engine) materialize(opts compat.Options) *compat.Graph {
 	return compat.FromParts(e.d, e.plan, opts, regs, adj, exc)
 }
 
-// firstFailing extracts the first test not passed, in evaluation order.
-func firstFailing(passed compat.TestMask) compat.TestMask {
-	for _, t := range [4]compat.TestMask{compat.TestFunctional, compat.TestScan, compat.TestPlacement, compat.TestTiming} {
-		if passed&t == 0 {
-			return t
-		}
-	}
-	return 0
-}
-
-func testIndex(t compat.TestMask) int {
-	switch t {
-	case compat.TestFunctional:
-		return 0
-	case compat.TestScan:
-		return 1
-	case compat.TestPlacement:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// BoundMask returns the per-node reason bitmask of a register: which tests
-// rejected candidate pairs at that node the last time it was re-tested.
-func (e *Engine) BoundMask(id netlist.InstID) compat.TestMask {
-	if nd, ok := e.nodes[id]; ok {
-		return nd.bound
-	}
-	return 0
+// firstFailing returns the index, in evaluation order (functional, scan,
+// placement, timing), of the first test a rejected pair did not pass.
+func firstFailing(passed compat.TestMask) int {
+	return bits.TrailingZeros8(uint8(^passed))
 }
 
 // boundedDim picks a grid dimension whose cell size is no smaller than the

@@ -13,11 +13,17 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/partition"
+	"repro/internal/scan"
 	"repro/internal/sta"
 )
 
 // oracleScale keeps the five profiles small enough for many edit rounds.
 const oracleScale = 300
+
+// rebuildScale is small enough for per-bucket grids of several cells on
+// most profiles (at Scale 20 only D4 has them) and large enough to keep the
+// rebuild oracle's -race time modest.
+const rebuildScale = 10
 
 func genProfile(t testing.TB, name string) *bench.Result {
 	t.Helper()
@@ -303,8 +309,8 @@ func TestNodePhaseDeltaVisitsOnlyDirty(t *testing.T) {
 	}
 	// One move dirties the register, its data-net neighbours, and the
 	// registers whose slack the STA cone sweep changed — a local set. Half
-	// the register count is a generous ceiling that still rules out any
-	// full sweep.
+	// the register count is a generous ceiling that still rules out a
+	// linear node phase.
 	if st.LastNodesVisited >= nRegs/2 {
 		t.Fatalf("delta node phase visited %d of %d registers — not O(touched)",
 			st.LastNodesVisited, nRegs)
@@ -314,7 +320,7 @@ func TestNodePhaseDeltaVisitsOnlyDirty(t *testing.T) {
 }
 
 // TestOverflowFallsBackToRebuild floods the touched ring with edits and
-// checks the engine takes the full-sweep path and still matches the oracle.
+// checks the engine takes the rebuild path and still matches the oracle.
 func TestOverflowFallsBackToRebuild(t *testing.T) {
 	b := genProfile(t, "D1")
 	d := b.Design
@@ -354,4 +360,64 @@ func TestOverflowFallsBackToRebuild(t *testing.T) {
 func corePartitionOracle(g *compat.Graph, maxNodes int) [][]int {
 	return partition.Decompose(len(g.Regs), g.Adj,
 		func(i int) geom.Point { return g.Regs[i].ClockPos }, maxNodes)
+}
+
+// TestRebuildEqualsBuildAtScale checks the rebuild sweep against the dense
+// compat.Build reference at a scale where the per-bucket grids have several
+// cells, so their spatial filter actually prunes pairs (at oracleScale every
+// bucket's grid is a single cell): the first Update, and an Update after
+// Invalidate plus one edit round, on all five profiles. Testing fewer pairs
+// than the buckets hold proves some grid was multi-cell.
+func TestRebuildEqualsBuildAtScale(t *testing.T) {
+	filtered := false
+	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
+		spec, _ := bench.ProfileByName(profile, bench.ProfileOpts{Scale: rebuildScale})
+		b, err := bench.Generate(spec)
+		if err != nil {
+			t.Fatalf("generate %s: %v", profile, err)
+		}
+		d := b.Design
+		eng := sta.New(d)
+		eng.SetIdealClocks(true)
+		cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: 2})
+		cg.SetTimingFeed(eng)
+		rng := rand.New(rand.NewSource(int64(len(profile))))
+		for round := 0; round < 2; round++ {
+			if round > 0 {
+				cg.Invalidate()
+				mutate(t, b, eng, rng, 0) // moves, resizes and skews
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatalf("%s round %d: sta: %v", profile, round, err)
+			}
+			got := cg.Update(res)
+			st := cg.Stats()
+			ctx := fmt.Sprintf("%s round %d (%s)", profile, round, st.LastKind)
+			if st.LastKind != compatgraph.KindInitial {
+				t.Fatalf("%s: expected a rebuild", ctx)
+			}
+			requireGraphsEqual(t, ctx, got, compat.Build(d, res, b.Plan, compat.DefaultOptions()))
+			if st.LastPairsTested < sameKeyPairs(d, b.Plan, got) {
+				filtered = true
+			}
+		}
+	}
+	if !filtered {
+		t.Fatal("no rebuild tested fewer pairs than its buckets hold: every grid was a single cell")
+	}
+}
+
+// sameKeyPairs counts the node pairs sharing a functional key — the pairs a
+// rebuild tests when every bucket's grid is a single cell.
+func sameKeyPairs(d *netlist.Design, plan *scan.Plan, g *compat.Graph) int {
+	size := map[compat.FuncKey]int{}
+	for _, r := range g.Regs {
+		size[compat.SigOf(d, plan, r.Inst).FuncKey]++
+	}
+	pairs := 0
+	for _, m := range size {
+		pairs += m * (m - 1) / 2
+	}
+	return pairs
 }

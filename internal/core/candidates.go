@@ -109,7 +109,8 @@ func weightOf(bits, blockers int, singleton bool) (float64, bool) {
 
 // enumerateCandidates produces the valid candidate set of one subgraph.
 // Subgraphs are class-pure (compatibility edges never cross functional
-// classes), so one library width set applies.
+// classes), so one library width set applies. opts must be normalized
+// (NormalizeOptions).
 func enumerateCandidates(
 	d *netlist.Design,
 	g *compat.Graph,
@@ -143,15 +144,11 @@ func enumerateCandidates(
 	for i, n := range nodes {
 		bits[i] = regOf(g, n).Bits()
 	}
-	maxCands := opts.MaxCandidatesPerSubgraph
-	if maxCands <= 0 {
-		maxCands = 6000
-	}
 	spec := clique.SubCliqueSpec{
 		Bits:            bits,
 		Widths:          widths,
 		AllowIncomplete: opts.AllowIncomplete,
-		MaxCandidates:   maxCands,
+		MaxCandidates:   opts.MaxCandidatesPerSubgraph,
 	}
 	res, err := clique.EnumerateSubCliques(cg, spec)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 // decomposition with its subgraph memo, so the two are byte-identical.
 func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = normalizeOptions(opts)
+	opts = NormalizeOptions(opts)
 	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
 		return nil, err
 	}
@@ -40,21 +40,25 @@ func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) 
 	return res, nil
 }
 
-// normalizeOptions applies the defaulting every composition entry point
-// shares; the retained engine folds the normalized options into its
-// signature, so both paths must see identical values.
-func normalizeOptions(opts Options) Options {
+// NormalizeOptions applies the defaulting every composition entry point
+// (Compose, Engine.Compose, InspectCandidates) shares; the retained engine
+// folds the normalized options into its signature, so every path must see
+// identical values. Normalizing twice changes nothing.
+func NormalizeOptions(opts Options) Options {
 	if opts.MaxSubgraphNodes <= 0 {
-		opts.MaxSubgraphNodes = 30
+		opts.MaxSubgraphNodes = defaultMaxSubgraphNodes
 	}
 	if opts.NamePrefix == "" {
-		opts.NamePrefix = "mbrc"
+		opts.NamePrefix = defaultNamePrefix
+	}
+	if opts.MaxCandidatesPerSubgraph <= 0 {
+		opts.MaxCandidatesPerSubgraph = defaultMaxCandidates
 	}
 	// Without the §3.2 weights nothing prunes the candidate columns, and a
 	// unit-cost set partitioning is maximally degenerate for branch &
 	// bound; keep the unweighted ablation tractable with a tighter
 	// enumeration cap.
-	if !opts.UseWeights && (opts.MaxCandidatesPerSubgraph == 0 || opts.MaxCandidatesPerSubgraph > 1500) {
+	if !opts.UseWeights && opts.MaxCandidatesPerSubgraph > 1500 {
 		opts.MaxCandidatesPerSubgraph = 1500
 	}
 	return opts

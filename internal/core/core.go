@@ -102,16 +102,24 @@ type Options struct {
 	ReleaseClocks func(regs []*netlist.Inst)
 }
 
+// The values NormalizeOptions gives Options fields left zero; DefaultOptions
+// sets them explicitly.
+const (
+	defaultMaxSubgraphNodes = 30
+	defaultMaxCandidates    = 6000
+	defaultNamePrefix       = "mbrc"
+)
+
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
 		Method:                   MethodILP,
-		MaxSubgraphNodes:         30,
+		MaxSubgraphNodes:         defaultMaxSubgraphNodes,
 		AllowIncomplete:          true,
 		IncompleteAreaOverhead:   0.05,
 		UseWeights:               true,
-		MaxCandidatesPerSubgraph: 6000,
-		NamePrefix:               "mbrc",
+		MaxCandidatesPerSubgraph: defaultMaxCandidates,
+		NamePrefix:               defaultNamePrefix,
 	}
 }
 

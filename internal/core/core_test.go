@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/compat"
 	"repro/internal/geom"
 	"repro/internal/lib"
@@ -415,5 +416,32 @@ func TestSubgraphBoundAboveCliqueLimit(t *testing.T) {
 	check("InspectCandidates", err)
 	if got := len(d.Registers()); got != regs {
 		t.Fatalf("rejected compose changed the register count %d -> %d", regs, got)
+	}
+}
+
+// TestInspectCandidatesMatchesCompose pins that InspectCandidates applies
+// the same option defaults as Compose: in both weight modes it reports
+// exactly the candidates Compose enumerates. The candidate count is fixed
+// before selection, so the greedy selector stands in for the ILP, whose
+// unweighted solve would dominate the test's -race time.
+func TestInspectCandidatesMatchesCompose(t *testing.T) {
+	spec, _ := bench.ProfileByName("D1", bench.ProfileOpts{Scale: 40})
+	for _, weights := range []bool{true, false} {
+		d, g, plan := genComposeInput(t, spec)
+		opts := DefaultOptions()
+		opts.Method = MethodGreedy
+		opts.UseWeights = weights
+		infos, err := InspectCandidates(d, g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compose(d, g, plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != res.Candidates {
+			t.Fatalf("UseWeights=%v: InspectCandidates returned %d candidates, Compose enumerated %d",
+				weights, len(infos), res.Candidates)
+		}
 	}
 }

@@ -158,7 +158,7 @@ func (e *Engine) Stats() EngineStats { return e.stats }
 // compatgraph.Engine.SubgraphHints) and is used for accounting only.
 func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, clean []bool, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = normalizeOptions(opts)
+	opts = NormalizeOptions(opts)
 	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
 		return nil, err
 	}

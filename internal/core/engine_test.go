@@ -354,7 +354,7 @@ func TestWeightPruneBoundaryConsistent(t *testing.T) {
 			{nodes: []int{1}, totalBits: 1, width: 1, weight: 1},
 			{nodes: []int{0, 1}, totalBits: 2, width: 2, weight: pairWeight},
 		}
-		picked, _, err := selectILP(nodes, cands, normalizeOptions(DefaultOptions()))
+		picked, _, err := selectILP(nodes, cands, NormalizeOptions(DefaultOptions()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,11 +24,10 @@ type CandidateInfo struct {
 
 // InspectCandidates enumerates the valid candidates of the whole
 // compatibility graph (partitioned exactly as Compose would) and returns
-// them with their weights. It does not modify the design.
+// them with their weights, under the same option defaults as Compose. It
+// does not modify the design.
 func InspectCandidates(d *netlist.Design, g *compat.Graph, opts Options) ([]CandidateInfo, error) {
-	if opts.MaxSubgraphNodes <= 0 {
-		opts.MaxSubgraphNodes = 30
-	}
+	opts = NormalizeOptions(opts)
 	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
 		return nil, err
 	}

@@ -62,19 +62,14 @@ type splitGroup struct {
 	parts    []netlist.InstID
 }
 
-// DecomposePass runs one slack-driven decomposition pass with the
-// session's configured budget (Config.Decompose). Victims are selected
-// from the retained STA engine's changed-slack feed under ideal clocks
-// (the composition stage's timing view), worst slack first; each is split
-// into single-bit registers that stay on the MBR's footprint so the next
-// composition pass sees them as the tight clean group they are. Leftover
-// bits a later composition does not re-merge are restored by RestorePass.
-func (s *Session) DecomposePass() (*DecomposeResult, error) {
-	return s.DecomposePassWith(s.cfg.Decompose)
-}
-
-// DecomposePassWith is DecomposePass with an explicit config, the form the
-// composition server journals (replay must reproduce the exact pass).
+// DecomposePassWith runs one slack-driven decomposition pass under dcfg
+// (the composition server journals the config, so replay reproduces the
+// exact pass). Victims are selected from the retained STA engine's
+// changed-slack feed under ideal clocks (the composition stage's timing
+// view), worst slack first; each is split into single-bit registers that
+// stay on the MBR's footprint so the next composition pass sees them as
+// the tight clean group they are. Leftover bits a later composition does
+// not re-merge are restored by RestorePass.
 func (s *Session) DecomposePassWith(dcfg DecomposeConfig) (*DecomposeResult, error) {
 	if s.closed {
 		return nil, fmt.Errorf("flow: session closed")

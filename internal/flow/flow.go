@@ -56,10 +56,11 @@ type CompatConfig struct {
 	// slack thresholds, region slack).
 	Rules compat.Options
 	// MaxDeltaFrac is the changed-node fraction above which the retained
-	// engine's Update abandons the delta path for a full edge re-test
-	// (0 = the engine default, 0.25). Interactive sessions that prize
-	// latency consistency over per-update cost can raise it to stay on the
-	// delta path through larger ripples.
+	// engine's Update is a rebuild: it discards the retained edge masks
+	// and re-tests every candidate pair, and counts in Stats.Rebuilds
+	// (0 = the engine default, 0.25). Interactive sessions that must show
+	// zero steady-state rebuilds raise it to stay on the delta path
+	// through larger ripples.
 	MaxDeltaFrac float64
 }
 
@@ -101,7 +102,7 @@ type Config struct {
 	// changed-slack feed, worst cones first, bounded by Decompose.Budget.
 	// In Run's one-shot flow an enabled config decomposes before the first
 	// compose and restores leftovers after the last; sessions drive
-	// DecomposePass/RestorePass directly.
+	// DecomposePassWith/RestorePass directly.
 	Decompose DecomposeConfig
 	// Workers is the flow's only worker setting. Every retained engine gets
 	// it: the composition shard pool, the STA engine's levelized sweeps,
@@ -315,7 +316,7 @@ func (s *Session) runFlow() (*Report, error) {
 	// under the All preset, else the worst-slack cones up to the budget) so
 	// their bits can recompose with neighbours; leftovers are restored
 	// after composition. One code path serves this, the session's
-	// DecomposePass and the ablations — the report counts always agree.
+	// DecomposePassWith and the ablations — the report counts always agree.
 	if cfg.Decompose.enabled() {
 		eng.SetIdealClocks(true)
 		dres, err := s.decomposePass(cfg.Decompose)

@@ -34,13 +34,13 @@ type Session struct {
 	// Config.Passes).
 	passSeq int
 
-	// splitGroups accumulates what DecomposePass split so RestorePass can
+	// splitGroups accumulates what DecomposePassWith split so RestorePass can
 	// re-merge the leftovers; restoredGroups offsets restore-merge names
 	// across repeated bank/debank rounds.
 	splitGroups    []splitGroup
 	restoredGroups int
 	// slackCursor/slackSeen track the session's read position in the STA
-	// engine's changed-slack feed (victim selection for DecomposePass).
+	// engine's changed-slack feed (victim selection for DecomposePassWith).
 	slackCursor uint64
 	slackSeen   bool
 
@@ -112,21 +112,6 @@ func (s *Session) Measure() (Metrics, error) {
 	return measure(s.d, s.engs, s.cfg)
 }
 
-// MeasureCanonical is Measure after canonicalizing the clock trees: the
-// trees are left exactly as a batch build of the current design would
-// leave them, so the metrics are byte-comparable with a one-shot batch
-// flow regardless of the session's edit history. It pays for a tree
-// rebuild; in-loop measurement uses the cheap Measure.
-func (s *Session) MeasureCanonical() (Metrics, error) {
-	if s.closed {
-		return Metrics{}, fmt.Errorf("flow: session closed")
-	}
-	if err := s.engs.cts.Canonicalize(); err != nil {
-		return Metrics{}, fmt.Errorf("flow: CTS canonicalize: %w", err)
-	}
-	return measure(s.d, s.engs, s.cfg)
-}
-
 // ComposePass runs one incremental MBR composition pass over the retained
 // compatibility graph (timing under ideal clocks, as post-place
 // composition is analyzed before tree synthesis) and folds the merges
@@ -141,18 +126,10 @@ func (s *Session) ComposePass() (*core.Result, error) {
 	// clock pins back to the domain root just before the merge, and the
 	// next tree update re-parents the MBR under a leaf. Workers stays 0, so
 	// the compose engine uses the worker count newEngines gave it.
-	opts := s.cfg.Compose
+	opts := core.NormalizeOptions(s.cfg.Compose)
 	opts.ReleaseClocks = s.engs.cts.ReleaseClocks
 	if s.passSeq > 0 {
-		prefix := opts.NamePrefix
-		if prefix == "" {
-			prefix = "mbrc"
-		}
-		opts.NamePrefix = fmt.Sprintf("%s_p%d", prefix, s.passSeq+1)
-	}
-	maxNodes := opts.MaxSubgraphNodes
-	if maxNodes <= 0 {
-		maxNodes = 30
+		opts.NamePrefix = fmt.Sprintf("%s_p%d", opts.NamePrefix, s.passSeq+1)
 	}
 	s.engs.sta.SetIdealClocks(true)
 	defer s.engs.sta.SetIdealClocks(false)
@@ -161,7 +138,7 @@ func (s *Session) ComposePass() (*core.Result, error) {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
 	g := s.engs.cg.Update(res)
-	subs, hints := s.engs.cg.SubgraphsHinted(maxNodes)
+	subs, hints := s.engs.cg.SubgraphsHinted(opts.MaxSubgraphNodes)
 	cres, err := s.engs.comp.Compose(g, s.plan, subs, hints, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)

@@ -8,7 +8,6 @@ package geom
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -29,12 +28,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // ManhattanDist returns the L1 distance between p and q.
 func (p Point) ManhattanDist(q Point) int64 {
 	return absInt64(p.X-q.X) + absInt64(p.Y-q.Y)
-}
-
-// EuclideanDist returns the L2 distance between p and q.
-func (p Point) EuclideanDist(q Point) float64 {
-	dx, dy := float64(p.X-q.X), float64(p.Y-q.Y)
-	return math.Hypot(dx, dy)
 }
 
 func absInt64(v int64) int64 {

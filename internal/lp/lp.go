@@ -111,9 +111,6 @@ func New(sense Sense) *Problem {
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.cost) }
 
-// NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient
 // cost, returning its index. Use -Inf / Inf for unbounded sides. The name is
 // only used in error messages and may be empty.

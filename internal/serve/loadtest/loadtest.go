@@ -135,9 +135,8 @@ const recenterThresholdDBU = 4000
 
 // compatMaxDeltaFrac raises the compatibility-graph delta threshold from
 // its batch-flow default of 0.25: a measure absorbing a double leaf
-// recluster legitimately carries ~25% changed nodes, right at the default
-// cliff. Interactive sessions prefer the delta path's latency consistency
-// over the cost heuristic's cliff edge.
+// recluster legitimately carries ~25% changed nodes, right at the default,
+// and the harness's steady-state window allows zero rebuilds.
 const compatMaxDeltaFrac = 0.5
 
 // ecoDecomposeConfig is the decompose round every ECO stream issues: a

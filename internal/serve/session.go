@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -33,8 +34,9 @@ type SessionConfig struct {
 	RecenterThresholdDBU int64 `json:"recenterThresholdDBU,omitempty"`
 	// CompatMaxDeltaFrac raises the compatibility-graph engine's delta
 	// threshold (see flow.CompatConfig.MaxDeltaFrac): the changed-node
-	// fraction an update may carry on the delta path before falling back
-	// to a full edge re-test. 0 keeps the engine default (0.25).
+	// fraction an update may carry on the delta path before it becomes a
+	// rebuild that discards the retained edge masks. 0 keeps the engine
+	// default (0.25).
 	CompatMaxDeltaFrac float64 `json:"compatMaxDeltaFrac,omitempty"`
 }
 
@@ -351,18 +353,11 @@ func stateDigest(fs *flow.Session) (string, error) {
 }
 
 func dumpState(fs *flow.Session) ([]byte, error) {
-	var b stateBuf
+	var b bytes.Buffer
 	if err := fs.DumpState(&b); err != nil {
 		return nil, err
 	}
-	return b.data, nil
-}
-
-type stateBuf struct{ data []byte }
-
-func (b *stateBuf) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
+	return b.Bytes(), nil
 }
 
 func cloneEdits(edits []flow.Edit) []flow.Edit {

@@ -30,15 +30,7 @@ type slackLog struct {
 	seq   uint64 // sequence number of the most recent completed run
 	base  uint64 // ring holds the complete history for cursors >= base
 	ring  []slackEntry
-	cap   int
 	noted map[netlist.InstID]uint64 // per-run dedup: last seq an inst was noted
-}
-
-func (l *slackLog) capacity() int {
-	if l.cap > 0 {
-		return l.cap
-	}
-	return defaultSlackLogCap
 }
 
 // note records a register whose slack changed during run seq.
@@ -50,7 +42,7 @@ func (l *slackLog) note(id netlist.InstID, seq uint64) {
 		return
 	}
 	l.noted[id] = seq
-	if len(l.ring) >= l.capacity() {
+	if len(l.ring) >= defaultSlackLogCap {
 		l.reset(seq)
 		return
 	}
@@ -66,15 +58,6 @@ func (l *slackLog) reset(seq uint64) {
 // SlackSeq returns the monotonic count of completed Run calls; pass it to
 // RegsWithChangedSlack as the cursor for a later read.
 func (e *Engine) SlackSeq() uint64 { return e.slog.seq }
-
-// SetSlackLogCap bounds the changed-slack ring (0 restores the default).
-// Shrinking an over-full ring drops it, so the next read is incomplete.
-func (e *Engine) SetSlackLogCap(n int) {
-	e.slog.cap = n
-	if n > 0 && len(e.slog.ring) > n {
-		e.slog.reset(e.slog.seq)
-	}
-}
 
 // RegsWithChangedSlack returns the registers whose D/Q pin slacks changed
 // in any run after the cursor (a past SlackSeq value). The second result
