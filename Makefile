@@ -9,12 +9,13 @@
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
+#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end (fails on a wrong exit code)
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-module examples-smoke serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench-smoke bench-module examples-smoke cli-smoke serve-smoke eco-smoke scale-smoke golden fuzz
 
 all: build test
 
@@ -52,6 +53,28 @@ examples-smoke:
 		echo "examples: $$e"; \
 		$(GO) run $$e > /dev/null; \
 	done
+
+# Nothing under cmd/ has a test. This builds the inspection, generation and
+# flow CLIs, runs them on small profiles (benchgen piped into mbrstats
+# included) and fails on any wrong exit code: each run must exit 0, and a
+# -scale below 1 must be rejected with exit code 2. pipefail makes a failing
+# benchgen fail the pipe.
+cli-smoke: SHELL := /bin/bash
+cli-smoke: .SHELLFLAGS := -o pipefail -ec
+cli-smoke:
+	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin" ./cmd/mbrstats ./cmd/benchgen ./cmd/mbrcompose; \
+	echo "cli: mbrstats -profile D1 -passes 3"; \
+	"$$bin/mbrstats" -profile D1 -passes 3 > /dev/null; \
+	echo "cli: mbrstats -profile D1 -passes 3 -json"; \
+	"$$bin/mbrstats" -profile D1 -passes 3 -json > /dev/null; \
+	echo "cli: benchgen -profile D2 | mbrstats -design /dev/stdin"; \
+	"$$bin/benchgen" -profile D2 | "$$bin/mbrstats" -design /dev/stdin > /dev/null; \
+	echo "cli: mbrcompose -profile D1"; \
+	"$$bin/mbrcompose" -profile D1 > /dev/null; \
+	echo "cli: mbrstats -profile D1 -scale 0 (must exit 2)"; \
+	rc=0; "$$bin/mbrstats" -profile D1 -scale 0 > /dev/null 2>&1 || rc=$$?; \
+	if [ "$$rc" -ne 2 ]; then echo "cli: -scale 0 exited $$rc, want 2"; exit 1; fi
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

@@ -43,6 +43,10 @@ func main() {
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {

@@ -7,10 +7,9 @@
 // engine did (node/edge counts, connected components, delta-vs-rebuild
 // decision, edges re-tested), what the retained compose engine did
 // (subgraphs replayed from the solve memo vs solved fresh, truncated
-// subgraphs, branch & bound nodes saved, shards scheduled and stolen), and
-// what the retained clock-tree engine did to fold the merges into its live
-// trees (re-clustered leaves, repaired ancestors, buffer churn, fallback
-// reason).
+// subgraphs, branch & bound nodes saved), and what the retained clock-tree
+// engine did to fold the merges into its live trees (re-clustered leaves,
+// repaired ancestors, buffer churn, fallback reason).
 //
 // -json emits the same report as one JSON document. Engine counters use the
 // wire package's encoding (internal/serve/wire), so they parse exactly like
@@ -38,6 +37,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lib"
 	"repro/internal/netlist"
+	"repro/internal/partition"
 	"repro/internal/route"
 	"repro/internal/scan"
 	"repro/internal/serve/wire"
@@ -122,6 +122,10 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit one JSON document (wire encodings) instead of text")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 
 	var (
 		d    *netlist.Design
@@ -231,9 +235,8 @@ func main() {
 	cg := compatgraph.New(d, plan, compatgraph.Options{Compat: compat.DefaultOptions()})
 	cg.SetTimingFeed(eng)
 	g := cg.Update(res)
-	cg.Subgraphs(30)
 	st := g.Stats()
-	cs := cg.Stats()
+	components := len(partition.ConnectedComponents(len(g.Regs), g.Adj))
 	excluded := map[string]int{}
 	for why, n := range st.ExcludedByWhy {
 		excluded[string(why)] = n
@@ -242,12 +245,12 @@ func main() {
 		ComposableRegs: st.ComposableRegs,
 		TotalRegs:      st.TotalRegs,
 		Edges:          st.Edges,
-		Components:     cs.LastComponents,
+		Components:     components,
 		Excluded:       excluded,
 	}
 	if text {
 		fmt.Printf("\ncompatibility graph: %d composable of %d registers, %d edges, %d components\n",
-			st.ComposableRegs, st.TotalRegs, st.Edges, cs.LastComponents)
+			st.ComposableRegs, st.TotalRegs, st.Edges, components)
 		var reasons []string
 		for why := range excluded {
 			reasons = append(reasons, why)
@@ -364,13 +367,6 @@ type passStats struct {
 	SubgraphsReplayed  int    `json:"subgraphsReplayed"`
 	SubgraphsSolved    int    `json:"subgraphsSolved"`
 	ILPNodesSaved      int    `json:"ilpNodesSaved"`
-	// Work-stealing shard scheduler: shards scheduled (every subgraph) and
-	// shards stolen from another worker's queue. SchedSteals varies with
-	// the goroutine schedule — diagnostics, not part of any determinism
-	// oracle.
-	SchedShards int `json:"schedShards"`
-	SchedSteals int `json:"schedSteals"`
-
 	// Clock-tree engine.
 	CTSKind           string  `json:"ctsKind"`
 	ReclusteredLeaves int     `json:"reclusteredLeaves"`
@@ -411,13 +407,12 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 			fatal(err)
 		}
 		g := cg.Update(res)
-		subs, hints := cg.SubgraphsHinted(30)
 		cs := cg.Stats()
 		ps := passStats{
 			Pass:          p,
 			Nodes:         cs.LastNodes,
 			Edges:         cs.LastEdges,
-			Components:    cs.LastComponents,
+			Components:    len(partition.ConnectedComponents(len(g.Regs), g.Adj)),
 			UpdateKind:    string(cs.LastKind),
 			NodesAdded:    cs.LastNodesAdded,
 			NodesRemoved:  cs.LastNodesRemoved,
@@ -426,8 +421,8 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 			EdgesRetested: cs.LastEdgesRetested,
 		}
 		if text {
-			fmt.Printf("pass %d: %d nodes, %d edges, %d components (%d splits reused)\n",
-				p, cs.LastNodes, cs.LastEdges, cs.LastComponents, cs.LastComponentsReused)
+			fmt.Printf("pass %d: %d nodes, %d edges, %d components\n",
+				p, cs.LastNodes, cs.LastEdges, ps.Components)
 			fmt.Printf("  update: %s  (+%d nodes, -%d nodes, %d dirty)\n",
 				cs.LastKind, cs.LastNodesAdded, cs.LastNodesRemoved, cs.LastNodesDirty)
 			fmt.Printf("  pairs tested %d (edges re-tested %d); rejected by func/scan/place/timing: %d/%d/%d/%d\n",
@@ -442,7 +437,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		opts.NamePrefix = fmt.Sprintf("mbrp%d", p)
 		opts.ReleaseClocks = ct.ReleaseClocks
 		esBefore := ce.Stats()
-		cres, err := ce.Compose(g, plan, subs, hints, opts)
+		cres, err := ce.Compose(g, plan, opts)
 		if err != nil {
 			fatal(err)
 		}
@@ -455,17 +450,12 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		ps.SubgraphsReplayed = es.SubgraphsReused - esBefore.SubgraphsReused
 		ps.SubgraphsSolved = es.SubgraphsSolved - esBefore.SubgraphsSolved
 		ps.ILPNodesSaved = es.ILPNodesSaved - esBefore.ILPNodesSaved
-		ps.SchedShards = es.SchedShards - esBefore.SchedShards
-		ps.SchedSteals = es.SchedSteals - esBefore.SchedSteals
 		if text {
 			fmt.Printf("  composed: %d MBRs, registers %d -> %d (%d truncated subgraphs)\n",
 				len(cres.MBRs), cres.RegsBefore, cres.RegsAfter, cres.TruncatedSubgraphs)
-			fmt.Printf("  compose %s: %d subgraphs replayed, %d solved fresh, %d B&B nodes saved (hints %d clean, %d missed)\n",
+			fmt.Printf("  compose %s: %d subgraphs replayed, %d solved fresh, %d B&B nodes saved (workers %d)\n",
 				ps.ComposeKind, ps.SubgraphsReplayed, ps.SubgraphsSolved, ps.ILPNodesSaved,
-				es.HintedClean-esBefore.HintedClean,
-				es.HintMisses-esBefore.HintMisses)
-			fmt.Printf("  compose sched: %d shards scheduled, %d stolen (workers %d)\n",
-				ps.SchedShards, ps.SchedSteals, cres.Workers)
+				cres.Workers)
 		}
 		if err := ct.Update(); err != nil {
 			fatal(err)

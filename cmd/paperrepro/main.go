@@ -47,6 +47,10 @@ func main() {
 	flag.IntVar(&workerCount, "workers", 0,
 		"composition worker count (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "-scale must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 	if *all {
 		*table1, *fig3, *fig5, *fig6 = true, true, true, true
 	}

@@ -44,7 +44,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/scan"
 	"repro/internal/sta"
 )
@@ -132,12 +131,6 @@ type Stats struct {
 	// from determinism comparisons (wall time is not reproducible).
 	NodePhaseNS, EdgePhaseNS         int64
 	LastNodePhaseNS, LastEdgePhaseNS int64
-
-	// LastComponents / LastComponentsReused describe the most recent
-	// Subgraphs call: connected components seen and how many reused a
-	// cached geometric split (clean components).
-	LastComponents       int
-	LastComponentsReused int
 }
 
 // node is the retained per-register state.
@@ -170,7 +163,6 @@ type Engine struct {
 	nodes    map[netlist.InstID]*node
 	excluded map[netlist.InstID]compat.NotComposableReason
 
-	part  *partition.Cache
 	graph *compat.Graph // last materialized graph
 	// order is the node set in ascending instance-ID order (the Build
 	// order); infosArr/sigsArr/ordOf are kept aligned with it so the delta
@@ -180,10 +172,6 @@ type Engine struct {
 	sigsArr  []compat.StaticSig
 	ordOf    map[netlist.InstID]int
 	stats    Stats
-	// lastDirty names the registers whose node data (info or signature)
-	// changed in the last Update — the dirty-subgraph feed SubgraphsHinted
-	// folds into its per-subgraph clean hints.
-	lastDirty map[netlist.InstID]bool
 }
 
 // New creates an engine over a design and scan plan (plan may be nil). The
@@ -192,7 +180,7 @@ func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
 	if opts.MaxDeltaFrac <= 0 {
 		opts.MaxDeltaFrac = 0.25
 	}
-	return &Engine{d: d, plan: plan, opts: opts, part: partition.NewCache()}
+	return &Engine{d: d, plan: plan, opts: opts}
 }
 
 // Invalidate forces the next Update to be a rebuild.
@@ -343,10 +331,6 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 
 	if ns.excluded != nil {
 		e.excluded = ns.excluded
-	}
-	e.lastDirty = make(map[netlist.InstID]bool, len(ns.dirtyOrd))
-	for _, i := range ns.dirtyOrd {
-		e.lastDirty[ns.order[i]] = true
 	}
 	e.setOrder(ns.order, ns.infos, ns.sigs)
 	e.valid = true
@@ -596,48 +580,6 @@ func (e *Engine) nodePhaseDelta(res *sta.Results, opts compat.Options,
 		ns.sDirty[i] = !wasNode || old.sig != f.sig
 	}
 	return ns
-}
-
-// Subgraphs decomposes the current graph exactly like partition.Decompose
-// (connected components, then geometric splits of oversized ones) but
-// reuses cached splits for components untouched since the previous call.
-func (e *Engine) Subgraphs(maxNodes int) [][]int {
-	g := e.graph
-	out := e.part.Decompose(len(g.Regs), g.Adj,
-		func(i int) geom.Point { return g.Regs[i].ClockPos },
-		maxNodes,
-		func(i int) int64 { return int64(g.Regs[i].Inst.ID) })
-	ps := e.part.Stats()
-	e.stats.LastComponents = ps.Components
-	e.stats.LastComponentsReused = ps.Reused
-	return out
-}
-
-// SubgraphsHinted is Subgraphs plus a per-subgraph clean hint: true when
-// the subgraph's component replayed from the partition cache (members,
-// order and clock positions unchanged) and none of its members' node data
-// changed in the last Update. The hints are advisory — the retained
-// compose engine validates every subgraph by exact signature and only uses
-// them for accounting — because a member's blocker environment or scan
-// context can change without its own node data changing.
-func (e *Engine) SubgraphsHinted(maxNodes int) ([][]int, []bool) {
-	out := e.Subgraphs(maxNodes)
-	reused := e.part.LastPartsReused()
-	clean := make([]bool, len(out))
-	for i, part := range out {
-		if i >= len(reused) || !reused[i] {
-			continue
-		}
-		ok := true
-		for _, n := range part {
-			if e.lastDirty[e.graph.Regs[n].Inst.ID] {
-				ok = false
-				break
-			}
-		}
-		clean[i] = ok
-	}
-	return out, clean
 }
 
 // markAllDirty turns the node state into a rebuild's: every node dirty

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/scan"
 	"repro/internal/sta"
 )
@@ -216,8 +215,6 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 			requireGraphsEqual(t, fmt.Sprintf("w%d round %d", w, i), other[i].g, base[i].g)
 			// Decision stats must also be scheduling-independent.
 			bs, os := base[i].st, other[i].st
-			bs.LastComponents, os.LastComponents = 0, 0
-			bs.LastComponentsReused, os.LastComponentsReused = 0, 0
 			// Wall time is not reproducible across runs.
 			bs.NodePhaseNS, os.NodePhaseNS = 0, 0
 			bs.EdgePhaseNS, os.EdgePhaseNS = 0, 0
@@ -227,44 +224,6 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("w%d round %d stats diverged:\n base %+v\nother %+v", w, i, bs, os)
 			}
 		}
-	}
-}
-
-// TestSubgraphsMatchDecompose checks the cached decomposition against the
-// partition package on the materialized graph.
-func TestSubgraphsMatchDecompose(t *testing.T) {
-	b := genProfile(t, "D3")
-	d := b.Design
-	eng := sta.New(d)
-	eng.SetIdealClocks(true)
-	cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	rng := rand.New(rand.NewSource(5))
-	for round := 0; round < 5; round++ {
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatalf("sta: %v", err)
-		}
-		g := cg.Update(res)
-		got := cg.Subgraphs(30)
-		want := corePartitionOracle(g, 30)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d subgraphs != oracle %d", round, len(got), len(want))
-		}
-		for i := range want {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("round %d: subgraph %d size mismatch", round, i)
-			}
-			for k := range want[i] {
-				if got[i][k] != want[i][k] {
-					t.Fatalf("round %d: subgraph %d diverged: got %v want %v",
-						round, i, got[i], want[i])
-				}
-			}
-		}
-		mutate(t, b, eng, rng, round)
-	}
-	if st := cg.Stats(); st.LastComponents == 0 {
-		t.Fatal("no components reported")
 	}
 }
 
@@ -354,12 +313,6 @@ func TestOverflowFallsBackToRebuild(t *testing.T) {
 		t.Fatalf("expected touched-overflow fallback, got %q", k)
 	}
 	requireGraphsEqual(t, "overflow", got, compat.Build(d, res, b.Plan, compat.DefaultOptions()))
-}
-
-// corePartitionOracle mirrors what core.Compose does with a plain graph.
-func corePartitionOracle(g *compat.Graph, maxNodes int) [][]int {
-	return partition.Decompose(len(g.Regs), g.Adj,
-		func(i int) geom.Point { return g.Regs[i].ClockPos }, maxNodes)
 }
 
 // TestRebuildEqualsBuildAtScale checks the rebuild sweep against the dense

@@ -21,17 +21,15 @@ import (
 // may be nil for unscanned designs. The design, and the plan when present,
 // are modified in place.
 //
-// Compose decomposes g (partition.Decompose) and runs composeRound without
-// a memo; the retained Engine runs the same round over its cached
-// decomposition with its subgraph memo, so the two are byte-identical.
+// Compose decomposes g and runs composeRound without a memo; the retained
+// Engine runs the same round over the same decomposition with its subgraph
+// memo, so the two are byte-identical.
 func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = NormalizeOptions(opts)
-	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+	opts, subgraphs, err := decompose(g, opts)
+	if err != nil {
 		return nil, err
 	}
-	subgraphs := partition.Decompose(len(g.Regs), g.Adj,
-		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
 	res, _, err := composeRound(d, g, plan, newRegIndex(d), subgraphs, opts, nil)
 	if err != nil {
 		return nil, err
@@ -64,19 +62,24 @@ func NormalizeOptions(opts Options) Options {
 	return opts
 }
 
-// checkSubgraphBound rejects a subgraph bound the clique enumeration cannot
-// hold: its bitmask graphs have at most clique.MaxNodes nodes, and a larger
-// partition would otherwise fail deep inside a shard worker.
-func checkSubgraphBound(maxNodes int) error {
-	if maxNodes > clique.MaxNodes {
-		return fmt.Errorf("core: Options.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", maxNodes, clique.MaxNodes)
+// decompose is the preamble every composition entry point shares: it
+// normalizes opts and splits g into the §3 subgraphs (partition.Decompose
+// over the clock-pin positions). It rejects a subgraph bound the clique
+// enumeration cannot hold: its bitmask graphs have at most clique.MaxNodes
+// nodes, and a larger partition would otherwise fail deep inside a shard
+// worker.
+func decompose(g *compat.Graph, opts Options) (Options, [][]int, error) {
+	opts = NormalizeOptions(opts)
+	if opts.MaxSubgraphNodes > clique.MaxNodes {
+		return opts, nil, fmt.Errorf("core: Options.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", opts.MaxSubgraphNodes, clique.MaxNodes)
 	}
-	return nil
+	return opts, partition.Decompose(len(g.Regs), g.Adj,
+		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes), nil
 }
 
 // composeRound is the composition pipeline every entry point runs. It
 // solves each subgraph (enumeration → §3.2 weights → selection) on the
-// work-stealing shard scheduler, folds the outcomes into a Result by the
+// cost-ordered shard scheduler, folds the outcomes into a Result by the
 // ordered reduce and commits the selection. replay, when non-nil, is asked
 // first for each subgraph index and a hit stands in for the solve (the
 // retained engine's memo). It returns the per-subgraph outcomes, indexed
@@ -104,7 +107,7 @@ func composeRound(
 	}
 	results := make([]subgraphResult, len(subgraphs))
 	errs := make([]error, len(subgraphs))
-	st := runSharded(estimateShardCosts(g, subgraphs), workers, func(i int) {
+	runSharded(estimateShardCosts(g, subgraphs), workers, func(i int) {
 		if replay != nil {
 			if sr, ok := replay(i); ok {
 				results[i] = sr
@@ -113,8 +116,6 @@ func composeRound(
 		}
 		results[i], errs[i] = solveSubgraph(d, g, ri, subgraphs[i], opts)
 	})
-	res.SchedShards = st.shards
-	res.SchedSteals = st.steals
 	for _, err := range errs {
 		if err != nil {
 			return nil, nil, err

@@ -19,12 +19,12 @@
 //     the netlist, and legalized incrementally.
 //
 // Steps 2–4 are independent per subgraph and run as one pipeline
-// (composeRound) on a work-stealing worker pool (Options.Workers); results
-// are merged by a deterministic ordered reduce, so the outcome is
-// byte-identical for any worker count. Compose runs that pipeline over a
-// fresh decomposition; the retained Engine runs the same pipeline over a
-// cached decomposition and replays unchanged subgraphs from a memo. See
-// parallel.go.
+// (composeRound) on a worker pool (Options.Workers) that claims subgraphs in
+// descending estimated cost; results are merged by a deterministic ordered
+// reduce, so the outcome is byte-identical for any worker count. Compose
+// runs that pipeline over a fresh decomposition; the retained Engine runs
+// the same pipeline over the same decomposition and replays unchanged
+// subgraphs from a memo. See parallel.go.
 //
 // A greedy maximal-clique heuristic (in the spirit of the comparison in
 // Fig. 6) is provided as the baseline composer.
@@ -173,11 +173,10 @@ type Result struct {
 	LegalizationMoved  int
 	LegalizationFailed int
 
-	// SchedShards / SchedSteals report the work-stealing shard scheduler:
-	// shards scheduled this run (every subgraph) and shards a worker
-	// claimed from another worker's queue. SchedSteals depends on the
-	// goroutine schedule and is excluded from byte-identity oracles.
-	SchedShards int
+	// SchedSteals is always 0: the shard scheduler claims from one shared
+	// cost-ordered cursor and has no per-worker queues to steal from. It
+	// is kept, like PeakLiveShards, only for the repo benchmark's
+	// core.sched_steals metric.
 	SchedSteals int
 	// PeakLiveShards is the most shard results held at once. Every shard's
 	// result slot lives until the ordered reduce, so it equals Subgraphs;

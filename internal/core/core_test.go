@@ -410,7 +410,7 @@ func TestSubgraphBoundAboveCliqueLimit(t *testing.T) {
 	}
 	_, err := Compose(d, g, plan, opts)
 	check("Compose", err)
-	_, err = NewEngine(d).Compose(g, plan, nil, nil, opts)
+	_, err = NewEngine(d).Compose(g, plan, opts)
 	check("Engine.Compose", err)
 	_, err = InspectCandidates(d, g, opts)
 	check("InspectCandidates", err)

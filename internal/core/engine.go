@@ -9,16 +9,14 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 	"repro/internal/scan"
 )
 
 // Engine is the retained compose engine: across repeated composition passes
 // over an evolving design it memoizes per-subgraph solve results keyed by a
 // full signature of everything solveSubgraph reads, so a pass re-solves
-// only the subgraphs something actually changed under. The memo follows the
-// partition.Cache discipline — exact encoding, not a hash, with entries not
-// touched in a round evicted.
+// only the subgraphs something actually changed under. Signatures are exact
+// encodings, not hashes, and entries not touched in a round are evicted.
 //
 // The signature covers, per subgraph: the member list in order (instance
 // ID, cell name — which pins bits, dimensions, drive and class — position,
@@ -31,10 +29,7 @@ import (
 // treated as immutable, like every other retained engine treats it.
 //
 // Because signatures re-encode current state every round, stale entries can
-// never replay: correctness needs no invalidation feed. Clean-subgraph
-// hints (from the compat engine's partition cache and dirty-node deltas)
-// are consumed for accounting only — a hinted-clean subgraph whose
-// signature missed is counted as a hint miss, not trusted.
+// never replay: correctness needs no invalidation feed.
 //
 // Engine.Compose is byte-identical to Compose at any worker count,
 // Result.ILPNodes included: both run composeRound, replays restore the
@@ -94,18 +89,9 @@ type EngineStats struct {
 	// ILPNodesSaved sums the stored branch & bound node counts of replayed
 	// subgraphs — the search work the memo avoided re-spending.
 	ILPNodesSaved int
-	// HintedClean / HintMisses count subgraphs the caller hinted clean,
-	// and those hints contradicted by a signature miss.
-	HintedClean int
-	HintMisses  int
 	// Fallbacks counts overflow rounds: rounds that presented more
 	// subgraphs than the memo bound and ran without the memo.
 	Fallbacks int
-	// SchedShards / SchedSteals accumulate the work-stealing scheduler's
-	// counters across rounds: shards scheduled, and shards a worker claimed from another worker's queue. SchedSteals is
-	// schedule-dependent diagnostics, not part of any identity oracle.
-	SchedShards int
-	SchedSteals int
 	// Invalidations counts retained-state drops (Invalidate calls and
 	// solve-relevant option changes).
 	Invalidations int
@@ -151,23 +137,15 @@ func (e *Engine) Summary() engine.Summary { return e.sum }
 func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Compose runs one composition pass through the retained memo. The
-// arguments mirror Compose, plus subgraphs — the decomposition of g, as
-// maintained by the compat engine's partition cache (nil means decompose
-// here; either way it must equal partition.Decompose's) — and clean, which
-// when non-nil carries per-subgraph clean hints aligned with subgraphs (see
-// compatgraph.Engine.SubgraphHints) and is used for accounting only.
-func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, clean []bool, opts Options) (*Result, error) {
+// arguments mirror Compose, and g is decomposed the same way.
+func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
 	start := time.Now()
-	opts = NormalizeOptions(opts)
-	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+	opts, subgraphs, err := decompose(g, opts)
+	if err != nil {
 		return nil, err
 	}
 	if opts.Workers == 0 {
 		opts.Workers = e.workers
-	}
-	if subgraphs == nil {
-		subgraphs = partition.Decompose(len(g.Regs), g.Adj,
-			func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
 	}
 	e.sum.Updates++
 	e.stats.Rounds++
@@ -195,8 +173,6 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 			return nil, err
 		}
 		e.stats.SubgraphsSolved += len(subgraphs)
-		e.stats.SchedShards += res.SchedShards
-		e.stats.SchedSteals += res.SchedSteals
 		res.Runtime = time.Since(start)
 		return res, nil
 	}
@@ -219,18 +195,12 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 		e.memo = nil
 		return nil, err
 	}
-	e.stats.SchedShards += res.SchedShards
-	e.stats.SchedSteals += res.SchedSteals
 
-	// Rotate the memo partition.Cache-style: entries this round did not
-	// touch are stale — their subgraph changed or vanished — and are dropped.
+	// Rotate the memo: entries this round did not touch are stale — their
+	// subgraph changed or vanished — and are dropped.
 	nextMemo := make(map[string]*memoEntry, len(subgraphs))
 	reusedCount := 0
 	for i, sr := range results {
-		hinted := clean != nil && i < len(clean) && clean[i]
-		if hinted {
-			e.stats.HintedClean++
-		}
 		ent := hits[i]
 		if ent != nil {
 			reusedCount++
@@ -238,9 +208,6 @@ func (e *Engine) Compose(g *compat.Graph, plan *scan.Plan, subgraphs [][]int, cl
 			e.stats.ILPNodesSaved += sr.ilpNodes
 		} else {
 			e.stats.SubgraphsSolved++
-			if hinted {
-				e.stats.HintMisses++
-			}
 			ent = entryOf(sr, subgraphs[i])
 		}
 		nextMemo[sigs[i]] = ent

@@ -78,7 +78,7 @@ func engineOracleRounds(t *testing.T, spec bench.Spec, workers, rounds int, inva
 		opts.NamePrefix = fmt.Sprintf("p%d", round)
 		gE := rebuildGraph(t, dE, genE.Plan)
 		gF := rebuildGraph(t, dF, genF.Plan)
-		resE, err := eng.Compose(gE, genE.Plan, nil, nil, opts)
+		resE, err := eng.Compose(gE, genE.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestEngineMemoFullReuseOnIdenticalRound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		opts.NamePrefix = fmt.Sprintf("p%d", i)
 		g := rebuildGraph(t, d, gen.Plan)
-		res, err := eng.Compose(g, gen.Plan, nil, nil, opts)
+		res, err := eng.Compose(g, gen.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestEngineMemoFullReuseOnIdenticalRound(t *testing.T) {
 
 	before := eng.Stats()
 	g := rebuildGraph(t, d, gen.Plan)
-	res, err := eng.Compose(g, gen.Plan, nil, nil, opts)
+	res, err := eng.Compose(g, gen.Plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestEngineFallbackPaths(t *testing.T) {
 	opts.Workers = 4
 	gE := rebuildGraph(t, dE, genE.Plan)
 	gF := rebuildGraph(t, dF, genF.Plan)
-	resE, err := eng.Compose(gE, genE.Plan, nil, nil, opts)
+	resE, err := eng.Compose(gE, genE.Plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +279,14 @@ func TestEngineOptionChangeDropsMemo(t *testing.T) {
 	eng := NewEngine(d)
 	opts := DefaultOptions()
 	g := rebuildGraph(t, d, gen.Plan)
-	if _, err := eng.Compose(g, gen.Plan, nil, nil, opts); err != nil {
+	if _, err := eng.Compose(g, gen.Plan, opts); err != nil {
 		t.Fatal(err)
 	}
 	before := eng.Stats()
 	opts.NamePrefix = "p1"
 	opts.UseWeights = false // solve-relevant: different weights, different optimum
 	g = rebuildGraph(t, d, gen.Plan)
-	if _, err := eng.Compose(g, gen.Plan, nil, nil, opts); err != nil {
+	if _, err := eng.Compose(g, gen.Plan, opts); err != nil {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
@@ -319,7 +319,7 @@ func TestEngineGreedyMethod(t *testing.T) {
 		opts.NamePrefix = fmt.Sprintf("p%d", round)
 		gE := rebuildGraph(t, dE, genE.Plan)
 		gF := rebuildGraph(t, dF, genF.Plan)
-		resE, err := eng.Compose(gE, genE.Plan, nil, nil, opts)
+		resE, err := eng.Compose(gE, genE.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

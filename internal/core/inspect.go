@@ -2,9 +2,7 @@ package core
 
 import (
 	"repro/internal/compat"
-	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/partition"
 )
 
 // CandidateInfo is the public view of one enumerated MBR candidate, for
@@ -27,13 +25,11 @@ type CandidateInfo struct {
 // them with their weights, under the same option defaults as Compose. It
 // does not modify the design.
 func InspectCandidates(d *netlist.Design, g *compat.Graph, opts Options) ([]CandidateInfo, error) {
-	opts = NormalizeOptions(opts)
-	if err := checkSubgraphBound(opts.MaxSubgraphNodes); err != nil {
+	opts, subgraphs, err := decompose(g, opts)
+	if err != nil {
 		return nil, err
 	}
 	ri := newRegIndex(d)
-	subgraphs := partition.Decompose(len(g.Regs), g.Adj,
-		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes)
 	var out []CandidateInfo
 	for _, nodes := range subgraphs {
 		cands, _, err := enumerateCandidates(d, g, ri, nodes, opts)

@@ -18,7 +18,7 @@ import (
 //
 // composeRound exploits that at exactly one level: subgraphs are sharded
 // across a bounded worker pool (at most one worker per subgraph) by the
-// work-stealing scheduler (scheduler.go), each shard runs its whole
+// cost-ordered scheduler (scheduler.go), each shard runs its whole
 // pipeline on the worker that claimed it and writes only its own
 // index-addressed result slot, and the results are merged by an ordered
 // reduce — every accumulation (candidate counts, branch & bound nodes, the

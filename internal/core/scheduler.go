@@ -8,31 +8,19 @@ import (
 	"repro/internal/compat"
 )
 
-// Work-stealing shard scheduler. The static fan-out this replaces handed
-// subgraphs to a pool through one shared channel in index order, which at
-// paper scale leaves the tail serialized: component sizes are heavily
-// skewed, and whichever worker draws a giant dense component near the end
-// runs alone while the rest idle. The scheduler instead ranks shards by
-// estimated cost, pre-assigns them to per-worker queues longest-processing-
-// time-first (so the expensive shards start first, on separate workers), and
-// lets workers that drain their own queue claim the remainder of other
-// queues through atomic cursors. Stealing fixes whatever the cost estimate
-// got wrong.
+// Cost-ordered shard scheduler. Component sizes are heavily skewed, so a
+// pool that claimed subgraphs in index order could draw a giant dense
+// component near the end and run it alone while the rest idle. Shards are
+// instead ranked by estimated cost, and every worker claims the next shard
+// of that one order through a shared atomic cursor: the expensive shards
+// start first, and a worker that finishes early simply takes the next one —
+// list scheduling in longest-processing-time order, balanced by
+// construction without per-worker queues.
 //
 // Scheduling only decides *when* a shard runs and on which goroutine; every
 // shard still writes its own index-addressed result slot and the ordered
 // reduce consumes slots in subgraph index order, so the composition result
-// is byte-identical for any worker count and any steal pattern. The steal
-// counter is schedule-dependent diagnostics and is excluded from every
-// byte-identity oracle.
-
-// schedStats reports one scheduler run.
-type schedStats struct {
-	// shards is the number of work items scheduled.
-	shards int
-	// steals counts items a worker claimed from another worker's queue.
-	steals int
-}
+// is byte-identical for any worker count and any goroutine schedule.
 
 // estimateShardCost is the scheduler's cost model for one subgraph:
 // n·(1+edges), a proxy for component size × candidate count. Candidate
@@ -66,67 +54,31 @@ func estimateShardCosts(g *compat.Graph, subgraphs [][]int) []int64 {
 
 // runSharded executes process(i) exactly once for every i in [0,len(costs))
 // across `workers` goroutines. Shards are ranked by cost (descending, index
-// ascending on ties) and dealt to per-worker queues greedily onto the least
-// loaded queue — the classic LPT makespan heuristic — then each worker
-// drains its own queue through an atomic cursor and, when empty, steals the
-// unclaimed remainder of other queues the same way. A shard runs start to
-// finish on the worker that claimed it.
-func runSharded(costs []int64, workers int, process func(int)) schedStats {
-	st := schedStats{shards: len(costs)}
-	if len(costs) == 0 || workers < 1 {
-		return st
-	}
+// ascending on ties) and each worker claims the next unclaimed shard of
+// that order through one atomic cursor. A shard runs start to finish on the
+// worker that claimed it.
+func runSharded(costs []int64, workers int, process func(int)) {
 	order := make([]int, len(costs))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if costs[order[a]] != costs[order[b]] {
-			return costs[order[a]] > costs[order[b]]
-		}
-		return order[a] < order[b]
+	sort.SliceStable(order, func(a, b int) bool {
+		return costs[order[a]] > costs[order[b]]
 	})
-	queues := make([][]int, workers)
-	loads := make([]int64, workers)
-	for _, idx := range order {
-		w := 0
-		for q := 1; q < workers; q++ {
-			if loads[q] < loads[w] {
-				w = q
-			}
-		}
-		queues[w] = append(queues[w], idx)
-		loads[w] += costs[idx]
-	}
-
-	cursors := make([]int64, workers)
-	var steals int64
+	var cursor int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				i := atomic.AddInt64(&cursors[self], 1) - 1
-				if int(i) >= len(queues[self]) {
-					break
+				i := atomic.AddInt64(&cursor, 1) - 1
+				if int(i) >= len(order) {
+					return
 				}
-				process(queues[self][i])
+				process(order[i])
 			}
-			for off := 1; off < workers; off++ {
-				victim := (self + off) % workers
-				for {
-					i := atomic.AddInt64(&cursors[victim], 1) - 1
-					if int(i) >= len(queues[victim]) {
-						break
-					}
-					atomic.AddInt64(&steals, 1)
-					process(queues[victim][i])
-				}
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	st.steals = int(steals)
-	return st
 }

@@ -8,7 +8,7 @@ import (
 
 // TestRunShardedClaimsEachShardOnce is the scheduler's safety property:
 // every shard is processed exactly once, for any shard count, cost skew and
-// worker count, steals included.
+// worker count.
 func TestRunShardedClaimsEachShardOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -24,15 +24,9 @@ func TestRunShardedClaimsEachShardOnce(t *testing.T) {
 			}
 		}
 		counts := make([]int64, n)
-		st := runSharded(costs, workers, func(i int) {
+		runSharded(costs, workers, func(i int) {
 			atomic.AddInt64(&counts[i], 1)
 		})
-		if st.shards != n {
-			t.Fatalf("trial %d: shards = %d want %d", trial, st.shards, n)
-		}
-		if st.steals < 0 || st.steals > n {
-			t.Fatalf("trial %d: steals = %d out of [0,%d]", trial, st.steals, n)
-		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("trial %d (n=%d workers=%d): shard %d processed %d times",
@@ -42,50 +36,47 @@ func TestRunShardedClaimsEachShardOnce(t *testing.T) {
 	}
 }
 
-// TestRunShardedStealsOnImbalance forces a steal: the first shard claimed is
-// held hostage until every other shard completes, so the other worker must
-// drain the hostage-holder's queue through the steal path. With 20
-// equal-cost shards dealt 10/10 across 2 workers, at least 9 of the
-// hostage-holder's shards are claimed by the other worker.
-func TestRunShardedStealsOnImbalance(t *testing.T) {
-	const n = 20
-	costs := make([]int64, n)
-	for i := range costs {
-		costs[i] = 1
-	}
-	var first int64 = -1
-	var processed int64
+// TestRunShardedClaimsInCostOrder pins the single cost-ordered cursor: with
+// two workers, the one that claims the most expensive shard blocks on it
+// until every other shard is done, so the other worker must run all the
+// rest, and in descending cost order with ties broken by ascending index.
+func TestRunShardedClaimsInCostOrder(t *testing.T) {
+	costs := []int64{3, 9, 1, 5, 9, 3, 7, 1, 5, 2, 20, 7}
+	const top = 10 // the unique most expensive shard
+	want := []int{1, 4, 6, 11, 3, 8, 0, 5, 9, 2, 7}
+	var got []int
 	release := make(chan struct{})
-	st := runSharded(costs, 2, func(i int) {
-		if atomic.CompareAndSwapInt64(&first, -1, int64(i)) {
+	runSharded(costs, 2, func(i int) {
+		if i == top {
 			<-release
 			return
 		}
-		if atomic.AddInt64(&processed, 1) == n-1 {
+		// Only the unblocked worker reaches here while top is held, so got
+		// needs no lock.
+		got = append(got, i)
+		if len(got) == len(costs)-1 {
 			close(release)
 		}
 	})
-	if st.steals < 9 {
-		t.Fatalf("steals = %d, want >= 9 (one worker blocked, the other must steal its queue)", st.steals)
+	if len(got) != len(want) {
+		t.Fatalf("ran %d shards beside the blocked one, want %d", len(got), len(want))
 	}
-	if st.shards != n {
-		t.Fatalf("shards = %d want %d", st.shards, n)
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("claim order %v, want %v", got, want)
+		}
 	}
 }
 
 // TestRunShardedMoreWorkersThanShards checks the clamp-fix regime: a pool
 // larger than the shard count must still process everything exactly once
-// and terminate (the surplus workers find empty queues and exit through the
-// steal scan).
+// and terminate (the surplus workers find the cursor exhausted and exit).
 func TestRunShardedMoreWorkersThanShards(t *testing.T) {
 	costs := []int64{7, 3, 11}
 	counts := make([]int64, len(costs))
-	st := runSharded(costs, 16, func(i int) {
+	runSharded(costs, 16, func(i int) {
 		atomic.AddInt64(&counts[i], 1)
 	})
-	if st.shards != len(costs) {
-		t.Fatalf("shards = %d want %d", st.shards, len(costs))
-	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("shard %d processed %d times", i, c)
@@ -116,9 +107,8 @@ func TestEstimateShardCost(t *testing.T) {
 	}
 }
 
-// TestComposeSchedulesEveryShard pins that Compose runs its subgraphs
-// through the shard scheduler: at two workers every subgraph is scheduled
-// exactly once and every result slot is live until the ordered reduce.
+// TestComposeSchedulesEveryShard pins that at two workers every shard's
+// result slot is live until the ordered reduce.
 func TestComposeSchedulesEveryShard(t *testing.T) {
 	d, g, plan := genComposeInput(t, randomSpec(11))
 	opts := DefaultOptions()
@@ -130,8 +120,7 @@ func TestComposeSchedulesEveryShard(t *testing.T) {
 	if res.Subgraphs == 0 {
 		t.Fatal("spec decomposed into no subgraphs")
 	}
-	if res.SchedShards != res.Subgraphs || res.PeakLiveShards != res.Subgraphs {
-		t.Fatalf("scheduled %d shards, peak live %d, for %d subgraphs",
-			res.SchedShards, res.PeakLiveShards, res.Subgraphs)
+	if res.PeakLiveShards != res.Subgraphs {
+		t.Fatalf("peak live %d shards for %d subgraphs", res.PeakLiveShards, res.Subgraphs)
 	}
 }

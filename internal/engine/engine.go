@@ -1,13 +1,15 @@
-// Package engine defines the contract shared by the repo's retained
+// Package engine defines the contract shared by the repo's six retained
 // incremental engines — timing (sta.Engine), register compatibility
-// (compatgraph.Engine) and clock tree (cts.Engine).
+// (compatgraph.Engine), clock tree (cts.Engine), design metrics
+// (metrics.Tracker), congestion (route.Engine) and composition
+// (core.Engine).
 //
 // Each engine caches derived state across design edits and serves updates
 // from a delta path when it can, falling back to a from-scratch rebuild
 // when it cannot (structural changes, touched-record overflow, changed
 // domain sets). The contract captures the operations the composition flow
-// needs uniformly across all three: drop the cache, bound parallelism and
-// report how updates were satisfied. Construction and the update calls
+// needs uniformly across all of them: drop the cache, bound parallelism
+// and report how updates were satisfied. Construction and the update calls
 // themselves stay engine-specific — their signatures differ by necessity
 // (an STA run returns timing results, a compat update needs those results
 // as input, a CTS update edits the netlist).

@@ -72,7 +72,7 @@ func TestParallelDeterminismAllProfiles(t *testing.T) {
 }
 
 // TestShardedComposeDeterminismAllProfiles is the scheduler's acceptance
-// oracle: on all five benchmark profiles, the work-stealing shard scheduler
+// oracle: on all five benchmark profiles, the cost-ordered shard scheduler
 // produces a report byte-identical to the serial path at worker counts
 // {2, NumCPU}. Runs under the -race CI gate.
 func TestShardedComposeDeterminismAllProfiles(t *testing.T) {

@@ -138,8 +138,7 @@ func (s *Session) ComposePass() (*core.Result, error) {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
 	g := s.engs.cg.Update(res)
-	subs, hints := s.engs.cg.SubgraphsHinted(opts.MaxSubgraphNodes)
-	cres, err := s.engs.comp.Compose(g, s.plan, subs, hints, opts)
+	cres, err := s.engs.comp.Compose(g, s.plan, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
