@@ -9,7 +9,7 @@
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
-#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end (fails on a wrong exit code)
+#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check mbrserved's -scale guard (fails on a wrong exit code)
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
@@ -54,16 +54,17 @@ examples-smoke:
 		$(GO) run $$e > /dev/null; \
 	done
 
-# Nothing under cmd/ has a test. This builds the inspection, generation and
-# flow CLIs, runs them on small profiles (benchgen piped into mbrstats
-# included) and fails on any wrong exit code: each run must exit 0, and a
-# -scale below 1 must be rejected with exit code 2. pipefail makes a failing
-# benchgen fail the pipe.
+# Nothing under cmd/ has a test. This builds the inspection, generation,
+# flow and serving CLIs, runs the first three on small profiles (benchgen
+# piped into mbrstats included) and fails on any wrong exit code: each run
+# must exit 0, and a -scale below 1 must be rejected with exit code 2 by
+# mbrstats and by mbrserved -selftest. pipefail makes a failing benchgen
+# fail the pipe.
 cli-smoke: SHELL := /bin/bash
 cli-smoke: .SHELLFLAGS := -o pipefail -ec
 cli-smoke:
 	@bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	$(GO) build -o "$$bin" ./cmd/mbrstats ./cmd/benchgen ./cmd/mbrcompose; \
+	$(GO) build -o "$$bin" ./cmd/mbrstats ./cmd/benchgen ./cmd/mbrcompose ./cmd/mbrserved; \
 	echo "cli: mbrstats -profile D1 -passes 3"; \
 	"$$bin/mbrstats" -profile D1 -passes 3 > /dev/null; \
 	echo "cli: mbrstats -profile D1 -passes 3 -json"; \
@@ -74,7 +75,10 @@ cli-smoke:
 	"$$bin/mbrcompose" -profile D1 > /dev/null; \
 	echo "cli: mbrstats -profile D1 -scale 0 (must exit 2)"; \
 	rc=0; "$$bin/mbrstats" -profile D1 -scale 0 > /dev/null 2>&1 || rc=$$?; \
-	if [ "$$rc" -ne 2 ]; then echo "cli: -scale 0 exited $$rc, want 2"; exit 1; fi
+	if [ "$$rc" -ne 2 ]; then echo "cli: -scale 0 exited $$rc, want 2"; exit 1; fi; \
+	echo "cli: mbrserved -selftest -scale 0 (must exit 2)"; \
+	rc=0; "$$bin/mbrserved" -selftest -scale 0 > /dev/null 2>&1 || rc=$$?; \
+	if [ "$$rc" -ne 2 ]; then echo "cli: mbrserved -scale 0 exited $$rc, want 2"; exit 1; fi
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

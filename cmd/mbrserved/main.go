@@ -19,7 +19,10 @@
 // zero-rebuild steady-state assertion, throughput and latency counters).
 // -eco switches the harness to the ECO-replay stream profile: logic edits
 // interleaved with bank (merge), debank (split), compose and slack-driven
-// decompose rounds, replayed against the same byte-identity oracle.
+// decompose rounds, replayed against the same byte-identity oracle. Each
+// profile starts from its loadtest defaults (DefaultOptions,
+// DefaultECOOptions); only the flags given on the command line override
+// them. -scale must be at least 1.
 package main
 
 import (
@@ -43,7 +46,7 @@ func main() {
 		selftest = flag.Bool("selftest", false, "run the load harness against an in-process server, print JSON result")
 		baseURL  = flag.String("base", "", "selftest: target a running server instead of an in-process one")
 		profile  = flag.String("profile", def.Profile, "selftest: benchmark profile D1..D5")
-		scale    = flag.Int("scale", def.Scale, "selftest: profile scale divisor")
+		scale    = flag.Int("scale", def.Scale, "selftest: profile scale divisor (at least 1)")
 		sessions = flag.Int("sessions", def.Sessions, "selftest: concurrent sessions")
 		batches  = flag.Int("batches", def.Batches, "selftest: edit batches per session")
 		perBatch = flag.Int("batch-edits", def.BatchEdits, "selftest: edits per batch")
@@ -53,47 +56,53 @@ func main() {
 		seed     = flag.Int64("seed", def.Seed, "selftest: stream PRNG seed")
 		oracle   = flag.Int("oracle", 0, "selftest: streams to verify against local replay (0 = all)")
 
-		ecoDef   = loadtest.DefaultECOOptions()
-		eco      = flag.Bool("eco", false, "selftest: ECO-replay stream profile (interleaves bank/debank/compose/decompose rounds)")
-		ecoEvery = flag.Int("eco-every", ecoDef.ECOEvery, "selftest: parametric batches between ECO rounds")
+		eco      = flag.Bool("eco", false, "selftest: ECO-replay stream profile (interleaves bank/debank/compose/decompose rounds; starts from its own defaults)")
+		ecoEvery = flag.Int("eco-every", loadtest.DefaultECOOptions().ECOEvery, "selftest: parametric batches between ECO rounds")
 	)
 	flag.Parse()
 
 	if *selftest {
-		o := loadtest.Options{
-			BaseURL:        *baseURL,
-			Profile:        *profile,
-			Scale:          *scale,
-			Sessions:       *sessions,
-			Batches:        *batches,
-			BatchEdits:     *perBatch,
-			MeasureEvery:   *measureN,
-			Readers:        *readers,
-			Workers:        *workers,
-			Seed:           *seed,
-			ComposeAtEnd:   true,
-			OracleSessions: *oracle,
-			ECO:            *eco,
-			ECOEvery:       *ecoEvery,
-		}
+		// Start from the profile's own defaults and overlay only the flags
+		// given on the command line, so a bare -eco runs exactly
+		// DefaultECOOptions().
+		o := def
 		if *eco {
-			// The ECO profile carries its own sizing defaults; explicit
-			// flags still win where the user set them.
-			if !flagWasSet("scale") {
-				o.Scale = ecoDef.Scale
+			o = loadtest.DefaultECOOptions()
+		}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "base":
+				o.BaseURL = *baseURL
+			case "profile":
+				o.Profile = *profile
+			case "scale":
+				o.Scale = *scale
+			case "sessions":
+				o.Sessions = *sessions
+			case "batches":
+				o.Batches = *batches
+			case "batch-edits":
+				o.BatchEdits = *perBatch
+			case "measure-every":
+				o.MeasureEvery = *measureN
+			case "readers":
+				o.Readers = *readers
+			case "workers":
+				o.Workers = *workers
+			case "seed":
+				o.Seed = *seed
+			case "oracle":
+				o.OracleSessions = *oracle
+			case "eco-every":
+				o.ECOEvery = *ecoEvery
 			}
-			if !flagWasSet("sessions") {
-				o.Sessions = ecoDef.Sessions
-			}
-			if !flagWasSet("batches") {
-				o.Batches = ecoDef.Batches
-			}
-			if !flagWasSet("batch-edits") {
-				o.BatchEdits = ecoDef.BatchEdits
-			}
-			if !flagWasSet("measure-every") {
-				o.MeasureEvery = ecoDef.MeasureEvery
-			}
+		})
+		// Below 1 the stream generator and the served sessions would
+		// resolve the scale differently (bench clamps to 1, serve.Source
+		// reads 0 as its default), so they would target different designs.
+		if o.Scale < 1 {
+			fmt.Fprintf(os.Stderr, "-scale must be at least 1, got %d\n", o.Scale)
+			os.Exit(2)
 		}
 		res, err := loadtest.Run(o)
 		if res != nil {
@@ -111,16 +120,4 @@ func main() {
 	m := serve.NewManager(serve.Options{MaxSessions: *maxSessions})
 	log.Printf("mbrserved listening on %s (max %d sessions)", *addr, *maxSessions)
 	log.Fatal(http.ListenAndServe(*addr, serve.Handler(m)))
-}
-
-// flagWasSet reports whether the named flag was given explicitly on the
-// command line (as opposed to resting at its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

@@ -263,7 +263,7 @@ func evalMulti(
 	if _, ok := g.GroupRegion(global); !ok {
 		return candidate{}, false
 	}
-	if incomplete && !incompleteAreaOK(d, g, global, class, width, total, opts) {
+	if incomplete && !incompleteAreaOK(d, g, global, class, width, opts) {
 		return candidate{}, false
 	}
 	blockers := blockerCount(g, ri, global)
@@ -298,26 +298,23 @@ func widthFor(widths []int, total int) (int, bool) {
 // states it twice, inconsistently: §3 uses a per-bit rule (area per
 // connected bit below the average area per bit of the replaced registers),
 // §5's experiments use a total-overhead cap ("not more than 5% area
-// overhead relative to the area of the registers it replaced"). The §5 cap
-// governs by default — the per-bit rule rejects nearly every useful
+// overhead relative to the area of the registers it replaced"). Only the
+// §5 cap is applied: the per-bit rule rejects nearly every useful
 // incomplete MBR built from pre-existing multi-bit registers, whose per-bit
-// area is already amortized; enable Options.PerBitAreaRule for the stricter
-// §3 semantics.
+// area is already amortized (EXPERIMENTS.md).
 func incompleteAreaOK(
 	d *netlist.Design,
 	g *compat.Graph,
 	nodes []int,
 	class lib.FuncClass,
-	width, total int,
+	width int,
 	opts Options,
 ) bool {
 	minRes := math.Inf(1)
 	var memberArea int64
-	memberBits := 0
 	for _, n := range nodes {
 		in := regOf(g, n)
 		memberArea += in.Area()
-		memberBits += in.Bits()
 		if r := in.RegCell.DriveRes; r < minRes {
 			minRes = r
 		}
@@ -325,13 +322,6 @@ func incompleteAreaOK(
 	cell := d.Lib.SelectCell(class, width, minRes)
 	if cell == nil {
 		return false
-	}
-	if opts.PerBitAreaRule {
-		perBitNew := float64(cell.Area) / float64(total)
-		perBitOld := float64(memberArea) / float64(memberBits)
-		if perBitNew >= perBitOld {
-			return false
-		}
 	}
 	over := opts.IncompleteAreaOverhead
 	if over <= 0 {

@@ -72,11 +72,6 @@ type Options struct {
 	// incomplete MBR may cost relative to the registers it replaces (§5
 	// uses 5% → 0.05).
 	IncompleteAreaOverhead float64
-	// PerBitAreaRule additionally enforces §3's stricter admission rule for
-	// incomplete MBRs: area per connected bit below the average per-bit
-	// area of the replaced registers. See incompleteAreaOK for why the §5
-	// overhead cap is the default.
-	PerBitAreaRule bool
 	// UseWeights enables the placement-aware weights of §3.2. When false
 	// every candidate costs 1 (pure register-count minimization) — the
 	// ablation showing why the weights matter for congestion/wirelength.

@@ -305,7 +305,6 @@ func encodeOptsSig(opts Options, plan *scan.Plan) string {
 	put(uint64(opts.Method))
 	putBool(opts.AllowIncomplete)
 	put(math.Float64bits(opts.IncompleteAreaOverhead))
-	putBool(opts.PerBitAreaRule)
 	putBool(opts.UseWeights)
 	put(uint64(int64(opts.MaxCandidatesPerSubgraph)))
 	put(uint64(int64(opts.ILPNodeLimit)))

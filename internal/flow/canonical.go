@@ -38,24 +38,6 @@ func (r *Report) Canonical() string {
 				m.Pos.X, m.Pos.Y, ftoa(m.Weight), strings.Join(members, ","))
 		}
 	}
-	// Multi-pass runs (Config.Passes > 1) append one section per extra
-	// pass; single-pass canonical output is unchanged so the pinned golden
-	// files stay valid.
-	for i, c := range r.ExtraPasses {
-		p := i + 2
-		fmt.Fprintf(&b, "pass%d regs %d->%d composable %d subgraphs %d candidates %d objective %s\n",
-			p, c.RegsBefore, c.RegsAfter, c.ComposableRegs, c.Subgraphs,
-			c.Candidates, ftoa(c.ObjectiveSum))
-		for _, m := range c.MBRs {
-			members := make([]string, len(m.Members))
-			for j, id := range m.Members {
-				members[j] = strconv.Itoa(int(id))
-			}
-			fmt.Fprintf(&b, "pass%d mbr %s cell %s bits %d incomplete %v pos %d,%d w %s members %s\n",
-				p, m.Inst.Name, m.Cell.Name, m.Bits, m.Incomplete,
-				m.Pos.X, m.Pos.Y, ftoa(m.Weight), strings.Join(members, ","))
-		}
-	}
 	return b.String()
 }
 

@@ -5,7 +5,7 @@
 // feed, worst cones first — and splits them back into single-bit
 // registers so the next composition pass can regroup their bits with
 // better neighbours. The debank-all behavior (split every max-width MBR
-// before the first compose, the paper's §5 future-work idea) is the All
+// before the compose, the paper's §5 future-work idea) is the All
 // preset of the same pass.
 package flow
 

@@ -87,21 +87,18 @@ type Config struct {
 	Compat CompatConfig
 	CTS    CTSConfig
 	Route  RouteConfig
-	// UsefulSkew applies per-MBR useful clock skew after composition
-	// (Fig. 4).
+	// UsefulSkew applies per-MBR useful clock skew, bounded by
+	// usefulSkewWindowPS, after composition (Fig. 4).
 	UsefulSkew bool
-	// UsefulSkewWindowPS bounds the skew magnitude.
-	UsefulSkewWindowPS float64
 	// Sizing downsizes composed MBRs whose slack allows it (Fig. 4 "MBR
-	// sizing"), recovering clock-pin capacitance and area.
+	// sizing"), recovering clock-pin capacitance and area; sizingMarginPS
+	// of slack must remain after a downsize.
 	Sizing bool
-	// SizingMarginPS is the slack that must remain after a downsize.
-	SizingMarginPS float64
 	// Decompose configures the slack-driven decomposition pass (the
 	// bank/debank loop's debank direction): victims picked from the STA
 	// changed-slack feed, worst cones first, bounded by Decompose.Budget.
-	// In Run's one-shot flow an enabled config decomposes before the first
-	// compose and restores leftovers after the last; sessions drive
+	// In Run's one-shot flow an enabled config decomposes before the
+	// compose and restores leftovers after it; sessions drive
 	// DecomposePassWith/RestorePass directly.
 	Decompose DecomposeConfig
 	// Workers is the flow's only worker setting. Every retained engine gets
@@ -111,45 +108,29 @@ type Config struct {
 	// (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports are
 	// byte-identical for any setting.
 	Workers int
-	// Passes runs the composition stage this many times (≤1 = once, the
-	// paper's flow). Later passes re-time the design and recompose over the
-	// incrementally maintained compatibility graph — the retained engine
-	// makes the extra graph updates cheap — picking up merges the first
-	// pass's subgraph bound or legalization moves made possible.
-	Passes int
-	// TouchedLogCap overrides the netlist's per-edit-class touched-ring
-	// capacity for the duration of the run (0 = leave the design's current
-	// capacity). Larger rings keep the engines on their delta paths across
-	// bigger edit bursts at a little memory cost.
-	TouchedLogCap int
 }
+
+// usefulSkewWindowPS bounds the useful-skew magnitude and sizingMarginPS
+// is the slack a downsized MBR must keep (Fig. 4's post-composition
+// stages).
+const (
+	usefulSkewWindowPS = 150
+	sizingMarginPS     = 20
+)
 
 // Validate rejects configs whose knobs are out of range, with an error
 // naming the offending field. Every count-like knob treats 0 as "use the
 // default"; negative values were previously accepted silently and clamped
 // (or worse, threaded into worker pools), so they are now explicit errors.
 func (c Config) Validate() error {
-	checks := []struct {
-		name string
-		v    int
-	}{
-		{"Workers", c.Workers},
-		{"Passes", c.Passes},
-		{"TouchedLogCap", c.TouchedLogCap},
-	}
-	for _, ck := range checks {
-		if ck.v < 0 {
-			return fmt.Errorf("flow: Config.%s = %d: must be >= 0 (0 selects the default)", ck.name, ck.v)
-		}
+	if c.Workers < 0 {
+		return fmt.Errorf("flow: Config.Workers = %d: must be >= 0 (0 selects the default)", c.Workers)
 	}
 	if c.Compose.Workers != 0 {
 		return fmt.Errorf("flow: Config.Compose.Workers = %d: must be 0 (set Config.Workers, the flow's one worker setting)", c.Compose.Workers)
 	}
 	if c.Compose.MaxSubgraphNodes > clique.MaxNodes {
 		return fmt.Errorf("flow: Config.Compose.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", c.Compose.MaxSubgraphNodes, clique.MaxNodes)
-	}
-	if c.UsefulSkew && c.UsefulSkewWindowPS < 0 {
-		return fmt.Errorf("flow: Config.UsefulSkewWindowPS = %v: must be >= 0 (0 selects the default window)", c.UsefulSkewWindowPS)
 	}
 	if c.Compat.MaxDeltaFrac < 0 {
 		return fmt.Errorf("flow: Config.Compat.MaxDeltaFrac = %v: must be >= 0 (0 selects the engine default)", c.Compat.MaxDeltaFrac)
@@ -166,14 +147,12 @@ func (c Config) Validate() error {
 // DefaultConfig returns the paper-default flow.
 func DefaultConfig() Config {
 	return Config{
-		Compose:            core.DefaultOptions(),
-		Compat:             CompatConfig{Rules: compat.DefaultOptions()},
-		CTS:                CTSConfig{Tree: cts.DefaultOptions()},
-		Route:              RouteConfig{Est: route.DefaultOptions()},
-		UsefulSkew:         true,
-		UsefulSkewWindowPS: 150,
-		Sizing:             true,
-		SizingMarginPS:     20,
+		Compose:    core.DefaultOptions(),
+		Compat:     CompatConfig{Rules: compat.DefaultOptions()},
+		CTS:        CTSConfig{Tree: cts.DefaultOptions()},
+		Route:      RouteConfig{Est: route.DefaultOptions()},
+		UsefulSkew: true,
+		Sizing:     true,
 	}
 }
 
@@ -182,11 +161,11 @@ type Report struct {
 	Design string
 	Base   Metrics
 	Ours   Metrics
-	// Compose is the composition result of the first pass (nil when
-	// composition found nothing).
+	// Compose is the flow's composition result.
 	Compose *core.Result
-	// ExtraPasses holds the results of composition passes beyond the first
-	// (Config.Passes > 1).
+	// ExtraPasses is always empty: the flow runs one composition pass, and
+	// repeated composition goes through Session.ComposePass. The field stays
+	// until benchmark/trace.go stops reading it.
 	ExtraPasses []*core.Result
 	// CompatStats reports what the retained compatibility-graph engine did
 	// across the whole flow (delta vs rebuild decisions, re-tested edges).
@@ -296,8 +275,8 @@ func Run(d *netlist.Design, plan *scan.Plan, cfg Config) (*Report, error) {
 }
 
 // runFlow drives the paper's implementation flow (Fig. 4) on the
-// session's freshly attached engines: base measurement, composition
-// passes, useful skew, sizing, final canonical measurement.
+// session's freshly attached engines: base measurement, one composition
+// pass, useful skew, sizing, final canonical measurement.
 func (s *Session) runFlow() (*Report, error) {
 	d, plan, cfg, engs := s.d, s.plan, s.cfg, s.engs
 	rep := &Report{Design: d.Name}
@@ -328,41 +307,18 @@ func (s *Session) runFlow() (*Report, error) {
 	}
 
 	// ---- Incremental MBR composition: ComposePass analyzes timing under
-	// ideal clocks and folds each pass's merges into the retained trees by
-	// delta, so the next pass (and the optimization stages) see a
-	// maintained tree. ----
+	// ideal clocks and folds the merges into the retained trees by delta,
+	// so the optimization stages see a maintained tree. ----
 	tc0 := time.Now()
-	passes := cfg.Passes
-	if passes < 1 {
-		passes = 1
+	cres, err := s.ComposePass()
+	if err != nil {
+		return nil, err
 	}
-	var newMBRs []*netlist.Inst
-	for p := 0; p < passes; p++ {
-		cres, err := s.ComposePass()
-		if err != nil {
-			return nil, fmt.Errorf("pass %d: %w", p+1, err)
-		}
-		if p == 0 {
-			rep.Compose = cres
-		} else {
-			rep.ExtraPasses = append(rep.ExtraPasses, cres)
-		}
-		for _, m := range cres.MBRs {
-			newMBRs = append(newMBRs, m.Inst)
-		}
-		if len(cres.MBRs) == 0 {
-			break // converged: nothing left to merge
-		}
+	rep.Compose = cres
+	newMBRs := make([]*netlist.Inst, len(cres.MBRs))
+	for i, m := range cres.MBRs {
+		newMBRs[i] = m.Inst
 	}
-	// A later pass can merge an earlier pass's MBRs away; the skew and
-	// sizing stages only want the survivors.
-	live := newMBRs[:0]
-	for _, in := range newMBRs {
-		if d.Inst(in.ID) != nil {
-			live = append(live, in)
-		}
-	}
-	newMBRs = live
 	// Skew and sizing also analyze timing under ideal clocks; ComposePass
 	// turned them off on return.
 	eng.SetIdealClocks(true)
@@ -383,16 +339,12 @@ func (s *Session) runFlow() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		window := cfg.UsefulSkewWindowPS
-		if window <= 0 {
-			window = 150
-		}
-		rep.SkewedMBRs = eng.AssignUsefulSkew(newMBRs, res2, window)
+		rep.SkewedMBRs = eng.AssignUsefulSkew(newMBRs, res2, usefulSkewWindowPS)
 	}
 
 	// ---- MBR sizing. ----
 	if cfg.Sizing && len(newMBRs) > 0 {
-		n, err := resizeMBRs(d, eng, newMBRs, cfg.SizingMarginPS)
+		n, err := resizeMBRs(d, eng, newMBRs, sizingMarginPS)
 		if err != nil {
 			return nil, err
 		}

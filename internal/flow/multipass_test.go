@@ -1,14 +1,19 @@
 package flow
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
-// runMultiPass runs a Passes=3 flow at the given worker count and returns
-// the report.
-func runMultiPass(t *testing.T, workers int) *Report {
+// runMultiPass opens a session on a D2 design at the given worker count,
+// measures it, runs three composition passes and measures again. It returns
+// the per-pass results, the canonical bytes of the passes and both
+// measures, and the session.
+func runMultiPass(t *testing.T, workers int) ([]*core.Result, string, *Session) {
 	t.Helper()
 	b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
 	if err != nil {
@@ -16,72 +21,68 @@ func runMultiPass(t *testing.T, workers int) *Report {
 	}
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	cfg.Passes = 3
-	rep, err := Run(b.Design, b.Plan, cfg)
+	s, err := NewSession(b.Design, b.Plan, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Design.Validate(); err != nil {
-		t.Fatalf("multi-pass flow left design invalid: %v", err)
+	t.Cleanup(s.Close)
+	var out strings.Builder
+	measure := func() {
+		m, err := s.Measure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.WriteString(m.Canonical())
 	}
-	return rep
+	measure()
+	var passes []*core.Result
+	for p := 1; p <= 3; p++ {
+		cres, err := s.ComposePass()
+		if err != nil {
+			t.Fatalf("pass %d: %v", p, err)
+		}
+		passes = append(passes, cres)
+		fmt.Fprintf(&out, "pass %d regs %d->%d mbrs %d\n", p, cres.RegsBefore, cres.RegsAfter, len(cres.MBRs))
+	}
+	measure()
+	if err := b.Design.Validate(); err != nil {
+		t.Fatalf("multi-pass session left design invalid: %v", err)
+	}
+	return passes, out.String(), s
 }
 
-// TestMultiPassFlow exercises Config.Passes: the retained engine serves
-// every pass, later passes never increase the register count, and the
-// canonical report stays byte-identical across worker counts.
+// TestMultiPassFlow exercises repeated composition through
+// Session.ComposePass: the retained compat engine serves every pass by
+// delta, later passes never increase the register count, and the measured
+// bytes stay identical across worker counts.
 func TestMultiPassFlow(t *testing.T) {
-	base := runMultiPass(t, 1)
-	if base.Compose == nil {
+	passes, want, s := runMultiPass(t, 1)
+	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
 	}
-	st := base.CompatStats
-	if st.Updates < 3 {
+	st := s.engs.cg.Stats()
+	if st.Updates < 5 {
 		t.Fatalf("engine should have served every pass and measure: %+v", st)
 	}
 	if st.Deltas == 0 {
-		t.Fatalf("multi-pass flow never took the delta path: %+v", st)
+		t.Fatalf("multi-pass session never took the delta path: %+v", st)
 	}
-	prev := base.Compose.RegsAfter
-	for i, c := range base.ExtraPasses {
+	prev := passes[0].RegsBefore
+	for i, c := range passes {
 		if c.RegsBefore != prev {
-			t.Fatalf("pass %d starts from %d regs, previous ended at %d", i+2, c.RegsBefore, prev)
+			t.Fatalf("pass %d starts from %d regs, previous ended at %d", i+1, c.RegsBefore, prev)
 		}
 		if c.RegsAfter > c.RegsBefore {
-			t.Fatalf("pass %d increased register count %d -> %d", i+2, c.RegsBefore, c.RegsAfter)
+			t.Fatalf("pass %d increased register count %d -> %d", i+1, c.RegsBefore, c.RegsAfter)
 		}
 		prev = c.RegsAfter
 	}
 
-	want := base.Canonical()
 	for _, workers := range []int{2, 4} {
-		got := runMultiPass(t, workers).Canonical()
-		if got != want {
-			t.Fatalf("multi-pass report with Workers=%d differs from Workers=1:\n%s",
+		if _, got, _ := runMultiPass(t, workers); got != want {
+			t.Fatalf("multi-pass session with Workers=%d differs from Workers=1:\n%s",
 				workers, firstDiff(want, got))
 		}
-	}
-}
-
-// TestSinglePassMatchesLegacyDefault pins that Passes=0 and Passes=1 are
-// the same flow (the golden files pin the actual bytes).
-func TestSinglePassMatchesLegacyDefault(t *testing.T) {
-	spec := bench.D3(bench.ProfileOpts{Scale: 300})
-	runWith := func(passes int) string {
-		b, err := bench.Generate(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Passes = passes
-		rep, err := Run(b.Design, b.Plan, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Canonical()
-	}
-	if a, b := runWith(0), runWith(1); a != b {
-		t.Fatalf("Passes=0 and Passes=1 reports differ:\n%s", firstDiff(a, b))
 	}
 }
 
@@ -124,30 +125,23 @@ func TestReportCarriesEngineStats(t *testing.T) {
 	}
 }
 
-// TestFlowRingNeverOverflows is the edit-class-scoping regression test: a
-// two-pass flow — base CTS attach, two composition passes each followed by
-// a delta tree update, and a final canonicalizing rebuild — must never
-// overflow the flow-class touched ring at the default capacity. Before
-// scoping, the clock-tree churn alone blew through the ring every pass.
-// Shrinking the ring via Config.TouchedLogCap must degrade the engines to
-// their full paths (overflows observed) without changing a byte of the
-// report.
+// TestFlowRingNeverOverflows is the edit-class-scoping regression test: the
+// flow — base CTS attach, a composition pass followed by a delta tree
+// update, and a final canonicalizing rebuild — must never overflow the
+// flow-class touched ring at the default capacity. Before scoping, the
+// clock-tree churn alone blew through the ring every pass. Shrinking the
+// ring with Design.SetTouchedLogCap must degrade the engines to their full
+// paths (overflows observed) without changing a byte of the report.
 func TestFlowRingNeverOverflows(t *testing.T) {
 	run := func(cap int) *Report {
 		b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
-		cfg.Passes = 2
-		cfg.TouchedLogCap = cap
-		before := b.Design.TouchedLogCap()
-		rep, err := Run(b.Design, b.Plan, cfg)
+		b.Design.SetTouchedLogCap(cap)
+		rep, err := Run(b.Design, b.Plan, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := b.Design.TouchedLogCap(); got != before {
-			t.Fatalf("flow must restore the design's ring capacity: %d -> %d", before, got)
 		}
 		return rep
 	}
@@ -156,7 +150,7 @@ func TestFlowRingNeverOverflows(t *testing.T) {
 		t.Fatalf("default-capacity flow overflowed the flow ring: %+v", def.CompatStats)
 	}
 	if def.CTSStats.Deltas == 0 {
-		t.Fatalf("two-pass flow never delta-maintained the trees: %+v", def.CTSStats)
+		t.Fatalf("flow never delta-maintained the trees: %+v", def.CTSStats)
 	}
 	tiny := run(16)
 	if tiny.CompatStats.TouchedOverflows == 0 {

@@ -30,8 +30,7 @@ type Session struct {
 	engs *engines
 
 	// passSeq numbers ComposePass invocations so MBR names stay unique
-	// across a session's lifetime (the same scheme Run uses across
-	// Config.Passes).
+	// across a session's lifetime.
 	passSeq int
 
 	// splitGroups accumulates what DecomposePassWith split so RestorePass can
@@ -44,25 +43,17 @@ type Session struct {
 	slackCursor uint64
 	slackSeen   bool
 
-	prevCap int
-	capSet  bool
-	closed  bool
+	closed bool
 }
 
 // NewSession validates the config, resets the design's touched rings,
 // builds the retained engines and attaches the clock trees. The design
-// must be placed and legal (bench.Generate output qualifies). Close the
-// session when done to restore the design's touched-ring capacity.
+// must be placed and legal (bench.Generate output qualifies).
 func NewSession(d *netlist.Design, plan *scan.Plan, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s := &Session{d: d, plan: plan, cfg: cfg}
-	if cfg.TouchedLogCap > 0 {
-		s.prevCap = d.TouchedLogCap()
-		s.capSet = true
-		d.SetTouchedLogCap(cfg.TouchedLogCap)
-	}
 	// The engines all start invalid (their first looks are full rebuilds),
 	// so whatever the rings recorded before this point — design
 	// construction, most commonly — only wastes their capacity. Start the
@@ -201,15 +192,6 @@ func (s *Session) Invalidate() {
 	s.engs.cts.Invalidate()
 }
 
-// Close restores the design's touched-ring capacity and marks the session
-// closed. It does not tear down the clock trees: the design keeps the
-// realized state, exactly as Run leaves it.
-func (s *Session) Close() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.capSet {
-		s.d.SetTouchedLogCap(s.prevCap)
-	}
-}
+// Close marks the session closed. It does not tear down the clock trees:
+// the design keeps the realized state, exactly as Run leaves it.
+func (s *Session) Close() { s.closed = true }

@@ -29,16 +29,10 @@ func TestConfigValidateRejectsEachField(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"Workers", func(c *Config) { c.Workers = -1 }},
-		{"Passes", func(c *Config) { c.Passes = -2 }},
-		{"TouchedLogCap", func(c *Config) { c.TouchedLogCap = -1 }},
 		// Config.Workers is the flow's one worker setting; a per-compose
 		// value would be silently ignored, so any non-zero one is rejected.
 		{"Compose.Workers", func(c *Config) { c.Compose.Workers = 2 }},
 		{"Compose.MaxSubgraphNodes", func(c *Config) { c.Compose.MaxSubgraphNodes = 65 }},
-		{"UsefulSkewWindowPS", func(c *Config) {
-			c.UsefulSkew = true
-			c.UsefulSkewWindowPS = -1
-		}},
 		{"Compat.MaxDeltaFrac", func(c *Config) { c.Compat.MaxDeltaFrac = -0.1 }},
 		{"CTS.Tree.RecenterThresholdDBU", func(c *Config) { c.CTS.Tree.RecenterThresholdDBU = -100 }},
 		{"Decompose.Budget", func(c *Config) { c.Decompose.Budget = -1 }},

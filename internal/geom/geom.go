@@ -45,14 +45,6 @@ type Rect struct {
 	Lo, Hi Point
 }
 
-// RectFromCorners returns the rectangle spanning two arbitrary corners.
-func RectFromCorners(a, b Point) Rect {
-	return Rect{
-		Lo: Point{min64(a.X, b.X), min64(a.Y, b.Y)},
-		Hi: Point{max64(a.X, b.X), max64(a.Y, b.Y)},
-	}
-}
-
 // RectWH returns a rectangle with lower-left at (x, y) and the given size.
 func RectWH(x, y, w, h int64) Rect {
 	return Rect{Lo: Point{x, y}, Hi: Point{x + w, y + h}}
@@ -110,28 +102,6 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 		Hi: Point{min64(r.Hi.X, s.Hi.X), min64(r.Hi.Y, s.Hi.Y)},
 	}
 	return out, out.Valid()
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Lo: Point{min64(r.Lo.X, s.Lo.X), min64(r.Lo.Y, s.Lo.Y)},
-		Hi: Point{max64(r.Hi.X, s.Hi.X), max64(r.Hi.Y, s.Hi.Y)},
-	}
-}
-
-// Expand returns r grown by d on every side. A negative d shrinks r; the
-// result may become invalid if d is too negative.
-func (r Rect) Expand(d int64) Rect {
-	return Rect{
-		Lo: Point{r.Lo.X - d, r.Lo.Y - d},
-		Hi: Point{r.Hi.X + d, r.Hi.Y + d},
-	}
-}
-
-// Translate returns r shifted by p.
-func (r Rect) Translate(p Point) Rect {
-	return Rect{Lo: r.Lo.Add(p), Hi: r.Hi.Add(p)}
 }
 
 // Corners returns the four corners of r in counter-clockwise order starting
@@ -290,15 +260,4 @@ func onSegment(a, b, p Point) bool {
 	}
 	return p.X >= min64(a.X, b.X) && p.X <= max64(a.X, b.X) &&
 		p.Y >= min64(a.Y, b.Y) && p.Y <= max64(a.Y, b.Y)
-}
-
-// PolygonArea2 returns twice the signed area of polygon poly (positive for
-// CCW orientation). Using twice the area keeps the result integral.
-func PolygonArea2(poly []Point) int64 {
-	var a int64
-	for i := range poly {
-		p, q := poly[i], poly[(i+1)%len(poly)]
-		a += p.X*q.Y - q.X*p.Y
-	}
-	return a
 }

@@ -49,16 +49,6 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
-func TestRectFromCorners(t *testing.T) {
-	r := RectFromCorners(Point{5, 7}, Point{1, 2})
-	if r.Lo != (Point{1, 2}) || r.Hi != (Point{5, 7}) {
-		t.Fatalf("RectFromCorners normalized wrong: %v", r)
-	}
-	if !r.Valid() {
-		t.Fatal("normalized rect must be valid")
-	}
-}
-
 func TestRectIntersect(t *testing.T) {
 	a := RectWH(0, 0, 10, 10)
 	b := RectWH(5, 5, 10, 10)
@@ -88,23 +78,6 @@ func TestRectIntersect(t *testing.T) {
 	e, ok := a.Intersect(d)
 	if !ok || e.Area() != 0 {
 		t.Fatalf("touching intersection should be degenerate, got %v ok=%v", e, ok)
-	}
-}
-
-func TestRectUnionExpandTranslate(t *testing.T) {
-	a := RectWH(0, 0, 2, 2)
-	b := RectWH(5, 5, 1, 1)
-	u := a.Union(b)
-	if u != (Rect{Point{0, 0}, Point{6, 6}}) {
-		t.Fatalf("Union = %v", u)
-	}
-	ex := a.Expand(3)
-	if ex != (Rect{Point{-3, -3}, Point{5, 5}}) {
-		t.Fatalf("Expand = %v", ex)
-	}
-	tr := a.Translate(Point{10, -4})
-	if tr != (Rect{Point{10, -4}, Point{12, -2}}) {
-		t.Fatalf("Translate = %v", tr)
 	}
 }
 
@@ -166,9 +139,6 @@ func TestConvexHullSquarePlusInterior(t *testing.T) {
 		if !want[p] {
 			t.Fatalf("unexpected hull vertex %v", p)
 		}
-	}
-	if PolygonArea2(hull) != 200 {
-		t.Fatalf("hull area2 = %d want 200", PolygonArea2(hull))
 	}
 }
 

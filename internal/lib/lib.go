@@ -161,12 +161,6 @@ type Cell struct {
 	ClkPin PinOffset
 }
 
-// PerBitArea returns Area / Bits as a float.
-func (c *Cell) PerBitArea() float64 { return float64(c.Area) / float64(c.Bits) }
-
-// PerBitClkCap returns ClkCap / Bits.
-func (c *Cell) PerBitClkCap() float64 { return c.ClkCap / float64(c.Bits) }
-
 // Library is an immutable collection of register cells indexed by
 // functional class.
 type Library struct {
@@ -234,10 +228,6 @@ func (l *Library) CellByName(name string) *Cell {
 	}
 	return nil
 }
-
-// ClassCells returns the cells of a functional class sorted by (Bits,
-// Drive), or nil when the class is absent.
-func (l *Library) ClassCells(f FuncClass) []*Cell { return l.cells[f.Key()] }
 
 // HasClass reports whether any cell of the class exists.
 func (l *Library) HasClass(f FuncClass) bool { return len(l.cells[f.Key()]) > 0 }

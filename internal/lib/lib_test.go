@@ -54,12 +54,12 @@ func TestPerBitEconomies(t *testing.T) {
 			t.Fatalf("no %d-bit cells", bits)
 		}
 		c := cells[0] // drive 1
-		if pa := c.PerBitArea(); pa >= prevArea {
+		if pa := float64(c.Area) / float64(c.Bits); pa >= prevArea {
 			t.Errorf("per-bit area must shrink with width: %d-bit %.1f ≥ previous %.1f", bits, pa, prevArea)
 		} else {
 			prevArea = pa
 		}
-		if pc := c.PerBitClkCap(); pc >= prevCap {
+		if pc := c.ClkCap / float64(c.Bits); pc >= prevCap {
 			t.Errorf("per-bit clk cap must shrink with width: %d-bit %.3f ≥ previous %.3f", bits, pc, prevCap)
 		} else {
 			prevCap = pc
@@ -178,11 +178,11 @@ func TestCellByNameAndClassCells(t *testing.T) {
 	if l.CellByName("nope") != nil {
 		t.Fatal("unknown name should return nil")
 	}
-	cc := l.ClassCells(c.Class)
+	cc := l.cells[c.Class.Key()]
 	for i := 1; i < len(cc); i++ {
 		a, b := cc[i-1], cc[i]
 		if a.Bits > b.Bits || (a.Bits == b.Bits && a.Drive > b.Drive) {
-			t.Fatal("ClassCells must be sorted by (bits, drive)")
+			t.Fatal("a class's cells must be sorted by (bits, drive)")
 		}
 	}
 }

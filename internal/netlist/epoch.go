@@ -12,8 +12,8 @@ package netlist
 //     detached from a non-clock net). The timing-graph topology is stale
 //     and consumers must rebuild.
 //   - clock: connectivity of a clock net changed. Data arcs are unaffected
-//     (clock nets never carry data arcs) but propagated clock arrivals
-//     must be recomputed.
+//     (clock nets never carry data arcs), so only the epoch moves, as for
+//     a parametric edit; propagated clock arrivals must be recomputed.
 //   - parametric: geometry or electrical parameters changed (MoveInst,
 //     ResizeRegister). The graph topology survives; only delays, loads and
 //     seeds in the neighbourhood of the touched instances move.
@@ -115,7 +115,6 @@ func (r *classRing) at(i int) touchedEntry {
 type editLog struct {
 	epoch           uint64
 	structuralEpoch uint64
-	clockEpoch      uint64
 	// class is the edit class subsequent edits are recorded under.
 	class EditClass
 	// cap is the per-class ring capacity (0 = defaultTouchedRingCap).
@@ -138,10 +137,6 @@ func (d *Design) Epoch() uint64 { return d.edits.epoch }
 // change. A consumer whose cache was built at cursor c must rebuild its
 // graph topology when StructuralEpoch() > c.
 func (d *Design) StructuralEpoch() uint64 { return d.edits.structuralEpoch }
-
-// ClockEpoch returns the epoch of the last clock-network connectivity
-// change.
-func (d *Design) ClockEpoch() uint64 { return d.edits.clockEpoch }
 
 // EditClass returns the class new edits are currently recorded under.
 func (d *Design) EditClass() EditClass { return d.edits.class }
@@ -246,12 +241,6 @@ func (d *Design) noteTouch(inst InstID) {
 func (d *Design) noteStructural(inst InstID) {
 	d.noteTouch(inst)
 	d.edits.structuralEpoch = d.edits.epoch
-}
-
-// noteClock records a clock-network connectivity edit at the instance.
-func (d *Design) noteClock(inst InstID) {
-	d.noteTouch(inst)
-	d.edits.clockEpoch = d.edits.epoch
 }
 
 // PinSpace returns an exclusive upper bound on every PinID ever issued by

@@ -11,15 +11,14 @@ func TestEpochBumpsPerEditClass(t *testing.T) {
 
 	base := d.Epoch()
 	baseStruct := d.StructuralEpoch()
-	baseClock := d.ClockEpoch()
 
 	// Parametric: bumps the epoch only.
 	d.MoveInst(r1, geom.Point{X: 2000, Y: 1200})
 	if d.Epoch() <= base {
 		t.Fatalf("MoveInst did not bump epoch: %d -> %d", base, d.Epoch())
 	}
-	if d.StructuralEpoch() != baseStruct || d.ClockEpoch() != baseClock {
-		t.Fatalf("MoveInst changed structural/clock epochs")
+	if d.StructuralEpoch() != baseStruct {
+		t.Fatalf("MoveInst changed the structural epoch")
 	}
 
 	cur := d.Epoch()
@@ -40,29 +39,26 @@ func TestEpochBumpsPerEditClass(t *testing.T) {
 	if d.StructuralEpoch() <= baseStruct {
 		t.Fatalf("data-net Disconnect did not bump structural epoch")
 	}
-	if d.ClockEpoch() != baseClock {
-		t.Fatalf("data-net Disconnect bumped clock epoch")
-	}
 	d.Connect(d.DPin(r1, 0), dn)
 	if d.StructuralEpoch() != d.Epoch() {
 		t.Fatalf("data-net Connect: structural epoch %d != epoch %d",
 			d.StructuralEpoch(), d.Epoch())
 	}
 
-	// Clock: clock-net connectivity.
+	// Clock: clock-net connectivity bumps the epoch only.
 	baseStruct = d.StructuralEpoch()
+	cur = d.Epoch()
 	cn := d.Net(d.ClockPin(r1).Net)
 	d.Disconnect(d.ClockPin(r1))
-	if d.ClockEpoch() <= baseClock {
-		t.Fatalf("clock-net Disconnect did not bump clock epoch")
+	if d.Epoch() <= cur {
+		t.Fatalf("clock-net Disconnect did not bump epoch")
 	}
 	if d.StructuralEpoch() != baseStruct {
 		t.Fatalf("clock-net Disconnect bumped structural epoch")
 	}
 	d.Connect(d.ClockPin(r1), cn)
-	if d.ClockEpoch() != d.Epoch() {
-		t.Fatalf("clock-net Connect: clock epoch %d != epoch %d",
-			d.ClockEpoch(), d.Epoch())
+	if d.StructuralEpoch() != baseStruct {
+		t.Fatalf("clock-net Connect bumped structural epoch")
 	}
 }
 

@@ -389,7 +389,7 @@ func (d *Design) Connect(p *Pin, n *Net) {
 		n.Sinks = append(n.Sinks, p.ID)
 	}
 	if n.IsClock {
-		d.noteClock(p.Inst)
+		d.noteTouch(p.Inst)
 	} else {
 		d.noteStructural(p.Inst)
 		d.noteNetMembers(n, p.ID)
@@ -414,7 +414,7 @@ func (d *Design) Disconnect(p *Pin) {
 	}
 	p.Net = NoID
 	if n.IsClock {
-		d.noteClock(p.Inst)
+		d.noteTouch(p.Inst)
 	} else {
 		d.noteStructural(p.Inst)
 		d.noteNetMembers(n, p.ID)
@@ -432,7 +432,7 @@ func (d *Design) Disconnect(p *Pin) {
 // Only register data pins are noted: nothing position-derived is cached
 // for other members, and high-fanout control stars (reset, enable,
 // scan-enable) would flood the ring. Clock nets are exempt for the same
-// reason (clock-arrival effects are tracked by the clock epoch).
+// reason (a clock-net edit records only the editing instance).
 func (d *Design) noteNetMembers(n *Net, excl PinID) {
 	note := func(pid PinID) {
 		if pid == excl {

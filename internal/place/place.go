@@ -386,50 +386,3 @@ func placeOne(d *netlist.Design, rs *rowSpace, in *netlist.Inst, res *Result) {
 	d.MoveInst(in, bestPos)
 	rs.block(in.Bounds())
 }
-
-// DensityMap divides the core into a bins×bins grid and returns the cell
-// area utilization of each bin (row-major).
-func DensityMap(d *netlist.Design, bins int) []float64 {
-	out := make([]float64, bins*bins)
-	bw := float64(d.Core.W()) / float64(bins)
-	bh := float64(d.Core.H()) / float64(bins)
-	if bw <= 0 || bh <= 0 {
-		return out
-	}
-	d.Insts(func(in *netlist.Inst) {
-		if in.Area() == 0 {
-			return
-		}
-		b := in.Bounds()
-		x0 := int(float64(b.Lo.X-d.Core.Lo.X) / bw)
-		x1 := int(float64(b.Hi.X-d.Core.Lo.X-1) / bw)
-		y0 := int(float64(b.Lo.Y-d.Core.Lo.Y) / bh)
-		y1 := int(float64(b.Hi.Y-d.Core.Lo.Y-1) / bh)
-		for y := max(0, y0); y <= min(bins-1, y1); y++ {
-			for x := max(0, x0); x <= min(bins-1, x1); x++ {
-				binRect := geom.Rect{
-					Lo: geom.Point{X: d.Core.Lo.X + int64(float64(x)*bw), Y: d.Core.Lo.Y + int64(float64(y)*bh)},
-					Hi: geom.Point{X: d.Core.Lo.X + int64(float64(x+1)*bw), Y: d.Core.Lo.Y + int64(float64(y+1)*bh)},
-				}
-				if ov, ok := b.Intersect(binRect); ok {
-					out[y*bins+x] += float64(ov.Area()) / (bw * bh)
-				}
-			}
-		}
-	})
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -160,32 +160,6 @@ func TestLegalizeFullCore(t *testing.T) {
 	}
 }
 
-func TestDensityMap(t *testing.T) {
-	d := newDesign(40000, 24000)
-	// Fill the lower-left quadrant.
-	for i := 0; i < 5; i++ {
-		addReg(t, d, fmt.Sprintf("r%d", i), 4, int64(i)*3000, 0)
-	}
-	dm := DensityMap(d, 4)
-	if len(dm) != 16 {
-		t.Fatalf("bins = %d", len(dm))
-	}
-	if dm[0] <= 0 {
-		t.Fatal("lower-left bin should have density")
-	}
-	if dm[15] != 0 {
-		t.Fatal("upper-right bin should be empty")
-	}
-	var sum float64
-	for _, v := range dm {
-		sum += v
-	}
-	want := float64(d.TotalArea()) / float64(d.Core.Area()) * 16
-	if sum < want*0.99 || sum > want*1.01 {
-		t.Fatalf("density mass %g want %g", sum, want)
-	}
-}
-
 // Property: legalization always produces a violation-free placement (when
 // it does not fail) and never moves fixed cells, for random register soups.
 func TestLegalizeAlwaysLegal(t *testing.T) {

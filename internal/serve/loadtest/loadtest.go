@@ -701,19 +701,18 @@ func splitCandidates(d *netlist.Design, pool int, idx int64) []*netlist.Inst {
 }
 
 // openLocal opens the single-threaded local flow session both the oracle
-// replay and the ECO stream generator use. It must run the engines exactly
-// as the server does (hysteresis included) for the bytes to be comparable.
+// replay and the ECO stream generator use. It builds its config from the
+// server's sessionConfig, so the engines run exactly as the server's do
+// (hysteresis included) and the bytes stay comparable.
 func openLocal(o Options) (*flow.Session, error) {
 	src := serve.Source{Profile: o.Profile, Scale: o.Scale}
 	d, plan, err := src.Load()
 	if err != nil {
 		return nil, err
 	}
-	cfg := flow.DefaultConfig()
+	cfg := sessionConfig(o)
 	cfg.Workers = 1
-	cfg.CTS.Tree.RecenterThresholdDBU = recenterThresholdDBU
-	cfg.Compat.MaxDeltaFrac = compatMaxDeltaFrac
-	return flow.NewSession(d, plan, cfg)
+	return flow.NewSession(d, plan, cfg.FlowConfig())
 }
 
 // applyOpLocal applies one stream op to a local session — the shared op

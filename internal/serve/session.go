@@ -20,10 +20,6 @@ type SessionConfig struct {
 	// Workers bounds the engines' worker pools (0 = one per CPU,
 	// 1 = sequential). Reports are byte-identical for any setting.
 	Workers int `json:"workers,omitempty"`
-	// TouchedLogCap overrides the netlist's per-edit-class touched-ring
-	// capacity (0 = the design default). Larger rings keep longer edit
-	// bursts on the engines' delta paths.
-	TouchedLogCap int `json:"touchedLogCap,omitempty"`
 	// RecenterThresholdDBU sets the clock-tree engine's re-center
 	// hysteresis (see cts.Options): tree buffers hold their position until
 	// the plan centroid drifts past this Manhattan distance, confining an
@@ -40,10 +36,11 @@ type SessionConfig struct {
 	CompatMaxDeltaFrac float64 `json:"compatMaxDeltaFrac,omitempty"`
 }
 
-func (c SessionConfig) flowConfig() flow.Config {
+// FlowConfig is the flow.Config a session created with c runs: the flow
+// defaults with c's fields applied.
+func (c SessionConfig) FlowConfig() flow.Config {
 	cfg := flow.DefaultConfig()
 	cfg.Workers = c.Workers
-	cfg.TouchedLogCap = c.TouchedLogCap
 	cfg.CTS.Tree.RecenterThresholdDBU = c.RecenterThresholdDBU
 	cfg.Compat.MaxDeltaFrac = c.CompatMaxDeltaFrac
 	return cfg
@@ -106,7 +103,7 @@ func newSession(m *Manager, name string, src Source, cfg SessionConfig, snap *Sn
 	if err != nil {
 		return nil, err
 	}
-	fs, err := flow.NewSession(d, plan, cfg.flowConfig())
+	fs, err := flow.NewSession(d, plan, cfg.FlowConfig())
 	if err != nil {
 		return nil, err
 	}

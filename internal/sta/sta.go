@@ -155,9 +155,6 @@ func (e *Engine) SetSkew(id netlist.InstID, ps float64) {
 // Skew returns the useful skew currently assigned to a register.
 func (e *Engine) Skew(id netlist.InstID) float64 { return e.skew[id] }
 
-// ClearSkews removes all useful-skew assignments.
-func (e *Engine) ClearSkews() { e.skew = map[netlist.InstID]float64{} }
-
 // Invalidate drops the cached timing graph, forcing the next Run to
 // rebuild from scratch. Needed only when the design was edited behind the
 // netlist API's back (or for benchmarking the full path).

@@ -346,9 +346,4 @@ func TestSetSkewZeroClears(t *testing.T) {
 	if e.Skew(r1.ID) != 0 {
 		t.Fatal("zero skew must clear")
 	}
-	e.SetSkew(r1.ID, 10)
-	e.ClearSkews()
-	if e.Skew(r1.ID) != 0 {
-		t.Fatal("ClearSkews must clear")
-	}
 }
