@@ -114,7 +114,8 @@ golden:
 FUZZ_TARGETS = \
 	./internal/clique:FuzzEnumerateSubCliques \
 	./internal/route:FuzzEstimateDeltaEquivalence \
-	./internal/ilp:FuzzSolveCoverMatchesBruteForce
+	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
+	./internal/place:FuzzRowSearchMatchesScan
 FUZZTIME ?= 30s
 
 fuzz:

@@ -62,6 +62,28 @@ func TestEpochBumpsPerEditClass(t *testing.T) {
 	}
 }
 
+// A reset net carries no register D/Q pins, so an edit on it notes only
+// the editing instance: one epoch step, one touched entry.
+func TestControlNetEditBumpsEpochOnce(t *testing.T) {
+	d, r1, _ := buildPair(t)
+	rp := d.FindPin(r1, PinReset, 0)
+	rst := d.Net(rp.Net)
+	for _, edit := range []func(){
+		func() { d.Disconnect(rp) },
+		func() { d.Connect(rp, rst) },
+	} {
+		cur := d.Epoch()
+		edit()
+		if d.Epoch() != cur+1 {
+			t.Fatalf("reset-net edit moved the epoch %d -> %d, want +1", cur, d.Epoch())
+		}
+		touched, ok := d.TouchedSince(cur)
+		if !ok || len(touched) != 1 || touched[0] != r1.ID {
+			t.Fatalf("touched = %v (complete %v), want only r1", touched, ok)
+		}
+	}
+}
+
 func TestTouchedSinceDedupAndOrder(t *testing.T) {
 	d, r1, r2 := buildPair(t)
 

@@ -214,6 +214,11 @@ type Net struct {
 	// IsClock marks clock-distribution nets.
 	IsClock bool
 	dead    bool
+	// regDQ counts the register D/Q pins attached to the net, so edits on
+	// nets without any (reset, enable, scan-enable stars) skip the member
+	// walk in noteNetMembers. An int32 beside the bools keeps Net in the
+	// 64-byte size class.
+	regDQ int32
 }
 
 // TimingSpec carries the design-level timing environment.
@@ -388,6 +393,9 @@ func (d *Design) Connect(p *Pin, n *Net) {
 	} else {
 		n.Sinks = append(n.Sinks, p.ID)
 	}
+	if d.isRegDQ(p) {
+		n.regDQ++
+	}
 	if n.IsClock {
 		d.noteTouch(p.Inst)
 	} else {
@@ -413,6 +421,9 @@ func (d *Design) Disconnect(p *Pin) {
 		}
 	}
 	p.Net = NoID
+	if d.isRegDQ(p) {
+		n.regDQ--
+	}
 	if n.IsClock {
 		d.noteTouch(p.Inst)
 	} else {
@@ -434,16 +445,12 @@ func (d *Design) Disconnect(p *Pin) {
 // scan-enable) would flood the ring. Clock nets are exempt for the same
 // reason (a clock-net edit records only the editing instance).
 func (d *Design) noteNetMembers(n *Net, excl PinID) {
+	if n.regDQ == 0 {
+		return
+	}
 	note := func(pid PinID) {
-		if pid == excl {
-			return
-		}
-		p := d.pins[pid]
-		if p.Kind != PinData && p.Kind != PinOut {
-			return
-		}
-		if in := d.insts[p.Inst]; in != nil && in.Kind == KindReg {
-			d.noteTouch(p.Inst)
+		if pid != excl && d.isRegDQ(d.pins[pid]) {
+			d.noteTouch(d.pins[pid].Inst)
 		}
 	}
 	if n.Driver != NoID {
@@ -452,6 +459,16 @@ func (d *Design) noteNetMembers(n *Net, excl PinID) {
 	for _, s := range n.Sinks {
 		note(s)
 	}
+}
+
+// isRegDQ reports whether p is a register's D or Q pin: the pins
+// noteNetMembers notes and Net.regDQ counts.
+func (d *Design) isRegDQ(p *Pin) bool {
+	if p.Kind != PinData && p.Kind != PinOut {
+		return false
+	}
+	in := d.insts[p.Inst]
+	return in != nil && in.Kind == KindReg
 }
 
 // InstNets returns the deduplicated live nets the instance's pins are
@@ -569,8 +586,9 @@ func (d *Design) TotalArea() int64 {
 }
 
 // Validate checks structural invariants: pin/net cross references, driver
-// uniqueness, live instances inside the core, register pin counts matching
-// their library cell. It returns the first problem found.
+// uniqueness, each net's kept register D/Q pin count, live instances
+// inside the core, register pin counts matching their library cell. It
+// returns the first problem found.
 func (d *Design) Validate() error {
 	for _, n := range d.nets {
 		if n.dead {
@@ -585,6 +603,10 @@ func (d *Design) Validate() error {
 				return fmt.Errorf("net %q: driver on dead instance", n.Name)
 			}
 		}
+		regDQ := int32(0)
+		if n.Driver != NoID && d.isRegDQ(d.pins[n.Driver]) {
+			regDQ++
+		}
 		for _, s := range n.Sinks {
 			p := d.Pin(s)
 			if p == nil || p.Net != n.ID || p.Dir != DirIn {
@@ -593,6 +615,12 @@ func (d *Design) Validate() error {
 			if d.insts[p.Inst].dead {
 				return fmt.Errorf("net %q: sink on dead instance", n.Name)
 			}
+			if d.isRegDQ(p) {
+				regDQ++
+			}
+		}
+		if regDQ != n.regDQ {
+			return fmt.Errorf("net %q: %d register D/Q pins, count kept %d", n.Name, regDQ, n.regDQ)
 		}
 	}
 	for _, in := range d.insts {

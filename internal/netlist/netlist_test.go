@@ -418,6 +418,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+func TestValidateCatchesRegPinCountDrift(t *testing.T) {
+	d, _, r2 := buildPair(t)
+	// Attach r2's D pin to a net behind Connect's back: the cross
+	// references hold, but the net's kept register D/Q count does not.
+	dp := d.DPin(r2, 0)
+	net := d.Net(dp.Net)
+	d.Disconnect(dp)
+	net.Sinks = append(net.Sinks, dp.ID)
+	dp.Net = net.ID
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "register D/Q pins") {
+		t.Fatalf("Validate = %v, want a register D/Q count mismatch", err)
+	}
+}
+
 func TestTotalAreaAndCounts(t *testing.T) {
 	d, r1, r2 := buildPair(t)
 	area := d.TotalArea()

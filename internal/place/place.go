@@ -1,9 +1,11 @@
-// Package place provides row-based placement legalization and density
-// analysis: a Tetris-style greedy legalizer (full and incremental), legality
-// checking, and displacement metrics. MBR composition calls the incremental
-// legalizer after each LP-placed MBR to resolve overlaps with the
-// surrounding cells — the paper's weights (§3.2) are designed to make
-// exactly this step cheap.
+// Package place provides row-based placement legalization: a Tetris-style
+// greedy legalizer (full, incremental and retained), legality checking, and
+// displacement metrics. MBR composition calls the incremental legalizer
+// after each LP-placed MBR to resolve overlaps with the surrounding cells —
+// the paper's weights (§3.2) are designed to make exactly this step cheap.
+// Each cell takes the closest free row slot; the row search (rows.go) is
+// budgeted by the best slot found so far and skips x-blocks whose gaps are
+// all too narrow, so it costs the useful work rather than the row length.
 package place
 
 import (
@@ -82,147 +84,6 @@ func CheckLegal(d *netlist.Design) []Violation {
 		}
 	}
 	return out
-}
-
-// rowSpace tracks free intervals per row.
-type rowSpace struct {
-	core  geom.Rect
-	rowH  int64
-	siteW int64
-	// occ[r] is a sorted list of occupied [lo,hi) x-intervals in row r.
-	occ [][]span
-	// raw keeps every blocked span individually (sorted by lo, overlaps
-	// allowed) so unblock can remove one contributor exactly; merged mode
-	// coalesces neighbours and cannot give a span back. Free-gap queries
-	// see the same union either way — bestInRow's scan tolerates overlaps
-	// — so the two modes place identically.
-	raw bool
-}
-
-type span struct{ lo, hi int64 }
-
-func newRowSpace(d *netlist.Design) *rowSpace {
-	nRows := int((d.Core.H()) / d.RowH)
-	if nRows < 1 {
-		nRows = 1
-	}
-	return &rowSpace{core: d.Core, rowH: d.RowH, siteW: d.SiteW, occ: make([][]span, nRows)}
-}
-
-func (rs *rowSpace) rowOf(y int64) int {
-	return int((y - rs.core.Lo.Y) / rs.rowH)
-}
-
-func (rs *rowSpace) rowY(r int) int64 { return rs.core.Lo.Y + int64(r)*rs.rowH }
-
-// block marks [lo,hi) occupied in every row the rect touches.
-func (rs *rowSpace) block(b geom.Rect) {
-	r0 := rs.rowOf(b.Lo.Y)
-	r1 := rs.rowOf(b.Hi.Y - 1)
-	for r := r0; r <= r1; r++ {
-		if r < 0 || r >= len(rs.occ) {
-			continue
-		}
-		if rs.raw {
-			rs.occ[r] = insertRaw(rs.occ[r], span{b.Lo.X, b.Hi.X})
-		} else {
-			rs.occ[r] = insertSpan(rs.occ[r], span{b.Lo.X, b.Hi.X})
-		}
-	}
-}
-
-// unblock removes one exact copy of the rect's span from every row it
-// touches. Raw mode only.
-func (rs *rowSpace) unblock(b geom.Rect) {
-	if !rs.raw {
-		panic("place: unblock on a merged rowSpace")
-	}
-	r0 := rs.rowOf(b.Lo.Y)
-	r1 := rs.rowOf(b.Hi.Y - 1)
-	for r := r0; r <= r1; r++ {
-		if r < 0 || r >= len(rs.occ) {
-			continue
-		}
-		rs.occ[r] = removeRaw(rs.occ[r], span{b.Lo.X, b.Hi.X})
-	}
-}
-
-func insertRaw(spans []span, s span) []span {
-	idx := sort.Search(len(spans), func(i int) bool { return spans[i].lo >= s.lo })
-	spans = append(spans, span{})
-	copy(spans[idx+1:], spans[idx:])
-	spans[idx] = s
-	return spans
-}
-
-func removeRaw(spans []span, s span) []span {
-	idx := sort.Search(len(spans), func(i int) bool { return spans[i].lo >= s.lo })
-	for i := idx; i < len(spans) && spans[i].lo == s.lo; i++ {
-		if spans[i].hi == s.hi {
-			return append(spans[:i], spans[i+1:]...)
-		}
-	}
-	// The caller's bookkeeping pairs every unblock with an earlier block;
-	// a miss means the retained occupancy has drifted from the design.
-	panic("place: unblock of a span that was never blocked")
-}
-
-func insertSpan(spans []span, s span) []span {
-	idx := sort.Search(len(spans), func(i int) bool { return spans[i].lo >= s.lo })
-	spans = append(spans, span{})
-	copy(spans[idx+1:], spans[idx:])
-	spans[idx] = s
-	// Merge overlapping neighbours.
-	out := spans[:0]
-	for _, sp := range spans {
-		if n := len(out); n > 0 && sp.lo <= out[n-1].hi {
-			if sp.hi > out[n-1].hi {
-				out[n-1].hi = sp.hi
-			}
-		} else {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// bestInRow finds the x for a width-w cell in row r closest to targetX.
-// Returns ok=false when the row has no gap wide enough.
-func (rs *rowSpace) bestInRow(r int, targetX, w int64) (int64, bool) {
-	if r < 0 || r >= len(rs.occ) {
-		return 0, false
-	}
-	lo, hi := rs.core.Lo.X, rs.core.Hi.X
-	best, found := int64(0), false
-	tryGap := func(glo, ghi int64) {
-		if ghi-glo < w {
-			return
-		}
-		x := clamp(targetX, glo, ghi-w)
-		x = snap(x, rs.core.Lo.X, rs.siteW)
-		if x < glo {
-			x += rs.siteW
-		}
-		if x+w > ghi {
-			return
-		}
-		if !found || abs64(x-targetX) < abs64(best-targetX) {
-			best, found = x, true
-		}
-	}
-	prev := lo
-	for _, sp := range rs.occ[r] {
-		if sp.lo > prev {
-			tryGap(prev, sp.lo)
-		}
-		if sp.hi > prev {
-			prev = sp.hi
-		}
-	}
-	if hi > prev {
-		tryGap(prev, hi)
-	}
-	return best, found
 }
 
 func clamp(v, lo, hi int64) int64 {
@@ -345,21 +206,24 @@ func placeOne(d *netlist.Design, rs *rowSpace, in *netlist.Inst, res *Result) {
 	homeRow := rs.rowOf(clamp(target.Y, rs.core.Lo.Y, rs.core.Hi.Y-rs.rowH))
 	bestCost := int64(-1)
 	var bestPos geom.Point
-	for dr := 0; dr < len(rs.occ); dr++ {
+	for dr := 0; dr < len(rs.rows); dr++ {
 		for _, r := range []int{homeRow - dr, homeRow + dr} {
-			if r < 0 || r >= len(rs.occ) || (dr == 0 && r != homeRow) {
+			if r < 0 || r >= len(rs.rows) || (dr == 0 && r != homeRow) {
 				continue
 			}
 			rowCost := abs64(rs.rowY(r) - target.Y)
 			if bestCost >= 0 && rowCost > bestCost {
 				continue
 			}
-			if x, ok := rs.bestInRow(r, target.X, w); ok {
-				cost := rowCost + abs64(x-target.X)
-				if bestCost < 0 || cost < bestCost {
-					bestCost = cost
-					bestPos = geom.Point{X: x, Y: rs.rowY(r)}
-				}
+			// Only a strictly closer slot can win, so the row search
+			// may give up at the remaining budget.
+			limit := int64(-1)
+			if bestCost >= 0 {
+				limit = bestCost - rowCost
+			}
+			if x, ok := rs.bestInRow(r, target.X, w, limit); ok {
+				bestCost = rowCost + abs64(x-target.X)
+				bestPos = geom.Point{X: x, Y: rs.rowY(r)}
 			}
 			if dr == 0 {
 				break

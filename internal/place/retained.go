@@ -46,7 +46,6 @@ func obstacle(in *netlist.Inst) bool {
 // edit record since the last Sync is incomplete.
 func (l *Legalizer) Rebuild() {
 	rs := newRowSpace(l.d)
-	rs.raw = true
 	l.rs = rs
 	l.blocked = make(map[netlist.InstID]geom.Rect, len(l.blocked))
 	l.d.Insts(func(in *netlist.Inst) {

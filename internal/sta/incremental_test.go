@@ -151,6 +151,31 @@ func TestTimingSpecChangeForcesRebuild(t *testing.T) {
 	sameResults(t, got, want)
 }
 
+func TestClockModeFlipForcesRebuild(t *testing.T) {
+	d, _, _ := pipeline(t)
+	e := New(d)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, ideal := range []bool{true, false} {
+		e.SetIdealClocks(ideal)
+		got, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := e.Stats(); s.FullBuilds != i+2 || s.IncrementalRuns != 0 {
+			t.Fatalf("ideal=%v: stats = %+v, want the mode flip to force a rebuild", ideal, s)
+		}
+		fresh := New(d)
+		fresh.SetIdealClocks(ideal)
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want)
+	}
+}
+
 func TestClockGateChainArrivals(t *testing.T) {
 	d, r1, r2 := pipeline(t)
 	// clkport → cb → (mid net) → gate → clk: a two-stage clock chain.

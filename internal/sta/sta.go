@@ -179,7 +179,8 @@ var _ engine.Retained = (*Engine)(nil)
 const negInf = math.MaxFloat64 * -1
 
 // Run performs a timing analysis of the design's current state. The first
-// run (and any run after a structural or untracked edit) builds the full
+// run (and any run after a structural or untracked edit, or a
+// SetIdealClocks flip, which re-seeds every register) builds the full
 // graph; runs after parametric edits re-propagate only the affected cone.
 // Either way the returned snapshot is bit-identical to a from-scratch
 // analysis.
@@ -188,7 +189,8 @@ func (e *Engine) Run() (*Results, error) {
 	structural := !e.valid ||
 		d.StructuralEpoch() > e.cursor ||
 		d.PinSpace() != e.g.nPins ||
-		d.Timing != e.timingSnap
+		d.Timing != e.timingSnap ||
+		e.ideal != e.idealSnap
 	var touched []netlist.InstID
 	if !structural {
 		var complete bool
