@@ -4,8 +4,9 @@
 #   make race       # vet + race-detector test sweep (the CI gate)
 #   make lint       # gofmt + vet static checks (the CI lint gate)
 #   make bench-smoke # one iteration of every kernel benchmark in every package (CI: catches bit-rot)
-#   make serve-smoke # composition-server load harness (determinism + zero rebuilds)
+#   make serve-smoke # composition-server load harness (determinism + zero rebuilds) under -race
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
+#   make eco-seeds  # ECO harness at the benchmark's settings on the stream seeds that once rebuilt
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
@@ -15,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint bench-smoke bench-module examples-smoke cli-smoke serve-smoke eco-smoke scale-smoke golden fuzz
+.PHONY: all build test race lint bench-smoke bench-module examples-smoke cli-smoke serve-smoke eco-smoke eco-seeds scale-smoke golden fuzz
 
 all: build test
 
@@ -83,9 +84,10 @@ cli-smoke:
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every
 # stream checked byte-for-byte against a local replay oracle, zero
-# retained-engine rebuilds allowed in the steady-state window.
+# retained-engine rebuilds allowed in the steady-state window. -race so
+# the writer/reader locking is exercised under the detector.
 serve-smoke:
-	$(GO) run ./cmd/mbrserved -selftest -sessions 2 -batches 20
+	$(GO) run -race ./cmd/mbrserved -selftest -sessions 2 -batches 20
 
 # The ECO-replay profile of the same harness: logic edits interleaved with
 # bank (merge edits), debank (split edits), compose and slack-driven
@@ -94,6 +96,22 @@ serve-smoke:
 # rebuilds — and -race exercises the session locking around the passes.
 eco-smoke:
 	$(GO) run -race ./cmd/mbrserved -selftest -eco
+
+# The ECO harness with the benchmark's serve_eco settings (D1@20, 150
+# batches, 2 sessions, 1 worker, no readers) on the stream seeds that once
+# paid steady-state rebuilds, when measures still updated the
+# compatibility graph. Built once, run without -race (~8 s a seed); any
+# rebuild or oracle mismatch exits non-zero.
+ECO_SEEDS = 3 7 10 12 24 29 30 33 40
+
+eco-seeds:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin" ./cmd/mbrserved; \
+	for s in $(ECO_SEEDS); do \
+		echo "eco-seeds: seed $$s"; \
+		"$$bin/mbrserved" -selftest -eco -profile D1 -scale 20 -batches 150 \
+			-sessions 2 -workers 1 -readers 0 -seed $$s > /dev/null; \
+	done
 
 # End-to-end scale run: Table 1 at Scale 5 (a fifth of the paper's cell
 # counts), i.e. the full paper flow (generate, STA, compat, compose, CTS,

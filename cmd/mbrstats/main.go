@@ -233,7 +233,6 @@ func main() {
 	}
 
 	cg := compatgraph.New(d, plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	cg.SetTimingFeed(eng)
 	g := cg.Update(res)
 	st := g.Stats()
 	components := len(partition.ConnectedComponents(len(g.Regs), g.Adj))
@@ -429,8 +428,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 				cs.LastPairsTested, cs.LastEdgesRetested,
 				cs.LastRejectsByTest[0], cs.LastRejectsByTest[1],
 				cs.LastRejectsByTest[2], cs.LastRejectsByTest[3])
-			fmt.Printf("  phases: node %s (%d visited, %.2f ms), edges %.2f ms\n",
-				cs.LastNodePhase, cs.LastNodesVisited,
+			fmt.Printf("  phases: node %.2f ms, edges %.2f ms\n",
 				float64(cs.LastNodePhaseNS)/1e6, float64(cs.LastEdgePhaseNS)/1e6)
 		}
 		opts := core.DefaultOptions()

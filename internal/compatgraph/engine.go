@@ -1,10 +1,10 @@
 // Package compatgraph retains the register compatibility graph (§2) across
-// flow passes and maintains it by delta instead of rebuild. The engine keeps
-// the current node set (live composable registers with their cached RegInfo
-// and static signatures) and the adjacency with a per-edge test mask. After
-// each pass it consumes the netlist epoch log plus the fresh STA results to
-// remove merged/deleted nodes, insert new MBR nodes, and re-test only pairs
-// with at least one changed endpoint.
+// composition passes and maintains it by delta instead of rebuild. The
+// engine keeps the current node set (live composable registers with their
+// cached RegInfo and static signatures) and the adjacency with a per-edge
+// test mask. Each Update recomputes the node set from the design and the
+// fresh STA results, then removes merged/deleted nodes, inserts new MBR
+// nodes, and re-tests only pairs with at least one changed endpoint.
 //
 // One edge sweep serves every Update. Only registers with equal
 // compat.FuncKey can pass the functional test, and only overlapping move
@@ -15,21 +15,15 @@
 // is the same sweep against an empty graph with every node dirty. The
 // dense all-pairs compat.Build is the correctness oracle.
 //
-// Exactness strategy: a node's cached data (slacks, feasible region, clock
-// position, signature) is a pure function of that register's own pins'
-// slacks, its own geometry and attributes, and the positions and electrical
-// parameters of the other instances on its D/Q data nets. With a timing
-// feed attached (SetTimingFeed), the node phase recomputes only the
-// registers named dirty by those dependencies — the STA engine's
-// changed-slack ring for the timing inputs, the netlist touched ring plus a
-// one-hop data-net closure for the geometric ones — and value-compares
-// against the cache, so the maintained node set is exactly what a linear
-// recompute would produce. Without a feed (or when either ring overflowed)
-// the node phase falls back to the PR-3 linear sweep over every register,
-// which remains the oracle. In the edge phase pairs are re-tested only when
-// an endpoint's data differs from the cache (every pair in a rebuild), so
-// the maintained graph is exactly the graph Build would produce at every
-// step.
+// Exactness strategy: the node phase is one linear sweep over every live
+// register. It recomputes each register's eligibility, RegInfo (slacks,
+// feasible region, clock position) and static signature exactly as Build
+// does, and value-compares them against the cache. A node is dirty when
+// any of them differs. In the edge phase pairs are re-tested only when an
+// endpoint is dirty (every pair in a rebuild), so the maintained graph is
+// exactly the graph Build would produce at every step. The flow calls
+// Update only at composition sites, under ideal clocks (the paper analyzes
+// compatibility before CTS).
 package compatgraph
 
 import (
@@ -48,11 +42,9 @@ import (
 	"repro/internal/sta"
 )
 
-// TimingFeed is the dirty-node feed the node phase consumes: the STA
-// engine's changed-slack register ring (sta.Engine satisfies it). The
-// Results passed to Update must come from the feed's most recent Run;
-// RegsWithChangedSlack must report every register whose D/Q pin slacks
-// changed in runs after the cursor, or incomplete.
+// TimingFeed is the STA engine's changed-slack register feed (sta.Engine
+// satisfies it). The engine does not read it; it is the parameter type of
+// the no-op SetTimingFeed.
 type TimingFeed interface {
 	SlackSeq() uint64
 	RegsWithChangedSlack(cursor uint64) ([]netlist.InstID, bool)
@@ -104,10 +96,6 @@ type Stats struct {
 	// maintenance) must never show up here.
 	TouchedOverflows int
 
-	// NodeDeltas counts updates whose node phase recomputed only the
-	// dirty-candidate registers (vs the linear sweep over all of them).
-	NodeDeltas int
-
 	LastKind          UpdateKind
 	LastNodes         int
 	LastEdges         int
@@ -121,11 +109,6 @@ type Stats struct {
 	// same-key pairs whose regions share a grid cell are evaluated, so the
 	// functional count is always 0.
 	LastRejectsByTest [4]int
-	// LastNodePhase is "delta" or "linear" for the last Update's node
-	// phase; LastNodesVisited counts the registers whose eligibility,
-	// info and signature it actually recomputed.
-	LastNodePhase    string
-	LastNodesVisited int
 
 	// Per-phase wall time, accumulated and for the last Update. Excluded
 	// from determinism comparisons (wall time is not reproducible).
@@ -156,22 +139,16 @@ type Engine struct {
 	timingSnap netlist.TimingSpec
 	allowCross bool
 
-	// Dirty-node feed for the delta node phase (nil = always linear).
-	feed       TimingFeed
-	feedCursor uint64
-
 	nodes    map[netlist.InstID]*node
 	excluded map[netlist.InstID]compat.NotComposableReason
 
 	graph *compat.Graph // last materialized graph
 	// order is the node set in ascending instance-ID order (the Build
-	// order); infosArr/sigsArr/ordOf are kept aligned with it so the delta
-	// node phase can patch dirty slots instead of re-deriving every node.
-	order    []netlist.InstID
-	infosArr []*compat.RegInfo
-	sigsArr  []compat.StaticSig
-	ordOf    map[netlist.InstID]int
-	stats    Stats
+	// order); infos is aligned with it and ordOf is its inverse.
+	order []netlist.InstID
+	infos []*compat.RegInfo
+	ordOf map[netlist.InstID]int
+	stats Stats
 }
 
 // New creates an engine over a design and scan plan (plan may be nil). The
@@ -186,18 +163,10 @@ func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
 // Invalidate forces the next Update to be a rebuild.
 func (e *Engine) Invalidate() { e.valid = false }
 
-// SetTimingFeed attaches the dirty-node feed that lets the node phase run
-// by delta. After this call, every Update's res argument must be the
-// snapshot of the feed engine's most recent Run; with no feed (the
-// default) the node phase is recomputed linearly every Update.
-func (e *Engine) SetTimingFeed(f TimingFeed) {
-	e.feed = f
-	if f != nil {
-		// Anything before this point was never observed through the feed.
-		e.feedCursor = 0
-		e.valid = false
-	}
-}
+// SetTimingFeed is a no-op: the node phase is one linear sweep that needs
+// no dirty-register feed. It stays until benchmark/measure.go stops
+// calling it.
+func (e *Engine) SetTimingFeed(TimingFeed) {}
 
 // SetWorkers bounds the fan-out of pairwise re-tests (engine.Retained
 // convention: results identical for any value, 1 forces sequential).
@@ -250,10 +219,7 @@ type nodeState struct {
 	added           int
 	removedIDs      []netlist.InstID
 
-	// excluded is the full fresh exclusion map on the linear path; nil on
-	// the delta path, which patches e.excluded in place.
 	excluded map[netlist.InstID]compat.NotComposableReason
-	visited  int // registers whose eligibility/info/sig were recomputed
 }
 
 // Update brings the retained graph up to date with the design and the given
@@ -265,7 +231,7 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	opts := e.compatOpts()
 	allowCross := e.plan == nil || e.plan.AllowCrossChain
 
-	touched, complete := d.TouchedSince(e.cursor)
+	_, complete := d.TouchedSince(e.cursor)
 	kind := KindDelta
 	switch {
 	case !e.valid:
@@ -276,20 +242,8 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 		kind = KindTimingChanged
 	}
 
-	// Node phase: by delta over the dirty candidates when the feeds allow
-	// it, else the linear sweep over every register (fallback and oracle).
 	nodeStart := time.Now()
-	nodePhase := "linear"
-	var ns nodeState
-	if kind == KindDelta && e.feed != nil {
-		if slackRegs, ok := e.feed.RegsWithChangedSlack(e.feedCursor); ok {
-			nodePhase = "delta"
-			ns = e.nodePhaseDelta(res, opts, touched, slackRegs)
-		}
-	}
-	if nodePhase == "linear" {
-		ns = e.nodePhaseLinear(res, opts)
-	}
+	ns := e.nodePhase(res, opts)
 	nodeNS := time.Since(nodeStart).Nanoseconds()
 
 	removed := len(ns.removedIDs)
@@ -304,11 +258,6 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	if kind == KindOverflow {
 		st.TouchedOverflows++
 	}
-	if nodePhase == "delta" {
-		st.NodeDeltas++
-	}
-	st.LastNodePhase = nodePhase
-	st.LastNodesVisited = ns.visited
 	st.LastNodesAdded = ns.added
 	st.LastNodesRemoved = removed
 	st.LastNodesDirty = len(ns.dirtyOrd)
@@ -329,17 +278,12 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	e.sweep(opts, allowCross, &ns)
 	edgeNS := time.Since(edgeStart).Nanoseconds()
 
-	if ns.excluded != nil {
-		e.excluded = ns.excluded
-	}
-	e.setOrder(ns.order, ns.infos, ns.sigs)
+	e.excluded = ns.excluded
+	e.setOrder(ns.order, ns.infos)
 	e.valid = true
 	e.cursor = d.Epoch()
 	e.timingSnap = d.Timing
 	e.allowCross = allowCross
-	if e.feed != nil {
-		e.feedCursor = e.feed.SlackSeq()
-	}
 	e.graph = e.materialize(opts)
 	st.LastNodes = len(ns.order)
 	st.LastEdges = e.graph.NumEdges()
@@ -349,9 +293,9 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	return e.graph
 }
 
-// setOrder installs the node ordering and its aligned data arrays,
-// rebuilding the ordinal index only when the ordering actually changed.
-func (e *Engine) setOrder(order []netlist.InstID, infos []*compat.RegInfo, sigs []compat.StaticSig) {
+// setOrder installs the node ordering and its aligned infos, rebuilding
+// the ordinal index only when the ordering actually changed.
+func (e *Engine) setOrder(order []netlist.InstID, infos []*compat.RegInfo) {
 	same := e.ordOf != nil && len(order) == len(e.order)
 	if same {
 		for i, id := range order {
@@ -361,7 +305,7 @@ func (e *Engine) setOrder(order []netlist.InstID, infos []*compat.RegInfo, sigs 
 			}
 		}
 	}
-	e.order, e.infosArr, e.sigsArr = order, infos, sigs
+	e.order, e.infos = order, infos
 	if same {
 		return
 	}
@@ -371,10 +315,9 @@ func (e *Engine) setOrder(order []netlist.InstID, infos []*compat.RegInfo, sigs 
 	}
 }
 
-// nodePhaseLinear recomputes every live register's eligibility, info and
-// signature and diffs them against the retained cache — the PR-3 exactness
-// anchor, now the fallback path and the delta node phase's oracle.
-func (e *Engine) nodePhaseLinear(res *sta.Results, opts compat.Options) nodeState {
+// nodePhase recomputes every live register's eligibility, info and
+// signature and diffs them against the retained cache.
+func (e *Engine) nodePhase(res *sta.Results, opts compat.Options) nodeState {
 	d := e.d
 	regs := d.Registers()
 	ns := nodeState{
@@ -382,7 +325,6 @@ func (e *Engine) nodePhaseLinear(res *sta.Results, opts compat.Options) nodeStat
 		infos:    make([]*compat.RegInfo, 0, len(regs)),
 		sigs:     make([]compat.StaticSig, 0, len(regs)),
 		excluded: make(map[netlist.InstID]compat.NotComposableReason),
-		visited:  len(regs),
 	}
 	for _, in := range regs {
 		if reason, bad := compat.Exclusion(d, in); bad {
@@ -414,170 +356,6 @@ func (e *Engine) nodePhaseLinear(res *sta.Results, opts compat.Options) nodeStat
 		if !seen[id] {
 			ns.removedIDs = append(ns.removedIDs, id)
 		}
-	}
-	return ns
-}
-
-// nodePhaseDelta recomputes only the dirty-candidate registers: those whose
-// slacks the STA feed re-propagated, plus the touched instances and their
-// one-hop data-net closure (a register's region is bounded by the positions
-// and drive strengths of the other instances on its D/Q nets; membership
-// changes are force-touched by the netlist itself — see noteNetMembers).
-// Every other node's cached data is proven unchanged by that dependency
-// argument, so the result equals nodePhaseLinear's.
-func (e *Engine) nodePhaseDelta(res *sta.Results, opts compat.Options,
-	touched, slackRegs []netlist.InstID) nodeState {
-
-	d := e.d
-	cand := make(map[netlist.InstID]bool, len(touched)+len(slackRegs))
-	for _, id := range slackRegs {
-		cand[id] = true
-	}
-	// A register's RegInfo reads only the nets of its own D/Q pins
-	// (FeasibleRegion), so a touched instance X dirties exactly the
-	// registers attached via a PinData/PinOut pin to one of X's nets —
-	// the same filter noteNetMembers applies. Registers on X's nets via
-	// scan/reset/enable pins are unaffected: broadcast control nets would
-	// otherwise pull the whole design into the candidate set.
-	addMember := func(pid netlist.PinID) {
-		p := d.Pin(pid)
-		if p.Kind != netlist.PinData && p.Kind != netlist.PinOut {
-			return
-		}
-		if in := d.Inst(p.Inst); in != nil && in.Kind == netlist.KindReg {
-			cand[p.Inst] = true
-		}
-	}
-	for _, id := range touched {
-		cand[id] = true
-		in := d.Inst(id)
-		if in == nil {
-			continue // removed; its former neighbors were force-touched
-		}
-		for _, pid := range in.Pins {
-			p := d.Pin(pid)
-			if p.Net == netlist.NoID {
-				continue
-			}
-			nt := d.Net(p.Net)
-			if nt == nil || nt.IsClock {
-				continue // clock topology never feeds node data (root-resolved)
-			}
-			if nt.Driver != netlist.NoID {
-				addMember(nt.Driver)
-			}
-			for _, s := range nt.Sinks {
-				addMember(s)
-			}
-		}
-	}
-
-	// Classify each candidate against the cache. e.excluded is patched in
-	// place; membership changes are collected for the splice below.
-	type fresh struct {
-		info *compat.RegInfo
-		sig  compat.StaticSig
-	}
-	news := make(map[netlist.InstID]fresh)
-	var ns nodeState
-	removedSet := make(map[netlist.InstID]bool)
-	var addedIDs []netlist.InstID
-	dirtySet := make(map[netlist.InstID]bool)
-	for id := range cand {
-		in := d.Inst(id)
-		_, wasNode := e.nodes[id]
-		if in == nil || in.Kind != netlist.KindReg {
-			if wasNode {
-				removedSet[id] = true
-				ns.removedIDs = append(ns.removedIDs, id)
-			}
-			delete(e.excluded, id)
-			continue
-		}
-		ns.visited++
-		if reason, bad := compat.Exclusion(d, in); bad {
-			if wasNode {
-				removedSet[id] = true
-				ns.removedIDs = append(ns.removedIDs, id)
-			}
-			e.excluded[id] = reason
-			continue
-		}
-		delete(e.excluded, id)
-		info := compat.NewRegInfo(d, res, in, opts)
-		sig := compat.SigOf(d, e.plan, in)
-		if !wasNode {
-			ns.added++
-			addedIDs = append(addedIDs, id)
-			news[id] = fresh{info, sig}
-			dirtySet[id] = true
-			continue
-		}
-		old := e.nodes[id]
-		if old.sig == sig && *old.info == *info {
-			continue // clean: every test input unchanged
-		}
-		news[id] = fresh{info, sig}
-		dirtySet[id] = true
-	}
-
-	// Assemble the new ordering and aligned arrays, tracking the dirty
-	// ordinals as we go. With unchanged membership the retained arrays are
-	// patched in place — O(dirty) via the retained ordinal index — and
-	// otherwise the surviving slots and the (sorted) additions are
-	// merge-spliced in one linear pass.
-	if len(removedSet) == 0 && len(addedIDs) == 0 {
-		ns.order = e.order
-		ns.infos = e.infosArr
-		ns.sigs = e.sigsArr
-		for id := range dirtySet {
-			ns.dirtyOrd = append(ns.dirtyOrd, e.ordOf[id])
-		}
-	} else {
-		sort.Slice(addedIDs, func(a, b int) bool { return addedIDs[a] < addedIDs[b] })
-		n := len(e.order) - len(removedSet) + len(addedIDs)
-		ns.order = make([]netlist.InstID, 0, n)
-		ns.infos = make([]*compat.RegInfo, 0, n)
-		ns.sigs = make([]compat.StaticSig, 0, n)
-		ai := 0
-		appendOne := func(id netlist.InstID, info *compat.RegInfo, sig compat.StaticSig) {
-			if dirtySet[id] {
-				ns.dirtyOrd = append(ns.dirtyOrd, len(ns.order))
-			}
-			ns.order = append(ns.order, id)
-			ns.infos = append(ns.infos, info)
-			ns.sigs = append(ns.sigs, sig)
-		}
-		appendAdded := func(limit netlist.InstID, all bool) {
-			for ai < len(addedIDs) && (all || addedIDs[ai] < limit) {
-				id := addedIDs[ai]
-				f := news[id]
-				appendOne(id, f.info, f.sig)
-				ai++
-			}
-		}
-		for i, id := range e.order {
-			if removedSet[id] {
-				continue
-			}
-			appendAdded(id, false)
-			appendOne(id, e.infosArr[i], e.sigsArr[i])
-		}
-		appendAdded(0, true)
-	}
-	sort.Ints(ns.dirtyOrd)
-
-	// Patch dirty slots and derive the ordinal-indexed dirty views.
-	ns.isDirty = make([]bool, len(ns.order))
-	ns.sDirty = make([]bool, len(ns.order))
-	for _, i := range ns.dirtyOrd {
-		id := ns.order[i]
-		f := news[id]
-		old, wasNode := e.nodes[id]
-		ns.infos[i] = f.info
-		ns.sigs[i] = f.sig
-		ns.isDirty[i] = true
-		ns.sDirty[i] = !wasNode || old.sig != f.sig
 	}
 	return ns
 }
@@ -777,7 +555,7 @@ func (e *Engine) materialize(opts compat.Options) *compat.Graph {
 	n := len(e.order)
 	ordOf := e.ordOf
 	regs := make([]*compat.RegInfo, n)
-	copy(regs, e.infosArr)
+	copy(regs, e.infos)
 	total := 0
 	for _, id := range e.order {
 		total += len(e.nodes[id].nbr)

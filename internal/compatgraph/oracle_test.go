@@ -155,7 +155,6 @@ func TestDeltaEqualsBuildOracle(t *testing.T) {
 				eng := sta.New(d)
 				eng.SetIdealClocks(true)
 				cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: workers})
-				cg.SetTimingFeed(eng)
 				rng := rand.New(rand.NewSource(int64(len(profile)*1000 + workers)))
 
 				for round := 0; round < 8; round++ {
@@ -165,17 +164,14 @@ func TestDeltaEqualsBuildOracle(t *testing.T) {
 					}
 					got := cg.Update(res)
 					want := compat.Build(d, res, b.Plan, compat.DefaultOptions())
-					ctx := fmt.Sprintf("%s w%d round %d (%s/%s)",
-						profile, workers, round, cg.Stats().LastKind, cg.Stats().LastNodePhase)
+					ctx := fmt.Sprintf("%s w%d round %d (%s)",
+						profile, workers, round, cg.Stats().LastKind)
 					requireGraphsEqual(t, ctx, got, want)
 					mutate(t, b, eng, rng, round)
 				}
 				st := cg.Stats()
 				if st.Deltas == 0 {
 					t.Fatalf("no update took the delta path: %+v", st)
-				}
-				if st.NodeDeltas == 0 {
-					t.Fatalf("no update took the delta node phase: %+v", st)
 				}
 			})
 		}
@@ -195,7 +191,6 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		eng := sta.New(d)
 		eng.SetIdealClocks(true)
 		cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: workers})
-		cg.SetTimingFeed(eng)
 		rng := rand.New(rand.NewSource(99))
 		var out []snap
 		for round := 0; round < 6; round++ {
@@ -227,17 +222,16 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestNodePhaseDeltaVisitsOnlyDirty pins the O(touched) claim: after a
-// single-register edit, the delta node phase must engage and must examine
-// far fewer candidates than the design has registers, while still matching
-// the oracle exactly.
-func TestNodePhaseDeltaVisitsOnlyDirty(t *testing.T) {
+// TestSingleMoveDeltaRetestsOnlyDirty pins the edge phase's O(dirty)
+// claim: after a single-register edit, the update must stay a delta and
+// mark far fewer nodes dirty than the design has registers, while still
+// matching the oracle exactly.
+func TestSingleMoveDeltaRetestsOnlyDirty(t *testing.T) {
 	b := genProfile(t, "D2")
 	d := b.Design
 	eng := sta.New(d)
 	eng.SetIdealClocks(true)
 	cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	cg.SetTimingFeed(eng)
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -263,16 +257,16 @@ func TestNodePhaseDeltaVisitsOnlyDirty(t *testing.T) {
 	}
 	got := cg.Update(res)
 	st := cg.Stats()
-	if st.LastNodePhase != "delta" {
-		t.Fatalf("expected delta node phase, got %q (kind %s)", st.LastNodePhase, st.LastKind)
+	if st.LastKind != compatgraph.KindDelta {
+		t.Fatalf("expected a delta update, got %q", st.LastKind)
 	}
 	// One move dirties the register, its data-net neighbours, and the
 	// registers whose slack the STA cone sweep changed — a local set. Half
 	// the register count is a generous ceiling that still rules out a
-	// linear node phase.
-	if st.LastNodesVisited >= nRegs/2 {
-		t.Fatalf("delta node phase visited %d of %d registers — not O(touched)",
-			st.LastNodesVisited, nRegs)
+	// re-test of every node.
+	if st.LastNodesDirty >= nRegs/2 {
+		t.Fatalf("delta marked %d of %d registers dirty — not O(touched)",
+			st.LastNodesDirty, nRegs)
 	}
 	requireGraphsEqual(t, "single-move delta", got,
 		compat.Build(d, res, b.Plan, compat.DefaultOptions()))
@@ -333,7 +327,6 @@ func TestRebuildEqualsBuildAtScale(t *testing.T) {
 		eng := sta.New(d)
 		eng.SetIdealClocks(true)
 		cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: 2})
-		cg.SetTimingFeed(eng)
 		rng := rand.New(rand.NewSource(int64(len(profile))))
 		for round := 0; round < 2; round++ {
 			if round > 0 {

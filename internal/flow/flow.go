@@ -58,9 +58,9 @@ type CompatConfig struct {
 	// MaxDeltaFrac is the changed-node fraction above which the retained
 	// engine's Update is a rebuild: it discards the retained edge masks
 	// and re-tests every candidate pair, and counts in Stats.Rebuilds
-	// (0 = the engine default, 0.25). Interactive sessions that must show
-	// zero steady-state rebuilds raise it to stay on the delta path
-	// through larger ripples.
+	// (0 = the engine default, 0.25). The engine updates only at compose
+	// sites, so nothing in the repository but the benchmark's session sets
+	// it.
 	MaxDeltaFrac float64
 }
 
@@ -238,9 +238,6 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 	e.rt.SetWorkers(cfg.Workers)
 	e.comp.SetWorkers(cfg.Workers)
 	e.cts.SetWorkers(cfg.Workers)
-	// The compat node phase consumes the STA engine's changed-slack feed;
-	// every cg.Update in the flow passes that engine's latest snapshot.
-	e.cg.SetTimingFeed(e.sta)
 	return e
 }
 
@@ -285,7 +282,7 @@ func (s *Session) runFlow() (*Report, error) {
 	// ---- Base measurement: the trees were attached by NewSession and
 	// stay attached for the rest of the run; composition edits are folded
 	// in by delta updates. ----
-	base, err := measure(d, engs, cfg)
+	base, err := measure(engs)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +357,7 @@ func (s *Session) runFlow() (*Report, error) {
 	if err := engs.cts.Canonicalize(); err != nil {
 		return nil, fmt.Errorf("flow: final CTS: %w", err)
 	}
-	rep.Ours, err = measure(d, engs, cfg)
+	rep.Ours, err = measure(engs)
 	if err != nil {
 		return nil, err
 	}
@@ -375,20 +372,21 @@ func (s *Session) runFlow() (*Report, error) {
 }
 
 // measure snapshots the Table 1 metrics of the design's current state. It
-// reads only retained layers — the STA engine, the compat engine, the CTS
-// engine's cached tree metrics, the design-aggregate tracker and the
-// congestion engine's maintained overflow count — so a measurement after k
-// edits costs O(k), not O(design): no stage walks the full design on the
-// delta path. Every retained value equals its batch oracle bit-for-bit
-// (cts.Metrics vs cts.Measure, metrics.Tracker vs the netlist walks,
-// route.Engine vs route.Estimate), which keeps reports byte-identical with
-// the former batch measurement.
-func measure(d *netlist.Design, engs *engines, cfg Config) (Metrics, error) {
+// reads only retained layers — the STA engine, the CTS engine's cached
+// tree metrics, the design-aggregate tracker and the congestion engine's
+// maintained overflow count — so a measurement after k edits costs O(k),
+// not O(design): no stage walks the full design on the delta path. It
+// reads no compat state: the composable-register count comes from the
+// tracker, and only compose sites update the compat engine. Every
+// retained value equals its batch oracle bit-for-bit (cts.Metrics vs
+// cts.Measure, metrics.Tracker vs the netlist walks, route.Engine vs
+// route.Estimate), which keeps reports byte-identical with the former
+// batch measurement.
+func measure(engs *engines) (Metrics, error) {
 	res, err := engs.sta.Run()
 	if err != nil {
 		return Metrics{}, err
 	}
-	g := engs.cg.Update(res)
 	cm := engs.cts.Metrics()
 	overflow := engs.rt.OverflowEdges()
 	dm := engs.met.Aggregates()
@@ -397,7 +395,7 @@ func measure(d *netlist.Design, engs *engines, cfg Config) (Metrics, error) {
 		AreaUM2:          float64(dm.AreaDBU2) / 1e6, // 1 DBU = 1 nm
 		Cells:            dm.Cells,
 		TotalRegs:        dm.Regs,
-		CompRegs:         len(g.Regs),
+		CompRegs:         dm.CompRegs,
 		ClkBufs:          cm.Buffers,
 		ClkCapPF:         cm.TotalCapFF / 1000,
 		TNSNS:            -res.TNS / 1000,

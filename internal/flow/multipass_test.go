@@ -6,19 +6,21 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compatgraph"
 	"repro/internal/core"
 )
 
-// runMultiPass opens a session on a D2 design at the given worker count,
-// measures it, runs three composition passes and measures again. It returns
-// the per-pass results, the canonical bytes of the passes and both
-// measures, and the session.
-func runMultiPass(t *testing.T, workers int) ([]*core.Result, string, *Session) {
+// runMultiPass opens a session on a D2 design at the given worker count
+// and touched-ring capacity (0 = the default), measures it, runs three
+// composition passes and measures again. It returns the per-pass results,
+// the canonical bytes of the passes and both measures, and the session.
+func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *Session) {
 	t.Helper()
 	b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.Design.SetTouchedLogCap(ringCap)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	s, err := NewSession(b.Design, b.Plan, cfg)
@@ -52,17 +54,18 @@ func runMultiPass(t *testing.T, workers int) ([]*core.Result, string, *Session) 
 }
 
 // TestMultiPassFlow exercises repeated composition through
-// Session.ComposePass: the retained compat engine serves every pass by
-// delta, later passes never increase the register count, and the measured
-// bytes stay identical across worker counts.
+// Session.ComposePass: the retained compat engine is updated once per pass
+// (never by a measure) and serves the later passes by delta, later passes
+// never increase the register count, and the measured bytes stay identical
+// across worker counts.
 func TestMultiPassFlow(t *testing.T) {
-	passes, want, s := runMultiPass(t, 1)
+	passes, want, s := runMultiPass(t, 1, 0)
 	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
 	}
 	st := s.engs.cg.Stats()
-	if st.Updates < 5 {
-		t.Fatalf("engine should have served every pass and measure: %+v", st)
+	if st.Updates != len(passes) {
+		t.Fatalf("engine should update once per compose pass (%d), got %+v", len(passes), st)
 	}
 	if st.Deltas == 0 {
 		t.Fatalf("multi-pass session never took the delta path: %+v", st)
@@ -79,7 +82,7 @@ func TestMultiPassFlow(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		if _, got, _ := runMultiPass(t, workers); got != want {
+		if _, got, _ := runMultiPass(t, workers, 0); got != want {
 			t.Fatalf("multi-pass session with Workers=%d differs from Workers=1:\n%s",
 				workers, firstDiff(want, got))
 		}
@@ -96,17 +99,10 @@ func TestReportCarriesEngineStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := rep.CompatStats
-	// Base measure, compose, final measure: at least three updates.
-	if st.Updates < 3 {
-		t.Fatalf("expected ≥3 engine updates, got %+v", st)
-	}
-	// Clock-tree maintenance runs in its own edit class now; its churn
-	// must never evict the flow-class touched log.
-	if st.TouchedOverflows != 0 {
-		t.Fatalf("CTS churn overflowed the flow touched ring: %+v", st)
-	}
-	if st.LastKind == "" {
-		t.Fatal("missing LastKind")
+	// The compose pass is the flow's only compat update; the base and
+	// final measures read none.
+	if st.Updates != 1 || st.LastKind != compatgraph.KindInitial {
+		t.Fatalf("expected exactly the compose pass's initial update, got %+v", st)
 	}
 	ct := rep.CTSStats
 	if ct.Attaches == 0 {
@@ -125,13 +121,16 @@ func TestReportCarriesEngineStats(t *testing.T) {
 	}
 }
 
-// TestFlowRingNeverOverflows is the edit-class-scoping regression test: the
-// flow — base CTS attach, a composition pass followed by a delta tree
-// update, and a final canonicalizing rebuild — must never overflow the
-// flow-class touched ring at the default capacity. Before scoping, the
-// clock-tree churn alone blew through the ring every pass. Shrinking the
-// ring with Design.SetTouchedLogCap must degrade the engines to their full
-// paths (overflows observed) without changing a byte of the report.
+// TestFlowRingNeverOverflows is the edit-class-scoping regression test:
+// composition passes, each followed by a delta tree update, with a base
+// CTS attach and a final canonicalizing rebuild around them, must never
+// overflow the flow-class touched ring at the default capacity. Before
+// scoping, the clock-tree churn alone blew through the ring every pass.
+// The compat engine observes the ring at compose sites, so the overflow
+// counts come from a multi-pass session. Shrinking the ring with
+// Design.SetTouchedLogCap must degrade the engines to their full paths
+// (overflows observed) without changing a byte of the report or of the
+// session's output.
 func TestFlowRingNeverOverflows(t *testing.T) {
 	run := func(cap int) *Report {
 		b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
@@ -146,17 +145,26 @@ func TestFlowRingNeverOverflows(t *testing.T) {
 		return rep
 	}
 	def := run(0)
-	if def.CompatStats.TouchedOverflows != 0 {
-		t.Fatalf("default-capacity flow overflowed the flow ring: %+v", def.CompatStats)
-	}
 	if def.CTSStats.Deltas == 0 {
 		t.Fatalf("flow never delta-maintained the trees: %+v", def.CTSStats)
 	}
-	tiny := run(16)
-	if tiny.CompatStats.TouchedOverflows == 0 {
-		t.Fatalf("16-entry ring should overflow under composition edits: %+v", tiny.CompatStats)
+	small := run(16)
+	if small.MetricsStats.FullRebuilds < 2 {
+		t.Fatalf("16-entry ring should overflow into a tracker rebuild: %+v", small.MetricsStats)
 	}
-	if a, b := def.Canonical(), tiny.Canonical(); a != b {
+	if a, b := def.Canonical(), small.Canonical(); a != b {
 		t.Fatalf("ring capacity changed the report:\n%s", firstDiff(a, b))
+	}
+
+	_, want, s := runMultiPass(t, 1, 0)
+	if st := s.engs.cg.Stats(); st.TouchedOverflows != 0 {
+		t.Fatalf("default-capacity passes overflowed the flow ring: %+v", st)
+	}
+	_, got, tiny := runMultiPass(t, 1, 16)
+	if st := tiny.engs.cg.Stats(); st.TouchedOverflows == 0 {
+		t.Fatalf("16-entry ring should overflow under composition edits: %+v", st)
+	}
+	if want != got {
+		t.Fatalf("ring capacity changed the multi-pass output:\n%s", firstDiff(want, got))
 	}
 }

@@ -100,7 +100,7 @@ func (s *Session) Measure() (Metrics, error) {
 	if err := s.engs.cts.Update(); err != nil {
 		return Metrics{}, fmt.Errorf("flow: CTS update: %w", err)
 	}
-	return measure(s.d, s.engs, s.cfg)
+	return measure(s.engs)
 }
 
 // ComposePass runs one incremental MBR composition pass over the retained

@@ -321,3 +321,47 @@ func TestRejectedSplitEditIsSideEffectFree(t *testing.T) {
 		t.Fatal("rejected split destroyed the MBR")
 	}
 }
+
+// TestMeasureNeverUpdatesCompat pins where the compat engine runs: only at
+// compose sites. Measures after parametric and merge edits leave its update
+// count at zero, and the composable-register count a measure reports (from
+// the design-aggregate tracker) equals the node count of the graph the next
+// compose pass builds.
+func TestMeasureNeverUpdatesCompat(t *testing.T) {
+	s, _ := sessionBench(t, DefaultConfig())
+	measure := func(ctx string, wantUpdates int) Metrics {
+		t.Helper()
+		m, err := s.Measure()
+		if err != nil {
+			t.Fatalf("%s: measure: %v", ctx, err)
+		}
+		if got := s.engs.cg.Stats().Updates; got != wantUpdates {
+			t.Fatalf("%s: compat updates %d, want %d", ctx, got, wantUpdates)
+		}
+		return m
+	}
+	measure("base", 0)
+	var r *netlist.Inst
+	s.Design().Insts(func(in *netlist.Inst) {
+		if r == nil && in.Kind == netlist.KindReg && !in.Fixed {
+			r = in
+		}
+	})
+	if _, err := s.Apply([]Edit{MoveTo(r.Name, r.Pos.X+500, r.Pos.Y), Skew(r.Name, 12)}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	measure("after move and skew", 0)
+	mergePair(t, s, "measure_mbr")
+	m := measure("after merge", 0)
+
+	if _, err := s.ComposePass(); err != nil {
+		t.Fatalf("compose: %v", err)
+	}
+	if got := s.engs.cg.Stats().Updates; got != 1 {
+		t.Fatalf("compose pass ran %d compat updates, want 1", got)
+	}
+	if n := len(s.engs.cg.Graph().Regs); n != m.CompRegs {
+		t.Fatalf("measure reported %d composable registers, the compose pass's graph has %d", m.CompRegs, n)
+	}
+	measure("after compose", 1)
+}

@@ -1,8 +1,9 @@
 // Package metrics maintains the flow's design-level report aggregates —
-// live cell and register counts, total placed area, and total signal-net
-// wirelength — incrementally across netlist edits, so a measurement point
-// costs O(touched) instead of the O(design) walks of the batch oracles
-// (netlist.NumInsts, Registers, TotalArea, Wirelength).
+// live cell, register and composable-register counts, total placed area,
+// and total signal-net wirelength — incrementally across netlist edits,
+// so a measurement point costs O(touched) instead of the O(design) walks
+// of the batch oracles (netlist.NumInsts, Registers, TotalArea,
+// Wirelength).
 //
 // The Tracker consumes the netlist's per-edit-class touched rings. Every
 // mutation notes the instance it touched, so the set of instances edited
@@ -12,7 +13,11 @@
 // on now) and re-measures only those, against a per-net HPWL cache. All
 // aggregates are integers, so incremental maintenance is exact — there is
 // no float accumulation order to preserve — and the batch oracles remain
-// the equality reference the tracker is tested against.
+// the equality reference the tracker is tested against. Composability
+// (compat.Exclusion) reads only the register itself: its fixed/size-only
+// flags, its clock pin's net, its cell class and width. Every edit to any
+// of those touches the register, so the touched rings keep that count
+// exact too.
 //
 // Fallbacks mirror the other retained engines: an overflowed flow ring
 // forces a full rebuild; an overflowed CTS ring only forces an
@@ -23,6 +28,7 @@
 package metrics
 
 import (
+	"repro/internal/compat"
 	"repro/internal/engine"
 	"repro/internal/netlist"
 )
@@ -33,6 +39,9 @@ type Aggregates struct {
 	Cells int
 	// Regs is the number of live registers (len(netlist.Registers())).
 	Regs int
+	// CompRegs is the number of live registers compat.Exclusion does not
+	// exclude: the node count of the compatibility graph.
+	CompRegs int
 	// AreaDBU2 is the total footprint area of live instances
 	// (netlist.TotalArea).
 	AreaDBU2 int64
@@ -67,6 +76,7 @@ type Stats struct {
 type instSnap struct {
 	live  bool
 	isReg bool
+	comp  bool // a register compat.Exclusion accepts
 	area  int64
 	// nets are the signal nets the instance's pins were connected to,
 	// deduplicated. They bound which per-net cache entries an edit to this
@@ -200,6 +210,9 @@ func (t *Tracker) syncInst(id netlist.InstID) {
 			if old.isReg {
 				t.agg.Regs--
 			}
+			if old.comp {
+				t.agg.CompRegs--
+			}
 		}
 	} else {
 		old = &instSnap{}
@@ -207,17 +220,31 @@ func (t *Tracker) syncInst(id netlist.InstID) {
 	}
 	in := t.d.Inst(id)
 	if in == nil {
-		old.live, old.isReg, old.area, old.nets = false, false, 0, old.nets[:0]
+		*old = instSnap{nets: old.nets[:0]}
 		return
 	}
-	old.live = true
-	old.isReg = in.Kind == netlist.KindReg
-	old.area = in.Area()
-	old.nets = t.signalNets(id, old.nets[:0])
+	t.snapInst(in, old)
+}
+
+// snapInst fills s from the live instance in and adds its contribution to
+// the instance-side aggregates. s.nets is reused as the net buffer.
+func (t *Tracker) snapInst(in *netlist.Inst, s *instSnap) {
+	s.live = true
+	s.isReg = in.Kind == netlist.KindReg
+	s.comp = false
+	if s.isReg {
+		_, excluded := compat.Exclusion(t.d, in)
+		s.comp = !excluded
+	}
+	s.area = in.Area()
+	s.nets = t.signalNets(in.ID, s.nets[:0])
 	t.agg.Cells++
-	t.agg.AreaDBU2 += old.area
-	if old.isReg {
+	t.agg.AreaDBU2 += s.area
+	if s.isReg {
 		t.agg.Regs++
+	}
+	if s.comp {
+		t.agg.CompRegs++
 	}
 }
 
@@ -239,21 +266,12 @@ func (t *Tracker) syncNet(id netlist.NetID) {
 // recountInsts rebuilds the instance-side state (snapshots and counts)
 // with one O(insts) walk, leaving the signal-net caches untouched.
 func (t *Tracker) recountInsts() {
-	t.agg.Cells, t.agg.Regs, t.agg.AreaDBU2 = 0, 0, 0
+	t.agg.Cells, t.agg.Regs, t.agg.CompRegs, t.agg.AreaDBU2 = 0, 0, 0, 0
 	t.snaps = map[netlist.InstID]*instSnap{}
 	t.d.Insts(func(in *netlist.Inst) {
-		s := &instSnap{
-			live:  true,
-			isReg: in.Kind == netlist.KindReg,
-			area:  in.Area(),
-		}
-		s.nets = t.signalNets(in.ID, nil)
+		s := &instSnap{}
+		t.snapInst(in, s)
 		t.snaps[in.ID] = s
-		t.agg.Cells++
-		t.agg.AreaDBU2 += s.area
-		if s.isReg {
-			t.agg.Regs++
-		}
 	})
 }
 

@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compat"
 	"repro/internal/cts"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
+	"repro/internal/sta"
 )
 
 var _ engine.Retained = (*metrics.Tracker)(nil)
@@ -48,9 +50,17 @@ func requireEqualsOracles(t *testing.T, ctx string, tr *metrics.Tracker, d *netl
 	t.Helper()
 	got := tr.Aggregates()
 	_, sig := d.Wirelength()
+	regs := d.Registers()
+	comp := 0
+	for _, in := range regs {
+		if _, excluded := compat.Exclusion(d, in); !excluded {
+			comp++
+		}
+	}
 	want := metrics.Aggregates{
 		Cells:       d.NumInsts(),
-		Regs:        len(d.Registers()),
+		Regs:        len(regs),
+		CompRegs:    comp,
 		AreaDBU2:    d.TotalArea(),
 		SignalWLDBU: sig,
 	}
@@ -110,6 +120,40 @@ func mutate(t *testing.T, d *netlist.Design, rng *rand.Rand, parked map[netlist.
 	}
 }
 
+// mutateComposability applies edits that move registers into or out of the
+// compatibility graph's node set without adding or removing a register:
+// fixed and size-only toggles, a clock-pin disconnect, and a one-register
+// merge into its class's maximum-width cell (ResizeRegister keeps the
+// width, so a merge is how a register reaches the maximum).
+func mutateComposability(t *testing.T, d *netlist.Design, rng *rand.Rand) {
+	t.Helper()
+	regs := d.Registers()
+	pick := func() *netlist.Inst { return regs[rng.Intn(len(regs))] }
+	in := pick()
+	d.SetFixed(in, !in.Fixed)
+	in = pick()
+	d.SetSizeOnly(in, !in.SizeOnly)
+	if cp := d.ClockPin(pick()); cp != nil {
+		d.Disconnect(cp)
+	}
+	for tries := 0; tries < 20; tries++ {
+		in := pick()
+		if in.Fixed || in.SizeOnly {
+			continue
+		}
+		class := in.RegCell.Class
+		widest := d.Lib.MaxWidth(class)
+		if in.RegCell.Bits >= widest {
+			continue
+		}
+		cell := d.Lib.CellsOfWidth(class, widest)[0]
+		if _, err := d.MergeRegisters([]*netlist.Inst{in}, cell, in.Name, in.Pos); err != nil {
+			t.Fatalf("merge to max width: %v", err)
+		}
+		return
+	}
+}
+
 // TestTrackerEqualsOracles runs randomized edit rounds on all five bench
 // profiles and requires the tracked aggregates to match the batch oracles
 // exactly after every round, with the delta path actually taken.
@@ -123,6 +167,9 @@ func TestTrackerEqualsOracles(t *testing.T) {
 			parked := map[netlist.PinID]netlist.NetID{}
 			for round := 0; round < 12; round++ {
 				mutate(t, d, rng, parked)
+				if round%2 == 1 {
+					mutateComposability(t, d, rng)
+				}
 				requireEqualsOracles(t, fmt.Sprintf("round %d", round), tr, d)
 			}
 			st := tr.Stats()
@@ -133,6 +180,30 @@ func TestTrackerEqualsOracles(t *testing.T) {
 				t.Fatalf("expected exactly the baseline rebuild, got %+v", st)
 			}
 		})
+	}
+}
+
+// TestTrackerCompRegsEqualsGraphNodes checks the tracked composable count
+// against the node count of a batch-built compatibility graph, after
+// edits that change composability.
+func TestTrackerCompRegsEqualsGraphNodes(t *testing.T) {
+	d := genProfile(t, "D1").Design
+	tr := metrics.New(d)
+	tr.Aggregates()
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 3; round++ {
+		mutateComposability(t, d, rng)
+	}
+	res, err := sta.New(d).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := compat.Build(d, res, nil, compat.DefaultOptions())
+	if got := tr.Aggregates().CompRegs; got != len(g.Regs) {
+		t.Fatalf("tracked CompRegs %d != compat.Build's %d nodes (stats %+v)", got, len(g.Regs), tr.Stats())
+	}
+	if st := tr.Stats(); st.Deltas == 0 {
+		t.Fatalf("composability edits never took the delta path: %+v", st)
 	}
 }
 
@@ -154,6 +225,7 @@ func TestTrackerCTSRingOverflowRecounts(t *testing.T) {
 	parked := map[netlist.PinID]netlist.NetID{}
 	for round := 0; round < 6; round++ {
 		mutate(t, d, rng, parked)
+		mutateComposability(t, d, rng)
 		if err := eng.Update(); err != nil {
 			t.Fatalf("cts update: %v", err)
 		}

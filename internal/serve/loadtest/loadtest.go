@@ -64,10 +64,8 @@ type Options struct {
 	// Seed roots the per-stream PRNGs.
 	Seed int64 `json:"seed"`
 	// PoolSize is how many registers each stream edits (its ECO
-	// neighborhood). Streams with small pools keep the changed-slack
-	// fraction under the compatibility-graph engine's delta threshold;
-	// spraying edits across the whole design would legitimately overflow
-	// to a rebuild. 0 = 10.
+	// neighborhood). Small pools keep each stream's edits, and with them
+	// the retained engines' dirty sets, local. 0 = 10.
 	PoolSize int `json:"poolSize,omitempty"`
 	// ComposeAtEnd runs one composition pass plus a final measurement per
 	// session after the steady-state window closes (parametric profile).
@@ -126,18 +124,13 @@ func DefaultECOOptions() Options {
 // harness session (and its local oracle replay) runs with. Without it a
 // single register move re-plans the domain tree and moves every buffer a
 // few DBU, shifting clock arrivals — and hence slacks — across the whole
-// domain: the compatibility-graph delta legitimately overflows to a
-// rebuild and the zero-rebuild guarantee is unachievable. Holding
-// membership-stable buffers put confines the ripple to the touched
-// clusters. 4000 DBU (~4µm) absorbs the drift a small edit pool produces
-// while still re-centering after genuine spatial shifts.
+// domain. Holding membership-stable buffers put confines the ripple, and
+// with it each measure's timing re-propagation, to the touched clusters.
+// 4000 DBU (~4µm) absorbs the drift a small edit pool produces while
+// still re-centering after genuine spatial shifts. The compatibility graph
+// runs the engine's default delta threshold: measures never update it,
+// and compose sites analyze under ideal clocks.
 const recenterThresholdDBU = 4000
-
-// compatMaxDeltaFrac raises the compatibility-graph delta threshold from
-// its batch-flow default of 0.25: a measure absorbing a double leaf
-// recluster legitimately carries ~25% changed nodes, right at the default,
-// and the harness's steady-state window allows zero rebuilds.
-const compatMaxDeltaFrac = 0.5
 
 // ecoDecomposeConfig is the decompose round every ECO stream issues: a
 // small budget of the worst-slack MBRs, with a threshold that admits any
@@ -152,7 +145,6 @@ func sessionConfig(o Options) serve.SessionConfig {
 	return serve.SessionConfig{
 		Workers:              o.Workers,
 		RecenterThresholdDBU: recenterThresholdDBU,
-		CompatMaxDeltaFrac:   compatMaxDeltaFrac,
 	}
 }
 
@@ -412,8 +404,8 @@ func referenceRegs(profile string, scale int) ([]reg, error) {
 	// Morton order: a contiguous window is a spatial neighborhood, so a
 	// stream's edits land on few clock-tree leaves. A move or resize
 	// changes its leaf buffer's load and with it every sibling sink's
-	// clock arrival; spatially scattered pools would dirty enough of the
-	// compatibility graph to legitimately force rebuilds.
+	// clock arrival; spatially scattered pools would spread that ripple
+	// over many leaves.
 	sort.Slice(regs, func(i, j int) bool {
 		mi, mj := morton(regs[i].pos), morton(regs[j].pos)
 		if mi != mj {
@@ -433,11 +425,10 @@ func referenceRegs(profile string, scale int) ([]reg, error) {
 // batch is skew-dominated with at most one move or resize: skews change a
 // single register's own slack, while a move/resize also re-loads its
 // clock-tree leaf and ripples arrivals across the sibling sinks, so the
-// move rate bounds the changed-slack set each measure must absorb on the
-// compatibility graph's delta path. Moves jitter a few hundred DBU around
-// the register's base position (small against cluster pitch, so leaf
-// membership stays stable), resizes walk the same-width drive alternates,
-// skews stay inside ±40ps.
+// move rate bounds the changed-slack set each measure must absorb. Moves
+// jitter a few hundred DBU around the register's base position (small
+// against cluster pitch, so leaf membership stays stable), resizes walk
+// the same-width drive alternates, skews stay inside ±40ps.
 func genStream(name string, regs []reg, o Options, idx int64) *stream {
 	rng := rand.New(rand.NewSource(o.Seed + 7919*idx))
 	pool := o.PoolSize

@@ -65,3 +65,31 @@ func TestECOSmoke(t *testing.T) {
 		t.Fatal("ECO stream ran no compose passes")
 	}
 }
+
+// TestECOStreamSevenNoSteadyRebuilds replays ECO stream seed 7 with the
+// benchmark's ECO settings (D1@20, 40 batches, one worker, no readers).
+// When measures still updated the compatibility graph under propagated
+// clocks, a clock-tree re-cluster rippled slack changes across the domain
+// and this stream paid a retained-engine rebuild in its steady state.
+func TestECOStreamSevenNoSteadyRebuilds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ECO stream regression is not a -short test")
+	}
+	o := DefaultECOOptions()
+	o.Scale = 20
+	o.Seed = 7
+	o.Batches = 40
+	o.Sessions = 2
+	o.Workers = 1
+	o.Readers = 0
+	res, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SteadyRebuilds != 0 {
+		t.Fatalf("steady-state rebuilds = %d, want 0", res.SteadyRebuilds)
+	}
+	if res.OracleStreams != o.Sessions {
+		t.Fatalf("oracle streams verified = %d, want %d", res.OracleStreams, o.Sessions)
+	}
+}

@@ -28,11 +28,12 @@ type SessionConfig struct {
 	// when set, which is fine here: session determinism is per op
 	// sequence, and snapshots replay the full journal.
 	RecenterThresholdDBU int64 `json:"recenterThresholdDBU,omitempty"`
-	// CompatMaxDeltaFrac raises the compatibility-graph engine's delta
+	// CompatMaxDeltaFrac sets the compatibility-graph engine's delta
 	// threshold (see flow.CompatConfig.MaxDeltaFrac): the changed-node
 	// fraction an update may carry on the delta path before it becomes a
 	// rebuild that discards the retained edge masks. 0 keeps the engine
-	// default (0.25).
+	// default (0.25). Kept for the benchmark's session; the load harness
+	// runs the default.
 	CompatMaxDeltaFrac float64 `json:"compatMaxDeltaFrac,omitempty"`
 }
 

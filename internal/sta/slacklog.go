@@ -6,8 +6,8 @@ import (
 
 // The slack log is the engine's outward-facing dirty-node feed: a bounded
 // ring of register instances whose D/Q pin slacks changed, stamped with the
-// run that changed them. Consumers that cache per-register timing data
-// (the compatibility-graph node phase) read the ring with a cursor instead
+// run that changed them. Consumers that track per-register timing (the
+// decompose pass's victim selection) read the ring with a cursor instead
 // of re-deriving every register's slacks after each run, mirroring the
 // netlist's touched-instance log. Incremental runs derive the entries from
 // the re-propagated cone (the slack-dirty worklist); full runs diff the new
