@@ -10,7 +10,7 @@
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
-#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check mbrserved's -scale guard (fails on a wrong exit code)
+#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check the -scale/-method/-bound guards (fails on a wrong exit code)
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
@@ -58,9 +58,10 @@ examples-smoke:
 # Nothing under cmd/ has a test. This builds the inspection, generation,
 # flow and serving CLIs, runs the first three on small profiles (benchgen
 # piped into mbrstats included) and fails on any wrong exit code: each run
-# must exit 0, and a -scale below 1 must be rejected with exit code 2 by
-# mbrstats and by mbrserved -selftest. pipefail makes a failing benchgen
-# fail the pipe.
+# must exit 0, and an invalid flag must be rejected with exit code 2: a
+# -scale below 1 by mbrstats and by mbrserved -selftest, and a -method
+# other than ilp/greedy or a -bound below 1 by mbrcompose. pipefail makes a
+# failing benchgen fail the pipe.
 cli-smoke: SHELL := /bin/bash
 cli-smoke: .SHELLFLAGS := -o pipefail -ec
 cli-smoke:
@@ -74,12 +75,16 @@ cli-smoke:
 	"$$bin/benchgen" -profile D2 | "$$bin/mbrstats" -design /dev/stdin > /dev/null; \
 	echo "cli: mbrcompose -profile D1"; \
 	"$$bin/mbrcompose" -profile D1 > /dev/null; \
-	echo "cli: mbrstats -profile D1 -scale 0 (must exit 2)"; \
-	rc=0; "$$bin/mbrstats" -profile D1 -scale 0 > /dev/null 2>&1 || rc=$$?; \
-	if [ "$$rc" -ne 2 ]; then echo "cli: -scale 0 exited $$rc, want 2"; exit 1; fi; \
-	echo "cli: mbrserved -selftest -scale 0 (must exit 2)"; \
-	rc=0; "$$bin/mbrserved" -selftest -scale 0 > /dev/null 2>&1 || rc=$$?; \
-	if [ "$$rc" -ne 2 ]; then echo "cli: mbrserved -scale 0 exited $$rc, want 2"; exit 1; fi
+	exit2() { \
+		echo "cli: $$* (must exit 2)"; \
+		rc=0; "$$bin/$$1" "$${@:2}" > /dev/null 2>&1 || rc=$$?; \
+		if [ "$$rc" -ne 2 ]; then echo "cli: $$* exited $$rc, want 2"; exit 1; fi; \
+	}; \
+	exit2 mbrstats -profile D1 -scale 0; \
+	exit2 mbrserved -selftest -scale 0; \
+	exit2 mbrcompose -profile D1 -method foo; \
+	exit2 mbrcompose -profile D1 -bound 0; \
+	exit2 mbrcompose -profile D1 -bound -3
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

@@ -47,6 +47,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-scale must be at least 1, got %d\n", *scale)
 		os.Exit(2)
 	}
+	if *method != "ilp" && *method != "greedy" {
+		fmt.Fprintf(os.Stderr, "-method must be ilp or greedy, got %q\n", *method)
+		os.Exit(2)
+	}
+	if *bound < 1 {
+		fmt.Fprintf(os.Stderr, "-bound must be at least 1, got %d\n", *bound)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {

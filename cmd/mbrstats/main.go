@@ -5,11 +5,10 @@
 // -passes N additionally runs N composition passes on the in-memory copy
 // and reports, per pass, what the retained incremental compatibility-graph
 // engine did (node/edge counts, connected components, delta-vs-rebuild
-// decision, edges re-tested), what the retained compose engine did
-// (subgraphs replayed from the solve memo vs solved fresh, truncated
-// subgraphs, branch & bound nodes saved), and what the retained clock-tree
-// engine did to fold the merges into its live trees (re-clustered leaves,
-// repaired ancestors, buffer churn, fallback reason).
+// decision, edges re-tested), what composition did (MBRs formed,
+// truncated subgraphs), and what the retained clock-tree engine did to fold
+// the merges into its live trees (re-clustered leaves, repaired ancestors,
+// buffer churn, fallback reason).
 //
 // -json emits the same report as one JSON document. Engine counters use the
 // wire package's encoding (internal/serve/wire), so they parse exactly like
@@ -341,8 +340,8 @@ func main() {
 }
 
 // passStats is one composition pass's retained-engine accounting: what the
-// compatibility-graph, compose, clock-tree and congestion engines did to
-// serve the pass. -passes emits one per pass.
+// compatibility-graph, clock-tree and congestion engines did to serve the
+// pass, and what composition formed. -passes emits one per pass.
 type passStats struct {
 	Pass int `json:"pass"`
 
@@ -357,15 +356,11 @@ type passStats struct {
 	PairsTested   int    `json:"pairsTested"`
 	EdgesRetested int    `json:"edgesRetested"`
 
-	// Composition outcome and compose-engine memo accounting.
-	MBRs               int    `json:"mbrs"`
-	RegsBefore         int    `json:"regsBefore"`
-	RegsAfter          int    `json:"regsAfter"`
-	TruncatedSubgraphs int    `json:"truncatedSubgraphs"`
-	ComposeKind        string `json:"composeKind"`
-	SubgraphsReplayed  int    `json:"subgraphsReplayed"`
-	SubgraphsSolved    int    `json:"subgraphsSolved"`
-	ILPNodesSaved      int    `json:"ilpNodesSaved"`
+	// Composition outcome.
+	MBRs               int `json:"mbrs"`
+	RegsBefore         int `json:"regsBefore"`
+	RegsAfter          int `json:"regsAfter"`
+	TruncatedSubgraphs int `json:"truncatedSubgraphs"`
 	// Clock-tree engine.
 	CTSKind           string  `json:"ctsKind"`
 	ReclusteredLeaves int     `json:"reclusteredLeaves"`
@@ -395,10 +390,9 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	}
 	rt := route.NewEngine(d, route.DefaultOptions())
 	rt.Update() // baseline estimate, so pass deltas measure only the edits
-	ce := core.NewEngine(d)
 	var out []passStats
 	if text {
-		fmt.Printf("\ncomposition passes (retained compat + compose + clock-tree + congestion engines):\n")
+		fmt.Printf("\ncomposition passes (retained compat + clock-tree + congestion engines):\n")
 	}
 	for p := 1; p <= passes; p++ {
 		res, err := eng.Run()
@@ -434,26 +428,17 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		opts := core.DefaultOptions()
 		opts.NamePrefix = fmt.Sprintf("mbrp%d", p)
 		opts.ReleaseClocks = ct.ReleaseClocks
-		esBefore := ce.Stats()
-		cres, err := ce.Compose(g, plan, opts)
+		cres, err := core.Compose(d, g, plan, opts)
 		if err != nil {
 			fatal(err)
 		}
-		es := ce.Stats()
 		ps.MBRs = len(cres.MBRs)
 		ps.RegsBefore = cres.RegsBefore
 		ps.RegsAfter = cres.RegsAfter
 		ps.TruncatedSubgraphs = cres.TruncatedSubgraphs
-		ps.ComposeKind = ce.Summary().LastKind
-		ps.SubgraphsReplayed = es.SubgraphsReused - esBefore.SubgraphsReused
-		ps.SubgraphsSolved = es.SubgraphsSolved - esBefore.SubgraphsSolved
-		ps.ILPNodesSaved = es.ILPNodesSaved - esBefore.ILPNodesSaved
 		if text {
 			fmt.Printf("  composed: %d MBRs, registers %d -> %d (%d truncated subgraphs)\n",
 				len(cres.MBRs), cres.RegsBefore, cres.RegsAfter, cres.TruncatedSubgraphs)
-			fmt.Printf("  compose %s: %d subgraphs replayed, %d solved fresh, %d B&B nodes saved (workers %d)\n",
-				ps.ComposeKind, ps.SubgraphsReplayed, ps.SubgraphsSolved, ps.ILPNodesSaved,
-				cres.Workers)
 		}
 		if err := ct.Update(); err != nil {
 			fatal(err)
@@ -515,20 +500,17 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	cs := cg.Stats()
 	ts := ct.Stats()
 	rs := rt.Stats()
-	es := ce.Stats()
 	if text && len(out) == passes {
-		fmt.Printf("  totals: compat %d updates (%d delta, %d full); compose %d rounds (%d/%d subgraphs replayed, %d nodes saved); cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
+		fmt.Printf("  totals: compat %d updates (%d delta, %d full); cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
 			cs.Updates, cs.Deltas, cs.Rebuilds,
-			es.Rounds, es.SubgraphsReused, es.SubgraphsSeen, es.ILPNodesSaved,
 			ts.Updates, ts.Deltas, ts.Rebuilds, ts.Cleans,
 			rs.Updates, rs.Deltas, rs.Rebuilds, rs.Cleans)
 	}
 	return out, wire.Engines(map[string]engine.Summary{
-		"sta":     eng.Summary(),
-		"compat":  cg.Summary(),
-		"compose": ce.Summary(),
-		"cts":     ct.Summary(),
-		"route":   rt.Summary(),
+		"sta":    eng.Summary(),
+		"compat": cg.Summary(),
+		"cts":    ct.Summary(),
+		"route":  rt.Summary(),
 	})
 }
 

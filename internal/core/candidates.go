@@ -13,10 +13,8 @@ import (
 )
 
 // regIndex answers "which register centers lie inside this rectangle",
-// backed by a center list sorted by (X, instance ID). The ID tie-break
-// makes the iteration order of inBox a pure function of the indexed
-// content, which lets consumers (the compose engine's subgraph signatures)
-// encode query results in iteration order without re-sorting. It indexes
+// backed by a center list sorted by (X, instance ID), so the iteration
+// order of inBox is a pure function of the indexed content. It indexes
 // every live register of the design — blocking registers (§3.2) are any
 // registers, composable or not.
 type regIndex struct {

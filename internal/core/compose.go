@@ -20,17 +20,13 @@ import (
 // compatibility graph for the design's current state (compat.Build); plan
 // may be nil for unscanned designs. The design, and the plan when present,
 // are modified in place.
-//
-// Compose decomposes g and runs composeRound without a memo; the retained
-// Engine runs the same round over the same decomposition with its subgraph
-// memo, so the two are byte-identical.
 func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) (*Result, error) {
 	start := time.Now()
 	opts, subgraphs, err := decompose(g, opts)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := composeRound(d, g, plan, newRegIndex(d), subgraphs, opts, nil)
+	res, err := composeRound(d, g, plan, subgraphs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -39,9 +35,8 @@ func Compose(d *netlist.Design, g *compat.Graph, plan *scan.Plan, opts Options) 
 }
 
 // NormalizeOptions applies the defaulting every composition entry point
-// (Compose, Engine.Compose, InspectCandidates) shares; the retained engine
-// folds the normalized options into its signature, so every path must see
-// identical values. Normalizing twice changes nothing.
+// (Compose, InspectCandidates) shares, so both see identical values for
+// the same Options. Normalizing twice changes nothing.
 func NormalizeOptions(opts Options) Options {
 	if opts.MaxSubgraphNodes <= 0 {
 		opts.MaxSubgraphNodes = defaultMaxSubgraphNodes
@@ -77,23 +72,18 @@ func decompose(g *compat.Graph, opts Options) (Options, [][]int, error) {
 		func(n int) geom.Point { return g.Regs[n].ClockPos }, opts.MaxSubgraphNodes), nil
 }
 
-// composeRound is the composition pipeline every entry point runs. It
-// solves each subgraph (enumeration → §3.2 weights → selection) on the
-// cost-ordered shard scheduler, folds the outcomes into a Result by the
-// ordered reduce and commits the selection. replay, when non-nil, is asked
-// first for each subgraph index and a hit stands in for the solve (the
-// retained engine's memo). It returns the per-subgraph outcomes, indexed
-// like subgraphs, so the engine can rotate its memo. Errors are reported
-// by the lowest-index failing subgraph. Runtime is left to the caller.
+// composeRound is the composition pipeline. It solves each subgraph
+// (enumeration → §3.2 weights → selection) on the cost-ordered shard
+// scheduler, folds the outcomes into a Result by the ordered reduce and
+// commits the selection. Errors are reported by the lowest-index failing
+// subgraph. Runtime is left to the caller.
 func composeRound(
 	d *netlist.Design,
 	g *compat.Graph,
 	plan *scan.Plan,
-	ri *regIndex,
 	subgraphs [][]int,
 	opts Options,
-	replay func(i int) (subgraphResult, bool),
-) (*Result, []subgraphResult, error) {
+) (*Result, error) {
 	res := &Result{
 		RegsBefore:     len(d.Registers()),
 		ComposableRegs: len(g.Regs),
@@ -105,32 +95,27 @@ func composeRound(
 	if workers > len(subgraphs) {
 		workers = len(subgraphs)
 	}
+	ri := newRegIndex(d)
 	results := make([]subgraphResult, len(subgraphs))
 	errs := make([]error, len(subgraphs))
 	runSharded(estimateShardCosts(g, subgraphs), workers, func(i int) {
-		if replay != nil {
-			if sr, ok := replay(i); ok {
-				results[i] = sr
-				return
-			}
-		}
 		results[i], errs[i] = solveSubgraph(d, g, ri, subgraphs[i], opts)
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := commitSelected(d, g, plan, reduceResults(results, res), opts, res); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return res, results, nil
+	return res, nil
 }
 
 // reduceResults folds per-subgraph outcomes into res in subgraph index
 // order and returns the concatenated selections — the ordered reduce that
 // keeps counts, the floating-point objective sum and the selected list
-// identical for any worker count and any mix of fresh solves and replays.
+// identical for any worker count.
 func reduceResults(subResults []subgraphResult, res *Result) []candidate {
 	var selected []candidate
 	for _, sr := range subResults {

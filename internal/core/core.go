@@ -21,10 +21,8 @@
 // Steps 2–4 are independent per subgraph and run as one pipeline
 // (composeRound) on a worker pool (Options.Workers) that claims subgraphs in
 // descending estimated cost; results are merged by a deterministic ordered
-// reduce, so the outcome is byte-identical for any worker count. Compose
-// runs that pipeline over a fresh decomposition; the retained Engine runs
-// the same pipeline over the same decomposition and replays unchanged
-// subgraphs from a memo. See parallel.go.
+// reduce, so the outcome is byte-identical for any worker count. See
+// parallel.go.
 //
 // A greedy maximal-clique heuristic (in the spirit of the comparison in
 // Fig. 6) is provided as the baseline composer.

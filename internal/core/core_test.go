@@ -13,6 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/lib"
 	"repro/internal/netlist"
+	"repro/internal/paperex"
 	"repro/internal/place"
 	"repro/internal/scan"
 )
@@ -410,8 +411,6 @@ func TestSubgraphBoundAboveCliqueLimit(t *testing.T) {
 	}
 	_, err := Compose(d, g, plan, opts)
 	check("Compose", err)
-	_, err = NewEngine(d).Compose(g, plan, opts)
-	check("Engine.Compose", err)
 	_, err = InspectCandidates(d, g, opts)
 	check("InspectCandidates", err)
 	if got := len(d.Registers()); got != regs {
@@ -443,5 +442,58 @@ func TestInspectCandidatesMatchesCompose(t *testing.T) {
 			t.Fatalf("UseWeights=%v: InspectCandidates returned %d candidates, Compose enumerated %d",
 				weights, len(infos), res.Candidates)
 		}
+	}
+}
+
+// TestWeightPruneBoundaryConsistent is the epsilon-unification regression
+// test: a multi-member candidate priced within weightPruneTol of its member
+// count must be cut by BOTH selection paths, and one priced clearly below
+// must be kept by both. Before the shared overWeighted predicate the ILP
+// path cut at members−1e-12 while the greedy path cut at members exactly,
+// so a boundary candidate composed under one method but not the other.
+func TestWeightPruneBoundaryConsistent(t *testing.T) {
+	d, regs, err := paperex.Design(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := paperex.Graph(d, regs)
+	nodes := []int{0, 1} // registers A and B of the worked example
+
+	run := func(pairWeight float64) (ilpPicked, greedyPicked bool) {
+		t.Helper()
+		cands := []candidate{
+			{nodes: []int{0}, totalBits: 1, width: 1, weight: 1},
+			{nodes: []int{1}, totalBits: 1, width: 1, weight: 1},
+			{nodes: []int{0, 1}, totalBits: 2, width: 2, weight: pairWeight},
+		}
+		picked, _, err := selectILP(nodes, cands, NormalizeOptions(DefaultOptions()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range picked {
+			if len(c.nodes) > 1 {
+				ilpPicked = true
+			}
+		}
+		gPicked, _ := selectGreedy(g, nodes, cands)
+		for _, c := range gPicked {
+			if len(c.nodes) > 1 {
+				greedyPicked = true
+			}
+		}
+		return ilpPicked, greedyPicked
+	}
+
+	// Within tolerance of the boundary (2 − tol/2): over-weighted for both.
+	if ilpP, grP := run(2 - weightPruneTol/2); ilpP || grP {
+		t.Fatalf("boundary candidate survived pruning: ilp=%v greedy=%v", ilpP, grP)
+	}
+	// Exactly at the member count: over-weighted for both.
+	if ilpP, grP := run(2); ilpP || grP {
+		t.Fatalf("at-cost candidate survived pruning: ilp=%v greedy=%v", ilpP, grP)
+	}
+	// Clearly below: kept and selected by both.
+	if ilpP, grP := run(2 - 1e-6); !ilpP || !grP {
+		t.Fatalf("beneficial candidate not selected: ilp=%v greedy=%v", ilpP, grP)
 	}
 }

@@ -1,8 +1,7 @@
-// Package engine defines the contract shared by the repo's six retained
+// Package engine defines the contract shared by the repo's five retained
 // incremental engines — timing (sta.Engine), register compatibility
 // (compatgraph.Engine), clock tree (cts.Engine), design metrics
-// (metrics.Tracker), congestion (route.Engine) and composition
-// (core.Engine).
+// (metrics.Tracker) and congestion (route.Engine).
 //
 // Each engine caches derived state across design edits and serves updates
 // from a delta path when it can, falling back to a from-scratch rebuild

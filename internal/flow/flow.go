@@ -101,12 +101,12 @@ type Config struct {
 	// compose and restores leftovers after it; sessions drive
 	// DecomposePassWith/RestorePass directly.
 	Decompose DecomposeConfig
-	// Workers is the flow's only worker setting. Every retained engine gets
-	// it: the composition shard pool, the STA engine's levelized sweeps,
-	// the compat engine's pairwise re-tests, the CTS clustering plan and
-	// the congestion rebuild. 0 = one worker per available CPU
-	// (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports are
-	// byte-identical for any setting.
+	// Workers is the flow's only worker setting. Composition and every
+	// retained engine get it: the composition shard pool, the STA engine's
+	// levelized sweeps, the compat engine's pairwise re-tests, the CTS
+	// clustering plan and the congestion rebuild. 0 = one worker per
+	// available CPU (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports
+	// are byte-identical for any setting.
 	Workers int
 }
 
@@ -180,11 +180,8 @@ type Report struct {
 	// RouteStats accounts for the retained congestion engine (delta vs
 	// rebuild decisions, re-contributed nets, touched grid edges).
 	RouteStats route.Stats
-	// ComposeStats accounts for the retained compose engine (subgraph memo
-	// replays vs fresh solves, ILP nodes saved, scheduler shards).
-	ComposeStats core.EngineStats
 	// Engines is the uniform engine.Retained contract view of the retained
-	// engines, keyed "sta", "compat", "cts", "metrics", "route", "compose".
+	// engines, keyed "sta", "compat", "cts", "metrics", "route".
 	Engines map[string]engine.Summary
 	// SkewedMBRs and ResizedMBRs count the post-composition optimizations.
 	SkewedMBRs  int
@@ -216,9 +213,6 @@ type engines struct {
 	// rt retains the G-cell congestion map so measure's overflow-edge count
 	// is served by per-net demand deltas, not a full re-estimate.
 	rt *route.Engine
-	// comp retains the per-subgraph compose solve memo, so a pass re-solves
-	// only the subgraphs something actually changed under.
-	comp *core.Engine
 }
 
 func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
@@ -229,14 +223,12 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 			Workers:      cfg.Workers,
 			MaxDeltaFrac: cfg.Compat.MaxDeltaFrac,
 		}),
-		cts:  cts.NewEngine(d, cfg.CTS.Tree),
-		met:  metrics.New(d),
-		rt:   route.NewEngine(d, cfg.Route.Est),
-		comp: core.NewEngine(d),
+		cts: cts.NewEngine(d, cfg.CTS.Tree),
+		met: metrics.New(d),
+		rt:  route.NewEngine(d, cfg.Route.Est),
 	}
 	e.sta.SetWorkers(cfg.Workers)
 	e.rt.SetWorkers(cfg.Workers)
-	e.comp.SetWorkers(cfg.Workers)
 	e.cts.SetWorkers(cfg.Workers)
 	return e
 }
@@ -249,7 +241,6 @@ func (e *engines) summaries() map[string]engine.Summary {
 		"cts":     e.cts.Summary(),
 		"metrics": e.met.Summary(),
 		"route":   e.rt.Summary(),
-		"compose": e.comp.Summary(),
 	}
 }
 
@@ -366,7 +357,6 @@ func (s *Session) runFlow() (*Report, error) {
 	rep.CTSStats = engs.cts.Stats()
 	rep.MetricsStats = engs.met.Stats()
 	rep.RouteStats = engs.rt.Stats()
-	rep.ComposeStats = engs.comp.Stats()
 	rep.Engines = engs.summaries()
 	return rep, nil
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -53,13 +54,26 @@ func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *
 	return passes, out.String(), s
 }
 
+// checkPassWorkers asserts that every pass composed with the session's
+// worker count: ComposePass must hand Config.Workers to composition, not
+// leave it to fall back to GOMAXPROCS.
+func checkPassWorkers(t *testing.T, passes []*core.Result, workers int) {
+	t.Helper()
+	for i, c := range passes {
+		if c.Workers != workers {
+			t.Fatalf("Workers=%d session: pass %d composed with %d workers", workers, i+1, c.Workers)
+		}
+	}
+}
+
 // TestMultiPassFlow exercises repeated composition through
 // Session.ComposePass: the retained compat engine is updated once per pass
 // (never by a measure) and serves the later passes by delta, later passes
-// never increase the register count, and the measured bytes stay identical
-// across worker counts.
+// never increase the register count, every pass runs at the session's
+// worker count, and the measured bytes stay identical across worker counts.
 func TestMultiPassFlow(t *testing.T) {
 	passes, want, s := runMultiPass(t, 1, 0)
+	checkPassWorkers(t, passes, 1)
 	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
 	}
@@ -82,7 +96,9 @@ func TestMultiPassFlow(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		if _, got, _ := runMultiPass(t, workers, 0); got != want {
+		passes, got, _ := runMultiPass(t, workers, 0)
+		checkPassWorkers(t, passes, workers)
+		if got != want {
 			t.Fatalf("multi-pass session with Workers=%d differs from Workers=1:\n%s",
 				workers, firstDiff(want, got))
 		}
@@ -111,8 +127,13 @@ func TestReportCarriesEngineStats(t *testing.T) {
 	if rep.Compose != nil && len(rep.Compose.MBRs) > 0 && ct.Deltas == 0 {
 		t.Fatalf("composition happened but no CTS delta update ran: %+v", ct)
 	}
-	if len(rep.Engines) != 6 {
-		t.Fatalf("expected summaries for sta/compat/cts/metrics/route/compose, got %v", rep.Engines)
+	var keys []string
+	for name := range rep.Engines {
+		keys = append(keys, name)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, ","), "compat,cts,metrics,route,sta"; got != want {
+		t.Fatalf("engine summary keys = %s, want %s", got, want)
 	}
 	for name, s := range rep.Engines {
 		if s.Updates == 0 || s.LastKind == "" {

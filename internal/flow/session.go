@@ -13,7 +13,7 @@ import (
 )
 
 // Session is a long-lived flow instance: the design, its scan plan and the
-// six retained engines, held together so edits can stream in and
+// five retained engines, held together so edits can stream in and
 // measurements stream out with O(touched) incremental cost per request.
 // It is the in-memory state of one composition-server tenant; Run is a
 // thin one-shot wrapper that creates a Session, drives the paper's flow
@@ -77,8 +77,7 @@ func (s *Session) Plan() *scan.Plan { return s.plan }
 func (s *Session) Config() Config { return s.cfg }
 
 // Engines returns the uniform engine.Retained contract view of the
-// retained engines, keyed "sta", "compat", "cts", "metrics", "route",
-// "compose".
+// retained engines, keyed "sta", "compat", "cts", "metrics", "route".
 func (s *Session) Engines() map[string]engine.Summary {
 	return s.engs.summaries()
 }
@@ -115,9 +114,9 @@ func (s *Session) ComposePass() (*core.Result, error) {
 	// Merging registers that sit under different tree leaves would fail the
 	// merge's control-net agreement check; the engine releases each group's
 	// clock pins back to the domain root just before the merge, and the
-	// next tree update re-parents the MBR under a leaf. Workers stays 0, so
-	// the compose engine uses the worker count newEngines gave it.
+	// next tree update re-parents the MBR under a leaf.
 	opts := core.NormalizeOptions(s.cfg.Compose)
+	opts.Workers = s.cfg.Workers
 	opts.ReleaseClocks = s.engs.cts.ReleaseClocks
 	if s.passSeq > 0 {
 		opts.NamePrefix = fmt.Sprintf("%s_p%d", opts.NamePrefix, s.passSeq+1)
@@ -129,7 +128,7 @@ func (s *Session) ComposePass() (*core.Result, error) {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
 	g := s.engs.cg.Update(res)
-	cres, err := s.engs.comp.Compose(g, s.plan, opts)
+	cres, err := core.Compose(s.d, g, s.plan, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
@@ -185,7 +184,6 @@ func (s *Session) Invalidate() {
 	s.engs.cg.Invalidate()
 	s.engs.met.Invalidate()
 	s.engs.rt.Invalidate()
-	s.engs.comp.Invalidate()
 	// The clock-tree engine's Invalidate tears the realized trees out of
 	// the design (reattaching sinks to their roots) — the pre-CTS state a
 	// fresh session would attach from.

@@ -20,7 +20,7 @@ type EngineSummary struct {
 }
 
 // EngineSummaries maps engine key ("sta", "compat", "cts", "metrics",
-// "route", "compose") to its counter summary.
+// "route") to its counter summary.
 type EngineSummaries map[string]EngineSummary
 
 // Engines converts the retained engines' summaries to wire form.
