@@ -60,8 +60,8 @@ examples-smoke:
 # piped into mbrstats included) and fails on any wrong exit code: each run
 # must exit 0, and an invalid flag must be rejected with exit code 2: a
 # -scale below 1 by mbrstats and by mbrserved -selftest, and a -method
-# other than ilp/greedy or a -bound below 1 by mbrcompose. pipefail makes a
-# failing benchgen fail the pipe.
+# other than ilp/greedy or a -bound outside 1..64 by mbrcompose, before it
+# generates anything. pipefail makes a failing benchgen fail the pipe.
 cli-smoke: SHELL := /bin/bash
 cli-smoke: .SHELLFLAGS := -o pipefail -ec
 cli-smoke:
@@ -84,7 +84,8 @@ cli-smoke:
 	exit2 mbrserved -selftest -scale 0; \
 	exit2 mbrcompose -profile D1 -method foo; \
 	exit2 mbrcompose -profile D1 -bound 0; \
-	exit2 mbrcompose -profile D1 -bound -3
+	exit2 mbrcompose -profile D1 -bound -3; \
+	exit2 mbrcompose -profile D1 -bound 65
 
 # A reduced run of the composition server's concurrent load harness
 # (cmd/mbrserved -selftest): deterministic edit streams over HTTP, every

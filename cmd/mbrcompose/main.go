@@ -55,6 +55,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-bound must be at least 1, got %d\n", *bound)
 		os.Exit(2)
 	}
+	cfg := flow.DefaultConfig()
+	if *method == "greedy" {
+		cfg.Compose.Method = core.MethodGreedy
+	}
+	cfg.Compose.UseWeights = !*noWeights
+	cfg.Compose.AllowIncomplete = !*noIncomplete
+	cfg.Compose.MaxSubgraphNodes = *bound
+	cfg.UsefulSkew = !*noSkew
+	cfg.Sizing = !*noSizing
+	cfg.Workers = *workers
+	// Reject the rest of what the flow would reject before any design is
+	// loaded or generated.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-bound %d, -workers %d: %v\n", *bound, *workers, err)
+		os.Exit(2)
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -103,17 +119,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "need -profile or -design")
 		os.Exit(2)
 	}
-
-	cfg := flow.DefaultConfig()
-	if *method == "greedy" {
-		cfg.Compose.Method = core.MethodGreedy
-	}
-	cfg.Compose.UseWeights = !*noWeights
-	cfg.Compose.AllowIncomplete = !*noIncomplete
-	cfg.Compose.MaxSubgraphNodes = *bound
-	cfg.UsefulSkew = !*noSkew
-	cfg.Sizing = !*noSizing
-	cfg.Workers = *workers
 
 	before := core.BitWidthHistogram(d)
 	rep, err := flow.Run(d, plan, cfg)

@@ -3,7 +3,7 @@ package cts
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -66,6 +66,21 @@ type Stats struct {
 	LastBuffersAdded      int
 	LastBuffersRemoved    int
 
+	// DomainsReplanned / SinksReplanned count clustering plans computed
+	// (and the sinks they clustered): every domain at attach, and on the
+	// delta path only the domains whose sorted sink list (pin, position,
+	// capacitance) differs from the one their retained plan was computed
+	// from. RootSetNetsWalked counts the nets the root-set check visited:
+	// every live net on a full walk, and on the ring-derived path only
+	// the touched instances' clock nets outside every retained domain.
+	// All three are deterministic work counters.
+	DomainsReplanned      int
+	SinksReplanned        int
+	RootSetNetsWalked     int
+	LastDomainsReplanned  int
+	LastSinksReplanned    int
+	LastRootSetNetsWalked int
+
 	// LegalizerRebuilds counts from-scratch occupancy builds of the
 	// retained legalizer (first attach, plus every time the flow-class
 	// touched record overflowed between updates); cheap Syncs cover the
@@ -92,7 +107,9 @@ type Stats struct {
 // root exactly as Build would, Update repairs the live trees to match what
 // a fresh Build of the current design would produce — byte-identical
 // topology, member order and buffer positions — editing only the clusters
-// whose membership changed.
+// whose membership changed. A domain whose sink list (pins, positions,
+// capacitances) is unchanged reuses its retained clustering plan, so an
+// update re-plans only the domains the edits reached.
 //
 // Every netlist edit the Engine makes is tagged netlist.EditClassCTS, so
 // engine-internal buffer churn never evicts the flow-class touched record
@@ -138,6 +155,8 @@ type Engine struct {
 	foreignBufs  int
 	foreignSinks int
 	stats        Stats
+	// idBuf is updateDomain's sink-collection scratch.
+	idBuf []netlist.PinID
 }
 
 // domain is one clock root's retained tree. levels is nil while the root
@@ -145,6 +164,13 @@ type Engine struct {
 type domain struct {
 	root   *netlist.Net
 	levels [][]*node
+	// plan is the clustering the levels were realized from, and planIn the
+	// sorted sink list it was computed from. planTree is a pure function
+	// of that list, so an update whose freshly collected list equals
+	// planIn element by element reuses plan instead of re-planning. Both
+	// are nil while the domain has no sinks.
+	plan   *treePlan
+	planIn []planSink
 	// Cached per-tree metrics (metrics.go): the root's and tree nets'
 	// contributions plus the domain's register-sink count. Invalidation is
 	// keyed per domain: an update clears mValid only when the domain
@@ -284,13 +310,12 @@ func (e *Engine) attachDomain(root *netlist.Net) (*domain, error) {
 	if len(sinks) == 0 {
 		return dom, nil
 	}
-	t0 := time.Now()
-	p, err := planTree(sinks, e.opts, e.workers)
-	e.notePlan(t0)
+	p, err := e.plan(sinks)
 	if err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
+	dom.plan, dom.planIn = p, sinks
+	t0 := time.Now()
 	defer e.noteRepair(t0)
 	for _, s := range sinks {
 		e.d.Disconnect(s.pin)
@@ -328,14 +353,20 @@ func (e *Engine) Update() error {
 		return nil
 	}
 	e.resetLast()
-	if e.rootSetChanged() {
+	flowT, flowOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow)
+	ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
+	ringsOK := flowOK && ctsOK
+	if e.rootSetChanged(flowT, ctsT, ringsOK) {
 		return e.rebuild("clock-roots-changed")
 	}
-	dirty, dirtyOK := e.dirtySinkDomains()
+	var dirty map[*domain]bool
+	if ringsOK {
+		dirty = e.dirtySinkDomains(flowT, ctsT)
+	}
 	var err error
 	e.d.WithEditClass(netlist.EditClassCTS, func() {
 		for _, dom := range e.domains {
-			if err = e.updateDomain(dom, !dirtyOK || dirty[dom]); err != nil {
+			if err = e.updateDomain(dom, !ringsOK || dirty[dom]); err != nil {
 				return
 			}
 		}
@@ -394,6 +425,22 @@ func (e *Engine) resetLast() {
 	e.stats.LastPlanNS = 0
 	e.stats.LastRepairNS = 0
 	e.stats.LastLegalizeNS = 0
+	e.stats.LastDomainsReplanned = 0
+	e.stats.LastSinksReplanned = 0
+	e.stats.LastRootSetNetsWalked = 0
+}
+
+// plan computes the clustering plan of one domain's sorted sink list,
+// accounting its time and work.
+func (e *Engine) plan(sinks []planSink) (*treePlan, error) {
+	t0 := time.Now()
+	p, err := planTree(sinks, e.opts, e.workers)
+	e.notePlan(t0)
+	e.stats.LastDomainsReplanned++
+	e.stats.DomainsReplanned++
+	e.stats.LastSinksReplanned += len(sinks)
+	e.stats.SinksReplanned += len(sinks)
+	return p, err
 }
 
 // notePlan/noteRepair/noteLegalize accumulate per-phase wall time into the
@@ -451,23 +498,17 @@ func (e *Engine) ReleaseClocks(regs []*netlist.Inst) {
 	})
 }
 
-// dirtySinkDomains maps the instances touched since the last sync to the
-// retained domains whose cached metrics they can have dirtied: a touched
-// live instance dirties every domain owning (or rooting) a net its pins
-// sit on — a moved or resized register changes its leaf net's HPWL and cap
-// without any tree mutation, so touched-sink detection cannot be replaced
-// by mutation tracking. Removed instances are unresolvable here (their
-// nets are gone from the edit record); they are covered by updateDomain's
-// mutation tracking, because losing a sink always rewires its cluster.
-// ok is false when a ring overflowed and every domain must be presumed
-// dirty.
-func (e *Engine) dirtySinkDomains() (dirty map[*domain]bool, ok bool) {
-	flow, flowOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow)
-	ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-	if !flowOK || !ctsOK {
-		return nil, false
-	}
-	dirty = map[*domain]bool{}
+// dirtySinkDomains maps the instances touched since the last sync (the
+// flow- and CTS-class records, both complete) to the retained domains
+// whose cached metrics they can have dirtied: a touched live instance
+// dirties every domain owning (or rooting) a net its pins sit on — a moved
+// or resized register changes its leaf net's HPWL and cap without any tree
+// mutation, so touched-sink detection cannot be replaced by mutation
+// tracking. Removed instances are unresolvable here (their nets are gone
+// from the edit record); they are covered by updateDomain's mutation
+// tracking, because losing a sink always rewires its cluster.
+func (e *Engine) dirtySinkDomains(flowT, ctsT []netlist.InstID) map[*domain]bool {
+	dirty := map[*domain]bool{}
 	var buf []netlist.NetID
 	mark := func(ids []netlist.InstID) {
 		for _, id := range ids {
@@ -484,30 +525,61 @@ func (e *Engine) dirtySinkDomains() (dirty map[*domain]bool, ok bool) {
 			}
 		}
 	}
-	mark(flow)
+	mark(flowT)
 	mark(ctsT)
-	return dirty, true
+	return dirty
 }
 
 // rootSetChanged reports whether a clock net outside the retained domains
 // has acquired real sinks — a new domain the delta path cannot grow.
-func (e *Engine) rootSetChanged() bool {
-	changed := false
-	e.d.Nets(func(n *netlist.Net) {
-		if changed || !n.IsClock || e.ownNet[n.ID] != nil {
-			return
-		}
-		if _, isRoot := e.rootOf[n.ID]; isRoot {
-			return
-		}
-		for _, pid := range n.Sinks {
-			if !e.ownBuf[e.d.Pin(pid).Inst] {
-				changed = true
-				return
+// After every Attach and Update no such net has one, so a net can only
+// acquire one through a connection made since, which the flow- and
+// CTS-class touched records name: when both are complete (ringsOK) only
+// the touched instances' nets are checked, otherwise every net is.
+func (e *Engine) rootSetChanged(flowT, ctsT []netlist.InstID, ringsOK bool) bool {
+	if !ringsOK {
+		changed := false
+		e.d.Nets(func(n *netlist.Net) {
+			e.stats.LastRootSetNetsWalked++
+			e.stats.RootSetNetsWalked++
+			changed = changed || e.foreignClockWithSinks(n)
+		})
+		return changed
+	}
+	for _, ids := range [2][]netlist.InstID{flowT, ctsT} {
+		for _, id := range ids {
+			in := e.d.Inst(id)
+			if in == nil {
+				continue // a removed instance's pins left their nets
+			}
+			for _, pid := range in.Pins {
+				n := e.d.Net(e.d.Pin(pid).Net)
+				if n == nil || !n.IsClock || e.ownNet[n.ID] != nil || e.rootOf[n.ID] != nil {
+					continue
+				}
+				e.stats.LastRootSetNetsWalked++
+				e.stats.RootSetNetsWalked++
+				if e.foreignClockWithSinks(n) {
+					return true
+				}
 			}
 		}
-	})
-	return changed
+	}
+	return false
+}
+
+// foreignClockWithSinks reports whether n is a clock net outside every
+// retained domain with a sink that is not an engine buffer.
+func (e *Engine) foreignClockWithSinks(n *netlist.Net) bool {
+	if !n.IsClock || e.ownNet[n.ID] != nil || e.rootOf[n.ID] != nil {
+		return false
+	}
+	for _, pid := range n.Sinks {
+		if !e.ownBuf[e.d.Pin(pid).Inst] {
+			return true
+		}
+	}
+	return false
 }
 
 func (e *Engine) rebuild(reason string) error {
@@ -621,8 +693,8 @@ func sinksKey(ids []netlist.PinID) string {
 	if len(ids) == 0 {
 		return ""
 	}
-	s := append([]netlist.PinID(nil), ids...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(ids)
+	slices.Sort(s)
 	b := make([]byte, 0, len(s)*6)
 	for _, id := range s {
 		b = strconv.AppendInt(b, int64(id), 10)
@@ -648,7 +720,7 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	// 1. Collect the current real sinks: non-engine pins on the root or on
 	// any tree net (new sinks land on the root via ReleaseClocks/merging,
 	// or on a leaf net via register splitting), in canonical order.
-	var ids []netlist.PinID
+	ids := e.idBuf[:0]
 	collect := func(n *netlist.Net) {
 		for _, pid := range n.Sinks {
 			if !e.ownBuf[d.Pin(pid).Inst] {
@@ -662,7 +734,8 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 			collect(nd.net)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	e.idBuf = ids
 
 	var retained []*node
 	for _, lvl := range dom.levels {
@@ -674,92 +747,39 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 		e.removeNodes(retained)
 		e.stats.LastBuffersRemoved += len(retained)
 		e.stats.BuffersRemoved += len(retained)
-		dom.levels = nil
+		dom.levels, dom.plan, dom.planIn = nil, nil, nil
 		return nil
 	}
-	sinks := make([]planSink, len(ids))
-	for i, pid := range ids {
-		p := d.Pin(pid)
-		sinks[i] = planSink{pin: p, child: -1, pos: d.PinPos(p), cap: p.Cap, ord: int64(pid)}
+	p, reused := dom.plan, e.samePlanInput(dom, ids)
+	if !reused {
+		sinks := make([]planSink, len(ids))
+		for i, pid := range ids {
+			p := d.Pin(pid)
+			sinks[i] = planSink{pin: p, child: -1, pos: d.PinPos(p), cap: p.Cap, ord: int64(pid)}
+		}
+		var err error
+		if p, err = e.plan(sinks); err != nil {
+			return err
+		}
+		dom.plan, dom.planIn = p, sinks
 	}
 	t0 := time.Now()
-	p, err := planTree(sinks, e.opts, e.workers)
-	e.notePlan(t0)
-	if err != nil {
-		return err
-	}
-	t0 = time.Now()
 	defer e.noteRepair(t0)
 
-	// 2. Match plan clusters to retained nodes by current net membership.
-	// Levels are processed bottom-up so an internal cluster's member pin
-	// IDs (its children's in-pins) are concrete by the time it is keyed.
-	byKey := map[string]*node{}
-	for _, nd := range retained {
-		if k := sinksKey(nd.net.Sinks); k != "" {
-			byKey[k] = nd
+	// 2. Match plan clusters to retained nodes. With the plan reused and
+	// every retained net still holding exactly its members, the match is
+	// the retained levels themselves: member sets are disjoint, so each
+	// cluster's key finds the node realized for it last time, and each
+	// node's members are the cluster's desired pins.
+	intact := reused && membersIntact(retained)
+	assigned, used := dom.levels, map[*node]bool(nil)
+	if !intact {
+		added := e.stats.BuffersAdded
+		var err error
+		if assigned, used, err = e.matchNodes(dom, p, retained); err != nil {
+			return err
 		}
-	}
-	used := map[*node]bool{}
-	poolIdx := 0
-	assigned := make([][]*node, len(p.levels))
-	desired := func(l, ci int) []netlist.PinID {
-		cl := &p.levels[l][ci]
-		out := make([]netlist.PinID, len(cl.members))
-		for i, m := range cl.members {
-			if m.pin != nil {
-				out[i] = m.pin.ID
-			} else {
-				out[i] = inPin(d, assigned[l-1][m.child].buf).ID
-			}
-		}
-		return out
-	}
-	for l := range p.levels {
-		assigned[l] = make([]*node, len(p.levels[l]))
-		for ci := range p.levels[l] {
-			if nd := byKey[sinksKey(desired(l, ci))]; nd != nil && !used[nd] {
-				assigned[l][ci] = nd
-				used[nd] = true
-			}
-		}
-		for ci := range p.levels[l] {
-			if assigned[l][ci] != nil {
-				continue
-			}
-			// Reuse the next unclaimed retained node, else create one.
-			var nd *node
-			for poolIdx < len(retained) {
-				cand := retained[poolIdx]
-				poolIdx++
-				if !used[cand] {
-					nd = cand
-					break
-				}
-			}
-			if nd == nil {
-				name := fmt.Sprintf("%s_ctsbuf_r%d", dom.root.Name, e.serial)
-				buf, err := d.AddClockBuf(name, e.opts.Buffer, p.levels[l][ci].centroid)
-				if err != nil {
-					return err
-				}
-				net := d.AddNet(fmt.Sprintf("%s_ctsnet_r%d", dom.root.Name, e.serial), true)
-				e.serial++
-				d.Connect(d.OutPin(buf), net)
-				// Seed the retained centroid with the creation placement so
-				// hysteresis measures drift from where the buffer actually
-				// went down (behavior-neutral when hysteresis is off: the
-				// rewire step below re-derives the same value).
-				nd = &node{buf: buf, net: net, centroid: p.levels[l][ci].centroid}
-				e.ownBuf[buf.ID] = true
-				e.ownNet[net.ID] = dom
-				e.stats.LastBuffersAdded++
-				e.stats.BuffersAdded++
-				mutated = true
-			}
-			assigned[l][ci] = nd
-			used[nd] = true
-		}
+		mutated = e.stats.BuffersAdded > added
 	}
 
 	// 3. Rewire bottom-up: every buffer back to its plan centroid, every
@@ -776,8 +796,11 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 		for ci := range p.levels[l] {
 			cl := &p.levels[l][ci]
 			nd := assigned[l][ci]
-			want := desired(l, ci)
-			same := pinIDsEqual(nd.net.Sinks, want)
+			want := nd.memberPins
+			if !intact {
+				want = desiredPins(d, p, assigned, l, ci)
+			}
+			same := slices.Equal(nd.net.Sinks, want)
 			held := e.opts.RecenterThresholdDBU > 0 &&
 				nd.centroid.ManhattanDist(cl.centroid) <= e.opts.RecenterThresholdDBU
 			if !held {
@@ -822,17 +845,19 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	// 4. Remove retained nodes the plan no longer needs. Their real sinks
 	// were all claimed above; only in-pins of fellow doomed buffers (and
 	// possibly the new top's in-pin) remain on their nets.
-	var doomed []*node
-	for _, nd := range retained {
-		if !used[nd] {
-			doomed = append(doomed, nd)
+	if used != nil {
+		var doomed []*node
+		for _, nd := range retained {
+			if !used[nd] {
+				doomed = append(doomed, nd)
+			}
 		}
-	}
-	if len(doomed) > 0 {
-		e.removeNodes(doomed)
-		e.stats.LastBuffersRemoved += len(doomed)
-		e.stats.BuffersRemoved += len(doomed)
-		mutated = true
+		if len(doomed) > 0 {
+			e.removeNodes(doomed)
+			e.stats.LastBuffersRemoved += len(doomed)
+			e.stats.BuffersRemoved += len(doomed)
+			mutated = true
+		}
 	}
 
 	// 5. The root net's only sink is the top buffer's input.
@@ -845,14 +870,110 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	return nil
 }
 
-func pinIDsEqual(a, b []netlist.PinID) bool {
-	if len(a) != len(b) {
+// samePlanInput reports whether the domain's retained plan was computed
+// from exactly the sorted sink list ids describes now: the same pins, each
+// at the same position with the same capacitance.
+func (e *Engine) samePlanInput(dom *domain, ids []netlist.PinID) bool {
+	if dom.plan == nil || len(ids) != len(dom.planIn) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, pid := range ids {
+		s := &dom.planIn[i]
+		p := e.d.Pin(pid)
+		if s.ord != int64(pid) || s.cap != p.Cap || s.pos != e.d.PinPos(p) {
 			return false
 		}
 	}
 	return true
+}
+
+// membersIntact reports whether every node's net still holds exactly the
+// members the last update connected to it.
+func membersIntact(nodes []*node) bool {
+	for _, nd := range nodes {
+		if !slices.Equal(nd.net.Sinks, nd.memberPins) {
+			return false
+		}
+	}
+	return true
+}
+
+// desiredPins returns cluster (l, ci)'s member pins in plan order: real
+// sinks at level 0, the assigned child buffers' in-pins above.
+func desiredPins(d *netlist.Design, p *treePlan, assigned [][]*node, l, ci int) []netlist.PinID {
+	cl := &p.levels[l][ci]
+	out := make([]netlist.PinID, len(cl.members))
+	for i, m := range cl.members {
+		if m.pin != nil {
+			out[i] = m.pin.ID
+		} else {
+			out[i] = inPin(d, assigned[l-1][m.child].buf).ID
+		}
+	}
+	return out
+}
+
+// matchNodes assigns a retained or new node to every plan cluster, by
+// current net membership first. Levels are processed bottom-up so an
+// internal cluster's member pin IDs (its children's in-pins) are concrete
+// by the time it is keyed. Unmatched clusters take the next unclaimed
+// retained node, else a freshly created one. used holds every assigned
+// node; the retained ones it lacks are no longer needed.
+func (e *Engine) matchNodes(dom *domain, p *treePlan, retained []*node) (assigned [][]*node, used map[*node]bool, err error) {
+	d := e.d
+	byKey := map[string]*node{}
+	for _, nd := range retained {
+		if k := sinksKey(nd.net.Sinks); k != "" {
+			byKey[k] = nd
+		}
+	}
+	used = map[*node]bool{}
+	poolIdx := 0
+	assigned = make([][]*node, len(p.levels))
+	for l := range p.levels {
+		assigned[l] = make([]*node, len(p.levels[l]))
+		for ci := range p.levels[l] {
+			if nd := byKey[sinksKey(desiredPins(d, p, assigned, l, ci))]; nd != nil && !used[nd] {
+				assigned[l][ci] = nd
+				used[nd] = true
+			}
+		}
+		for ci := range p.levels[l] {
+			if assigned[l][ci] != nil {
+				continue
+			}
+			// Reuse the next unclaimed retained node, else create one.
+			var nd *node
+			for poolIdx < len(retained) {
+				cand := retained[poolIdx]
+				poolIdx++
+				if !used[cand] {
+					nd = cand
+					break
+				}
+			}
+			if nd == nil {
+				name := fmt.Sprintf("%s_ctsbuf_r%d", dom.root.Name, e.serial)
+				buf, err := d.AddClockBuf(name, e.opts.Buffer, p.levels[l][ci].centroid)
+				if err != nil {
+					return nil, nil, err
+				}
+				net := d.AddNet(fmt.Sprintf("%s_ctsnet_r%d", dom.root.Name, e.serial), true)
+				e.serial++
+				d.Connect(d.OutPin(buf), net)
+				// Seed the retained centroid with the creation placement so
+				// hysteresis measures drift from where the buffer actually
+				// went down (behavior-neutral when hysteresis is off: the
+				// rewire step below re-derives the same value).
+				nd = &node{buf: buf, net: net, centroid: p.levels[l][ci].centroid}
+				e.ownBuf[buf.ID] = true
+				e.ownNet[net.ID] = dom
+				e.stats.LastBuffersAdded++
+				e.stats.BuffersAdded++
+			}
+			assigned[l][ci] = nd
+			used[nd] = true
+		}
+	}
+	return assigned, used, nil
 }

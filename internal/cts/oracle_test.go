@@ -5,11 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/cts"
 	"repro/internal/geom"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 	"repro/internal/place"
 )
@@ -159,6 +161,12 @@ func (tw *twin) mutate(t *testing.T, rng *rand.Rand) {
 // in creation order.
 func buildOracle(t *testing.T, d *netlist.Design) ([]*cts.Tree, []*netlist.Inst) {
 	t.Helper()
+	return buildOracleWith(t, d, cts.DefaultOptions())
+}
+
+// buildOracleWith is buildOracle under the given tree options.
+func buildOracleWith(t *testing.T, d *netlist.Design, opts cts.Options) ([]*cts.Tree, []*netlist.Inst) {
+	t.Helper()
 	var roots []*netlist.Net
 	d.Nets(func(n *netlist.Net) {
 		if n.IsClock && len(n.Sinks) > 0 {
@@ -168,7 +176,7 @@ func buildOracle(t *testing.T, d *netlist.Design) ([]*cts.Tree, []*netlist.Inst)
 	var trees []*cts.Tree
 	var bufs []*netlist.Inst
 	for _, root := range roots {
-		tr, err := cts.Build(d, root, cts.DefaultOptions())
+		tr, err := cts.Build(d, root, opts)
 		if err != nil {
 			t.Fatalf("oracle build: %v", err)
 		}
@@ -524,5 +532,135 @@ func TestPerDomainMetricInvalidation(t *testing.T) {
 			t.Fatalf("round %d: single-domain edit recomputed %d of %d domains — invalidation is not per-domain",
 				round, recomputed, domains)
 		}
+	}
+}
+
+// leafResize picks a register on a leaf net and a same-class, same-width
+// cell with a larger clock-pin capacitance, preferring one that lifts the
+// leaf's sink capacitance over opts.MaxCap — so a fresh plan must split
+// that leaf (tips). ok is false when no register has a larger cell.
+func leafResize(d *netlist.Design, eng *cts.Engine, opts cts.Options) (r *netlist.Inst, cell *lib.Cell, tips, ok bool) {
+	for _, buf := range eng.Buffers() {
+		n := d.Net(d.OutPin(buf).Net)
+		total, leaf := 0.0, true
+		for _, pid := range n.Sinks {
+			p := d.Pin(pid)
+			leaf = leaf && d.Inst(p.Inst).Kind != netlist.KindClockBuf
+			total += p.Cap
+		}
+		if !leaf {
+			continue
+		}
+		for _, pid := range n.Sinks {
+			p := d.Pin(pid)
+			in := d.Inst(p.Inst)
+			if in.Kind != netlist.KindReg || in.Fixed || in.SizeOnly {
+				continue
+			}
+			for _, c := range d.Lib.CellsOfWidth(in.RegCell.Class, in.RegCell.Bits) {
+				if c.ClkCap <= p.Cap {
+					continue
+				}
+				if total-p.Cap+c.ClkCap > opts.MaxCap {
+					return in, c, true, true
+				}
+				if !ok {
+					r, cell, ok = in, c, true
+				}
+			}
+		}
+	}
+	return r, cell, false, ok
+}
+
+// TestLocalizedEditsReuseRetainedPlans makes one localized edit per round
+// and checks each round against the batch Build oracle, as
+// TestDeltaEqualsBuildOracle does: a skew-only batch (which edits no
+// netlist state), one data-cell move, one register move and one register
+// resize. Only the domain a register edit reached may be re-planned; the
+// other domains reuse their retained plans. The resize keeps the clock pin
+// where it was, so the plan inputs differ in capacitance alone, and where
+// a profile allows it tips its leaf over the capacitance limit, so the
+// fresh plan differs too.
+func TestLocalizedEditsReuseRetainedPlans(t *testing.T) {
+	tipped := 0
+	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
+		t.Run(profile, func(t *testing.T) {
+			tw := makeTwin(t, profile)
+			da, db := tw.a.Design, tw.b.Design
+			// A capacitance limit that binds before the fanout limit does,
+			// so some leaf is one resize away from it.
+			opts := cts.DefaultOptions()
+			opts.MaxCap = 12
+			eng := cts.NewEngine(da, opts)
+			if err := eng.Attach(); err != nil {
+				t.Fatalf("attach: %v", err)
+			}
+			domains := eng.Stats().DomainsReplanned
+			if domains < 2 {
+				t.Fatalf("profile too small for the per-domain claim: %d domains", domains)
+			}
+			round := func(name string, replans int) {
+				t.Helper()
+				if err := eng.Update(); err != nil {
+					t.Fatalf("%s: update: %v", name, err)
+				}
+				trees, bufs := buildOracleWith(t, db, opts)
+				requireTreesEqual(t, profile+" "+name, eng, da, db, bufs)
+				for _, tr := range trees {
+					tr.Remove()
+				}
+				if got := eng.Stats().LastDomainsReplanned; got != replans {
+					t.Fatalf("%s: %d of %d domains re-planned, want %d", name, got, domains, replans)
+				}
+			}
+
+			round("skew-only batch", 0)
+
+			var cell netlist.InstID = netlist.NoID
+			da.Insts(func(in *netlist.Inst) {
+				if cell == netlist.NoID && in.Kind == netlist.KindComb && !in.Fixed {
+					cell = in.ID
+				}
+			})
+			for _, d := range []*netlist.Design{da, db} {
+				in := d.Inst(cell)
+				d.MoveInst(in, geom.Point{X: in.Pos.X + 2*d.SiteW, Y: in.Pos.Y})
+			}
+			round("data-cell move", 0)
+
+			ra, _ := tw.regs(t)
+			i := slices.IndexFunc(ra, func(in *netlist.Inst) bool {
+				cp := da.ClockPin(in)
+				return !in.Fixed && cp != nil && cp.Net != netlist.NoID
+			})
+			for _, d := range []*netlist.Design{da, db} {
+				in := d.Inst(ra[i].ID)
+				d.MoveInst(in, geom.Point{X: in.Pos.X + 15000, Y: in.Pos.Y + 9000})
+			}
+			round("register move", 1)
+
+			r, c, tips, ok := leafResize(da, eng, opts)
+			if !ok {
+				t.Fatalf("%s: no register has a larger cell", profile)
+			}
+			if tips {
+				tipped++
+			}
+			for _, d := range []*netlist.Design{da, db} {
+				in := d.Inst(r.ID)
+				cp := d.ClockPin(in)
+				before := d.PinPos(cp)
+				if err := d.ResizeRegister(in, c); err != nil {
+					t.Fatalf("resize: %v", err)
+				}
+				after := d.PinPos(cp)
+				d.MoveInst(in, geom.Point{X: in.Pos.X + before.X - after.X, Y: in.Pos.Y + before.Y - after.Y})
+			}
+			round("register resize", 1)
+		})
+	}
+	if tipped == 0 {
+		t.Fatal("no profile has a leaf one resize away from the capacitance limit")
 	}
 }

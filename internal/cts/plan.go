@@ -1,8 +1,9 @@
 package cts
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/geom"
@@ -119,25 +120,17 @@ func clusterSinks(sinks []planSink, opts Options, par int) [][]planSink {
 	bb := geom.BoundingBox(pts)
 	horizontal := bb.W() >= bb.H()
 	sorted := append([]planSink(nil), sinks...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := &sorted[i], &sorted[j]
-		if horizontal {
-			if a.pos.X != b.pos.X {
-				return a.pos.X < b.pos.X
-			}
-			if a.pos.Y != b.pos.Y {
-				return a.pos.Y < b.pos.Y
-			}
-		} else {
-			if a.pos.Y != b.pos.Y {
-				return a.pos.Y < b.pos.Y
-			}
-			if a.pos.X != b.pos.X {
-				return a.pos.X < b.pos.X
-			}
-		}
-		return a.ord < b.ord
-	})
+	// (X, Y, ord) or (Y, X, ord) is a total order — ord is unique — so any
+	// sort yields the same sequence.
+	if horizontal {
+		slices.SortFunc(sorted, func(a, b planSink) int {
+			return cmpPos(a.pos.X, a.pos.Y, a.ord, b.pos.X, b.pos.Y, b.ord)
+		})
+	} else {
+		slices.SortFunc(sorted, func(a, b planSink) int {
+			return cmpPos(a.pos.Y, a.pos.X, a.ord, b.pos.Y, b.pos.X, b.ord)
+		})
+	}
 	mid := len(sorted) / 2
 	var left, right [][]planSink
 	if par > 0 && len(sorted) >= parallelClusterMin {
@@ -154,6 +147,17 @@ func clusterSinks(sinks []planSink, opts Options, par int) [][]planSink {
 		right = clusterSinks(sorted[mid:], opts, 0)
 	}
 	return append(left, right...)
+}
+
+// cmpPos orders by (major, minor, ord) lexicographically.
+func cmpPos(aMaj, aMin, aOrd, bMaj, bMin, bOrd int64) int {
+	if c := cmp.Compare(aMaj, bMaj); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(aMin, bMin); c != 0 {
+		return c
+	}
+	return cmp.Compare(aOrd, bOrd)
 }
 
 func centroidOf(cl []planSink) geom.Point {

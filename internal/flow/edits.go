@@ -469,7 +469,7 @@ func (s *Session) applyEdit(e Edit, res *ApplyResult) error {
 			return fmt.Errorf("instance %q is not a register", e.Skew.Inst)
 		}
 		// Skew feeds the retained timing engine directly, not the netlist;
-		// the engine's incremental run diffs per-register skews itself, so
+		// the engine records the register for its next incremental run, so
 		// no touched-ring entry is needed.
 		s.engs.sta.SetSkew(in.ID, e.Skew.SkewPS)
 		return nil

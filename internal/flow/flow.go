@@ -362,10 +362,10 @@ func (s *Session) runFlow() (*Report, error) {
 }
 
 // measure snapshots the Table 1 metrics of the design's current state. It
-// reads only retained layers — the STA engine, the CTS engine's cached
-// tree metrics, the design-aggregate tracker and the congestion engine's
-// maintained overflow count — so a measurement after k edits costs O(k),
-// not O(design): no stage walks the full design on the delta path. It
+// reads only retained layers — the STA engine's endpoint statistics, the
+// CTS engine's cached tree metrics, the design-aggregate tracker and the
+// congestion engine's maintained overflow count — so no stage walks the
+// full design on the delta path. It
 // reads no compat state: the composable-register count comes from the
 // tracker, and only compose sites update the compat engine. Every
 // retained value equals its batch oracle bit-for-bit (cts.Metrics vs
@@ -373,7 +373,7 @@ func (s *Session) runFlow() (*Report, error) {
 // route.Estimate), which keeps reports byte-identical with the former
 // batch measurement.
 func measure(engs *engines) (Metrics, error) {
-	res, err := engs.sta.Run()
+	res, err := engs.sta.RunEndpoints()
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -86,12 +86,17 @@ func (s *Session) Engines() map[string]engine.Summary {
 func (s *Session) Epoch() uint64 { return s.d.Epoch() }
 
 // Measure folds pending edits into the retained clock trees and snapshots
-// the Table 1 metrics of the design's current state. After k edits it
-// costs O(k), not O(design): every value is served by a retained engine's
-// delta path. Note the measurement itself advances retained state (the
-// tree update mutates the clock network), so a stream of edits and
-// measures is deterministic as a *sequence* — replaying the same ops in
-// the same order reproduces the same bytes.
+// the Table 1 metrics of the design's current state. Every value is served
+// by a retained engine's delta path, and the work is what the edits
+// reached: the CTS update re-plans only the clock domains whose sink list
+// changed (one per register move or resize, none for skews) and derives
+// the root-set check from the touched instances; the STA run recomputes
+// the clock arrivals and timing cone the edits can have moved and returns
+// only the endpoint statistics, copying no per-pin arrays. Re-planning a
+// domain still costs O(its sinks). Note the measurement itself advances
+// retained state (the tree update mutates the clock network), so a stream
+// of edits and measures is deterministic as a *sequence* — replaying the
+// same ops in the same order reproduces the same bytes.
 func (s *Session) Measure() (Metrics, error) {
 	if s.closed {
 		return Metrics{}, fmt.Errorf("flow: session closed")

@@ -18,6 +18,7 @@ func (d *Design) newInst(name string, kind InstKind, pos geom.Point) (*Inst, err
 		GateGroup: -1, ScanPartition: -1,
 	}
 	d.insts = append(d.insts, in)
+	d.live++
 	d.nameToInst[name] = in.ID
 	// Creation is an edit too: without this, an instance that is added but
 	// never connected (or whose creation-time parameters matter, like the

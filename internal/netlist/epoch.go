@@ -247,3 +247,10 @@ func (d *Design) noteStructural(inst InstID) {
 // the design (including pins of removed instances). Pin-indexed slices
 // sized to PinSpace can be addressed by any PinID without bounds checks.
 func (d *Design) PinSpace() int { return len(d.pins) }
+
+// InstSpace is PinSpace's counterpart for instance IDs: an exclusive
+// upper bound on every InstID ever issued, removed instances included.
+func (d *Design) InstSpace() int { return len(d.insts) }
+
+// NetSpace is PinSpace's counterpart for net IDs.
+func (d *Design) NetSpace() int { return len(d.nets) }

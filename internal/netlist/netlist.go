@@ -257,6 +257,9 @@ type Design struct {
 	insts []*Inst
 	nets  []*Net
 	pins  []*Pin
+	// live counts the instances not removed, so NumInsts is O(1);
+	// Validate recounts it.
+	live int
 
 	nameToInst map[string]InstID
 
@@ -276,15 +279,7 @@ func NewDesign(name string, core geom.Rect, library *lib.Library) *Design {
 }
 
 // NumInsts returns the number of live instances.
-func (d *Design) NumInsts() int {
-	n := 0
-	for _, in := range d.insts {
-		if !in.dead {
-			n++
-		}
-	}
-	return n
-}
+func (d *Design) NumInsts() int { return d.live }
 
 // NumNets returns the number of live nets.
 func (d *Design) NumNets() int {
@@ -586,9 +581,9 @@ func (d *Design) TotalArea() int64 {
 }
 
 // Validate checks structural invariants: pin/net cross references, driver
-// uniqueness, each net's kept register D/Q pin count, live instances
-// inside the core, register pin counts matching their library cell. It
-// returns the first problem found.
+// uniqueness, each net's kept register D/Q pin count, the kept live
+// instance count, live instances inside the core, register pin counts
+// matching their library cell. It returns the first problem found.
 func (d *Design) Validate() error {
 	for _, n := range d.nets {
 		if n.dead {
@@ -623,10 +618,12 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("net %q: %d register D/Q pins, count kept %d", n.Name, regDQ, n.regDQ)
 		}
 	}
+	live := 0
 	for _, in := range d.insts {
 		if in.dead {
 			continue
 		}
+		live++
 		if in.Kind == KindReg {
 			if in.RegCell == nil {
 				return fmt.Errorf("inst %q: register without cell", in.Name)
@@ -650,6 +647,9 @@ func (d *Design) Validate() error {
 				return fmt.Errorf("inst %q: pin %d back-reference broken", in.Name, pid)
 			}
 		}
+	}
+	if live != d.live {
+		return fmt.Errorf("%d live instances, count kept %d", live, d.live)
 	}
 	return nil
 }

@@ -460,3 +460,43 @@ func TestMarginalDelayPerDBU(t *testing.T) {
 		t.Fatalf("MarginalDelayPerDBU = %g want %g", got, want)
 	}
 }
+
+// TestLiveInstCountTracksEdits pins the kept live-instance count against a
+// recount after removal, merge (which removes its members and adds the
+// MBR) and split, and checks that Validate reports a drifted count.
+func TestLiveInstCountTracksEdits(t *testing.T) {
+	d, r1, r2 := buildPair(t)
+	recount := func() int {
+		n := 0
+		d.Insts(func(*Inst) { n++ })
+		return n
+	}
+	check := func(ctx string) {
+		t.Helper()
+		if got, want := d.NumInsts(), recount(); got != want {
+			t.Fatalf("%s: NumInsts = %d, recount %d", ctx, got, want)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: Validate: %v", ctx, err)
+		}
+	}
+	check("build")
+	res, err := d.MergeRegisters([]*Inst{r1, r2}, cellOf(t, 2), "mbr", geom.Point{X: 2000, Y: 1200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("merge")
+	if _, err := d.SplitRegister(res.MBR, cellOf(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("split")
+	port := d.InstByName("in_a")
+	d.RemoveInst(port)
+	d.RemoveInst(port) // removing a removed instance is a no-op
+	check("remove")
+
+	d.live++
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "live instances") {
+		t.Fatalf("Validate = %v, want a live-instance count mismatch", err)
+	}
+}

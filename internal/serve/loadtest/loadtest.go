@@ -121,11 +121,13 @@ func DefaultECOOptions() Options {
 }
 
 // recenterThresholdDBU is the clock-tree re-center hysteresis every
-// harness session (and its local oracle replay) runs with. Without it a
-// single register move re-plans the domain tree and moves every buffer a
-// few DBU, shifting clock arrivals — and hence slacks — across the whole
-// domain. Holding membership-stable buffers put confines the ripple, and
-// with it each measure's timing re-propagation, to the touched clusters.
+// harness session (and its local oracle replay) runs with. A register move
+// or resize re-plans only its own clock domain (the other domains reuse
+// their retained plans), but without hysteresis that re-plan moves every
+// buffer of the domain a few DBU, shifting clock arrivals — and hence
+// slacks — across the whole domain. Holding membership-stable buffers put
+// confines the ripple, and with it each measure's clock-arrival and timing
+// re-propagation, to the touched clusters.
 // 4000 DBU (~4µm) absorbs the drift a small edit pool produces while
 // still re-centering after genuine spatial shifts. The compatibility graph
 // runs the engine's default delta threshold: measures never update it,

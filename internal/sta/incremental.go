@@ -9,9 +9,9 @@ import (
 // delays, launch seeds and endpoint constraints in the neighbourhood of
 // the touched instances may differ. runIncremental
 //
-//  1. recomputes clock arrivals (cheap, always) and diffs them against the
-//     cached per-register effective arrivals, catching skew edits, mode
-//     switches and any clock-network change without fine-grained tracking;
+//  1. recomputes the clock arrivals the touched instances and skew edits
+//     can have moved (clock.go) and collects the registers whose effective
+//     arrival changed;
 //  2. expands the touched instances to the pin set whose in-arc delays or
 //     seeds can have changed: their own pins plus every pin of the
 //     adjacent data nets (wire arcs see the moved pin; cell arcs and
@@ -89,21 +89,15 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 	d, g := e.d, e.g
 	fwd, bwd := e.prepare()
 
-	// 1. Clock arrival + skew diff → registers needing re-seed.
-	clk, err := e.clockArrivals()
+	// 1. Registers whose effective clock arrival moved need a re-seed.
+	changed, err := e.clockIncremental(touched)
 	if err != nil {
 		return err
 	}
-	dirtyRegs := map[netlist.InstID]bool{}
-	newEff := make(map[netlist.InstID]float64, len(clk))
-	for id, v := range clk {
-		eff := v + e.skew[id]
-		newEff[id] = eff
-		if old, ok := e.effClk[id]; !ok || old != eff {
-			dirtyRegs[id] = true
-		}
+	dirtyRegs := make(map[netlist.InstID]bool, len(changed))
+	for _, id := range changed {
+		dirtyRegs[id] = true
 	}
-	e.effClk = newEff
 
 	// 2. Touched instances → pins whose in-arc delays may have changed.
 	var marked []int32
@@ -157,7 +151,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 		if in == nil {
 			continue
 		}
-		eff := e.effClk[id]
+		eff := e.clk.eff[id]
 		e.seedRegister(in, eff, fwd)
 		for b := 0; b < in.Bits(); b++ {
 			dp := d.DPin(in, b)

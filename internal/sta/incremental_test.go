@@ -305,3 +305,190 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 	_ = r1
 }
+
+// clockTreeFixture rebuilds the pipeline's clock network as a two-level
+// buffered tree with a gated branch — clkport → cb → {lb0, lb1, cg} — and
+// spreads r1, r2 and 18 pad registers over the three leaf nets.
+func clockTreeFixture(t *testing.T) (*netlist.Design, []*netlist.Inst) {
+	t.Helper()
+	d, r1, r2 := pipeline(t)
+	root := d.AddNet("clkroot", true)
+	port, _ := d.AddPort("clkport", true, geom.Point{X: 0, Y: 50000})
+	d.Connect(d.OutPin(port), root)
+	stage := func(name string, gate bool, pos geom.Point, in *netlist.Net) *netlist.Net {
+		var b *netlist.Inst
+		if gate {
+			b, _ = d.AddClockGate(name, bufSpec, pos)
+		} else {
+			b, _ = d.AddClockBuf(name, bufSpec, pos)
+		}
+		out := d.AddNet(name+"_out", true)
+		d.Connect(d.FindPin(b, netlist.PinData, 0), in)
+		d.Connect(d.OutPin(b), out)
+		return out
+	}
+	cb := stage("cb", false, geom.Point{X: 30000, Y: 40000}, root)
+	leaves := []*netlist.Net{
+		stage("lb0", false, geom.Point{X: 15000, Y: 30000}, cb),
+		stage("lb1", false, geom.Point{X: 45000, Y: 30000}, cb),
+		stage("cg", true, geom.Point{X: 70000, Y: 30000}, cb),
+	}
+	regs := []*netlist.Inst{r1, r2}
+	d.Connect(d.ClockPin(r1), leaves[0])
+	d.Connect(d.ClockPin(r2), leaves[1])
+	for i := 0; i < 18; i++ {
+		r, err := d.AddRegister(fmt.Sprintf("pad_%d", i), regCell(t, 1),
+			geom.Point{X: int64(10000 + 4000*i), Y: 20000 + int64(i%3)*1200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Connect(d.ClockPin(r), leaves[i%3])
+		regs = append(regs, r)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d, regs
+}
+
+// TestRetainedClockArrivalsMatchOracle edits a buffered, gated clock tree
+// — buffer moves under the CTS edit class, a gate move, clock pins moved
+// between and off leaf nets, skews, register moves — and checks after
+// each incremental run that every register's retained clock arrival
+// equals the full clockArrivals oracle plus its skew, that the whole
+// snapshot equals a fresh engine's, and how many arrivals the run
+// recomputed.
+func TestRetainedClockArrivalsMatchOracle(t *testing.T) {
+	d, regs := clockTreeFixture(t)
+	e := New(d)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats().LastClockRegs; got != len(regs) {
+		t.Fatalf("full run recomputed %d clock arrivals, want all %d", got, len(regs))
+	}
+	skews := map[netlist.InstID]float64{}
+	inst := d.InstByName
+	cts := func(f func()) { d.WithEditClass(netlist.EditClassCTS, f) }
+	steps := []struct {
+		name string
+		edit func()
+		// maxRegs bounds the registers the run may recompute.
+		maxRegs int
+	}{
+		{"leaf buffer move (CTS class)", func() {
+			cts(func() { d.MoveInst(inst("lb0"), geom.Point{X: 16000, Y: 31200}) })
+		}, len(regs)},
+		// Inside its parent net's bounding box the move leaves the parent's
+		// load, and with it the sibling leaves, alone: only lb1's 7
+		// registers are recomputed.
+		{"leaf buffer move inside the parent's box (CTS class)", func() {
+			cts(func() { d.MoveInst(inst("lb1"), geom.Point{X: 46000, Y: 31200}) })
+		}, 7},
+		{"gate move", func() { d.MoveInst(inst("cg"), geom.Point{X: 71000, Y: 30000}) }, len(regs)},
+		// Both leaves' loads change: the pin's new leaf is touched, the
+		// one it left is remembered.
+		{"clock pin moved between leaves (CTS class)", func() {
+			cts(func() { d.Connect(d.ClockPin(inst("pad_0")), d.Net(d.ClockNet(inst("pad_1")))) })
+		}, 14},
+		{"skew only", func() {
+			e.SetSkew(inst("pad_4").ID, 12)
+			skews[inst("pad_4").ID] = 12
+		}, 1},
+		{"clock pin disconnected (CTS class)", func() {
+			cts(func() { d.Disconnect(d.ClockPin(inst("pad_3"))) })
+		}, 6},
+		{"root buffer move (CTS class)", func() {
+			cts(func() { d.MoveInst(inst("cb"), geom.Point{X: 31000, Y: 42000}) })
+		}, len(regs)},
+		{"gated register move", func() { d.MoveInst(inst("pad_5"), geom.Point{X: 30000, Y: 21200}) }, 6},
+	}
+	for _, st := range steps {
+		before := e.Stats()
+		st.edit()
+		got, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		s := e.Stats()
+		if s.IncrementalRuns != before.IncrementalRuns+1 {
+			t.Fatalf("%s: run did not take the incremental path: %+v", st.name, s)
+		}
+		if s.LastClockRegs > st.maxRegs {
+			t.Fatalf("%s: recomputed %d clock arrivals, want <= %d", st.name, s.LastClockRegs, st.maxRegs)
+		}
+		oracle, err := New(d).clockArrivals()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range d.Registers() {
+			if want := oracle[r.ID] + skews[r.ID]; e.clk.eff[r.ID] != want {
+				t.Fatalf("%s: retained clock arrival of %s = %v, oracle %v", st.name, r.Name, e.clk.eff[r.ID], want)
+			}
+		}
+		fresh := New(d)
+		for id, ps := range skews {
+			fresh.SetSkew(id, ps)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, got, want)
+	}
+}
+
+// TestRunEndpointsMatchesRun pins RunEndpoints to the endpoint statistics
+// of Run's snapshot, on the full path and after incremental edits.
+func TestRunEndpointsMatchesRun(t *testing.T) {
+	d, regs := clockTreeFixture(t)
+	withSnap, stats := New(d), New(d)
+	for round := 0; round < 3; round++ {
+		res, err := withSnap.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := stats.RunEndpoints()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != res.EndpointStats {
+			t.Fatalf("round %d: RunEndpoints = %+v, Run = %+v", round, got, res.EndpointStats)
+		}
+		r := regs[round]
+		d.MoveInst(r, geom.Point{X: r.Pos.X + 3000, Y: r.Pos.Y})
+		withSnap.SetSkew(r.ID, float64(10*round+5))
+		stats.SetSkew(r.ID, float64(10*round+5))
+	}
+	if s := stats.Stats(); s.IncrementalRuns == 0 {
+		t.Fatalf("RunEndpoints never took the incremental path: %+v", s)
+	}
+}
+
+// TestClockFromDataNetRecomputesAll feeds the clock gate from a data net,
+// so its registers' arrivals depend on where that net's driver sits.
+// Incremental runs trace clock nets only, so they must recompute every
+// arrival, and stay equal to the oracle, once a data net feeds the clock
+// network.
+func TestClockFromDataNetRecomputesAll(t *testing.T) {
+	d, regs := clockTreeFixture(t)
+	cg, r1 := d.InstByName("cg"), d.InstByName("r1")
+	d.Connect(d.FindPin(cg, netlist.PinData, 0), d.Net(d.QPin(r1, 0).Net))
+	e := New(d)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	d.MoveInst(r1, geom.Point{X: r1.Pos.X + 5000, Y: r1.Pos.Y + 2400})
+	got, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.LastKind != "incremental" || s.LastClockRegs != len(regs) {
+		t.Fatalf("stats = %+v, want an incremental run recomputing all %d clock arrivals", s, len(regs))
+	}
+	want, err := New(d).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, got, want)
+}

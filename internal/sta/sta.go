@@ -12,8 +12,9 @@
 // topological order across runs, and consults the netlist's edit epoch
 // (netlist.Design.Epoch) to decide how much work a Run actually needs.
 // Structural edits (data-net connectivity) trigger a full rebuild;
-// parametric edits (moves, resizes, skews, clock-network changes) re-seed
-// and re-propagate only the fanin/fanout cone of the touched pins. The
+// parametric edits (moves, resizes, skews, clock-network changes) recompute
+// only the clock arrivals they can have moved (clock.go), then re-seed and
+// re-propagate only the fanin/fanout cone of the touched pins. The
 // forward-arrival and backward-required sweeps are levelized and fan out
 // across a worker pool (SetWorkers). Because every propagation step is a
 // pure max/min reduction, results are bit-identical for any worker count
@@ -47,6 +48,17 @@ type Results struct {
 	Required []float64
 	Slack    []float64
 
+	EndpointStats
+
+	// ClockArrival is the propagated clock arrival (including useful skew)
+	// at each register, keyed by instance ID.
+	ClockArrival map[netlist.InstID]float64
+}
+
+// EndpointStats are an analysis's endpoint statistics, summed in the
+// engine's deterministic endpoint order (the sum in TNS makes the order
+// observable in the last bits).
+type EndpointStats struct {
 	// WNS is the worst endpoint slack (0 when nothing fails and min slack
 	// is positive — we report the true minimum, which may be positive).
 	WNS float64
@@ -56,10 +68,6 @@ type Results struct {
 	FailingEndpoints int
 	// TotalEndpoints counts all checked endpoints.
 	TotalEndpoints int
-
-	// ClockArrival is the propagated clock arrival (including useful skew)
-	// at each register, keyed by instance ID.
-	ClockArrival map[netlist.InstID]float64
 }
 
 // PinSlack returns the slack at a pin (+Inf for unconstrained pins).
@@ -83,6 +91,12 @@ type RunStats struct {
 	LastConePins int
 	// LastKind is "full" or "incremental" for the most recent run.
 	LastKind string
+	// ClockRegs counts registers whose clock arrival a run recomputed
+	// (every register on a full recompute, the registers an edit can have
+	// reached on an incremental one); LastClockRegs is the most recent
+	// run's count.
+	ClockRegs     int
+	LastClockRegs int
 }
 
 // Engine runs timing analysis on a design. The engine may be re-run after
@@ -106,7 +120,7 @@ type Engine struct {
 	arr, req, slack []float64
 	seedArr         []float64 // launch seed per pin (negInf when unseeded)
 	endReq          []float64 // endpoint required per pin (+Inf when none)
-	effClk          map[netlist.InstID]float64
+	clk             clockState
 	endpoints       []int32 // endpoint pins in deterministic check order
 
 	// Scratch for incremental runs (generation-stamped marks).
@@ -145,6 +159,9 @@ func (e *Engine) SetWorkers(n int) { e.workers = n }
 // SetSkew assigns a useful clock skew (ps, positive = later clock) to a
 // register instance. The next Run picks the change up incrementally.
 func (e *Engine) SetSkew(id netlist.InstID, ps float64) {
+	if e.skew[id] != ps {
+		e.clk.skewDirty = append(e.clk.skewDirty, id)
+	}
 	if ps == 0 {
 		delete(e.skew, id)
 		return
@@ -185,6 +202,24 @@ const negInf = math.MaxFloat64 * -1
 // Either way the returned snapshot is bit-identical to a from-scratch
 // analysis.
 func (e *Engine) Run() (*Results, error) {
+	if err := e.update(); err != nil {
+		return nil, err
+	}
+	return e.snapshot(), nil
+}
+
+// RunEndpoints brings the analysis up to date exactly as Run does but
+// returns only the endpoint statistics — the same values Run's Results
+// carry — without copying the per-pin arrays into a snapshot.
+func (e *Engine) RunEndpoints() (EndpointStats, error) {
+	if err := e.update(); err != nil {
+		return EndpointStats{}, err
+	}
+	return e.endpointStats(), nil
+}
+
+// update brings the engine's working state in sync with the design.
+func (e *Engine) update() error {
 	d := e.d
 	structural := !e.valid ||
 		d.StructuralEpoch() > e.cursor ||
@@ -213,14 +248,14 @@ func (e *Engine) Run() (*Results, error) {
 	}
 	if err != nil {
 		e.valid = false
-		return nil, err
+		return err
 	}
 	e.slog.seq = runSeq
 	e.cursor = d.Epoch()
 	e.timingSnap = d.Timing
 	e.idealSnap = e.ideal
 	e.valid = true
-	return e.snapshot(), nil
+	return nil
 }
 
 // runFull rebuilds the graph, seeds and endpoint constraints, then runs
@@ -249,11 +284,9 @@ func (e *Engine) runFull(seq uint64) error {
 		e.endReq[i] = math.Inf(1)
 	}
 
-	clk, err := e.clockArrivals()
-	if err != nil {
+	if _, err := e.clockFull(false); err != nil {
 		return err
 	}
-	e.effClk = make(map[netlist.InstID]float64, len(clk))
 	e.endpoints = e.endpoints[:0]
 	period := d.Timing.ClockPeriod
 
@@ -268,8 +301,7 @@ func (e *Engine) runFull(seq uint64) error {
 				e.endpoints = append(e.endpoints, int32(p.ID))
 			}
 		case netlist.KindReg:
-			eff := clk[in.ID] + e.skew[in.ID]
-			e.effClk[in.ID] = eff
+			eff := e.clk.eff[in.ID]
 			e.seedRegister(in, eff, nil)
 			for b := 0; b < in.Bits(); b++ {
 				dp := d.DPin(in, b)
@@ -332,20 +364,27 @@ func slackOf(arr, req float64) float64 {
 	return req - arr
 }
 
-// snapshot assembles an immutable Results from the engine's working state,
-// recomputing the endpoint statistics in the deterministic endpoint order
-// (the sum in TNS makes the order observable in the last bits).
+// snapshot assembles an immutable Results from the engine's working state.
 func (e *Engine) snapshot() *Results {
 	res := &Results{
-		Arrival:      append([]float64(nil), e.arr...),
-		Required:     append([]float64(nil), e.req...),
-		Slack:        append([]float64(nil), e.slack...),
-		ClockArrival: make(map[netlist.InstID]float64, len(e.effClk)),
-		WNS:          math.Inf(1),
+		Arrival:       append([]float64(nil), e.arr...),
+		Required:      append([]float64(nil), e.req...),
+		Slack:         append([]float64(nil), e.slack...),
+		EndpointStats: e.endpointStats(),
+		ClockArrival:  map[netlist.InstID]float64{},
 	}
-	for id, v := range e.effClk {
-		res.ClockArrival[id] = v
-	}
+	e.d.Insts(func(in *netlist.Inst) {
+		if in.Kind == netlist.KindReg {
+			res.ClockArrival[in.ID] = e.clk.eff[in.ID]
+		}
+	})
+	return res
+}
+
+// endpointStats recomputes the endpoint statistics over the cached
+// endpoint list.
+func (e *Engine) endpointStats() EndpointStats {
+	st := EndpointStats{WNS: math.Inf(1)}
 	for _, pin := range e.endpoints {
 		if e.arr[pin] == negInf {
 			continue // unreached endpoint: unconstrained path
@@ -354,19 +393,19 @@ func (e *Engine) snapshot() *Results {
 		if math.IsInf(s, 1) {
 			continue
 		}
-		res.TotalEndpoints++
-		if s < res.WNS {
-			res.WNS = s
+		st.TotalEndpoints++
+		if s < st.WNS {
+			st.WNS = s
 		}
 		if s < 0 {
-			res.TNS += s
-			res.FailingEndpoints++
+			st.TNS += s
+			st.FailingEndpoints++
 		}
 	}
-	if res.TotalEndpoints == 0 {
-		res.WNS = 0
+	if st.TotalEndpoints == 0 {
+		st.WNS = 0
 	}
-	return res
+	return st
 }
 
 func resizeFloats(s []float64, n int) []float64 {

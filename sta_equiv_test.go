@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cts"
 	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/sta"
@@ -158,5 +159,92 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSTAIncrementalEquivalenceUnderCTS runs the same oracle with the
+// retained clock-tree engine attached, so incremental runs see buffered,
+// gated clock trees change under them: register moves and resizes re-plan
+// and re-legalize the trees (CTS-class rewires and buffer moves), a few
+// buffers are nudged directly, and skews change. Every run must equal a
+// fresh analysis, clock arrivals included, and most must recompute fewer
+// clock arrivals than there are registers.
+func TestSTAIncrementalEquivalenceUnderCTS(t *testing.T) {
+	for _, name := range []string{"D1", "D2", "D3", "D4", "D5"} {
+		t.Run(name, func(t *testing.T) {
+			spec, _ := bench.ProfileByName(name, bench.ProfileOpts{Scale: 40})
+			gen, err := bench.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := gen.Design
+			ce := cts.NewEngine(d, cts.DefaultOptions())
+			if err := ce.Attach(); err != nil {
+				t.Fatal(err)
+			}
+			eng := sta.New(d)
+			eng.SetWorkers(1)
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(len(name) * 31)))
+			skews := map[netlist.InstID]float64{}
+			local := 0
+			for round := 0; round < 6; round++ {
+				regs := d.Registers()
+				for i := 0; i < 3; i++ {
+					r := regs[rng.Intn(len(regs))]
+					if r.Fixed || r.SizeOnly {
+						continue
+					}
+					switch rng.Intn(3) {
+					case 0:
+						d.MoveInst(r, geom.Point{
+							X: r.Pos.X + int64(rng.Intn(2001)) - 1000,
+							Y: r.Pos.Y + int64(rng.Intn(2001)) - 1000,
+						})
+					case 1:
+						cs := d.Lib.CellsOfWidth(r.RegCell.Class, r.RegCell.Bits)
+						if err := d.ResizeRegister(r, cs[rng.Intn(len(cs))]); err != nil {
+							t.Fatal(err)
+						}
+					case 2:
+						s := float64(rng.Intn(41) - 20)
+						eng.SetSkew(r.ID, s)
+						skews[r.ID] = s
+					}
+				}
+				if err := ce.Update(); err != nil {
+					t.Fatal(err)
+				}
+				bufs := ce.Buffers()
+				d.WithEditClass(netlist.EditClassCTS, func() {
+					for i := 0; i < 2; i++ {
+						b := bufs[rng.Intn(len(bufs))]
+						d.MoveInst(b, geom.Point{X: b.Pos.X + d.SiteW, Y: b.Pos.Y})
+					}
+				})
+
+				got, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := eng.Stats(); s.LastKind == "incremental" && s.LastClockRegs < len(d.Registers()) {
+					local++
+				}
+				oracle := sta.New(d)
+				for id, s := range skews {
+					oracle.SetSkew(id, s)
+				}
+				want, err := oracle.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSTAResults(t, fmt.Sprintf("round %d", round), got, want)
+			}
+			if local == 0 {
+				t.Fatalf("no run recomputed fewer clock arrivals than there are registers: %+v", eng.Stats())
+			}
+		})
 	}
 }
