@@ -16,6 +16,7 @@ package flow
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/clique"
@@ -104,7 +105,8 @@ type Config struct {
 	// Workers is the flow's only worker setting. Composition and every
 	// retained engine get it: the composition shard pool, the STA engine's
 	// levelized sweeps, the compat engine's pairwise re-tests, the CTS
-	// clustering plan and the congestion rebuild. 0 = one worker per
+	// clustering plan and the congestion rebuild. Any value but 1 also
+	// makes measure sync its engines concurrently. 0 = one worker per
 	// available CPU (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports
 	// are byte-identical for any setting.
 	Workers int
@@ -213,6 +215,9 @@ type engines struct {
 	// rt retains the G-cell congestion map so measure's overflow-edge count
 	// is served by per-net demand deltas, not a full re-estimate.
 	rt *route.Engine
+	// workers is Config.Workers: at 1, measure syncs the engines one after
+	// another; otherwise it syncs them concurrently.
+	workers int
 }
 
 func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
@@ -223,9 +228,10 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 			Workers:      cfg.Workers,
 			MaxDeltaFrac: cfg.Compat.MaxDeltaFrac,
 		}),
-		cts: cts.NewEngine(d, cfg.CTS.Tree),
-		met: metrics.New(d),
-		rt:  route.NewEngine(d, cfg.Route.Est),
+		cts:     cts.NewEngine(d, cfg.CTS.Tree),
+		met:     metrics.New(d),
+		rt:      route.NewEngine(d, cfg.Route.Est),
+		workers: cfg.Workers,
 	}
 	e.sta.SetWorkers(cfg.Workers)
 	e.rt.SetWorkers(cfg.Workers)
@@ -372,14 +378,44 @@ func (s *Session) runFlow() (*Report, error) {
 // cts.Measure, metrics.Tracker vs the netlist walks, route.Engine vs
 // route.Estimate), which keeps reports byte-identical with the former
 // batch measurement.
+//
+// Unless engs.workers is 1, the STA run, the congestion sync and the CTS
+// metrics plus tracker sync run concurrently, joined before the metrics
+// are assembled. Each engine reads the design and writes only its own
+// state, so the values are those of the sequential order.
 func measure(engs *engines) (Metrics, error) {
-	res, err := engs.sta.RunEndpoints()
-	if err != nil {
-		return Metrics{}, err
+	var (
+		res      sta.EndpointStats
+		err      error
+		cm       cts.Metrics
+		overflow int
+		dm       metrics.Aggregates
+	)
+	if engs.workers == 1 {
+		if res, err = engs.sta.RunEndpoints(); err != nil {
+			return Metrics{}, err
+		}
+		cm = engs.cts.Metrics()
+		overflow = engs.rt.OverflowEdges()
+		dm = engs.met.Aggregates()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			res, err = engs.sta.RunEndpoints()
+		}()
+		go func() {
+			defer wg.Done()
+			overflow = engs.rt.OverflowEdges()
+		}()
+		cm = engs.cts.Metrics()
+		dm = engs.met.Aggregates()
+		wg.Wait()
+		if err != nil {
+			return Metrics{}, err
+		}
 	}
-	cm := engs.cts.Metrics()
-	overflow := engs.rt.OverflowEdges()
-	dm := engs.met.Aggregates()
 
 	return Metrics{
 		AreaUM2:          float64(dm.AreaDBU2) / 1e6, // 1 DBU = 1 nm
@@ -399,7 +435,7 @@ func measure(engs *engines) (Metrics, error) {
 }
 
 // resizeMBRs downsizes composed MBRs whose timing headroom allows a weaker
-// (lower clock-cap, lower leakage) drive, then verifies with a full STA and
+// (lower clock-cap, lower leakage) drive, then verifies with an STA run and
 // rolls every swap back if TNS degraded.
 func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, marginPS float64) (int, error) {
 	res, err := eng.Run()
@@ -412,19 +448,20 @@ func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, margin
 		cands := d.Lib.CellsOfWidth(cur.Class, cur.Bits)
 		qs := sta.RegQSlack(d, res, in)
 		ds := sta.RegDSlack(d, res, in)
+		// The worst Q-net load the weaker drive would see.
+		var load float64
+		for b := 0; b < in.Bits(); b++ {
+			if q := d.QPin(in, b); q != nil && q.Net != netlist.NoID {
+				if l := d.NetLoadCap(d.Net(q.Net)); l > load {
+					load = l
+				}
+			}
+		}
 		// Try the weakest candidate that keeps estimated slack positive.
 		var best *swapTarget
 		for _, c := range cands {
 			if c.DriveRes <= cur.DriveRes {
 				continue // not a downsize
-			}
-			var load float64
-			for b := 0; b < in.Bits(); b++ {
-				if q := d.QPin(in, b); q != nil && q.Net != netlist.NoID {
-					if l := d.NetLoadCap(d.Net(q.Net)); l > load {
-						load = l
-					}
-				}
 			}
 			extra := (c.DriveRes-cur.DriveRes)*load + (c.Intrinsic - cur.Intrinsic)
 			if qs-extra > marginPS && ds > marginPS {
@@ -444,7 +481,9 @@ func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, margin
 	if len(swaps) == 0 {
 		return 0, nil
 	}
-	after, err := eng.Run()
+	// The check reads only TNS, so it takes the endpoint statistics and
+	// copies no per-pin arrays.
+	after, err := eng.RunEndpoints()
 	if err != nil {
 		return 0, err
 	}

@@ -2,10 +2,13 @@ package flow
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/netlist"
 )
 
 // runCanonical generates the spec's design fresh (bench generation is
@@ -109,6 +112,157 @@ func TestShardedComposeDeterminismAllProfiles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentMeasureMatchesSequential drives two sessions on the same
+// design through identical edit batches (moves, resizes, skews, merges and
+// splits) with a Measure after each. At Workers=1 measure syncs its engines
+// one after another; at Workers=2 it syncs them concurrently. The metrics
+// and engine summaries must agree after every batch. Under -race this runs
+// the engines' delta paths concurrently, which flow.Run, whose measures are
+// rebuilds, does not reach.
+func TestConcurrentMeasureMatchesSequential(t *testing.T) {
+	for _, spec := range []bench.Spec{
+		bench.D1(bench.ProfileOpts{Scale: 200}),
+		bench.D4(bench.ProfileOpts{Scale: 300}),
+	} {
+		t.Run(spec.Name, func(t *testing.T) {
+			var sess []*Session
+			for _, workers := range []int{1, 2} {
+				b, err := bench.Generate(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig()
+				cfg.Workers = workers
+				s, err := NewSession(b.Design, b.Plan, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Close)
+				sess = append(sess, s)
+			}
+			// apply runs one edit on both sessions; they must agree on
+			// whether it applied.
+			apply := func(e Edit) bool {
+				_, err0 := sess[0].Apply([]Edit{e})
+				_, err1 := sess[1].Apply([]Edit{e})
+				if (err0 == nil) != (err1 == nil) {
+					t.Fatalf("%s: Workers=1 error %v, Workers=2 error %v", e.Op(), err0, err1)
+				}
+				return err0 == nil
+			}
+			rng := rand.New(rand.NewSource(5))
+			applied := map[string]int{}
+			for batch := 0; batch < 12; batch++ {
+				// Even batches are parametric (the engines' delta paths);
+				// odd ones merge a probed pair and split a multi-bit
+				// register (structural edits).
+				if batch%2 == 0 {
+					for _, e := range editBatch(sess[0].Design(), rng) {
+						if apply(e) {
+							applied[e.Op()]++
+						}
+					}
+				} else {
+					d := sess[0].Design()
+					if a, b, ok := probeMergePair(d, rng); ok &&
+						apply(MergeGroup(fmt.Sprintf("cm%d", batch), a, b)) {
+						applied["merge"]++
+					}
+					if name, ok := pickMBR(d, rng); ok && apply(SplitInst(name)) {
+						applied["split"]++
+					}
+				}
+				var got [2]Metrics
+				for i, s := range sess {
+					m, err := s.Measure()
+					if err != nil {
+						t.Fatalf("batch %d: measure: %v", batch, err)
+					}
+					got[i] = m
+				}
+				if got[0] != got[1] {
+					t.Fatalf("batch %d: metrics differ:\nWorkers=1 %+v\nWorkers=2 %+v", batch, got[0], got[1])
+				}
+				if e0, e1 := sess[0].Engines(), sess[1].Engines(); !reflect.DeepEqual(e0, e1) {
+					t.Fatalf("batch %d: engine summaries differ:\nWorkers=1 %+v\nWorkers=2 %+v", batch, e0, e1)
+				}
+			}
+			for _, op := range []string{"move", "resize", "skew", "merge", "split"} {
+				if applied[op] == 0 {
+					t.Errorf("no %s edit applied: %v", op, applied)
+				}
+			}
+			for name, sum := range sess[1].Engines() {
+				if name != "compat" && sum.Deltas == 0 {
+					t.Errorf("no concurrent measure took the %s delta path: %+v", name, sum)
+				}
+			}
+		})
+	}
+}
+
+// editBatch returns a few moves, resizes and skews of random movable
+// registers of d.
+func editBatch(d *netlist.Design, rng *rand.Rand) []Edit {
+	var regs []*netlist.Inst
+	for _, in := range d.Registers() {
+		if !in.Fixed && !in.SizeOnly {
+			regs = append(regs, in)
+		}
+	}
+	var edits []Edit
+	for k := 0; k < 3; k++ {
+		in := regs[rng.Intn(len(regs))]
+		edits = append(edits, MoveTo(in.Name, in.Pos.X+d.SiteW*int64(rng.Intn(41)-20), in.Pos.Y))
+	}
+	for k := 0; k < 2; k++ {
+		in := regs[rng.Intn(len(regs))]
+		if alts := d.Lib.CellsOfWidth(in.RegCell.Class, in.RegCell.Bits); len(alts) > 1 {
+			edits = append(edits, Resize(in.Name, alts[rng.Intn(len(alts))].Name))
+		}
+	}
+	for k := 0; k < 2; k++ {
+		in := regs[rng.Intn(len(regs))]
+		edits = append(edits, Skew(in.Name, float64(rng.Intn(61)-30)))
+	}
+	return edits
+}
+
+// probeMergePair picks two movable single-bit registers of one class that
+// share a clock net, starting the search at a random register.
+func probeMergePair(d *netlist.Design, rng *rand.Rand) (string, string, bool) {
+	var regs []*netlist.Inst
+	for _, in := range d.Registers() {
+		if !in.Fixed && !in.SizeOnly && in.Bits() == 1 {
+			regs = append(regs, in)
+		}
+	}
+	off := rng.Intn(len(regs) + 1)
+	for i := range regs {
+		a := regs[(off+i)%len(regs)]
+		for _, b := range regs {
+			if b != a && b.RegCell.Class == a.RegCell.Class && d.ClockNet(b) == d.ClockNet(a) {
+				return a.Name, b.Name, true
+			}
+		}
+	}
+	return "", "", false
+}
+
+// pickMBR returns a random movable multi-bit register of d.
+func pickMBR(d *netlist.Design, rng *rand.Rand) (string, bool) {
+	var mbrs []string
+	for _, in := range d.Registers() {
+		if !in.Fixed && !in.SizeOnly && in.Bits() > 1 {
+			mbrs = append(mbrs, in.Name)
+		}
+	}
+	if len(mbrs) == 0 {
+		return "", false
+	}
+	return mbrs[rng.Intn(len(mbrs))], true
 }
 
 // firstDiff renders the first differing line of two canonical reports.

@@ -72,7 +72,8 @@ type Stats struct {
 	LastKind string
 }
 
-// instSnap is one instance's contribution at the last sync.
+// instSnap is one instance's contribution at the last sync. The zero
+// value is a dead or never-seen instance's.
 type instSnap struct {
 	live  bool
 	isReg bool
@@ -90,11 +91,13 @@ type Tracker struct {
 	cursor uint64
 	valid  bool
 
-	agg   Aggregates
-	snaps map[netlist.InstID]*instSnap
-	// netWL caches each live signal net's HPWL; zero-HPWL nets are elided
-	// (a missing entry reads as 0, which is also every dead net's value).
-	netWL map[netlist.NetID]int64
+	agg Aggregates
+	// snaps is indexed by InstID and netWL, each signal net's cached HPWL
+	// (0 for clock and dead nets), by NetID. Both grow with the design's
+	// ID spaces and are reused across recounts and rebuilds: a snapshot
+	// keeps its net buffer, so a recount allocates nothing per instance.
+	snaps []instSnap
+	netWL []int64
 
 	stats Stats
 }
@@ -152,19 +155,18 @@ func (t *Tracker) Sync() {
 		t.rebuild()
 		return
 	}
+	t.grow()
 	// Collect the dirty signal nets before snapshots move: each touched
 	// instance invalidates the nets it was on at the last sync plus the
-	// nets it is on now.
+	// nets it is on now. A touched ID appears once per ring that noted it.
 	dirty := map[netlist.NetID]bool{}
 	touched := flow
 	if ctsOK {
 		touched = append(touched, ctsT...)
 	}
 	for _, id := range touched {
-		if s := t.snaps[id]; s != nil {
-			for _, nid := range s.nets {
-				dirty[nid] = true
-			}
+		for _, nid := range t.snaps[id].nets {
+			dirty[nid] = true
 		}
 		for _, nid := range t.signalNets(id, nil) {
 			dirty[nid] = true
@@ -191,6 +193,16 @@ func (t *Tracker) Sync() {
 	t.cursor = t.d.Epoch()
 }
 
+// grow extends the ID-indexed state to the design's current ID spaces.
+func (t *Tracker) grow() {
+	if n := t.d.InstSpace(); n > len(t.snaps) {
+		t.snaps = append(t.snaps, make([]instSnap, n-len(t.snaps))...)
+	}
+	if n := t.d.NetSpace(); n > len(t.netWL) {
+		t.netWL = append(t.netWL, make([]int64, n-len(t.netWL))...)
+	}
+}
+
 // signalNets returns the deduplicated live signal nets of the instance's
 // pins, appended to buf. A nil or dead instance has none.
 func (t *Tracker) signalNets(id netlist.InstID, buf []netlist.NetID) []netlist.NetID {
@@ -202,21 +214,16 @@ func (t *Tracker) signalNets(id netlist.InstID, buf []netlist.NetID) []netlist.N
 // instance is a no-op.
 func (t *Tracker) syncInst(id netlist.InstID) {
 	t.stats.InstsSynced++
-	old := t.snaps[id]
-	if old != nil {
-		if old.live {
-			t.agg.Cells--
-			t.agg.AreaDBU2 -= old.area
-			if old.isReg {
-				t.agg.Regs--
-			}
-			if old.comp {
-				t.agg.CompRegs--
-			}
+	old := &t.snaps[id]
+	if old.live {
+		t.agg.Cells--
+		t.agg.AreaDBU2 -= old.area
+		if old.isReg {
+			t.agg.Regs--
 		}
-	} else {
-		old = &instSnap{}
-		t.snaps[id] = old
+		if old.comp {
+			t.agg.CompRegs--
+		}
 	}
 	in := t.d.Inst(id)
 	if in == nil {
@@ -256,38 +263,33 @@ func (t *Tracker) syncNet(id netlist.NetID) {
 		cur = t.d.NetHPWL(n)
 	}
 	t.agg.SignalWLDBU += cur - t.netWL[id]
-	if cur == 0 {
-		delete(t.netWL, id)
-	} else {
-		t.netWL[id] = cur
-	}
+	t.netWL[id] = cur
 }
 
 // recountInsts rebuilds the instance-side state (snapshots and counts)
-// with one O(insts) walk, leaving the signal-net caches untouched.
+// with one O(insts) walk, leaving the signal-net caches untouched. Every
+// slot is reset first, so a dead instance's slot reads as dead again.
 func (t *Tracker) recountInsts() {
+	t.grow()
 	t.agg.Cells, t.agg.Regs, t.agg.CompRegs, t.agg.AreaDBU2 = 0, 0, 0, 0
-	t.snaps = map[netlist.InstID]*instSnap{}
-	t.d.Insts(func(in *netlist.Inst) {
-		s := &instSnap{}
-		t.snapInst(in, s)
-		t.snaps[in.ID] = s
-	})
+	for i := range t.snaps {
+		t.snaps[i] = instSnap{nets: t.snaps[i].nets[:0]}
+	}
+	t.d.Insts(func(in *netlist.Inst) { t.snapInst(in, &t.snaps[in.ID]) })
 }
 
 // rebuild re-derives everything from the design.
 func (t *Tracker) rebuild() {
 	t.recountInsts()
 	t.agg.SignalWLDBU = 0
-	t.netWL = map[netlist.NetID]int64{}
+	clear(t.netWL)
 	t.d.Nets(func(n *netlist.Net) {
 		if n.IsClock {
 			return
 		}
-		if wl := t.d.NetHPWL(n); wl != 0 {
-			t.netWL[n.ID] = wl
-			t.agg.SignalWLDBU += wl
-		}
+		wl := t.d.NetHPWL(n)
+		t.netWL[n.ID] = wl
+		t.agg.SignalWLDBU += wl
 	})
 	t.cursor = t.d.Epoch()
 	t.valid = true

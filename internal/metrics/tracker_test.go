@@ -172,14 +172,54 @@ func TestTrackerEqualsOracles(t *testing.T) {
 				}
 				requireEqualsOracles(t, fmt.Sprintf("round %d", round), tr, d)
 			}
+			// Removals leave dead IDs behind in the tracker's slots. Each
+			// victim is first touched under the CTS class, so one delta sees
+			// it in both rings: its slot must read dead after the first
+			// visit or the second subtracts it again.
+			removeTouchedTwice(t, d, rng, 4)
+			requireEqualsOracles(t, "removals", tr, d)
+			// More edits and removals land unsynced before Invalidate: the
+			// rebuild reuses slots whose contents went stale, and every
+			// snapshot's net buffer; further edits then run deltas over them.
+			mutate(t, d, rng, parked)
+			removeTouchedTwice(t, d, rng, 2)
+			tr.Invalidate()
+			requireEqualsOracles(t, "post-invalidate", tr, d)
+			for round := 0; round < 4; round++ {
+				mutate(t, d, rng, parked)
+				removeTouchedTwice(t, d, rng, 1)
+				mutateComposability(t, d, rng)
+				requireEqualsOracles(t, fmt.Sprintf("post-invalidate round %d", round), tr, d)
+			}
 			st := tr.Stats()
 			if st.Deltas == 0 {
 				t.Fatalf("no sync took the delta path: %+v", st)
 			}
-			if st.FullRebuilds != 1 {
-				t.Fatalf("expected exactly the baseline rebuild, got %+v", st)
+			if st.FullRebuilds != 2 {
+				t.Fatalf("expected exactly the baseline and post-invalidate rebuilds, got %+v", st)
 			}
 		})
+	}
+}
+
+// removeTouchedTwice removes n random registers, each after a CTS-class
+// clock-pin rewire, so the removal reaches the tracker through both the
+// flow and the CTS touched rings.
+func removeTouchedTwice(t *testing.T, d *netlist.Design, rng *rand.Rand, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		regs := d.Registers()
+		in := regs[rng.Intn(len(regs))]
+		cp := d.ClockPin(in)
+		if cp == nil || cp.Net == netlist.NoID {
+			continue
+		}
+		clk := d.Net(cp.Net)
+		d.WithEditClass(netlist.EditClassCTS, func() {
+			d.Disconnect(cp)
+			d.Connect(cp, clk)
+		})
+		d.RemoveInst(in)
 	}
 }
 

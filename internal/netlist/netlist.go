@@ -7,6 +7,12 @@
 // Electrical units follow the library: picoseconds, femtofarads, kilo-ohms
 // (conveniently, kΩ × fF = ps) and integer database units (DBU) for
 // geometry.
+//
+// Concurrency: the read methods (lookups, iteration, NetBBox/NetHPWL/
+// NetContrib, InstNets, TouchedSinceClass) write nothing, not even a
+// reused buffer, so any number of goroutines may read one Design at once
+// (flow's measure syncs its retained engines that way). No read may
+// overlap an edit.
 package netlist
 
 import (
@@ -507,19 +513,27 @@ func (d *Design) PinPos(p *Pin) geom.Point {
 }
 
 // NetBBox returns the bounding box over all connected pins of n; ok is
-// false for nets with no connected pins.
+// false for nets with no connected pins. It folds min/max in one pass over
+// the pins and allocates nothing, so the per-net helpers built on it
+// (NetHPWL, NetContrib, NetLoadCap) are allocation-free too.
 func (d *Design) NetBBox(n *Net) (geom.Rect, bool) {
-	var pts []geom.Point
-	if n.Driver != NoID {
-		pts = append(pts, d.PinPos(d.pins[n.Driver]))
+	first, sinks := n.Driver, n.Sinks
+	if first == NoID {
+		if len(sinks) == 0 {
+			return geom.Rect{}, false
+		}
+		first, sinks = sinks[0], sinks[1:]
 	}
-	for _, s := range n.Sinks {
-		pts = append(pts, d.PinPos(d.pins[s]))
+	p := d.PinPos(d.pins[first])
+	r := geom.Rect{Lo: p, Hi: p}
+	for _, s := range sinks {
+		p := d.PinPos(d.pins[s])
+		r.Lo.X = min(r.Lo.X, p.X)
+		r.Lo.Y = min(r.Lo.Y, p.Y)
+		r.Hi.X = max(r.Hi.X, p.X)
+		r.Hi.Y = max(r.Hi.Y, p.Y)
 	}
-	if len(pts) == 0 {
-		return geom.Rect{}, false
-	}
-	return geom.BoundingBox(pts), true
+	return r, true
 }
 
 // NetHPWL returns the half-perimeter wirelength of n in DBU.

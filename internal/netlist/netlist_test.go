@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -195,6 +197,92 @@ func TestHPWLAndPinPos(t *testing.T) {
 	clkWL, sigWL := d.Wirelength()
 	if clkWL <= 0 || sigWL <= 0 {
 		t.Fatalf("wirelength split: clk=%d sig=%d", clkWL, sigWL)
+	}
+}
+
+// TestNetBBoxMatchesBoundingBox checks the single-pass NetBBox against
+// geom.BoundingBox over the collected pin positions (the construction it
+// replaced) on random nets of every shape, and that the per-net helpers on
+// top of it allocate nothing.
+func TestNetBBoxMatchesBoundingBox(t *testing.T) {
+	d := newTestDesign()
+	rng := rand.New(rand.NewSource(7))
+	cell := cellOf(t, 1)
+	seq := 0
+	// reg places a 1-bit register at a random point: its D and Q pins carry
+	// nonzero cell offsets, unlike port pins.
+	reg := func() *Inst {
+		seq++
+		in, err := d.AddRegister(fmt.Sprintf("r%d", seq), cell,
+			geom.Point{X: rng.Int63n(100000), Y: rng.Int63n(100000)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	oracle := func(n *Net) (geom.Rect, bool) {
+		var pts []geom.Point
+		if n.Driver != NoID {
+			pts = append(pts, d.PinPos(d.Pin(n.Driver)))
+		}
+		for _, s := range n.Sinks {
+			pts = append(pts, d.PinPos(d.Pin(s)))
+		}
+		if len(pts) == 0 {
+			return geom.Rect{}, false
+		}
+		return geom.BoundingBox(pts), true
+	}
+	build := func(driver bool, sinks int) *Net {
+		n := d.AddNet(fmt.Sprintf("n%d", len(d.nets)), false)
+		if driver {
+			d.Connect(d.QPin(reg(), 0), n)
+		}
+		for i := 0; i < sinks; i++ {
+			d.Connect(d.DPin(reg(), 0), n)
+		}
+		return n
+	}
+	shapes := []struct {
+		name   string
+		driver bool
+		sinks  int
+	}{
+		{"empty", false, 0},
+		{"driver-only", true, 0},
+		{"single-sink", false, 1},
+		{"driverless", false, 5},
+		{"two-pin", true, 1},
+		{"fanout", true, 17},
+		{"huge", true, 3000},
+	}
+	var huge *Net
+	for _, sh := range shapes {
+		for rep := 0; rep < 20; rep++ {
+			n := build(sh.driver, sh.sinks)
+			got, gotOK := d.NetBBox(n)
+			want, wantOK := oracle(n)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("%s #%d: NetBBox = %v,%v, BoundingBox = %v,%v", sh.name, rep, got, gotOK, want, wantOK)
+			}
+			if sh.name == "huge" {
+				huge = n
+				break // one thousands-of-sinks net is enough
+			}
+		}
+	}
+
+	if huge == nil || len(huge.Sinks) < 1000 {
+		t.Fatal("no 1,000-sink net built")
+	}
+	for name, f := range map[string]func(){
+		"NetBBox":    func() { d.NetBBox(huge) },
+		"NetHPWL":    func() { d.NetHPWL(huge) },
+		"NetContrib": func() { d.NetContrib(huge) },
+	} {
+		if a := testing.AllocsPerRun(20, f); a != 0 {
+			t.Errorf("%s allocates %v times per call on a %d-sink net, want 0", name, a, len(huge.Sinks))
+		}
 	}
 }
 

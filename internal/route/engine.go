@@ -73,11 +73,14 @@ type Engine struct {
 	hFloat, vFloat []float64 // materialized tracks, mirrors hDem/vDem
 	overflow       int       // maintained OverflowEdges count
 
-	// snaps records, per instance, the nets its pins were on at the last
-	// sync; nets records each contributing net's applied contribution so it
-	// can be retracted exactly.
-	snaps map[netlist.InstID][]netlist.NetID
-	nets  map[netlist.NetID]contrib
+	// snaps records, per InstID, the nets the instance's pins were on at
+	// the last sync; nets records, per NetID, the net's applied
+	// contribution so it can be retracted exactly (the zero contrib, which
+	// is inert, for nets that contribute nothing). Both grow with the
+	// design's ID spaces and are reused across rebuilds: a snapshot keeps
+	// its net buffer.
+	snaps [][]netlist.NetID
+	nets  []contrib
 
 	// gen/stamp arrays dedupe dirty edges within one update without
 	// clearing O(grid) state: an edge is dirty iff its stamp equals gen.
@@ -154,7 +157,7 @@ func (e *Engine) Update() {
 	e.stats.Updates++
 	if !e.valid {
 		reason := "invalidate"
-		if e.snaps == nil {
+		if e.stats.Rebuilds == 0 {
 			reason = "attach"
 		}
 		e.rebuild(reason)
@@ -194,6 +197,7 @@ func (e *Engine) Update() {
 // can have changed: the nets the instance was on at the last sync plus the
 // nets it is on now.
 func (e *Engine) delta(touched []netlist.InstID) {
+	e.grow()
 	var dirty []netlist.NetID
 	seen := map[netlist.NetID]bool{}
 	var buf []netlist.NetID
@@ -217,22 +221,16 @@ func (e *Engine) delta(touched []netlist.InstID) {
 	e.hDirty = e.hDirty[:0]
 	e.vDirty = e.vDirty[:0]
 	for _, nid := range dirty {
-		if old, ok := e.nets[nid]; ok {
-			old.addTo(e.hDem, e.vDem, e.g.nx, -1)
-			e.markDirty(old)
-		}
+		old := e.nets[nid]
+		old.addTo(e.hDem, e.vDem, e.g.nx, -1)
+		e.markDirty(old)
 		var cur contrib
-		var ok bool
 		if n := e.d.Net(nid); n != nil {
-			cur, ok = netContribution(e.d, n, e.opts, e.g)
+			cur, _ = netContribution(e.d, n, e.opts, e.g)
 		}
-		if ok {
-			cur.addTo(e.hDem, e.vDem, e.g.nx, 1)
-			e.markDirty(cur)
-			e.nets[nid] = cur
-		} else {
-			delete(e.nets, nid)
-		}
+		cur.addTo(e.hDem, e.vDem, e.g.nx, 1)
+		e.markDirty(cur)
+		e.nets[nid] = cur
 	}
 	// Finalize the dirty edges: refresh the float mirror and fold overflow
 	// transitions into the maintained count.
@@ -291,15 +289,20 @@ func (e *Engine) markDirty(c contrib) {
 	}
 }
 
-// snapInst replaces one instance's net snapshot. Dead instances keep an
-// empty snapshot (their entry is dropped).
+// snapInst replaces one instance's net snapshot in place. A dead
+// instance's snapshot is empty.
 func (e *Engine) snapInst(id netlist.InstID) {
-	nets := e.d.InstNets(id, false, nil)
-	if len(nets) == 0 {
-		delete(e.snaps, id)
-		return
+	e.snaps[id] = e.d.InstNets(id, false, e.snaps[id][:0])
+}
+
+// grow extends the ID-indexed state to the design's current ID spaces.
+func (e *Engine) grow() {
+	if n := e.d.InstSpace(); n > len(e.snaps) {
+		e.snaps = append(e.snaps, make([][]netlist.NetID, n-len(e.snaps))...)
 	}
-	e.snaps[id] = nets
+	if n := e.d.NetSpace(); n > len(e.nets) {
+		e.nets = append(e.nets, make([]contrib, n-len(e.nets))...)
+	}
 }
 
 // rebuild re-derives everything from the design with one parallel walk
@@ -324,15 +327,14 @@ func (e *Engine) rebuild(reason string) {
 	if workers < 1 {
 		workers = 1
 	}
+	// Dead nets' slots must read as contributing nothing.
+	e.grow()
+	clear(e.nets)
 	// One chunk of nets per worker, each into its own partial grid; a
-	// single worker is the one-chunk case, not a separate loop.
-	type netEntry struct {
-		id netlist.NetID
-		c  contrib
-	}
+	// single worker is the one-chunk case, not a separate loop. Workers
+	// write disjoint e.nets slots.
 	hParts := make([][]int64, workers)
 	vParts := make([][]int64, workers)
-	entries := make([][]netEntry, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -340,32 +342,25 @@ func (e *Engine) rebuild(reason string) {
 			defer wg.Done()
 			hD := make([]int64, nh)
 			vD := make([]int64, nv)
-			var ents []netEntry
 			for _, n := range live[w*len(live)/workers : (w+1)*len(live)/workers] {
 				if c, ok := netContribution(e.d, n, e.opts, e.g); ok {
 					c.addTo(hD, vD, e.g.nx, 1)
-					ents = append(ents, netEntry{n.ID, c})
+					e.nets[n.ID] = c
 				}
 			}
-			hParts[w], vParts[w], entries[w] = hD, vD, ents
+			hParts[w], vParts[w] = hD, vD
 		}(w)
 	}
 	wg.Wait()
 	// The first partial grid becomes the demand map, so one worker copies
 	// nothing; the others add in.
 	e.hDem, e.vDem = hParts[0], vParts[0]
-	e.nets = map[netlist.NetID]contrib{}
-	for w := 0; w < workers; w++ {
-		if w > 0 {
-			for i, v := range hParts[w] {
-				e.hDem[i] += v
-			}
-			for i, v := range vParts[w] {
-				e.vDem[i] += v
-			}
+	for w := 1; w < workers; w++ {
+		for i, v := range hParts[w] {
+			e.hDem[i] += v
 		}
-		for _, ent := range entries[w] {
-			e.nets[ent.id] = ent.c
+		for i, v := range vParts[w] {
+			e.vDem[i] += v
 		}
 	}
 
@@ -387,8 +382,9 @@ func (e *Engine) rebuild(reason string) {
 		}
 	}
 
-	e.snaps = map[netlist.InstID][]netlist.NetID{}
-	e.d.Insts(func(in *netlist.Inst) { e.snapInst(in.ID) })
+	for i := range e.snaps {
+		e.snapInst(netlist.InstID(i))
+	}
 
 	e.gen = 0
 	e.hStamp = make([]uint32, nh)

@@ -150,11 +150,84 @@ func TestDeltaEqualsEstimateOracle(t *testing.T) {
 					requireMapsEqual(t, ctx, rt, d, opts)
 					mutate(t, b, eng, rng, round, nil)
 				}
+				// Removals leave dead instance and net IDs behind. More of
+				// them land unsynced before Invalidate, so the rebuild reuses
+				// slots whose contents went stale; moving the drivers of the
+				// nets a removal left with one pin then retracts whatever the
+				// rebuild left in those nets' slots.
+				removeRegs(t, d, rng, 12)
+				requireMapsEqual(t, "removals", rt, d, opts)
+				drivers := strandNets(d, 4)
+				removeRegs(t, d, rng, 4)
+				rt.Invalidate()
+				requireMapsEqual(t, "post-invalidate", rt, d, opts)
+				for _, in := range drivers {
+					d.MoveInst(in, geom.Point{X: in.Pos.X + 2400, Y: in.Pos.Y})
+				}
+				requireMapsEqual(t, "stranded drivers moved", rt, d, opts)
+				for round := 8; round < 12; round++ {
+					mutate(t, b, eng, rng, round, nil)
+					removeRegs(t, d, rng, 2)
+					requireMapsEqual(t, fmt.Sprintf("post-invalidate round %d", round), rt, d, opts)
+				}
 				st := rt.Stats()
 				if st.Deltas == 0 {
 					t.Fatalf("no update took the delta path: %+v", st)
 				}
+				if st.Rebuilds != 2 {
+					t.Fatalf("expected the attach and post-invalidate rebuilds, got %+v", st)
+				}
 			})
+		}
+	}
+}
+
+// strandNets removes the one sink instance of up to n two-pin signal nets
+// whose driver and sink are both movable, leaving each net live with a
+// single pin. It returns the drivers.
+func strandNets(d *netlist.Design, n int) []*netlist.Inst {
+	var drivers, sinks []*netlist.Inst
+	used := map[*netlist.Inst]bool{}
+	d.Nets(func(nt *netlist.Net) {
+		if len(drivers) == n || nt.IsClock || nt.Driver == netlist.NoID || len(nt.Sinks) != 1 {
+			return
+		}
+		drv, sink := d.Inst(d.Pin(nt.Driver).Inst), d.Inst(d.Pin(nt.Sinks[0]).Inst)
+		if drv.Fixed || sink.Fixed || drv == sink || used[drv] || used[sink] {
+			return
+		}
+		used[drv], used[sink] = true, true
+		drivers, sinks = append(drivers, drv), append(sinks, sink)
+	})
+	for _, in := range sinks {
+		d.RemoveInst(in)
+	}
+	return drivers
+}
+
+// removeRegs removes up to n random registers, together with the nets
+// their removal leaves unconnected.
+func removeRegs(t *testing.T, d *netlist.Design, rng *rand.Rand, n int) {
+	t.Helper()
+	for k := 0; k < n; k++ {
+		regs := d.Registers()
+		if len(regs) <= 20 {
+			return
+		}
+		in := regs[rng.Intn(len(regs))]
+		var nets []*netlist.Net
+		for _, pid := range in.Pins {
+			if nid := d.Pin(pid).Net; nid != netlist.NoID {
+				nets = append(nets, d.Net(nid))
+			}
+		}
+		d.RemoveInst(in)
+		for _, nt := range nets {
+			if nt.Driver == netlist.NoID && len(nt.Sinks) == 0 {
+				if err := d.RemoveNet(nt); err != nil {
+					t.Fatalf("remove net: %v", err)
+				}
+			}
 		}
 	}
 }
