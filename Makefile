@@ -147,7 +147,8 @@ FUZZ_TARGETS = \
 	./internal/clique:FuzzEnumerateSubCliques \
 	./internal/route:FuzzEstimateDeltaEquivalence \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
-	./internal/place:FuzzRowSearchMatchesScan
+	./internal/place:FuzzRowSearchMatchesScan \
+	./internal/sta:FuzzStructuralDeltaMatchesFull
 FUZZTIME ?= 30s
 
 fuzz:

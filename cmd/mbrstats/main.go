@@ -345,6 +345,12 @@ func main() {
 type passStats struct {
 	Pass int `json:"pass"`
 
+	// Timing engine: how the pass's analysis was served ("full",
+	// "structural", "reseed" or "incremental") and the pins it
+	// re-evaluated.
+	STAKind     string `json:"staKind"`
+	STAConePins int    `json:"staConePins"`
+
 	// Compatibility-graph engine.
 	Nodes         int    `json:"nodes"`
 	Edges         int    `json:"edges"`
@@ -401,8 +407,11 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		}
 		g := cg.Update(res)
 		cs := cg.Stats()
+		ss := eng.Stats()
 		ps := passStats{
 			Pass:          p,
+			STAKind:       ss.LastKind,
+			STAConePins:   ss.LastConePins,
 			Nodes:         cs.LastNodes,
 			Edges:         cs.LastEdges,
 			Components:    len(partition.ConnectedComponents(len(g.Regs), g.Adj)),
@@ -416,6 +425,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		if text {
 			fmt.Printf("pass %d: %d nodes, %d edges, %d components\n",
 				p, cs.LastNodes, cs.LastEdges, ps.Components)
+			fmt.Printf("  sta %s: %d pins re-evaluated\n", ss.LastKind, ss.LastConePins)
 			fmt.Printf("  update: %s  (+%d nodes, -%d nodes, %d dirty)\n",
 				cs.LastKind, cs.LastNodesAdded, cs.LastNodesRemoved, cs.LastNodesDirty)
 			fmt.Printf("  pairs tested %d (edges re-tested %d); rejected by func/scan/place/timing: %d/%d/%d/%d\n",
@@ -500,8 +510,10 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	cs := cg.Stats()
 	ts := ct.Stats()
 	rs := rt.Stats()
+	ss := eng.Stats()
 	if text && len(out) == passes {
-		fmt.Printf("  totals: compat %d updates (%d delta, %d full); cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
+		fmt.Printf("  totals: sta %d full, %d structural, %d reseed, %d incremental; compat %d updates (%d delta, %d full); cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
+			ss.FullBuilds, ss.StructuralDeltas, ss.Reseeds, ss.IncrementalRuns,
 			cs.Updates, cs.Deltas, cs.Rebuilds,
 			ts.Updates, ts.Deltas, ts.Rebuilds, ts.Cleans,
 			rs.Updates, rs.Deltas, rs.Rebuilds, rs.Cleans)

@@ -26,6 +26,9 @@ func mortonKey(p [2]int64) uint64 {
 // the engines' deterministic work counters.
 type measureWork struct {
 	measures, clockRegs int
+	// splitConePins is the STA cone of the measure after the stream's
+	// closing split, and pins the design's pin space at that measure.
+	splitConePins, pins int
 }
 
 // runParametricStream drives the load harness's parametric stream shape
@@ -128,6 +131,27 @@ func runParametricStream(t *testing.T, scale int) measureWork {
 			w.clockRegs += ss.LastClockRegs
 		}
 	}
+
+	// Close with a split of the first multi-bit register in Morton order:
+	// the measure patches the STA graph and re-propagates the cone.
+	for _, r := range regs {
+		if in := d.InstByName(r.name); in == nil || in.Bits() < 2 || in.SizeOnly {
+			continue
+		}
+		if _, err := s.Apply([]Edit{SplitInst(r.name)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Measure(); err != nil {
+			t.Fatal(err)
+		}
+		ss := s.engs.sta.Stats()
+		if ss.LastKind != "structural" || ss.FullBuilds != 1 {
+			t.Fatalf("scale %d: measure after a split: STA run kind %q, %d builds; want structural, 1",
+				scale, ss.LastKind, ss.FullBuilds)
+		}
+		w.splitConePins, w.pins = ss.LastConePins, d.PinSpace()
+		break
+	}
 	return w
 }
 
@@ -136,7 +160,11 @@ func runParametricStream(t *testing.T, scale int) measureWork {
 // and clock-domain size) the same stream shape walks no root-set nets,
 // re-plans at most the one domain a move or resize reached (none after a
 // skew-only batch), and recomputes about as many clock arrivals per
-// measure.
+// measure. A measure after a split patches the STA graph and
+// re-evaluates fewer pins than the design has (the two full sweeps
+// evaluate nearly twice that); the clock-tree repair the split triggers
+// moves the clock arrival of a whole subtree of registers, so that cone,
+// unlike the rest, scales with the domain.
 func TestMeasureWorkDoesNotGrowWithDesign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates D1@5")
@@ -146,8 +174,16 @@ func TestMeasureWorkDoesNotGrowWithDesign(t *testing.T) {
 	meanSmall := float64(small.clockRegs) / float64(small.measures)
 	meanLarge := float64(large.clockRegs) / float64(large.measures)
 	t.Logf("clock-arrival registers per measure: D1@20 %.1f, D1@5 %.1f", meanSmall, meanLarge)
+	t.Logf("STA cone pins after a split: D1@20 %d of %d pins, D1@5 %d of %d",
+		small.splitConePins, small.pins, large.splitConePins, large.pins)
 	if meanLarge > 1.5*meanSmall {
 		t.Fatalf("clock-arrival registers per measure grew with the design: D1@20 %.1f, D1@5 %.1f",
 			meanSmall, meanLarge)
+	}
+	for _, w := range []measureWork{small, large} {
+		if w.splitConePins == 0 || w.splitConePins >= w.pins {
+			t.Fatalf("STA cone after a split re-evaluated %d pins of %d, want some and fewer than the pins",
+				w.splitConePins, w.pins)
+		}
 	}
 }

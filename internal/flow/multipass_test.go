@@ -140,6 +140,25 @@ func TestReportCarriesEngineStats(t *testing.T) {
 			t.Fatalf("engine %q reported no activity: %+v", name, s)
 		}
 	}
+
+	// STA builds its graph once: the ideal-clock flips re-seed it and the
+	// merges are patched in, on this design and on an MBR-rich D4 one.
+	d4, err := bench.Generate(bench.D4(bench.ProfileOpts{Scale: 40}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep4, err := Run(d4.Design, d4.Plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Report{rep, rep4} {
+		if s := r.Engines["sta"]; s.Rebuilds != 1 {
+			t.Fatalf("%s: STA rebuilt its graph %d times, want the first build only: %+v", r.Design, s.Rebuilds, r.STAStats)
+		}
+		if s := r.STAStats; len(r.Compose.MBRs) > 0 && (s.StructuralDeltas == 0 || s.Reseeds == 0) {
+			t.Fatalf("%s: merges or flips not served on the retained graph: %+v", r.Design, s)
+		}
+	}
 }
 
 // TestFlowRingNeverOverflows is the edit-class-scoping regression test:

@@ -9,8 +9,10 @@ package netlist
 // Three classes of edit are distinguished:
 //
 //   - structural: data-path connectivity changed (a pin attached to or
-//     detached from a non-clock net). The timing-graph topology is stale
-//     and consumers must rebuild.
+//     detached from a non-clock net). The timing-graph topology changed
+//     around the touched instances: a consumer patches what it can prove
+//     local (the STA engine folds register-only rewiring, as merges and
+//     splits do, into its retained graph) and rebuilds otherwise.
 //   - clock: connectivity of a clock net changed. Data arcs are unaffected
 //     (clock nets never carry data arcs), so only the epoch moves, as for
 //     a parametric edit; propagated clock arrivals must be recomputed.
@@ -89,8 +91,18 @@ func (r *classRing) clear(epoch uint64) {
 	r.trackedFrom = epoch
 }
 
-// push appends an entry, evicting the oldest once the ring holds cap.
+// push appends an entry, evicting the oldest once the ring holds cap. A
+// touch of the instance the newest entry already names only moves that
+// entry's epoch forward: every reader whose cursor predates the new epoch
+// still sees the instance, and bursts of edits to one instance (a merge's
+// pin-by-pin rewiring, a legalizer's moves) take one slot, not one each.
 func (r *classRing) push(ent touchedEntry, cap int) {
+	if r.n > 0 {
+		if last := &r.buf[(r.head+r.n-1)%len(r.buf)]; last.inst == ent.inst {
+			last.epoch = ent.epoch
+			return
+		}
+	}
 	if len(r.buf) < cap {
 		r.buf = append(r.buf, ent)
 		r.n++
@@ -115,6 +127,9 @@ func (r *classRing) at(i int) touchedEntry {
 type editLog struct {
 	epoch           uint64
 	structuralEpoch uint64
+	// classStructural is the epoch of each edit class's last structural
+	// edit.
+	classStructural [numEditClasses]uint64
 	// class is the edit class subsequent edits are recorded under.
 	class EditClass
 	// cap is the per-class ring capacity (0 = defaultTouchedRingCap).
@@ -137,6 +152,17 @@ func (d *Design) Epoch() uint64 { return d.edits.epoch }
 // change. A consumer whose cache was built at cursor c must rebuild its
 // graph topology when StructuralEpoch() > c.
 func (d *Design) StructuralEpoch() uint64 { return d.edits.structuralEpoch }
+
+// StructuralEpochOf is StructuralEpoch restricted to one edit class: the
+// epoch of the last data-path connectivity change recorded under it. A
+// consumer that patches its graph from one class's touched record checks
+// that no other class made a structural edit since its cursor.
+func (d *Design) StructuralEpochOf(c EditClass) uint64 {
+	if c >= numEditClasses {
+		return 0
+	}
+	return d.edits.classStructural[c]
+}
 
 // EditClass returns the class new edits are currently recorded under.
 func (d *Design) EditClass() EditClass { return d.edits.class }
@@ -240,7 +266,9 @@ func (d *Design) noteTouch(inst InstID) {
 // noteStructural records a data-path connectivity edit at the instance.
 func (d *Design) noteStructural(inst InstID) {
 	d.noteTouch(inst)
-	d.edits.structuralEpoch = d.edits.epoch
+	e := &d.edits
+	e.structuralEpoch = e.epoch
+	e.classStructural[e.class] = e.epoch
 }
 
 // PinSpace returns an exclusive upper bound on every PinID ever issued by

@@ -138,12 +138,19 @@ func TestTouchedSinceRemovedInst(t *testing.T) {
 	}
 }
 
-func TestTouchedSinceRingOverflow(t *testing.T) {
-	d, r1, _ := buildPair(t)
-	cursor := d.Epoch()
-	for i := 0; i < defaultTouchedRingCap+5; i++ {
-		d.MoveInst(r1, geom.Point{X: int64(1000 + i), Y: 1200})
+// moveAlternating moves r1 and r2 in turn, n edits in all: consecutive
+// touches name different instances, so each takes its own ring slot.
+func moveAlternating(d *Design, r1, r2 *Inst, n int) {
+	for i := 0; i < n; i++ {
+		r := []*Inst{r1, r2}[i%2]
+		d.MoveInst(r, geom.Point{X: int64(1000 + i), Y: r.Pos.Y})
 	}
+}
+
+func TestTouchedSinceRingOverflow(t *testing.T) {
+	d, r1, r2 := buildPair(t)
+	cursor := d.Epoch()
+	moveAlternating(d, r1, r2, defaultTouchedRingCap+5)
 	if _, complete := d.TouchedSince(cursor); complete {
 		t.Fatalf("record complete across ring overflow")
 	}
@@ -215,9 +222,7 @@ func TestEditClassOverflowIsolation(t *testing.T) {
 	cursor := d.Epoch()
 	// Overflow the CTS ring only.
 	d.WithEditClass(EditClassCTS, func() {
-		for i := 0; i < defaultTouchedRingCap+5; i++ {
-			d.MoveInst(r1, geom.Point{X: int64(1000 + i), Y: 1200})
-		}
+		moveAlternating(d, r1, r2, defaultTouchedRingCap+5)
 	})
 	d.MoveInst(r2, geom.Point{X: 4000, Y: 1200})
 	if _, ok := d.TouchedSinceClass(cursor, EditClassCTS); ok {
@@ -230,7 +235,7 @@ func TestEditClassOverflowIsolation(t *testing.T) {
 }
 
 func TestSetTouchedLogCap(t *testing.T) {
-	d, r1, _ := buildPair(t)
+	d, r1, r2 := buildPair(t)
 	if d.TouchedLogCap() != defaultTouchedRingCap {
 		t.Fatalf("default cap = %d, want %d", d.TouchedLogCap(), defaultTouchedRingCap)
 	}
@@ -240,15 +245,11 @@ func TestSetTouchedLogCap(t *testing.T) {
 		t.Fatalf("cap = %d after SetTouchedLogCap(8)", d.TouchedLogCap())
 	}
 	cursor := d.Epoch()
-	for i := 0; i < 6; i++ {
-		d.MoveInst(r1, geom.Point{X: int64(1000 + i), Y: 1200})
-	}
+	moveAlternating(d, r1, r2, 6)
 	if _, ok := d.TouchedSince(cursor); !ok {
 		t.Fatalf("record incomplete below the configured cap")
 	}
-	for i := 0; i < 8; i++ {
-		d.MoveInst(r1, geom.Point{X: int64(3000 + i), Y: 1200})
-	}
+	moveAlternating(d, r1, r2, 8)
 	if _, ok := d.TouchedSince(cursor); ok {
 		t.Fatalf("record complete across a 14-edit burst at cap 8")
 	}
@@ -293,5 +294,37 @@ func TestPinSpaceCoversRemovedInsts(t *testing.T) {
 	}
 	if d.PinSpace() <= before {
 		t.Fatalf("PinSpace did not grow with a new instance: %d -> %d", before, d.PinSpace())
+	}
+}
+
+// Consecutive touches of one instance share a ring slot: a burst far past
+// the capacity stays complete, and a reader whose cursor falls between two
+// coalesced touches still gets the instance.
+func TestCoalescedTouchesStayVisible(t *testing.T) {
+	d, r1, r2 := buildPair(t)
+	d.SetTouchedLogCap(4)
+	defer d.SetTouchedLogCap(0)
+	start := d.Epoch()
+	d.MoveInst(r1, geom.Point{X: 1100, Y: 1200})
+	between := d.Epoch()
+	for i := 0; i < 20; i++ {
+		d.MoveInst(r1, geom.Point{X: int64(1200 + i), Y: 1200})
+	}
+	for _, cursor := range []uint64{start, between, d.Epoch() - 1} {
+		got, ok := d.TouchedSince(cursor)
+		if !ok || len(got) != 1 || got[0] != r1.ID {
+			t.Fatalf("cursor %d: TouchedSince = %v, %v; want [%d], complete", cursor, got, ok, r1.ID)
+		}
+	}
+	if got, ok := d.TouchedSince(d.Epoch()); !ok || len(got) != 0 {
+		t.Fatalf("current cursor sees %v, %v; want nothing", got, ok)
+	}
+	// Another instance in between keeps both entries.
+	mid := d.Epoch()
+	d.MoveInst(r2, geom.Point{X: 3100, Y: 1200})
+	d.MoveInst(r1, geom.Point{X: 1500, Y: 1200})
+	got, ok := d.TouchedSince(mid)
+	if !ok || len(got) != 2 || got[0] != r1.ID || got[1] != r2.ID {
+		t.Fatalf("TouchedSince = %v, %v; want [%d %d], complete", got, ok, r1.ID, r2.ID)
 	}
 }

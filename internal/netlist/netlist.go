@@ -307,6 +307,17 @@ func (d *Design) Inst(id InstID) *Inst {
 	return d.insts[id]
 }
 
+// RemovedInst returns the record of a removed instance (its kind and its
+// pins, all disconnected), or nil when the ID is live or was never issued.
+// A retained consumer looks up in its own snapshot what those pins were
+// connected to; the design no longer knows.
+func (d *Design) RemovedInst(id InstID) *Inst {
+	if id < 0 || int(id) >= len(d.insts) || !d.insts[id].dead {
+		return nil
+	}
+	return d.insts[id]
+}
+
 // InstByName returns the live instance with the given name, or nil.
 func (d *Design) InstByName(name string) *Inst {
 	if id, ok := d.nameToInst[name]; ok {

@@ -165,6 +165,10 @@ type Result struct {
 	// SteadyRebuilds counts retained-engine rebuild-counter increments
 	// observed outside structural windows. The service guarantee is 0.
 	SteadyRebuilds int64 `json:"steadyRebuilds"`
+	// STARebuilds is the most timing-graph builds any session's STA engine
+	// reported, structural windows included: 1 when merges, splits,
+	// composes and decomposes were all patched into the first build.
+	STARebuilds int64 `json:"staRebuilds"`
 	// MergeOps/SplitOps count the explicit merge and split edits the ECO
 	// streams carried (zero in the parametric profile).
 	MergeOps int `json:"mergeOps,omitempty"`
@@ -281,11 +285,12 @@ func Run(o Options) (*Result, error) {
 		wg.Add(1)
 		go func(idx int, st *stream) {
 			defer wg.Done()
-			lats, cs, rebuilds, err := c.runStream(st, o)
+			lats, cs, rebuilds, staBuilds, err := c.runStream(st, o)
 			mu.Lock()
 			latencies = append(latencies, lats...)
 			canon[idx] = cs
 			res.SteadyRebuilds += rebuilds
+			res.STARebuilds = max(res.STARebuilds, staBuilds)
 			mu.Unlock()
 			if err != nil {
 				fail(fmt.Errorf("loadtest: stream %s: %w", st.name, err))
@@ -770,7 +775,7 @@ type client struct {
 // measurement latencies, the canonical measurement bytes in sequence, and
 // the rebuild-counter increments observed outside structural exclusion
 // windows.
-func (c *client) runStream(st *stream, o Options) (lats []float64, canon []string, rebuilds int64, err error) {
+func (c *client) runStream(st *stream, o Options) (lats []float64, canon []string, rebuilds, staBuilds int64, err error) {
 	create := serve.CreateRequest{
 		Name:   st.name,
 		Source: serve.Source{Profile: o.Profile, Scale: o.Scale},
@@ -778,17 +783,18 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 	}
 	var created serve.CreateResponse
 	if err = c.post("/v1/sessions", create, &created); err != nil {
-		return nil, nil, 0, fmt.Errorf("create: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("create: %w", err)
 	}
 
 	// Warmup measurement: the engines' first looks are full rebuilds by
 	// design; the steady-state window opens after this response.
 	var mres serve.MeasureResponse
 	if err = c.post("/v1/sessions/"+st.name+"/measure", struct{}{}, &mres); err != nil {
-		return nil, nil, 0, fmt.Errorf("warmup measure: %w", err)
+		return nil, nil, 0, 0, fmt.Errorf("warmup measure: %w", err)
 	}
 	canon = append(canon, mres.Canonical)
 	baseline := rebuildCount(mres.Engines)
+	staBuilds = int64(mres.Engines["sta"].Rebuilds)
 
 	// excluded marks a structural window: a merge/split/compose/decompose/
 	// restore legitimately pays one engine rebuild on its next run, so
@@ -796,6 +802,7 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 	// measurement closes the window.
 	excluded := false
 	account := func(engs wire.EngineSummaries) {
+		staBuilds = max(staBuilds, int64(engs["sta"].Rebuilds))
 		n := rebuildCount(engs)
 		if excluded {
 			baseline = n
@@ -816,17 +823,17 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 		case opEdits:
 			var eres serve.EditsResponse
 			if err = c.post(path+"/edits", serve.EditsRequest{Edits: op.edits}, &eres); err != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (edits): %w", i, err)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (edits): %w", i, err)
 			}
 			if eres.Error != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (edits): server: %w", i, eres.Error)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (edits): server: %w", i, eres.Error)
 			}
 			account(eres.Engines)
 		case opMeasure:
 			t0 := time.Now()
 			var m serve.MeasureResponse
 			if err = c.post(path+"/measure", struct{}{}, &m); err != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (measure): %w", i, err)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (measure): %w", i, err)
 			}
 			lats = append(lats, float64(time.Since(t0).Microseconds())/1000)
 			canon = append(canon, m.Canonical)
@@ -835,25 +842,25 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 		case opCompose:
 			var cres serve.ComposeResponse
 			if err = c.post(path+"/compose", struct{}{}, &cres); err != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (compose): %w", i, err)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (compose): %w", i, err)
 			}
 			account(cres.Engines)
 		case opDecompose:
 			var dres serve.DecomposeResponse
 			req := serve.DecomposeRequest{Decompose: op.decompose}
 			if err = c.post(path+"/decompose", req, &dres); err != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (decompose): %w", i, err)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (decompose): %w", i, err)
 			}
 			account(dres.Engines)
 		case opRestore:
 			var rres serve.RestoreResponse
 			if err = c.post(path+"/restore", struct{}{}, &rres); err != nil {
-				return lats, canon, rebuilds, fmt.Errorf("op %d (restore): %w", i, err)
+				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (restore): %w", i, err)
 			}
 			account(rres.Engines)
 		}
 	}
-	return lats, canon, rebuilds, nil
+	return lats, canon, rebuilds, staBuilds, nil
 }
 
 // read performs one info + one snapshot request against a session. 404s

@@ -64,6 +64,11 @@ func TestECOSmoke(t *testing.T) {
 	if res.Composes == 0 {
 		t.Fatal("ECO stream ran no compose passes")
 	}
+	// The STA engine builds its timing graph once per session: every
+	// merge, split, compose and decompose round is patched into it.
+	if res.STARebuilds != 1 {
+		t.Fatalf("STA graph builds per session = %d, want 1", res.STARebuilds)
+	}
 }
 
 // TestECOStreamSevenNoSteadyRebuilds replays ECO stream seed 7 with the

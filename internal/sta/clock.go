@@ -64,29 +64,21 @@ type clockState struct {
 // grow sizes the per-ID slices to the design's ID spaces.
 func (c *clockState) grow(d *netlist.Design) {
 	if n := d.InstSpace(); len(c.eff) < n {
-		c.eff = growTo(c.eff, n)
-		c.regMark = growTo(c.regMark, n)
+		c.eff = extend(c.eff, n, 0)
+		c.regMark = extend(c.regMark, n, 0)
 	}
 	if n := d.NetSpace(); len(c.netArr) < n {
-		c.netArr = growTo(c.netArr, n)
-		c.netOK = growTo(c.netOK, n)
-		c.drvPin = growTo(c.drvPin, n)
-		c.drvPos = growTo(c.drvPos, n)
-		c.netMark = growTo(c.netMark, n)
-		c.depthGen = growTo(c.depthGen, n)
-		c.depth = growTo(c.depth, n)
+		c.netArr = extend(c.netArr, n, 0)
+		c.netOK = extend(c.netOK, n, false)
+		c.drvPin = extend(c.drvPin, n, 0)
+		c.drvPos = extend(c.drvPos, n, geom.Point{})
+		c.netMark = extend(c.netMark, n, 0)
+		c.depthGen = extend(c.depthGen, n, 0)
+		c.depth = extend(c.depth, n, 0)
 	}
 	if n := d.PinSpace(); len(c.pinNet) < n {
-		old := len(c.pinNet)
-		c.pinNet = growTo(c.pinNet, n)
-		for i := old; i < n; i++ {
-			c.pinNet[i] = netlist.NoID
-		}
+		c.pinNet = extend(c.pinNet, n, netlist.NoID)
 	}
-}
-
-func growTo[T any](s []T, n int) []T {
-	return append(s, make([]T, n-len(s))...)
 }
 
 // clockFull recomputes every register's clock arrival, forgetting all
@@ -139,8 +131,8 @@ func (e *Engine) clockFull(diff bool) ([]netlist.InstID, error) {
 // clockIncremental recomputes the clock arrivals the edits since the last
 // run can have moved, given the flow-class touched instances, and returns
 // the registers whose effective arrival changed. An incomplete CTS-class
-// record, a removed instance (whose former nets the record cannot name) or
-// an arrival read from a data net sends it to the full recompute.
+// record or an arrival read from a data net sends it to the full
+// recompute.
 //
 // The nets the touched instances' pins sit on (or sat on) are recomputed
 // in order of depth below their clock source, so every net's input net is
@@ -152,14 +144,7 @@ func (e *Engine) clockFull(diff bool) ([]netlist.InstID, error) {
 func (e *Engine) clockIncremental(flowT []netlist.InstID) ([]netlist.InstID, error) {
 	d, c := e.d, &e.clk
 	ctsT, ok := d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-	if ok = ok && !c.dataDep; ok {
-		for _, ids := range [2][]netlist.InstID{flowT, ctsT} {
-			for _, id := range ids {
-				ok = ok && d.Inst(id) != nil
-			}
-		}
-	}
-	if !ok {
+	if !ok || c.dataDep {
 		return e.clockFull(true)
 	}
 	c.grow(d)
@@ -171,7 +156,13 @@ func (e *Engine) clockIncremental(flowT []netlist.InstID) ([]netlist.InstID, err
 	for _, ids := range [2][]netlist.InstID{flowT, ctsT} {
 		for _, id := range ids {
 			in := d.Inst(id)
-			if in.Kind == netlist.KindReg {
+			if in == nil {
+				// Removed: its pins are disconnected, and pinNet names the
+				// clock nets they left.
+				if in = d.RemovedInst(id); in == nil {
+					continue
+				}
+			} else if in.Kind == netlist.KindReg {
 				e.markClockReg(id)
 			}
 			if e.ideal {

@@ -9,105 +9,147 @@ import (
 	"repro/internal/netlist"
 )
 
-// timingGraph is the cached, slice-backed data-path timing graph: a
-// compressed-sparse-row (CSR) arc array in both directions plus a
-// levelized topological order. It is built once per structural netlist
-// change and retained on the Engine across runs; parametric edits only
-// rewrite arcDelay entries in place.
+// timingGraph is the cached, slice-backed data-path timing graph: arc
+// arrays with a per-pin range into them in both directions plus a
+// levelized topological order. It is built once (buildGraph) and retained
+// on the Engine across runs: parametric edits only rewrite arcDelay
+// entries in place, and register-only rewiring is patched in (patch.go).
 //
-// Arcs are the same set the map-based builder used to produce: net arcs
-// (driver→sink, wire delay ∝ Manhattan pin distance) and combinational
-// cell arcs (input→output, intrinsic + driveRes × load). Register and
-// clock pins carry no data arcs.
+// Arcs are net arcs (driver→sink, wire delay ∝ Manhattan pin distance) and
+// combinational cell arcs (input→output, intrinsic + driveRes × load).
+// Registers and clock buffers have no cell arcs, clock nets no net arcs,
+// and only data pins (PinData: register D pins, combinational and
+// clock-gate inputs, output ports) receive net arcs. A register's clock,
+// reset, enable and scan pins would receive arrivals nothing reads: their
+// required time is +Inf and they are no endpoint, so their slack is +Inf
+// either way. Dropping those arcs leaves every register pin with at most
+// one net arc, which is what makes a merge or split a 1:1 pin
+// substitution on the retained graph.
 type timingGraph struct {
 	nPins int
 
-	// Forward CSR: out-arcs of pin u are indices arcOff[u]..arcOff[u+1]
-	// into arcFrom/arcTo/arcDelay.
-	arcOff   []int32
-	arcFrom  []int32
-	arcTo    []int32
-	arcDelay []float64
+	// Out-arcs of pin u are indices outLo[u]..outHi[u] into
+	// arcFrom/arcTo/arcDelay. A net's arcs share one range (netLo, netLen,
+	// netCap by net ID), owned by the net's driver pin; a combinational
+	// input's single cell arc has a range of its own.
+	outLo, outHi []int32
+	arcFrom      []int32
+	arcTo        []int32
+	arcDelay     []float64
 
-	// Reverse CSR: revArc[revOff[v]..revOff[v+1]] are forward-arc indices
-	// of the in-arcs of pin v, sorted by forward-arc index (hence by
-	// source pin) for deterministic iteration.
-	revOff []int32
-	revArc []int32
+	// revArc[inLo[v]..inHi[v]] are forward-arc indices of the in-arcs of
+	// pin v. A net sink has at most one (its net's arc), in a slot of its
+	// own; revFree holds the slots patches released.
+	inLo, inHi []int32
+	revArc     []int32
+	revFree    []int32
+
+	// Per-net arc ranges and, per pin, the data net the pin sat on when
+	// the graph last reflected the design (NoID for none or a clock net):
+	// a patch finds the nets a pin left through it.
+	netLo, netLen, netCap []int32
+	pinNet                []int32
+	// deadArcs counts arc slots stranded by nets that outgrew their range.
+	deadArcs int
+	// Generation-stamped scratch of patchGraph: netMark is 2·gen for a net
+	// it queued, 2·gen+1 for one whose arcs it also re-derives.
+	gen     uint32
+	netMark []uint32
 
 	// Levelization of the involved pins (those touching any arc):
-	// level[v] == -1 for uninvolved pins, otherwise the longest-path depth
-	// from any zero-indegree involved pin. Every arc goes from a strictly
+	// level[v] == -1 for uninvolved pins. Every arc goes from a strictly
 	// lower to a strictly higher level, which is what makes the per-level
-	// sweeps safely parallel.
+	// sweeps safely parallel. A build assigns longest-path depths; a patch
+	// keeps the retained levels and only places the pins it connects.
 	level     []int32
 	levelOff  []int32 // len numLevels+1; offsets into levelPins
 	levelPins []int32 // involved pins grouped by level, ascending pin ID
 	numLevels int
+	// levelsStale marks levelOff/levelPins out of date with level after a
+	// patch; the full sweeps re-bucket first (bucketLevels).
+	levelsStale bool
 }
 
-// buildGraph constructs the CSR graph and its levelization for the current
+// carriesArc reports whether a net sink receives its net's arc: only data
+// pins do (see timingGraph).
+func carriesArc(p *netlist.Pin) bool { return p.Kind == netlist.PinData }
+
+// buildGraph constructs the graph and its levelization for the current
 // netlist state. A combinational cycle is an error.
 func buildGraph(d *netlist.Design) (*timingGraph, error) {
 	n := d.PinSpace()
 	g := &timingGraph{nPins: n}
+	g.outLo = make([]int32, n)
+	g.outHi = make([]int32, n)
+	g.pinNet = make([]int32, n)
+	for i := range g.pinNet {
+		g.pinNet[i] = netlist.NoID
+	}
+	nn := d.NetSpace()
+	g.netLo = make([]int32, nn)
+	g.netLen = make([]int32, nn)
+	g.netCap = make([]int32, nn)
 
-	// Pass 1: out-degree per pin.
-	outdeg := make([]int32, n)
+	// Pass 1: the arc count (the data sinks of driven data nets, the
+	// connected inputs of combinational cells with a connected output).
+	m := 0
 	d.Nets(func(nt *netlist.Net) {
 		if nt.IsClock || nt.Driver == netlist.NoID {
 			return
 		}
-		outdeg[nt.Driver] += int32(len(nt.Sinks))
+		for _, s := range nt.Sinks {
+			if carriesArc(d.Pin(s)) {
+				m++
+			}
+		}
 	})
 	d.Insts(func(in *netlist.Inst) {
 		if in.Kind != netlist.KindComb {
 			return
 		}
-		out := d.OutPin(in)
-		if out == nil || out.Net == netlist.NoID {
+		if out := d.OutPin(in); out == nil || out.Net == netlist.NoID {
 			return
 		}
 		for _, pid := range in.Pins {
-			p := d.Pin(pid)
-			if p.Dir == netlist.DirIn && p.Net != netlist.NoID {
-				outdeg[pid]++
+			if p := d.Pin(pid); p.Dir == netlist.DirIn && p.Net != netlist.NoID {
+				m++
 			}
 		}
 	})
+	g.arcFrom = make([]int32, 0, m)
+	g.arcTo = make([]int32, 0, m)
+	g.arcDelay = make([]float64, 0, m)
 
-	g.arcOff = make([]int32, n+1)
-	var m int32
-	for i := 0; i < n; i++ {
-		g.arcOff[i] = m
-		m += outdeg[i]
-	}
-	g.arcOff[n] = m
-	g.arcFrom = make([]int32, m)
-	g.arcTo = make([]int32, m)
-	g.arcDelay = make([]float64, m)
-
-	// Pass 2: fill arcs with their delays. The delay expressions are
-	// shared with the incremental recompute path (wireArcDelay,
-	// cellArcDelay) so full and incremental runs produce bit-identical
-	// floats.
-	cursor := make([]int32, n)
-	copy(cursor, g.arcOff[:n])
+	// Pass 2: fill arcs with their delays, net by net, then the cell arcs.
+	// The delay expressions are shared with the incremental recompute path
+	// (wireArcDelay, cellArcDelay) so full and incremental runs produce
+	// bit-identical floats.
 	addArc := func(from, to netlist.PinID, delay float64) {
-		k := cursor[from]
-		cursor[from]++
-		g.arcFrom[k] = int32(from)
-		g.arcTo[k] = int32(to)
-		g.arcDelay[k] = delay
+		g.arcFrom = append(g.arcFrom, int32(from))
+		g.arcTo = append(g.arcTo, int32(to))
+		g.arcDelay = append(g.arcDelay, delay)
 	}
 	d.Nets(func(nt *netlist.Net) {
-		if nt.IsClock || nt.Driver == netlist.NoID {
+		if nt.IsClock {
 			return
 		}
+		for _, s := range nt.Sinks {
+			g.pinNet[s] = int32(nt.ID)
+		}
+		if nt.Driver == netlist.NoID {
+			return
+		}
+		g.pinNet[nt.Driver] = int32(nt.ID)
+		lo := int32(len(g.arcFrom))
 		dp := d.Pin(nt.Driver)
 		for _, s := range nt.Sinks {
-			addArc(dp.ID, s, wireArcDelay(d, dp, d.Pin(s)))
+			if sp := d.Pin(s); carriesArc(sp) {
+				addArc(dp.ID, s, wireArcDelay(d, dp, sp))
+			}
 		}
+		hi := int32(len(g.arcFrom))
+		g.outLo[dp.ID], g.outHi[dp.ID] = lo, hi
+		g.netLo[nt.ID], g.netLen[nt.ID], g.netCap[nt.ID] = lo, hi-lo, hi-lo
 	})
 	d.Insts(func(in *netlist.Inst) {
 		if in.Kind != netlist.KindComb {
@@ -121,45 +163,43 @@ func buildGraph(d *netlist.Design) (*timingGraph, error) {
 		for _, pid := range in.Pins {
 			p := d.Pin(pid)
 			if p.Dir == netlist.DirIn && p.Net != netlist.NoID {
+				g.outLo[pid] = int32(len(g.arcFrom))
 				addArc(pid, out.ID, delay)
+				g.outHi[pid] = g.outLo[pid] + 1
 			}
 		}
 	})
-
-	// Reverse CSR.
+	// Reverse ranges, in-arcs in forward-arc order.
 	indeg := make([]int32, n)
-	for k := int32(0); k < m; k++ {
+	for k := range int32(m) {
 		indeg[g.arcTo[k]]++
 	}
-	g.revOff = make([]int32, n+1)
+	g.inLo = make([]int32, n)
+	g.inHi = make([]int32, n)
 	var r int32
 	for i := 0; i < n; i++ {
-		g.revOff[i] = r
+		g.inLo[i], g.inHi[i] = r, r
 		r += indeg[i]
 	}
-	g.revOff[n] = r
 	g.revArc = make([]int32, m)
-	rcur := make([]int32, n)
-	copy(rcur, g.revOff[:n])
-	for k := int32(0); k < m; k++ {
+	for k := range int32(m) {
 		v := g.arcTo[k]
-		g.revArc[rcur[v]] = k
-		rcur[v]++
+		g.revArc[g.inHi[v]] = k
+		g.inHi[v]++
 	}
 
 	// Levelize (Kahn over in-degrees, recording longest-path depth).
 	g.level = make([]int32, n)
 	involved := 0
 	for v := 0; v < n; v++ {
-		if outdeg[v] > 0 || indeg[v] > 0 {
+		if g.outHi[v] > g.outLo[v] || indeg[v] > 0 {
 			g.level[v] = 0
 			involved++
 		} else {
 			g.level[v] = -1
 		}
 	}
-	remaining := make([]int32, n)
-	copy(remaining, indeg)
+	remaining := indeg
 	queue := make([]int32, 0, involved)
 	for v := 0; v < n; v++ {
 		if g.level[v] == 0 && remaining[v] == 0 {
@@ -173,7 +213,7 @@ func buildGraph(d *netlist.Design) (*timingGraph, error) {
 		queue = queue[:len(queue)-1]
 		ordered++
 		lvl := g.level[u] + 1
-		for k := g.arcOff[u]; k < g.arcOff[u+1]; k++ {
+		for k := g.outLo[u]; k < g.outHi[u]; k++ {
 			v := g.arcTo[k]
 			if lvl > g.level[v] {
 				g.level[v] = lvl
@@ -194,32 +234,47 @@ func buildGraph(d *netlist.Design) (*timingGraph, error) {
 	if involved == 0 {
 		g.numLevels = 0
 	}
+	g.bucketLevels()
+	return g, nil
+}
 
-	// Bucket the involved pins by level, ascending pin ID within a level
-	// (counting sort keyed on level preserves pin order).
+// bucketLevels groups the involved pins by level, ascending pin ID within
+// a level (counting sort keyed on level preserves pin order).
+func (g *timingGraph) bucketLevels() {
 	counts := make([]int32, g.numLevels+1)
-	for v := 0; v < n; v++ {
-		if g.level[v] >= 0 {
-			counts[g.level[v]]++
+	involved := int32(0)
+	for _, l := range g.level {
+		if l >= 0 {
+			counts[l]++
+			involved++
 		}
 	}
-	g.levelOff = make([]int32, g.numLevels+1)
+	g.levelOff = resize(g.levelOff, g.numLevels+1)
 	var off int32
 	for l := 0; l < g.numLevels; l++ {
 		g.levelOff[l] = off
 		off += counts[l]
 	}
 	g.levelOff[g.numLevels] = off
-	g.levelPins = make([]int32, involved)
-	lcur := make([]int32, g.numLevels)
+	g.levelPins = resize(g.levelPins, int(involved))
+	lcur := counts[:g.numLevels]
 	copy(lcur, g.levelOff[:g.numLevels])
-	for v := 0; v < n; v++ {
-		if l := g.level[v]; l >= 0 {
+	for v, l := range g.level {
+		if l >= 0 {
 			g.levelPins[lcur[l]] = int32(v)
 			lcur[l]++
 		}
 	}
-	return g, nil
+	g.levelsStale = false
+}
+
+// resize returns s with length n, reallocated (contents lost) when its
+// capacity is short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // wireArcDelay is the net-arc (driver→sink) propagation delay.
@@ -238,7 +293,7 @@ func cellArcDelay(d *netlist.Design, in *netlist.Inst, out *netlist.Pin) float64
 // depend on iteration order or on which worker computes it.
 func (g *timingGraph) pullArrival(v int32, arr, seed []float64) float64 {
 	best := seed[v]
-	for k := g.revOff[v]; k < g.revOff[v+1]; k++ {
+	for k := g.inLo[v]; k < g.inHi[v]; k++ {
 		a := g.revArc[k]
 		if au := arr[g.arcFrom[a]]; au != negInf {
 			if c := au + g.arcDelay[a]; c > best {
@@ -253,7 +308,7 @@ func (g *timingGraph) pullArrival(v int32, arr, seed []float64) float64 {
 // constraint and its out-arcs.
 func (g *timingGraph) pullRequired(u int32, req, endReq []float64) float64 {
 	best := endReq[u]
-	for k := g.arcOff[u]; k < g.arcOff[u+1]; k++ {
+	for k := g.outLo[u]; k < g.outHi[u]; k++ {
 		if rv := req[g.arcTo[k]]; !isPosInf(rv) {
 			if c := rv - g.arcDelay[k]; c < best {
 				best = c

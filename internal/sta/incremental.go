@@ -1,27 +1,31 @@
 package sta
 
 import (
+	"math"
+
 	"repro/internal/netlist"
 )
 
 // Incremental re-analysis: after parametric edits (moves, resizes, skew
-// and clock changes) the cached graph topology is still valid — only arc
-// delays, launch seeds and endpoint constraints in the neighbourhood of
-// the touched instances may differ. runIncremental
+// and clock changes), and after register-only rewiring once patchGraph has
+// folded it in, the retained graph topology is valid — only arc delays,
+// launch seeds and endpoint constraints in the neighbourhood of the
+// touched instances may differ. runIncremental
 //
 //  1. recomputes the clock arrivals the touched instances and skew edits
-//     can have moved (clock.go) and collects the registers whose effective
-//     arrival changed;
+//     can have moved (clock.go), or every one on an ideal-clock flip, and
+//     collects the registers whose effective arrival changed;
 //  2. expands the touched instances to the pin set whose in-arc delays or
-//     seeds can have changed: their own pins plus every pin of the
-//     adjacent data nets (wire arcs see the moved pin; cell arcs and
-//     launch seeds see the changed net load);
+//     seeds can have changed: their own pins, the drivers of the adjacent
+//     data nets (cell arcs and launch seeds see the changed net load) and
+//     the sinks of the nets they drive (wire arcs see the moved driver);
 //  3. rewrites the changed arc delays in place, seeding a forward and a
 //     backward worklist;
 //  4. re-propagates level by level — ascending for arrivals, descending
 //     for required times — pushing successors/predecessors only when a
 //     value actually changed, so the work is proportional to the true
-//     fanout cone of the edit.
+//     fanout cone of the edit; or, on a flip or a huge touched set, runs
+//     the two full sweeps instead.
 //
 // Each pin's value is recomputed by the same pull reduction the full sweep
 // uses, so the arrays stay bit-identical to a from-scratch run.
@@ -71,6 +75,7 @@ func (e *Engine) prepare() (fwd, bwd *worklist) {
 		e.bwdBuckets[l] = e.bwdBuckets[l][:0]
 	}
 	e.slackDirty = e.slackDirty[:0]
+	e.endAdded, e.endLost = e.endAdded[:0], false
 	fwd = &worklist{g: e.g, buckets: e.fwdBuckets, queued: e.fwdQueued, gen: e.gen}
 	bwd = &worklist{g: e.g, buckets: e.bwdBuckets, queued: e.bwdQueued, gen: e.gen}
 	return fwd, bwd
@@ -83,20 +88,42 @@ func (e *Engine) markSlackDirty(v int32) {
 	}
 }
 
-// runIncremental re-analyzes after the given touched instances' parametric
-// edits, reusing the cached graph.
-func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
+func (e *Engine) markDirtyReg(id netlist.InstID) {
+	if e.regMark[id] != e.gen {
+		e.regMark[id] = e.gen
+		e.dirtyRegs = append(e.dirtyRegs, id)
+	}
+}
+
+// runIncremental re-analyzes over the retained graph after the touched
+// instances' edits; p is the graph patch of their rewiring, nil when
+// there was none. flip re-derives every register's clock arrival (an
+// ideal-clock mode change), and all replaces the cone sweeps with the two
+// full levelized sweeps — which is everything runFull does but rebuild
+// the graph.
+func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, all bool, seq uint64) error {
 	d, g := e.d, e.g
+	oldPins := len(e.arr)
+	e.growValues()
 	fwd, bwd := e.prepare()
 
 	// 1. Registers whose effective clock arrival moved need a re-seed.
-	changed, err := e.clockIncremental(touched)
+	var changed []netlist.InstID
+	var err error
+	if flip {
+		changed, err = e.clockFull(true)
+	} else {
+		changed, err = e.clockIncremental(touched)
+	}
 	if err != nil {
 		return err
 	}
-	dirtyRegs := make(map[netlist.InstID]bool, len(changed))
+	if n := d.InstSpace(); len(e.regMark) < n {
+		e.regMark = extend(e.regMark, n, 0)
+	}
+	e.dirtyRegs = e.dirtyRegs[:0]
 	for _, id := range changed {
-		dirtyRegs[id] = true
+		e.markDirtyReg(id)
 	}
 
 	// 2. Touched instances → pins whose in-arc delays may have changed.
@@ -110,10 +137,18 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 	for _, id := range touched {
 		in := d.Inst(id)
 		if in == nil {
-			continue // removed without ever being connected
+			// Removed: its pins are disconnected, unseeded and
+			// unconstrained, as runFull leaves any disconnected pin.
+			if gone := d.RemovedInst(id); gone != nil {
+				for _, pid := range gone.Pins {
+					e.setSeed(pid, negInf, fwd)
+					e.setEndReq(pid, math.Inf(1), bwd)
+				}
+			}
+			continue
 		}
 		if in.Kind == netlist.KindReg {
-			dirtyRegs[id] = true
+			e.markDirtyReg(id)
 		}
 		for _, pid := range in.Pins {
 			mark(pid)
@@ -122,15 +157,32 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 				continue
 			}
 			nt := d.Net(p.Net)
-			if nt == nil || nt.IsClock {
-				continue // clock nets carry no data arcs; handled by the diff above
+			if nt == nil || nt.IsClock || nt.Driver == netlist.NoID {
+				continue // no data arcs: clock nets are handled by the diff above
 			}
-			if nt.Driver != netlist.NoID {
+			// The net's load moved: its driver's cell arcs and launch seed.
+			// A sink's wire arc reads only its own and the driver's position,
+			// so the other sinks change only when the driver itself moved.
+			mark(nt.Driver)
+			if nt.Driver == pid {
+				for _, s := range nt.Sinks {
+					mark(s)
+				}
+			}
+		}
+	}
+	if p != nil {
+		// The nets the rewiring changed lost or gained load: their drivers'
+		// cell arcs and launch seeds move. Every pin that lost or gained an
+		// arc is re-evaluated both ways.
+		for _, id := range p.nets {
+			if nt := d.Net(id); nt != nil && nt.Driver != netlist.NoID {
 				mark(nt.Driver)
 			}
-			for _, s := range nt.Sinks {
-				mark(s)
-			}
+		}
+		for _, v := range p.arcPins {
+			fwd.push(v)
+			bwd.push(v)
 		}
 	}
 
@@ -141,33 +193,42 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			// A register launch pin whose net geometry/caps changed: the
 			// seed's load term moved even though the register itself may
 			// be untouched.
-			dirtyRegs[p.Inst] = true
+			e.markDirtyReg(p.Inst)
 		}
 		e.recomputeInArcDelays(v, fwd, bwd)
 	}
-	period := d.Timing.ClockPeriod
-	for id := range dirtyRegs {
-		in := d.Inst(id)
-		if in == nil {
-			continue
+	for _, id := range e.dirtyRegs {
+		if in := d.Inst(id); in != nil {
+			e.seedRegister(in, e.clk.eff[id], fwd, bwd)
 		}
-		eff := e.clk.eff[id]
-		e.seedRegister(in, eff, fwd)
-		for b := 0; b < in.Bits(); b++ {
-			dp := d.DPin(in, b)
-			if dp == nil || dp.Net == netlist.NoID {
-				continue
-			}
-			req := eff + period - in.RegCell.Setup
-			if e.endReq[dp.ID] != req {
-				e.endReq[dp.ID] = req
-				bwd.push(int32(dp.ID))
+	}
+	e.fixEndpoints()
+
+	// 4. Sweeps: everything, or the cone.
+	if all {
+		e.sweepAll(seq, true)
+		e.stats.LastConePins = 2 * len(g.levelPins)
+	} else {
+		e.sweepCone(fwd, bwd, seq)
+		e.stats.LastConePins = fwd.pushes + bwd.pushes
+	}
+	if g.nPins > oldPins {
+		// runFull logs every register with a pin it has not analyzed
+		// before, whatever that pin's slack; so does this run.
+		for _, id := range touched {
+			if in := d.Inst(id); in != nil && in.Kind == netlist.KindReg && int(in.Pins[0]) >= oldPins {
+				e.slog.note(id, seq)
 			}
 		}
 	}
+	return nil
+}
 
-	// 4. Cone sweeps. Forward ascends levels; pushes always target
-	// strictly higher levels, so each bucket is complete when reached.
+// sweepCone re-propagates the worklists' cones: forward ascends levels
+// and pushes always target strictly higher levels, so each bucket is
+// complete when reached; backward mirrors it.
+func (e *Engine) sweepCone(fwd, bwd *worklist, seq uint64) {
+	g := e.g
 	for l := 0; l < len(fwd.buckets); l++ {
 		for _, v := range fwd.buckets[l] {
 			nv := g.pullArrival(v, e.arr, e.seedArr)
@@ -176,7 +237,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			}
 			e.arr[v] = nv
 			e.markSlackDirty(v)
-			for k := g.arcOff[v]; k < g.arcOff[v+1]; k++ {
+			for k := g.outLo[v]; k < g.outHi[v]; k++ {
 				fwd.push(g.arcTo[k])
 			}
 		}
@@ -189,7 +250,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			}
 			e.req[u] = nv
 			e.markSlackDirty(u)
-			for k := g.revOff[u]; k < g.revOff[u+1]; k++ {
+			for k := g.inLo[u]; k < g.inHi[u]; k++ {
 				bwd.push(g.arcFrom[g.revArc[k]])
 			}
 		}
@@ -201,11 +262,6 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 			e.noteSlackPin(v, seq)
 		}
 	}
-
-	e.stats.IncrementalRuns++
-	e.stats.LastConePins = fwd.pushes + bwd.pushes
-	e.stats.LastKind = "incremental"
-	return nil
 }
 
 // recomputeInArcDelays refreshes the delays of every arc ending at pin v,
@@ -215,7 +271,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, seq uint64) error {
 // instance's output load); every other pin receives wire arcs.
 func (e *Engine) recomputeInArcDelays(v int32, fwd, bwd *worklist) {
 	g, d := e.g, e.d
-	lo, hi := g.revOff[v], g.revOff[v+1]
+	lo, hi := g.inLo[v], g.inHi[v]
 	if lo == hi {
 		return
 	}

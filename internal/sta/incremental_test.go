@@ -111,22 +111,79 @@ func TestIncrementalNoEditsIsStable(t *testing.T) {
 	}
 }
 
-func TestStructuralEditForcesRebuild(t *testing.T) {
-	d, _, r2 := pipeline(t)
+// runAgainstFresh re-runs the retained engine and checks it against a
+// fresh analysis of the same design, and that the run was of the given
+// kind.
+func runAgainstFresh(t *testing.T, e *Engine, d *netlist.Design, kind string) {
+	t.Helper()
+	got, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.LastKind != kind {
+		t.Fatalf("run kind %q, want %q: %+v", s.LastKind, kind, s)
+	}
+	want, err := New(d).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, got, want)
+}
+
+// Register-only rewiring is patched into the retained graph: a register
+// Q pin reconnected to its net, and a register D pin moved to another net.
+func TestStructuralEditPatchesGraph(t *testing.T) {
+	d, r1, r2 := pipeline(t)
 	e := New(d)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Re-route r2.Q → out through a reconnect: structural.
+	// Re-route r2.Q → out through a reconnect.
 	qp := d.QPin(r2, 0)
 	n := d.Net(qp.Net)
 	d.Disconnect(qp)
 	d.Connect(qp, n)
+	runAgainstFresh(t, e, d, "structural")
+
+	// r2.D leaves the buffer's net for r1's input net: the buffer output
+	// loses its only arc, r2.D gains one from the input port.
+	dp := d.DPin(r2, 0)
+	d.Connect(dp, d.Net(d.DPin(r1, 0).Net))
+	runAgainstFresh(t, e, d, "structural")
+	if s := e.Stats(); s.FullBuilds != 1 || s.StructuralDeltas != 2 {
+		t.Fatalf("stats = %+v, want two patches after the first build", s)
+	}
+}
+
+// Rewiring the patch cannot prove level-preserving still rebuilds: a
+// combinational pin changing nets, and a register Q pin driving a net that
+// had no driver (its sinks sit at level 0 in the retained graph).
+func TestStructuralEditForcesRebuildWhenNotLocal(t *testing.T) {
+	d, r1, _ := pipeline(t)
+	e := New(d)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s := e.Stats(); s.FullBuilds != 2 || s.IncrementalRuns != 0 {
-		t.Fatalf("stats = %+v, want the structural edit to force a rebuild", s)
+	buf := d.InstByName("u_buf")
+	bufIn := d.FindPin(buf, netlist.PinData, 0)
+	d.Connect(bufIn, d.Net(d.DPin(r1, 0).Net))
+	runAgainstFresh(t, e, d, "full")
+	if s := e.Stats(); s.FullBuilds != 2 {
+		t.Fatalf("stats = %+v, want the combinational reconnect to rebuild", s)
+	}
+
+	d, r1, _ = pipeline(t)
+	qp := d.QPin(r1, 0)
+	n := d.Net(qp.Net)
+	d.Disconnect(qp)
+	e = New(d)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	d.Connect(qp, n)
+	runAgainstFresh(t, e, d, "full")
+	if s := e.Stats(); s.FullBuilds != 2 {
+		t.Fatalf("stats = %+v, want the Q pin on a driverless net to rebuild", s)
 	}
 }
 
@@ -151,8 +208,17 @@ func TestTimingSpecChangeForcesRebuild(t *testing.T) {
 	sameResults(t, got, want)
 }
 
-func TestClockModeFlipForcesRebuild(t *testing.T) {
-	d, _, _ := pipeline(t)
+// An ideal-clock flip re-seeds every register and sweeps the retained
+// graph in full: no rebuild. A buffered clock makes the two modes differ.
+func TestClockModeFlipReusesGraph(t *testing.T) {
+	d, r1, _ := pipeline(t)
+	clk := d.Net(d.ClockNet(r1))
+	root := d.AddNet("clkroot", true)
+	cp, _ := d.AddPort("clkport", true, geom.Point{X: 0, Y: 0})
+	d.Connect(d.OutPin(cp), root)
+	cb, _ := d.AddClockBuf("cb0", bufSpec, geom.Point{X: 5000, Y: 5000})
+	d.Connect(d.FindPin(cb, netlist.PinData, 0), root)
+	d.Connect(d.OutPin(cb), clk)
 	e := New(d)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -163,8 +229,8 @@ func TestClockModeFlipForcesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := e.Stats(); s.FullBuilds != i+2 || s.IncrementalRuns != 0 {
-			t.Fatalf("ideal=%v: stats = %+v, want the mode flip to force a rebuild", ideal, s)
+		if s := e.Stats(); s.FullBuilds != 1 || s.Reseeds != i+1 || s.LastKind != "reseed" {
+			t.Fatalf("ideal=%v: stats = %+v, want the mode flip to re-seed the retained graph", ideal, s)
 		}
 		fresh := New(d)
 		fresh.SetIdealClocks(ideal)

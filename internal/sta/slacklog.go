@@ -9,9 +9,9 @@ import (
 // run that changed them. Consumers that track per-register timing (the
 // decompose pass's victim selection) read the ring with a cursor instead
 // of re-deriving every register's slacks after each run, mirroring the
-// netlist's touched-instance log. Incremental runs derive the entries from
-// the re-propagated cone (the slack-dirty worklist); full runs diff the new
-// slack array against the previous run's. Either way an entry is recorded
+// netlist's touched-instance log. Cone runs derive the entries from the
+// re-propagated cone (the slack-dirty worklist); full sweeps compare each
+// new slack with the one it replaces (sweepAll). Either way an entry is recorded
 // only when a pin's slack *value* changed, so the feed is exact, not
 // conservative. When the ring overflows — or after the first run, when
 // there is no previous state to diff against — the log resets and reports
@@ -100,18 +100,5 @@ func (e *Engine) noteSlackPin(v int32, seq uint64) {
 	}
 	if in := e.d.Inst(p.Inst); in != nil && in.Kind == netlist.KindReg {
 		e.slog.note(in.ID, seq)
-	}
-}
-
-// diffSlackRegs compares the freshly computed slack array against the
-// previous run's, logging every register with a changed pin slack. Used on
-// full runs, where no worklist tells us what moved; the pass is O(pins),
-// which the full path already is.
-func (e *Engine) diffSlackRegs(prev []float64, seq uint64) {
-	n := len(e.slack)
-	for i := 0; i < n; i++ {
-		if i >= len(prev) || e.slack[i] != prev[i] {
-			e.noteSlackPin(int32(i), seq)
-		}
 	}
 }

@@ -8,18 +8,22 @@
 // from.
 //
 // The analyzer is built for repeated analysis inside an optimization loop:
-// an Engine retains a CSR-backed timing graph with a cached levelized
+// an Engine retains a slice-backed timing graph with a cached levelized
 // topological order across runs, and consults the netlist's edit epoch
 // (netlist.Design.Epoch) to decide how much work a Run actually needs.
-// Structural edits (data-net connectivity) trigger a full rebuild;
-// parametric edits (moves, resizes, skews, clock-network changes) recompute
-// only the clock arrivals they can have moved (clock.go), then re-seed and
-// re-propagate only the fanin/fanout cone of the touched pins. The
-// forward-arrival and backward-required sweeps are levelized and fan out
-// across a worker pool (SetWorkers). Because every propagation step is a
-// pure max/min reduction, results are bit-identical for any worker count
-// and for incremental versus full runs; the full rebuild remains both the
-// fallback and the testing oracle.
+// Parametric edits (moves, resizes, skews, clock-network changes)
+// recompute only the clock arrivals they can have moved (clock.go), then
+// re-seed and re-propagate only the fanin/fanout cone of the touched pins.
+// Register-only rewiring (merges, splits) is first patched into the
+// retained graph (patch.go); an ideal-clock flip re-seeds every register
+// and sweeps the retained graph in full. Only rewiring the patch cannot
+// prove level-preserving (a combinational or port pin changing nets), a
+// Timing change, an incomplete edit record or Invalidate rebuild the
+// graph. The forward-arrival and backward-required sweeps are levelized
+// and fan out across a worker pool (SetWorkers). Because every propagation
+// step is a pure max/min reduction, results are bit-identical for any
+// worker count and for incremental versus full runs; the full rebuild
+// remains both the fallback and the testing oracle.
 //
 // Only setup (max-delay) analysis is modeled; the paper does not involve
 // hold fixing.
@@ -36,6 +40,7 @@ package sta
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -79,17 +84,27 @@ func (r *Results) PinSlack(id netlist.PinID) float64 {
 }
 
 // RunStats counts how the engine satisfied its Run calls; used by tests
-// and benchmarks to assert the incremental path actually engaged.
+// and benchmarks to assert the incremental path actually engaged. Every
+// run is exactly one of the four kinds.
 type RunStats struct {
 	// FullBuilds counts runs that rebuilt the timing graph from scratch.
 	FullBuilds int
 	// IncrementalRuns counts runs served by cone re-propagation over the
 	// retained graph.
 	IncrementalRuns int
+	// StructuralDeltas counts runs that patched register-only rewiring
+	// (merges, splits, register pin reconnects) into the retained graph.
+	StructuralDeltas int
+	// Reseeds counts runs that re-seeded and swept the retained graph in
+	// full without patching it: an ideal-clock flip, or a touched set too
+	// large for the cone worklists to pay off.
+	Reseeds int
 	// LastConePins is the number of pins re-evaluated by the most recent
-	// incremental run (0 after a full build).
+	// run over the retained graph, summed over both sweeps (0 after a full
+	// build).
 	LastConePins int
-	// LastKind is "full" or "incremental" for the most recent run.
+	// LastKind is "full", "structural", "reseed" or "incremental" for the
+	// most recent run.
 	LastKind string
 	// ClockRegs counts registers whose clock arrival a run recomputed
 	// (every register on a full recompute, the registers an edit can have
@@ -101,9 +116,9 @@ type RunStats struct {
 
 // Engine runs timing analysis on a design. The engine may be re-run after
 // netlist edits — it watches the design's edit epoch and reuses its cached
-// timing graph whenever the edits since the previous run were
-// non-structural. Per-register useful skews persist across runs and
-// survive register merges only if re-applied by the caller.
+// timing graph unless the edits since the previous run rewired more than
+// registers. Per-register useful skews persist across runs and survive
+// register merges only if re-applied by the caller.
 type Engine struct {
 	d       *netlist.Design
 	skew    map[netlist.InstID]float64
@@ -126,16 +141,17 @@ type Engine struct {
 	// Scratch for incremental runs (generation-stamped marks).
 	gen                    uint32
 	pinMark, slackMark     []uint32
+	regMark                []uint32 // by instance: queued in dirtyRegs
+	dirtyRegs              []netlist.InstID
+	endAdded               []int32 // pins that became endpoints this run
+	endLost                bool    // some endpoint stopped being one
 	fwdQueued, bwdQueued   []uint32
 	fwdBuckets, bwdBuckets [][]int32
 	slackDirty             []int32
 	stats                  RunStats
 
-	// Changed-slack register feed (see slacklog.go). prevSlack ping-pongs
-	// with slack across full runs so the old values survive the rebuild
-	// long enough to diff.
-	slog      slackLog
-	prevSlack []float64
+	// Changed-slack register feed (see slacklog.go).
+	slog slackLog
 }
 
 // New returns an analyzer for the design.
@@ -181,11 +197,13 @@ func (e *Engine) Invalidate() { e.valid = false }
 func (e *Engine) Stats() RunStats { return e.stats }
 
 // Summary reports the unified retained-engine counters (engine.Retained):
-// incremental runs are deltas, full graph builds are rebuilds.
+// every run over the retained graph (incremental, structural, reseed) is a
+// delta, full graph builds are rebuilds.
 func (e *Engine) Summary() engine.Summary {
+	deltas := e.stats.IncrementalRuns + e.stats.StructuralDeltas + e.stats.Reseeds
 	return engine.Summary{
-		Updates:  e.stats.FullBuilds + e.stats.IncrementalRuns,
-		Deltas:   e.stats.IncrementalRuns,
+		Updates:  e.stats.FullBuilds + deltas,
+		Deltas:   deltas,
 		Rebuilds: e.stats.FullBuilds,
 		LastKind: e.stats.LastKind,
 	}
@@ -196,11 +214,14 @@ var _ engine.Retained = (*Engine)(nil)
 const negInf = math.MaxFloat64 * -1
 
 // Run performs a timing analysis of the design's current state. The first
-// run (and any run after a structural or untracked edit, or a
-// SetIdealClocks flip, which re-seeds every register) builds the full
-// graph; runs after parametric edits re-propagate only the affected cone.
-// Either way the returned snapshot is bit-identical to a from-scratch
-// analysis.
+// run builds the timing graph; later runs reuse it. After parametric edits
+// a run re-propagates only the affected cone; register-only rewiring
+// (merges, splits) is patched into the graph first; an ideal-clock flip
+// re-seeds every register and sweeps the retained graph in full. Only a
+// Timing change, Invalidate, an incomplete edit record or rewiring the
+// patch cannot prove level-preserving (a combinational or port pin
+// changing nets) rebuilds the graph. Either way the returned snapshot is
+// bit-identical to a from-scratch analysis.
 func (e *Engine) Run() (*Results, error) {
 	if err := e.update(); err != nil {
 		return nil, err
@@ -221,30 +242,21 @@ func (e *Engine) RunEndpoints() (EndpointStats, error) {
 // update brings the engine's working state in sync with the design.
 func (e *Engine) update() error {
 	d := e.d
-	structural := !e.valid ||
-		d.StructuralEpoch() > e.cursor ||
-		d.PinSpace() != e.g.nPins ||
-		d.Timing != e.timingSnap ||
-		e.ideal != e.idealSnap
+	full := !e.valid || d.Timing != e.timingSnap
 	var touched []netlist.InstID
-	if !structural {
+	if !full {
 		var complete bool
 		touched, complete = d.TouchedSince(e.cursor)
-		if !complete {
-			structural = true
-		} else if len(touched)*4 > d.NumInsts() {
-			// A huge touched set re-propagates most of the graph anyway;
-			// the plain full sweep is cheaper than worklist bookkeeping.
-			structural = true
-		}
+		full = !complete
 	}
 
 	runSeq := e.slog.seq + 1
 	var err error
-	if structural {
+	if !full {
+		full, err = e.runDelta(touched, runSeq)
+	}
+	if full {
 		err = e.runFull(runSeq)
-	} else {
-		err = e.runIncremental(touched, runSeq)
 	}
 	if err != nil {
 		e.valid = false
@@ -258,6 +270,45 @@ func (e *Engine) update() error {
 	return nil
 }
 
+// runDelta brings the analysis up to date over the retained graph, after
+// patching the touched registers' rewiring into it. It reports rebuild
+// when the edits are not of a kind the graph can absorb; the graph may
+// then be half patched, and runFull replaces it.
+func (e *Engine) runDelta(touched []netlist.InstID, seq uint64) (rebuild bool, err error) {
+	d := e.d
+	var p *graphPatch
+	rewired := d.StructuralEpoch() > e.cursor
+	if rewired || d.PinSpace() != e.g.nPins {
+		// Only the flow-class record names the rewired instances.
+		if d.StructuralEpochOf(netlist.EditClassCTS) > e.cursor {
+			return true, nil
+		}
+		var ok bool
+		if p, ok = e.patchGraph(touched); !ok {
+			return true, nil
+		}
+	}
+	flip := e.ideal != e.idealSnap
+	// A huge touched set re-propagates most of the graph anyway; the plain
+	// full sweep is cheaper than worklist bookkeeping.
+	all := flip || len(touched)*4 > d.NumInsts()
+	if err := e.runIncremental(touched, p, flip, all, seq); err != nil {
+		return false, err
+	}
+	switch {
+	case rewired:
+		e.stats.StructuralDeltas++
+		e.stats.LastKind = "structural"
+	case all:
+		e.stats.Reseeds++
+		e.stats.LastKind = "reseed"
+	default:
+		e.stats.IncrementalRuns++
+		e.stats.LastKind = "incremental"
+	}
+	return false, nil
+}
+
 // runFull rebuilds the graph, seeds and endpoint constraints, then runs
 // the two levelized sweeps over everything.
 func (e *Engine) runFull(seq uint64) error {
@@ -268,17 +319,10 @@ func (e *Engine) runFull(seq uint64) error {
 	}
 	e.g = g
 	n := g.nPins
-	// Keep the previous run's slacks alive for the changed-slack diff; the
-	// buffers ping-pong so resizeFloats below can't clobber the old values.
-	canDiff := e.valid
-	if canDiff {
-		e.prevSlack, e.slack = e.slack, e.prevSlack
-	}
-	e.arr = resizeFloats(e.arr, n)
-	e.req = resizeFloats(e.req, n)
-	e.slack = resizeFloats(e.slack, n)
-	e.seedArr = resizeFloats(e.seedArr, n)
-	e.endReq = resizeFloats(e.endReq, n)
+	e.arr = resize(e.arr, n)
+	e.req = resize(e.req, n)
+	e.seedArr = resize(e.seedArr, n)
+	e.endReq = resize(e.endReq, n)
 	for i := 0; i < n; i++ {
 		e.seedArr[i] = negInf
 		e.endReq[i] = math.Inf(1)
@@ -301,60 +345,183 @@ func (e *Engine) runFull(seq uint64) error {
 				e.endpoints = append(e.endpoints, int32(p.ID))
 			}
 		case netlist.KindReg:
-			eff := e.clk.eff[in.ID]
-			e.seedRegister(in, eff, nil)
+			e.seedRegister(in, e.clk.eff[in.ID], nil, nil)
 			for b := 0; b < in.Bits(); b++ {
-				dp := d.DPin(in, b)
-				if dp == nil || dp.Net == netlist.NoID {
-					continue
+				if dp := d.DPin(in, b); dp != nil && dp.Net != netlist.NoID {
+					e.endpoints = append(e.endpoints, int32(dp.ID))
 				}
-				e.endReq[dp.ID] = eff + period - in.RegCell.Setup
-				e.endpoints = append(e.endpoints, int32(dp.ID))
 			}
 		}
 	})
 
-	workers := e.workers
-	copy(e.arr, e.seedArr)
-	g.forward(e.arr, e.seedArr, workers)
-	copy(e.req, e.endReq)
-	g.backward(e.req, e.endReq, workers)
-	parallelChunks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.slack[i] = slackOf(e.arr[i], e.req[i])
-		}
-	})
-	if canDiff {
-		e.diffSlackRegs(e.prevSlack, seq)
-	} else {
-		e.slog.reset(seq)
-	}
+	e.sweepAll(seq, e.valid)
 	e.stats.FullBuilds++
 	e.stats.LastConePins = 0
 	e.stats.LastKind = "full"
 	return nil
 }
 
-// seedRegister writes the launch seeds (clk→Q arrival) for every connected
-// Q pin of the register. When fwd is non-nil (incremental runs), pins
-// whose seed changed are pushed onto the forward worklist.
-func (e *Engine) seedRegister(in *netlist.Inst, eff float64, fwd *worklist) {
+// sweepAll runs the two levelized sweeps over the whole graph from the
+// seeds and endpoint constraints, then recomputes every slack. With diff
+// set it logs each register whose slack changed against the previous
+// run's, and each with a pin the previous run did not cover; otherwise it
+// resets the log.
+func (e *Engine) sweepAll(seq uint64, diff bool) {
+	g, n, workers := e.g, e.g.nPins, e.workers
+	if g.levelsStale {
+		g.bucketLevels()
+	}
+	copy(e.arr, e.seedArr)
+	g.forward(e.arr, e.seedArr, workers)
+	copy(e.req, e.endReq)
+	g.backward(e.req, e.endReq, workers)
+	if !diff {
+		e.slack = resize(e.slack, n)
+		parallelChunks(n, workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				e.slack[i] = slackOf(e.arr[i], e.req[i])
+			}
+		})
+		e.slog.reset(seq)
+		return
+	}
+	old := len(e.slack)
+	e.slack = extend(e.slack, n, 0)
+	for i := 0; i < n; i++ {
+		if s := slackOf(e.arr[i], e.req[i]); i >= old || s != e.slack[i] {
+			e.slack[i] = s
+			e.noteSlackPin(int32(i), seq)
+		}
+	}
+}
+
+// seedRegister writes the register's launch seeds (clk→Q arrival) and
+// endpoint constraints (D required time) for its effective clock arrival;
+// a disconnected pin gets neither. When fwd and bwd are non-nil
+// (incremental runs), pins whose seed or constraint changed are pushed
+// onto the worklists.
+func (e *Engine) seedRegister(in *netlist.Inst, eff float64, fwd, bwd *worklist) {
 	d := e.d
 	cell := in.RegCell
-	for b := 0; b < cell.Bits; b++ {
-		q := d.QPin(in, b)
-		if q == nil || q.Net == netlist.NoID {
+	req := eff + d.Timing.ClockPeriod - cell.Setup
+	for _, pid := range in.Pins {
+		p := d.Pin(pid)
+		if p.Bit >= cell.Bits {
 			continue
 		}
-		load := d.NetLoadCap(d.Net(q.Net))
-		seed := eff + cell.Intrinsic + cell.DriveRes*load
-		if e.seedArr[q.ID] != seed {
-			e.seedArr[q.ID] = seed
-			if fwd != nil {
-				fwd.push(int32(q.ID))
+		switch p.Kind {
+		case netlist.PinOut:
+			seed := negInf
+			if p.Net != netlist.NoID {
+				seed = eff + cell.Intrinsic + cell.DriveRes*d.NetLoadCap(d.Net(p.Net))
+			}
+			e.setSeed(pid, seed, fwd)
+		case netlist.PinData:
+			if p.Net != netlist.NoID {
+				e.setEndReq(pid, req, bwd)
+			} else {
+				e.setEndReq(pid, math.Inf(1), bwd)
 			}
 		}
 	}
+}
+
+// setSeed sets a pin's launch seed, queueing it when it changed.
+func (e *Engine) setSeed(pid netlist.PinID, seed float64, fwd *worklist) {
+	if e.seedArr[pid] != seed {
+		e.seedArr[pid] = seed
+		if fwd != nil {
+			fwd.push(int32(pid))
+		}
+	}
+}
+
+// setEndReq sets a pin's endpoint constraint (+Inf: not an endpoint),
+// queueing it when it changed. On incremental runs it records the pins
+// that become or stop being endpoints for fixEndpoints.
+func (e *Engine) setEndReq(pid netlist.PinID, req float64, bwd *worklist) {
+	old := e.endReq[pid]
+	if old == req {
+		return
+	}
+	e.endReq[pid] = req
+	if bwd == nil {
+		return
+	}
+	bwd.push(int32(pid))
+	switch {
+	case isPosInf(old):
+		e.endAdded = append(e.endAdded, int32(pid))
+	case isPosInf(req):
+		e.endLost = true
+	}
+}
+
+// fixEndpoints folds the run's endpoint changes into the endpoint list,
+// keeping runFull's order — instance ID, then bit — so TNS sums in the
+// same order.
+func (e *Engine) fixEndpoints() {
+	if e.endLost {
+		kept := e.endpoints[:0]
+		for _, pin := range e.endpoints {
+			if !isPosInf(e.endReq[pin]) {
+				kept = append(kept, pin)
+			}
+		}
+		e.endpoints = kept
+		e.endLost = false
+	}
+	if len(e.endAdded) == 0 {
+		return
+	}
+	added := e.endAdded
+	e.endAdded = e.endAdded[:0]
+	less := func(a, b int32) bool {
+		pa, pb := e.d.Pin(netlist.PinID(a)), e.d.Pin(netlist.PinID(b))
+		if pa.Inst != pb.Inst {
+			return pa.Inst < pb.Inst
+		}
+		return pa.Bit < pb.Bit
+	}
+	slices.SortFunc(added, func(a, b int32) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
+	eps := e.endpoints
+	if len(eps) == 0 || less(eps[len(eps)-1], added[0]) {
+		e.endpoints = append(eps, added...)
+		return
+	}
+	merged := make([]int32, 0, len(eps)+len(added))
+	i, j := 0, 0
+	for i < len(eps) && j < len(added) {
+		if less(added[j], eps[i]) {
+			merged = append(merged, added[j])
+			j++
+		} else {
+			merged = append(merged, eps[i])
+			i++
+		}
+	}
+	merged = append(merged, eps[i:]...)
+	e.endpoints = append(merged, added[j:]...)
+}
+
+// growValues extends the per-pin value arrays to a patched graph's pin
+// space, keeping every value; a new pin starts as runFull leaves a
+// disconnected one.
+func (e *Engine) growValues() {
+	n := e.g.nPins
+	e.arr = extend(e.arr, n, negInf)
+	e.req = extend(e.req, n, math.Inf(1))
+	e.slack = extend(e.slack, n, math.Inf(1))
+	e.seedArr = extend(e.seedArr, n, negInf)
+	e.endReq = extend(e.endReq, n, math.Inf(1))
 }
 
 func slackOf(arr, req float64) float64 {
@@ -406,13 +573,6 @@ func (e *Engine) endpointStats() EndpointStats {
 		st.WNS = 0
 	}
 	return st
-}
-
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
 }
 
 // RegDSlack returns the worst slack across the register's connected D pins

@@ -5,8 +5,10 @@ package repro
 // byte-identical — exact float equality, no tolerance — to a fresh
 // from-scratch analysis of the same design state, at every worker count.
 // Parametric rounds (moves, resizes, skews) exercise the cone
-// re-propagation path; merge rounds exercise the structural-rebuild
-// fallback.
+// re-propagation path, merge and split rounds the structural patch, and
+// ideal-clock flips the full re-seed over the retained graph. Each run's
+// changed-slack register feed must name exactly the registers whose slack
+// differs between the two fresh analyses.
 
 import (
 	"fmt"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cts"
 	"repro/internal/geom"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 )
@@ -55,13 +58,61 @@ func sameSTAResults(t *testing.T, ctx string, got, want *sta.Results) {
 	}
 }
 
-func TestSTAIncrementalEquivalence(t *testing.T) {
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, 2)
-		if n > 2 {
-			workerCounts = append(workerCounts, n)
+// equivRounds are the edit rounds of TestSTAIncrementalEquivalence: the
+// operations each may draw from. A flip toggles ideal clocks once, before
+// the round's register edits.
+var equivRounds = []struct {
+	ops  []string
+	flip bool
+}{
+	{ops: []string{"move", "resize", "skew"}},
+	{ops: []string{"move", "resize", "skew"}},
+	{ops: []string{"move", "resize", "skew", "merge"}},
+	{ops: []string{"merge"}},
+	{ops: []string{"split"}},
+	{ops: []string{"move", "skew"}, flip: true},
+	{ops: []string{"move", "resize", "skew", "merge", "split"}, flip: true},
+}
+
+// changedSlackRegs is the changed-slack feed a run from prev to cur must
+// report: every live register with a pin whose slack differs, or that
+// prev did not cover.
+func changedSlackRegs(d *netlist.Design, prev, cur *sta.Results) map[netlist.InstID]bool {
+	want := map[netlist.InstID]bool{}
+	for _, r := range d.Registers() {
+		for _, pid := range r.Pins {
+			if int(pid) >= len(prev.Slack) || prev.Slack[pid] != cur.Slack[pid] {
+				want[r.ID] = true
+			}
 		}
+	}
+	return want
+}
+
+// mergePartner returns the first live register from regs[start:] (then
+// from the front) that MergeRegisters accepts beside r — same class, same
+// control nets, a cell for the combined width — and that cell.
+func mergePartner(d *netlist.Design, r *netlist.Inst, regs []*netlist.Inst, start int) (*netlist.Inst, *lib.Cell) {
+	for i := range regs {
+		o := regs[(start+i)%len(regs)]
+		if o == r || d.Inst(o.ID) == nil || o.Fixed || o.SizeOnly || o.RegCell.Class != r.RegCell.Class {
+			continue
+		}
+		same := true
+		for _, k := range []netlist.PinKind{netlist.PinClock, netlist.PinReset, netlist.PinEnable, netlist.PinScanEnable} {
+			same = same && d.ControlNet(o, k) == d.ControlNet(r, k)
+		}
+		if cs := d.Lib.CellsOfWidth(r.RegCell.Class, r.Bits()+o.Bits()); same && len(cs) > 0 {
+			return o, cs[0]
+		}
+	}
+	return nil, nil
+}
+
+func TestSTAIncrementalEquivalence(t *testing.T) {
+	workerCounts := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		workerCounts = append(workerCounts, n)
 	}
 	for _, name := range []string{"D1", "D2", "D3", "D4", "D5"} {
 		for _, workers := range workerCounts {
@@ -74,13 +125,20 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 				d := gen.Design
 				eng := sta.New(d)
 				eng.SetWorkers(workers)
-				if _, err := eng.Run(); err != nil {
+				prev, err := eng.Run()
+				if err != nil {
 					t.Fatal(err)
 				}
 
 				rng := rand.New(rand.NewSource(int64(len(name)*1000 + workers)))
 				skews := map[netlist.InstID]float64{}
-				for round := 0; round < 3; round++ {
+				ideal := false
+				feedChecks := 0
+				for round, rd := range equivRounds {
+					if rd.flip {
+						ideal = !ideal
+						eng.SetIdealClocks(ideal)
+					}
 					regs := d.Registers()
 					if len(regs) == 0 {
 						t.Fatal("no registers")
@@ -91,27 +149,23 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 					}
 					for i := 0; i < nEdit; i++ {
 						r := regs[rng.Intn(len(regs))]
-						if r.Fixed || r.SizeOnly {
-							continue
+						if d.Inst(r.ID) == nil || r.Fixed || r.SizeOnly {
+							continue // merged or split away earlier this round
 						}
-						op := rng.Intn(3)
-						if round == 2 {
-							op = rng.Intn(4) // final round adds structural merges
-						}
-						switch op {
-						case 0:
+						switch rd.ops[rng.Intn(len(rd.ops))] {
+						case "move":
 							d.MoveInst(r, geom.Point{
 								X: r.Pos.X + int64(rng.Intn(4001)) - 2000,
 								Y: r.Pos.Y + int64(rng.Intn(4001)) - 2000,
 							})
-						case 1:
+						case "resize":
 							cs := d.Lib.CellsOfWidth(r.RegCell.Class, r.RegCell.Bits)
 							if len(cs) > 1 {
 								if err := d.ResizeRegister(r, cs[rng.Intn(len(cs))]); err != nil {
 									t.Fatal(err)
 								}
 							}
-						case 2:
+						case "skew":
 							s := float64(rng.Intn(41) - 20)
 							eng.SetSkew(r.ID, s)
 							if s == 0 {
@@ -119,32 +173,34 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 							} else {
 								skews[r.ID] = s
 							}
-						case 3:
-							o := regs[rng.Intn(len(regs))]
-							if o == r || o.Fixed || o.SizeOnly ||
-								o.RegCell.Class != r.RegCell.Class {
-								continue
-							}
-							cs := d.Lib.CellsOfWidth(r.RegCell.Class, r.Bits()+o.Bits())
-							if len(cs) == 0 {
+						case "merge":
+							o, cell := mergePartner(d, r, regs, rng.Intn(len(regs)))
+							if o == nil {
 								continue
 							}
 							mergeName := fmt.Sprintf("eqm_%s_%d_%d_%d", name, workers, round, i)
-							// Structural compatibility (shared control nets)
-							// often fails for random pairs; that is fine — a
-							// failed merge edits nothing.
-							if _, err := d.MergeRegisters([]*netlist.Inst{r, o}, cs[0], mergeName, r.Pos); err == nil {
-								regs = d.Registers()
+							if _, err := d.MergeRegisters([]*netlist.Inst{r, o}, cell, mergeName, r.Pos); err != nil {
+								t.Fatal(err)
 							}
+						case "split":
+							cs := d.Lib.CellsOfWidth(r.RegCell.Class, 1)
+							if r.Bits() < 2 || len(cs) == 0 {
+								continue
+							}
+							// A name collision with an earlier split's parts
+							// rejects the split and edits nothing.
+							d.SplitRegister(r, cs[0])
 						}
 					}
 
+					seq := eng.SlackSeq()
 					got, err := eng.Run()
 					if err != nil {
 						t.Fatal(err)
 					}
 					oracle := sta.New(d)
 					oracle.SetWorkers(workers)
+					oracle.SetIdealClocks(ideal)
 					for id, s := range skews {
 						oracle.SetSkew(id, s)
 					}
@@ -152,10 +208,35 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameSTAResults(t, fmt.Sprintf("round %d", round), got, want)
+					ctx := fmt.Sprintf("round %d (%s)", round, eng.Stats().LastKind)
+					sameSTAResults(t, ctx, got, want)
+
+					if changed, ok := eng.RegsWithChangedSlack(seq); ok {
+						feedChecks++
+						gotSet := map[netlist.InstID]bool{}
+						for _, id := range changed {
+							gotSet[id] = true
+						}
+						wantSet := changedSlackRegs(d, prev, want)
+						for id := range wantSet {
+							if !gotSet[id] {
+								t.Fatalf("%s: register %d changed slack but is not in the feed", ctx, id)
+							}
+						}
+						for id := range gotSet {
+							if !wantSet[id] {
+								t.Fatalf("%s: feed reports register %d, whose slack did not change", ctx, id)
+							}
+						}
+					}
+					prev = want
 				}
-				if s := eng.Stats(); s.IncrementalRuns == 0 {
-					t.Fatalf("incremental path never engaged: %+v", s)
+				s := eng.Stats()
+				if s.FullBuilds != 1 || s.IncrementalRuns == 0 || s.StructuralDeltas == 0 || s.Reseeds == 0 {
+					t.Fatalf("want one build and every retained path engaged: %+v", s)
+				}
+				if feedChecks == 0 {
+					t.Fatal("the changed-slack feed was never complete")
 				}
 			})
 		}
