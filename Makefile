@@ -148,7 +148,8 @@ FUZZ_TARGETS = \
 	./internal/route:FuzzEstimateDeltaEquivalence \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
 	./internal/place:FuzzRowSearchMatchesScan \
-	./internal/sta:FuzzStructuralDeltaMatchesFull
+	./internal/sta:FuzzStructuralDeltaMatchesFull \
+	./internal/flow:FuzzEditDecode
 FUZZTIME ?= 30s
 
 fuzz:

@@ -42,14 +42,6 @@ import (
 	"repro/internal/sta"
 )
 
-// TimingFeed is the STA engine's changed-slack register feed (sta.Engine
-// satisfies it). The engine does not read it; it is the parameter type of
-// the no-op SetTimingFeed.
-type TimingFeed interface {
-	SlackSeq() uint64
-	RegsWithChangedSlack(cursor uint64) ([]netlist.InstID, bool)
-}
-
 // Options tunes the engine.
 type Options struct {
 	// Compat are the edge rules, shared with compat.Build. SlackClamp
@@ -166,7 +158,7 @@ func (e *Engine) Invalidate() { e.valid = false }
 // SetTimingFeed is a no-op: the node phase is one linear sweep that needs
 // no dirty-register feed. It stays until benchmark/measure.go stops
 // calling it.
-func (e *Engine) SetTimingFeed(TimingFeed) {}
+func (e *Engine) SetTimingFeed(*sta.Engine) {}
 
 // SetWorkers bounds the fan-out of pairwise re-tests (engine.Retained
 // convention: results identical for any value, 1 forces sequential).

@@ -1,8 +1,8 @@
 // Slack-driven MBR decomposition: the inverse pass that closes the
 // bank/debank loop. Where composition merges compatible registers into
 // MBRs, decomposition selects merged registers whose slack a later stage
-// degraded — victims come from the retained STA engine's changed-slack
-// feed, worst cones first — and splits them back into single-bit
+// degraded — a scan of every register against the retained STA engine's
+// slacks, worst first — and splits them back into single-bit
 // registers so the next composition pass can regroup their bits with
 // better neighbours. The debank-all behavior (split every max-width MBR
 // before the compose, the paper's §5 future-work idea) is the All
@@ -48,10 +48,6 @@ type DecomposeResult struct {
 	// RegsBefore/RegsAfter is the register count around the pass.
 	RegsBefore int
 	RegsAfter  int
-	// FromSlackFeed reports whether victim selection ran on the STA
-	// engine's changed-slack feed (false: full register scan — first pass,
-	// feed overflow, or the All preset).
-	FromSlackFeed bool
 }
 
 // splitGroup remembers one decomposed MBR so leftover bits can be
@@ -64,9 +60,9 @@ type splitGroup struct {
 
 // DecomposePassWith runs one slack-driven decomposition pass under dcfg
 // (the composition server journals the config, so replay reproduces the
-// exact pass). Victims are selected from the retained STA engine's
-// changed-slack feed under ideal clocks (the composition stage's timing
-// view), worst slack first; each is split into single-bit registers that
+// exact pass). Victims are selected by scanning every register's D/Q
+// slack under ideal clocks (the composition stage's timing view), worst
+// slack first; each is split into single-bit registers that
 // stay on the MBR's footprint so the next composition pass sees them as
 // the tight clean group they are. Leftover bits a later composition does
 // not re-merge are restored by RestorePass.
@@ -97,9 +93,8 @@ func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) 
 		if err != nil {
 			return nil, err
 		}
-		victims, res.FromSlackFeed = s.slackVictims(dcfg, tres)
+		victims = slackVictims(d, dcfg, tres)
 	}
-	s.slackCursor = s.engs.sta.SlackSeq()
 
 	for _, r := range victims {
 		cell := d.Lib.SelectCell(r.RegCell.Class, 1, r.RegCell.DriveRes)
@@ -133,38 +128,15 @@ func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) 
 
 // slackVictims picks the decompose victims: movable multi-bit registers
 // with a 1-bit cell available whose worst D/Q pin slack is below the
-// threshold, worst first, up to the budget. Candidates come from the STA
-// engine's changed-slack feed when it covers the interval since the last
-// decompose pass; a cold or overflowed feed falls back to scanning every
-// register (exactly what the feed's incomplete flag prescribes).
-func (s *Session) slackVictims(dcfg DecomposeConfig, tres *sta.Results) ([]*netlist.Inst, bool) {
-	d := s.d
-	var cands []*netlist.Inst
-	changed, complete := s.engs.sta.RegsWithChangedSlack(s.slackCursor)
-	fromFeed := complete && s.slackSeen
-	if fromFeed {
-		seen := make(map[netlist.InstID]bool, len(changed))
-		for _, id := range changed {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			if in := d.Inst(id); in != nil {
-				cands = append(cands, in)
-			}
-		}
-	} else {
-		cands = d.Registers()
-	}
-	s.slackSeen = true
-
+// threshold, worst first, up to the budget.
+func slackVictims(d *netlist.Design, dcfg DecomposeConfig, tres *sta.Results) []*netlist.Inst {
 	type scored struct {
 		in    *netlist.Inst
 		slack float64
 	}
 	var pool []scored
-	for _, in := range cands {
-		if in.Kind != netlist.KindReg || in.Fixed || in.SizeOnly || in.Bits() < 2 {
+	for _, in := range d.Registers() {
+		if in.Fixed || in.SizeOnly || in.Bits() < 2 {
 			continue
 		}
 		if d.Lib.SelectCell(in.RegCell.Class, 1, in.RegCell.DriveRes) == nil {
@@ -177,7 +149,7 @@ func (s *Session) slackVictims(dcfg DecomposeConfig, tres *sta.Results) ([]*netl
 		pool = append(pool, scored{in, worst})
 	}
 	// Worst slack first; instance ID breaks ties so the pass is
-	// deterministic regardless of feed order.
+	// deterministic.
 	sort.Slice(pool, func(i, j int) bool {
 		if pool[i].slack != pool[j].slack {
 			return pool[i].slack < pool[j].slack
@@ -191,7 +163,7 @@ func (s *Session) slackVictims(dcfg DecomposeConfig, tres *sta.Results) ([]*netl
 	for i, sc := range pool {
 		out[i] = sc.in
 	}
-	return out, fromFeed
+	return out
 }
 
 // maxWidthVictims is the All preset's selection: every movable register

@@ -231,3 +231,53 @@ func TestEditOpTag(t *testing.T) {
 		t.Fatalf("empty envelope Op() = %q, want empty", got)
 	}
 }
+
+// FuzzEditDecode feeds arbitrary bytes to the edit envelope's decoder,
+// which the composition server runs on every HTTP edit batch. Decoding
+// must never panic, and any edit that decodes and validates must survive
+// a round trip: its v2 encoding decodes, through the envelope decoder and
+// through the plain tagged form alike, back to an equal edit.
+func FuzzEditDecode(f *testing.F) {
+	for _, seed := range []string{
+		`{"op":"move","inst":"r1","x":100,"y":-4}`,
+		`{"move":{"inst":"r1","x":100,"y":-4}}`,
+		`{"op":"resize","inst":"r1","cell":"DFF_X2"}`,
+		`{"resize":{"inst":"r1","cell":"DFF_X2"}}`,
+		`{"op":"skew","inst":"r1","skewPS":-12.5}`,
+		`{"skew":{"inst":"r1","skewPS":-12.5}}`,
+		`{"op":"merge","group":["a","b"],"name":"m","cell":"DFF2","x":5,"y":7}`,
+		`{"merge":{"group":["a","b","c"],"name":"m"}}`,
+		`{"op":"split","inst":"m","cell":"DFF1"}`,
+		`{"split":{"inst":"m"}}`,
+		`{"op":"connect","inst":"r1","pin":"D","bit":2,"net":"n1"}`,
+		`{"connect":{"inst":"r1","pin":"D","bit":2,"net":"n1"}}`,
+		`{"op":"disconnect","inst":"r1","pin":"Q"}`,
+		`{"disconnect":{"inst":"r1","pin":"Q","bit":1}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var e Edit
+		if err := json.Unmarshal(data, &e); err != nil || e.Validate() != nil {
+			return
+		}
+		enc, err := json.Marshal(e)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", e, err)
+		}
+		var got Edit
+		if err := json.Unmarshal(enc, &got); err != nil {
+			t.Fatalf("decode re-encoded %s: %v", enc, err)
+		}
+		if !reflect.DeepEqual(got, e) {
+			t.Fatalf("round trip of %s via %s: got %+v, want %+v", data, enc, got, e)
+		}
+		var tagged editV2
+		if err := json.Unmarshal(enc, &tagged); err != nil {
+			t.Fatalf("decode %s as the v2 tagged form: %v", enc, err)
+		}
+		if !reflect.DeepEqual(Edit(tagged), e) {
+			t.Fatalf("%s is not the v2 form of %+v", enc, e)
+		}
+	})
+}

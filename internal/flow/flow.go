@@ -96,8 +96,9 @@ type Config struct {
 	// of slack must remain after a downsize.
 	Sizing bool
 	// Decompose configures the slack-driven decomposition pass (the
-	// bank/debank loop's debank direction): victims picked from the STA
-	// changed-slack feed, worst cones first, bounded by Decompose.Budget.
+	// bank/debank loop's debank direction): victims are the registers with
+	// the worst D/Q slack under ideal clocks, worst first, bounded by
+	// Decompose.Budget.
 	// In Run's one-shot flow an enabled config decomposes before the
 	// compose and restores leftovers after it; sessions drive
 	// DecomposePassWith/RestorePass directly.

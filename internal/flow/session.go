@@ -38,10 +38,6 @@ type Session struct {
 	// across repeated bank/debank rounds.
 	splitGroups    []splitGroup
 	restoredGroups int
-	// slackCursor/slackSeen track the session's read position in the STA
-	// engine's changed-slack feed (victim selection for DecomposePassWith).
-	slackCursor uint64
-	slackSeen   bool
 
 	closed bool
 }

@@ -432,10 +432,10 @@ func referenceRegs(profile string, scale int) ([]reg, error) {
 // batch is skew-dominated with at most one move or resize: skews change a
 // single register's own slack, while a move/resize also re-loads its
 // clock-tree leaf and ripples arrivals across the sibling sinks, so the
-// move rate bounds the changed-slack set each measure must absorb. Moves
-// jitter a few hundred DBU around the register's base position (small
-// against cluster pitch, so leaf membership stays stable), resizes walk
-// the same-width drive alternates, skews stay inside ±40ps.
+// move rate bounds how many registers' slacks each measure re-propagates.
+// Moves jitter a few hundred DBU around the register's base position
+// (small against cluster pitch, so leaf membership stays stable), resizes
+// walk the same-width drive alternates, skews stay inside ±40ps.
 func genStream(name string, regs []reg, o Options, idx int64) *stream {
 	rng := rand.New(rand.NewSource(o.Seed + 7919*idx))
 	pool := o.PoolSize

@@ -205,12 +205,11 @@ func (s *Session) Compose() (*ComposeInfo, map[string]engine.Summary, error) {
 
 // DecomposeInfo is a decompose request's outcome on the wire.
 type DecomposeInfo struct {
-	Victims       []string `json:"victims,omitempty"`
-	Decomposed    int      `json:"decomposed"`
-	Parts         int      `json:"parts"`
-	RegsBefore    int      `json:"regsBefore"`
-	RegsAfter     int      `json:"regsAfter"`
-	FromSlackFeed bool     `json:"fromSlackFeed"`
+	Victims    []string `json:"victims,omitempty"`
+	Decomposed int      `json:"decomposed"`
+	Parts      int      `json:"parts"`
+	RegsBefore int      `json:"regsBefore"`
+	RegsAfter  int      `json:"regsAfter"`
 }
 
 // Decompose runs one slack-driven decomposition pass under the write
@@ -232,12 +231,11 @@ func (s *Session) Decompose(dcfg flow.DecomposeConfig) (*DecomposeInfo, map[stri
 	s.lastOp = now()
 	s.mgr.decomposes.Add(1)
 	return &DecomposeInfo{
-		Victims:       dres.Victims,
-		Decomposed:    len(dres.Victims),
-		Parts:         dres.Parts,
-		RegsBefore:    dres.RegsBefore,
-		RegsAfter:     dres.RegsAfter,
-		FromSlackFeed: dres.FromSlackFeed,
+		Victims:    dres.Victims,
+		Decomposed: len(dres.Victims),
+		Parts:      dres.Parts,
+		RegsBefore: dres.RegsBefore,
+		RegsAfter:  dres.RegsAfter,
 	}, s.fs.Engines(), nil
 }
 

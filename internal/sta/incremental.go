@@ -101,9 +101,8 @@ func (e *Engine) markDirtyReg(id netlist.InstID) {
 // ideal-clock mode change), and all replaces the cone sweeps with the two
 // full levelized sweeps — which is everything runFull does but rebuild
 // the graph.
-func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, all bool, seq uint64) error {
+func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, all bool) error {
 	d, g := e.d, e.g
-	oldPins := len(e.arr)
 	e.growValues()
 	fwd, bwd := e.prepare()
 
@@ -206,20 +205,11 @@ func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, a
 
 	// 4. Sweeps: everything, or the cone.
 	if all {
-		e.sweepAll(seq, true)
+		e.sweepAll()
 		e.stats.LastConePins = 2 * len(g.levelPins)
 	} else {
-		e.sweepCone(fwd, bwd, seq)
+		e.sweepCone(fwd, bwd)
 		e.stats.LastConePins = fwd.pushes + bwd.pushes
-	}
-	if g.nPins > oldPins {
-		// runFull logs every register with a pin it has not analyzed
-		// before, whatever that pin's slack; so does this run.
-		for _, id := range touched {
-			if in := d.Inst(id); in != nil && in.Kind == netlist.KindReg && int(in.Pins[0]) >= oldPins {
-				e.slog.note(id, seq)
-			}
-		}
 	}
 	return nil
 }
@@ -227,7 +217,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, a
 // sweepCone re-propagates the worklists' cones: forward ascends levels
 // and pushes always target strictly higher levels, so each bucket is
 // complete when reached; backward mirrors it.
-func (e *Engine) sweepCone(fwd, bwd *worklist, seq uint64) {
+func (e *Engine) sweepCone(fwd, bwd *worklist) {
 	g := e.g
 	for l := 0; l < len(fwd.buckets); l++ {
 		for _, v := range fwd.buckets[l] {
@@ -256,11 +246,7 @@ func (e *Engine) sweepCone(fwd, bwd *worklist, seq uint64) {
 		}
 	}
 	for _, v := range e.slackDirty {
-		nv := slackOf(e.arr[v], e.req[v])
-		if nv != e.slack[v] {
-			e.slack[v] = nv
-			e.noteSlackPin(v, seq)
-		}
+		e.slack[v] = slackOf(e.arr[v], e.req[v])
 	}
 }
 

@@ -149,9 +149,6 @@ type Engine struct {
 	fwdBuckets, bwdBuckets [][]int32
 	slackDirty             []int32
 	stats                  RunStats
-
-	// Changed-slack register feed (see slacklog.go).
-	slog slackLog
 }
 
 // New returns an analyzer for the design.
@@ -250,19 +247,17 @@ func (e *Engine) update() error {
 		full = !complete
 	}
 
-	runSeq := e.slog.seq + 1
 	var err error
 	if !full {
-		full, err = e.runDelta(touched, runSeq)
+		full, err = e.runDelta(touched)
 	}
 	if full {
-		err = e.runFull(runSeq)
+		err = e.runFull()
 	}
 	if err != nil {
 		e.valid = false
 		return err
 	}
-	e.slog.seq = runSeq
 	e.cursor = d.Epoch()
 	e.timingSnap = d.Timing
 	e.idealSnap = e.ideal
@@ -274,7 +269,7 @@ func (e *Engine) update() error {
 // patching the touched registers' rewiring into it. It reports rebuild
 // when the edits are not of a kind the graph can absorb; the graph may
 // then be half patched, and runFull replaces it.
-func (e *Engine) runDelta(touched []netlist.InstID, seq uint64) (rebuild bool, err error) {
+func (e *Engine) runDelta(touched []netlist.InstID) (rebuild bool, err error) {
 	d := e.d
 	var p *graphPatch
 	rewired := d.StructuralEpoch() > e.cursor
@@ -292,7 +287,7 @@ func (e *Engine) runDelta(touched []netlist.InstID, seq uint64) (rebuild bool, e
 	// A huge touched set re-propagates most of the graph anyway; the plain
 	// full sweep is cheaper than worklist bookkeeping.
 	all := flip || len(touched)*4 > d.NumInsts()
-	if err := e.runIncremental(touched, p, flip, all, seq); err != nil {
+	if err := e.runIncremental(touched, p, flip, all); err != nil {
 		return false, err
 	}
 	switch {
@@ -311,7 +306,7 @@ func (e *Engine) runDelta(touched []netlist.InstID, seq uint64) (rebuild bool, e
 
 // runFull rebuilds the graph, seeds and endpoint constraints, then runs
 // the two levelized sweeps over everything.
-func (e *Engine) runFull(seq uint64) error {
+func (e *Engine) runFull() error {
 	d := e.d
 	g, err := buildGraph(d)
 	if err != nil {
@@ -354,7 +349,7 @@ func (e *Engine) runFull(seq uint64) error {
 		}
 	})
 
-	e.sweepAll(seq, e.valid)
+	e.sweepAll()
 	e.stats.FullBuilds++
 	e.stats.LastConePins = 0
 	e.stats.LastKind = "full"
@@ -362,11 +357,8 @@ func (e *Engine) runFull(seq uint64) error {
 }
 
 // sweepAll runs the two levelized sweeps over the whole graph from the
-// seeds and endpoint constraints, then recomputes every slack. With diff
-// set it logs each register whose slack changed against the previous
-// run's, and each with a pin the previous run did not cover; otherwise it
-// resets the log.
-func (e *Engine) sweepAll(seq uint64, diff bool) {
+// seeds and endpoint constraints, then recomputes every slack.
+func (e *Engine) sweepAll() {
 	g, n, workers := e.g, e.g.nPins, e.workers
 	if g.levelsStale {
 		g.bucketLevels()
@@ -375,24 +367,12 @@ func (e *Engine) sweepAll(seq uint64, diff bool) {
 	g.forward(e.arr, e.seedArr, workers)
 	copy(e.req, e.endReq)
 	g.backward(e.req, e.endReq, workers)
-	if !diff {
-		e.slack = resize(e.slack, n)
-		parallelChunks(n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.slack[i] = slackOf(e.arr[i], e.req[i])
-			}
-		})
-		e.slog.reset(seq)
-		return
-	}
-	old := len(e.slack)
-	e.slack = extend(e.slack, n, 0)
-	for i := 0; i < n; i++ {
-		if s := slackOf(e.arr[i], e.req[i]); i >= old || s != e.slack[i] {
-			e.slack[i] = s
-			e.noteSlackPin(int32(i), seq)
+	e.slack = resize(e.slack, n)
+	parallelChunks(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e.slack[i] = slackOf(e.arr[i], e.req[i])
 		}
-	}
+	})
 }
 
 // seedRegister writes the register's launch seeds (clk→Q arrival) and

@@ -6,9 +6,7 @@ package repro
 // from-scratch analysis of the same design state, at every worker count.
 // Parametric rounds (moves, resizes, skews) exercise the cone
 // re-propagation path, merge and split rounds the structural patch, and
-// ideal-clock flips the full re-seed over the retained graph. Each run's
-// changed-slack register feed must name exactly the registers whose slack
-// differs between the two fresh analyses.
+// ideal-clock flips the full re-seed over the retained graph.
 
 import (
 	"fmt"
@@ -74,21 +72,6 @@ var equivRounds = []struct {
 	{ops: []string{"move", "resize", "skew", "merge", "split"}, flip: true},
 }
 
-// changedSlackRegs is the changed-slack feed a run from prev to cur must
-// report: every live register with a pin whose slack differs, or that
-// prev did not cover.
-func changedSlackRegs(d *netlist.Design, prev, cur *sta.Results) map[netlist.InstID]bool {
-	want := map[netlist.InstID]bool{}
-	for _, r := range d.Registers() {
-		for _, pid := range r.Pins {
-			if int(pid) >= len(prev.Slack) || prev.Slack[pid] != cur.Slack[pid] {
-				want[r.ID] = true
-			}
-		}
-	}
-	return want
-}
-
 // mergePartner returns the first live register from regs[start:] (then
 // from the front) that MergeRegisters accepts beside r — same class, same
 // control nets, a cell for the combined width — and that cell.
@@ -125,15 +108,13 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 				d := gen.Design
 				eng := sta.New(d)
 				eng.SetWorkers(workers)
-				prev, err := eng.Run()
-				if err != nil {
+				if _, err := eng.Run(); err != nil {
 					t.Fatal(err)
 				}
 
 				rng := rand.New(rand.NewSource(int64(len(name)*1000 + workers)))
 				skews := map[netlist.InstID]float64{}
 				ideal := false
-				feedChecks := 0
 				for round, rd := range equivRounds {
 					if rd.flip {
 						ideal = !ideal
@@ -193,7 +174,6 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 						}
 					}
 
-					seq := eng.SlackSeq()
 					got, err := eng.Run()
 					if err != nil {
 						t.Fatal(err)
@@ -210,33 +190,10 @@ func TestSTAIncrementalEquivalence(t *testing.T) {
 					}
 					ctx := fmt.Sprintf("round %d (%s)", round, eng.Stats().LastKind)
 					sameSTAResults(t, ctx, got, want)
-
-					if changed, ok := eng.RegsWithChangedSlack(seq); ok {
-						feedChecks++
-						gotSet := map[netlist.InstID]bool{}
-						for _, id := range changed {
-							gotSet[id] = true
-						}
-						wantSet := changedSlackRegs(d, prev, want)
-						for id := range wantSet {
-							if !gotSet[id] {
-								t.Fatalf("%s: register %d changed slack but is not in the feed", ctx, id)
-							}
-						}
-						for id := range gotSet {
-							if !wantSet[id] {
-								t.Fatalf("%s: feed reports register %d, whose slack did not change", ctx, id)
-							}
-						}
-					}
-					prev = want
 				}
 				s := eng.Stats()
 				if s.FullBuilds != 1 || s.IncrementalRuns == 0 || s.StructuralDeltas == 0 || s.Reseeds == 0 {
 					t.Fatalf("want one build and every retained path engaged: %+v", s)
-				}
-				if feedChecks == 0 {
-					t.Fatal("the changed-slack feed was never complete")
 				}
 			})
 		}
