@@ -149,6 +149,7 @@ FUZZ_TARGETS = \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
 	./internal/place:FuzzRowSearchMatchesScan \
 	./internal/sta:FuzzStructuralDeltaMatchesFull \
+	./internal/compatgraph:FuzzSweepMatchesPairScan \
 	./internal/flow:FuzzEditDecode
 FUZZTIME ?= 30s
 

@@ -1,5 +1,5 @@
 // Command mbrserved serves the incremental composition flow over HTTP:
-// named sessions hold a design plus its five retained engines (timing,
+// named sessions hold a design plus its five engines (timing,
 // compatibility graph, clock trees, congestion, metrics),
 // edit batches stream in, and measurements/compositions stream out at
 // O(touched) incremental cost per request. Sessions are snapshotable as

@@ -3,9 +3,9 @@
 // reasons, clock domain population, scan chain shapes, timing summary, and
 // clock network metrics. The default run does not modify the design;
 // -passes N additionally runs N composition passes on the in-memory copy
-// and reports, per pass, what the retained incremental compatibility-graph
-// engine did (node/edge counts, connected components, delta-vs-rebuild
-// decision, edges re-tested), what composition did (MBRs formed,
+// and reports, per pass, what the compatibility-graph engine built
+// (node/edge counts, connected components, pairs tested and the tests that
+// rejected them), what composition did (MBRs formed,
 // truncated subgraphs), and what the retained clock-tree engine did to fold
 // the merges into its live trees (re-clustered leaves, repaired ancestors,
 // buffer churn, fallback reason).
@@ -16,7 +16,7 @@
 //
 //	mbrstats -profile D1
 //	mbrstats -profile D1 -passes 3
-//	mbrstats -profile D2 -passes 3 -json | jq .passes[0].updateKind
+//	mbrstats -profile D2 -passes 3 -json | jq .passes[0].pairsTested
 //	mbrstats -design d1.json -scan d1.scan.json
 //	benchgen -profile D3 -out /dev/stdout | mbrstats -design /dev/stdin
 package main
@@ -117,7 +117,7 @@ func main() {
 		scale      = flag.Int("scale", bench.DefaultScale, "profile scale divisor")
 		designPath = flag.String("design", "", "design JSON (alternative to -profile)")
 		scanPath   = flag.String("scan", "", "scan plan JSON (with -design)")
-		passes     = flag.Int("passes", 0, "run this many composition passes and report per-pass compat-graph deltas")
+		passes     = flag.Int("passes", 0, "run this many composition passes and report per-pass engine work")
 		jsonOut    = flag.Bool("json", false, "emit one JSON document (wire encodings) instead of text")
 	)
 	flag.Parse()
@@ -339,7 +339,7 @@ func main() {
 	}
 }
 
-// passStats is one composition pass's retained-engine accounting: what the
+// passStats is one composition pass's engine accounting: what the
 // compatibility-graph, clock-tree and congestion engines did to serve the
 // pass, and what composition formed. -passes emits one per pass.
 type passStats struct {
@@ -352,15 +352,10 @@ type passStats struct {
 	STAConePins int    `json:"staConePins"`
 
 	// Compatibility-graph engine.
-	Nodes         int    `json:"nodes"`
-	Edges         int    `json:"edges"`
-	Components    int    `json:"components"`
-	UpdateKind    string `json:"updateKind"`
-	NodesAdded    int    `json:"nodesAdded"`
-	NodesRemoved  int    `json:"nodesRemoved"`
-	NodesDirty    int    `json:"nodesDirty"`
-	PairsTested   int    `json:"pairsTested"`
-	EdgesRetested int    `json:"edgesRetested"`
+	Nodes       int `json:"nodes"`
+	Edges       int `json:"edges"`
+	Components  int `json:"components"`
+	PairsTested int `json:"pairsTested"`
 
 	// Composition outcome.
 	MBRs               int `json:"mbrs"`
@@ -386,7 +381,7 @@ type passStats struct {
 }
 
 // runPasses drives composition passes on the in-memory design, reporting
-// what the retained compatibility-graph, clock-tree and congestion engines
+// what the compatibility-graph, clock-tree and congestion engines
 // do on each one. It returns per-pass stats and the final engine
 // summaries.
 func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgraph.Engine, passes int, text bool) ([]passStats, wire.EngineSummaries) {
@@ -398,7 +393,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	rt.Update() // baseline estimate, so pass deltas measure only the edits
 	var out []passStats
 	if text {
-		fmt.Printf("\ncomposition passes (retained compat + clock-tree + congestion engines):\n")
+		fmt.Printf("\ncomposition passes (compat, clock-tree and congestion engines):\n")
 	}
 	for p := 1; p <= passes; p++ {
 		res, err := eng.Run()
@@ -409,28 +404,20 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		cs := cg.Stats()
 		ss := eng.Stats()
 		ps := passStats{
-			Pass:          p,
-			STAKind:       ss.LastKind,
-			STAConePins:   ss.LastConePins,
-			Nodes:         cs.LastNodes,
-			Edges:         cs.LastEdges,
-			Components:    len(partition.ConnectedComponents(len(g.Regs), g.Adj)),
-			UpdateKind:    string(cs.LastKind),
-			NodesAdded:    cs.LastNodesAdded,
-			NodesRemoved:  cs.LastNodesRemoved,
-			NodesDirty:    cs.LastNodesDirty,
-			PairsTested:   cs.LastPairsTested,
-			EdgesRetested: cs.LastEdgesRetested,
+			Pass:        p,
+			STAKind:     ss.LastKind,
+			STAConePins: ss.LastConePins,
+			Nodes:       cs.LastNodes,
+			Edges:       cs.LastEdges,
+			Components:  len(partition.ConnectedComponents(len(g.Regs), g.Adj)),
+			PairsTested: cs.LastPairsTested,
 		}
 		if text {
 			fmt.Printf("pass %d: %d nodes, %d edges, %d components\n",
 				p, cs.LastNodes, cs.LastEdges, ps.Components)
 			fmt.Printf("  sta %s: %d pins re-evaluated\n", ss.LastKind, ss.LastConePins)
-			fmt.Printf("  update: %s  (+%d nodes, -%d nodes, %d dirty)\n",
-				cs.LastKind, cs.LastNodesAdded, cs.LastNodesRemoved, cs.LastNodesDirty)
-			fmt.Printf("  pairs tested %d (edges re-tested %d); rejected by func/scan/place/timing: %d/%d/%d/%d\n",
-				cs.LastPairsTested, cs.LastEdgesRetested,
-				cs.LastRejectsByTest[0], cs.LastRejectsByTest[1],
+			fmt.Printf("  pairs tested %d; rejected by func/scan/place/timing: %d/%d/%d/%d\n",
+				cs.LastPairsTested, cs.LastRejectsByTest[0], cs.LastRejectsByTest[1],
 				cs.LastRejectsByTest[2], cs.LastRejectsByTest[3])
 			fmt.Printf("  phases: node %.2f ms, edges %.2f ms\n",
 				float64(cs.LastNodePhaseNS)/1e6, float64(cs.LastEdgePhaseNS)/1e6)
@@ -501,8 +488,8 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		out = append(out, ps)
 		if len(cres.MBRs) == 0 {
 			if text {
-				fmt.Printf("  converged after %d passes (delta/rebuild decisions: %d/%d)\n",
-					p, cg.Stats().Deltas, cg.Stats().Rebuilds)
+				fmt.Printf("  converged after %d passes (%d compat builds)\n",
+					p, cg.Stats().Updates)
 			}
 			break
 		}
@@ -512,9 +499,9 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 	rs := rt.Stats()
 	ss := eng.Stats()
 	if text && len(out) == passes {
-		fmt.Printf("  totals: sta %d full, %d structural, %d reseed, %d incremental; compat %d updates (%d delta, %d full); cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
+		fmt.Printf("  totals: sta %d full, %d structural, %d reseed, %d incremental; compat %d builds; cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
 			ss.FullBuilds, ss.StructuralDeltas, ss.Reseeds, ss.IncrementalRuns,
-			cs.Updates, cs.Deltas, cs.Rebuilds,
+			cs.Updates,
 			ts.Updates, ts.Deltas, ts.Rebuilds, ts.Cleans,
 			rs.Updates, rs.Deltas, rs.Rebuilds, rs.Cleans)
 	}

@@ -33,8 +33,7 @@ func DefaultOptions() Options {
 }
 
 // TestMask identifies the four §2 pairwise compatibility tests. A set bit
-// means the test passed (or, in per-edge bookkeeping, that the test is known
-// to pass for the pair).
+// means the test passed.
 type TestMask uint8
 
 // The four tests, in evaluation order.
@@ -46,8 +45,6 @@ const (
 
 	// TestAll is the mask of a compatible pair: all four tests pass.
 	TestAll = TestFunctional | TestScan | TestPlacement | TestTiming
-	// TestStatic covers the tests whose inputs are captured by StaticSig.
-	TestStatic = TestFunctional | TestScan
 )
 
 // NotComposableReason explains why a register was excluded from the graph.
@@ -77,8 +74,8 @@ type RegInfo struct {
 // functionally compatible iff their keys are equal — same functional class,
 // same root-resolved clock net, same clock-gating group, and identical
 // control nets (reset, enable, scan enable) so the MBR's shared control pins
-// can connect legally. Callers that must find compatible pairs (the
-// incremental engine) bucket registers by it.
+// can connect legally. The sweep in internal/compatgraph buckets registers
+// by it, so it only tests pairs that can pass.
 type FuncKey struct {
 	Class     lib.FuncClass
 	GateGroup int
@@ -90,14 +87,10 @@ type FuncKey struct {
 
 // StaticSig captures the structural inputs of the functional and scan
 // pairwise tests for one register: two registers pass both tests iff the
-// relevant fields agree (see PairTest). The signature only changes when the
-// instance itself is edited — connectivity edits note the instance in the
-// design's touched log, and a scan plan never reassigns chain identity,
-// partition or ordering of a surviving register — so cached signatures of
-// untouched registers stay exact across flow passes. Clock is the
-// root-resolved clock net (Design.ClockRootNet): two sinks of the same
-// distribution root stay clock-compatible even while a retained clock tree
-// parents them under different leaf buffers.
+// relevant fields agree (see PairTest). Clock is the root-resolved clock
+// net (Design.ClockRootNet): two sinks of the same distribution root stay
+// clock-compatible even while a retained clock tree parents them under
+// different leaf buffers.
 type StaticSig struct {
 	FuncKey
 	Scanned   bool
@@ -197,10 +190,10 @@ func Build(d *netlist.Design, res *sta.Results, plan *scan.Plan, opts Options) *
 	return g
 }
 
-// FromParts assembles a Graph from externally maintained pieces (the
-// incremental engine in internal/compatgraph). regs must be in ascending
-// instance-ID order with ascending-sorted adjacency rows — the same layout
-// Build produces — so downstream consumers see byte-identical graphs.
+// FromParts assembles a Graph from externally built pieces (the grid sweep
+// in internal/compatgraph). regs must be in ascending instance-ID order
+// with ascending-sorted adjacency rows — the same layout Build produces —
+// so downstream consumers see byte-identical graphs.
 func FromParts(d *netlist.Design, plan *scan.Plan, opts Options, regs []*RegInfo, adj [][]int, excludedIDs map[netlist.InstID]NotComposableReason) *Graph {
 	if opts.SlackClamp == 0 {
 		opts.SlackClamp = d.Timing.ClockPeriod
@@ -215,9 +208,9 @@ func FromParts(d *netlist.Design, plan *scan.Plan, opts Options, regs []*RegInfo
 	}
 }
 
-// NewRegInfo computes the cached per-register data for one eligible
-// register. opts.SlackClamp must already be resolved (Build and the
-// incremental engine default it to the clock period).
+// NewRegInfo computes the per-register data for one eligible register.
+// opts.SlackClamp must already be resolved (Build and internal/compatgraph
+// default it to the clock period).
 func NewRegInfo(d *netlist.Design, res *sta.Results, in *netlist.Inst, opts Options) *RegInfo {
 	info := &RegInfo{
 		Inst:   in,
@@ -285,15 +278,6 @@ func PairTest(opts Options, a, b *RegInfo, sa, sb StaticSig, allowCross bool) (T
 		return m, false
 	}
 	m |= TestScan
-	dm, ok := PairTestDynamic(opts, a, b)
-	return m | dm, ok
-}
-
-// PairTestDynamic runs only the placement and timing tests. It is valid for
-// pairs whose functional/scan statics are already known to pass (an
-// existing edge whose endpoints had only parametric edits).
-func PairTestDynamic(opts Options, a, b *RegInfo) (TestMask, bool) {
-	var m TestMask
 	if !placementCompatible(a, b) {
 		return m, false
 	}
@@ -304,7 +288,7 @@ func PairTestDynamic(opts Options, a, b *RegInfo) (TestMask, bool) {
 	return m | TestTiming, true
 }
 
-// scanCompatibleSig mirrors scan.Plan.PairCompatible over cached statics.
+// scanCompatibleSig mirrors scan.Plan.PairCompatible over static signatures.
 func scanCompatibleSig(a, b StaticSig, allowCross bool) bool {
 	if a.Scanned != b.Scanned {
 		return false

@@ -1,36 +1,28 @@
-// Package compatgraph retains the register compatibility graph (§2) across
-// composition passes and maintains it by delta instead of rebuild. The
-// engine keeps the current node set (live composable registers with their
-// cached RegInfo and static signatures) and the adjacency with a per-edge
-// test mask. Each Update recomputes the node set from the design and the
-// fresh STA results, then removes merged/deleted nodes, inserts new MBR
-// nodes, and re-tests only pairs with at least one changed endpoint.
+// Package compatgraph builds the register compatibility graph (§2) at each
+// composition site. Every Update is one sweep from scratch: a node phase
+// that recomputes each live register's eligibility, RegInfo (slacks,
+// feasible region, clock position) and static signature exactly as
+// compat.Build does, then an edge phase that tests each candidate pair
+// once. The engine keeps nothing from one Update to the next but the
+// returned graph and its counters.
 //
-// One edge sweep serves every Update. Only registers with equal
+// The edge phase never scans all pairs. Only registers with equal
 // compat.FuncKey can pass the functional test, and only overlapping move
 // regions the placement test, so the sweep buckets the nodes by key and
-// finds a changed node's candidate partners through a geometric grid over
-// its bucket's regions, never by an all-pairs scan. A rebuild (first
-// Update, structural overflow, a timing change, or too many changed nodes)
-// is the same sweep against an empty graph with every node dirty. The
-// dense all-pairs compat.Build is the correctness oracle.
-//
-// Exactness strategy: the node phase is one linear sweep over every live
-// register. It recomputes each register's eligibility, RegInfo (slacks,
-// feasible region, clock position) and static signature exactly as Build
-// does, and value-compares them against the cache. A node is dirty when
-// any of them differs. In the edge phase pairs are re-tested only when an
-// endpoint is dirty (every pair in a rebuild), so the maintained graph is
-// exactly the graph Build would produce at every step. The flow calls
-// Update only at composition sites, under ideal clocks (the paper analyzes
-// compatibility before CTS).
+// finds each node's candidate partners through a geometric grid over its
+// bucket's regions. A pair is tested by its lower ordinal only, and the
+// verdicts are written straight into ascending CSR rows, so the graph is
+// exactly the one the dense all-pairs compat.Build (the correctness
+// oracle) produces, at any worker count. The flow calls Update only at
+// composition sites, under ideal clocks (the paper analyzes compatibility
+// before CTS).
 package compatgraph
 
 import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,55 +39,22 @@ type Options struct {
 	// Compat are the edge rules, shared with compat.Build. SlackClamp
 	// defaults to the design's clock period, as in Build.
 	Compat compat.Options
-	// Workers bounds the fan-out of pairwise re-tests (0 = GOMAXPROCS,
+	// Workers bounds the fan-out of pairwise tests (0 = GOMAXPROCS,
 	// 1 = sequential). The result is byte-identical at any worker count.
 	Workers int
-	// MaxDeltaFrac is the changed-node fraction above which an Update is
-	// a rebuild (KindDirtyOverflow, default 0.25): it discards the
-	// retained edge masks and re-tests every candidate pair instead of
-	// only those with a changed endpoint. Both run the same grid sweep;
-	// the threshold decides what counts as a rebuild in Stats.
+	// MaxDeltaFrac is ignored: every Update builds the graph from
+	// scratch. It stays until benchmark/measure.go stops setting it.
 	MaxDeltaFrac float64
 }
 
-// UpdateKind names the decision an Update took, for stats and the CLI.
-type UpdateKind string
-
-const (
-	// KindInitial: first Update after New or Invalidate — rebuild.
-	KindInitial UpdateKind = "initial"
-	// KindOverflow: the bounded touched-log overflowed (bulk structural
-	// churn, e.g. a CTS rebuild) — rebuild.
-	KindOverflow UpdateKind = "touched-overflow"
-	// KindTimingChanged: the design's TimingSpec changed, invalidating
-	// every clamped slack and region — rebuild.
-	KindTimingChanged UpdateKind = "timing-changed"
-	// KindDirtyOverflow: more than MaxDeltaFrac of the nodes changed —
-	// rebuild.
-	KindDirtyOverflow UpdateKind = "dirty-overflow"
-	// KindDelta: neighborhood-limited re-test of changed nodes only.
-	KindDelta UpdateKind = "delta"
-)
-
 // Stats describes the engine's work; Last* fields cover the latest Update.
 type Stats struct {
-	Updates  int
-	Rebuilds int // sweeps from an empty graph (any non-delta kind)
-	Deltas   int
-	// TouchedOverflows counts the rebuilds forced by an overflowed
-	// touched ring (KindOverflow) — the failure mode edit-class scoping
-	// exists to prevent; bulk edits in other classes (clock-tree
-	// maintenance) must never show up here.
-	TouchedOverflows int
+	// Updates counts the Update calls; each one is a build from scratch.
+	Updates int
 
-	LastKind          UpdateKind
-	LastNodes         int
-	LastEdges         int
-	LastNodesAdded    int
-	LastNodesRemoved  int
-	LastNodesDirty    int // changed nodes re-tested by the last delta
-	LastPairsTested   int // pair tests evaluated by the last Update
-	LastEdgesRetested int // previously existing edges among them
+	LastNodes       int
+	LastEdges       int
+	LastPairsTested int // pair tests evaluated by the last Update
 	// LastRejectsByTest counts pairs rejected by each test (functional,
 	// scan, placement, timing) in the last Update's evaluations. Only
 	// same-key pairs whose regions share a grid cell are evaluated, so the
@@ -108,79 +67,50 @@ type Stats struct {
 	LastNodePhaseNS, LastEdgePhaseNS int64
 }
 
-// node is the retained per-register state.
-type node struct {
-	inst *netlist.Inst
-	info *compat.RegInfo
-	sig  compat.StaticSig
-	// nbr maps neighbor instance → the mask of tests evaluated when the
-	// edge was last confirmed (TestAll when fully tested; the static bits
-	// are carried from cache when only dynamics were re-run).
-	nbr map[netlist.InstID]compat.TestMask
-}
-
-// Engine is the retained incremental compatibility graph. Not safe for
-// concurrent use; an Update must not run while the design is being edited.
+// Engine builds the compatibility graph of a design at each Update. Not
+// safe for concurrent use; an Update must not run while the design is
+// being edited.
 type Engine struct {
-	d    *netlist.Design
-	plan *scan.Plan
-	opts Options
-
-	valid      bool
-	cursor     uint64
-	timingSnap netlist.TimingSpec
-	allowCross bool
-
-	nodes    map[netlist.InstID]*node
-	excluded map[netlist.InstID]compat.NotComposableReason
-
-	graph *compat.Graph // last materialized graph
-	// order is the node set in ascending instance-ID order (the Build
-	// order); infos is aligned with it and ordOf is its inverse.
-	order []netlist.InstID
-	infos []*compat.RegInfo
-	ordOf map[netlist.InstID]int
+	d     *netlist.Design
+	plan  *scan.Plan
+	opts  Options
+	graph *compat.Graph // built by the last Update
 	stats Stats
 }
 
-// New creates an engine over a design and scan plan (plan may be nil). The
-// first Update is a rebuild.
+// New creates an engine over a design and scan plan (plan may be nil).
 func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
-	if opts.MaxDeltaFrac <= 0 {
-		opts.MaxDeltaFrac = 0.25
-	}
 	return &Engine{d: d, plan: plan, opts: opts}
 }
 
-// Invalidate forces the next Update to be a rebuild.
-func (e *Engine) Invalidate() { e.valid = false }
+// Invalidate is a no-op: the engine retains no state between updates.
+func (e *Engine) Invalidate() {}
 
-// SetTimingFeed is a no-op: the node phase is one linear sweep that needs
-// no dirty-register feed. It stays until benchmark/measure.go stops
+// SetTimingFeed is a no-op. It stays until benchmark/measure.go stops
 // calling it.
 func (e *Engine) SetTimingFeed(*sta.Engine) {}
 
-// SetWorkers bounds the fan-out of pairwise re-tests (engine.Retained
+// SetWorkers bounds the fan-out of pairwise tests (engine.Retained
 // convention: results identical for any value, 1 forces sequential).
 func (e *Engine) SetWorkers(n int) { e.opts.Workers = n }
 
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Summary reports the unified retained-engine counters (engine.Retained).
+// Summary reports the unified engine counters (engine.Retained): every
+// Update is a rebuild, of kind "build".
 func (e *Engine) Summary() engine.Summary {
-	return engine.Summary{
-		Updates:  e.stats.Updates,
-		Deltas:   e.stats.Deltas,
-		Rebuilds: e.stats.Rebuilds,
-		LastKind: string(e.stats.LastKind),
+	s := engine.Summary{Updates: e.stats.Updates, Rebuilds: e.stats.Updates}
+	if s.Updates > 0 {
+		s.LastKind = "build"
 	}
+	return s
 }
 
 var _ engine.Retained = (*Engine)(nil)
 
-// Graph returns the graph materialized by the last Update (nil before the
-// first one).
+// Graph returns the graph built by the last Update (nil before the first
+// one).
 func (e *Engine) Graph() *compat.Graph { return e.graph }
 
 func (e *Engine) workers() int {
@@ -191,93 +121,27 @@ func (e *Engine) workers() int {
 	return w
 }
 
-func (e *Engine) compatOpts() compat.Options {
-	o := e.opts.Compat
-	if o.SlackClamp == 0 {
-		o.SlackClamp = e.d.Timing.ClockPeriod
-	}
-	return o
-}
-
-// nodeState is the node phase's product: the current node set with its
-// data, diffed against the retained cache.
-type nodeState struct {
-	order []netlist.InstID
-	infos []*compat.RegInfo
-	sigs  []compat.StaticSig
-
-	isDirty, sDirty []bool
-	dirtyOrd        []int
-	added           int
-	removedIDs      []netlist.InstID
-
-	excluded map[netlist.InstID]compat.NotComposableReason
-}
-
-// Update brings the retained graph up to date with the design and the given
-// fresh STA results, and materializes it. The returned graph is exactly the
-// graph compat.Build would produce on the same inputs, independent of the
-// worker count and of whether the update was a delta or a rebuild.
+// Update builds the compatibility graph of the design under the given
+// fresh STA results. The returned graph is exactly the graph compat.Build
+// would produce on the same inputs, independent of the worker count.
 func (e *Engine) Update(res *sta.Results) *compat.Graph {
-	d := e.d
-	opts := e.compatOpts()
-	allowCross := e.plan == nil || e.plan.AllowCrossChain
-
-	_, complete := d.TouchedSince(e.cursor)
-	kind := KindDelta
-	switch {
-	case !e.valid:
-		kind = KindInitial
-	case !complete:
-		kind = KindOverflow
-	case d.Timing != e.timingSnap || allowCross != e.allowCross:
-		kind = KindTimingChanged
+	opts := e.opts.Compat
+	if opts.SlackClamp == 0 {
+		opts.SlackClamp = e.d.Timing.ClockPeriod
 	}
 
 	nodeStart := time.Now()
-	ns := e.nodePhase(res, opts)
+	infos, sigs, excluded := e.nodePhase(res, opts)
 	nodeNS := time.Since(nodeStart).Nanoseconds()
 
-	removed := len(ns.removedIDs)
-	if kind == KindDelta &&
-		float64(len(ns.dirtyOrd)+removed) > e.opts.MaxDeltaFrac*float64(len(ns.order)) {
-		kind = KindDirtyOverflow
-	}
-
-	st := &e.stats
-	st.Updates++
-	st.LastKind = kind
-	if kind == KindOverflow {
-		st.TouchedOverflows++
-	}
-	st.LastNodesAdded = ns.added
-	st.LastNodesRemoved = removed
-	st.LastNodesDirty = len(ns.dirtyOrd)
-	st.LastPairsTested = 0
-	st.LastEdgesRetested = 0
-	st.LastRejectsByTest = [4]int{}
-
 	edgeStart := time.Now()
-	if kind == KindDelta {
-		st.Deltas++
-	} else {
-		// A rebuild is the same sweep against an empty retained graph with
-		// every node dirty.
-		st.Rebuilds++
-		e.nodes = make(map[netlist.InstID]*node, len(ns.order))
-		ns.markAllDirty()
-	}
-	e.sweep(opts, allowCross, &ns)
+	adj := e.sweep(opts, infos, sigs)
 	edgeNS := time.Since(edgeStart).Nanoseconds()
 
-	e.excluded = ns.excluded
-	e.setOrder(ns.order, ns.infos)
-	e.valid = true
-	e.cursor = d.Epoch()
-	e.timingSnap = d.Timing
-	e.allowCross = allowCross
-	e.graph = e.materialize(opts)
-	st.LastNodes = len(ns.order)
+	e.graph = compat.FromParts(e.d, e.plan, opts, infos, adj, excluded)
+	st := &e.stats
+	st.Updates++
+	st.LastNodes = len(infos)
 	st.LastEdges = e.graph.NumEdges()
 	st.LastNodePhaseNS, st.LastEdgePhaseNS = nodeNS, edgeNS
 	st.NodePhaseNS += nodeNS
@@ -285,141 +149,60 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 	return e.graph
 }
 
-// setOrder installs the node ordering and its aligned infos, rebuilding
-// the ordinal index only when the ordering actually changed.
-func (e *Engine) setOrder(order []netlist.InstID, infos []*compat.RegInfo) {
-	same := e.ordOf != nil && len(order) == len(e.order)
-	if same {
-		for i, id := range order {
-			if e.order[i] != id {
-				same = false
-				break
-			}
-		}
-	}
-	e.order, e.infos = order, infos
-	if same {
-		return
-	}
-	e.ordOf = make(map[netlist.InstID]int, len(order))
-	for i, id := range order {
-		e.ordOf[id] = i
-	}
-}
-
-// nodePhase recomputes every live register's eligibility, info and
-// signature and diffs them against the retained cache.
-func (e *Engine) nodePhase(res *sta.Results, opts compat.Options) nodeState {
+// nodePhase computes every live register's eligibility, info and
+// signature, in ascending instance-ID order (the Build order).
+func (e *Engine) nodePhase(res *sta.Results, opts compat.Options) ([]*compat.RegInfo, []compat.StaticSig, map[netlist.InstID]compat.NotComposableReason) {
 	d := e.d
 	regs := d.Registers()
-	ns := nodeState{
-		order:    make([]netlist.InstID, 0, len(regs)),
-		infos:    make([]*compat.RegInfo, 0, len(regs)),
-		sigs:     make([]compat.StaticSig, 0, len(regs)),
-		excluded: make(map[netlist.InstID]compat.NotComposableReason),
-	}
+	infos := make([]*compat.RegInfo, 0, len(regs))
+	sigs := make([]compat.StaticSig, 0, len(regs))
+	excluded := make(map[netlist.InstID]compat.NotComposableReason)
 	for _, in := range regs {
 		if reason, bad := compat.Exclusion(d, in); bad {
-			ns.excluded[in.ID] = reason
+			excluded[in.ID] = reason
 			continue
 		}
-		ns.order = append(ns.order, in.ID)
-		ns.infos = append(ns.infos, compat.NewRegInfo(d, res, in, opts))
-		ns.sigs = append(ns.sigs, compat.SigOf(d, e.plan, in))
+		infos = append(infos, compat.NewRegInfo(d, res, in, opts))
+		sigs = append(sigs, compat.SigOf(d, e.plan, in))
 	}
-
-	ns.isDirty = make([]bool, len(ns.order))
-	ns.sDirty = make([]bool, len(ns.order))
-	seen := make(map[netlist.InstID]bool, len(ns.order))
-	for i, id := range ns.order {
-		seen[id] = true
-		old, ok := e.nodes[id]
-		if ok && old.sig == ns.sigs[i] && *old.info == *ns.infos[i] {
-			continue // clean: every test input unchanged
-		}
-		if !ok {
-			ns.added++
-		}
-		ns.isDirty[i] = true
-		ns.sDirty[i] = !ok || old.sig != ns.sigs[i]
-		ns.dirtyOrd = append(ns.dirtyOrd, i)
-	}
-	for id := range e.nodes {
-		if !seen[id] {
-			ns.removedIDs = append(ns.removedIDs, id)
-		}
-	}
-	return ns
+	return infos, sigs, excluded
 }
 
-// markAllDirty turns the node state into a rebuild's: every node dirty
-// with a changed signature, so each pair is tested in full exactly once.
-func (ns *nodeState) markAllDirty() {
-	n := len(ns.order)
-	ns.dirtyOrd = make([]int, n)
-	for i := range ns.dirtyOrd {
-		ns.dirtyOrd[i] = i
-		ns.isDirty[i] = true
-		ns.sDirty[i] = true
-	}
-}
-
-// sweepResult is one worker's verdicts for one dirty node's candidates.
+// sweepResult is one node's verdicts over the candidate partners it owns.
 type sweepResult struct {
-	nbr      []int32 // ordinals of the confirmed partners
-	mask     []compat.TestMask
-	pairs    int // candidates tested
-	retested int // candidates that were confirmed edges before
-	rejects  [4]int
+	up      []int32 // higher ordinals confirmed as partners, ascending
+	pairs   int     // candidates tested
+	rejects [4]int
 }
 
-// sweep re-tests every pair with a dirty endpoint and patches the retained
-// adjacency. A dirty node's candidate partners are the nodes sharing its
+// sweep tests every candidate pair once and returns the adjacency as
+// ascending CSR rows. A node's candidate partners are the nodes sharing its
 // compat.FuncKey — the only ones the functional test can pass — whose move
-// regions fall in the grid cells its own region covers, so only same-key,
-// nearby pairs are ever tested.
-func (e *Engine) sweep(opts compat.Options, allowCross bool, ns *nodeState) {
-	order, infos, sigs := ns.order, ns.infos, ns.sigs
-	isDirty, sDirty, dirtyOrd := ns.isDirty, ns.sDirty, ns.dirtyOrd
-	if len(dirtyOrd) == 0 && len(ns.removedIDs) == 0 {
-		return // nothing changed: the retained adjacency is already exact
-	}
-
-	// Bucket the nodes by functional key and index the regions of every
-	// bucket that holds a dirty node; clean buckets are never queried.
-	n := len(order)
+// regions fall in the grid cells its own region covers; each pair is
+// tested by its lower ordinal.
+func (e *Engine) sweep(opts compat.Options, infos []*compat.RegInfo, sigs []compat.StaticSig) [][]int {
+	allowCross := e.plan == nil || e.plan.AllowCrossChain
+	n := len(infos)
 	bucketOf := make([]int32, n)
 	keys := make(map[compat.FuncKey]int32)
+	var members [][]int32
 	for i := range sigs {
 		b, ok := keys[sigs[i].FuncKey]
 		if !ok {
-			b = int32(len(keys))
+			b = int32(len(members))
 			keys[sigs[i].FuncKey] = b
+			members = append(members, nil)
 		}
 		bucketOf[i] = b
+		members[b] = append(members[b], int32(i))
 	}
-	members := make([][]int32, len(keys))
-	queried := make([]bool, len(keys))
-	for _, i := range dirtyOrd {
-		queried[bucketOf[i]] = true
-	}
-	for i, b := range bucketOf {
-		if queried[b] {
-			members[b] = append(members[b], int32(i))
-		}
-	}
-	grids := make([]*geom.Grid, len(keys))
+	grids := make([]*geom.Grid, len(members))
 	for b, m := range members {
-		if queried[b] {
-			grids[b] = e.bucketGrid(m, infos)
-		}
+		grids[b] = e.bucketGrid(m, infos)
 	}
 
-	// Compute phase (read-only on the retained maps): each dirty node
-	// gathers its candidates and tests the pairs it owns — (dirty, clean)
-	// always, (dirty, dirty) only from the lower ordinal.
-	results := make([]sweepResult, len(dirtyOrd))
-	workers := min(e.workers(), len(dirtyOrd))
+	results := make([]sweepResult, n)
+	workers := min(e.workers(), n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -429,93 +212,61 @@ func (e *Engine) sweep(opts compat.Options, allowCross bool, ns *nodeState) {
 			for k := range stamp {
 				stamp[k] = -1
 			}
-			// Stride over the dirty nodes: in a rebuild, lower ordinals own
-			// more pairs, and striding balances them.
-			for di := w; di < len(dirtyOrd); di += workers {
-				i := dirtyOrd[di]
-				r := &results[di]
-				oldA := e.nodes[order[i]]
+			// Stride over the nodes: lower ordinals own more pairs, and
+			// striding balances them.
+			for i := w; i < n; i += workers {
+				r := &results[i]
 				grids[bucketOf[i]].QueryRect(infos[i].Region, func(j int32) {
-					if int(j) == i || stamp[j] == int32(di) {
-						return
+					if int(j) <= i || stamp[j] == int32(i) {
+						return // owned by the lower ordinal, or already tested
 					}
-					stamp[j] = int32(di)
-					if isDirty[j] && int(j) < i {
-						return // owned by the lower dirty ordinal
-					}
-					var hadEdge bool
-					if oldA != nil {
-						_, hadEdge = oldA.nbr[order[j]]
-					}
-					var mask compat.TestMask
-					var ok bool
-					if hadEdge && !sDirty[i] && !sDirty[j] {
-						// Statics passed when the edge was confirmed and
-						// neither signature changed: re-run dynamics only.
-						mask, ok = compat.PairTestDynamic(opts, infos[i], infos[j])
-						mask |= compat.TestStatic
-					} else {
-						mask, ok = compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], allowCross)
-					}
+					stamp[j] = int32(i)
 					r.pairs++
-					if hadEdge {
-						r.retested++
-					}
+					mask, ok := compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], allowCross)
 					if !ok {
 						r.rejects[firstFailing(mask)]++
 						return
 					}
-					r.nbr = append(r.nbr, j)
-					r.mask = append(r.mask, mask)
+					r.up = append(r.up, j)
 				})
+				slices.Sort(r.up)
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	// Merge phase (sequential): drop edges of removed and dirty nodes,
-	// refresh the dirty payloads (clean nodes already hold value-identical
-	// data), then add the confirmed pairs.
-	for _, id := range ns.removedIDs {
-		nd, ok := e.nodes[id]
-		if !ok {
-			continue
-		}
-		for v := range nd.nbr {
-			delete(e.nodes[v].nbr, id)
-		}
-		delete(e.nodes, id)
-	}
-	for _, i := range dirtyOrd {
-		id := order[i]
-		if nd, ok := e.nodes[id]; ok {
-			for v := range nd.nbr {
-				delete(e.nodes[v].nbr, id)
-			}
-			nd.nbr = map[netlist.InstID]compat.TestMask{}
-		} else {
-			e.nodes[id] = &node{nbr: map[netlist.InstID]compat.TestMask{}}
-		}
-		nd := e.nodes[id]
-		nd.inst = infos[i].Inst
-		nd.info = infos[i]
-		nd.sig = sigs[i]
-	}
+	// Row i holds its lower partners (written while their owners were
+	// visited, in ascending order) followed by its own ascending up list.
 	st := &e.stats
-	for di, r := range results {
-		i := dirtyOrd[di]
-		a := e.nodes[order[i]]
+	st.LastPairsTested = 0
+	st.LastRejectsByTest = [4]int{}
+	deg := make([]int, n)
+	total := 0
+	for i, r := range results {
 		st.LastPairsTested += r.pairs
-		st.LastEdgesRetested += r.retested
 		for t, c := range r.rejects {
 			st.LastRejectsByTest[t] += c
 		}
-		for k, j := range r.nbr {
-			b := e.nodes[order[j]]
-			a.nbr[order[j]] = r.mask[k]
-			b.nbr[order[i]] = r.mask[k]
+		deg[i] += len(r.up)
+		for _, j := range r.up {
+			deg[j]++
+		}
+		total += 2 * len(r.up)
+	}
+	backing := make([]int, total)
+	adj := make([][]int, n)
+	off := 0
+	for i := range adj {
+		adj[i] = backing[off : off : off+deg[i]]
+		off += deg[i]
+	}
+	for i, r := range results {
+		for _, j := range r.up {
+			adj[i] = append(adj[i], int(j))
+			adj[j] = append(adj[j], i)
 		}
 	}
+	return adj
 }
 
 // bucketGrid indexes the move regions of one bucket's members over the
@@ -539,36 +290,6 @@ func (e *Engine) bucketGrid(members []int32, infos []*compat.RegInfo) *geom.Grid
 		grid.InsertRect(i, infos[i].Region)
 	}
 	return grid
-}
-
-// materialize produces the compat.Graph view: nodes in ascending instance-ID
-// order (the Build order) with CSR-backed, ascending-sorted adjacency rows.
-func (e *Engine) materialize(opts compat.Options) *compat.Graph {
-	n := len(e.order)
-	ordOf := e.ordOf
-	regs := make([]*compat.RegInfo, n)
-	copy(regs, e.infos)
-	total := 0
-	for _, id := range e.order {
-		total += len(e.nodes[id].nbr)
-	}
-	backing := make([]int, 0, total)
-	adj := make([][]int, n)
-	for i, id := range e.order {
-		nd := e.nodes[id]
-		start := len(backing)
-		for v := range nd.nbr {
-			backing = append(backing, ordOf[v])
-		}
-		row := backing[start:len(backing):len(backing)]
-		sort.Ints(row)
-		adj[i] = row
-	}
-	exc := make(map[netlist.InstID]compat.NotComposableReason, len(e.excluded))
-	for id, why := range e.excluded {
-		exc[id] = why
-	}
-	return compat.FromParts(e.d, e.plan, opts, regs, adj, exc)
 }
 
 // firstFailing returns the index, in evaluation order (functional, scan,

@@ -142,11 +142,11 @@ func mutate(t *testing.T, b *bench.Result, eng *sta.Engine, rng *rand.Rand, roun
 	}
 }
 
-// TestDeltaEqualsBuildOracle is the equivalence oracle of the ISSUE: after
+// TestUpdateEqualsBuildOracle is the equivalence oracle of the sweep: after
 // randomized rounds of merge/move/resize/skew edits on all five profiles,
-// the delta-maintained graph must equal a fresh compat.Build exactly, at
-// several worker counts.
-func TestDeltaEqualsBuildOracle(t *testing.T) {
+// every Update must equal a fresh compat.Build exactly, at several worker
+// counts.
+func TestUpdateEqualsBuildOracle(t *testing.T) {
 	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
 			t.Run(fmt.Sprintf("%s/w%d", profile, workers), func(t *testing.T) {
@@ -164,14 +164,8 @@ func TestDeltaEqualsBuildOracle(t *testing.T) {
 					}
 					got := cg.Update(res)
 					want := compat.Build(d, res, b.Plan, compat.DefaultOptions())
-					ctx := fmt.Sprintf("%s w%d round %d (%s)",
-						profile, workers, round, cg.Stats().LastKind)
-					requireGraphsEqual(t, ctx, got, want)
+					requireGraphsEqual(t, fmt.Sprintf("%s w%d round %d", profile, workers, round), got, want)
 					mutate(t, b, eng, rng, round)
-				}
-				st := cg.Stats()
-				if st.Deltas == 0 {
-					t.Fatalf("no update took the delta path: %+v", st)
 				}
 			})
 		}
@@ -222,99 +216,12 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSingleMoveDeltaRetestsOnlyDirty pins the edge phase's O(dirty)
-// claim: after a single-register edit, the update must stay a delta and
-// mark far fewer nodes dirty than the design has registers, while still
-// matching the oracle exactly.
-func TestSingleMoveDeltaRetestsOnlyDirty(t *testing.T) {
-	b := genProfile(t, "D2")
-	d := b.Design
-	eng := sta.New(d)
-	eng.SetIdealClocks(true)
-	cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg.Update(res)
-
-	regs := d.Registers()
-	nRegs := len(regs)
-	var r *netlist.Inst
-	for _, c := range regs {
-		if !c.Fixed {
-			r = c
-			break
-		}
-	}
-	if r == nil {
-		t.Skip("no movable register")
-	}
-	d.MoveInst(r, geom.Point{X: r.Pos.X + 500, Y: r.Pos.Y + 500})
-	res, err = eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cg.Update(res)
-	st := cg.Stats()
-	if st.LastKind != compatgraph.KindDelta {
-		t.Fatalf("expected a delta update, got %q", st.LastKind)
-	}
-	// One move dirties the register, its data-net neighbours, and the
-	// registers whose slack the STA cone sweep changed — a local set. Half
-	// the register count is a generous ceiling that still rules out a
-	// re-test of every node.
-	if st.LastNodesDirty >= nRegs/2 {
-		t.Fatalf("delta marked %d of %d registers dirty — not O(touched)",
-			st.LastNodesDirty, nRegs)
-	}
-	requireGraphsEqual(t, "single-move delta", got,
-		compat.Build(d, res, b.Plan, compat.DefaultOptions()))
-}
-
-// TestOverflowFallsBackToRebuild floods the touched ring with edits and
-// checks the engine takes the rebuild path and still matches the oracle.
-func TestOverflowFallsBackToRebuild(t *testing.T) {
-	b := genProfile(t, "D1")
-	d := b.Design
-	eng := sta.New(d)
-	eng.SetIdealClocks(true)
-	cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cg.Update(res)
-
-	// Far more edits than the touched ring holds (count actual moves:
-	// fixed registers are skipped without bumping the epoch).
-	rng := rand.New(rand.NewSource(1))
-	regs := d.Registers()
-	for moved := 0; moved < 5000; {
-		r := regs[rng.Intn(len(regs))]
-		if r.Fixed {
-			continue
-		}
-		d.MoveInst(r, geom.Point{X: r.Pos.X + 1, Y: r.Pos.Y})
-		moved++
-	}
-	res, err = eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cg.Update(res)
-	if k := cg.Stats().LastKind; k != compatgraph.KindOverflow {
-		t.Fatalf("expected touched-overflow fallback, got %q", k)
-	}
-	requireGraphsEqual(t, "overflow", got, compat.Build(d, res, b.Plan, compat.DefaultOptions()))
-}
-
-// TestRebuildEqualsBuildAtScale checks the rebuild sweep against the dense
+// TestRebuildEqualsBuildAtScale checks the sweep against the dense
 // compat.Build reference at a scale where the per-bucket grids have several
 // cells, so their spatial filter actually prunes pairs (at oracleScale every
 // bucket's grid is a single cell): the first Update, and an Update after
-// Invalidate plus one edit round, on all five profiles. Testing fewer pairs
-// than the buckets hold proves some grid was multi-cell.
+// one edit round, on all five profiles. Testing fewer pairs than the
+// buckets hold proves some grid was multi-cell.
 func TestRebuildEqualsBuildAtScale(t *testing.T) {
 	filtered := false
 	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
@@ -330,7 +237,6 @@ func TestRebuildEqualsBuildAtScale(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(len(profile))))
 		for round := 0; round < 2; round++ {
 			if round > 0 {
-				cg.Invalidate()
 				mutate(t, b, eng, rng, 0) // moves, resizes and skews
 			}
 			res, err := eng.Run()
@@ -339,10 +245,7 @@ func TestRebuildEqualsBuildAtScale(t *testing.T) {
 			}
 			got := cg.Update(res)
 			st := cg.Stats()
-			ctx := fmt.Sprintf("%s round %d (%s)", profile, round, st.LastKind)
-			if st.LastKind != compatgraph.KindInitial {
-				t.Fatalf("%s: expected a rebuild", ctx)
-			}
+			ctx := fmt.Sprintf("%s round %d", profile, round)
 			requireGraphsEqual(t, ctx, got, compat.Build(d, res, b.Plan, compat.DefaultOptions()))
 			if st.LastPairsTested < sameKeyPairs(d, b.Plan, got) {
 				filtered = true

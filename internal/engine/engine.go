@@ -1,14 +1,16 @@
-// Package engine defines the contract shared by the repo's five retained
-// incremental engines — timing (sta.Engine), register compatibility
-// (compatgraph.Engine), clock tree (cts.Engine), design metrics
-// (metrics.Tracker) and congestion (route.Engine).
+// Package engine defines the contract shared by the repo's five engines —
+// timing (sta.Engine), register compatibility (compatgraph.Engine), clock
+// tree (cts.Engine), design metrics (metrics.Tracker) and congestion
+// (route.Engine).
 //
-// Each engine caches derived state across design edits and serves updates
-// from a delta path when it can, falling back to a from-scratch rebuild
-// when it cannot (structural changes, touched-record overflow, changed
-// domain sets). The contract captures the operations the composition flow
-// needs uniformly across all of them: drop the cache, bound parallelism
-// and report how updates were satisfied. Construction and the update calls
+// Four of them cache derived state across design edits and serve updates
+// from a delta path when they can, falling back to a from-scratch rebuild
+// when they cannot (structural changes, touched-record overflow, changed
+// domain sets). The compatibility-graph engine retains nothing: each of
+// its updates builds the graph from scratch and counts as a rebuild.
+// The contract captures the operations the composition flow needs
+// uniformly across all of them: drop the cache, bound parallelism and
+// report how updates were satisfied. Construction and the update calls
 // themselves stay engine-specific — their signatures differ by necessity
 // (an STA run returns timing results, a compat update needs those results
 // as input, a CTS update edits the netlist).
@@ -22,8 +24,7 @@ type Summary struct {
 	Deltas   int
 	Rebuilds int
 	// LastKind names the most recent update's outcome in the engine's own
-	// vocabulary (e.g. "delta", "incremental", "touched-overflow",
-	// "attach").
+	// vocabulary (e.g. "delta", "incremental", "build", "attach").
 	LastKind string
 }
 

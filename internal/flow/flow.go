@@ -4,14 +4,15 @@
 // sizing → CTS update, and measure again. Its Report holds one Table 1
 // row pair (Base / Ours).
 //
-// The retained engines carry state across the whole run behind the shared
-// engine.Retained contract: the incremental STA engine, the
-// compatibility-graph engine, the clock-tree engine, the design-aggregate
-// tracker and the congestion engine. The clock tree is
-// attached once for the Base measurement and then delta-maintained — never
-// torn down and rebuilt between measurements. Its edits are scoped to the
-// netlist's CTS edit class, so tree churn cannot evict the flow-class
-// touched log that the STA and compatibility deltas depend on.
+// Five engines serve the run behind the shared engine.Retained contract.
+// Four retain state across it: the incremental STA engine, the clock-tree
+// engine, the design-aggregate tracker and the congestion engine. The
+// fifth, the compatibility-graph engine, builds the graph from scratch at
+// each composition site. The clock tree is attached once for the Base
+// measurement and then delta-maintained — never torn down and rebuilt
+// between measurements. Its edits are scoped to the netlist's CTS edit
+// class, so tree churn cannot evict the flow-class touched log that the
+// STA delta depends on.
 package flow
 
 import (
@@ -51,18 +52,11 @@ type Metrics struct {
 	WLSigMM          float64
 }
 
-// CompatConfig groups the retained compatibility-graph engine's options.
+// CompatConfig groups the compatibility-graph engine's options.
 type CompatConfig struct {
 	// Rules are the pairwise compatibility tests' options (§3.1 rules,
 	// slack thresholds, region slack).
 	Rules compat.Options
-	// MaxDeltaFrac is the changed-node fraction above which the retained
-	// engine's Update is a rebuild: it discards the retained edge masks
-	// and re-tests every candidate pair, and counts in Stats.Rebuilds
-	// (0 = the engine default, 0.25). The engine updates only at compose
-	// sites, so nothing in the repository but the benchmark's session sets
-	// it.
-	MaxDeltaFrac float64
 }
 
 // CTSConfig groups the retained clock-tree engine's options.
@@ -105,7 +99,7 @@ type Config struct {
 	Decompose DecomposeConfig
 	// Workers is the flow's only worker setting. Composition and every
 	// retained engine get it: the composition shard pool, the STA engine's
-	// levelized sweeps, the compat engine's pairwise re-tests, the CTS
+	// levelized sweeps, the compat engine's pairwise tests, the CTS
 	// clustering plan and the congestion rebuild. Any value but 1 also
 	// makes measure sync its engines concurrently. 0 = one worker per
 	// available CPU (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports
@@ -134,9 +128,6 @@ func (c Config) Validate() error {
 	}
 	if c.Compose.MaxSubgraphNodes > clique.MaxNodes {
 		return fmt.Errorf("flow: Config.Compose.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", c.Compose.MaxSubgraphNodes, clique.MaxNodes)
-	}
-	if c.Compat.MaxDeltaFrac < 0 {
-		return fmt.Errorf("flow: Config.Compat.MaxDeltaFrac = %v: must be >= 0 (0 selects the engine default)", c.Compat.MaxDeltaFrac)
 	}
 	if c.CTS.Tree.RecenterThresholdDBU < 0 {
 		return fmt.Errorf("flow: Config.CTS.Tree.RecenterThresholdDBU = %d: must be >= 0 (0 disables hysteresis)", c.CTS.Tree.RecenterThresholdDBU)
@@ -170,8 +161,8 @@ type Report struct {
 	// repeated composition goes through Session.ComposePass. The field stays
 	// until benchmark/trace.go stops reading it.
 	ExtraPasses []*core.Result
-	// CompatStats reports what the retained compatibility-graph engine did
-	// across the whole flow (delta vs rebuild decisions, re-tested edges).
+	// CompatStats reports what the compatibility-graph engine did across
+	// the whole flow (graph size, pairs tested, phase times).
 	CompatStats compatgraph.Stats
 	// STAStats and CTSStats are the same accounting for the retained
 	// timing and clock-tree engines.
@@ -225,9 +216,8 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 	e := &engines{
 		sta: sta.New(d),
 		cg: compatgraph.New(d, plan, compatgraph.Options{
-			Compat:       cfg.Compat.Rules,
-			Workers:      cfg.Workers,
-			MaxDeltaFrac: cfg.Compat.MaxDeltaFrac,
+			Compat:  cfg.Compat.Rules,
+			Workers: cfg.Workers,
 		}),
 		cts:     cts.NewEngine(d, cfg.CTS.Tree),
 		met:     metrics.New(d),

@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/compatgraph"
 	"repro/internal/core"
+	"repro/internal/netlist"
 )
 
 // runMultiPass opens a session on a D2 design at the given worker count
 // and touched-ring capacity (0 = the default), measures it, runs three
 // composition passes and measures again. It returns the per-pass results,
-// the canonical bytes of the passes and both measures, and the session.
-func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *Session) {
+// the canonical bytes of the passes and both measures, the session, and
+// the flow-class touched record of the passes (nil when the ring
+// overflowed).
+func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *Session, []netlist.InstID) {
 	t.Helper()
 	b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
 	if err != nil {
@@ -38,6 +40,7 @@ func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *
 		out.WriteString(m.Canonical())
 	}
 	measure()
+	since := b.Design.Epoch()
 	var passes []*core.Result
 	for p := 1; p <= 3; p++ {
 		cres, err := s.ComposePass()
@@ -47,11 +50,12 @@ func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *
 		passes = append(passes, cres)
 		fmt.Fprintf(&out, "pass %d regs %d->%d mbrs %d\n", p, cres.RegsBefore, cres.RegsAfter, len(cres.MBRs))
 	}
+	touched, _ := b.Design.TouchedSince(since)
 	measure()
 	if err := b.Design.Validate(); err != nil {
 		t.Fatalf("multi-pass session left design invalid: %v", err)
 	}
-	return passes, out.String(), s
+	return passes, out.String(), s, touched
 }
 
 // checkPassWorkers asserts that every pass composed with the session's
@@ -67,12 +71,12 @@ func checkPassWorkers(t *testing.T, passes []*core.Result, workers int) {
 }
 
 // TestMultiPassFlow exercises repeated composition through
-// Session.ComposePass: the retained compat engine is updated once per pass
-// (never by a measure) and serves the later passes by delta, later passes
-// never increase the register count, every pass runs at the session's
-// worker count, and the measured bytes stay identical across worker counts.
+// Session.ComposePass: the compat engine is updated once per pass (never
+// by a measure), later passes never increase the register count, every
+// pass runs at the session's worker count, and the measured bytes stay
+// identical across worker counts.
 func TestMultiPassFlow(t *testing.T) {
-	passes, want, s := runMultiPass(t, 1, 0)
+	passes, want, s, _ := runMultiPass(t, 1, 0)
 	checkPassWorkers(t, passes, 1)
 	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
@@ -80,9 +84,6 @@ func TestMultiPassFlow(t *testing.T) {
 	st := s.engs.cg.Stats()
 	if st.Updates != len(passes) {
 		t.Fatalf("engine should update once per compose pass (%d), got %+v", len(passes), st)
-	}
-	if st.Deltas == 0 {
-		t.Fatalf("multi-pass session never took the delta path: %+v", st)
 	}
 	prev := passes[0].RegsBefore
 	for i, c := range passes {
@@ -96,7 +97,7 @@ func TestMultiPassFlow(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		passes, got, _ := runMultiPass(t, workers, 0)
+		passes, got, _, _ := runMultiPass(t, workers, 0)
 		checkPassWorkers(t, passes, workers)
 		if got != want {
 			t.Fatalf("multi-pass session with Workers=%d differs from Workers=1:\n%s",
@@ -117,8 +118,8 @@ func TestReportCarriesEngineStats(t *testing.T) {
 	st := rep.CompatStats
 	// The compose pass is the flow's only compat update; the base and
 	// final measures read none.
-	if st.Updates != 1 || st.LastKind != compatgraph.KindInitial {
-		t.Fatalf("expected exactly the compose pass's initial update, got %+v", st)
+	if st.Updates != 1 {
+		t.Fatalf("expected exactly the compose pass's update, got %+v", st)
 	}
 	ct := rep.CTSStats
 	if ct.Attaches == 0 {
@@ -166,11 +167,13 @@ func TestReportCarriesEngineStats(t *testing.T) {
 // CTS attach and a final canonicalizing rebuild around them, must never
 // overflow the flow-class touched ring at the default capacity. Before
 // scoping, the clock-tree churn alone blew through the ring every pass.
-// The compat engine observes the ring at compose sites, so the overflow
-// counts come from a multi-pass session. Shrinking the ring with
-// Design.SetTouchedLogCap must degrade the engines to their full paths
-// (overflows observed) without changing a byte of the report or of the
-// session's output.
+// The STA engine reads the ring at every compose site, so a multi-pass
+// session that never overflows it builds the timing graph exactly once,
+// and the passes' flow-class record names no clock-tree buffer: at this
+// design size the tree repairs would fit in the ring unscoped, so only
+// the record itself shows where they went. Shrinking the ring with Design.SetTouchedLogCap must degrade the engines
+// to their full paths (overflows observed) without changing a byte of the
+// report or of the session's output.
 func TestFlowRingNeverOverflows(t *testing.T) {
 	run := func(cap int) *Report {
 		b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
@@ -196,13 +199,25 @@ func TestFlowRingNeverOverflows(t *testing.T) {
 		t.Fatalf("ring capacity changed the report:\n%s", firstDiff(a, b))
 	}
 
-	_, want, s := runMultiPass(t, 1, 0)
-	if st := s.engs.cg.Stats(); st.TouchedOverflows != 0 {
-		t.Fatalf("default-capacity passes overflowed the flow ring: %+v", st)
+	_, want, s, touched := runMultiPass(t, 1, 0)
+	if st := s.engs.sta.Stats(); st.FullBuilds != 1 {
+		t.Fatalf("default-capacity passes overflowed the flow ring into an STA rebuild: %+v", st)
 	}
-	_, got, tiny := runMultiPass(t, 1, 16)
-	if st := tiny.engs.cg.Stats(); st.TouchedOverflows == 0 {
-		t.Fatalf("16-entry ring should overflow under composition edits: %+v", st)
+	if touched == nil {
+		t.Fatal("default-capacity passes overflowed the flow ring")
+	}
+	inFlowRing := map[netlist.InstID]bool{}
+	for _, id := range touched {
+		inFlowRing[id] = true
+	}
+	for _, buf := range s.engs.cts.Buffers() {
+		if inFlowRing[buf.ID] {
+			t.Fatalf("clock-tree buffer %s was edited under the flow edit class", buf.Name)
+		}
+	}
+	_, got, tiny, _ := runMultiPass(t, 1, 16)
+	if st := tiny.engs.sta.Stats(); st.FullBuilds < 2 {
+		t.Fatalf("16-entry ring should overflow into an STA rebuild under composition edits: %+v", st)
 	}
 	if want != got {
 		t.Fatalf("ring capacity changed the multi-pass output:\n%s", firstDiff(want, got))

@@ -13,7 +13,7 @@ import (
 )
 
 // Session is a long-lived flow instance: the design, its scan plan and the
-// five retained engines, held together so edits can stream in and
+// five engines of the engine.Retained contract, held together so edits can stream in and
 // measurements stream out with O(touched) incremental cost per request.
 // It is the in-memory state of one composition-server tenant; Run is a
 // thin one-shot wrapper that creates a Session, drives the paper's flow

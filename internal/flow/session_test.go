@@ -33,7 +33,6 @@ func TestConfigValidateRejectsEachField(t *testing.T) {
 		// value would be silently ignored, so any non-zero one is rejected.
 		{"Compose.Workers", func(c *Config) { c.Compose.Workers = 2 }},
 		{"Compose.MaxSubgraphNodes", func(c *Config) { c.Compose.MaxSubgraphNodes = 65 }},
-		{"Compat.MaxDeltaFrac", func(c *Config) { c.Compat.MaxDeltaFrac = -0.1 }},
 		{"CTS.Tree.RecenterThresholdDBU", func(c *Config) { c.CTS.Tree.RecenterThresholdDBU = -100 }},
 		{"Decompose.Budget", func(c *Config) { c.Decompose.Budget = -1 }},
 	}

@@ -130,8 +130,8 @@ func DefaultECOOptions() Options {
 // re-propagation, to the touched clusters.
 // 4000 DBU (~4µm) absorbs the drift a small edit pool produces while
 // still re-centering after genuine spatial shifts. The compatibility graph
-// runs the engine's default delta threshold: measures never update it,
-// and compose sites analyze under ideal clocks.
+// needs no setting: measures never update it, and each compose site builds
+// it from scratch under ideal clocks.
 const recenterThresholdDBU = 4000
 
 // ecoDecomposeConfig is the decompose round every ECO stream issues: a

@@ -28,12 +28,9 @@ type SessionConfig struct {
 	// when set, which is fine here: session determinism is per op
 	// sequence, and snapshots replay the full journal.
 	RecenterThresholdDBU int64 `json:"recenterThresholdDBU,omitempty"`
-	// CompatMaxDeltaFrac sets the compatibility-graph engine's delta
-	// threshold (see flow.CompatConfig.MaxDeltaFrac): the changed-node
-	// fraction an update may carry on the delta path before it becomes a
-	// rebuild that discards the retained edge masks. 0 keeps the engine
-	// default (0.25). Kept for the benchmark's session; the load harness
-	// runs the default.
+	// CompatMaxDeltaFrac is ignored: the compatibility-graph engine builds
+	// its graph from scratch at every compose. It stays accepted on the
+	// wire and in snapshots until the benchmark's session stops setting it.
 	CompatMaxDeltaFrac float64 `json:"compatMaxDeltaFrac,omitempty"`
 }
 
@@ -43,7 +40,6 @@ func (c SessionConfig) FlowConfig() flow.Config {
 	cfg := flow.DefaultConfig()
 	cfg.Workers = c.Workers
 	cfg.CTS.Tree.RecenterThresholdDBU = c.RecenterThresholdDBU
-	cfg.Compat.MaxDeltaFrac = c.CompatMaxDeltaFrac
 	return cfg
 }
 
