@@ -10,7 +10,7 @@
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
-#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check the -scale/-method/-bound guards (fails on a wrong exit code) and D4 output at -workers 1 vs 2
+#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check the -scale/-method/-bound guards (fails on a wrong exit code) and D1 and D4 output at -workers 1 vs 2
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
@@ -61,10 +61,11 @@ examples-smoke:
 # must exit 0, and an invalid flag must be rejected with exit code 2: a
 # -scale below 1 by mbrstats and by mbrserved -selftest, and a -method
 # other than ilp/greedy or a -bound outside 1..64 by mbrcompose, before it
-# generates anything. It also runs mbrcompose -profile D4 at -workers 1
-# (measure syncs its engines in sequence) and -workers 2 (concurrently)
-# and fails unless the two tables match once the Exec wall-time column is
-# cut. pipefail makes a failing benchgen or mbrcompose fail the pipe.
+# generates anything. It also runs mbrcompose -profile D1 and -profile D4
+# at -workers 1 (one composition worker, measure syncs its engines in
+# sequence) and -workers 2 (two shard workers placing MBRs concurrently,
+# concurrent syncs) and fails unless each profile's two tables match once
+# the Exec wall-time column is cut. pipefail makes a failing benchgen or mbrcompose fail the pipe.
 cli-smoke: SHELL := /bin/bash
 cli-smoke: .SHELLFLAGS := -o pipefail -ec
 cli-smoke:
@@ -78,11 +79,13 @@ cli-smoke:
 	"$$bin/benchgen" -profile D2 | "$$bin/mbrstats" -design /dev/stdin > /dev/null; \
 	echo "cli: mbrcompose -profile D1"; \
 	"$$bin/mbrcompose" -profile D1 > /dev/null; \
-	echo "cli: mbrcompose -profile D4 -workers 1 and -workers 2 (must match but for Exec)"; \
 	noexec() { sed -E '/^[^ ]+ +Ours /s/ +[^ ]+$$//'; }; \
-	"$$bin/mbrcompose" -profile D4 -workers 1 | noexec > "$$bin/w1.txt"; \
-	"$$bin/mbrcompose" -profile D4 -workers 2 | noexec > "$$bin/w2.txt"; \
-	if ! diff "$$bin/w1.txt" "$$bin/w2.txt"; then echo "cli: D4 output differs between -workers 1 and 2"; exit 1; fi; \
+	for p in D1 D4; do \
+		echo "cli: mbrcompose -profile $$p -workers 1 and -workers 2 (must match but for Exec)"; \
+		"$$bin/mbrcompose" -profile $$p -workers 1 | noexec > "$$bin/w1.txt"; \
+		"$$bin/mbrcompose" -profile $$p -workers 2 | noexec > "$$bin/w2.txt"; \
+		if ! diff "$$bin/w1.txt" "$$bin/w2.txt"; then echo "cli: $$p output differs between -workers 1 and 2"; exit 1; fi; \
+	done; \
 	exit2() { \
 		echo "cli: $$* (must exit 2)"; \
 		rc=0; "$$bin/$$1" "$${@:2}" > /dev/null 2>&1 || rc=$$?; \
@@ -147,6 +150,7 @@ FUZZ_TARGETS = \
 	./internal/clique:FuzzEnumerateSubCliques \
 	./internal/route:FuzzEstimateDeltaEquivalence \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
+	./internal/core:FuzzRegIndexMatchesScan \
 	./internal/place:FuzzRowSearchMatchesScan \
 	./internal/sta:FuzzStructuralDeltaMatchesFull \
 	./internal/compatgraph:FuzzSweepMatchesPairScan \

@@ -12,47 +12,80 @@ import (
 	"repro/internal/netlist"
 )
 
-// regIndex answers "which register centers lie inside this rectangle",
-// backed by a center list sorted by (X, instance ID), so the iteration
-// order of inBox is a pure function of the indexed content. It indexes
-// every live register of the design — blocking registers (§3.2) are any
-// registers, composable or not.
+// regIndex answers "which register centers lie inside this rectangle" from
+// a bucket grid over the centers: about √(N/2) cells a side, stored CSR
+// style (cell c's entries are start[c]..start[c+1]), entries of a cell in
+// design register order, so the iteration order of inBox is a pure
+// function of the indexed content. It indexes every live register of the
+// design — blocking registers (§3.2) are any registers, composable or not.
 type regIndex struct {
-	xs  []int64
-	pts []geom.Point
-	ids []netlist.InstID
+	bounds geom.Rect // bounding box of every center
+	nx, ny int
+	cw, ch int64 // cell width and height, ≥ 1
+	start  []int32
+	pts    []geom.Point
+	ids    []netlist.InstID
 }
 
 func newRegIndex(d *netlist.Design) *regIndex {
-	type entry struct {
-		p  geom.Point
-		id netlist.InstID
+	regs := d.Registers()
+	pts := make([]geom.Point, len(regs))
+	ids := make([]netlist.InstID, len(regs))
+	for i, r := range regs {
+		pts[i], ids[i] = r.Center(), r.ID
 	}
-	var es []entry
-	for _, r := range d.Registers() {
-		es = append(es, entry{r.Center(), r.ID})
+	return buildRegIndex(pts, ids)
+}
+
+// buildRegIndex indexes the centers pts of the registers ids.
+func buildRegIndex(pts []geom.Point, ids []netlist.InstID) *regIndex {
+	ri := &regIndex{nx: 1, ny: 1, cw: 1, ch: 1}
+	if len(pts) > 0 {
+		ri.bounds = geom.BoundingBox(pts)
+		side := max(1, int(math.Sqrt(float64(len(pts))/2)))
+		ri.nx, ri.ny = side, side
+		ri.cw = max(1, ri.bounds.W()/int64(side)+1)
+		ri.ch = max(1, ri.bounds.H()/int64(side)+1)
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].p.X != es[j].p.X {
-			return es[i].p.X < es[j].p.X
-		}
-		return es[i].id < es[j].id
-	})
-	idx := &regIndex{}
-	for _, e := range es {
-		idx.xs = append(idx.xs, e.p.X)
-		idx.pts = append(idx.pts, e.p)
-		idx.ids = append(idx.ids, e.id)
+	cellOf := make([]int32, len(pts))
+	ri.start = make([]int32, ri.nx*ri.ny+1)
+	for i, p := range pts {
+		cellOf[i] = int32(ri.cellY(p.Y)*ri.nx + ri.cellX(p.X))
+		ri.start[cellOf[i]+1]++
 	}
-	return idx
+	for c := 1; c < len(ri.start); c++ {
+		ri.start[c] += ri.start[c-1]
+	}
+	ri.pts = make([]geom.Point, len(pts))
+	ri.ids = make([]netlist.InstID, len(pts))
+	fill := append([]int32(nil), ri.start[:len(ri.start)-1]...)
+	for i, c := range cellOf {
+		ri.pts[fill[c]], ri.ids[fill[c]] = pts[i], ids[i]
+		fill[c]++
+	}
+	return ri
+}
+
+// cellX and cellY map a coordinate to its column or row, clamped to the
+// grid so a query box reaching outside the bounds still covers the edge
+// cells.
+func (ri *regIndex) cellX(x int64) int {
+	return int(min(max(x-ri.bounds.Lo.X, 0)/ri.cw, int64(ri.nx-1)))
+}
+
+func (ri *regIndex) cellY(y int64) int {
+	return int(min(max(y-ri.bounds.Lo.Y, 0)/ri.ch, int64(ri.ny-1)))
 }
 
 // inBox calls f for every register center inside bb.
 func (ri *regIndex) inBox(bb geom.Rect, f func(id netlist.InstID, p geom.Point)) {
-	lo := sort.Search(len(ri.xs), func(i int) bool { return ri.xs[i] >= bb.Lo.X })
-	for i := lo; i < len(ri.xs) && ri.xs[i] <= bb.Hi.X; i++ {
-		if p := ri.pts[i]; p.Y >= bb.Lo.Y && p.Y <= bb.Hi.Y {
-			f(ri.ids[i], p)
+	x0, x1 := ri.cellX(bb.Lo.X), ri.cellX(bb.Hi.X)
+	for y := ri.cellY(bb.Lo.Y); y <= ri.cellY(bb.Hi.Y); y++ {
+		row := y * ri.nx
+		for i := ri.start[row+x0]; i < ri.start[row+x1+1]; i++ {
+			if bb.Contains(ri.pts[i]) {
+				f(ri.ids[i], ri.pts[i])
+			}
 		}
 	}
 }
@@ -61,20 +94,19 @@ func (ri *regIndex) inBox(bb geom.Rect, f func(id netlist.InstID, p geom.Point))
 // the convex hull of the members' footprint corners, excluding the members
 // themselves.
 func blockerCount(g *compat.Graph, ri *regIndex, nodes []int) int {
-	var corners []geom.Point
-	member := map[netlist.InstID]bool{}
+	corners := make([]geom.Point, 0, 4*len(nodes))
 	for _, n := range nodes {
-		in := regOf(g, n)
-		member[in.ID] = true
-		c := in.Bounds().Corners()
+		c := regOf(g, n).Bounds().Corners()
 		corners = append(corners, c[:]...)
 	}
 	hull := geom.ConvexHull(corners)
 	bb := geom.BoundingBox(hull)
 	count := 0
 	ri.inBox(bb, func(id netlist.InstID, p geom.Point) {
-		if member[id] {
-			return
+		for _, n := range nodes {
+			if regOf(g, n).ID == id {
+				return
+			}
 		}
 		if geom.PolygonContains(hull, p) {
 			count++

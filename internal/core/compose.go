@@ -10,6 +10,7 @@ import (
 	"repro/internal/compat"
 	"repro/internal/geom"
 	"repro/internal/ilp"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 	"repro/internal/partition"
 	"repro/internal/place"
@@ -73,7 +74,8 @@ func decompose(g *compat.Graph, opts Options) (Options, [][]int, error) {
 }
 
 // composeRound is the composition pipeline. It solves each subgraph
-// (enumeration → §3.2 weights → selection) on the cost-ordered shard
+// (enumeration → §3.2 weights → selection → §4.1 mapping and §4.2
+// placement of the picks) on the cost-ordered shard
 // scheduler, folds the outcomes into a Result by the ordered reduce and
 // commits the selection. Errors are reported by the lowest-index failing
 // subgraph. Runtime is left to the caller.
@@ -99,7 +101,7 @@ func composeRound(
 	results := make([]subgraphResult, len(subgraphs))
 	errs := make([]error, len(subgraphs))
 	runSharded(estimateShardCosts(g, subgraphs), workers, func(i int) {
-		results[i], errs[i] = solveSubgraph(d, g, ri, subgraphs[i], opts)
+		results[i], errs[i] = solveSubgraph(d, g, plan, ri, subgraphs[i], opts)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -132,7 +134,8 @@ func reduceResults(subResults []subgraphResult, res *Result) []candidate {
 
 // commitSelected is the sequential mutation phase: it orders the selected
 // candidates deterministically (by first member's instance ID), commits
-// each merge, and legalizes the new MBRs incrementally. Everything before
+// each merge at the position its shard solved (or re-solves it, see
+// commit), and legalizes the new MBRs incrementally. Everything before
 // this point only reads the design.
 func commitSelected(
 	d *netlist.Design,
@@ -148,9 +151,12 @@ func commitSelected(
 
 	var newInsts []*netlist.Inst
 	for idx, c := range selected {
-		m, err := commit(d, g, plan, c, fmt.Sprintf("%s_%d", opts.NamePrefix, idx), opts.ReleaseClocks)
+		m, resolved, err := commit(d, g, plan, c, fmt.Sprintf("%s_%d", opts.NamePrefix, idx), opts.ReleaseClocks)
 		if err != nil {
 			return err
+		}
+		if resolved {
+			res.PlacementResolves++
 		}
 		res.MBRs = append(res.MBRs, *m)
 		if m.Incomplete {
@@ -295,15 +301,19 @@ func lessNodes(a, b []int) bool {
 	return len(a) < len(b)
 }
 
-// commit maps, places and merges one selected candidate.
-func commit(
-	d *netlist.Design,
-	g *compat.Graph,
-	plan *scan.Plan,
-	c candidate,
-	name string,
-	release func([]*netlist.Inst),
-) (*ComposedMBR, error) {
+// mbrMapping is one selected candidate's §4.1 cell, merge order and §4.2
+// LP inputs, as read from the design and plan at the time of the call.
+type mbrMapping struct {
+	cell    *lib.Cell
+	ordered []*netlist.Inst
+	place   placeInputs
+}
+
+// mapMBR maps a candidate to its library cell by drive resistance (§4.1),
+// orders its members for the merge — scan order when scanned, geometric
+// order otherwise — and gathers its placement LP's inputs. It only reads
+// the design and the plan.
+func mapMBR(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) (mbrMapping, error) {
 	insts := make([]*netlist.Inst, len(c.nodes))
 	minRes := math.Inf(1)
 	for i, n := range c.nodes {
@@ -315,10 +325,9 @@ func commit(
 	class := insts[0].RegCell.Class
 	cell := d.Lib.SelectCell(class, c.width, minRes)
 	if cell == nil {
-		return nil, fmt.Errorf("core: no %d-bit cell for class %s", c.width, class.Key())
+		return mbrMapping{}, fmt.Errorf("core: no %d-bit cell for class %s", c.width, class.Key())
 	}
 
-	// Merge order: scan order when scanned, geometric order otherwise.
 	ordered := insts
 	if plan != nil {
 		ids := make([]netlist.InstID, len(insts))
@@ -331,7 +340,6 @@ func commit(
 			ordered[i] = d.Inst(id)
 		}
 	} else {
-		ordered = append([]*netlist.Inst(nil), insts...)
 		sort.Slice(ordered, func(i, j int) bool {
 			if ordered[i].Pos.Y != ordered[j].Pos.Y {
 				return ordered[i].Pos.Y < ordered[j].Pos.Y
@@ -339,35 +347,79 @@ func commit(
 			return ordered[i].Pos.X < ordered[j].Pos.X
 		})
 	}
+	return mbrMapping{
+		cell:    cell,
+		ordered: ordered,
+		place:   placementInputs(d, g, c.nodes, ordered, cell),
+	}, nil
+}
 
-	pos, err := placeMBR(d, g, c.nodes, ordered, cell)
+// preplace maps a selected candidate and solves its placement LP against
+// the design as it stands before any commit. It returns nil when the
+// candidate cannot be mapped or its LP fails; the commit then maps and
+// solves again and reports the error.
+func preplace(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) *placedMBR {
+	m, err := mapMBR(d, g, plan, c)
 	if err != nil {
-		return nil, err
+		return nil
+	}
+	pos, err := solvePlacement(d, &m.place)
+	if err != nil {
+		return nil
+	}
+	return &placedMBR{in: m.place, pos: pos}
+}
+
+// commit maps, places and merges one selected candidate. It reports
+// whether it had to solve the placement LP itself: an earlier merge of
+// this commit can move a pin on one of the MBR's nets or reorder its scan
+// chain, so the shard's position is reused only when the LP inputs read
+// now equal the ones it was solved from.
+func commit(
+	d *netlist.Design,
+	g *compat.Graph,
+	plan *scan.Plan,
+	c candidate,
+	name string,
+	release func([]*netlist.Inst),
+) (*ComposedMBR, bool, error) {
+	m, err := mapMBR(d, g, plan, c)
+	if err != nil {
+		return nil, false, err
+	}
+	resolved := c.placed == nil || !c.placed.in.equal(&m.place)
+	var pos geom.Point
+	if resolved {
+		if pos, err = solvePlacement(d, &m.place); err != nil {
+			return nil, false, err
+		}
+	} else {
+		pos = c.placed.pos
 	}
 
-	memberIDs := make([]netlist.InstID, len(ordered))
-	for i, in := range ordered {
+	memberIDs := make([]netlist.InstID, len(m.ordered))
+	for i, in := range m.ordered {
 		memberIDs[i] = in.ID
 	}
 	if release != nil {
-		release(ordered)
+		release(m.ordered)
 	}
-	mr, err := d.MergeRegisters(ordered, cell, name, pos)
+	mr, err := d.MergeRegisters(m.ordered, m.cell, name, pos)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if plan != nil {
 		if err := plan.ApplyMerge(memberIDs, mr.MBR.ID); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	return &ComposedMBR{
 		Inst:       mr.MBR,
 		Members:    memberIDs,
-		Cell:       cell,
+		Cell:       m.cell,
 		Bits:       c.totalBits,
 		Incomplete: mr.UnusedBits > 0,
 		Pos:        pos,
 		Weight:     c.weight,
-	}, nil
+	}, resolved, nil
 }

@@ -18,11 +18,13 @@
 //     inside the group's common timing-feasible region (§4.2), committed to
 //     the netlist, and legalized incrementally.
 //
-// Steps 2–4 are independent per subgraph and run as one pipeline
-// (composeRound) on a worker pool (Options.Workers) that claims subgraphs in
-// descending estimated cost; results are merged by a deterministic ordered
-// reduce, so the outcome is byte-identical for any worker count. See
-// parallel.go.
+// Steps 2–4 and the mapping and placement of step 5 are independent per
+// subgraph and run as one pipeline (composeRound) on a worker pool
+// (Options.Workers) that claims subgraphs in descending estimated cost.
+// Results are merged by a deterministic ordered reduce, and the commit
+// merges in a fixed order, re-solving a placement only where an earlier
+// merge changed its inputs, so the outcome is byte-identical for any
+// worker count. See parallel.go.
 //
 // A greedy maximal-clique heuristic (in the spirit of the comparison in
 // Fig. 6) is provided as the baseline composer.
@@ -171,6 +173,12 @@ type Result struct {
 	// is kept, like PeakLiveShards, only for the repo benchmark's
 	// core.sched_steals metric.
 	SchedSteals int
+	// PlacementResolves counts the MBRs whose §4.2 LP the commit solved
+	// again because an earlier merge changed the inputs the shard had
+	// solved from; every other MBR takes its shard's position. The
+	// positions are the same either way.
+	PlacementResolves int
+
 	// PeakLiveShards is the most shard results held at once. Every shard's
 	// result slot lives until the ordered reduce, so it equals Subgraphs;
 	// it is kept so per-layer reports (the repo benchmark's
@@ -201,6 +209,17 @@ type candidate struct {
 	weight float64
 	// blockers is n_i, recorded for diagnostics.
 	blockers int
+	// placed is the §4.2 placement its shard solved for a selected
+	// multi-member candidate (nil before selection, or when the shard
+	// could not map or place it).
+	placed *placedMBR
+}
+
+// placedMBR is a shard's §4.2 solve: the LP inputs it read and the
+// position they gave.
+type placedMBR struct {
+	in  placeInputs
+	pos geom.Point
 }
 
 // regOf is a convenience accessor.

@@ -6,15 +6,26 @@ import (
 	"repro/internal/compat"
 	"repro/internal/ilp"
 	"repro/internal/netlist"
+	"repro/internal/scan"
 )
 
 // The per-partition stages of composition — Bron–Kerbosch sub-clique
-// enumeration, candidate scoring and the per-subgraph set-partitioning ILP —
-// are independent by construction: partitioning (§3) decomposes the
+// enumeration, candidate scoring, the per-subgraph set-partitioning ILP and
+// the §4.1 mapping and §4.2 placement LP of each selected MBR — are
+// independent by construction: partitioning (§3) decomposes the
 // compatibility graph into disjoint node sets, and every input the stages
 // read (the design database, the library, the compatibility graph, the scan
-// plan, the register index) is immutable while they run. Only the commit
+// plan, the register index) is only read while they run. Only the commit
 // phase mutates the design, and it stays sequential.
+//
+// A shard places its MBRs against the design as it stood before any
+// commit. The commit maps each candidate again on the current design —
+// cell, merge order and LP inputs, the cheap part — and reuses the shard's
+// position only when those inputs compare equal; otherwise it solves the
+// LP itself (an earlier merge moved a pin on one of the MBR's nets, say
+// through a shared Q→D or enable net). The LP is a pure function of its
+// inputs, so every position equals the one a fully sequential commit
+// would solve.
 //
 // composeRound exploits that at exactly one level: subgraphs are sharded
 // across a bounded worker pool (at most one worker per subgraph) by the
@@ -35,7 +46,7 @@ import (
 // subgraph, before the ordered reduce.
 type subgraphResult struct {
 	// picked are the selected multi-member candidates (singleton "keep"
-	// decisions are dropped).
+	// decisions are dropped), each carrying its shard placement.
 	picked []candidate
 	// objective is the subgraph's selection objective (ILP or greedy).
 	objective float64
@@ -58,11 +69,13 @@ func resolveWorkers(w int) int {
 }
 
 // solveSubgraph runs the full per-partition pipeline on one subgraph:
-// enumeration, scoring, selection. It only reads shared state and is safe to
-// call concurrently for disjoint subgraphs.
+// enumeration, scoring, selection, then mapping and placement of each
+// selected MBR. It only reads shared state and is safe to call
+// concurrently for disjoint subgraphs.
 func solveSubgraph(
 	d *netlist.Design,
 	g *compat.Graph,
+	plan *scan.Plan,
 	ri *regIndex,
 	nodes []int,
 	opts Options,
@@ -90,6 +103,7 @@ func solveSubgraph(
 	}
 	for _, c := range picked {
 		if len(c.nodes) > 1 {
+			c.placed = preplace(d, g, plan, c)
 			sr.picked = append(sr.picked, c)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/compat"
 	"repro/internal/geom"
@@ -10,23 +11,34 @@ import (
 	"repro/internal/netlist"
 )
 
-// placeMBR solves the §4.2 linear program: find the MBR corner position
-// (x, y) inside the group's common timing-feasible region that minimizes
-// the total half-perimeter wirelength of the nets on the MBR's D and Q
-// pins. Pin coordinates are expressed as corner + per-bit offset of the
-// chosen cell; the max/min terms of the HPWL are linearized with helper
-// variables.
-//
-// ordered lists the member instances in merge order (which fixes the bit
-// assignment); it must be called before the merge, while the old registers
-// are still connected.
-func placeMBR(
+// pinJob is one connected D or Q pin of an MBR in the §4.2 LP: the chosen
+// cell's pin offset and the bounding box of the net's other pins.
+type pinJob struct {
+	off lib.PinOffset
+	box geom.Rect
+}
+
+// placeInputs is everything the §4.2 LP reads: the group's timing-feasible
+// region clamped to the core, one job per connected D/Q pin, and the
+// members' centroid, which places the MBR when no pin is connected.
+// solvePlacement is a pure function of them (and of the design's fixed
+// core and site/row grid), so equal inputs give the same position.
+type placeInputs struct {
+	region   geom.Rect
+	jobs     []pinJob
+	centroid geom.Point
+}
+
+// placementInputs gathers the §4.2 LP's inputs for an MBR of the given cell
+// over the nodes. ordered lists the member instances in merge order (which
+// fixes the bit assignment); the old registers must still be connected.
+func placementInputs(
 	d *netlist.Design,
 	g *compat.Graph,
 	nodes []int,
 	ordered []*netlist.Inst,
 	cell *lib.Cell,
-) (geom.Point, error) {
+) placeInputs {
 	region, ok := g.GroupRegion(nodes)
 	if !ok {
 		// Should not happen for enumerated candidates; fall back to the
@@ -41,45 +53,59 @@ func placeMBR(
 	if r, ok := region.Intersect(coreFit); ok {
 		region = r
 	}
-
-	type pinJob struct {
-		off lib.PinOffset
-		box geom.Rect // bbox of the net's other pins
-	}
-	var jobs []pinJob
+	in := placeInputs{region: region}
 	k := 0
-	for _, in := range ordered {
-		for b := 0; b < in.Bits(); b++ {
-			if dp := d.DPin(in, b); dp != nil && dp.Net != netlist.NoID {
+	for _, m := range ordered {
+		for b := 0; b < m.Bits(); b++ {
+			if dp := d.DPin(m, b); dp != nil && dp.Net != netlist.NoID {
 				if box, ok := othersBox(d, d.Net(dp.Net), dp); ok {
-					jobs = append(jobs, pinJob{off: cell.DPins[k], box: box})
+					in.jobs = append(in.jobs, pinJob{off: cell.DPins[k], box: box})
 				}
 			}
-			if qp := d.QPin(in, b); qp != nil && qp.Net != netlist.NoID {
+			if qp := d.QPin(m, b); qp != nil && qp.Net != netlist.NoID {
 				if box, ok := othersBox(d, d.Net(qp.Net), qp); ok {
-					jobs = append(jobs, pinJob{off: cell.QPins[k], box: box})
+					in.jobs = append(in.jobs, pinJob{off: cell.QPins[k], box: box})
 				}
 			}
 			k++
 		}
 	}
-	if len(jobs) == 0 {
-		// No connected pins: centroid of the members, clamped.
+	if len(in.jobs) == 0 {
 		var sx, sy int64
-		for _, in := range ordered {
-			c := in.Center()
+		for _, m := range ordered {
+			c := m.Center()
 			sx += c.X
 			sy += c.Y
 		}
 		n := int64(len(ordered))
-		return snapToGrid(d, region.ClampPoint(geom.Point{X: sx / n, Y: sy / n}), region), nil
+		in.centroid = geom.Point{X: sx / n, Y: sy / n}
+	}
+	return in
+}
+
+// equal reports whether two input sets are identical, so a position solved
+// from one is exactly the position the other would give.
+func (a *placeInputs) equal(b *placeInputs) bool {
+	return a.region == b.region && a.centroid == b.centroid && slices.Equal(a.jobs, b.jobs)
+}
+
+// solvePlacement solves the §4.2 linear program: find the MBR corner
+// position (x, y) inside the region that minimizes the total
+// half-perimeter wirelength of the nets on the MBR's D and Q pins. Pin
+// coordinates are expressed as corner + per-bit offset of the chosen cell;
+// the max/min terms of the HPWL are linearized with helper variables.
+// Without jobs the MBR goes to the members' centroid, clamped.
+func solvePlacement(d *netlist.Design, in *placeInputs) (geom.Point, error) {
+	region := in.region
+	if len(in.jobs) == 0 {
+		return snapToGrid(d, region.ClampPoint(in.centroid), region), nil
 	}
 
 	prob := lp.New(lp.Minimize)
 	x := prob.AddVar(float64(region.Lo.X), float64(region.Hi.X), 0, "x")
 	y := prob.AddVar(float64(region.Lo.Y), float64(region.Hi.Y), 0, "y")
 	negInf, posInf := math.Inf(-1), math.Inf(1)
-	for _, j := range jobs {
+	for _, j := range in.jobs {
 		hx := prob.AddVar(negInf, posInf, 1, "hx")
 		lx := prob.AddVar(negInf, posInf, -1, "lx")
 		hy := prob.AddVar(negInf, posInf, 1, "hy")
@@ -108,21 +134,30 @@ func placeMBR(
 	return snapToGrid(d, region.ClampPoint(p), region), nil
 }
 
-// othersBox returns the bounding box of the net's pins excluding excl.
-func othersBox(d *netlist.Design, n *netlist.Net, excl *netlist.Pin) (geom.Rect, bool) {
-	var pts []geom.Point
-	if n.Driver != netlist.NoID && n.Driver != excl.ID {
-		pts = append(pts, d.PinPos(d.Pin(n.Driver)))
+// othersBox returns the bounding box of the net's pins excluding excl; ok
+// is false when excl is the net's only pin.
+func othersBox(d *netlist.Design, n *netlist.Net, excl *netlist.Pin) (box geom.Rect, ok bool) {
+	add := func(id netlist.PinID) {
+		if id == excl.ID {
+			return
+		}
+		p := d.PinPos(d.Pin(id))
+		if !ok {
+			box, ok = geom.Rect{Lo: p, Hi: p}, true
+			return
+		}
+		box.Lo.X = min(box.Lo.X, p.X)
+		box.Lo.Y = min(box.Lo.Y, p.Y)
+		box.Hi.X = max(box.Hi.X, p.X)
+		box.Hi.Y = max(box.Hi.Y, p.Y)
+	}
+	if n.Driver != netlist.NoID {
+		add(n.Driver)
 	}
 	for _, s := range n.Sinks {
-		if s != excl.ID {
-			pts = append(pts, d.PinPos(d.Pin(s)))
-		}
+		add(s)
 	}
-	if len(pts) == 0 {
-		return geom.Rect{}, false
-	}
-	return geom.BoundingBox(pts), true
+	return box, ok
 }
 
 // snapToGrid rounds the point down to the design's site/row grid while

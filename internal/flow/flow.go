@@ -318,13 +318,13 @@ func (s *Session) runFlow() (*Report, error) {
 		rep.RestoredMBRs = n
 	}
 
-	// ---- Useful skew on the new MBRs (Fig. 4). ----
+	// ---- Useful skew on the new MBRs (Fig. 4). It reads the new MBRs'
+	// slacks from the engine, so the run copies no per-pin arrays. ----
 	if cfg.UsefulSkew && len(newMBRs) > 0 {
-		res2, err := eng.Run()
-		if err != nil {
+		if _, err := eng.RunEndpoints(); err != nil {
 			return nil, err
 		}
-		rep.SkewedMBRs = eng.AssignUsefulSkew(newMBRs, res2, usefulSkewWindowPS)
+		rep.SkewedMBRs = eng.AssignUsefulSkew(newMBRs, usefulSkewWindowPS)
 	}
 
 	// ---- MBR sizing. ----
@@ -427,9 +427,11 @@ func measure(engs *engines) (Metrics, error) {
 
 // resizeMBRs downsizes composed MBRs whose timing headroom allows a weaker
 // (lower clock-cap, lower leakage) drive, then verifies with an STA run and
-// rolls every swap back if TNS degraded.
+// rolls every swap back if TNS degraded. It reads the MBRs' slacks from
+// the engine's state before the first swap, and both runs copy no per-pin
+// arrays.
 func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, marginPS float64) (int, error) {
-	res, err := eng.Run()
+	before, err := eng.RunEndpoints()
 	if err != nil {
 		return 0, err
 	}
@@ -437,8 +439,8 @@ func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, margin
 	for _, in := range mbrs {
 		cur := in.RegCell
 		cands := d.Lib.CellsOfWidth(cur.Class, cur.Bits)
-		qs := sta.RegQSlack(d, res, in)
-		ds := sta.RegDSlack(d, res, in)
+		qs := sta.RegQSlack(d, eng, in)
+		ds := sta.RegDSlack(d, eng, in)
 		// The worst Q-net load the weaker drive would see.
 		var load float64
 		for b := 0; b < in.Bits(); b++ {
@@ -472,13 +474,11 @@ func resizeMBRs(d *netlist.Design, eng *sta.Engine, mbrs []*netlist.Inst, margin
 	if len(swaps) == 0 {
 		return 0, nil
 	}
-	// The check reads only TNS, so it takes the endpoint statistics and
-	// copies no per-pin arrays.
 	after, err := eng.RunEndpoints()
 	if err != nil {
 		return 0, err
 	}
-	if after.TNS < res.TNS-1e-9 {
+	if after.TNS < before.TNS-1e-9 {
 		// Sizing hurt: revert everything.
 		for _, s := range swaps {
 			if err := d.ResizeRegister(s.inst, s.old); err != nil {

@@ -111,8 +111,9 @@ type FuncClass struct {
 	Scan      ScanKind
 }
 
-// Key returns a stable string identity for the class, usable as a map key
-// in serialized form.
+// Key returns a stable string identity for the class, for cell names,
+// messages and reports. The library indexes classes by the struct itself,
+// so lookups format nothing.
 func (f FuncClass) Key() string {
 	en := "noen"
 	if f.HasEnable {
@@ -165,13 +166,13 @@ type Cell struct {
 // functional class.
 type Library struct {
 	Name  string
-	cells map[string][]*Cell // class key → cells sorted by (Bits, Drive)
+	cells map[FuncClass][]*Cell // class → cells sorted by (Bits, Drive)
 	all   []*Cell
 }
 
 // NewLibrary returns an empty library with the given name.
 func NewLibrary(name string) *Library {
-	return &Library{Name: name, cells: map[string][]*Cell{}}
+	return &Library{Name: name, cells: map[FuncClass][]*Cell{}}
 }
 
 // Add inserts a cell. It returns an error when a cell of the same name
@@ -195,15 +196,15 @@ func (l *Library) Add(c *Cell) error {
 			return fmt.Errorf("lib: duplicate cell name %q", c.Name)
 		}
 	}
-	key := c.Class.Key()
-	l.cells[key] = append(l.cells[key], c)
-	sort.Slice(l.cells[key], func(i, j int) bool {
-		a, b := l.cells[key][i], l.cells[key][j]
+	cc := append(l.cells[c.Class], c)
+	sort.Slice(cc, func(i, j int) bool {
+		a, b := cc[i], cc[j]
 		if a.Bits != b.Bits {
 			return a.Bits < b.Bits
 		}
 		return a.Drive < b.Drive
 	})
+	l.cells[c.Class] = cc
 	l.all = append(l.all, c)
 	return nil
 }
@@ -230,19 +231,16 @@ func (l *Library) CellByName(name string) *Cell {
 }
 
 // HasClass reports whether any cell of the class exists.
-func (l *Library) HasClass(f FuncClass) bool { return len(l.cells[f.Key()]) > 0 }
+func (l *Library) HasClass(f FuncClass) bool { return len(l.cells[f]) > 0 }
 
 // Widths returns the sorted distinct bit widths available for a class.
 func (l *Library) Widths(f FuncClass) []int {
-	seen := map[int]bool{}
 	var out []int
-	for _, c := range l.cells[f.Key()] {
-		if !seen[c.Bits] {
-			seen[c.Bits] = true
+	for _, c := range l.cells[f] { // sorted by Bits
+		if len(out) == 0 || out[len(out)-1] != c.Bits {
 			out = append(out, c.Bits)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -259,13 +257,23 @@ func (l *Library) MaxWidth(f FuncClass) int {
 // CellsOfWidth returns the cells of a class with exactly the given width,
 // sorted by drive.
 func (l *Library) CellsOfWidth(f FuncClass, bits int) []*Cell {
-	var out []*Cell
-	for _, c := range l.cells[f.Key()] {
-		if c.Bits == bits {
-			out = append(out, c)
-		}
+	return append([]*Cell(nil), l.widthRun(f, bits)...)
+}
+
+// widthRun returns the library's own run of a class's cells with exactly
+// the given width (they are contiguous: a class's cells are sorted by
+// bits, then drive). Callers must not modify it.
+func (l *Library) widthRun(f FuncClass, bits int) []*Cell {
+	cc := l.cells[f]
+	lo := 0
+	for lo < len(cc) && cc[lo].Bits < bits {
+		lo++
 	}
-	return out
+	hi := lo
+	for hi < len(cc) && cc[hi].Bits == bits {
+		hi++
+	}
+	return cc[lo:hi]
 }
 
 // SmallestWidthAtLeast returns the smallest library width ≥ bits for the
@@ -289,7 +297,7 @@ func (l *Library) SmallestWidthAtLeast(f FuncClass, bits int) (int, bool) {
 // capacitance. When no cell is strong enough, the strongest available is
 // returned. Returns nil when the class/width combination is absent.
 func (l *Library) SelectCell(f FuncClass, bits int, maxDriveRes float64) *Cell {
-	cands := l.CellsOfWidth(f, bits)
+	cands := l.widthRun(f, bits)
 	if len(cands) == 0 {
 		return nil
 	}

@@ -178,7 +178,7 @@ func TestCellByNameAndClassCells(t *testing.T) {
 	if l.CellByName("nope") != nil {
 		t.Fatal("unknown name should return nil")
 	}
-	cc := l.cells[c.Class.Key()]
+	cc := l.cells[c.Class]
 	for i := 1; i < len(cc); i++ {
 		a, b := cc[i-1], cc[i]
 		if a.Bits > b.Bits || (a.Bits == b.Bits && a.Drive > b.Drive) {

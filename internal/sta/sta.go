@@ -77,10 +77,20 @@ type EndpointStats struct {
 
 // PinSlack returns the slack at a pin (+Inf for unconstrained pins).
 func (r *Results) PinSlack(id netlist.PinID) float64 {
-	if int(id) >= len(r.Slack) {
+	return pinSlack(r.Slack, id)
+}
+
+// SlackSource answers per-pin slack queries: a Results snapshot, or an
+// Engine's state as of its last Run or RunEndpoints.
+type SlackSource interface {
+	PinSlack(id netlist.PinID) float64
+}
+
+func pinSlack(slack []float64, id netlist.PinID) float64 {
+	if int(id) >= len(slack) {
 		return math.Inf(1)
 	}
-	return r.Slack[id]
+	return slack[id]
 }
 
 // RunStats counts how the engine satisfied its Run calls; used by tests
@@ -228,12 +238,20 @@ func (e *Engine) Run() (*Results, error) {
 
 // RunEndpoints brings the analysis up to date exactly as Run does but
 // returns only the endpoint statistics — the same values Run's Results
-// carry — without copying the per-pin arrays into a snapshot.
+// carry — without copying the per-pin arrays into a snapshot. The engine's
+// PinSlack then reads the slacks a snapshot would hold.
 func (e *Engine) RunEndpoints() (EndpointStats, error) {
 	if err := e.update(); err != nil {
 		return EndpointStats{}, err
 	}
 	return e.endpointStats(), nil
+}
+
+// PinSlack returns a pin's slack as of the last Run or RunEndpoints (+Inf
+// for unconstrained pins), read from the engine's state without a copy.
+// Edits since that run are not reflected.
+func (e *Engine) PinSlack(id netlist.PinID) float64 {
+	return pinSlack(e.slack, id)
 }
 
 // update brings the engine's working state in sync with the design.
@@ -557,7 +575,7 @@ func (e *Engine) endpointStats() EndpointStats {
 
 // RegDSlack returns the worst slack across the register's connected D pins
 // (+Inf when none are constrained).
-func RegDSlack(d *netlist.Design, r *Results, in *netlist.Inst) float64 {
+func RegDSlack(d *netlist.Design, r SlackSource, in *netlist.Inst) float64 {
 	worst := math.Inf(1)
 	for b := 0; b < in.Bits(); b++ {
 		p := d.DPin(in, b)
@@ -573,7 +591,7 @@ func RegDSlack(d *netlist.Design, r *Results, in *netlist.Inst) float64 {
 
 // RegQSlack returns the worst slack across the register's connected Q pins
 // (+Inf when none are constrained).
-func RegQSlack(d *netlist.Design, r *Results, in *netlist.Inst) float64 {
+func RegQSlack(d *netlist.Design, r SlackSource, in *netlist.Inst) float64 {
 	worst := math.Inf(1)
 	for b := 0; b < in.Bits(); b++ {
 		p := d.QPin(in, b)
@@ -592,12 +610,13 @@ func RegQSlack(d *netlist.Design, r *Results, in *netlist.Inst) float64 {
 // slacks, clamped to ±maxSkew. It returns the number of registers whose
 // worst slack improved. The paper applies this to newly composed MBRs
 // (Fig. 4) — their constituents were timing compatible, so one shared skew
-// helps all bits.
-func (e *Engine) AssignUsefulSkew(regs []*netlist.Inst, res *Results, maxSkew float64) int {
+// helps all bits. It reads the slacks of the engine's last Run or
+// RunEndpoints; the skews it sets take effect at the next run.
+func (e *Engine) AssignUsefulSkew(regs []*netlist.Inst, maxSkew float64) int {
 	improved := 0
 	for _, in := range regs {
-		ds := RegDSlack(e.d, res, in)
-		qs := RegQSlack(e.d, res, in)
+		ds := RegDSlack(e.d, e, in)
+		qs := RegQSlack(e.d, e, in)
 		if math.IsInf(ds, 1) || math.IsInf(qs, 1) {
 			continue
 		}

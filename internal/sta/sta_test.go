@@ -155,6 +155,49 @@ func TestQSlackEqualsDownstreamDSlack(t *testing.T) {
 	}
 }
 
+// TestEnginePinSlackMatchesSnapshot checks that the engine's PinSlack reads
+// exactly the slacks a Run snapshot copies, after RunEndpoints too, and
+// +Inf past the pin space like Results.PinSlack.
+func TestEnginePinSlackMatchesSnapshot(t *testing.T) {
+	d, r1, r2 := pipeline(t)
+	e := New(d)
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for id := range res.Slack {
+			if got, want := e.PinSlack(netlist.PinID(id)), res.Slack[id]; got != want {
+				t.Fatalf("%s: pin %d slack %g, snapshot %g", when, id, got, want)
+			}
+		}
+		for _, in := range []*netlist.Inst{r1, r2} {
+			if RegDSlack(d, e, in) != RegDSlack(d, res, in) || RegQSlack(d, e, in) != RegQSlack(d, res, in) {
+				t.Fatalf("%s: register %s slacks differ between engine and snapshot", when, in.Name)
+			}
+		}
+		if s := e.PinSlack(netlist.PinID(len(res.Slack) + 5)); !math.IsInf(s, 1) {
+			t.Fatalf("%s: slack past the pin space = %g, want +Inf", when, s)
+		}
+	}
+	check("after Run")
+	e.SetSkew(r1.ID, 40)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.SetSkew(r1.ID, -30)
+	if _, err := e.RunEndpoints(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(d)
+	fresh.SetSkew(r1.ID, -30)
+	if res, err = fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	check("after RunEndpoints")
+}
+
 func TestUsefulSkewImprovesWorstSlack(t *testing.T) {
 	d, r1, _ := pipeline(t)
 	// Tighten the period so the r1→r2 path fails while r1's input path has
@@ -175,7 +218,7 @@ func TestUsefulSkewImprovesWorstSlack(t *testing.T) {
 	if dBefore <= qBefore {
 		t.Fatalf("test setup: need D slack better than Q slack (%g vs %g)", dBefore, qBefore)
 	}
-	n := e.AssignUsefulSkew([]*netlist.Inst{r1}, res, 1000)
+	n := e.AssignUsefulSkew([]*netlist.Inst{r1}, 1000)
 	if n != 1 {
 		t.Fatalf("improved = %d want 1", n)
 	}
@@ -198,8 +241,10 @@ func TestSkewClamping(t *testing.T) {
 	d.Timing.ClockPeriod = 250
 	d.Timing.OutputDelay = 0
 	e := New(d)
-	res, _ := e.Run()
-	e.AssignUsefulSkew([]*netlist.Inst{r1}, res, 5) // tiny window
+	if _, err := e.RunEndpoints(); err != nil {
+		t.Fatal(err)
+	}
+	e.AssignUsefulSkew([]*netlist.Inst{r1}, 5) // tiny window
 	if s := e.Skew(r1.ID); math.Abs(s) > 5+1e-12 {
 		t.Fatalf("skew %g exceeds window", s)
 	}
