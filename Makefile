@@ -10,7 +10,7 @@
 #   make scale-smoke # Scale 5 paper flow on all profiles with a peak-RSS bound
 #   make bench-module # vet + test the separate benchmark/ module against this tree
 #   make examples-smoke # run every program under examples/ (fails on a non-zero exit)
-#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check the -scale/-method/-bound guards (fails on a wrong exit code) and D1 and D4 output at -workers 1 vs 2
+#   make cli-smoke  # drive mbrstats, benchgen and mbrcompose end to end, check the -scale/-method/-bound guards (fails on a wrong exit code), mbrstats -json at GOMAXPROCS 1 vs 2 and mbrcompose D1 and D4 output at -workers 1 vs 2
 #   make fuzz       # every fuzz target (FUZZTIME=5s for a smoke pass)
 #   make golden     # regenerate flow golden files after an intended change
 
@@ -61,7 +61,10 @@ examples-smoke:
 # must exit 0, and an invalid flag must be rejected with exit code 2: a
 # -scale below 1 by mbrstats and by mbrserved -selftest, and a -method
 # other than ilp/greedy or a -bound outside 1..64 by mbrcompose, before it
-# generates anything. It also runs mbrcompose -profile D1 and -profile D4
+# generates anything. It fails unless mbrstats -profile D1 -passes 3 -json
+# (the one CLI that builds the compat graph and composes outside the flow;
+# its JSON holds no wall time) prints the same bytes at GOMAXPROCS=1 and
+# GOMAXPROCS=2. It also runs mbrcompose -profile D1 and -profile D4
 # at -workers 1 (one composition worker, measure syncs its engines in
 # sequence) and -workers 2 (two shard workers placing MBRs concurrently,
 # concurrent syncs) and fails unless each profile's two tables match once
@@ -73,8 +76,10 @@ cli-smoke:
 	$(GO) build -o "$$bin" ./cmd/mbrstats ./cmd/benchgen ./cmd/mbrcompose ./cmd/mbrserved; \
 	echo "cli: mbrstats -profile D1 -passes 3"; \
 	"$$bin/mbrstats" -profile D1 -passes 3 > /dev/null; \
-	echo "cli: mbrstats -profile D1 -passes 3 -json"; \
-	"$$bin/mbrstats" -profile D1 -passes 3 -json > /dev/null; \
+	echo "cli: mbrstats -profile D1 -passes 3 -json at GOMAXPROCS=1 and 2 (must match)"; \
+	GOMAXPROCS=1 "$$bin/mbrstats" -profile D1 -passes 3 -json > "$$bin/p1.json"; \
+	GOMAXPROCS=2 "$$bin/mbrstats" -profile D1 -passes 3 -json > "$$bin/p2.json"; \
+	if ! diff "$$bin/p1.json" "$$bin/p2.json"; then echo "cli: mbrstats -json differs between GOMAXPROCS 1 and 2"; exit 1; fi; \
 	echo "cli: benchgen -profile D2 | mbrstats -design /dev/stdin"; \
 	"$$bin/benchgen" -profile D2 | "$$bin/mbrstats" -design /dev/stdin > /dev/null; \
 	echo "cli: mbrcompose -profile D1"; \

@@ -214,7 +214,7 @@ func main() {
 	// Timing + compatibility.
 	eng := sta.New(d)
 	eng.SetIdealClocks(true)
-	res, err := eng.Run()
+	res, err := eng.RunEndpoints()
 	if err != nil {
 		fatal(err)
 	}
@@ -232,7 +232,7 @@ func main() {
 	}
 
 	cg := compatgraph.New(d, plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	g := cg.Update(res)
+	g := cg.Update(eng)
 	st := g.Stats()
 	components := len(partition.ConnectedComponents(len(g.Regs), g.Adj))
 	excluded := map[string]int{}
@@ -396,11 +396,10 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		fmt.Printf("\ncomposition passes (compat, clock-tree and congestion engines):\n")
 	}
 	for p := 1; p <= passes; p++ {
-		res, err := eng.Run()
-		if err != nil {
+		if _, err := eng.RunEndpoints(); err != nil {
 			fatal(err)
 		}
-		g := cg.Update(res)
+		g := cg.Update(eng)
 		cs := cg.Stats()
 		ss := eng.Stats()
 		ps := passStats{

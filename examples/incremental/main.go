@@ -27,11 +27,11 @@ import (
 )
 
 func composeOnce(d *netlist.Design, gen *bench.Result, prefix string) (*core.Result, error) {
-	res, err := sta.New(d).Run()
-	if err != nil {
+	eng := sta.New(d)
+	if _, err := eng.RunEndpoints(); err != nil {
 		return nil, err
 	}
-	g := compat.Build(d, res, gen.Plan, compat.DefaultOptions())
+	g := compat.Build(d, eng, gen.Plan, compat.DefaultOptions())
 	opts := core.DefaultOptions()
 	opts.NamePrefix = prefix
 	return core.Compose(d, g, gen.Plan, opts)

@@ -64,11 +64,11 @@ func main() {
 	}
 
 	// Timing analysis → compatibility graph → placement-aware ILP.
-	res, err := sta.New(d).Run()
-	if err != nil {
+	eng := sta.New(d)
+	if _, err := eng.RunEndpoints(); err != nil {
 		log.Fatal(err)
 	}
-	g := compat.Build(d, res, nil, compat.DefaultOptions())
+	g := compat.Build(d, eng, nil, compat.DefaultOptions())
 	fmt.Printf("compatibility graph: %d composable registers, %d edges\n",
 		len(g.Regs), g.NumEdges())
 

@@ -74,11 +74,11 @@ func buildBank(makeChains func(p *scan.Plan, ids []netlist.InstID) error) (*netl
 }
 
 func compose(d *netlist.Design, plan *scan.Plan) (*core.Result, error) {
-	res, err := sta.New(d).Run()
-	if err != nil {
+	eng := sta.New(d)
+	if _, err := eng.RunEndpoints(); err != nil {
 		return nil, err
 	}
-	g := compat.Build(d, res, plan, compat.DefaultOptions())
+	g := compat.Build(d, eng, plan, compat.DefaultOptions())
 	return core.Compose(d, g, plan, core.DefaultOptions())
 }
 

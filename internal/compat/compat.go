@@ -86,17 +86,14 @@ type FuncKey struct {
 }
 
 // StaticSig captures the structural inputs of the functional and scan
-// pairwise tests for one register: two registers pass both tests iff the
-// relevant fields agree (see PairTest). Clock is the root-resolved clock
-// net (Design.ClockRootNet): two sinks of the same distribution root stay
-// clock-compatible even while a retained clock tree parents them under
-// different leaf buffers.
+// pairwise tests for one register: equal FuncKeys pass the functional
+// test, and scan.PairRule decides the scan test on the Slots (see
+// PairTest). Clock is the root-resolved clock net (Design.ClockRootNet):
+// two sinks of the same distribution root stay clock-compatible even while
+// a retained clock tree parents them under different leaf buffers.
 type StaticSig struct {
 	FuncKey
-	Scanned   bool
-	Chain     int
-	Partition int
-	Ordered   bool
+	scan.Slot
 }
 
 // SigOf computes the static signature of a register under a scan plan (plan
@@ -111,12 +108,7 @@ func SigOf(d *netlist.Design, plan *scan.Plan, in *netlist.Inst) StaticSig {
 		ScanEn:    d.ControlNet(in, netlist.PinScanEnable),
 	}}
 	if plan != nil {
-		if c, _, ok := plan.ChainOf(in.ID); ok {
-			s.Scanned = true
-			s.Chain = c.ID
-			s.Partition = c.Partition
-			s.Ordered = c.Ordered
-		}
+		s.Slot = plan.SlotOf(in.ID)
 	}
 	return s
 }
@@ -156,9 +148,10 @@ func (g *Graph) NodeOf(id netlist.InstID) int {
 }
 
 // Build constructs the compatibility graph for the design's current state.
-// res must be a fresh timing analysis of d; plan may be nil for unscanned
-// designs.
-func Build(d *netlist.Design, res *sta.Results, plan *scan.Plan, opts Options) *Graph {
+// slacks must be up to date with d: a Results snapshot, or an sta.Engine
+// after its Run or RunEndpoints, with no edit since. plan may be nil for
+// unscanned designs.
+func Build(d *netlist.Design, slacks sta.SlackSource, plan *scan.Plan, opts Options) *Graph {
 	if opts.SlackClamp == 0 {
 		opts.SlackClamp = d.Timing.ClockPeriod
 	}
@@ -174,7 +167,7 @@ func Build(d *netlist.Design, res *sta.Results, plan *scan.Plan, opts Options) *
 			g.Excluded[in.ID] = reason
 			continue
 		}
-		g.Regs = append(g.Regs, NewRegInfo(d, res, in, opts))
+		g.Regs = append(g.Regs, NewRegInfo(d, slacks, in, opts))
 		sigs = append(sigs, SigOf(d, plan, in))
 	}
 	allowCross := plan == nil || plan.AllowCrossChain
@@ -211,12 +204,12 @@ func FromParts(d *netlist.Design, plan *scan.Plan, opts Options, regs []*RegInfo
 // NewRegInfo computes the per-register data for one eligible register.
 // opts.SlackClamp must already be resolved (Build and internal/compatgraph
 // default it to the clock period).
-func NewRegInfo(d *netlist.Design, res *sta.Results, in *netlist.Inst, opts Options) *RegInfo {
+func NewRegInfo(d *netlist.Design, slacks sta.SlackSource, in *netlist.Inst, opts Options) *RegInfo {
 	info := &RegInfo{
 		Inst:   in,
-		DSlack: clampSlack(sta.RegDSlack(d, res, in), opts.SlackClamp),
-		QSlack: clampSlack(sta.RegQSlack(d, res, in), opts.SlackClamp),
-		Region: sta.FeasibleRegion(d, res, in),
+		DSlack: clampSlack(sta.RegDSlack(d, slacks, in), opts.SlackClamp),
+		QSlack: clampSlack(sta.RegQSlack(d, slacks, in), opts.SlackClamp),
+		Region: sta.FeasibleRegion(d, slacks, in),
 	}
 	if cp := d.ClockPin(in); cp != nil {
 		info.ClockPos = d.PinPos(cp)
@@ -274,7 +267,7 @@ func PairTest(opts Options, a, b *RegInfo, sa, sb StaticSig, allowCross bool) (T
 		return m, false
 	}
 	m |= TestFunctional
-	if !scanCompatibleSig(sa, sb, allowCross) {
+	if !scan.PairRule(sa.Slot, sb.Slot, allowCross) {
 		return m, false
 	}
 	m |= TestScan
@@ -286,23 +279,6 @@ func PairTest(opts Options, a, b *RegInfo, sa, sb StaticSig, allowCross bool) (T
 		return m, false
 	}
 	return m | TestTiming, true
-}
-
-// scanCompatibleSig mirrors scan.Plan.PairCompatible over static signatures.
-func scanCompatibleSig(a, b StaticSig, allowCross bool) bool {
-	if a.Scanned != b.Scanned {
-		return false
-	}
-	if !a.Scanned {
-		return true // both unscanned
-	}
-	if a.Partition != b.Partition {
-		return false
-	}
-	if a.Ordered || b.Ordered || !allowCross {
-		return a.Chain == b.Chain
-	}
-	return true
 }
 
 // placementCompatible: the timing-feasible regions must overlap, providing
@@ -343,7 +319,10 @@ func (g *Graph) GroupRegion(nodes []int) (geom.Rect, bool) {
 	return geom.IntersectAll(rs)
 }
 
-// GroupScanCompatible applies the group-level scan rule to a node set.
+// GroupScanCompatible applies the group-level scan rule to a clique of the
+// graph. Its edges already passed the pairwise rule (scan.PairRule), so
+// only ordered-chain contiguity (scan.Plan.Contiguous) is left to check;
+// a node set that is not a clique needs scan.Plan.GroupCompatible instead.
 func (g *Graph) GroupScanCompatible(nodes []int) bool {
 	if g.Plan == nil {
 		return true
@@ -352,7 +331,7 @@ func (g *Graph) GroupScanCompatible(nodes []int) bool {
 	for i, n := range nodes {
 		ids[i] = g.Regs[n].Inst.ID
 	}
-	return g.Plan.GroupCompatible(ids)
+	return g.Plan.Contiguous(ids)
 }
 
 // Stats summarizes the graph for reporting.

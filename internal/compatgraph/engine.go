@@ -122,16 +122,19 @@ func (e *Engine) workers() int {
 }
 
 // Update builds the compatibility graph of the design under the given
-// fresh STA results. The returned graph is exactly the graph compat.Build
-// would produce on the same inputs, independent of the worker count.
-func (e *Engine) Update(res *sta.Results) *compat.Graph {
+// slacks, which must be up to date with the design (an sta.Engine after
+// its RunEndpoints, or a Results snapshot). They are read once, on the
+// calling goroutine, in the node phase. The returned graph is exactly the
+// graph compat.Build would produce on the same inputs, independent of the
+// worker count.
+func (e *Engine) Update(slacks sta.SlackSource) *compat.Graph {
 	opts := e.opts.Compat
 	if opts.SlackClamp == 0 {
 		opts.SlackClamp = e.d.Timing.ClockPeriod
 	}
 
 	nodeStart := time.Now()
-	infos, sigs, excluded := e.nodePhase(res, opts)
+	infos, sigs, excluded := e.nodePhase(slacks, opts)
 	nodeNS := time.Since(nodeStart).Nanoseconds()
 
 	edgeStart := time.Now()
@@ -151,7 +154,7 @@ func (e *Engine) Update(res *sta.Results) *compat.Graph {
 
 // nodePhase computes every live register's eligibility, info and
 // signature, in ascending instance-ID order (the Build order).
-func (e *Engine) nodePhase(res *sta.Results, opts compat.Options) ([]*compat.RegInfo, []compat.StaticSig, map[netlist.InstID]compat.NotComposableReason) {
+func (e *Engine) nodePhase(slacks sta.SlackSource, opts compat.Options) ([]*compat.RegInfo, []compat.StaticSig, map[netlist.InstID]compat.NotComposableReason) {
 	d := e.d
 	regs := d.Registers()
 	infos := make([]*compat.RegInfo, 0, len(regs))
@@ -162,7 +165,7 @@ func (e *Engine) nodePhase(res *sta.Results, opts compat.Options) ([]*compat.Reg
 			excluded[in.ID] = reason
 			continue
 		}
-		infos = append(infos, compat.NewRegInfo(d, res, in, opts))
+		infos = append(infos, compat.NewRegInfo(d, slacks, in, opts))
 		sigs = append(sigs, compat.SigOf(d, e.plan, in))
 	}
 	return infos, sigs, excluded

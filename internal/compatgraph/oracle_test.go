@@ -89,6 +89,34 @@ func requireGraphsEqual(t *testing.T, ctx string, got, want *compat.Graph) {
 	}
 }
 
+// freshSnapshot is the oracle's timing: the Run snapshot of a new engine
+// given eng's useful skews, under ideal clocks as compat graphs are built.
+// An Update that reads eng must see exactly these slacks.
+func freshSnapshot(t *testing.T, d *netlist.Design, eng *sta.Engine) *sta.Results {
+	t.Helper()
+	fresh := sta.New(d)
+	fresh.SetIdealClocks(true)
+	d.Insts(func(in *netlist.Inst) {
+		if s := eng.Skew(in.ID); s != 0 {
+			fresh.SetSkew(in.ID, s)
+		}
+	})
+	res, err := fresh.Run()
+	if err != nil {
+		t.Fatalf("fresh sta: %v", err)
+	}
+	return res
+}
+
+// runEngine brings the retained engine up to date, as a compose site does
+// before it reads the engine's slacks.
+func runEngine(t *testing.T, eng *sta.Engine) {
+	t.Helper()
+	if _, err := eng.RunEndpoints(); err != nil {
+		t.Fatalf("sta: %v", err)
+	}
+}
+
 // mutate applies one randomized edit round: moves, resizes, skews, and a
 // composition pass (which merges registers and rewrites the scan plan).
 func mutate(t *testing.T, b *bench.Result, eng *sta.Engine, rng *rand.Rand, round int) {
@@ -129,11 +157,8 @@ func mutate(t *testing.T, b *bench.Result, eng *sta.Engine, rng *rand.Rand, roun
 	// Every third round, run a real composition pass: merges remove
 	// members, create MBR nodes, and update the scan plan.
 	if round%3 == 2 {
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatalf("sta for compose: %v", err)
-		}
-		g := compat.Build(d, res, b.Plan, compat.DefaultOptions())
+		runEngine(t, eng)
+		g := compat.Build(d, eng, b.Plan, compat.DefaultOptions())
 		opts := core.DefaultOptions()
 		opts.NamePrefix = fmt.Sprintf("orc%d", round)
 		if _, err := core.Compose(d, g, b.Plan, opts); err != nil {
@@ -142,10 +167,11 @@ func mutate(t *testing.T, b *bench.Result, eng *sta.Engine, rng *rand.Rand, roun
 	}
 }
 
-// TestUpdateEqualsBuildOracle is the equivalence oracle of the sweep: after
-// randomized rounds of merge/move/resize/skew edits on all five profiles,
-// every Update must equal a fresh compat.Build exactly, at several worker
-// counts.
+// TestUpdateEqualsBuildOracle is the equivalence oracle of the sweep and
+// of its timing read: after randomized rounds of merge/move/resize/skew
+// edits on all five profiles, every Update reading the retained STA engine
+// must equal a compat.Build over a fresh engine's snapshot exactly, at
+// several worker counts.
 func TestUpdateEqualsBuildOracle(t *testing.T) {
 	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
@@ -158,12 +184,9 @@ func TestUpdateEqualsBuildOracle(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(len(profile)*1000 + workers)))
 
 				for round := 0; round < 8; round++ {
-					res, err := eng.Run()
-					if err != nil {
-						t.Fatalf("round %d: sta: %v", round, err)
-					}
-					got := cg.Update(res)
-					want := compat.Build(d, res, b.Plan, compat.DefaultOptions())
+					runEngine(t, eng)
+					got := cg.Update(eng)
+					want := compat.Build(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions())
 					requireGraphsEqual(t, fmt.Sprintf("%s w%d round %d", profile, workers, round), got, want)
 					mutate(t, b, eng, rng, round)
 				}
@@ -188,11 +211,8 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		var out []snap
 		for round := 0; round < 6; round++ {
-			res, err := eng.Run()
-			if err != nil {
-				t.Fatalf("sta: %v", err)
-			}
-			out = append(out, snap{cg.Update(res), cg.Stats()})
+			runEngine(t, eng)
+			out = append(out, snap{cg.Update(eng), cg.Stats()})
 			mutate(t, b, eng, rng, round)
 		}
 		return out
@@ -216,9 +236,10 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRebuildEqualsBuildAtScale checks the sweep against the dense
-// compat.Build reference at a scale where the per-bucket grids have several
-// cells, so their spatial filter actually prunes pairs (at oracleScale every
+// TestRebuildEqualsBuildAtScale checks the sweep, reading the retained
+// engine, against the dense compat.Build reference over a fresh engine's
+// snapshot at a scale where the per-bucket grids have several cells, so
+// their spatial filter actually prunes pairs (at oracleScale every
 // bucket's grid is a single cell): the first Update, and an Update after
 // one edit round, on all five profiles. Testing fewer pairs than the
 // buckets hold proves some grid was multi-cell.
@@ -239,14 +260,11 @@ func TestRebuildEqualsBuildAtScale(t *testing.T) {
 			if round > 0 {
 				mutate(t, b, eng, rng, 0) // moves, resizes and skews
 			}
-			res, err := eng.Run()
-			if err != nil {
-				t.Fatalf("%s round %d: sta: %v", profile, round, err)
-			}
-			got := cg.Update(res)
+			runEngine(t, eng)
+			got := cg.Update(eng)
 			st := cg.Stats()
 			ctx := fmt.Sprintf("%s round %d", profile, round)
-			requireGraphsEqual(t, ctx, got, compat.Build(d, res, b.Plan, compat.DefaultOptions()))
+			requireGraphsEqual(t, ctx, got, compat.Build(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions()))
 			if st.LastPairsTested < sameKeyPairs(d, b.Plan, got) {
 				filtered = true
 			}

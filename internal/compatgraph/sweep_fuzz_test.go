@@ -60,11 +60,13 @@ func FuzzSweepMatchesPairScan(f *testing.F) {
 			}
 			infos[i] = &compat.RegInfo{DSlack: slack(), QSlack: slack(), Region: r}
 			sigs[i] = compat.StaticSig{
-				FuncKey:   compat.FuncKey{GateGroup: rng.Intn(1 + int(nkeys%4))},
-				Scanned:   rng.Intn(2) == 0,
-				Chain:     rng.Intn(2),
-				Partition: rng.Intn(2),
-				Ordered:   rng.Intn(3) == 0,
+				FuncKey: compat.FuncKey{GateGroup: rng.Intn(1 + int(nkeys%4))},
+				Slot: scan.Slot{
+					Scanned:   rng.Intn(2) == 0,
+					Chain:     rng.Intn(2),
+					Partition: rng.Intn(2),
+					Ordered:   rng.Intn(3) == 0,
+				},
 			}
 		}
 

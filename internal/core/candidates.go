@@ -157,19 +157,7 @@ func enumerateCandidates(
 		return nil, false, fmt.Errorf("core: no library widths for class %s", class.Key())
 	}
 
-	// Subgraph-local clique graph.
-	cg := clique.NewGraph(len(nodes))
-	local := map[int]int{}
-	for i, n := range nodes {
-		local[n] = i
-	}
-	for i, n := range nodes {
-		for _, m := range g.Adj[n] {
-			if j, ok := local[m]; ok && j > i {
-				cg.AddEdge(i, j)
-			}
-		}
-	}
+	cg := localCliqueGraph(g, nodes)
 	bits := make([]int, len(nodes))
 	for i, n := range nodes {
 		bits[i] = regOf(g, n).Bits()
@@ -257,6 +245,24 @@ func enumerateCandidates(
 		}
 	}
 	return cands, res.Truncated, nil
+}
+
+// localCliqueGraph is the subgraph-local clique graph: node i stands for
+// nodes[i], and edges are the compatibility edges among nodes.
+func localCliqueGraph(g *compat.Graph, nodes []int) *clique.Graph {
+	cg := clique.NewGraph(len(nodes))
+	local := map[int]int{}
+	for i, n := range nodes {
+		local[n] = i
+	}
+	for i, n := range nodes {
+		for _, m := range g.Adj[n] {
+			if j, ok := local[m]; ok && j > i {
+				cg.AddEdge(i, j)
+			}
+		}
+	}
+	return cg
 }
 
 // evalMulti validates one multi-member group — members are subgraph-local

@@ -58,12 +58,12 @@ func placementInputs(
 	for _, m := range ordered {
 		for b := 0; b < m.Bits(); b++ {
 			if dp := d.DPin(m, b); dp != nil && dp.Net != netlist.NoID {
-				if box, ok := othersBox(d, d.Net(dp.Net), dp); ok {
+				if box, ok := d.NetBBoxExcluding(d.Net(dp.Net), dp.ID); ok {
 					in.jobs = append(in.jobs, pinJob{off: cell.DPins[k], box: box})
 				}
 			}
 			if qp := d.QPin(m, b); qp != nil && qp.Net != netlist.NoID {
-				if box, ok := othersBox(d, d.Net(qp.Net), qp); ok {
+				if box, ok := d.NetBBoxExcluding(d.Net(qp.Net), qp.ID); ok {
 					in.jobs = append(in.jobs, pinJob{off: cell.QPins[k], box: box})
 				}
 			}
@@ -132,32 +132,6 @@ func solvePlacement(d *netlist.Design, in *placeInputs) (geom.Point, error) {
 	}
 	p := geom.Point{X: int64(math.Round(sol.X[x])), Y: int64(math.Round(sol.X[y]))}
 	return snapToGrid(d, region.ClampPoint(p), region), nil
-}
-
-// othersBox returns the bounding box of the net's pins excluding excl; ok
-// is false when excl is the net's only pin.
-func othersBox(d *netlist.Design, n *netlist.Net, excl *netlist.Pin) (box geom.Rect, ok bool) {
-	add := func(id netlist.PinID) {
-		if id == excl.ID {
-			return
-		}
-		p := d.PinPos(d.Pin(id))
-		if !ok {
-			box, ok = geom.Rect{Lo: p, Hi: p}, true
-			return
-		}
-		box.Lo.X = min(box.Lo.X, p.X)
-		box.Lo.Y = min(box.Lo.Y, p.Y)
-		box.Hi.X = max(box.Hi.X, p.X)
-		box.Hi.Y = max(box.Hi.Y, p.Y)
-	}
-	if n.Driver != netlist.NoID {
-		add(n.Driver)
-	}
-	for _, s := range n.Sinks {
-		add(s)
-	}
-	return box, ok
 }
 
 // snapToGrid rounds the point down to the design's site/row grid while

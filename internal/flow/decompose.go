@@ -89,11 +89,10 @@ func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) 
 	if dcfg.All {
 		victims = maxWidthVictims(d)
 	} else {
-		tres, err := s.engs.sta.Run()
-		if err != nil {
+		if _, err := s.engs.sta.RunEndpoints(); err != nil {
 			return nil, err
 		}
-		victims = slackVictims(d, dcfg, tres)
+		victims = slackVictims(d, dcfg, s.engs.sta)
 	}
 
 	for _, r := range victims {
@@ -129,7 +128,7 @@ func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) 
 // slackVictims picks the decompose victims: movable multi-bit registers
 // with a 1-bit cell available whose worst D/Q pin slack is below the
 // threshold, worst first, up to the budget.
-func slackVictims(d *netlist.Design, dcfg DecomposeConfig, tres *sta.Results) []*netlist.Inst {
+func slackVictims(d *netlist.Design, dcfg DecomposeConfig, slacks sta.SlackSource) []*netlist.Inst {
 	type scored struct {
 		in    *netlist.Inst
 		slack float64
@@ -142,7 +141,7 @@ func slackVictims(d *netlist.Design, dcfg DecomposeConfig, tres *sta.Results) []
 		if d.Lib.SelectCell(in.RegCell.Class, 1, in.RegCell.DriveRes) == nil {
 			continue
 		}
-		worst := math.Min(sta.RegDSlack(d, tres, in), sta.RegQSlack(d, tres, in))
+		worst := math.Min(sta.RegDSlack(d, slacks, in), sta.RegQSlack(d, slacks, in))
 		if worst >= dcfg.SlackThresholdPS {
 			continue
 		}

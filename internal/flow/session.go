@@ -124,11 +124,10 @@ func (s *Session) ComposePass() (*core.Result, error) {
 	}
 	s.engs.sta.SetIdealClocks(true)
 	defer s.engs.sta.SetIdealClocks(false)
-	res, err := s.engs.sta.Run()
-	if err != nil {
+	if _, err := s.engs.sta.RunEndpoints(); err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
-	g := s.engs.cg.Update(res)
+	g := s.engs.cg.Update(s.engs.sta)
 	cres, err := core.Compose(s.d, g, s.plan, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)

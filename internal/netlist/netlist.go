@@ -528,8 +528,15 @@ func (d *Design) PinPos(p *Pin) geom.Point {
 // the pins and allocates nothing, so the per-net helpers built on it
 // (NetHPWL, NetContrib, NetLoadCap) are allocation-free too.
 func (d *Design) NetBBox(n *Net) (geom.Rect, bool) {
+	return d.NetBBoxExcluding(n, NoID)
+}
+
+// NetBBoxExcluding is NetBBox over the connected pins of n other than
+// excl; ok is false when no other pin is connected. A pin not on the net
+// excludes nothing.
+func (d *Design) NetBBoxExcluding(n *Net, excl PinID) (geom.Rect, bool) {
 	first, sinks := n.Driver, n.Sinks
-	if first == NoID {
+	for first == NoID || first == excl {
 		if len(sinks) == 0 {
 			return geom.Rect{}, false
 		}
@@ -538,6 +545,9 @@ func (d *Design) NetBBox(n *Net) (geom.Rect, bool) {
 	p := d.PinPos(d.pins[first])
 	r := geom.Rect{Lo: p, Hi: p}
 	for _, s := range sinks {
+		if s == excl {
+			continue
+		}
 		p := d.PinPos(d.pins[s])
 		r.Lo.X = min(r.Lo.X, p.X)
 		r.Lo.Y = min(r.Lo.Y, p.Y)

@@ -220,13 +220,15 @@ func TestNetBBoxMatchesBoundingBox(t *testing.T) {
 		}
 		return in
 	}
-	oracle := func(n *Net) (geom.Rect, bool) {
+	oracle := func(n *Net, excl PinID) (geom.Rect, bool) {
 		var pts []geom.Point
-		if n.Driver != NoID {
+		if n.Driver != NoID && n.Driver != excl {
 			pts = append(pts, d.PinPos(d.Pin(n.Driver)))
 		}
 		for _, s := range n.Sinks {
-			pts = append(pts, d.PinPos(d.Pin(s)))
+			if s != excl {
+				pts = append(pts, d.PinPos(d.Pin(s)))
+			}
 		}
 		if len(pts) == 0 {
 			return geom.Rect{}, false
@@ -256,14 +258,39 @@ func TestNetBBoxMatchesBoundingBox(t *testing.T) {
 		{"fanout", true, 17},
 		{"huge", true, 3000},
 	}
+	// A pin on another net: excluding it excludes nothing.
+	outsider := build(true, 1).Driver
 	var huge *Net
+	onlyPin := 0
 	for _, sh := range shapes {
 		for rep := 0; rep < 20; rep++ {
 			n := build(sh.driver, sh.sinks)
 			got, gotOK := d.NetBBox(n)
-			want, wantOK := oracle(n)
+			want, wantOK := oracle(n, NoID)
 			if got != want || gotOK != wantOK {
 				t.Fatalf("%s #%d: NetBBox = %v,%v, BoundingBox = %v,%v", sh.name, rep, got, gotOK, want, wantOK)
+			}
+			excls := map[string]PinID{"outsider": outsider}
+			if n.Driver != NoID {
+				excls["driver"] = n.Driver
+			}
+			if len(n.Sinks) > 0 {
+				excls["sink"] = n.Sinks[rng.Intn(len(n.Sinks))]
+			}
+			for what, excl := range excls {
+				got, gotOK := d.NetBBoxExcluding(n, excl)
+				want, wantOK := oracle(n, excl)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("%s #%d excluding the %s: NetBBoxExcluding = %v,%v, BoundingBox = %v,%v",
+						sh.name, rep, what, got, gotOK, want, wantOK)
+				}
+				if what != "outsider" && len(excls) == 2 && len(n.Sinks) <= 1 {
+					// excl is the net's only pin: nothing is left.
+					if gotOK {
+						t.Fatalf("%s #%d excluding its only pin: ok", sh.name, rep)
+					}
+					onlyPin++
+				}
 			}
 			if sh.name == "huge" {
 				huge = n
@@ -272,13 +299,17 @@ func TestNetBBoxMatchesBoundingBox(t *testing.T) {
 		}
 	}
 
+	if onlyPin == 0 {
+		t.Fatal("no net had its only pin excluded")
+	}
 	if huge == nil || len(huge.Sinks) < 1000 {
 		t.Fatal("no 1,000-sink net built")
 	}
 	for name, f := range map[string]func(){
-		"NetBBox":    func() { d.NetBBox(huge) },
-		"NetHPWL":    func() { d.NetHPWL(huge) },
-		"NetContrib": func() { d.NetContrib(huge) },
+		"NetBBox":          func() { d.NetBBox(huge) },
+		"NetBBoxExcluding": func() { d.NetBBoxExcluding(huge, huge.Sinks[len(huge.Sinks)/2]) },
+		"NetHPWL":          func() { d.NetHPWL(huge) },
+		"NetContrib":       func() { d.NetContrib(huge) },
 	} {
 		if a := testing.AllocsPerRun(20, f); a != 0 {
 			t.Errorf("%s allocates %v times per call on a %d-sink net, want 0", name, a, len(huge.Sinks))

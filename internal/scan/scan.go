@@ -76,32 +76,51 @@ func (p *Plan) ChainOf(id netlist.InstID) (*Chain, int, bool) {
 	return p.chains[r.Chain], r.Pos, true
 }
 
-// PairCompatible implements the pairwise scan rule of §2: both registers
-// unscanned, or both scanned in the same partition — additionally on the
-// same chain when either sits in an ordered section or cross-chain movement
-// is disallowed.
-func (p *Plan) PairCompatible(a, b netlist.InstID) bool {
-	ca, _, oka := p.ChainOf(a)
-	cb, _, okb := p.ChainOf(b)
-	if oka != okb {
+// Slot is where a register sits in the scan organization: the inputs of
+// the pairwise rule (PairRule). The zero Slot is an unscanned register.
+type Slot struct {
+	Scanned   bool
+	Chain     int
+	Partition int
+	Ordered   bool
+}
+
+// SlotOf returns the register's slot (the zero Slot when unscanned).
+func (p *Plan) SlotOf(id netlist.InstID) Slot {
+	c, _, ok := p.ChainOf(id)
+	if !ok {
+		return Slot{}
+	}
+	return Slot{Scanned: true, Chain: c.ID, Partition: c.Partition, Ordered: c.Ordered}
+}
+
+// PairRule is the pairwise scan rule of §2: both registers unscanned, or
+// both scanned in the same partition — additionally on the same chain when
+// either sits in an ordered section or cross-chain movement is disallowed
+// (allowCross is the plan's AllowCrossChain).
+func PairRule(a, b Slot, allowCross bool) bool {
+	if a.Scanned != b.Scanned {
 		return false
 	}
-	if !oka {
+	if !a.Scanned {
 		return true // both unscanned
 	}
-	if ca.Partition != cb.Partition {
+	if a.Partition != b.Partition {
 		return false
 	}
-	if ca.Ordered || cb.Ordered || !p.AllowCrossChain {
-		return ca.ID == cb.ID
+	if a.Ordered || b.Ordered || !allowCross {
+		return a.Chain == b.Chain
 	}
 	return true
 }
 
+// PairCompatible applies PairRule to two registers of the plan.
+func (p *Plan) PairCompatible(a, b netlist.InstID) bool {
+	return PairRule(p.SlotOf(a), p.SlotOf(b), p.AllowCrossChain)
+}
+
 // GroupCompatible implements the group-level rule: every pair must be
-// PairCompatible, and a group inside an ordered section must form a
-// contiguous run of the chain (so the MBR's internal chain can preserve the
-// scan order).
+// PairCompatible, and the group must be Contiguous.
 func (p *Plan) GroupCompatible(ids []netlist.InstID) bool {
 	for i := 0; i < len(ids); i++ {
 		for j := i + 1; j < len(ids); j++ {
@@ -110,6 +129,15 @@ func (p *Plan) GroupCompatible(ids []netlist.InstID) bool {
 			}
 		}
 	}
+	return p.Contiguous(ids)
+}
+
+// Contiguous is the group-level half of the rule: a group inside an
+// ordered section must form a contiguous run of the chain, so the MBR's
+// internal chain can preserve the scan order. It assumes the group passes
+// PairRule pairwise (a compatibility-graph clique does), so an ordered
+// group lies on its first member's chain. An empty group is rejected.
+func (p *Plan) Contiguous(ids []netlist.InstID) bool {
 	if len(ids) == 0 {
 		return false
 	}
@@ -117,7 +145,6 @@ func (p *Plan) GroupCompatible(ids []netlist.InstID) bool {
 	if !ok || !c.Ordered {
 		return true
 	}
-	// Contiguity in the ordered chain.
 	pos := make([]int, 0, len(ids))
 	for _, id := range ids {
 		_, pp, _ := p.ChainOf(id)

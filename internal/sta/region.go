@@ -28,7 +28,9 @@ import (
 // current corner position is returned as a degenerate region — per the
 // paper, an unmovable cell still defines a region matching its footprint
 // where other registers can move to.
-func FeasibleRegion(d *netlist.Design, res *Results, in *netlist.Inst) geom.Rect {
+//
+// slacks must be up to date with d (see SlackSource).
+func FeasibleRegion(d *netlist.Design, slacks SlackSource, in *netlist.Inst) geom.Rect {
 	var boxes []geom.Rect
 	corner := in.Pos
 
@@ -37,7 +39,7 @@ func FeasibleRegion(d *netlist.Design, res *Results, in *netlist.Inst) geom.Rect
 			return
 		}
 		pos := d.PinPos(p)
-		slack := res.PinSlack(p.ID)
+		slack := slacks.PinSlack(p.ID)
 		var box geom.Rect
 		if math.IsInf(slack, 1) {
 			return // unconstrained pin: no restriction
@@ -53,7 +55,10 @@ func FeasibleRegion(d *netlist.Design, res *Results, in *netlist.Inst) geom.Rect
 				Hi: geom.Point{X: pos.X + dist, Y: pos.Y + dist},
 			}
 		} else {
-			box = netBoxExcluding(d, d.Net(p.Net), p)
+			var ok bool
+			if box, ok = d.NetBBoxExcluding(d.Net(p.Net), p.ID); !ok {
+				box = geom.Rect{Lo: pos, Hi: pos} // no other pin on the net
+			}
 		}
 		// Translate from pin space to cell-corner space.
 		off := geom.Point{X: p.Offset.DX, Y: p.Offset.DY}
@@ -113,24 +118,4 @@ func netDriverRes(d *netlist.Design, n *netlist.Net) float64 {
 		return in.Comb.DriveRes
 	}
 	return 10.0 // port
-}
-
-// netBoxExcluding returns the bounding box of the net's pins other than
-// excl; when the net has no other pins the box degenerates to excl's
-// current position.
-func netBoxExcluding(d *netlist.Design, n *netlist.Net, excl *netlist.Pin) geom.Rect {
-	var pts []geom.Point
-	if n.Driver != netlist.NoID && n.Driver != excl.ID {
-		pts = append(pts, d.PinPos(d.Pin(n.Driver)))
-	}
-	for _, s := range n.Sinks {
-		if s != excl.ID {
-			pts = append(pts, d.PinPos(d.Pin(s)))
-		}
-	}
-	if len(pts) == 0 {
-		p := d.PinPos(excl)
-		return geom.Rect{Lo: p, Hi: p}
-	}
-	return geom.BoundingBox(pts)
 }

@@ -32,10 +32,11 @@
 // write disjoint slice elements, joined before Run returns), and a Results
 // snapshot is immutable once returned — no lazy caches, no package-level
 // state. Concurrent readers of one Results (slacks, regions) need no
-// locking; the parallel composition pipeline shares a single snapshot
-// across all workers. Engines on the same Design must not run while the
-// Design is being edited, and an Engine itself is not safe for concurrent
-// use.
+// locking. Composition takes no snapshot: the compat graph reads the
+// engine's slacks (PinSlack) once, sequentially, right after RunEndpoints,
+// and the composition workers read only the per-register copies it made.
+// Engines on the same Design must not run while the Design is being
+// edited, and an Engine itself is not safe for concurrent use.
 package sta
 
 import (
@@ -81,7 +82,8 @@ func (r *Results) PinSlack(id netlist.PinID) float64 {
 }
 
 // SlackSource answers per-pin slack queries: a Results snapshot, or an
-// Engine's state as of its last Run or RunEndpoints.
+// Engine's state as of its last Run or RunEndpoints. Readers that need the
+// design's current slacks must run the engine after the last edit.
 type SlackSource interface {
 	PinSlack(id netlist.PinID) float64
 }
