@@ -37,26 +37,32 @@ func TestGoldenReports(t *testing.T) {
 	for _, spec := range goldenSpecs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			got := runCanonical(t, spec, 0)
-			path := filepath.Join("testdata", "report_"+spec.Name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", path, len(got))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Fatalf("report drifted from %s:\n%s\n(rerun with -update only if the change is intentional)",
-					path, firstDiff(string(want), got))
-			}
+			checkGolden(t, "report_"+spec.Name+".golden", runCanonical(t, spec, 0))
 		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("output drifted from %s:\n%s\n(rerun with -update only if the change is intentional)",
+			path, firstDiff(string(want), got))
 	}
 }
