@@ -159,7 +159,8 @@ FUZZ_TARGETS = \
 	./internal/place:FuzzRowSearchMatchesScan \
 	./internal/sta:FuzzStructuralDeltaMatchesFull \
 	./internal/compatgraph:FuzzSweepMatchesPairScan \
-	./internal/flow:FuzzEditDecode
+	./internal/flow:FuzzEditDecode \
+	./internal/flow:FuzzBankDebankEdits
 FUZZTIME ?= 30s
 
 fuzz:

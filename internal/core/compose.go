@@ -330,15 +330,7 @@ func mapMBR(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) (m
 
 	ordered := insts
 	if plan != nil {
-		ids := make([]netlist.InstID, len(insts))
-		for i, in := range insts {
-			ids[i] = in.ID
-		}
-		mo := plan.MergeOrder(ids)
-		ordered = make([]*netlist.Inst, len(mo))
-		for i, id := range mo {
-			ordered[i] = d.Inst(id)
-		}
+		ordered = mergeOrder(d, plan, insts)
 	} else {
 		sort.Slice(ordered, func(i, j int) bool {
 			if ordered[i].Pos.Y != ordered[j].Pos.Y {
@@ -370,7 +362,7 @@ func preplace(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) 
 	return &placedMBR{in: m.place, pos: pos}
 }
 
-// commit maps, places and merges one selected candidate. It reports
+// commit maps, places and banks one selected candidate. It reports
 // whether it had to solve the placement LP itself: an earlier merge of
 // this commit can move a pin on one of the MBR's nets or reorder its scan
 // chain, so the shard's position is reused only when the LP inputs read
@@ -397,25 +389,13 @@ func commit(
 		pos = c.placed.pos
 	}
 
-	memberIDs := make([]netlist.InstID, len(m.ordered))
-	for i, in := range m.ordered {
-		memberIDs[i] = in.ID
-	}
-	if release != nil {
-		release(m.ordered)
-	}
-	mr, err := d.MergeRegisters(m.ordered, m.cell, name, pos)
+	mr, err := Bank(d, plan, release, m.ordered, m.cell, name, pos)
 	if err != nil {
 		return nil, false, err
 	}
-	if plan != nil {
-		if err := plan.ApplyMerge(memberIDs, mr.MBR.ID); err != nil {
-			return nil, false, err
-		}
-	}
 	return &ComposedMBR{
 		Inst:       mr.MBR,
-		Members:    memberIDs,
+		Members:    netlist.IDs(m.ordered),
 		Cell:       m.cell,
 		Bits:       c.totalBits,
 		Incomplete: mr.UnusedBits > 0,

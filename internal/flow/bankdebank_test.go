@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 )
 
@@ -62,7 +63,7 @@ func bankDebankScript(t *testing.T, s *Session) string {
 	measure("open")
 
 	d := s.Design()
-	pairs := mergeablePairs(s, 3)
+	pairs := mergeablePairs(s, 3, false)
 	if len(pairs) < 3 {
 		t.Fatalf("found %d mergeable pairs, want 3", len(pairs))
 	}
@@ -130,8 +131,10 @@ func writeMBRs(b *strings.Builder, cres *core.Result) {
 // mergeablePairs returns up to n disjoint pairs of movable single-bit
 // registers that a merge edit accepts: same class, one clock root, the same
 // reset, enable and scan-enable nets, and a scan-compatible merge order.
-// It reads the design only, so no probe edit is ever applied.
-func mergeablePairs(s *Session, n int) [][2]*netlist.Inst {
+// With crossDomain set the pairs differ in clock root instead, so a merge
+// of one fails on the clock alone. It reads the design only, so no probe
+// edit is ever applied.
+func mergeablePairs(s *Session, n int, crossDomain bool) [][2]*netlist.Inst {
 	d, plan := s.Design(), s.Plan()
 	var regs []*netlist.Inst
 	for _, in := range d.Registers() {
@@ -145,7 +148,7 @@ func mergeablePairs(s *Session, n int) [][2]*netlist.Inst {
 		for j := i + 1; j < len(regs) && !used[regs[i].ID]; j++ {
 			a, c := regs[i], regs[j]
 			if used[c.ID] || a.RegCell.Class != c.RegCell.Class ||
-				d.ClockRootNet(d.ClockNet(a)) != d.ClockRootNet(d.ClockNet(c)) {
+				(d.ClockRootNet(d.ClockNet(a)) != d.ClockRootNet(d.ClockNet(c))) != crossDomain {
 				continue
 			}
 			same := true
@@ -160,4 +163,132 @@ func mergeablePairs(s *Session, n int) [][2]*netlist.Inst {
 		}
 	}
 	return out
+}
+
+// FuzzBankDebankEdits drives a D1 session through fuzzed merge and split
+// edits and measures. Members come from a pool of every live register
+// plus non-registers and an unknown name, picked near each other so that
+// accepted merges, duplicates and cross-domain pairs all occur; cells are
+// optional and may be of another class; positions are optional. A rejected
+// edit must leave the epoch and the state dump unchanged; after an
+// accepted one the design and the scan plan must validate and every new
+// register must have its source registers' class.
+func FuzzBankDebankEdits(f *testing.F) {
+	for _, seed := range [][]byte{
+		{2, 0, 0, 10, 0, 1, 1, 1},
+		{2, 0, 2, 40, 0, 3, 5, 0, 1, 0, 0},
+		{0, 0, 7, 1, 1, 0, 0, 2, 1, 3, 1},
+		{2, 1, 0, 0, 2, 0, 0, 12, 30, 2, 0, 1, 20, 3},
+		{2, 0, 1, 87, 0, 3, 8, 2, 0, 0, 5, 4, 9},
+		// A merge of two clock domains after a measure, whose rejection
+		// once reconnected the released clock pins at the end of their leaf
+		// nets' sink lists.
+		[]byte("1 1100801000"),
+		// A merge into a cell of another functional class, once accepted.
+		[]byte("\xdb\"00C20000"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, _ := sessionBench(t, DefaultConfig())
+		d := s.Design()
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		var cells []*lib.Cell
+		seen := map[lib.FuncClass]bool{}
+		for _, in := range d.Registers() {
+			if c := in.RegCell.Class; !seen[c] {
+				seen[c] = true
+				for _, w := range d.Lib.Widths(c) {
+					cells = append(cells, d.Lib.CellsOfWidth(c, w)...)
+				}
+			}
+		}
+		cellName := func() string {
+			if c := next(); c%3 != 0 {
+				return cells[c%len(cells)].Name
+			}
+			return ""
+		}
+		for step := 0; len(data) > 0 && step < 16; step++ {
+			var pool []string
+			d.Insts(func(in *netlist.Inst) {
+				if in.Kind == netlist.KindReg || (in.Kind == netlist.KindComb && len(pool) < 3) {
+					pool = append(pool, in.Name)
+				}
+			})
+			pool = append(pool, "no_such_inst")
+			var e Edit
+			switch next() % 3 {
+			case 0:
+				m := &MergeEdit{Name: fmt.Sprintf("fz_m%d", step), Cell: cellName()}
+				base := next() * 7
+				for k := 2 + next()%3; k > 0; k-- {
+					m.Group = append(m.Group, pool[(base+next()%8)%len(pool)])
+				}
+				if p := next(); p%2 == 1 {
+					m.X, m.Y = Coord(d.Core.Lo.X+int64(p)*200), Coord(d.Core.Lo.Y+int64(p)*120)
+				}
+				e = Edit{Merge: m}
+			case 1:
+				e = Edit{Split: &SplitEdit{Inst: pool[(next()*7+next()%8)%len(pool)], Cell: cellName()}}
+			default:
+				if _, err := s.Measure(); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			var srcs []string
+			if e.Merge != nil {
+				srcs = e.Merge.Group
+			} else {
+				srcs = []string{e.Split.Inst}
+			}
+			classes := map[string]lib.FuncClass{}
+			for _, name := range srcs {
+				if in := d.InstByName(name); in != nil && in.RegCell != nil {
+					classes[name] = in.RegCell.Class
+				}
+			}
+			epoch0, state0 := s.Epoch(), dumpState(t, s)
+			res, err := s.Apply([]Edit{e})
+			if err != nil {
+				if s.Epoch() != epoch0 || dumpState(t, s) != state0 {
+					t.Fatalf("step %d: rejected %s edit left a trace (%v)", step, e.Op(), err)
+				}
+				continue
+			}
+			if err := d.Validate(); err != nil {
+				t.Fatalf("step %d: design invalid after %s: %v", step, e.Op(), err)
+			}
+			if err := s.Plan().Validate(d); err != nil {
+				t.Fatalf("step %d: plan invalid after %s: %v", step, e.Op(), err)
+			}
+			var made []*netlist.Inst
+			for _, name := range res.Merged {
+				made = append(made, d.InstByName(name))
+			}
+			for _, name := range res.Split {
+				d.Insts(func(in *netlist.Inst) {
+					if strings.HasPrefix(in.Name, name+"_b") && in.Kind == netlist.KindReg {
+						made = append(made, in)
+					}
+				})
+			}
+			for _, in := range made {
+				for src, c := range classes {
+					if in.RegCell.Class != c {
+						t.Fatalf("step %d: %s has class %s, its source %s has %s",
+							step, in.Name, in.RegCell.Class.Key(), src, c.Key())
+					}
+				}
+			}
+		}
+	})
 }

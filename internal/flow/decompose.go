@@ -14,10 +14,10 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/lib"
 	"repro/internal/netlist"
 	"repro/internal/place"
-	"repro/internal/scan"
 	"repro/internal/sta"
 )
 
@@ -75,14 +75,7 @@ func (s *Session) DecomposePassWith(dcfg DecomposeConfig) (*DecomposeResult, err
 	}
 	s.engs.sta.SetIdealClocks(true)
 	defer s.engs.sta.SetIdealClocks(false)
-	return s.decomposePass(dcfg)
-}
-
-// decomposePass selects victims and splits them. The caller owns the STA
-// clock mode (Run and the public wrappers set ideal clocks, matching the
-// composition stage's timing view).
-func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) {
-	d, plan := s.d, s.plan
+	d := s.d
 	res := &DecomposeResult{RegsBefore: len(d.Registers())}
 
 	var victims []*netlist.Inst
@@ -96,24 +89,13 @@ func (s *Session) decomposePass(dcfg DecomposeConfig) (*DecomposeResult, error) 
 	}
 
 	for _, r := range victims {
-		cell := d.Lib.SelectCell(r.RegCell.Class, 1, r.RegCell.DriveRes)
-		origID, origName := r.ID, r.Name
-		class, drive := r.RegCell.Class, r.RegCell.DriveRes
-		parts, err := d.SplitRegister(r, cell)
+		name, class, drive := r.Name, r.RegCell.Class, r.RegCell.DriveRes
+		parts, err := core.Debank(d, s.plan, r, nil)
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]netlist.InstID, len(parts))
-		for i, p := range parts {
-			ids[i] = p.ID
-		}
-		if plan != nil {
-			if err := plan.ApplySplit(origID, ids); err != nil {
-				return nil, err
-			}
-		}
-		s.splitGroups = append(s.splitGroups, splitGroup{class: class, driveRes: drive, parts: ids})
-		res.Victims = append(res.Victims, origName)
+		s.splitGroups = append(s.splitGroups, splitGroup{class: class, driveRes: drive, parts: netlist.IDs(parts)})
+		res.Victims = append(res.Victims, name)
 		res.Parts += len(parts)
 	}
 	// Deliberately NOT legalized here: the split bits sit on (and slightly
@@ -204,13 +186,7 @@ func (s *Session) RestorePass() (int, error) {
 	// one session never collide on a surviving restored_* name.
 	base := s.restoredGroups
 	s.restoredGroups += len(groups)
-	return restoreSplitLeftovers(s.d, s.plan, groups, s.engs.cts.ReleaseClocks, base)
-}
-
-// restoreSplitLeftovers implements RestorePass on explicit state (runFlow
-// drives it directly with the groups its decompose stage produced and
-// nameBase 0, preserving the legacy restored_<group>_<n> names).
-func restoreSplitLeftovers(d *netlist.Design, plan *scan.Plan, groups []splitGroup, release func([]*netlist.Inst), nameBase int) (int, error) {
+	d, plan := s.d, s.plan
 	restored := 0
 	var created []*netlist.Inst
 	for gi, g := range groups {
@@ -227,14 +203,8 @@ func restoreSplitLeftovers(d *netlist.Design, plan *scan.Plan, groups []splitGro
 			rest := survivors[1:]
 			for len(rest) > 0 && len(run) < maxW {
 				cand := append(run, rest[0])
-				if plan != nil {
-					ids := make([]netlist.InstID, len(cand))
-					for i, in := range cand {
-						ids[i] = in.ID
-					}
-					if !plan.GroupCompatible(ids) {
-						break
-					}
+				if plan != nil && !plan.GroupCompatible(netlist.IDs(cand)) {
+					break
 				}
 				run = cand
 				rest = rest[1:]
@@ -243,32 +213,14 @@ func restoreSplitLeftovers(d *netlist.Design, plan *scan.Plan, groups []splitGro
 			if len(run) < 2 {
 				continue
 			}
-			width, ok := d.Lib.SmallestWidthAtLeast(g.class, len(run))
-			if !ok {
+			cell, err := fitCell(d.Lib, g.class, len(run), g.driveRes)
+			if err != nil {
 				continue
 			}
-			cell := d.Lib.SelectCell(g.class, width, g.driveRes)
-			var sx, sy int64
-			for _, in := range run {
-				sx += in.Pos.X
-				sy += in.Pos.Y
-			}
-			pos := geomSnap(d, sx/int64(len(run)), sy/int64(len(run)))
-			ids := make([]netlist.InstID, len(run))
-			for i, in := range run {
-				ids[i] = in.ID
-			}
-			if release != nil {
-				release(run)
-			}
-			mr, err := d.MergeRegisters(run, cell, fmt.Sprintf("restored_%d_%d", nameBase+gi, restored), pos)
+			name := fmt.Sprintf("restored_%d_%d", base+gi, restored)
+			mr, err := core.Bank(d, plan, s.engs.cts.ReleaseClocks, run, cell, name, centroid(d, run))
 			if err != nil {
 				return restored, err
-			}
-			if plan != nil {
-				if err := plan.ApplyMerge(ids, mr.MBR.ID); err != nil {
-					return restored, err
-				}
 			}
 			created = append(created, mr.MBR)
 			restored++

@@ -16,7 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 	"repro/internal/place"
 )
@@ -511,47 +513,24 @@ func (s *Session) applyEdit(e Edit, res *ApplyResult) error {
 	return fmt.Errorf("edit has no operation")
 }
 
-// applyMerge merges the named registers into one MBR, following the
-// composition engine's conventions: scan-aware merge order, clock pins
-// released to the domain root first, scan plan updated, and the new MBR
-// legalized incrementally.
-//
-// Every fallible check runs before the first mutation, and the clock
-// release is rolled back if the netlist merge is still rejected, so a
-// failed merge edit is side-effect free. The journal-keeping caller
-// (internal/serve) depends on that: a failed edit is not journaled, and
-// any surviving mutation would make snapshot replay diverge from the live
-// session.
+// applyMerge merges the named registers into one MBR through core.Bank,
+// the bank step composition's commit and RestorePass share: every check
+// before the first mutation, scan merge order, clock pins released to the
+// domain root, scan plan updated. The new MBR is legalized incrementally.
+// A rejected merge edit leaves no trace, which the journal-keeping caller
+// (internal/serve) depends on: it journals only applied edits, so any
+// surviving mutation would make snapshot replay diverge.
 func (s *Session) applyMerge(e *MergeEdit, res *ApplyResult) error {
-	insts := make([]*netlist.Inst, len(e.Group))
-	ids := make([]netlist.InstID, len(e.Group))
-	members := make(map[netlist.InstID]bool, len(e.Group))
-	totalBits := 0
+	group := make([]*netlist.Inst, len(e.Group))
+	bits := 0
 	for i, name := range e.Group {
 		in, err := s.liveInst(name)
 		if err != nil {
 			return err
 		}
-		if in.Kind != netlist.KindReg {
-			return fmt.Errorf("group member %q is not a register", name)
-		}
-		if in.Fixed || in.SizeOnly {
-			return fmt.Errorf("group member %q is fixed/size-only", name)
-		}
-		if members[in.ID] {
-			return fmt.Errorf("group member %q listed twice", name)
-		}
-		members[in.ID] = true
-		insts[i] = in
-		ids[i] = in.ID
-		totalBits += in.Bits()
+		group[i] = in
+		bits += in.Bits()
 	}
-	// The MBR name must be free; a group member's own name is fine since
-	// the member dies in the merge.
-	if ex := s.d.InstByName(e.Name); ex != nil && !members[ex.ID] {
-		return fmt.Errorf("instance %q already exists", e.Name)
-	}
-
 	// Cell: explicit, or the smallest fitting width of the first member's
 	// class at its drive strength.
 	cell := s.d.Lib.CellByName(e.Cell)
@@ -559,152 +538,79 @@ func (s *Session) applyMerge(e *MergeEdit, res *ApplyResult) error {
 		return fmt.Errorf("unknown cell %q", e.Cell)
 	}
 	if cell == nil {
-		class := insts[0].RegCell.Class
-		width, ok := s.d.Lib.SmallestWidthAtLeast(class, totalBits)
-		if !ok {
-			return fmt.Errorf("no %s cell fits %d bits", class.Key(), totalBits)
+		first := group[0].RegCell
+		if first == nil {
+			return fmt.Errorf("group member %q is not a register", e.Group[0])
 		}
-		cell = s.d.Lib.SelectCell(class, width, insts[0].RegCell.DriveRes)
-		if cell == nil {
-			return fmt.Errorf("no %d-bit cell for class %s", width, class.Key())
-		}
-	}
-	if totalBits > cell.Bits {
-		return fmt.Errorf("%d bits exceed %d-bit cell %q", totalBits, cell.Bits, cell.Name)
-	}
-
-	// Shared control nets must agree. The clock is exempt here: members on
-	// different tree leaf nets are released to their common domain root
-	// below, which is exactly what makes their clock nets agree.
-	for _, kind := range []netlist.PinKind{netlist.PinReset, netlist.PinEnable, netlist.PinScanEnable} {
-		ref := s.d.ControlNet(insts[0], kind)
-		for _, in := range insts[1:] {
-			if s.d.ControlNet(in, kind) != ref {
-				return fmt.Errorf("group member %q disagrees on %v net", in.Name, kind)
-			}
-		}
-	}
-
-	// Position: explicit (both coordinates — zero is a real position), or
-	// the group centroid snapped to the site grid.
-	var pos geom.Point
-	if e.X != nil && e.Y != nil {
-		pos = geom.Point{X: *e.X, Y: *e.Y}
-	} else {
-		var sx, sy int64
-		for _, in := range insts {
-			sx += in.Pos.X
-			sy += in.Pos.Y
-		}
-		pos = geomSnap(s.d, sx/int64(len(insts)), sy/int64(len(insts)))
-	}
-
-	// Merge order: scan order when scanned (MergeRegisters packs bits in
-	// group order, and scan stitching follows that order). MergeOrder and
-	// GroupCompatible are read-only; checking compatibility on the exact
-	// ordered IDs handed to plan.ApplyMerge later makes its internal
-	// re-check infallible.
-	ordered := insts
-	if s.plan != nil {
-		mo := s.plan.MergeOrder(ids)
-		ordered = make([]*netlist.Inst, len(mo))
-		for i, id := range mo {
-			ordered[i] = s.d.Inst(id)
-		}
-	}
-	memberIDs := make([]netlist.InstID, len(ordered))
-	for i, in := range ordered {
-		memberIDs[i] = in.ID
-	}
-	if s.plan != nil && !s.plan.GroupCompatible(memberIDs) {
-		return fmt.Errorf("group is not scan-compatible")
-	}
-
-	// Commit. MergeRegisters validates before it tears anything down, so
-	// its only remaining failure mode after the checks above is a clock
-	// (or other control) net disagreement that the release did not unify —
-	// members from different clock domains. On that rejection the released
-	// clock pins are re-parented onto their original nets so the failed
-	// edit leaves no trace.
-	prevClk := make([]netlist.NetID, len(ordered))
-	for i, in := range ordered {
-		prevClk[i] = s.d.ClockNet(in)
-	}
-	s.engs.cts.ReleaseClocks(ordered)
-	mr, err := s.d.MergeRegisters(ordered, cell, e.Name, pos)
-	if err != nil {
-		s.d.WithEditClass(netlist.EditClassCTS, func() {
-			for i, in := range ordered {
-				cp := s.d.ClockPin(in)
-				if cp == nil || prevClk[i] == netlist.NoID || cp.Net == prevClk[i] {
-					continue
-				}
-				s.d.Connect(cp, s.d.Net(prevClk[i]))
-			}
-		})
-		return err
-	}
-	if s.plan != nil {
-		// Pre-validated above on the same memberIDs; nothing in between
-		// touches the plan, so this cannot fail.
-		if err := s.plan.ApplyMerge(memberIDs, mr.MBR.ID); err != nil {
+		var err error
+		if cell, err = fitCell(s.d.Lib, first.Class, bits, first.DriveRes); err != nil {
 			return err
 		}
+	}
+	// Position: explicit (both coordinates — zero is a real position), or
+	// the group centroid snapped to the site grid.
+	pos := centroid(s.d, group)
+	if e.X != nil && e.Y != nil {
+		pos = geom.Point{X: *e.X, Y: *e.Y}
+	}
+	mr, err := core.Bank(s.d, s.plan, s.engs.cts.ReleaseClocks, group, cell, e.Name, pos)
+	if err != nil {
+		return err
 	}
 	place.LegalizeIncremental(s.d, []*netlist.Inst{mr.MBR})
 	res.Merged = append(res.Merged, mr.MBR.Name)
 	return nil
 }
 
-// applySplit decomposes the named register into per-bit instances — the
-// exact inverse of a merge edit. SplitRegister carries the same
-// validate-then-commit contract as MergeRegisters, so with the cell
-// resolved up front a failed split edit is side-effect free. The new bits
-// inherit the original's clock-tree leaf net, which the retained tree
-// engine adopts on its delta path (no clock release needed), and are
-// legalized incrementally like a merge's MBR.
+// applySplit decomposes the named register into per-bit instances through
+// core.Debank, the debank step the decompose pass shares; a rejected split
+// edit leaves no trace. The new bits inherit the original's clock-tree
+// leaf net, which the retained tree engine adopts on its delta path (no
+// clock release needed), and are legalized incrementally like a merge's
+// MBR.
 func (s *Session) applySplit(e *SplitEdit, res *ApplyResult) error {
 	in, err := s.liveInst(e.Inst)
 	if err != nil {
 		return err
 	}
-	if in.Kind != netlist.KindReg || in.RegCell == nil {
-		return fmt.Errorf("instance %q is not a register", e.Inst)
-	}
-	if in.Bits() < 2 {
-		return fmt.Errorf("register %q is already single-bit", e.Inst)
-	}
-	// Cell: explicit, or the 1-bit cell of the register's class at its
-	// drive strength.
 	cell := s.d.Lib.CellByName(e.Cell)
 	if e.Cell != "" && cell == nil {
 		return fmt.Errorf("unknown cell %q", e.Cell)
 	}
-	if cell == nil {
-		cell = s.d.Lib.SelectCell(in.RegCell.Class, 1, in.RegCell.DriveRes)
-		if cell == nil {
-			return fmt.Errorf("no 1-bit cell for class %s", in.RegCell.Class.Key())
-		}
-	}
-	origID, origName := in.ID, in.Name
-	parts, err := s.d.SplitRegister(in, cell)
+	name := in.Name
+	parts, err := core.Debank(s.d, s.plan, in, cell)
 	if err != nil {
 		return err
 	}
-	ids := make([]netlist.InstID, len(parts))
-	for i, p := range parts {
-		ids[i] = p.ID
-	}
-	if s.plan != nil {
-		// The parts are brand-new instances, never on a chain, so the only
-		// ApplySplit failure mode (a part already chained) cannot occur.
-		if err := s.plan.ApplySplit(origID, ids); err != nil {
-			return err
-		}
-	}
 	place.LegalizeIncremental(s.d, parts)
-	res.Split = append(res.Split, origName)
+	res.Split = append(res.Split, name)
 	return nil
+}
+
+// fitCell returns the cell of class at the smallest library width that
+// holds bits, at drive strength driveRes (lib.SelectCell's §4.1 rule). The
+// width is one of the class's own, so SelectCell always finds a cell.
+func fitCell(l *lib.Library, class lib.FuncClass, bits int, driveRes float64) (*lib.Cell, error) {
+	width, ok := l.SmallestWidthAtLeast(class, bits)
+	if !ok {
+		return nil, fmt.Errorf("no %s cell fits %d bits", class.Key(), bits)
+	}
+	return l.SelectCell(class, width, driveRes), nil
+}
+
+// centroid returns the mean position of insts snapped down to the site
+// grid.
+func centroid(d *netlist.Design, insts []*netlist.Inst) geom.Point {
+	var sx, sy int64
+	for _, in := range insts {
+		sx += in.Pos.X
+		sy += in.Pos.Y
+	}
+	n := int64(len(insts))
+	return geom.Point{
+		X: d.Core.Lo.X + ((sx/n-d.Core.Lo.X)/d.SiteW)*d.SiteW,
+		Y: d.Core.Lo.Y + ((sy/n-d.Core.Lo.Y)/d.RowH)*d.RowH,
+	}
 }
 
 func (s *Session) liveInst(name string) (*netlist.Inst, error) {

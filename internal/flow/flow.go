@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cts"
 	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/lib"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
@@ -263,7 +262,7 @@ func Run(d *netlist.Design, plan *scan.Plan, cfg Config) (*Report, error) {
 // session's freshly attached engines: base measurement, one composition
 // pass, useful skew, sizing, final canonical measurement.
 func (s *Session) runFlow() (*Report, error) {
-	d, plan, cfg, engs := s.d, s.plan, s.cfg, s.engs
+	d, cfg, engs := s.d, s.cfg, s.engs
 	rep := &Report{Design: d.Name}
 	eng, cg := engs.sta, engs.cg
 
@@ -279,12 +278,10 @@ func (s *Session) runFlow() (*Report, error) {
 	// ---- Optional bank/debank step: decompose MBRs (every max-width one
 	// under the All preset, else the worst-slack cones up to the budget) so
 	// their bits can recompose with neighbours; leftovers are restored
-	// after composition. One code path serves this, the session's
-	// DecomposePassWith and the ablations — the report counts always agree.
+	// after composition. The session's own DecomposePassWith and
+	// RestorePass serve it, so the report counts always agree with them.
 	if cfg.Decompose.enabled() {
-		eng.SetIdealClocks(true)
-		dres, err := s.decomposePass(cfg.Decompose)
-		eng.SetIdealClocks(false)
+		dres, err := s.DecomposePassWith(cfg.Decompose)
 		if err != nil {
 			return nil, fmt.Errorf("flow: decompose: %w", err)
 		}
@@ -309,9 +306,7 @@ func (s *Session) runFlow() (*Report, error) {
 	eng.SetIdealClocks(true)
 
 	if cfg.Decompose.enabled() {
-		groups := s.splitGroups
-		s.splitGroups = nil
-		n, err := restoreSplitLeftovers(d, plan, groups, engs.cts.ReleaseClocks, 0)
+		n, err := s.RestorePass()
 		if err != nil {
 			return nil, fmt.Errorf("flow: restore: %w", err)
 		}
@@ -497,10 +492,4 @@ type swapRecord struct {
 
 type swapTarget struct {
 	cell *lib.Cell
-}
-
-func geomSnap(d *netlist.Design, x, y int64) (p geom.Point) {
-	p.X = d.Core.Lo.X + ((x-d.Core.Lo.X)/d.SiteW)*d.SiteW
-	p.Y = d.Core.Lo.Y + ((y-d.Core.Lo.Y)/d.RowH)*d.RowH
-	return p
 }

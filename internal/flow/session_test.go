@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/lib"
 	"repro/internal/netlist"
 )
 
@@ -152,8 +153,9 @@ func TestApplyStopsAtFirstFailure(t *testing.T) {
 // TestRejectedMergeEditIsSideEffectFree pins the validate-then-commit
 // contract of the merge edit: a rejected merge must not mutate the design
 // at all (the serve journal skips failed edits, so any surviving mutation
-// would break snapshot replay). The epoch is the strongest witness — it
-// advances on every tracked mutation.
+// would break snapshot replay). Both the epoch, which advances on every
+// tracked mutation, and the state dump, which records net sink order, must
+// be unchanged.
 func TestRejectedMergeEditIsSideEffectFree(t *testing.T) {
 	s, _ := sessionBench(t, DefaultConfig())
 	var regs []*netlist.Inst
@@ -165,7 +167,16 @@ func TestRejectedMergeEditIsSideEffectFree(t *testing.T) {
 	if len(regs) < 3 {
 		t.Fatal("need three movable registers")
 	}
-	epoch0 := s.Epoch()
+	// The measure attaches every register's clock pin to a tree leaf net,
+	// which the merge releases to its domain root.
+	if _, err := s.Measure(); err != nil {
+		t.Fatal(err)
+	}
+	pair, cross := mergeablePairs(s, 1, false), mergeablePairs(s, 1, true)
+	if len(pair) == 0 || len(cross) == 0 {
+		t.Fatal("need a mergeable and a cross-domain register pair")
+	}
+	other := otherClassCell(t, s, pair[0][0], 2)
 
 	cases := []Edit{
 		// MBR name collides with a live non-member instance.
@@ -174,10 +185,21 @@ func TestRejectedMergeEditIsSideEffectFree(t *testing.T) {
 		MergeGroup("mbr_dup", regs[0].Name, regs[0].Name),
 		// Explicit position with only one coordinate.
 		{Merge: &MergeEdit{Group: []string{regs[0].Name, regs[1].Name}, Name: "mbr_pos", X: Coord(0)}},
+		// Members of two clock domains: no clock release can unify them.
+		MergeGroup("mbr_domains", cross[0][0].Name, cross[0][1].Name),
+		// An explicit cell of another functional class.
+		{Merge: &MergeEdit{Group: []string{pair[0][0].Name, pair[0][1].Name}, Name: "mbr_class", Cell: other.Name}},
 	}
 	for _, e := range cases {
+		epoch0, state0 := s.Epoch(), dumpState(t, s)
 		if _, err := s.Apply([]Edit{e}); err == nil {
-			t.Fatalf("merge %+v should have been rejected", e)
+			t.Fatalf("merge %+v should have been rejected", e.Merge)
+		}
+		if got := s.Epoch(); got != epoch0 {
+			t.Fatalf("rejected merge %s mutated the design: epoch %d -> %d", e.Merge.Name, epoch0, got)
+		}
+		if dumpState(t, s) != state0 {
+			t.Fatalf("rejected merge %s changed the state dump", e.Merge.Name)
 		}
 	}
 	for _, r := range regs[:2] {
@@ -185,17 +207,44 @@ func TestRejectedMergeEditIsSideEffectFree(t *testing.T) {
 			t.Fatalf("rejected merge destroyed %q", r.Name)
 		}
 	}
-	if got := s.Epoch(); got != epoch0 {
-		t.Fatalf("rejected merges mutated the design: epoch %d -> %d", epoch0, got)
-	}
 
 	// A move without both coordinates is rejected before mutating, too.
+	epoch0 := s.Epoch()
 	if _, err := s.Apply([]Edit{{Move: &MoveEdit{Inst: regs[0].Name, X: Coord(1)}}}); err == nil {
 		t.Fatal("move without y must fail")
 	}
 	if got := s.Epoch(); got != epoch0 {
 		t.Fatal("rejected move mutated the design")
 	}
+}
+
+// dumpState returns the session's DumpState bytes.
+func dumpState(t *testing.T, s *Session) string {
+	t.Helper()
+	var b strings.Builder
+	if err := s.DumpState(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// otherClassCell returns a cell of at least bits bits whose functional
+// class differs from in's only in its scan style.
+func otherClassCell(t *testing.T, s *Session, in *netlist.Inst, bits int) *lib.Cell {
+	t.Helper()
+	class := in.RegCell.Class
+	for k := lib.NoScan; k <= lib.ExternalScan; k++ {
+		if k == class.Scan {
+			continue
+		}
+		other := class
+		other.Scan = k
+		if w, ok := s.Design().Lib.SmallestWidthAtLeast(other, bits); ok {
+			return s.Design().Lib.SelectCell(other, w, in.RegCell.DriveRes)
+		}
+	}
+	t.Fatalf("no cell of another scan style for class %s", class.Key())
+	return nil
 }
 
 // TestSessionMeasureMatchesRunBase pins the wrapper contract: flow.Run's

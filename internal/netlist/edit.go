@@ -103,58 +103,78 @@ type MergeResult struct {
 	UnusedBits int
 }
 
-// MergeRegisters replaces the register instances in group with one new
-// instance of cell placed at pos. The group's bits are packed into the
-// MBR's low bits in group order; remaining bits (for incomplete MBRs) stay
-// unconnected.
-//
-// Structural requirements checked here (semantic compatibility — timing,
-// placement, scan ordering — is the caller's concern, see internal/compat):
-// every group member is a live non-fixed register, total bits fit the cell,
-// and all members agree on clock, reset, enable and scan-enable nets so the
-// shared control pins of the MBR can be legally connected.
-func (d *Design) MergeRegisters(group []*Inst, cell *lib.Cell, name string, pos geom.Point) (*MergeResult, error) {
+// CheckMerge reports why MergeRegisters would reject merging group into one
+// instance of cell named name once every member's clock pin hangs on its
+// clock root, or nil. The rules are structural (semantic compatibility —
+// timing, placement, scan ordering — is the caller's concern, see
+// internal/compat): every member is a live, movable register of cell's
+// functional class, listed once; the bits fit the cell; the name is free,
+// a member's own name excepted, since the member dies in the merge; and
+// the members agree on their clock root (Design.ClockRootNet) and on their
+// reset, enable and scan-enable nets, so the MBR's shared control pins can
+// be connected. It only reads the design.
+func (d *Design) CheckMerge(group []*Inst, cell *lib.Cell, name string) error {
 	if len(group) == 0 {
-		return nil, fmt.Errorf("netlist: MergeRegisters with empty group")
+		return fmt.Errorf("netlist: merge with empty group")
 	}
 	totalBits := 0
 	members := make(map[InstID]bool, len(group))
 	for _, in := range group {
-		if in == nil || in.dead {
-			return nil, fmt.Errorf("netlist: MergeRegisters: dead instance in group")
-		}
-		if in.Kind != KindReg {
-			return nil, fmt.Errorf("netlist: MergeRegisters: %q is not a register", in.Name)
-		}
-		if in.Fixed || in.SizeOnly {
-			return nil, fmt.Errorf("netlist: MergeRegisters: %q is fixed/size-only", in.Name)
-		}
-		if members[in.ID] {
-			return nil, fmt.Errorf("netlist: MergeRegisters: %q listed twice", in.Name)
+		switch {
+		case in == nil || in.dead:
+			return fmt.Errorf("netlist: merge: dead instance in group")
+		case in.Kind != KindReg:
+			return fmt.Errorf("netlist: merge: %q is not a register", in.Name)
+		case in.Fixed || in.SizeOnly:
+			return fmt.Errorf("netlist: merge: %q is fixed/size-only", in.Name)
+		case members[in.ID]:
+			return fmt.Errorf("netlist: merge: %q listed twice", in.Name)
+		case in.RegCell.Class != cell.Class:
+			return fmt.Errorf("netlist: merge: %q is not of cell %q's class %s", in.Name, cell.Name, cell.Class.Key())
 		}
 		members[in.ID] = true
 		totalBits += in.Bits()
 	}
-	// The MBR name must be free — reusing a group member's own name is
-	// fine, since the member is dead by the time the MBR is created.
-	// Checked here so that every fallible check runs before the RemoveInst
-	// teardown below: a rejected merge must never have destroyed the group.
 	if ex := d.InstByName(name); ex != nil && !members[ex.ID] {
-		return nil, fmt.Errorf("netlist: MergeRegisters: instance %q already exists", name)
+		return fmt.Errorf("netlist: merge: instance %q already exists", name)
 	}
 	if totalBits > cell.Bits {
-		return nil, fmt.Errorf("netlist: MergeRegisters: %d bits exceed %d-bit cell", totalBits, cell.Bits)
+		return fmt.Errorf("netlist: merge: %d bits exceed %d-bit cell", totalBits, cell.Bits)
 	}
-	// Shared control nets must agree.
-	for _, kind := range []PinKind{PinClock, PinReset, PinEnable, PinScanEnable} {
+	root := d.ClockRootNet(d.ClockNet(group[0]))
+	for _, in := range group[1:] {
+		if d.ClockRootNet(d.ClockNet(in)) != root {
+			return fmt.Errorf("netlist: merge: %q disagrees on clock root", in.Name)
+		}
+	}
+	for _, kind := range controlKinds[1:] { // the clock is compared by root above
 		ref := d.ControlNet(group[0], kind)
 		for _, in := range group[1:] {
 			if d.ControlNet(in, kind) != ref {
-				return nil, fmt.Errorf("netlist: MergeRegisters: %q disagrees on %v net", in.Name, kind)
+				return fmt.Errorf("netlist: merge: %q disagrees on %v net", in.Name, kind)
 			}
 		}
 	}
+	return nil
+}
 
+// MergeRegisters replaces the register instances in group with one new
+// instance of cell placed at pos. The group's bits are packed into the
+// MBR's low bits in group order; remaining bits (for incomplete MBRs) stay
+// unconnected. It runs every check before it tears anything down, so a
+// rejected merge leaves the design untouched: the CheckMerge rules, and the
+// members' clock pins on one net (the MBR has one clock pin; members under
+// different leaves of a clock tree must be released to their root first).
+func (d *Design) MergeRegisters(group []*Inst, cell *lib.Cell, name string, pos geom.Point) (*MergeResult, error) {
+	if err := d.CheckMerge(group, cell, name); err != nil {
+		return nil, err
+	}
+	clockNet := d.ClockNet(group[0])
+	for _, in := range group[1:] {
+		if d.ClockNet(in) != clockNet {
+			return nil, fmt.Errorf("netlist: merge: %q disagrees on %v net", in.Name, PinClock)
+		}
+	}
 	// Record original connectivity before tearing anything down.
 	type bitConn struct {
 		src    InstID
@@ -171,10 +191,7 @@ func (d *Design) MergeRegisters(group []*Inst, cell *lib.Cell, name string, pos 
 			})
 		}
 	}
-	clockNet := d.ControlNet(group[0], PinClock)
-	resetNet := d.ControlNet(group[0], PinReset)
-	enableNet := d.ControlNet(group[0], PinEnable)
-	seNet := d.ControlNet(group[0], PinScanEnable)
+	controls := d.controlNets(group[0])
 	gateGroup := group[0].GateGroup
 	scanPart := group[0].ScanPartition
 
@@ -189,7 +206,7 @@ func (d *Design) MergeRegisters(group []*Inst, cell *lib.Cell, name string, pos 
 	mbr.GateGroup = gateGroup
 	mbr.ScanPartition = scanPart
 
-	res := &MergeResult{MBR: mbr, UnusedBits: cell.Bits - totalBits}
+	res := &MergeResult{MBR: mbr, UnusedBits: cell.Bits - len(conns)}
 	for k, bc := range conns {
 		if bc.dNet != NoID {
 			d.Connect(d.DPin(mbr, k), d.nets[bc.dNet])
@@ -199,19 +216,30 @@ func (d *Design) MergeRegisters(group []*Inst, cell *lib.Cell, name string, pos 
 		}
 		res.Assignment = append(res.Assignment, BitAssignment{Src: bc.src, SrcBit: bc.srcBit, DstBit: k})
 	}
-	connectIf := func(kind PinKind, net NetID) {
-		if net == NoID {
-			return
-		}
-		if p := d.FindPin(mbr, kind, 0); p != nil {
-			d.Connect(p, d.nets[net])
+	d.connectControls(mbr, controls)
+	return res, nil
+}
+
+// controlKinds are the shared control pins a merge or a split carries
+// over from the registers it replaces, in connection order.
+var controlKinds = [...]PinKind{PinClock, PinReset, PinEnable, PinScanEnable}
+
+// controlNets returns the nets on in's controlKinds pins.
+func (d *Design) controlNets(in *Inst) (nets [len(controlKinds)]NetID) {
+	for i, kind := range controlKinds {
+		nets[i] = d.ControlNet(in, kind)
+	}
+	return nets
+}
+
+// connectControls connects in's controlKinds pins to nets (controlNets'
+// order), skipping absent pins and nets.
+func (d *Design) connectControls(in *Inst, nets [len(controlKinds)]NetID) {
+	for i, kind := range controlKinds {
+		if p := d.FindPin(in, kind, 0); p != nil && nets[i] != NoID {
+			d.Connect(p, d.nets[nets[i]])
 		}
 	}
-	connectIf(PinClock, clockNet)
-	connectIf(PinReset, resetNet)
-	connectIf(PinEnable, enableNet)
-	connectIf(PinScanEnable, seNet)
-	return res, nil
 }
 
 func pinNet(p *Pin) NetID {

@@ -318,6 +318,15 @@ func (d *Design) RemovedInst(id InstID) *Inst {
 	return d.insts[id]
 }
 
+// IDs returns the instances' IDs in order.
+func IDs(insts []*Inst) []InstID {
+	ids := make([]InstID, len(insts))
+	for i, in := range insts {
+		ids[i] = in.ID
+	}
+	return ids
+}
+
 // InstByName returns the live instance with the given name, or nil.
 func (d *Design) InstByName(name string) *Inst {
 	if id, ok := d.nameToInst[name]; ok {

@@ -429,6 +429,64 @@ func TestMergeRejectsBeforeTeardown(t *testing.T) {
 	}
 }
 
+// TestMergeRejectsOtherClass pins the functional-class rule SplitRegister
+// also applies: a cell whose class differs from a member's is rejected
+// before teardown, even when every pin the cell has would connect.
+func TestMergeRejectsOtherClass(t *testing.T) {
+	d, r1, r2 := buildPair(t)
+	scanned := testClass()
+	scanned.Scan = lib.InternalScan
+	cells := testLib.CellsOfWidth(scanned, 2)
+	if len(cells) == 0 {
+		t.Fatal("no 2-bit internal-scan cell")
+	}
+	if _, err := d.MergeRegisters([]*Inst{r1, r2}, cells[0], "m", geom.Point{}); err == nil ||
+		!strings.Contains(err.Error(), "class") {
+		t.Fatalf("err = %v, want class mismatch", err)
+	}
+	if d.Inst(r1.ID) == nil || d.Inst(r2.ID) == nil {
+		t.Fatal("rejected merge destroyed a member")
+	}
+}
+
+// TestCheckMergeComparesClockRoots pins the two clock rules: CheckMerge
+// accepts members under different clock-buffer leaves of one root (a
+// release to the root makes them mergeable) and rejects members of two
+// roots, while MergeRegisters itself needs the clock pins on one net.
+func TestCheckMergeComparesClockRoots(t *testing.T) {
+	d, r1, r2 := buildPair(t)
+	clk := d.Net(d.ClockNet(r1))
+	spec := &CombSpec{NumInputs: 1, Width: 100, Height: 100}
+	leaf := func(name string, r *Inst) {
+		buf, err := d.AddClockBuf(name, spec, geom.Point{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := d.AddNet(name+"_net", true)
+		d.Connect(d.FindPin(buf, PinData, 0), clk)
+		d.Connect(d.OutPin(buf), n)
+		d.Connect(d.ClockPin(r), n)
+	}
+	leaf("b1", r1)
+	leaf("b2", r2)
+	if err := d.CheckMerge([]*Inst{r1, r2}, cellOf(t, 2), "m"); err != nil {
+		t.Fatalf("CheckMerge rejected one clock root: %v", err)
+	}
+	epoch := d.Epoch()
+	if _, err := d.MergeRegisters([]*Inst{r1, r2}, cellOf(t, 2), "m", geom.Point{}); err == nil ||
+		!strings.Contains(err.Error(), "CK net") {
+		t.Fatalf("err = %v, want a clock-net mismatch", err)
+	}
+	if d.Epoch() != epoch {
+		t.Fatal("rejected merge mutated the design")
+	}
+	d.Connect(d.ClockPin(r2), d.AddNet("clk2", true))
+	if err := d.CheckMerge([]*Inst{r1, r2}, cellOf(t, 2), "m"); err == nil ||
+		!strings.Contains(err.Error(), "clock root") {
+		t.Fatalf("err = %v, want a clock-root mismatch", err)
+	}
+}
+
 func TestMergeRejectsOverflowAndFixed(t *testing.T) {
 	d, r1, r2 := buildPair(t)
 	if _, err := d.MergeRegisters([]*Inst{r1, r2}, cellOf(t, 1), "m", geom.Point{}); err == nil {

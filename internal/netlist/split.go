@@ -64,10 +64,7 @@ func (d *Design) SplitRegister(in *Inst, cell *lib.Cell) ([]*Inst, error) {
 			return nil, fmt.Errorf("netlist: SplitRegister(%q): instance %q already exists", in.Name, ex.Name)
 		}
 	}
-	clockNet := d.ControlNet(in, PinClock)
-	resetNet := d.ControlNet(in, PinReset)
-	enableNet := d.ControlNet(in, PinEnable)
-	seNet := d.ControlNet(in, PinScanEnable)
+	controls := d.controlNets(in)
 	gate, scanPart := in.GateGroup, in.ScanPartition
 	origName, origPos := in.Name, in.Pos
 
@@ -91,18 +88,7 @@ func (d *Design) SplitRegister(in *Inst, cell *lib.Cell) ([]*Inst, error) {
 		if bc.qNet != NoID {
 			d.Connect(d.QPin(nr, 0), d.nets[bc.qNet])
 		}
-		connectIf := func(kind PinKind, net NetID) {
-			if net == NoID {
-				return
-			}
-			if p := d.FindPin(nr, kind, 0); p != nil {
-				d.Connect(p, d.nets[net])
-			}
-		}
-		connectIf(PinClock, clockNet)
-		connectIf(PinReset, resetNet)
-		connectIf(PinEnable, enableNet)
-		connectIf(PinScanEnable, seNet)
+		d.connectControls(nr, controls)
 		out = append(out, nr)
 	}
 	return out, nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/flow"
+	"repro/internal/netlist"
 )
 
 // editScript builds a deterministic mixed op sequence for a profile: skews
@@ -156,5 +157,72 @@ func TestSnapshotByteIdentity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotAfterRejectedMerge pins that a rejected merge edit leaves
+// nothing a snapshot misses: the journal skips failed edits, so a session
+// that tried to merge registers of two clock domains (after a measure, so
+// their clock pins sit on tree leaf nets) must still restore to the same
+// state bytes.
+func TestSnapshotAfterRejectedMerge(t *testing.T) {
+	src := testSource()
+	d, plan, err := src.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b string
+	var regs []*netlist.Inst
+	for _, in := range d.Registers() {
+		if !in.Fixed && !in.SizeOnly && in.Bits() == 1 {
+			regs = append(regs, in)
+		}
+	}
+find:
+	for i, r := range regs {
+		for _, o := range regs[i+1:] {
+			if r.RegCell.Class != o.RegCell.Class || d.ClockNet(r) == d.ClockNet(o) ||
+				d.ControlNet(r, netlist.PinReset) != d.ControlNet(o, netlist.PinReset) ||
+				d.ControlNet(r, netlist.PinEnable) != d.ControlNet(o, netlist.PinEnable) ||
+				!plan.GroupCompatible(plan.MergeOrder([]netlist.InstID{r.ID, o.ID})) {
+				continue
+			}
+			a, b = r.Name, o.Name
+			break find
+		}
+	}
+	if a == "" {
+		t.Fatal("no cross-domain register pair")
+	}
+
+	m := NewManager(Options{})
+	live, err := m.Create("live", src, SessionConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := live.Measure(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := live.Apply([]flow.Edit{flow.MergeGroup("cross", a, b)}); err == nil {
+		t.Fatalf("merging %s and %s across clock domains must fail", a, b)
+	}
+	snap, err := live.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := m.Restore("restored", snap)
+	if err != nil {
+		t.Fatalf("restore after a rejected merge: %v", err)
+	}
+	liveState, err := live.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restState, err := restored.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(liveState, restState) {
+		t.Fatal("restored state differs from live state")
 	}
 }
