@@ -103,9 +103,9 @@ type MergeResult struct {
 	UnusedBits int
 }
 
-// CheckMerge reports why MergeRegisters would reject merging group into one
-// instance of cell named name once every member's clock pin hangs on its
-// clock root, or nil. The rules are structural (semantic compatibility —
+// CheckMerge returns why MergeRegisters would reject merging group into
+// one instance of cell named name once every member's clock pin hangs on
+// its clock root, and nil when it would accept. The rules are structural (semantic compatibility —
 // timing, placement, scan ordering — is the caller's concern, see
 // internal/compat): every member is a live, movable register of cell's
 // functional class, listed once; the bits fit the cell; the name is free,
