@@ -3,7 +3,7 @@
 #   make            # build + test (tier-1)
 #   make race       # vet + race-detector test sweep (the CI gate)
 #   make lint       # gofmt + vet static checks (the CI lint gate)
-#   make bench-smoke # one iteration of every kernel benchmark in every package (CI: catches bit-rot)
+#   make bench-smoke # one iteration of every kernel benchmark in every package, flow.BenchmarkMeasureAfterSplit included (CI: catches bit-rot)
 #   make serve-smoke # composition-server load harness (determinism + zero rebuilds) under -race
 #   make eco-smoke  # ECO-replay load harness (bank/debank rounds) under -race
 #   make eco-seeds  # ECO harness at the benchmark's settings on the stream seeds that once rebuilt

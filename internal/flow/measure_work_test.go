@@ -2,7 +2,9 @@ package flow
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -32,26 +34,16 @@ type measureWork struct {
 }
 
 // runParametricStream drives the load harness's parametric stream shape
-// on a fresh D1 session at the given scale: CTS re-center hysteresis of
-// 4000 DBU, two streams over the first two 10-register Morton windows, 150
-// batches each of 10 edits with at most one move or resize (the rest
-// skews), a measure after each batch. It checks each steady-state
-// measure's CTS and STA counters as it goes.
+// on a fresh D1 harness session at the given scale: two streams over the
+// first two 10-register Morton windows, 150 batches each of 10 edits with
+// at most one move or resize (the rest skews), a measure after each
+// batch. It checks each steady-state measure's CTS and STA counters as it
+// goes.
 func runParametricStream(t *testing.T, scale int) measureWork {
 	t.Helper()
-	gen, err := bench.Generate(bench.D1(bench.ProfileOpts{Scale: scale}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := gen.Design
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cfg.CTS.Tree.RecenterThresholdDBU = 4000
-	s, err := NewSession(d, gen.Plan, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := harnessSession(t, scale)
 	defer s.Close()
+	d := s.Design()
 
 	type reg struct {
 		name  string
@@ -184,6 +176,161 @@ func TestMeasureWorkDoesNotGrowWithDesign(t *testing.T) {
 		if w.splitConePins == 0 || w.splitConePins >= w.pins {
 			t.Fatalf("STA cone after a split re-evaluated %d pins of %d, want some and fewer than the pins",
 				w.splitConePins, w.pins)
+		}
+	}
+}
+
+// harnessSession opens a session on a fresh D1 design at the given scale
+// as the load harness runs it: one worker, CTS re-center hysteresis of
+// 4000 DBU.
+func harnessSession(tb testing.TB, scale int) *Session {
+	tb.Helper()
+	gen, err := bench.Generate(bench.D1(bench.ProfileOpts{Scale: scale}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.CTS.Tree.RecenterThresholdDBU = 4000
+	s, err := NewSession(gen.Design, gen.Plan, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// splitMeasureSession opens a D1@20 harness session, measures once and
+// returns it with the names of its multi-bit registers, sorted.
+func splitMeasureSession(tb testing.TB) (*Session, []string) {
+	tb.Helper()
+	s := harnessSession(tb, 20)
+	var mbrs []string
+	s.Design().Insts(func(in *netlist.Inst) {
+		if in.Kind == netlist.KindReg && in.Bits() >= 2 && !in.Fixed && !in.SizeOnly {
+			mbrs = append(mbrs, in.Name)
+		}
+	})
+	slices.Sort(mbrs)
+	if _, err := s.Measure(); err != nil {
+		tb.Fatal(err)
+	}
+	return s, mbrs
+}
+
+// splitAndMeasure splits the named register and measures; it reports the
+// bytes the measure allocated.
+func splitAndMeasure(tb testing.TB, s *Session, name string) uint64 {
+	tb.Helper()
+	if _, err := s.Apply([]Edit{SplitInst(name)}); err != nil {
+		tb.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Measure(); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSplitMeasureAllocatesLessThanPinSpace pins that a measure after a
+// split pays for what the split reached, not for the design's size: after
+// one warm-up split measure (the first grow past the build's exact sizes),
+// the mean bytes allocated per split measure stay below one float64 per
+// pin. Regrowing every pin-sized STA array to its exact new size cost
+// about twelve times that.
+func TestSplitMeasureAllocatesLessThanPinSpace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates D1@20")
+	}
+	s, mbrs := splitMeasureSession(t)
+	defer s.Close()
+	const splits = 12
+	if len(mbrs) < splits+1 {
+		t.Fatalf("D1@20 has %d multi-bit registers, want at least %d", len(mbrs), splits+1)
+	}
+	splitAndMeasure(t, s, mbrs[0]) // warm-up
+	var total uint64
+	for _, name := range mbrs[1 : splits+1] {
+		total += splitAndMeasure(t, s, name)
+		if kind := s.engs.sta.Stats().LastKind; kind != "structural" {
+			t.Fatalf("measure after splitting %s: STA run kind %q, want structural", name, kind)
+		}
+	}
+	mean, pins := total/splits, uint64(s.Design().PinSpace())
+	t.Logf("bytes allocated per split measure: mean %d, %.1f per pin (%d pins)", mean, float64(mean)/float64(pins), pins)
+	if mean >= 8*pins {
+		t.Fatalf("a split measure allocates %d bytes on average, want < 8 × %d pins", mean, pins)
+	}
+}
+
+// BenchmarkMeasureAfterSplit times the measure after a split edit on
+// D1@20 as the load harness serves it. Each iteration splits the next
+// multi-bit register, measures (timed) and merges the bits back under the
+// register's name and measures (untimed), so the design keeps its size.
+// One untimed iteration first grows the engines past the build's sizes.
+func BenchmarkMeasureAfterSplit(b *testing.B) {
+	s, mbrs := splitMeasureSession(b)
+	defer s.Close()
+	d := s.Design()
+	b.ReportAllocs()
+	for i := -1; i < b.N; i++ {
+		if i == 0 {
+			b.ResetTimer()
+		}
+		b.StopTimer()
+		name := mbrs[(i+1)%len(mbrs)]
+		bits := d.InstByName(name).Bits()
+		if _, err := s.Apply([]Edit{SplitInst(name)}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := s.Measure(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		group := make([]string, bits)
+		for k := range group {
+			group[k] = fmt.Sprintf("%s_b%d", name, k)
+		}
+		if _, err := s.Apply([]Edit{MergeGroup(name, group...)}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Measure(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// TestFlipAfterComposeReusesQLoads pins that the ideal-clock flips around
+// a compose pass re-seed every register from stored Q-net loads except
+// those the pass reloaded: the pass's own flip, right after a measure,
+// recomputes none, and the measure that flips back after a steady-state
+// pass (the session's second) recomputes far fewer than there are
+// registers.
+func TestFlipAfterComposeReusesQLoads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates D1@20")
+	}
+	s, _ := splitMeasureSession(t)
+	defer s.Close()
+	for pass := 1; pass <= 2; pass++ {
+		if _, err := s.ComposePass(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.engs.sta.Stats(); st.LastSeedLoads != 0 {
+			t.Fatalf("pass %d: the flip to ideal clocks after a measure recomputed %d Q-net loads, want 0",
+				pass, st.LastSeedLoads)
+		}
+		if _, err := s.Measure(); err != nil {
+			t.Fatal(err)
+		}
+		st, regs := s.engs.sta.Stats(), len(s.Design().Registers())
+		t.Logf("pass %d: the measure after it recomputed %d Q-net loads (%d registers)", pass, st.LastSeedLoads, regs)
+		if pass == 2 && st.LastSeedLoads*4 >= regs {
+			t.Fatalf("the measure after a second compose pass recomputed %d Q-net loads, want far fewer than the %d registers",
+				st.LastSeedLoads, regs)
 		}
 	}
 }

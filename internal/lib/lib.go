@@ -247,11 +247,11 @@ func (l *Library) Widths(f FuncClass) []int {
 // MaxWidth returns the largest bit width available for a class (0 when the
 // class is absent).
 func (l *Library) MaxWidth(f FuncClass) int {
-	ws := l.Widths(f)
-	if len(ws) == 0 {
+	cs := l.cells[f] // sorted by Bits
+	if len(cs) == 0 {
 		return 0
 	}
-	return ws[len(ws)-1]
+	return cs[len(cs)-1].Bits
 }
 
 // CellsOfWidth returns the cells of a class with exactly the given width,

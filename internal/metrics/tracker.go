@@ -98,6 +98,13 @@ type Tracker struct {
 	// keeps its net buffer, so a recount allocates nothing per instance.
 	snaps []instSnap
 	netWL []int64
+	// netGen/netStamp dedupe a sync's dirty signal nets by NetID: a net
+	// is queued iff its stamp equals netGen. dirty and netBuf are the
+	// sync's reused buffers.
+	netGen   uint32
+	netStamp []uint32
+	dirty    []netlist.NetID
+	netBuf   []netlist.NetID
 
 	stats Stats
 }
@@ -159,19 +166,26 @@ func (t *Tracker) Sync() {
 	// Collect the dirty signal nets before snapshots move: each touched
 	// instance invalidates the nets it was on at the last sync plus the
 	// nets it is on now. A touched ID appears once per ring that noted it.
-	dirty := map[netlist.NetID]bool{}
+	t.netGen++
+	dirty := t.dirty[:0]
+	add := func(nets []netlist.NetID) {
+		for _, nid := range nets {
+			if t.netStamp[nid] != t.netGen {
+				t.netStamp[nid] = t.netGen
+				dirty = append(dirty, nid)
+			}
+		}
+	}
 	touched := flow
 	if ctsOK {
 		touched = append(touched, ctsT...)
 	}
 	for _, id := range touched {
-		for _, nid := range t.snaps[id].nets {
-			dirty[nid] = true
-		}
-		for _, nid := range t.signalNets(id, nil) {
-			dirty[nid] = true
-		}
+		add(t.snaps[id].nets)
+		t.netBuf = t.signalNets(id, t.netBuf[:0])
+		add(t.netBuf)
 	}
+	t.dirty = dirty
 	if !ctsOK {
 		// The CTS ring overflowed: its edits touch only clock buffers and
 		// clock nets, so the signal-net caches (and the flow-derived dirty
@@ -187,7 +201,7 @@ func (t *Tracker) Sync() {
 		t.stats.Deltas++
 		t.stats.LastKind = "delta"
 	}
-	for nid := range dirty {
+	for _, nid := range dirty {
 		t.syncNet(nid)
 	}
 	t.cursor = t.d.Epoch()
@@ -200,6 +214,7 @@ func (t *Tracker) grow() {
 	}
 	if n := t.d.NetSpace(); n > len(t.netWL) {
 		t.netWL = append(t.netWL, make([]int64, n-len(t.netWL))...)
+		t.netStamp = append(t.netStamp, make([]uint32, n-len(t.netStamp))...)
 	}
 }
 

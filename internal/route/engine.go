@@ -87,6 +87,12 @@ type Engine struct {
 	gen            uint32
 	hStamp, vStamp []uint32
 	hDirty, vDirty []int
+	// netGen/netStamp dedupe a delta's dirty nets the same way, by NetID;
+	// dirtyNets and netBuf are the delta's reused buffers.
+	netGen    uint32
+	netStamp  []uint32
+	dirtyNets []netlist.NetID
+	netBuf    []netlist.NetID
 
 	stats Stats
 }
@@ -198,25 +204,23 @@ func (e *Engine) Update() {
 // nets it is on now.
 func (e *Engine) delta(touched []netlist.InstID) {
 	e.grow()
-	var dirty []netlist.NetID
-	seen := map[netlist.NetID]bool{}
-	var buf []netlist.NetID
+	e.netGen++
+	dirty := e.dirtyNets[:0]
+	add := func(nets []netlist.NetID) {
+		for _, nid := range nets {
+			if e.netStamp[nid] != e.netGen {
+				e.netStamp[nid] = e.netGen
+				dirty = append(dirty, nid)
+			}
+		}
+	}
 	for _, id := range touched {
-		for _, nid := range e.snaps[id] {
-			if !seen[nid] {
-				seen[nid] = true
-				dirty = append(dirty, nid)
-			}
-		}
-		buf = e.d.InstNets(id, false, buf[:0])
-		for _, nid := range buf {
-			if !seen[nid] {
-				seen[nid] = true
-				dirty = append(dirty, nid)
-			}
-		}
+		add(e.snaps[id])
+		e.netBuf = e.d.InstNets(id, false, e.netBuf[:0])
+		add(e.netBuf)
 		e.snapInst(id)
 	}
+	e.dirtyNets = dirty
 	e.gen++
 	e.hDirty = e.hDirty[:0]
 	e.vDirty = e.vDirty[:0]
@@ -302,6 +306,7 @@ func (e *Engine) grow() {
 	}
 	if n := e.d.NetSpace(); n > len(e.nets) {
 		e.nets = append(e.nets, make([]contrib, n-len(e.nets))...)
+		e.netStamp = append(e.netStamp, make([]uint32, n-len(e.netStamp))...)
 	}
 }
 

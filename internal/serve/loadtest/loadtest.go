@@ -162,6 +162,11 @@ type Result struct {
 	EditsPerSec  float64 `json:"editsPerSec"`
 	MeasureP50MS float64 `json:"measureP50MS"`
 	MeasureP99MS float64 `json:"measureP99MS"`
+	// MeasureByOp breaks the measure latencies down by the op before
+	// each measure: "edits" (a parametric batch), "merge", "split",
+	// "compose", "decompose" or "restore". It shows which structural ops
+	// make up the latency tail.
+	MeasureByOp map[string]OpLatency `json:"measureByOp,omitempty"`
 	// SteadyRebuilds counts retained-engine rebuild-counter increments
 	// observed outside structural windows. The service guarantee is 0.
 	SteadyRebuilds int64 `json:"steadyRebuilds"`
@@ -177,6 +182,14 @@ type Result struct {
 	// matched byte-for-byte (a mismatch fails the run).
 	OracleStreams int                `json:"oracleStreams"`
 	Stats         serve.ManagerStats `json:"stats"`
+}
+
+// OpLatency summarizes the latencies of the measures that followed one
+// kind of op.
+type OpLatency struct {
+	N     int     `json:"n"`
+	P50MS float64 `json:"p50MS"`
+	P90MS float64 `json:"p90MS"`
 }
 
 // Stream op kinds: the session-level operations a stream sequences.
@@ -199,6 +212,21 @@ type streamOp struct {
 	edits      []flow.Edit
 	decompose  flow.DecomposeConfig
 	structural bool
+}
+
+// label names the op for Result.MeasureByOp: its kind, or the edit's
+// kind for a structural edit op.
+func (op streamOp) label() string {
+	if op.kind == opEdits && op.structural && len(op.edits) == 1 {
+		return op.edits[0].Op()
+	}
+	return op.kind
+}
+
+// measureLat is one measure's latency and the label of the op before it.
+type measureLat struct {
+	after string
+	ms    float64
 }
 
 // stream is one session's deterministic op sequence, generated up front so
@@ -269,7 +297,7 @@ func Run(o Options) (*Result, error) {
 	var (
 		wg        sync.WaitGroup
 		mu        sync.Mutex
-		latencies []float64
+		latencies []measureLat
 		canon     = make([][]string, o.Sessions)
 		firstErr  error
 	)
@@ -374,9 +402,20 @@ func Run(o Options) (*Result, error) {
 	if res.ElapsedMS > 0 {
 		res.EditsPerSec = float64(res.Edits) / (res.ElapsedMS / 1000)
 	}
-	sort.Float64s(latencies)
-	res.MeasureP50MS = percentile(latencies, 0.50)
-	res.MeasureP99MS = percentile(latencies, 0.99)
+	all := make([]float64, len(latencies))
+	byOp := map[string][]float64{}
+	for i, l := range latencies {
+		all[i] = l.ms
+		byOp[l.after] = append(byOp[l.after], l.ms)
+	}
+	sort.Float64s(all)
+	res.MeasureP50MS = percentile(all, 0.50)
+	res.MeasureP99MS = percentile(all, 0.99)
+	res.MeasureByOp = make(map[string]OpLatency, len(byOp))
+	for op, ms := range byOp {
+		sort.Float64s(ms)
+		res.MeasureByOp[op] = OpLatency{N: len(ms), P50MS: percentile(ms, 0.50), P90MS: percentile(ms, 0.90)}
+	}
 	return res, nil
 }
 
@@ -772,10 +811,10 @@ type client struct {
 }
 
 // runStream creates the session, streams its ops and returns the
-// measurement latencies, the canonical measurement bytes in sequence, and
-// the rebuild-counter increments observed outside structural exclusion
-// windows.
-func (c *client) runStream(st *stream, o Options) (lats []float64, canon []string, rebuilds, staBuilds int64, err error) {
+// measurement latencies with the op before each, the canonical measurement
+// bytes in sequence, and the rebuild-counter increments observed outside
+// structural exclusion windows.
+func (c *client) runStream(st *stream, o Options) (lats []measureLat, canon []string, rebuilds, staBuilds int64, err error) {
 	create := serve.CreateRequest{
 		Name:   st.name,
 		Source: serve.Source{Profile: o.Profile, Scale: o.Scale},
@@ -814,6 +853,7 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 		}
 	}
 
+	prev := ""
 	for i, op := range st.ops {
 		if op.structural {
 			excluded = true
@@ -835,7 +875,7 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 			if err = c.post(path+"/measure", struct{}{}, &m); err != nil {
 				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (measure): %w", i, err)
 			}
-			lats = append(lats, float64(time.Since(t0).Microseconds())/1000)
+			lats = append(lats, measureLat{after: prev, ms: float64(time.Since(t0).Microseconds()) / 1000})
 			canon = append(canon, m.Canonical)
 			account(m.Engines)
 			excluded = false
@@ -859,6 +899,7 @@ func (c *client) runStream(st *stream, o Options) (lats []float64, canon []strin
 			}
 			account(rres.Engines)
 		}
+		prev = op.label()
 	}
 	return lats, canon, rebuilds, staBuilds, nil
 }

@@ -64,6 +64,20 @@ func TestECOSmoke(t *testing.T) {
 	if res.Composes == 0 {
 		t.Fatal("ECO stream ran no compose passes")
 	}
+	// Every streamed measure (all but each session's warmup) is keyed by
+	// the op before it, and every structural op kind shows up.
+	n := 0
+	for _, l := range res.MeasureByOp {
+		n += l.N
+	}
+	if want := int(res.Measures) - o.Sessions; n != want {
+		t.Fatalf("measures keyed by op = %d, want %d: %+v", n, want, res.MeasureByOp)
+	}
+	for _, op := range []string{"edits", "merge", "split", "compose", "decompose", "restore"} {
+		if res.MeasureByOp[op].N == 0 {
+			t.Fatalf("no measure followed a %s op: %+v", op, res.MeasureByOp)
+		}
+	}
 	// The STA engine builds its timing graph once per session: every
 	// merge, split, compose and decompose round is patched into it.
 	if res.STARebuilds != 1 {

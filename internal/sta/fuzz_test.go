@@ -14,8 +14,8 @@ import (
 // string of edits on a small generated design — register merges and
 // splits (the structural patch), moves, resizes and skews (the cone),
 // ideal-clock flips (the full re-seed) and combinational reconnects (the
-// rebuild) — and after every edit checks the analysis against a fresh
-// engine, bit for bit.
+// rebuild) — and after every edit, and after a closing flip, checks the
+// analysis against a fresh engine, bit for bit.
 func FuzzStructuralDeltaMatchesFull(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0, 9, 0, 17, 1, 3, 5, 0, 2, 0})
@@ -48,6 +48,24 @@ func FuzzStructuralDeltaMatchesFull(f *testing.F) {
 		})
 		skews := map[netlist.InstID]float64{}
 		ideal := false
+		check := func(label string) {
+			t.Helper()
+			got, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := New(d)
+			fresh.SetIdealClocks(ideal)
+			for id, s := range skews {
+				fresh.SetSkew(id, s)
+			}
+			want, err := fresh.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %s", label, e.Stats().LastKind)
+			sameResults(t, got, want)
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%7, int(ops[i+1])
 			regs := d.Registers()
@@ -90,22 +108,13 @@ func FuzzStructuralDeltaMatchesFull(f *testing.F) {
 					}
 				}
 			}
-			got, err := e.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh := New(d)
-			fresh.SetIdealClocks(ideal)
-			for id, s := range skews {
-				fresh.SetSkew(id, s)
-			}
-			want, err := fresh.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("op %d (%d): %s", i/2, op, e.Stats().LastKind)
-			sameResults(t, got, want)
+			check(fmt.Sprintf("op %d (%d)", i/2, op))
 		}
+		// A closing flip re-seeds every register, most from the Q-net loads
+		// stored at their last seed: each must still be current.
+		ideal = !ideal
+		e.SetIdealClocks(ideal)
+		check("closing flip")
 	})
 }
 

@@ -256,7 +256,7 @@ func (g *timingGraph) bucketLevels() {
 		off += counts[l]
 	}
 	g.levelOff[g.numLevels] = off
-	g.levelPins = resize(g.levelPins, int(involved))
+	g.levelPins = extend(g.levelPins, int(involved), 0) // every entry is rewritten below
 	lcur := counts[:g.numLevels]
 	copy(lcur, g.levelOff[:g.numLevels])
 	for v, l := range g.level {

@@ -57,18 +57,20 @@ func (e *Engine) prepare() (fwd, bwd *worklist) {
 	n := e.g.nPins
 	e.gen++
 	if len(e.pinMark) < n {
-		e.pinMark = make([]uint32, n)
-		e.slackMark = make([]uint32, n)
-		e.fwdQueued = make([]uint32, n)
-		e.bwdQueued = make([]uint32, n)
+		// Stamps below the new generation read as unmarked, so grown
+		// arrays keep their old entries.
+		e.pinMark = extend(e.pinMark, n, 0)
+		e.slackMark = extend(e.slackMark, n, 0)
+		e.fwdQueued = extend(e.fwdQueued, n, 0)
+		e.bwdQueued = extend(e.bwdQueued, n, 0)
 	}
 	nb := e.g.numLevels
 	if nb == 0 {
 		nb = 1
 	}
 	if len(e.fwdBuckets) < nb {
-		e.fwdBuckets = make([][]int32, nb)
-		e.bwdBuckets = make([][]int32, nb)
+		e.fwdBuckets = extend(e.fwdBuckets, nb, nil)
+		e.bwdBuckets = extend(e.bwdBuckets, nb, nil)
 	}
 	for l := range e.fwdBuckets {
 		e.fwdBuckets[l] = e.fwdBuckets[l][:0]
@@ -105,6 +107,7 @@ func (e *Engine) runIncremental(touched []netlist.InstID, p *graphPatch, flip, a
 	d, g := e.d, e.g
 	e.growValues()
 	fwd, bwd := e.prepare()
+	e.stats.LastSeedLoads = 0
 
 	// 1. Registers whose effective clock arrival moved need a re-seed.
 	var changed []netlist.InstID

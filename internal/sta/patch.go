@@ -233,14 +233,17 @@ func (g *timingGraph) grow(nPins, nNets int) {
 	}
 }
 
-// extend lengthens s to n, filling the new elements. It reallocates to
-// exactly n when s is too short: the engine holds pin-sized arrays for a
-// design's life, so headroom would stay live while a grow only happens
-// after composition's merges and the clock tree's new buffers.
+// extend lengthens s to n, filling the new elements. When s is too short
+// it reallocates with a quarter's headroom (capacity n + n/4), as append
+// does for large slices: every merge and split adds pins, so exact-size
+// regrowth would copy every pin-sized array on every structural measure,
+// while with headroom a session copies each array once per quarter's
+// growth. The headroom stays live for the engine's life, at most a quarter
+// of each array grown past its build size (DESIGN.md §7).
 func extend[T any](s []T, n int, fill T) []T {
 	old := len(s)
 	if cap(s) < n {
-		t := make([]T, n)
+		t := make([]T, n, n+n/4)
 		copy(t, s)
 		s = t
 	}

@@ -124,6 +124,11 @@ type RunStats struct {
 	// run's count.
 	ClockRegs     int
 	LastClockRegs int
+	// LastSeedLoads counts the register Q-net loads the most recent run
+	// recomputed: every connected Q pin on a full build, the Q pins whose
+	// net an edit can have reloaded otherwise (the rest reuse the load
+	// stored at their last seed).
+	LastSeedLoads int
 }
 
 // Engine runs timing analysis on a design. The engine may be re-run after
@@ -147,6 +152,7 @@ type Engine struct {
 	arr, req, slack []float64
 	seedArr         []float64 // launch seed per pin (negInf when unseeded)
 	endReq          []float64 // endpoint required per pin (+Inf when none)
+	qLoad           []float64 // register Q pin: its net's load at the last seed
 	clk             clockState
 	endpoints       []int32 // endpoint pins in deterministic check order
 
@@ -338,6 +344,8 @@ func (e *Engine) runFull() error {
 	e.req = resize(e.req, n)
 	e.seedArr = resize(e.seedArr, n)
 	e.endReq = resize(e.endReq, n)
+	e.qLoad = resize(e.qLoad, n)
+	e.stats.LastSeedLoads = 0
 	for i := 0; i < n; i++ {
 		e.seedArr[i] = negInf
 		e.endReq[i] = math.Inf(1)
@@ -399,7 +407,8 @@ func (e *Engine) sweepAll() {
 // endpoint constraints (D required time) for its effective clock arrival;
 // a disconnected pin gets neither. When fwd and bwd are non-nil
 // (incremental runs), pins whose seed or constraint changed are pushed
-// onto the worklists.
+// onto the worklists, and a Q pin's net load is reused unless the run
+// marked the pin (launchLoad).
 func (e *Engine) seedRegister(in *netlist.Inst, eff float64, fwd, bwd *worklist) {
 	d := e.d
 	cell := in.RegCell
@@ -413,7 +422,7 @@ func (e *Engine) seedRegister(in *netlist.Inst, eff float64, fwd, bwd *worklist)
 		case netlist.PinOut:
 			seed := negInf
 			if p.Net != netlist.NoID {
-				seed = eff + cell.Intrinsic + cell.DriveRes*d.NetLoadCap(d.Net(p.Net))
+				seed = eff + cell.Intrinsic + cell.DriveRes*e.launchLoad(p, fwd == nil)
 			}
 			e.setSeed(pid, seed, fwd)
 		case netlist.PinData:
@@ -424,6 +433,22 @@ func (e *Engine) seedRegister(in *netlist.Inst, eff float64, fwd, bwd *worklist)
 			}
 		}
 	}
+}
+
+// launchLoad returns the load on the net a register Q pin drives. A full
+// run computes it; an incremental run recomputes it only for a pin it
+// marked — step 2 of runIncremental marks every pin of a touched instance
+// and the driver of every data net an edit can have reloaded — and reuses
+// the load stored at the pin's last seed otherwise. A Q pin on a clock net
+// is always recomputed: clock-tree edits reload clock nets without marking
+// their drivers.
+func (e *Engine) launchLoad(p *netlist.Pin, full bool) float64 {
+	nt := e.d.Net(p.Net)
+	if full || nt.IsClock || e.pinMark[p.ID] == e.gen {
+		e.qLoad[p.ID] = e.d.NetLoadCap(nt)
+		e.stats.LastSeedLoads++
+	}
+	return e.qLoad[p.ID]
 }
 
 // setSeed sets a pin's launch seed, queueing it when it changed.
@@ -522,6 +547,7 @@ func (e *Engine) growValues() {
 	e.slack = extend(e.slack, n, math.Inf(1))
 	e.seedArr = extend(e.seedArr, n, negInf)
 	e.endReq = extend(e.endReq, n, math.Inf(1))
+	e.qLoad = extend(e.qLoad, n, 0)
 }
 
 func slackOf(arr, req float64) float64 {
