@@ -83,21 +83,14 @@ func New(d *netlist.Design, plan *scan.Plan, opts Options) *Engine {
 	return &Engine{d: d, plan: plan, opts: opts}
 }
 
-// Invalidate is a no-op: the engine retains no state between updates.
-func (e *Engine) Invalidate() {}
-
 // SetTimingFeed is a no-op. It stays until benchmark/measure.go stops
 // calling it.
 func (e *Engine) SetTimingFeed(*sta.Engine) {}
 
-// SetWorkers bounds the fan-out of pairwise tests (engine.Retained
-// convention: results identical for any value, 1 forces sequential).
-func (e *Engine) SetWorkers(n int) { e.opts.Workers = n }
-
 // Stats returns the accumulated counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Summary reports the unified engine counters (engine.Retained): every
+// Summary reports the unified engine counters (engine.Summary): every
 // Update is a rebuild, of kind "build".
 func (e *Engine) Summary() engine.Summary {
 	s := engine.Summary{Updates: e.stats.Updates, Rebuilds: e.stats.Updates}
@@ -106,8 +99,6 @@ func (e *Engine) Summary() engine.Summary {
 	}
 	return s
 }
-
-var _ engine.Retained = (*Engine)(nil)
 
 // Graph returns the graph built by the last Update (nil before the first
 // one).

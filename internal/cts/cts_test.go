@@ -297,7 +297,7 @@ func TestDeterministicBuild(t *testing.T) {
 	}
 }
 
-// TestSetWorkersZeroMeansPerCPU pins the engine.Retained worker convention:
+// TestSetWorkersZeroMeansPerCPU pins the package engine worker convention:
 // 0 (or a negative count) selects one worker per available CPU, like every
 // other retained engine, and a positive count is taken literally.
 func TestSetWorkersZeroMeansPerCPU(t *testing.T) {

@@ -197,7 +197,7 @@ func NewEngine(d *netlist.Design, opts Options) *Engine {
 }
 
 // SetWorkers bounds the parallelism of the clustering plan, following the
-// engine.Retained convention (0 = one worker per available CPU). Results
+// package engine convention (0 = one worker per available CPU). Results
 // are identical for any worker count.
 func (e *Engine) SetWorkers(n int) {
 	if n <= 0 {
@@ -212,7 +212,7 @@ func (e *Engine) Attached() bool { return e.attached }
 // Stats returns a copy of the engine's counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Summary reports the unified retained-engine counters (engine.Retained).
+// Summary reports the unified engine counters (engine.Summary).
 func (e *Engine) Summary() engine.Summary {
 	return engine.Summary{
 		Updates:  e.stats.Updates,
@@ -221,8 +221,6 @@ func (e *Engine) Summary() engine.Summary {
 		LastKind: string(e.stats.LastKind),
 	}
 }
-
-var _ engine.Retained = (*Engine)(nil)
 
 // Buffers returns all live tree buffers in canonical order.
 func (e *Engine) Buffers() []*netlist.Inst {
@@ -461,17 +459,6 @@ func (e *Engine) noteLegalize(t0 time.Time) {
 	ns := time.Since(t0).Nanoseconds()
 	e.stats.LastLegalizeNS += ns
 	e.stats.LegalizeNS += ns
-}
-
-// Invalidate tears the trees down, reattaching every sink to its domain
-// root (the pre-CTS state), and detaches the engine. The next Update
-// rebuilds from scratch.
-func (e *Engine) Invalidate() {
-	if !e.attached {
-		return
-	}
-	e.teardown()
-	e.stats.LastFallbackReason = "invalidated"
 }
 
 // ReleaseClocks moves the clock pins of the given registers from their

@@ -434,39 +434,6 @@ func TestCachedMetricsEqualsMeasure(t *testing.T) {
 	}
 }
 
-// TestInvalidateRestoresAndReattaches checks Invalidate returns the design
-// to a tree-less state (every sink back on its root) and that the next
-// Update attaches from scratch.
-func TestInvalidateRestoresAndReattaches(t *testing.T) {
-	tw := makeTwin(t, "D3")
-	eng := cts.NewEngine(tw.a.Design, cts.DefaultOptions())
-	if err := eng.Attach(); err != nil {
-		t.Fatalf("attach: %v", err)
-	}
-	eng.Invalidate()
-	if eng.Attached() {
-		t.Fatal("engine still attached after Invalidate")
-	}
-	ma, mb := cts.Measure(tw.a.Design), cts.Measure(tw.b.Design)
-	if ma.Buffers != 0 {
-		t.Fatalf("%d clock buffers survive Invalidate", ma.Buffers)
-	}
-	if ma.Sinks != mb.Sinks {
-		t.Fatalf("sinks %d != pristine twin %d after Invalidate", ma.Sinks, mb.Sinks)
-	}
-	if err := eng.Update(); err != nil {
-		t.Fatalf("re-update: %v", err)
-	}
-	if eng.Stats().LastKind != cts.UpdateAttach {
-		t.Fatalf("post-Invalidate update kind = %q", eng.Stats().LastKind)
-	}
-	trees, bufs := buildOracle(t, tw.b.Design)
-	requireTreesEqual(t, "post-invalidate", eng, tw.a.Design, tw.b.Design, bufs)
-	for _, tr := range trees {
-		tr.Remove()
-	}
-}
-
 // TestPerDomainMetricInvalidation pins the per-domain keying of the
 // metrics cache: an edit that touches sinks of one clock domain must not
 // cost the other domains their cached values — only the touched domain

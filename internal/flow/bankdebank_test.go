@@ -165,28 +165,52 @@ func mergeablePairs(s *Session, n int, crossDomain bool) [][2]*netlist.Inst {
 	return out
 }
 
-// FuzzBankDebankEdits drives a D1 session through fuzzed merge and split
-// edits and measures. Members come from a pool of every live register
-// plus non-registers and an unknown name, picked near each other so that
-// accepted merges, duplicates and cross-domain pairs all occur; cells are
-// optional and may be of another class; positions are optional. A rejected
-// edit must leave the epoch and the state dump unchanged; after an
-// accepted one the design and the scan plan must validate and every new
-// register must have its source registers' class.
-func FuzzBankDebankEdits(f *testing.F) {
-	for _, seed := range [][]byte{
-		{2, 0, 0, 10, 0, 1, 1, 1},
-		{2, 0, 2, 40, 0, 3, 5, 0, 1, 0, 0},
-		{0, 0, 7, 1, 1, 0, 0, 2, 1, 3, 1},
-		{2, 1, 0, 0, 2, 0, 0, 12, 30, 2, 0, 1, 20, 3},
-		{2, 0, 1, 87, 0, 3, 8, 2, 0, 0, 5, 4, 9},
-		// A merge of two clock domains after a measure, whose rejection
-		// once reconnected the released clock pins at the end of their leaf
-		// nets' sink lists.
-		[]byte("1 1100801000"),
-		// A merge into a cell of another functional class, once accepted.
-		[]byte("\xdb\"00C20000"),
-	} {
+// FuzzSessionOps drives a D1 session through fuzzed ops, every one through
+// Session.Do: move, resize, skew, merge and split edits, measures, compose
+// passes, decompose passes (the zero config, which must be rejected,
+// included) and restore passes. Instances come from a pool of every live
+// register plus non-registers and an unknown name, picked near each other
+// so that accepted merges, duplicates and cross-domain pairs all occur;
+// cells may be of another class or width; positions are optional and may
+// leave the core. A rejected op must leave the epoch and the state dump
+// unchanged; after an accepted one the design and the scan plan must
+// validate and every register a merge or split made must have its source
+// registers' class.
+//
+// Each op starts with a selector byte: 0 mod 3 is a merge, 1 mod 3 a split,
+// and 2 mod 3 picks the rest by sel/3 mod 8, so the bank/debank seeds
+// decode as they do in FuzzBankDebankEdits.
+func FuzzSessionOps(f *testing.F) {
+	fuzzSessionOps(f, true, append(bankDebankSeeds,
+		// Move, resize and skew edits, then compose, a zero-config and a
+		// budgeted decompose, restore and a measure.
+		[]byte{5, 3, 1, 200, 90, 8, 2, 5, 7, 11, 4, 0, 130, 14, 17, 0, 0, 17, 2, 100, 23, 2}))
+}
+
+// FuzzBankDebankEdits is FuzzSessionOps narrowed to merge and split edits
+// and measures (every 2 mod 3 selector measures): the same harness, with
+// no pass or parametric edit between the structural ones.
+func FuzzBankDebankEdits(f *testing.F) { fuzzSessionOps(f, false, bankDebankSeeds) }
+
+// bankDebankSeeds are merge, split and measure sequences; two once crashed.
+var bankDebankSeeds = [][]byte{
+	{2, 0, 0, 10, 0, 1, 1, 1},
+	{2, 0, 2, 40, 0, 3, 5, 0, 1, 0, 0},
+	{0, 0, 7, 1, 1, 0, 0, 2, 1, 3, 1},
+	{2, 1, 0, 0, 2, 0, 0, 12, 30, 2, 0, 1, 20, 3},
+	{2, 0, 1, 87, 0, 3, 8, 2, 0, 0, 5, 4, 9},
+	// A merge of two clock domains after a measure, whose rejection once
+	// reconnected the released clock pins at the end of their leaf nets'
+	// sink lists.
+	[]byte("1 1100801000"),
+	// A merge into a cell of another functional class, once accepted.
+	[]byte("\xdb\"00C20000"),
+}
+
+// fuzzSessionOps is the harness of both fuzz targets; allOps selects
+// FuzzSessionOps's vocabulary.
+func fuzzSessionOps(f *testing.F, allOps bool, seeds [][]byte) {
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -216,6 +240,12 @@ func FuzzBankDebankEdits(f *testing.F) {
 			}
 			return ""
 		}
+		// coord maps a byte onto the core's span along one axis, stretched
+		// by a tenth on each side so that some positions leave the core.
+		coord := func(lo, hi int64) int64 {
+			span := hi - lo
+			return lo - span/10 + int64(next())*(span+span/5)/255
+		}
 		for step := 0; len(data) > 0 && step < 16; step++ {
 			var pool []string
 			d.Insts(func(in *netlist.Inst) {
@@ -224,9 +254,12 @@ func FuzzBankDebankEdits(f *testing.F) {
 				}
 			})
 			pool = append(pool, "no_such_inst")
-			var e Edit
-			switch next() % 3 {
-			case 0:
+			pick := func() string { return pool[(next()*7+next()%8)%len(pool)] }
+			var op Op
+			var srcs []string
+			edit := func(e Edit) { op = Op{Kind: OpEdits, Edits: []Edit{e}} }
+			switch sel := next(); {
+			case sel%3 == 0:
 				m := &MergeEdit{Name: fmt.Sprintf("fz_m%d", step), Cell: cellName()}
 				base := next() * 7
 				for k := 2 + next()%3; k > 0; k-- {
@@ -235,20 +268,40 @@ func FuzzBankDebankEdits(f *testing.F) {
 				if p := next(); p%2 == 1 {
 					m.X, m.Y = Coord(d.Core.Lo.X+int64(p)*200), Coord(d.Core.Lo.Y+int64(p)*120)
 				}
-				e = Edit{Merge: m}
-			case 1:
-				e = Edit{Split: &SplitEdit{Inst: pool[(next()*7+next()%8)%len(pool)], Cell: cellName()}}
+				edit(Edit{Merge: m})
+				srcs = m.Group
+			case sel%3 == 1:
+				e := &SplitEdit{Inst: pick(), Cell: cellName()}
+				edit(Edit{Split: e})
+				srcs = []string{e.Inst}
+			case !allOps:
+				op = Op{Kind: OpMeasure}
 			default:
-				if _, err := s.Measure(); err != nil {
-					t.Fatal(err)
+				switch sel / 3 % 8 {
+				case 0, 6:
+					op = Op{Kind: OpMeasure}
+				case 1:
+					name := pick()
+					x := coord(d.Core.Lo.X, d.Core.Hi.X)
+					edit(MoveTo(name, x, coord(d.Core.Lo.Y, d.Core.Hi.Y)))
+				case 2:
+					name := pick()
+					edit(Resize(name, cells[next()%len(cells)].Name))
+				case 3:
+					name := pick()
+					edit(Skew(name, float64(next()-128)))
+				case 4:
+					op = Op{Kind: OpCompose}
+				case 5:
+					b := next()
+					op = Op{Kind: OpDecompose, Decompose: &DecomposeConfig{
+						Budget:           b % 4,
+						SlackThresholdPS: float64(next()) * 8,
+						All:              b >= 248,
+					}}
+				case 7:
+					op = Op{Kind: OpRestore}
 				}
-				continue
-			}
-			var srcs []string
-			if e.Merge != nil {
-				srcs = e.Merge.Group
-			} else {
-				srcs = []string{e.Split.Inst}
 			}
 			classes := map[string]lib.FuncClass{}
 			for _, name := range srcs {
@@ -257,24 +310,27 @@ func FuzzBankDebankEdits(f *testing.F) {
 				}
 			}
 			epoch0, state0 := s.Epoch(), dumpState(t, s)
-			res, err := s.Apply([]Edit{e})
+			res, err := s.Do(op)
 			if err != nil {
 				if s.Epoch() != epoch0 || dumpState(t, s) != state0 {
-					t.Fatalf("step %d: rejected %s edit left a trace (%v)", step, e.Op(), err)
+					t.Fatalf("step %d: rejected %s op left a trace (%v)", step, opLabel(op), err)
 				}
 				continue
 			}
 			if err := d.Validate(); err != nil {
-				t.Fatalf("step %d: design invalid after %s: %v", step, e.Op(), err)
+				t.Fatalf("step %d: design invalid after %s: %v", step, opLabel(op), err)
 			}
 			if err := s.Plan().Validate(d); err != nil {
-				t.Fatalf("step %d: plan invalid after %s: %v", step, e.Op(), err)
+				t.Fatalf("step %d: plan invalid after %s: %v", step, opLabel(op), err)
+			}
+			if res.Apply == nil {
+				continue
 			}
 			var made []*netlist.Inst
-			for _, name := range res.Merged {
+			for _, name := range res.Apply.Merged {
 				made = append(made, d.InstByName(name))
 			}
-			for _, name := range res.Split {
+			for _, name := range res.Apply.Split {
 				d.Insts(func(in *netlist.Inst) {
 					if strings.HasPrefix(in.Name, name+"_b") && in.Kind == netlist.KindReg {
 						made = append(made, in)
@@ -291,4 +347,12 @@ func FuzzBankDebankEdits(f *testing.F) {
 			}
 		}
 	})
+}
+
+// opLabel names an op for a failure message: its kind, or its one edit's.
+func opLabel(op Op) string {
+	if op.Kind == OpEdits && len(op.Edits) == 1 {
+		return op.Edits[0].Op()
+	}
+	return op.Kind
 }

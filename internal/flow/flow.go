@@ -4,7 +4,7 @@
 // sizing → CTS update, and measure again. Its Report holds one Table 1
 // row pair (Base / Ours).
 //
-// Five engines serve the run behind the shared engine.Retained contract.
+// Five engines serve the run, each reporting an engine.Summary.
 // Four retain state across it: the incremental STA engine, the clock-tree
 // engine, the design-aggregate tracker and the congestion engine. The
 // fifth, the compatibility-graph engine, builds the graph from scratch at
@@ -173,8 +173,8 @@ type Report struct {
 	// RouteStats accounts for the retained congestion engine (delta vs
 	// rebuild decisions, re-contributed nets, touched grid edges).
 	RouteStats route.Stats
-	// Engines is the uniform engine.Retained contract view of the retained
-	// engines, keyed "sta", "compat", "cts", "metrics", "route".
+	// Engines is the uniform engine.Summary view of the retained engines,
+	// keyed "sta", "compat", "cts", "metrics", "route".
 	Engines map[string]engine.Summary
 	// SkewedMBRs and ResizedMBRs count the post-composition optimizations.
 	SkewedMBRs  int
@@ -192,10 +192,9 @@ type Report struct {
 	TotalTime time.Duration
 }
 
-// engines bundles the flow's retained engines. Each satisfies the
-// engine.Retained contract; the flow drives them through this one struct so
-// every stage sees the same instances and their stats survive to the
-// Report.
+// engines bundles the flow's retained engines. The flow drives them
+// through this one struct so every stage sees the same instances and
+// their stats survive to the Report.
 type engines struct {
 	sta *sta.Engine
 	cg  *compatgraph.Engine

@@ -13,16 +13,16 @@ import (
 )
 
 // Session is a long-lived flow instance: the design, its scan plan and the
-// five engines of the engine.Retained contract, held together so edits can stream in and
+// five retained engines, held together so edits can stream in and
 // measurements stream out with O(touched) incremental cost per request.
 // It is the in-memory state of one composition-server tenant; Run is a
 // thin one-shot wrapper that creates a Session, drives the paper's flow
 // and closes it, so every batch oracle pinning Run also pins the Session.
 //
 // A Session is NOT safe for concurrent use. Callers that share one across
-// goroutines (internal/serve) must serialize mutating calls (Apply,
-// Measure, ComposePass) and may only run read-only calls (Engines,
-// DumpState, Design) concurrently with each other.
+// goroutines (internal/serve) must serialize the state-advancing ops (Do
+// and the calls it dispatches to) and may only run read-only calls
+// (Engines, DumpState, Design) concurrently with each other.
 type Session struct {
 	d    *netlist.Design
 	plan *scan.Plan
@@ -72,8 +72,8 @@ func (s *Session) Plan() *scan.Plan { return s.plan }
 // Config returns the config the session was created with.
 func (s *Session) Config() Config { return s.cfg }
 
-// Engines returns the uniform engine.Retained contract view of the
-// retained engines, keyed "sta", "compat", "cts", "metrics", "route".
+// Engines returns the uniform engine.Summary view of the retained engines,
+// keyed "sta", "compat", "cts", "metrics", "route".
 func (s *Session) Engines() map[string]engine.Summary {
 	return s.engs.summaries()
 }
@@ -170,24 +170,6 @@ func (s *Session) DumpState(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Invalidate drops every retained engine's cached state (engine.Retained
-// contract). The session stays usable — the next Measure pays for full
-// rebuilds. Eviction paths call this so a dropped session releases its
-// derived state deterministically.
-func (s *Session) Invalidate() {
-	if s.closed {
-		return
-	}
-	s.engs.sta.Invalidate()
-	s.engs.cg.Invalidate()
-	s.engs.met.Invalidate()
-	s.engs.rt.Invalidate()
-	// The clock-tree engine's Invalidate tears the realized trees out of
-	// the design (reattaching sinks to their roots) — the pre-CTS state a
-	// fresh session would attach from.
-	s.engs.cts.Invalidate()
 }
 
 // Close marks the session closed. It does not tear down the clock trees:

@@ -128,11 +128,7 @@ func (t *Tracker) Stats() Stats { return t.stats }
 // scratch. Required after edits that bypassed the netlist API.
 func (t *Tracker) Invalidate() { t.valid = false }
 
-// SetWorkers is part of the retained-engine contract; the tracker's syncs
-// are cheap enough to stay sequential, so it is a no-op.
-func (t *Tracker) SetWorkers(int) {}
-
-// Summary reports the uniform engine.Retained counters. Instance recounts
+// Summary reports the uniform engine.Summary counters. Instance recounts
 // are neither deltas nor rebuilds; they show up in Updates only (and in
 // Stats.InstRecounts).
 func (t *Tracker) Summary() engine.Summary {

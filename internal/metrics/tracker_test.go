@@ -8,14 +8,11 @@ import (
 	"repro/internal/bench"
 	"repro/internal/compat"
 	"repro/internal/cts"
-	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/netlist"
 	"repro/internal/sta"
 )
-
-var _ engine.Retained = (*metrics.Tracker)(nil)
 
 const oracleScale = 300
 

@@ -49,12 +49,10 @@ type Stats struct {
 // the batch Estimate does.
 //
 // It consumes the netlist's per-edit-class touched rings exactly like the
-// other retained engines: flow-class edits (moves, resizes, merges) always
-// matter; CTS-class edits (clock-buffer churn, leaf-net rewires) only
-// matter when Options.IncludeClock is set, because CTS edits never change
-// a signal net's pin set or member positions. An overflowed ring whose
-// edits matter downgrades the update to a full rebuild — correctness never
-// depends on a ring.
+// other retained engines: flow-class edits (moves, resizes, merges) and
+// CTS-class edits (clock-buffer churn, leaf-net rewires) both matter,
+// since clock nets contribute demand. An overflowed ring downgrades the
+// update to a full rebuild — correctness never depends on a ring.
 //
 // Because demand is held in fixed-point (see demandUnit), delta retraction
 // is exact and the engine's map is bit-identical to Estimate's at every
@@ -97,8 +95,6 @@ type Engine struct {
 	stats Stats
 }
 
-var _ engine.Retained = (*Engine)(nil)
-
 // NewEngine returns a retained congestion engine for the design. The first
 // Update (or OverflowEdges/Map call) performs the full baseline estimate.
 func NewEngine(d *netlist.Design, opts Options) *Engine {
@@ -123,7 +119,7 @@ func (e *Engine) Invalidate() { e.valid = false }
 // one worker per available CPU.
 func (e *Engine) SetWorkers(n int) { e.workers = n }
 
-// Summary reports the uniform engine.Retained counters.
+// Summary reports the uniform engine.Summary counters.
 func (e *Engine) Summary() engine.Summary {
 	return engine.Summary{
 		Updates:  e.stats.Updates,
@@ -178,20 +174,13 @@ func (e *Engine) Update() {
 		e.rebuild("flow-ring-overflow")
 		return
 	}
-	touched := flow
-	if e.opts.IncludeClock {
-		ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-		if !ctsOK {
-			e.rebuild("cts-ring-overflow")
-			return
-		}
-		touched = append(touched, ctsT...)
+	ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
+	if !ctsOK {
+		e.rebuild("cts-ring-overflow")
+		return
 	}
-	// When clock nets are excluded, CTS-class edits cannot change the map:
-	// clock-buffer churn and leaf rewires touch clock nets only (see
-	// metrics.Tracker for the same argument), so that ring is ignored.
 	t0 := time.Now()
-	e.delta(touched)
+	e.delta(append(flow, ctsT...))
 	e.stats.LastDeltaNS = time.Since(t0).Nanoseconds()
 	e.stats.DeltaNS += e.stats.LastDeltaNS
 	e.stats.Deltas++
@@ -230,7 +219,7 @@ func (e *Engine) delta(touched []netlist.InstID) {
 		e.markDirty(old)
 		var cur contrib
 		if n := e.d.Net(nid); n != nil {
-			cur, _ = netContribution(e.d, n, e.opts, e.g)
+			cur, _ = netContribution(e.d, n, e.g)
 		}
 		cur.addTo(e.hDem, e.vDem, e.g.nx, 1)
 		e.markDirty(cur)
@@ -348,7 +337,7 @@ func (e *Engine) rebuild(reason string) {
 			hD := make([]int64, nh)
 			vD := make([]int64, nv)
 			for _, n := range live[w*len(live)/workers : (w+1)*len(live)/workers] {
-				if c, ok := netContribution(e.d, n, e.opts, e.g); ok {
+				if c, ok := netContribution(e.d, n, e.g); ok {
 					c.addTo(hD, vD, e.g.nx, 1)
 					e.nets[n.ID] = c
 				}

@@ -234,37 +234,31 @@ func removeRegs(t *testing.T, d *netlist.Design, rng *rand.Rand, n int) {
 
 // TestOracleWithRetainedCTS drives the edit storm with a retained clock
 // tree attached, so updates see real CTS-class churn (buffer moves, leaf
-// rewires). With IncludeClock the engine must fold that churn in; without
-// it the CTS ring must be ignorable — either way the map equals the oracle.
+// rewires). The engine must fold that churn in: the map equals the oracle.
 func TestOracleWithRetainedCTS(t *testing.T) {
-	for _, includeClock := range []bool{true, false} {
-		t.Run(fmt.Sprintf("includeClock=%v", includeClock), func(t *testing.T) {
-			b := genProfile(t, "D2")
-			d := b.Design
-			eng := sta.New(d)
-			eng.SetIdealClocks(true)
-			ct := cts.NewEngine(d, cts.DefaultOptions())
-			if err := ct.Attach(); err != nil {
-				t.Fatalf("attach: %v", err)
-			}
-			opts := route.DefaultOptions()
-			opts.IncludeClock = includeClock
-			rt := route.NewEngine(d, opts)
-			rng := rand.New(rand.NewSource(7))
+	b := genProfile(t, "D2")
+	d := b.Design
+	eng := sta.New(d)
+	eng.SetIdealClocks(true)
+	ct := cts.NewEngine(d, cts.DefaultOptions())
+	if err := ct.Attach(); err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	opts := route.DefaultOptions()
+	rt := route.NewEngine(d, opts)
+	rng := rand.New(rand.NewSource(7))
 
-			for round := 0; round < 8; round++ {
-				rt.Update()
-				ctx := fmt.Sprintf("cts round %d (%s)", round, rt.Stats().LastKind)
-				requireMapsEqual(t, ctx, rt, d, opts)
-				mutate(t, b, eng, rng, round, ct.ReleaseClocks)
-				if err := ct.Update(); err != nil {
-					t.Fatalf("cts update: %v", err)
-				}
-			}
-			if st := rt.Stats(); st.Deltas == 0 {
-				t.Fatalf("no update took the delta path: %+v", st)
-			}
-		})
+	for round := 0; round < 8; round++ {
+		rt.Update()
+		ctx := fmt.Sprintf("cts round %d (%s)", round, rt.Stats().LastKind)
+		requireMapsEqual(t, ctx, rt, d, opts)
+		mutate(t, b, eng, rng, round, ct.ReleaseClocks)
+		if err := ct.Update(); err != nil {
+			t.Fatalf("cts update: %v", err)
+		}
+	}
+	if st := rt.Stats(); st.Deltas == 0 {
+		t.Fatalf("no update took the delta path: %+v", st)
 	}
 }
 
@@ -331,7 +325,7 @@ func TestOverflowFallsBackToRebuild(t *testing.T) {
 	requireMapsEqual(t, "overflow", rt, d, opts)
 }
 
-// TestInvalidateForcesRebuild checks the engine.Retained contract: after
+// TestInvalidateForcesRebuild checks the engine's Invalidate: after
 // Invalidate the next sync rebuilds from scratch and matches the oracle.
 func TestInvalidateForcesRebuild(t *testing.T) {
 	b := genProfile(t, "D1")

@@ -28,13 +28,11 @@ type Options struct {
 	GCell int64
 	// HCap and VCap are per-edge track capacities.
 	HCap, VCap float64
-	// IncludeClock selects whether clock nets contribute demand.
-	IncludeClock bool
 }
 
 // DefaultOptions returns the capacities used by the benchmark designs.
 func DefaultOptions() Options {
-	return Options{GCell: 4800, HCap: 12, VCap: 10, IncludeClock: true}
+	return Options{GCell: 4800, HCap: 12, VCap: 10}
 }
 
 // demandUnit is the fixed-point scale: one routing track of demand is
@@ -112,13 +110,10 @@ type contrib struct {
 	wh, wv         int64
 }
 
-// netContribution computes the net's contribution on grid g. ok is false
-// for nets that contribute nothing: clock nets when excluded, nets with
-// fewer than two pins, and nets with no connected pins.
-func netContribution(d *netlist.Design, n *netlist.Net, opts Options, g grid) (contrib, bool) {
-	if n.IsClock && !opts.IncludeClock {
-		return contrib{}, false
-	}
+// netContribution computes the net's contribution on grid g. Clock nets
+// contribute like any other. ok is false for nets that contribute
+// nothing: nets with fewer than two pins and nets with no connected pins.
+func netContribution(d *netlist.Design, n *netlist.Net, g grid) (contrib, bool) {
 	bb, ok := d.NetBBox(n)
 	if !ok {
 		return contrib{}, false
@@ -176,7 +171,7 @@ func estimateScaled(d *netlist.Design, opts Options, g grid) (hDem, vDem []int64
 	hDem = make([]int64, g.hEdges())
 	vDem = make([]int64, g.vEdges())
 	d.Nets(func(n *netlist.Net) {
-		if c, ok := netContribution(d, n, opts, g); ok {
+		if c, ok := netContribution(d, n, g); ok {
 			c.addTo(hDem, vDem, g.nx, 1)
 		}
 	})

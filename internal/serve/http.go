@@ -56,6 +56,19 @@ type MeasureResponse struct {
 	Engines   wire.EngineSummaries `json:"engines"`
 }
 
+// ComposeInfo is a compose request's outcome on the wire.
+type ComposeInfo struct {
+	MBRs               int      `json:"mbrs"`
+	Merged             []string `json:"merged,omitempty"`
+	RegsBefore         int      `json:"regsBefore"`
+	RegsAfter          int      `json:"regsAfter"`
+	Subgraphs          int      `json:"subgraphs"`
+	Candidates         int      `json:"candidates"`
+	TruncatedSubgraphs int      `json:"truncatedSubgraphs"`
+	ILPNodes           int      `json:"ilpNodes"`
+	ObjectiveSum       float64  `json:"objectiveSum"`
+}
+
 // ComposeResponse is one composition pass's outcome.
 type ComposeResponse struct {
 	Compose ComposeInfo          `json:"compose"`
@@ -70,11 +83,25 @@ type DecomposeRequest struct {
 	Decompose flow.DecomposeConfig `json:"decompose"`
 }
 
+// DecomposeInfo is a decompose request's outcome on the wire.
+type DecomposeInfo struct {
+	Victims    []string `json:"victims,omitempty"`
+	Decomposed int      `json:"decomposed"`
+	Parts      int      `json:"parts"`
+	RegsBefore int      `json:"regsBefore"`
+	RegsAfter  int      `json:"regsAfter"`
+}
+
 // DecomposeResponse is one decomposition pass's outcome.
 type DecomposeResponse struct {
 	Decompose DecomposeInfo        `json:"decompose"`
 	Nanos     int64                `json:"nanos"`
 	Engines   wire.EngineSummaries `json:"engines"`
+}
+
+// RestoreInfo is a restore-pass request's outcome on the wire.
+type RestoreInfo struct {
+	Restored int `json:"restored"`
 }
 
 // RestoreResponse is one restore pass's outcome (leftover split bits
@@ -103,7 +130,7 @@ type ListResponse struct {
 //	POST   /v1/sessions                   create (CreateRequest)
 //	GET    /v1/sessions                   list
 //	GET    /v1/sessions/{name}            info + engine summaries
-//	DELETE /v1/sessions/{name}            evict (engines invalidated)
+//	DELETE /v1/sessions/{name}            evict (later ops on it get 410)
 //	POST   /v1/sessions/{name}/edits      apply an edit batch
 //	POST   /v1/sessions/{name}/measure    incremental Table 1 measurement
 //	POST   /v1/sessions/{name}/compose    one composition pass
@@ -180,123 +207,32 @@ func Handler(m *Manager) http.Handler {
 		w.WriteHeader(http.StatusNoContent)
 	})
 
-	mux.HandleFunc("POST /v1/sessions/{name}/edits", func(w http.ResponseWriter, r *http.Request) {
-		const op = "edits"
-		s, ok := m.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, op, http.StatusNotFound, errSessionNotFound(r))
-			return
-		}
-		var req EditsRequest
-		if !readJSON(w, r, op, &req) {
-			return
-		}
-		res, engs, err := s.Apply(req.Edits)
-		if err != nil && res == nil {
-			writeError(w, op, statusFor(err), err)
-			return
-		}
-		resp := EditsResponse{
-			Applied: res.Applied,
-			Merged:  res.Merged,
-			Split:   res.Split,
-			Epoch:   res.Epoch,
-			Engines: wire.Engines(engs),
-		}
-		status := http.StatusOK
-		if err != nil {
-			// Partial application: report the applied prefix with the error
-			// rather than a bare failure — the batch is not transactional.
-			resp.Error = wireError(op, statusFor(err), err)
-			status = http.StatusUnprocessableEntity
-		}
-		writeJSON(w, status, resp)
-	})
-
-	mux.HandleFunc("POST /v1/sessions/{name}/measure", func(w http.ResponseWriter, r *http.Request) {
-		const op = "measure"
-		s, ok := m.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, op, http.StatusNotFound, errSessionNotFound(r))
-			return
-		}
-		t0 := time.Now()
-		met, engs, err := s.Measure()
-		if err != nil {
-			writeError(w, op, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, MeasureResponse{
-			Metrics:   wire.FromMetrics(met),
-			Canonical: met.Canonical(),
-			Nanos:     time.Since(t0).Nanoseconds(),
-			Engines:   wire.Engines(engs),
+	for _, kind := range flow.OpKinds {
+		mux.HandleFunc("POST /v1/sessions/{name}/"+kind, func(w http.ResponseWriter, r *http.Request) {
+			s, ok := m.Get(r.PathValue("name"))
+			if !ok {
+				writeError(w, kind, http.StatusNotFound, errSessionNotFound(r))
+				return
+			}
+			op, ok := readOp(w, r, kind)
+			if !ok {
+				return
+			}
+			t0 := time.Now()
+			res, engs, err := s.Do(op)
+			// Only an edit batch answers an error with a body: it reports the
+			// applied prefix, since the batch is not transactional.
+			if err != nil && res.Apply == nil {
+				writeError(w, kind, statusFor(err), err)
+				return
+			}
+			status := http.StatusOK
+			if err != nil {
+				status = http.StatusUnprocessableEntity
+			}
+			writeJSON(w, status, opResponse(kind, res, time.Since(t0).Nanoseconds(), wire.Engines(engs), err))
 		})
-	})
-
-	mux.HandleFunc("POST /v1/sessions/{name}/compose", func(w http.ResponseWriter, r *http.Request) {
-		const op = "compose"
-		s, ok := m.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, op, http.StatusNotFound, errSessionNotFound(r))
-			return
-		}
-		t0 := time.Now()
-		info, engs, err := s.Compose()
-		if err != nil {
-			writeError(w, op, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ComposeResponse{
-			Compose: *info,
-			Nanos:   time.Since(t0).Nanoseconds(),
-			Engines: wire.Engines(engs),
-		})
-	})
-
-	mux.HandleFunc("POST /v1/sessions/{name}/decompose", func(w http.ResponseWriter, r *http.Request) {
-		const op = "decompose"
-		s, ok := m.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, op, http.StatusNotFound, errSessionNotFound(r))
-			return
-		}
-		var req DecomposeRequest
-		if !readJSON(w, r, op, &req) {
-			return
-		}
-		t0 := time.Now()
-		info, engs, err := s.Decompose(req.Decompose)
-		if err != nil {
-			writeError(w, op, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, DecomposeResponse{
-			Decompose: *info,
-			Nanos:     time.Since(t0).Nanoseconds(),
-			Engines:   wire.Engines(engs),
-		})
-	})
-
-	mux.HandleFunc("POST /v1/sessions/{name}/restore", func(w http.ResponseWriter, r *http.Request) {
-		const op = "restore"
-		s, ok := m.Get(r.PathValue("name"))
-		if !ok {
-			writeError(w, op, http.StatusNotFound, errSessionNotFound(r))
-			return
-		}
-		t0 := time.Now()
-		info, engs, err := s.Restore()
-		if err != nil {
-			writeError(w, op, statusFor(err), err)
-			return
-		}
-		writeJSON(w, http.StatusOK, RestoreResponse{
-			Restore: *info,
-			Nanos:   time.Since(t0).Nanoseconds(),
-			Engines: wire.Engines(engs),
-		})
-	})
+	}
 
 	mux.HandleFunc("GET /v1/sessions/{name}/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		const op = "snapshot"
@@ -314,6 +250,84 @@ func Handler(m *Manager) http.Handler {
 	})
 
 	return mux
+}
+
+// readOp builds the op a route runs. Only edits and decompose read a
+// body; the other kinds ignore theirs.
+func readOp(w http.ResponseWriter, r *http.Request, kind string) (flow.Op, bool) {
+	op := flow.Op{Kind: kind}
+	switch kind {
+	case flow.OpEdits:
+		var req EditsRequest
+		if !readJSON(w, r, kind, &req) {
+			return op, false
+		}
+		op.Edits = req.Edits
+	case flow.OpDecompose:
+		var req DecomposeRequest
+		if !readJSON(w, r, kind, &req) {
+			return op, false
+		}
+		op.Decompose = &req.Decompose
+	}
+	return op, true
+}
+
+// opResponse builds an op route's response body from what the op did;
+// err is an edit batch's rejection, reported beside its applied prefix.
+func opResponse(kind string, res flow.OpResult, nanos int64, engs wire.EngineSummaries, err error) any {
+	switch kind {
+	case flow.OpEdits:
+		resp := EditsResponse{
+			Applied: res.Apply.Applied,
+			Merged:  res.Apply.Merged,
+			Split:   res.Apply.Split,
+			Epoch:   res.Apply.Epoch,
+			Engines: engs,
+		}
+		if err != nil {
+			resp.Error = wireError(kind, statusFor(err), err)
+		}
+		return resp
+	case flow.OpMeasure:
+		return MeasureResponse{
+			Metrics:   wire.FromMetrics(res.Metrics),
+			Canonical: res.Metrics.Canonical(),
+			Nanos:     nanos,
+			Engines:   engs,
+		}
+	case flow.OpCompose:
+		c := res.Compose
+		info := ComposeInfo{
+			MBRs:               len(c.MBRs),
+			RegsBefore:         c.RegsBefore,
+			RegsAfter:          c.RegsAfter,
+			Subgraphs:          c.Subgraphs,
+			Candidates:         c.Candidates,
+			TruncatedSubgraphs: c.TruncatedSubgraphs,
+			ILPNodes:           c.ILPNodes,
+			ObjectiveSum:       c.ObjectiveSum,
+		}
+		for _, m := range c.MBRs {
+			info.Merged = append(info.Merged, m.Inst.Name)
+		}
+		return ComposeResponse{Compose: info, Nanos: nanos, Engines: engs}
+	case flow.OpDecompose:
+		d := res.Decompose
+		return DecomposeResponse{
+			Decompose: DecomposeInfo{
+				Victims:    d.Victims,
+				Decomposed: len(d.Victims),
+				Parts:      d.Parts,
+				RegsBefore: d.RegsBefore,
+				RegsAfter:  d.RegsAfter,
+			},
+			Nanos:   nanos,
+			Engines: engs,
+		}
+	default:
+		return RestoreResponse{Restore: RestoreInfo{Restored: res.Restored}, Nanos: nanos, Engines: engs}
+	}
 }
 
 func createResponse(s *Session) CreateResponse {

@@ -137,8 +137,8 @@ const recenterThresholdDBU = 4000
 // ecoDecomposeConfig is the decompose round every ECO stream issues: a
 // small budget of the worst-slack MBRs, with a threshold that admits any
 // constrained register (only unconstrained +Inf cones are exempt).
-func ecoDecomposeConfig() flow.DecomposeConfig {
-	return flow.DecomposeConfig{Budget: 4, SlackThresholdPS: 1e9}
+func ecoDecomposeConfig() *flow.DecomposeConfig {
+	return &flow.DecomposeConfig{Budget: 4, SlackThresholdPS: 1e9}
 }
 
 // sessionConfig is the one config every harness session is created with;
@@ -192,15 +192,6 @@ type OpLatency struct {
 	P90MS float64 `json:"p90MS"`
 }
 
-// Stream op kinds: the session-level operations a stream sequences.
-const (
-	opEdits     = "edits"
-	opMeasure   = "measure"
-	opCompose   = "compose"
-	opDecompose = "decompose"
-	opRestore   = "restore"
-)
-
 // streamOp is one op of a session's deterministic sequence. Structural
 // ops (merge/split edit batches, compose, decompose, restore) open an
 // exclusion window in the rebuild accounting: the retained engines
@@ -208,19 +199,28 @@ const (
 // re-baseline instead of counting until the next measure closes the
 // window.
 type streamOp struct {
-	kind       string
-	edits      []flow.Edit
-	decompose  flow.DecomposeConfig
+	flow.Op
 	structural bool
 }
+
+// measureOp is a stream's measurement.
+var measureOp = streamOp{Op: flow.Op{Kind: flow.OpMeasure}}
+
+// editsOp is a stream's edit batch.
+func editsOp(edits []flow.Edit, structural bool) streamOp {
+	return streamOp{Op: flow.Op{Kind: flow.OpEdits, Edits: edits}, structural: structural}
+}
+
+// passOp is a structural pass: compose, decompose or restore.
+func passOp(op flow.Op) streamOp { return streamOp{Op: op, structural: true} }
 
 // label names the op for Result.MeasureByOp: its kind, or the edit's
 // kind for a structural edit op.
 func (op streamOp) label() string {
-	if op.kind == opEdits && op.structural && len(op.edits) == 1 {
-		return op.edits[0].Op()
+	if op.Kind == flow.OpEdits && op.structural && len(op.Edits) == 1 {
+		return op.Edits[0].Op()
 	}
-	return op.kind
+	return op.Kind
 }
 
 // measureLat is one measure's latency and the label of the op before it.
@@ -507,17 +507,15 @@ func genStream(name string, regs []reg, o Options, idx int64) *stream {
 				batch = append(batch, flow.Skew(r.name, float64(rng.Intn(81)-40)))
 			}
 		}
-		st.ops = append(st.ops, streamOp{kind: opEdits, edits: batch})
+		st.ops = append(st.ops, editsOp(batch, false))
 		if (b+1)%o.MeasureEvery == 0 || b == o.Batches-1 {
-			st.ops = append(st.ops, streamOp{kind: opMeasure})
+			st.ops = append(st.ops, measureOp)
 		}
 	}
 	if o.ComposeAtEnd {
 		// Composition legitimately pays for structural work (merges); its
 		// window is excluded from the zero-rebuild accounting.
-		st.ops = append(st.ops,
-			streamOp{kind: opCompose, structural: true},
-			streamOp{kind: opMeasure})
+		st.ops = append(st.ops, passOp(flow.Op{Kind: flow.OpCompose}), measureOp)
 	}
 	return st
 }
@@ -557,8 +555,8 @@ func genStreamECO(name string, o Options, idx int64) (*stream, error) {
 	// emit applies the op to the scratch mirror and appends it; generation
 	// fails loudly rather than let the stream diverge from the mirror.
 	emit := func(op streamOp) error {
-		if err := applyOpLocal(fs, op); err != nil {
-			return fmt.Errorf("%s op %d (%s): %w", name, len(st.ops), op.kind, err)
+		if _, err := fs.Do(op.Op); err != nil {
+			return fmt.Errorf("%s op %d (%s): %w", name, len(st.ops), op.Kind, err)
 		}
 		st.ops = append(st.ops, op)
 		return nil
@@ -567,10 +565,11 @@ func genStreamECO(name string, o Options, idx int64) (*stream, error) {
 	// scratch session untouched, so skipping it keeps mirror and stream in
 	// lockstep.
 	tryEdit := func(e flow.Edit) bool {
-		if _, err := fs.Apply([]flow.Edit{e}); err != nil {
+		op := editsOp([]flow.Edit{e}, true)
+		if _, err := fs.Do(op.Op); err != nil {
 			return false
 		}
-		st.ops = append(st.ops, streamOp{kind: opEdits, edits: []flow.Edit{e}, structural: true})
+		st.ops = append(st.ops, op)
 		return true
 	}
 
@@ -607,11 +606,11 @@ func genStreamECO(name string, o Options, idx int64) (*stream, error) {
 				batch = append(batch, flow.Skew(r.Name, float64(rng.Intn(81)-40)))
 			}
 		}
-		if err := emit(streamOp{kind: opEdits, edits: batch}); err != nil {
+		if err := emit(editsOp(batch, false)); err != nil {
 			return nil, err
 		}
 		if (b+1)%o.MeasureEvery == 0 || b == o.Batches-1 {
-			if err := emit(streamOp{kind: opMeasure}); err != nil {
+			if err := emit(measureOp); err != nil {
 				return nil, err
 			}
 		}
@@ -645,19 +644,19 @@ func genStreamECO(name string, o Options, idx int64) (*stream, error) {
 				}
 			}
 		case 2:
-			if err := emit(streamOp{kind: opCompose, structural: true}); err != nil {
+			if err := emit(passOp(flow.Op{Kind: flow.OpCompose})); err != nil {
 				return nil, err
 			}
 			applied = true
 		case 3:
-			if err := emit(streamOp{kind: opDecompose, decompose: ecoDecomposeConfig(), structural: true}); err != nil {
+			if err := emit(passOp(flow.Op{Kind: flow.OpDecompose, Decompose: ecoDecomposeConfig()})); err != nil {
 				return nil, err
 			}
 			applied = true
 		}
 		round++
 		if applied {
-			if err := emit(streamOp{kind: opMeasure}); err != nil {
+			if err := emit(measureOp); err != nil {
 				return nil, err
 			}
 		}
@@ -666,10 +665,8 @@ func genStreamECO(name string, o Options, idx int64) (*stream, error) {
 	// Close the loop: recompose whatever the decompose rounds freed, then
 	// restore any stranded single bits and take the final measurement.
 	finale := []streamOp{
-		{kind: opCompose, structural: true},
-		{kind: opMeasure},
-		{kind: opRestore, structural: true},
-		{kind: opMeasure},
+		passOp(flow.Op{Kind: flow.OpCompose}), measureOp,
+		passOp(flow.Op{Kind: flow.OpRestore}), measureOp,
 	}
 	for _, op := range finale {
 		if err := emit(op); err != nil {
@@ -752,27 +749,6 @@ func openLocal(o Options) (*flow.Session, error) {
 	return flow.NewSession(d, plan, cfg.FlowConfig())
 }
 
-// applyOpLocal applies one stream op to a local session — the shared op
-// semantics of the oracle replay and the ECO generator's scratch mirror.
-func applyOpLocal(fs *flow.Session, op streamOp) error {
-	var err error
-	switch op.kind {
-	case opEdits:
-		_, err = fs.Apply(op.edits)
-	case opMeasure:
-		_, err = fs.Measure()
-	case opCompose:
-		_, err = fs.ComposePass()
-	case opDecompose:
-		_, err = fs.DecomposePassWith(op.decompose)
-	case opRestore:
-		_, err = fs.RestorePass()
-	default:
-		err = fmt.Errorf("unknown stream op %q", op.kind)
-	}
-	return err
-}
-
 // replayLocal replays a stream's ops on a fresh single-threaded
 // flow.Session and returns the measurement canonical bytes in sequence,
 // mirroring what the server journals: warmup measure, then the op stream.
@@ -789,16 +765,12 @@ func replayLocal(st *stream, o Options) ([]string, error) {
 	}
 	out = append(out, met.Canonical())
 	for i, op := range st.ops {
-		if op.kind == opMeasure {
-			met, err := fs.Measure()
-			if err != nil {
-				return nil, fmt.Errorf("op %d (measure): %w", i, err)
-			}
-			out = append(out, met.Canonical())
-			continue
+		res, err := fs.Do(op.Op)
+		if err != nil {
+			return nil, fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
 		}
-		if err := applyOpLocal(fs, op); err != nil {
-			return nil, fmt.Errorf("op %d (%s): %w", i, op.kind, err)
+		if op.Kind == flow.OpMeasure {
+			out = append(out, res.Metrics.Canonical())
 		}
 	}
 	return out, nil
@@ -827,13 +799,14 @@ func (c *client) runStream(st *stream, o Options) (lats []measureLat, canon []st
 
 	// Warmup measurement: the engines' first looks are full rebuilds by
 	// design; the steady-state window opens after this response.
-	var mres serve.MeasureResponse
-	if err = c.post("/v1/sessions/"+st.name+"/measure", struct{}{}, &mres); err != nil {
+	path := "/v1/sessions/" + st.name + "/"
+	var warm opReply
+	if err = c.post(path+flow.OpMeasure, struct{}{}, &warm); err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("warmup measure: %w", err)
 	}
-	canon = append(canon, mres.Canonical)
-	baseline := rebuildCount(mres.Engines)
-	staBuilds = int64(mres.Engines["sta"].Rebuilds)
+	canon = append(canon, warm.Canonical)
+	baseline := rebuildCount(warm.Engines)
+	staBuilds = int64(warm.Engines["sta"].Rebuilds)
 
 	// excluded marks a structural window: a merge/split/compose/decompose/
 	// restore legitimately pays one engine rebuild on its next run, so
@@ -853,55 +826,37 @@ func (c *client) runStream(st *stream, o Options) (lats []measureLat, canon []st
 		}
 	}
 
+	// Every op posts itself to its kind's route: edits and decompose read
+	// their fields from the body, the other routes ignore it.
 	prev := ""
 	for i, op := range st.ops {
 		if op.structural {
 			excluded = true
 		}
-		path := "/v1/sessions/" + st.name
-		switch op.kind {
-		case opEdits:
-			var eres serve.EditsResponse
-			if err = c.post(path+"/edits", serve.EditsRequest{Edits: op.edits}, &eres); err != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (edits): %w", i, err)
-			}
-			if eres.Error != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (edits): server: %w", i, eres.Error)
-			}
-			account(eres.Engines)
-		case opMeasure:
-			t0 := time.Now()
-			var m serve.MeasureResponse
-			if err = c.post(path+"/measure", struct{}{}, &m); err != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (measure): %w", i, err)
-			}
+		t0 := time.Now()
+		var r opReply
+		if err = c.post(path+op.Kind, op.Op, &r); err != nil {
+			return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (%s): %w", i, op.Kind, err)
+		}
+		if op.Kind == flow.OpMeasure {
 			lats = append(lats, measureLat{after: prev, ms: float64(time.Since(t0).Microseconds()) / 1000})
-			canon = append(canon, m.Canonical)
-			account(m.Engines)
+			canon = append(canon, r.Canonical)
+		}
+		account(r.Engines)
+		if op.Kind == flow.OpMeasure {
 			excluded = false
-		case opCompose:
-			var cres serve.ComposeResponse
-			if err = c.post(path+"/compose", struct{}{}, &cres); err != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (compose): %w", i, err)
-			}
-			account(cres.Engines)
-		case opDecompose:
-			var dres serve.DecomposeResponse
-			req := serve.DecomposeRequest{Decompose: op.decompose}
-			if err = c.post(path+"/decompose", req, &dres); err != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (decompose): %w", i, err)
-			}
-			account(dres.Engines)
-		case opRestore:
-			var rres serve.RestoreResponse
-			if err = c.post(path+"/restore", struct{}{}, &rres); err != nil {
-				return lats, canon, rebuilds, staBuilds, fmt.Errorf("op %d (restore): %w", i, err)
-			}
-			account(rres.Engines)
 		}
 		prev = op.label()
 	}
 	return lats, canon, rebuilds, staBuilds, nil
+}
+
+// opReply is the part of an op response the harness reads: every op's
+// engine summaries and a measure's canonical bytes. An edit batch rejected
+// mid-way answers 422, which post already returns as its wire.Error.
+type opReply struct {
+	Engines   wire.EngineSummaries `json:"engines"`
+	Canonical string               `json:"canonical"`
 }
 
 // read performs one info + one snapshot request against a session. 404s

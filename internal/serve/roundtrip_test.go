@@ -61,7 +61,7 @@ func TestMergeSplitMergeRoundTrip(t *testing.T) {
 							continue
 						}
 						e := flow.MergeGroup("rt_mbr", regs[i].Name, regs[j].Name)
-						if _, _, err := live.Apply([]flow.Edit{e}); err == nil {
+						if _, err := apply(live, e); err == nil {
 							merged = true
 							break probe
 						}
@@ -75,7 +75,7 @@ func TestMergeSplitMergeRoundTrip(t *testing.T) {
 					t.Fatal("merge did not advance the epoch")
 				}
 
-				sres, _, err := live.Apply([]flow.Edit{flow.SplitInst("rt_mbr")})
+				sres, err := apply(live, flow.SplitInst("rt_mbr"))
 				if err != nil {
 					t.Fatalf("split: %v", err)
 				}
@@ -98,13 +98,13 @@ func TestMergeSplitMergeRoundTrip(t *testing.T) {
 
 				// Exact inverse: the bits the split produced are still a
 				// scan-compatible group, so re-merging them must succeed.
-				if _, _, err := live.Apply([]flow.Edit{flow.MergeGroup("rt_mbr2", parts...)}); err != nil {
+				if _, err := apply(live, flow.MergeGroup("rt_mbr2", parts...)); err != nil {
 					t.Fatalf("re-merge after split: %v", err)
 				}
 				if err := d.Validate(); err != nil {
 					t.Fatalf("design invalid after re-merge: %v", err)
 				}
-				if _, _, err := live.Measure(); err != nil {
+				if _, err := measure(live); err != nil {
 					t.Fatal(err)
 				}
 

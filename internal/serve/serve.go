@@ -8,12 +8,12 @@
 //
 // Concurrency model: the Manager's registry is guarded by one mutex;
 // every Session is single-writer/concurrent-reader behind its own
-// RWMutex. Mutating ops (Apply, Measure, Compose) take the write lock —
-// a measurement advances retained engine state, so it is a write — and
-// read-only ops (Info, Engines, Snapshot) share the read lock. Lock
-// order is always Manager → Session; eviction releases the registry
-// lock before invalidating the victim so a slow writer never stalls the
-// whole registry.
+// RWMutex. Every op (Session.Do: edits, measure, compose, decompose,
+// restore) takes the write lock — a measurement advances retained engine
+// state, so it is a write — and read-only calls (Info, Engines,
+// Snapshot, DumpState) share the read lock. Lock order is always
+// Manager → Session; eviction releases the registry lock before it marks
+// the victim evicted, so a slow writer never stalls the whole registry.
 package serve
 
 import (
@@ -34,8 +34,7 @@ const DefaultMaxSessions = 16
 // Options configures a Manager.
 type Options struct {
 	// MaxSessions bounds the number of live sessions; creating one beyond
-	// the cap evicts the least recently used (its engines invalidated).
-	// 0 = DefaultMaxSessions.
+	// the cap evicts the least recently used. 0 = DefaultMaxSessions.
 	MaxSessions int
 }
 
@@ -63,9 +62,8 @@ type Manager struct {
 	lru      *list.List // of *Session; front = most recently used
 	creating map[string]bool
 
-	created, restored, evicted, evictedLRU    atomic.Int64
-	batches, edits, measures, composes, snaps atomic.Int64
-	decomposes                                atomic.Int64
+	created, restored, evicted, evictedLRU, snaps atomic.Int64
+	ops                                           opCounts
 }
 
 // NewManager returns an empty registry.
@@ -157,11 +155,11 @@ func (m *Manager) install(name string, build func() (*Session, error)) (*Session
 	}
 	m.mu.Unlock()
 
-	// Invalidate outside the registry lock: the victim may be serving a
-	// long request; its own lock serializes the teardown.
+	// Evict outside the registry lock: the victim may be serving a long
+	// request, and its own lock waits for it.
 	for _, v := range victims {
 		m.evictedLRU.Add(1)
-		v.invalidate()
+		v.evict()
 	}
 	return s, nil
 }
@@ -177,7 +175,8 @@ func (m *Manager) Get(name string) (*Session, bool) {
 	return s, ok
 }
 
-// Evict removes the named session and invalidates its retained engines.
+// Evict removes the named session from the registry; ops still holding it
+// fail with ErrEvicted.
 func (m *Manager) Evict(name string) bool {
 	m.mu.Lock()
 	s, ok := m.sessions[name]
@@ -190,7 +189,7 @@ func (m *Manager) Evict(name string) bool {
 		return false
 	}
 	m.evicted.Add(1)
-	s.invalidate()
+	s.evict()
 	return true
 }
 
@@ -231,11 +230,11 @@ func (m *Manager) Stats() ManagerStats {
 		Restored:   m.restored.Load(),
 		Evicted:    m.evicted.Load(),
 		EvictedLRU: m.evictedLRU.Load(),
-		Batches:    m.batches.Load(),
-		Edits:      m.edits.Load(),
-		Measures:   m.measures.Load(),
-		Composes:   m.composes.Load(),
-		Decomposes: m.decomposes.Load(),
+		Batches:    m.ops.batches.Load(),
+		Edits:      m.ops.edits.Load(),
+		Measures:   m.ops.measures.Load(),
+		Composes:   m.ops.composes.Load(),
+		Decomposes: m.ops.decomposes.Load(),
 		Snapshots:  m.snaps.Load(),
 	}
 }

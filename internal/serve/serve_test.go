@@ -62,10 +62,10 @@ func TestManagerCreateGetEvict(t *testing.T) {
 		t.Fatal("double Evict succeeded")
 	}
 	// Evicted sessions refuse every op with ErrEvicted.
-	if _, _, err := s.Apply(nil); !errors.Is(err, ErrEvicted) {
+	if _, err := apply(s); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("Apply after evict = %v, want ErrEvicted", err)
 	}
-	if _, _, err := s.Measure(); !errors.Is(err, ErrEvicted) {
+	if _, err := measure(s); !errors.Is(err, ErrEvicted) {
 		t.Fatalf("Measure after evict = %v, want ErrEvicted", err)
 	}
 	if _, err := s.Snapshot(); !errors.Is(err, ErrEvicted) {
@@ -100,7 +100,7 @@ func TestManagerLRUEviction(t *testing.T) {
 	if _, ok := m.Get("b"); ok {
 		t.Fatal("LRU victim b still live")
 	}
-	if _, _, err := a.Measure(); err != nil {
+	if _, err := measure(a); err != nil {
 		t.Fatalf("survivor a unusable: %v", err)
 	}
 	st := m.Stats()
@@ -116,10 +116,10 @@ func TestSessionJournalAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	edits := skewEdits(t, testSource(), 3)
-	if _, _, err := s.Apply(edits); err != nil {
+	if _, err := apply(s, edits...); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Measure(); err != nil {
+	if _, err := measure(s); err != nil {
 		t.Fatal(err)
 	}
 	info := s.Info()
@@ -128,7 +128,7 @@ func TestSessionJournalAndInfo(t *testing.T) {
 	}
 	// A failing batch journals only its applied prefix.
 	bad := append(edits[:1:1], flow.MoveTo("no_such", 1, 1))
-	if _, _, err := s.Apply(bad); err == nil {
+	if _, err := apply(s, bad...); err == nil {
 		t.Fatal("expected failing batch")
 	}
 	snap, err := s.Snapshot()
@@ -136,9 +136,66 @@ func TestSessionJournalAndInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := snap.Ops[len(snap.Ops)-1]
-	if last.Kind != OpEdits || len(last.Edits) != 1 {
+	if last.Kind != flow.OpEdits || len(last.Edits) != 1 {
 		t.Fatalf("journaled tail op %+v, want the 1-edit prefix", last)
 	}
+
+	// Ops that take no effect are neither journaled nor counted: a batch
+	// rejected at its first edit and a decompose whose zero config selects
+	// no victims. Every other kind counts once.
+	if _, err := apply(s, flow.MoveTo("no_such", 1, 1)); err == nil {
+		t.Fatal("expected rejected batch")
+	}
+	if _, _, err := s.Do(flow.Op{Kind: flow.OpDecompose, Decompose: &flow.DecomposeConfig{}}); err == nil {
+		t.Fatal("zero decompose config accepted")
+	}
+	for _, op := range []flow.Op{
+		{Kind: flow.OpMeasure},
+		{Kind: flow.OpCompose},
+		{Kind: flow.OpDecompose, Decompose: &flow.DecomposeConfig{Budget: 2, SlackThresholdPS: 1e9}},
+		{Kind: flow.OpRestore},
+	} {
+		if _, _, err := s.Do(op); err != nil {
+			t.Fatalf("%s: %v", op.Kind, err)
+		}
+	}
+	info = s.Info()
+	if info.Batches != 2 || info.Edits != 4 || info.Measures != 2 || info.Composes != 1 ||
+		info.Decomposes != 1 || info.Ops != 7 {
+		t.Fatalf("info counters: %+v", info)
+	}
+	if st := m.Stats(); st.Batches != info.Batches || st.Edits != info.Edits {
+		t.Fatalf("manager counts %d batches %d edits, session %d and %d",
+			st.Batches, st.Edits, info.Batches, info.Edits)
+	}
+
+	// A restored session reports the counters of the one it was
+	// snapshotted from.
+	snap, err = s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Restore("j2", snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Info()
+	got.Name, got.Created, got.LastOp = info.Name, info.Created, info.LastOp
+	if got != info {
+		t.Fatalf("restored info %+v, live %+v", got, info)
+	}
+}
+
+// apply runs one edit batch through Session.Do.
+func apply(s *Session, edits ...flow.Edit) (*flow.ApplyResult, error) {
+	res, _, err := s.Do(flow.Op{Kind: flow.OpEdits, Edits: edits})
+	return res.Apply, err
+}
+
+// measure runs one measurement through Session.Do.
+func measure(s *Session) (flow.Metrics, error) {
+	res, _, err := s.Do(flow.Op{Kind: flow.OpMeasure})
+	return res.Metrics, err
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
@@ -300,7 +357,7 @@ func TestRestoreRejectsTamperedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Apply(skewEdits(t, testSource(), 2)); err != nil {
+	if _, err := apply(s, skewEdits(t, testSource(), 2)...); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := s.Snapshot()

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -59,19 +60,6 @@ type SessionInfo struct {
 	Evicted    bool      `json:"evicted,omitempty"`
 }
 
-// ComposeInfo is a compose request's outcome on the wire.
-type ComposeInfo struct {
-	MBRs               int      `json:"mbrs"`
-	Merged             []string `json:"merged,omitempty"`
-	RegsBefore         int      `json:"regsBefore"`
-	RegsAfter          int      `json:"regsAfter"`
-	Subgraphs          int      `json:"subgraphs"`
-	Candidates         int      `json:"candidates"`
-	TruncatedSubgraphs int      `json:"truncatedSubgraphs"`
-	ILPNodes           int      `json:"ilpNodes"`
-	ObjectiveSum       float64  `json:"objectiveSum"`
-}
-
 // Session is one tenant: a flow.Session behind a single-writer lock plus
 // the op journal that makes it snapshotable. All exported methods are
 // safe for concurrent use.
@@ -84,13 +72,12 @@ type Session struct {
 
 	mu      sync.RWMutex
 	fs      *flow.Session
-	journal []Op
+	journal []flow.Op
+	counts  opCounts
 	evicted bool
 
 	created time.Time
 	lastOp  time.Time
-
-	batches, edits, measures, composes, decomposes int64
 }
 
 // newSession loads the source, opens the flow session and, when restoring,
@@ -110,7 +97,6 @@ func newSession(m *Manager, name string, src Source, cfg SessionConfig, snap *Sn
 	}
 	if snap != nil {
 		if err := s.replay(snap); err != nil {
-			fs.Invalidate()
 			fs.Close()
 			return nil, err
 		}
@@ -121,140 +107,62 @@ func newSession(m *Manager, name string, src Source, cfg SessionConfig, snap *Sn
 // Name returns the session's registry name.
 func (s *Session) Name() string { return s.name }
 
-// Apply applies an edit batch under the write lock and journals the
-// applied prefix — on a mid-batch failure exactly the edits that took
-// effect are recorded, so a snapshot taken after a failed batch still
-// replays to the same state.
-func (s *Session) Apply(edits []flow.Edit) (*flow.ApplyResult, map[string]engine.Summary, error) {
+// Do runs one op under the write lock and journals what took effect (see
+// record). Measures take the write lock and are journaled too: folding
+// edits into the retained clock trees advances engine state, so
+// determinism is per op *sequence*.
+func (s *Session) Do(op flow.Op) (flow.OpResult, map[string]engine.Summary, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.evicted {
-		return nil, nil, ErrEvicted
+		return flow.OpResult{}, nil, ErrEvicted
 	}
-	res, err := s.fs.Apply(edits)
-	applied := edits
-	if res.Applied < len(edits) {
-		applied = edits[:res.Applied]
+	res, err := s.fs.Do(op)
+	if done, ok := s.record(op, res, err); ok {
+		s.mgr.ops.add(done)
 	}
-	if len(applied) > 0 {
-		s.journal = append(s.journal, Op{Kind: OpEdits, Edits: cloneEdits(applied)})
-	}
-	s.batches++
-	s.edits += int64(len(applied))
-	s.lastOp = now()
-	s.mgr.batches.Add(1)
-	s.mgr.edits.Add(int64(len(applied)))
 	return res, s.fs.Engines(), err
 }
 
-// Measure snapshots the Table 1 metrics of the session's current state on
-// the engines' delta paths. It holds the write lock: folding edits into
-// the retained clock trees advances engine state, which is also why the
-// measure itself is journaled — determinism is per op *sequence*.
-func (s *Session) Measure() (flow.Metrics, map[string]engine.Summary, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted {
-		return flow.Metrics{}, nil, ErrEvicted
+// record journals and counts the part of op that took effect: an edit
+// batch's applied prefix (a batch is not transactional, so a snapshot
+// taken after a failed batch still replays to the same state), any other
+// op only when it succeeded. Do and replay both go through it, so a
+// restored session reports the counters of the session its snapshot was
+// taken from.
+func (s *Session) record(op flow.Op, res flow.OpResult, err error) (flow.Op, bool) {
+	if op.Kind == flow.OpEdits {
+		op.Edits = op.Edits[:res.Apply.Applied]
+		if len(op.Edits) == 0 {
+			return op, false
+		}
+	} else if err != nil {
+		return op, false
 	}
-	met, err := s.fs.Measure()
-	if err != nil {
-		return flow.Metrics{}, s.fs.Engines(), err
-	}
-	s.journal = append(s.journal, Op{Kind: OpMeasure})
-	s.measures++
+	op = op.Clone()
+	s.journal = append(s.journal, op)
+	s.counts.add(op)
 	s.lastOp = now()
-	s.mgr.measures.Add(1)
-	return met, s.fs.Engines(), nil
+	return op, true
 }
 
-// Compose runs one incremental composition pass under the write lock.
-func (s *Session) Compose() (*ComposeInfo, map[string]engine.Summary, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted {
-		return nil, nil, ErrEvicted
-	}
-	cres, err := s.fs.ComposePass()
-	if err != nil {
-		return nil, s.fs.Engines(), err
-	}
-	s.journal = append(s.journal, Op{Kind: OpCompose})
-	s.composes++
-	s.lastOp = now()
-	s.mgr.composes.Add(1)
-	info := &ComposeInfo{
-		MBRs:               len(cres.MBRs),
-		RegsBefore:         cres.RegsBefore,
-		RegsAfter:          cres.RegsAfter,
-		Subgraphs:          cres.Subgraphs,
-		Candidates:         cres.Candidates,
-		TruncatedSubgraphs: cres.TruncatedSubgraphs,
-		ILPNodes:           cres.ILPNodes,
-		ObjectiveSum:       cres.ObjectiveSum,
-	}
-	for _, m := range cres.MBRs {
-		info.Merged = append(info.Merged, m.Inst.Name)
-	}
-	return info, s.fs.Engines(), nil
+// opCounts counts journaled ops by kind for SessionInfo and ManagerStats.
+type opCounts struct {
+	batches, edits, measures, composes, decomposes atomic.Int64
 }
 
-// DecomposeInfo is a decompose request's outcome on the wire.
-type DecomposeInfo struct {
-	Victims    []string `json:"victims,omitempty"`
-	Decomposed int      `json:"decomposed"`
-	Parts      int      `json:"parts"`
-	RegsBefore int      `json:"regsBefore"`
-	RegsAfter  int      `json:"regsAfter"`
-}
-
-// Decompose runs one slack-driven decomposition pass under the write
-// lock. The exact config is journaled so snapshot replay selects the same
-// victims.
-func (s *Session) Decompose(dcfg flow.DecomposeConfig) (*DecomposeInfo, map[string]engine.Summary, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted {
-		return nil, nil, ErrEvicted
+func (c *opCounts) add(op flow.Op) {
+	switch op.Kind {
+	case flow.OpEdits:
+		c.batches.Add(1)
+		c.edits.Add(int64(len(op.Edits)))
+	case flow.OpMeasure:
+		c.measures.Add(1)
+	case flow.OpCompose:
+		c.composes.Add(1)
+	case flow.OpDecompose:
+		c.decomposes.Add(1)
 	}
-	dres, err := s.fs.DecomposePassWith(dcfg)
-	if err != nil {
-		return nil, s.fs.Engines(), err
-	}
-	cfgCopy := dcfg
-	s.journal = append(s.journal, Op{Kind: OpDecompose, Decompose: &cfgCopy})
-	s.decomposes++
-	s.lastOp = now()
-	s.mgr.decomposes.Add(1)
-	return &DecomposeInfo{
-		Victims:    dres.Victims,
-		Decomposed: len(dres.Victims),
-		Parts:      dres.Parts,
-		RegsBefore: dres.RegsBefore,
-		RegsAfter:  dres.RegsAfter,
-	}, s.fs.Engines(), nil
-}
-
-// RestoreInfo is a restore-pass request's outcome on the wire.
-type RestoreInfo struct {
-	Restored int `json:"restored"`
-}
-
-// Restore re-merges leftover split bits (flow.Session.RestorePass) under
-// the write lock; journaled like every other state-advancing op.
-func (s *Session) Restore() (*RestoreInfo, map[string]engine.Summary, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted {
-		return nil, nil, ErrEvicted
-	}
-	n, err := s.fs.RestorePass()
-	if err != nil {
-		return nil, s.fs.Engines(), err
-	}
-	s.journal = append(s.journal, Op{Kind: OpRestore})
-	s.lastOp = now()
-	return &RestoreInfo{Restored: n}, s.fs.Engines(), nil
 }
 
 // Info returns the session's registry row.
@@ -266,11 +174,11 @@ func (s *Session) Info() SessionInfo {
 		Design:     s.fs.Design().Name,
 		Epoch:      s.fs.Epoch(),
 		Ops:        len(s.journal),
-		Batches:    s.batches,
-		Edits:      s.edits,
-		Measures:   s.measures,
-		Composes:   s.composes,
-		Decomposes: s.decomposes,
+		Batches:    s.counts.batches.Load(),
+		Edits:      s.counts.edits.Load(),
+		Measures:   s.counts.measures.Load(),
+		Composes:   s.counts.composes.Load(),
+		Decomposes: s.counts.decomposes.Load(),
 		Created:    s.created,
 		LastOp:     s.lastOp,
 		Evicted:    s.evicted,
@@ -324,15 +232,12 @@ func (s *Session) DumpState() ([]byte, error) {
 	return dumpState(s.fs)
 }
 
-// invalidate tears down the session's retained engines after eviction.
-func (s *Session) invalidate() {
+// evict marks the session evicted and closes its flow session. The
+// design goes with the session, so its clock trees are not torn down.
+func (s *Session) evict() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.evicted {
-		return
-	}
 	s.evicted = true
-	s.fs.Invalidate()
 	s.fs.Close()
 }
 
@@ -352,25 +257,10 @@ func dumpState(fs *flow.Session) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-func cloneEdits(edits []flow.Edit) []flow.Edit {
-	out := make([]flow.Edit, len(edits))
-	for i, e := range edits {
-		out[i] = e.Clone()
-	}
-	return out
-}
-
-func cloneOps(ops []Op) []Op {
-	out := make([]Op, len(ops))
+func cloneOps(ops []flow.Op) []flow.Op {
+	out := make([]flow.Op, len(ops))
 	for i, op := range ops {
-		out[i] = Op{Kind: op.Kind, Edits: cloneEdits(op.Edits)}
-		if op.Edits == nil {
-			out[i].Edits = nil
-		}
-		if op.Decompose != nil {
-			dc := *op.Decompose
-			out[i].Decompose = &dc
-		}
+		out[i] = op.Clone()
 	}
 	return out
 }

@@ -1,8 +1,9 @@
 // Snapshot/restore is event-sourced: a snapshot is the session's source
 // (how to load the initial design) plus the journal of every op applied
-// since — edit batches, measures and composes. Measures and composes are
-// journaled because they advance retained engine state (a measurement
-// folds pending edits into the clock trees), so session state is a
+// since — edit batches, measures, composes, decomposes and restores.
+// Measures are journaled like the rest because they advance retained
+// engine state (a measurement folds pending edits into the clock trees),
+// so session state is a
 // function of the op *sequence*, not of the edits alone. Restore replays
 // the journal against a fresh load and verifies the SHA-256 of the
 // observable state bytes against the digest recorded at snapshot time:
@@ -85,30 +86,13 @@ func (s Source) clone() Source {
 	return out
 }
 
-// Op kinds. Every state-advancing session operation has one.
-const (
-	OpEdits     = "edits"
-	OpMeasure   = "measure"
-	OpCompose   = "compose"
-	OpDecompose = "decompose"
-	OpRestore   = "restore"
-)
-
-// Op is one journaled session operation. Decompose ops record the exact
-// config the pass ran with, so replay selects the same victims.
-type Op struct {
-	Kind      string                `json:"kind"`
-	Edits     []flow.Edit           `json:"edits,omitempty"`
-	Decompose *flow.DecomposeConfig `json:"decompose,omitempty"`
-}
-
 // Snapshot is a session's portable, replayable capture.
 type Snapshot struct {
 	Version  int           `json:"version"`
 	Name     string        `json:"name"`
 	Config   SessionConfig `json:"config"`
 	Source   Source        `json:"source"`
-	Ops      []Op          `json:"ops"`
+	Ops      []flow.Op     `json:"ops"`
 	StateSHA string        `json:"stateSHA"`
 }
 
@@ -120,28 +104,11 @@ func (s *Session) replay(snap *Snapshot) error {
 		return fmt.Errorf("serve: snapshot version %d (want %d)", snap.Version, SnapshotVersion)
 	}
 	for i, op := range snap.Ops {
-		var err error
-		switch op.Kind {
-		case OpEdits:
-			_, err = s.fs.Apply(op.Edits)
-		case OpMeasure:
-			_, err = s.fs.Measure()
-		case OpCompose:
-			_, err = s.fs.ComposePass()
-		case OpDecompose:
-			if op.Decompose == nil {
-				err = fmt.Errorf("decompose op without config")
-			} else {
-				_, err = s.fs.DecomposePassWith(*op.Decompose)
-			}
-		case OpRestore:
-			_, err = s.fs.RestorePass()
-		default:
-			err = fmt.Errorf("unknown op kind %q", op.Kind)
-		}
+		res, err := s.fs.Do(op)
 		if err != nil {
 			return fmt.Errorf("serve: replay op %d: %w", i, err)
 		}
+		s.record(op, res, nil)
 	}
 	if snap.StateSHA != "" {
 		digest, err := stateDigest(s.fs)
@@ -151,20 +118,6 @@ func (s *Session) replay(snap *Snapshot) error {
 		if digest != snap.StateSHA {
 			return fmt.Errorf("serve: replay diverged: state digest %s, snapshot recorded %s",
 				digest, snap.StateSHA)
-		}
-	}
-	s.journal = cloneOps(snap.Ops)
-	for _, op := range snap.Ops {
-		switch op.Kind {
-		case OpEdits:
-			s.batches++
-			s.edits += int64(len(op.Edits))
-		case OpMeasure:
-			s.measures++
-		case OpCompose:
-			s.composes++
-		case OpDecompose:
-			s.decomposes++
 		}
 	}
 	return nil

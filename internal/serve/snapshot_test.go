@@ -96,17 +96,17 @@ func TestSnapshotByteIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, batch := range editScript(t, src) {
-					if _, _, err := live.Apply(batch); err != nil {
+					if _, err := apply(live, batch...); err != nil {
 						t.Fatalf("batch %d: %v", i, err)
 					}
-					if _, _, err := live.Measure(); err != nil {
+					if _, err := measure(live); err != nil {
 						t.Fatalf("measure %d: %v", i, err)
 					}
 				}
-				if _, _, err := live.Compose(); err != nil {
+				if _, _, err := live.Do(flow.Op{Kind: flow.OpCompose}); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := live.Measure(); err != nil {
+				if _, err := measure(live); err != nil {
 					t.Fatal(err)
 				}
 
@@ -143,11 +143,11 @@ func TestSnapshotByteIdentity(t *testing.T) {
 				}
 
 				// And the next measurement is byte-identical too.
-				lm, _, err := live.Measure()
+				lm, err := measure(live)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rm, _, err := restored.Measure()
+				rm, err := measure(restored)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,10 +200,10 @@ find:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := live.Measure(); err != nil {
+	if _, err := measure(live); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := live.Apply([]flow.Edit{flow.MergeGroup("cross", a, b)}); err == nil {
+	if _, err := apply(live, flow.MergeGroup("cross", a, b)); err == nil {
 		t.Fatalf("merging %s and %s across clock domains must fail", a, b)
 	}
 	snap, err := live.Snapshot()

@@ -11,7 +11,7 @@ import (
 	"repro/internal/flow"
 )
 
-// EngineSummary is the uniform engine.Retained counter view on the wire.
+// EngineSummary is the uniform engine.Summary counter view on the wire.
 type EngineSummary struct {
 	Updates  int    `json:"updates"`
 	Deltas   int    `json:"deltas"`

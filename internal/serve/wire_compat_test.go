@@ -52,11 +52,11 @@ func TestV1JournalRestoresBitIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, batch := range editScript(t, src) {
-		if _, _, err := live.Apply(batch); err != nil {
+		if _, err := apply(live, batch...); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}
-	if _, _, err := live.Measure(); err != nil {
+	if _, err := measure(live); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := live.Snapshot()
@@ -78,7 +78,7 @@ func TestV1JournalRestoresBitIdentically(t *testing.T) {
 	}
 	ops := raw["ops"].([]any)
 	for oi, op := range snap.Ops {
-		if op.Kind != OpEdits {
+		if op.Kind != flow.OpEdits {
 			continue
 		}
 		v1edits := make([]any, len(op.Edits))
@@ -148,7 +148,7 @@ func TestSnapshotDecomposeOpReplay(t *testing.T) {
 probe:
 	for i := range names {
 		for j := i + 1; j < len(names); j++ {
-			if _, _, err := live.Apply([]flow.Edit{flow.MergeGroup("dj_mbr", names[i], names[j])}); err == nil {
+			if _, err := apply(live, flow.MergeGroup("dj_mbr", names[i], names[j])); err == nil {
 				merged = true
 				break probe
 			}
@@ -157,26 +157,26 @@ probe:
 	if !merged {
 		t.Fatal("no mergeable pair")
 	}
-	if _, _, err := live.Measure(); err != nil {
+	if _, err := measure(live); err != nil {
 		t.Fatal(err)
 	}
 
 	dcfg := flow.DecomposeConfig{Budget: 2, SlackThresholdPS: 1e9}
-	dinfo, _, err := live.Decompose(dcfg)
+	dres, _, err := live.Do(flow.Op{Kind: flow.OpDecompose, Decompose: &dcfg})
 	if err != nil {
 		t.Fatalf("decompose: %v", err)
 	}
-	if dinfo.Decomposed == 0 {
+	if len(dres.Decompose.Victims) == 0 {
 		t.Fatal("decompose found no victims despite a live MBR")
 	}
-	rinfo, _, err := live.Restore()
+	rres, _, err := live.Do(flow.Op{Kind: flow.OpRestore})
 	if err != nil {
 		t.Fatalf("restore pass: %v", err)
 	}
-	if rinfo.Restored == 0 {
+	if rres.Restored == 0 {
 		t.Fatal("restore pass re-merged nothing")
 	}
-	if _, _, err := live.Measure(); err != nil {
+	if _, err := measure(live); err != nil {
 		t.Fatal(err)
 	}
 	info := live.Info()
@@ -191,12 +191,12 @@ probe:
 	var sawDecompose, sawRestore bool
 	for _, op := range snap.Ops {
 		switch op.Kind {
-		case OpDecompose:
+		case flow.OpDecompose:
 			sawDecompose = true
 			if op.Decompose == nil || *op.Decompose != dcfg {
 				t.Fatalf("journaled decompose config %+v, want %+v", op.Decompose, dcfg)
 			}
-		case OpRestore:
+		case flow.OpRestore:
 			sawRestore = true
 		}
 	}
@@ -228,7 +228,7 @@ probe:
 	mangled.Name = "dj3"
 	mangled.Ops = cloneOps(decoded.Ops)
 	for i := range mangled.Ops {
-		if mangled.Ops[i].Kind == OpDecompose {
+		if mangled.Ops[i].Kind == flow.OpDecompose {
 			mangled.Ops[i].Decompose = nil
 		}
 	}

@@ -211,8 +211,7 @@ func (e *Engine) Invalidate() { e.valid = false }
 // Stats reports how past Run calls were satisfied.
 func (e *Engine) Stats() RunStats { return e.stats }
 
-// Summary reports the unified retained-engine counters (engine.Retained):
-// every run over the retained graph (incremental, structural, reseed) is a
+// Summary reports the unified engine counters (engine.Summary): every run over the retained graph (incremental, structural, reseed) is a
 // delta, full graph builds are rebuilds.
 func (e *Engine) Summary() engine.Summary {
 	deltas := e.stats.IncrementalRuns + e.stats.StructuralDeltas + e.stats.Reseeds
@@ -223,8 +222,6 @@ func (e *Engine) Summary() engine.Summary {
 		LastKind: e.stats.LastKind,
 	}
 }
-
-var _ engine.Retained = (*Engine)(nil)
 
 const negInf = math.MaxFloat64 * -1
 
