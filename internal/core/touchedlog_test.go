@@ -72,7 +72,7 @@ func TestComposeTouchedLogConsistency(t *testing.T) {
 		}
 	}
 
-	touched, complete := d.TouchedSince(cursor)
+	touched, complete := d.TouchedSinceClass(cursor, netlist.EditClassFlow, nil)
 	if !complete {
 		t.Skipf("touched log overflowed (%d changes); nothing to verify", len(changed))
 	}

@@ -71,7 +71,6 @@ type Stats struct {
 	// delta path only the domains whose sorted sink list (pin, position,
 	// capacitance) differs from the one their retained plan was computed
 	// from. RootSetNetsWalked counts the nets the root-set check visited:
-	// every live net on a full walk, and on the ring-derived path only
 	// the touched instances' clock nets outside every retained domain.
 	// All three are deterministic work counters.
 	DomainsReplanned      int
@@ -82,9 +81,8 @@ type Stats struct {
 	LastRootSetNetsWalked int
 
 	// LegalizerRebuilds counts from-scratch occupancy builds of the
-	// retained legalizer (first attach, plus every time the flow-class
-	// touched record overflowed between updates); cheap Syncs cover the
-	// rest.
+	// retained legalizer (first attach, and for a cursor older than the
+	// last netlist.ResetTouchedLog); cheap Syncs cover the rest.
 	LegalizerRebuilds int
 
 	// Per-phase wall time, cumulative and for the most recent
@@ -112,8 +110,9 @@ type Stats struct {
 // update re-plans only the domains the edits reached.
 //
 // Every netlist edit the Engine makes is tagged netlist.EditClassCTS, so
-// engine-internal buffer churn never evicts the flow-class touched record
-// that the STA and compat-graph engines depend on.
+// engine-internal buffer churn stays off the flow-class touched record;
+// readers of the CTS-class record rely on it rewiring only clock pins and
+// adding, moving or removing only clock buffers.
 //
 // The equality contract with Build rests on three invariants shared with
 // plan.go: sinks are clustered in canonical (pin-ID-sorted) order, each
@@ -141,6 +140,8 @@ type Engine struct {
 	// flow-class edit record.
 	leg       *place.Legalizer
 	legCursor uint64
+	// flowT, ctsT and legT are the reused buffers of the touched reads.
+	flowT, ctsT, legT []netlist.InstID
 	// canonical reports that the realized buffers/nets still sit on the
 	// freshly issued IDs an Attach gave them — no delta repair has reused
 	// or churned them since. See Canonicalize.
@@ -176,7 +177,7 @@ type domain struct {
 	// keyed per domain: an update clears mValid only when the domain
 	// contained a touched sink (dirtySinkDomains), when its repair actually
 	// mutated the tree (membership rewires, buffer churn, centroid moves —
-	// the safety net for removed sinks the rings can no longer resolve), or
+	// the safety net for removed sinks the record can no longer resolve), or
 	// when the shared legalization pass displaced one of its buffers.
 	// Untouched domains keep their cached values across updates. mValid is
 	// set again by the next Metrics refresh.
@@ -351,20 +352,20 @@ func (e *Engine) Update() error {
 		return nil
 	}
 	e.resetLast()
-	flowT, flowOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow)
-	ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-	ringsOK := flowOK && ctsOK
-	if e.rootSetChanged(flowT, ctsT, ringsOK) {
+	var complete bool
+	if e.flowT, complete = e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow, e.flowT[:0]); !complete {
+		return e.rebuild("reset")
+	}
+	// The CTS-class read at the same cursor is complete too.
+	e.ctsT, _ = e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS, e.ctsT[:0])
+	if e.rootSetChanged(e.flowT, e.ctsT) {
 		return e.rebuild("clock-roots-changed")
 	}
-	var dirty map[*domain]bool
-	if ringsOK {
-		dirty = e.dirtySinkDomains(flowT, ctsT)
-	}
+	dirty := e.dirtySinkDomains(e.flowT, e.ctsT)
 	var err error
 	e.d.WithEditClass(netlist.EditClassCTS, func() {
 		for _, dom := range e.domains {
-			if err = e.updateDomain(dom, !ringsOK || dirty[dom]); err != nil {
+			if err = e.updateDomain(dom, dirty[dom]); err != nil {
 				return
 			}
 		}
@@ -521,18 +522,9 @@ func (e *Engine) dirtySinkDomains(flowT, ctsT []netlist.InstID) map[*domain]bool
 // has acquired real sinks — a new domain the delta path cannot grow.
 // After every Attach and Update no such net has one, so a net can only
 // acquire one through a connection made since, which the flow- and
-// CTS-class touched records name: when both are complete (ringsOK) only
-// the touched instances' nets are checked, otherwise every net is.
-func (e *Engine) rootSetChanged(flowT, ctsT []netlist.InstID, ringsOK bool) bool {
-	if !ringsOK {
-		changed := false
-		e.d.Nets(func(n *netlist.Net) {
-			e.stats.LastRootSetNetsWalked++
-			e.stats.RootSetNetsWalked++
-			changed = changed || e.foreignClockWithSinks(n)
-		})
-		return changed
-	}
+// CTS-class touched records name: only the touched instances' nets are
+// checked.
+func (e *Engine) rootSetChanged(flowT, ctsT []netlist.InstID) bool {
 	for _, ids := range [2][]netlist.InstID{flowT, ctsT} {
 		for _, id := range ids {
 			in := e.d.Inst(id)
@@ -634,10 +626,11 @@ func (e *Engine) removeNodes(nodes []*node) {
 // against a retained occupancy. The occupancy is kept in sync from the
 // flow-class edit record (the engine's own CTS-class edits never touch
 // it; buffers are not obstacles), so each pass costs the edits plus the
-// buffer count rather than a scan of the whole design. When the record
-// has overflowed since the last pass, the occupancy is rebuilt from
-// scratch; either way the content — and hence every placement — is
-// identical to what place.LegalizeIncremental computes fresh.
+// buffer count rather than a scan of the whole design. The occupancy is
+// built from scratch only at first use and for a cursor older than the
+// last netlist.ResetTouchedLog; either way the content — and hence every
+// placement — is identical to what place.LegalizeIncremental computes
+// fresh.
 func (e *Engine) relegalize() {
 	t0 := time.Now()
 	defer e.noteLegalize(t0)
@@ -645,13 +638,16 @@ func (e *Engine) relegalize() {
 	if len(bufs) == 0 {
 		return
 	}
+	if e.leg != nil {
+		var complete bool
+		if e.legT, complete = e.d.TouchedSinceClass(e.legCursor, netlist.EditClassFlow, e.legT[:0]); complete {
+			e.leg.Sync(e.legT)
+		} else {
+			e.leg = nil
+		}
+	}
 	if e.leg == nil {
 		e.leg = place.NewLegalizer(e.d)
-		e.stats.LegalizerRebuilds++
-	} else if touched, ok := e.d.TouchedSinceClass(e.legCursor, netlist.EditClassFlow); ok {
-		e.leg.Sync(touched)
-	} else {
-		e.leg.Rebuild()
 		e.stats.LegalizerRebuilds++
 	}
 	e.legCursor = e.d.Epoch()

@@ -5,8 +5,8 @@
 //
 // Four of them cache derived state across design edits and serve updates
 // from a delta path when they can, falling back to a from-scratch rebuild
-// when they cannot (structural changes, touched-record overflow, changed
-// domain sets). The compatibility-graph engine retains nothing: each of
+// when they cannot (structural changes the delta cannot absorb, changed
+// domain sets, a cursor older than the design's last ResetTouchedLog). The compatibility-graph engine retains nothing: each of
 // its updates builds the graph from scratch and counts as a rebuild.
 // Construction and the update calls stay engine-specific — their
 // signatures differ by necessity (an STA run returns timing results, a

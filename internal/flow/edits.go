@@ -472,7 +472,7 @@ func (s *Session) applyEdit(e Edit, res *ApplyResult) error {
 		}
 		// Skew feeds the retained timing engine directly, not the netlist;
 		// the engine records the register for its next incremental run, so
-		// no touched-ring entry is needed.
+		// no touched-record entry is needed.
 		s.engs.sta.SetSkew(in.ID, e.Skew.SkewPS)
 		return nil
 

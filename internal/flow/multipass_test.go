@@ -11,19 +11,16 @@ import (
 	"repro/internal/netlist"
 )
 
-// runMultiPass opens a session on a D2 design at the given worker count
-// and touched-ring capacity (0 = the default), measures it, runs three
-// composition passes and measures again. It returns the per-pass results,
-// the canonical bytes of the passes and both measures, the session, and
-// the flow-class touched record of the passes (nil when the ring
-// overflowed).
-func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *Session, []netlist.InstID) {
+// runMultiPass opens a session on a D2 design at the given worker count,
+// measures it, runs three composition passes and measures again. It
+// returns the per-pass results, the canonical bytes of the passes and both
+// measures, the session, and the flow-class touched record of the passes.
+func runMultiPass(t *testing.T, workers int) ([]*core.Result, string, *Session, []netlist.InstID) {
 	t.Helper()
 	b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Design.SetTouchedLogCap(ringCap)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
 	s, err := NewSession(b.Design, b.Plan, cfg)
@@ -50,7 +47,7 @@ func runMultiPass(t *testing.T, workers, ringCap int) ([]*core.Result, string, *
 		passes = append(passes, cres)
 		fmt.Fprintf(&out, "pass %d regs %d->%d mbrs %d\n", p, cres.RegsBefore, cres.RegsAfter, len(cres.MBRs))
 	}
-	touched, _ := b.Design.TouchedSince(since)
+	touched, _ := b.Design.TouchedSinceClass(since, netlist.EditClassFlow, nil)
 	measure()
 	if err := b.Design.Validate(); err != nil {
 		t.Fatalf("multi-pass session left design invalid: %v", err)
@@ -76,7 +73,7 @@ func checkPassWorkers(t *testing.T, passes []*core.Result, workers int) {
 // pass runs at the session's worker count, and the measured bytes stay
 // identical across worker counts.
 func TestMultiPassFlow(t *testing.T) {
-	passes, want, s, _ := runMultiPass(t, 1, 0)
+	passes, want, s, _ := runMultiPass(t, 1)
 	checkPassWorkers(t, passes, 1)
 	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
@@ -97,7 +94,7 @@ func TestMultiPassFlow(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		passes, got, _, _ := runMultiPass(t, workers, 0)
+		passes, got, _, _ := runMultiPass(t, workers)
 		checkPassWorkers(t, passes, workers)
 		if got != want {
 			t.Fatalf("multi-pass session with Workers=%d differs from Workers=1:\n%s",
@@ -160,66 +157,62 @@ func TestReportCarriesEngineStats(t *testing.T) {
 			t.Fatalf("%s: merges or flips not served on the retained graph: %+v", r.Design, s)
 		}
 	}
+
+	// On D1@5 the final measure reads thousands of CTS-class instances (the
+	// canonicalizing tree rebuild re-clocks every register). Route and the
+	// tracker fold them in as clock-only deltas, re-contributing a small
+	// share of the nets.
+	d1, err := bench.Generate(bench.D1(bench.ProfileOpts{Scale: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep1, err := Run(d1.Design, d1.Plan, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep1.RouteStats; s.Rebuilds != 1 || s.LastKind != "delta" || 4*s.LastNetsDelta >= d1.Design.NumNets() {
+		t.Fatalf("D1@5: route rebuilt or re-contributed too much of %d nets: %+v", d1.Design.NumNets(), s)
+	}
+	t.Logf("D1@5 final measure: route re-contributed %d of %d nets", rep1.RouteStats.LastNetsDelta, d1.Design.NumNets())
+	if s := rep1.MetricsStats; s.FullRebuilds != 1 || s.LastKind != "delta" {
+		t.Fatalf("D1@5: tracker left its delta path: %+v", s)
+	}
 }
 
 // TestFlowRingNeverOverflows is the edit-class-scoping regression test:
 // composition passes, each followed by a delta tree update, with a base
-// CTS attach and a final canonicalizing rebuild around them, must never
-// overflow the flow-class touched ring at the default capacity. Before
-// scoping, the clock-tree churn alone blew through the ring every pass.
-// The STA engine reads the ring at every compose site, so a multi-pass
-// session that never overflows it builds the timing graph exactly once,
-// and the passes' flow-class record names no clock-tree buffer: at this
-// design size the tree repairs would fit in the ring unscoped, so only
-// the record itself shows where they went. Shrinking the ring with Design.SetTouchedLogCap must degrade the engines
-// to their full paths (overflows observed) without changing a byte of the
-// report or of the session's output.
+// CTS attach and a final canonicalizing rebuild around them. The STA
+// engine reads the flow-class record at every compose site, so a
+// multi-pass session builds the timing graph exactly once, and the
+// passes' flow-class record names no clock-tree buffer: the tree repairs
+// are all on the CTS-class record.
 func TestFlowRingNeverOverflows(t *testing.T) {
-	run := func(cap int) *Report {
-		b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Design.SetTouchedLogCap(cap)
-		rep, err := Run(b.Design, b.Plan, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	b, err := bench.Generate(bench.D2(bench.ProfileOpts{Scale: 250}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	def := run(0)
-	if def.CTSStats.Deltas == 0 {
-		t.Fatalf("flow never delta-maintained the trees: %+v", def.CTSStats)
+	rep, err := Run(b.Design, b.Plan, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	small := run(16)
-	if small.MetricsStats.FullRebuilds < 2 {
-		t.Fatalf("16-entry ring should overflow into a tracker rebuild: %+v", small.MetricsStats)
-	}
-	if a, b := def.Canonical(), small.Canonical(); a != b {
-		t.Fatalf("ring capacity changed the report:\n%s", firstDiff(a, b))
+	if rep.CTSStats.Deltas == 0 {
+		t.Fatalf("flow never delta-maintained the trees: %+v", rep.CTSStats)
 	}
 
-	_, want, s, touched := runMultiPass(t, 1, 0)
+	_, _, s, touched := runMultiPass(t, 1)
 	if st := s.engs.sta.Stats(); st.FullBuilds != 1 {
-		t.Fatalf("default-capacity passes overflowed the flow ring into an STA rebuild: %+v", st)
+		t.Fatalf("passes rebuilt the timing graph: %+v", st)
 	}
-	if touched == nil {
-		t.Fatal("default-capacity passes overflowed the flow ring")
+	if len(touched) == 0 {
+		t.Fatal("the passes left no flow-class record")
 	}
-	inFlowRing := map[netlist.InstID]bool{}
+	inFlowRecord := map[netlist.InstID]bool{}
 	for _, id := range touched {
-		inFlowRing[id] = true
+		inFlowRecord[id] = true
 	}
 	for _, buf := range s.engs.cts.Buffers() {
-		if inFlowRing[buf.ID] {
+		if inFlowRecord[buf.ID] {
 			t.Fatalf("clock-tree buffer %s was edited under the flow edit class", buf.Name)
 		}
-	}
-	_, got, tiny, _ := runMultiPass(t, 1, 16)
-	if st := tiny.engs.sta.Stats(); st.FullBuilds < 2 {
-		t.Fatalf("16-entry ring should overflow into an STA rebuild under composition edits: %+v", st)
-	}
-	if want != got {
-		t.Fatalf("ring capacity changed the multi-pass output:\n%s", firstDiff(want, got))
 	}
 }

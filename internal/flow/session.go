@@ -42,7 +42,7 @@ type Session struct {
 	closed bool
 }
 
-// NewSession validates the config, resets the design's touched rings,
+// NewSession validates the config, resets the design's touched records,
 // builds the retained engines and attaches the clock trees. The design
 // must be placed and legal (bench.Generate output qualifies).
 func NewSession(d *netlist.Design, plan *scan.Plan, cfg Config) (*Session, error) {
@@ -51,9 +51,9 @@ func NewSession(d *netlist.Design, plan *scan.Plan, cfg Config) (*Session, error
 	}
 	s := &Session{d: d, plan: plan, cfg: cfg}
 	// The engines all start invalid (their first looks are full rebuilds),
-	// so whatever the rings recorded before this point — design
-	// construction, most commonly — only wastes their capacity. Start the
-	// session with the full ring budget.
+	// so nothing the records hold from before this point — design
+	// construction, most commonly — is ever read. Dropping it keeps the
+	// records to the session's own edits.
 	d.ResetTouchedLog()
 	s.engs = newEngines(d, plan, cfg)
 	if err := s.engs.cts.Attach(); err != nil {

@@ -5,9 +5,9 @@
 // of the batch oracles (netlist.NumInsts, Registers, TotalArea,
 // Wirelength).
 //
-// The Tracker consumes the netlist's per-edit-class touched rings. Every
+// The Tracker consumes the netlist's per-edit-class touched records. Every
 // mutation notes the instance it touched, so the set of instances edited
-// since the last sync is exactly what the rings report; from each touched
+// since the last sync is exactly what the records report; from each touched
 // instance the Tracker derives the signal nets whose geometry may have
 // moved (the nets the instance was on at the last sync plus the nets it is
 // on now) and re-measures only those, against a per-net HPWL cache. All
@@ -16,15 +16,16 @@
 // the equality reference the tracker is tested against. Composability
 // (compat.Exclusion) reads only the register itself: its fixed/size-only
 // flags, its clock pin's net, its cell class and width. Every edit to any
-// of those touches the register, so the touched rings keep that count
+// of those touches the register, so the touched records keep that count
 // exact too.
 //
-// Fallbacks mirror the other retained engines: an overflowed flow ring
-// forces a full rebuild; an overflowed CTS ring only forces an
-// instance-side recount, because CTS-class edits (buffer add/move/remove,
-// clock-net rewires — see place.LegalizeIncremental: legalization moves
-// only the instances it is given) never change a signal net's pin set or
-// member positions, so the per-net caches stay valid.
+// A CTS-class touched instance re-snaps its instance-side contribution
+// only: CTS-class edits (buffer add/move/remove, clock-net rewires — see
+// place.LegalizeIncremental: legalization moves only the instances it is
+// given) never change a signal net's pin set or member positions, so the
+// per-net caches stay valid. A CTS-class structural edit would break that
+// rule; while one is past the cursor, CTS-class instances dirty their
+// signal nets like flow-class ones.
 package metrics
 
 import (
@@ -56,19 +57,16 @@ type Stats struct {
 	// calls with nothing to do.
 	Syncs  int
 	Cleans int
-	// Deltas counts syncs served from the touched rings alone.
+	// Deltas counts syncs served from the touched records alone.
 	Deltas int
-	// InstRecounts counts syncs that re-walked the instances (CTS ring
-	// overflow) but kept the signal-net caches.
-	InstRecounts int
-	// FullRebuilds counts from-scratch rebuilds (first sync, flow ring
-	// overflow, Invalidate).
+	// FullRebuilds counts from-scratch rebuilds (first sync, Invalidate,
+	// a cursor older than netlist.ResetTouchedLog).
 	FullRebuilds int
 	// InstsSynced and NetsSynced count the delta paths' actual work.
 	InstsSynced int
 	NetsSynced  int
-	// LastKind names the most recent sync's outcome: "clean", "delta",
-	// "inst-recount" or "rebuild".
+	// LastKind names the most recent sync's outcome: "clean", "delta" or
+	// "rebuild".
 	LastKind string
 }
 
@@ -94,17 +92,18 @@ type Tracker struct {
 	agg Aggregates
 	// snaps is indexed by InstID and netWL, each signal net's cached HPWL
 	// (0 for clock and dead nets), by NetID. Both grow with the design's
-	// ID spaces and are reused across recounts and rebuilds: a snapshot
-	// keeps its net buffer, so a recount allocates nothing per instance.
+	// ID spaces and are reused across rebuilds: a snapshot keeps its net
+	// buffer, so a rebuild allocates nothing per instance.
 	snaps []instSnap
 	netWL []int64
 	// netGen/netStamp dedupe a sync's dirty signal nets by NetID: a net
 	// is queued iff its stamp equals netGen. dirty and netBuf are the
-	// sync's reused buffers.
-	netGen   uint32
-	netStamp []uint32
-	dirty    []netlist.NetID
-	netBuf   []netlist.NetID
+	// sync's reused buffers, flowT and ctsT those of its touched reads.
+	netGen      uint32
+	netStamp    []uint32
+	dirty       []netlist.NetID
+	netBuf      []netlist.NetID
+	flowT, ctsT []netlist.InstID
 
 	stats Stats
 }
@@ -128,9 +127,7 @@ func (t *Tracker) Stats() Stats { return t.stats }
 // scratch. Required after edits that bypassed the netlist API.
 func (t *Tracker) Invalidate() { t.valid = false }
 
-// Summary reports the uniform engine.Summary counters. Instance recounts
-// are neither deltas nor rebuilds; they show up in Updates only (and in
-// Stats.InstRecounts).
+// Summary reports the uniform engine.Summary counters.
 func (t *Tracker) Summary() engine.Summary {
 	return engine.Summary{
 		Updates:  t.stats.Syncs,
@@ -152,54 +149,49 @@ func (t *Tracker) Sync() {
 		t.rebuild()
 		return
 	}
-	flow, flowOK := t.d.TouchedSinceClass(t.cursor, netlist.EditClassFlow)
-	ctsT, ctsOK := t.d.TouchedSinceClass(t.cursor, netlist.EditClassCTS)
-	if !flowOK {
+	var complete bool
+	if t.flowT, complete = t.d.TouchedSinceClass(t.cursor, netlist.EditClassFlow, t.flowT[:0]); !complete {
 		t.rebuild()
 		return
 	}
+	// The CTS-class read at the same cursor is complete too.
+	t.ctsT, _ = t.d.TouchedSinceClass(t.cursor, netlist.EditClassCTS, t.ctsT[:0])
 	t.grow()
 	// Collect the dirty signal nets before snapshots move: each touched
 	// instance invalidates the nets it was on at the last sync plus the
-	// nets it is on now. A touched ID appears once per ring that noted it.
+	// nets it is on now. A CTS-class edit changes no signal net, so a
+	// CTS-class instance dirties none unless the CTS class made a
+	// structural edit.
 	t.netGen++
 	dirty := t.dirty[:0]
-	add := func(nets []netlist.NetID) {
-		for _, nid := range nets {
-			if t.netStamp[nid] != t.netGen {
-				t.netStamp[nid] = t.netGen
-				dirty = append(dirty, nid)
+	add := func(ids []netlist.InstID) {
+		for _, id := range ids {
+			t.netBuf = t.signalNets(id, t.netBuf[:0])
+			for _, nets := range [2][]netlist.NetID{t.snaps[id].nets, t.netBuf} {
+				for _, nid := range nets {
+					if t.netStamp[nid] != t.netGen {
+						t.netStamp[nid] = t.netGen
+						dirty = append(dirty, nid)
+					}
+				}
 			}
 		}
 	}
-	touched := flow
-	if ctsOK {
-		touched = append(touched, ctsT...)
-	}
-	for _, id := range touched {
-		add(t.snaps[id].nets)
-		t.netBuf = t.signalNets(id, t.netBuf[:0])
-		add(t.netBuf)
+	add(t.flowT)
+	if t.d.StructuralEpochOf(netlist.EditClassCTS) > t.cursor {
+		add(t.ctsT)
 	}
 	t.dirty = dirty
-	if !ctsOK {
-		// The CTS ring overflowed: its edits touch only clock buffers and
-		// clock nets, so the signal-net caches (and the flow-derived dirty
-		// set above) stay exact; only the instance-side aggregates must be
-		// recounted.
-		t.recountInsts()
-		t.stats.InstRecounts++
-		t.stats.LastKind = "inst-recount"
-	} else {
-		for _, id := range touched {
+	for _, ids := range [2][]netlist.InstID{t.flowT, t.ctsT} {
+		for _, id := range ids {
 			t.syncInst(id)
 		}
-		t.stats.Deltas++
-		t.stats.LastKind = "delta"
 	}
 	for _, nid := range dirty {
 		t.syncNet(nid)
 	}
+	t.stats.Deltas++
+	t.stats.LastKind = "delta"
 	t.cursor = t.d.Epoch()
 }
 
@@ -277,22 +269,16 @@ func (t *Tracker) syncNet(id netlist.NetID) {
 	t.netWL[id] = cur
 }
 
-// recountInsts rebuilds the instance-side state (snapshots and counts)
-// with one O(insts) walk, leaving the signal-net caches untouched. Every
-// slot is reset first, so a dead instance's slot reads as dead again.
-func (t *Tracker) recountInsts() {
+// rebuild re-derives everything from the design. Every instance slot is
+// reset first, so a dead instance's slot reads as dead again; snapshots
+// keep their net buffers.
+func (t *Tracker) rebuild() {
 	t.grow()
-	t.agg.Cells, t.agg.Regs, t.agg.CompRegs, t.agg.AreaDBU2 = 0, 0, 0, 0
+	t.agg = Aggregates{}
 	for i := range t.snaps {
 		t.snaps[i] = instSnap{nets: t.snaps[i].nets[:0]}
 	}
 	t.d.Insts(func(in *netlist.Inst) { t.snapInst(in, &t.snaps[in.ID]) })
-}
-
-// rebuild re-derives everything from the design.
-func (t *Tracker) rebuild() {
-	t.recountInsts()
-	t.agg.SignalWLDBU = 0
 	clear(t.netWL)
 	t.d.Nets(func(n *netlist.Net) {
 		if n.IsClock {

@@ -171,7 +171,7 @@ func TestTrackerEqualsOracles(t *testing.T) {
 			}
 			// Removals leave dead IDs behind in the tracker's slots. Each
 			// victim is first touched under the CTS class, so one delta sees
-			// it in both rings: its slot must read dead after the first
+			// it in both records: its slot must read dead after the first
 			// visit or the second subtracts it again.
 			removeTouchedTwice(t, d, rng, 4)
 			requireEqualsOracles(t, "removals", tr, d)
@@ -201,7 +201,7 @@ func TestTrackerEqualsOracles(t *testing.T) {
 
 // removeTouchedTwice removes n random registers, each after a CTS-class
 // clock-pin rewire, so the removal reaches the tracker through both the
-// flow and the CTS touched rings.
+// flow and the CTS touched records.
 func removeTouchedTwice(t *testing.T, d *netlist.Design, rng *rand.Rand, n int) {
 	t.Helper()
 	for k := 0; k < n; k++ {
@@ -244,14 +244,12 @@ func TestTrackerCompRegsEqualsGraphNodes(t *testing.T) {
 	}
 }
 
-// TestTrackerCTSRingOverflowRecounts shrinks the touched rings so the CTS
-// engine's per-update churn overflows its ring while the handful of flow
-// edits stays tracked: the tracker must fall back to the instance-side
-// recount (keeping its net caches) and still match the oracles.
-func TestTrackerCTSRingOverflowRecounts(t *testing.T) {
+// TestTrackerWithRetainedCTS runs edit rounds with a retained clock tree
+// attached, so every sync reads the tree repairs' CTS-class churn: the
+// tracker must stay on its delta path and match the oracles, with the
+// CTS-class instances re-snapped but their signal nets left alone.
+func TestTrackerWithRetainedCTS(t *testing.T) {
 	d := genProfile(t, "D2").Design
-	d.SetTouchedLogCap(64)
-	defer d.SetTouchedLogCap(0)
 	eng := cts.NewEngine(d, cts.DefaultOptions())
 	if err := eng.Attach(); err != nil {
 		t.Fatalf("attach: %v", err)
@@ -268,32 +266,8 @@ func TestTrackerCTSRingOverflowRecounts(t *testing.T) {
 		}
 		requireEqualsOracles(t, fmt.Sprintf("round %d", round), tr, d)
 	}
-	st := tr.Stats()
-	if st.InstRecounts == 0 {
-		t.Fatalf("CTS churn never forced an instance recount: %+v", st)
-	}
-	if st.FullRebuilds != 1 {
-		t.Fatalf("CTS-ring overflow escalated to a full rebuild: %+v", st)
-	}
-}
-
-// TestTrackerFlowRingOverflowRebuilds floods the flow ring in one round
-// and checks the tracker downgrades to a full rebuild — and is still
-// exact.
-func TestTrackerFlowRingOverflowRebuilds(t *testing.T) {
-	d := genProfile(t, "D1").Design
-	d.SetTouchedLogCap(32)
-	defer d.SetTouchedLogCap(0)
-	tr := metrics.New(d)
-	requireEqualsOracles(t, "baseline", tr, d)
-	for _, in := range d.Registers() {
-		if !in.Fixed {
-			d.MoveInst(in, geom.Point{X: in.Pos.X + 100, Y: in.Pos.Y})
-		}
-	}
-	requireEqualsOracles(t, "post-flood", tr, d)
-	if st := tr.Stats(); st.FullRebuilds != 2 {
-		t.Fatalf("flow-ring overflow did not rebuild: %+v", st)
+	if st := tr.Stats(); st.FullRebuilds != 1 || st.Deltas != 6 {
+		t.Fatalf("want the baseline rebuild and six deltas: %+v", st)
 	}
 }
 

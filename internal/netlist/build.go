@@ -22,7 +22,7 @@ func (d *Design) newInst(name string, kind InstKind, pos geom.Point) (*Inst, err
 	d.nameToInst[name] = in.ID
 	// Creation is an edit too: without this, an instance that is added but
 	// never connected (or whose creation-time parameters matter, like the
-	// position) would be invisible to TouchedSince consumers.
+	// position) would be invisible to touched-record consumers.
 	d.noteTouch(in.ID)
 	return in, nil
 }

@@ -38,9 +38,9 @@ func (d *Design) RemoveNet(n *Net) error {
 func (d *Design) MoveInst(in *Inst, pos geom.Point) {
 	if in.Pos == pos {
 		// A no-op move changes nothing an engine could observe; noting it
-		// would still consume touched-ring capacity (the legalizer calls
-		// MoveInst for every settled instance, displaced or not), and ring
-		// drops are what force retained readers off their delta paths.
+		// would still send every retained reader over the instance (the
+		// legalizer calls MoveInst for every settled instance, displaced
+		// or not).
 		return
 	}
 	in.Pos = pos

@@ -1,5 +1,7 @@
 package netlist
 
+import "slices"
+
 // Edit tracking: every timing-relevant mutation of a Design bumps a
 // monotonically increasing edit epoch and records which instance it
 // touched, so an incremental consumer (the STA engine) can find out, at
@@ -22,22 +24,23 @@ package netlist
 //
 // Orthogonally to those semantic classes, every edit belongs to an *edit
 // class* — a scope tag that routes the touched record into a per-class
-// ring. EditClassFlow is the default: ordinary flow edits (moves, merges,
-// resizes, skews) land there and are what TouchedSince reports. The
-// retained clock-tree engine tags its internal buffer/net churn
-// EditClassCTS, which keeps it out of the flow ring entirely: a CTS repair
-// can touch thousands of instances without evicting the handful of flow
-// edits the STA and compat-graph engines need to stay on their delta
-// paths. Epochs are shared across classes (one monotonic counter), only
-// the touched record is partitioned.
+// record. EditClassFlow is the default: ordinary flow edits (moves,
+// merges, resizes, skews) land there.
+// The retained clock-tree engine tags its internal buffer/net churn
+// EditClassCTS, which keeps it out of the flow record: a CTS repair
+// touches thousands of instances, and a consumer that reads only the flow
+// record (the STA engine's graph patch, the CTS engine's legalizer) never
+// walks them. Epochs are shared across classes (one monotonic
+// counter), only the touched record is partitioned.
 //
-// Each touched record is a bounded circular ring (capacity
-// SetTouchedLogCap, default defaultTouchedRingCap). A full ring evicts its
-// oldest entry per append, so a reader is only incomplete when its cursor
-// predates the oldest retained entry — readers that sync at least once per
-// ring-capacity's worth of edits stay complete forever, however long the
-// total edit stream runs. An incomplete read simply downgrades the
-// consumer to a full rebuild — correctness never depends on a ring.
+// Each class's record is unbounded, so it never loses an edit: a dense
+// per-instance epoch of the newest touch, plus the touches in epoch order.
+// A touch that supersedes an instance's older entry leaves that entry
+// stale, and once stale entries are the majority the list is compacted to
+// each instance's newest entry. A stale entry never counts towards a read,
+// so compaction changes no cursor's answer, and the list stays within
+// twice the instances touched since the last ResetTouchedLog. Only
+// ResetTouchedLog makes a record incomplete, for cursors taken before it.
 //
 // All edits must go through the Design methods (Connect, Disconnect,
 // MoveInst, ResizeRegister, ...); writing Inst.Pos or pin/net fields
@@ -47,80 +50,73 @@ package netlist
 type EditClass uint8
 
 const (
-	// EditClassFlow is the default class: ordinary design edits, visible
-	// to TouchedSince.
+	// EditClassFlow is the default class: ordinary design edits.
 	EditClassFlow EditClass = iota
 	// EditClassCTS tags the retained clock-tree engine's internal edits
 	// (buffer adds/moves/removals, leaf-net rewires). They bump the shared
-	// epochs but are recorded in a separate ring, invisible to
+	// epochs but are recorded in a separate record, invisible to
 	// EditClassFlow consumers.
 	EditClassCTS
 
 	numEditClasses
 )
 
-// defaultTouchedRingCap bounds each touched-instance ring unless
-// SetTouchedLogCap overrides it. 4096 entries cover the per-iteration edit
-// volume of the composition flow's hot loop (skew + sizing touch at most a
-// few hundred registers); bulk edits overflow it and correctly force a
-// full rebuild.
-const defaultTouchedRingCap = 4096
-
 type touchedEntry struct {
 	epoch uint64
 	inst  InstID
 }
 
-// classRing is one edit class's bounded touched record: a circular buffer
-// that evicts its oldest entry once full.
-type classRing struct {
-	// trackedFrom is the cursor floor: TouchedSince(c) is complete iff
-	// c >= trackedFrom. It advances to each evicted entry's epoch.
-	trackedFrom uint64
-	buf         []touchedEntry // storage; grows to capacity, then wraps
-	head        int            // index of the oldest retained entry
-	n           int            // live entries
+// classRecord is one edit class's touched record.
+type classRecord struct {
+	// last is, per InstID, the epoch of the instance's newest touch since
+	// the last reset (0 = none). An entry is live iff its epoch equals its
+	// instance's last.
+	last []uint64
+	// ents holds the touches in ascending epoch order; stale counts the
+	// entries a newer touch of the same instance superseded.
+	ents  []touchedEntry
+	stale int
 }
 
-// clear drops the record; edits at or before the given epoch become
-// untracked.
-func (r *classRing) clear(epoch uint64) {
-	r.buf = r.buf[:0]
-	r.head = 0
-	r.n = 0
-	r.trackedFrom = epoch
+// note records a touch of inst at epoch, which exceeds every recorded
+// epoch. A touch of the instance the newest entry already names only
+// moves that entry's epoch forward: bursts of edits to one instance (a
+// merge's pin-by-pin rewiring, a legalizer's moves) take one entry. The
+// entry list grows by doubling, not by append's 1.25× for large slices: a
+// design build touches every instance, and the smaller steps allocate
+// five times the list's final size on the way.
+func (r *classRecord) note(inst InstID, epoch uint64) {
+	if int(inst) >= len(r.last) {
+		r.last = append(r.last, make([]uint64, int(inst)+1-len(r.last))...)
+	}
+	if n := len(r.ents); n > 0 && r.ents[n-1].inst == inst {
+		r.ents[n-1].epoch = epoch
+		r.last[inst] = epoch
+		return
+	}
+	if r.last[inst] != 0 {
+		r.stale++
+	}
+	r.last[inst] = epoch
+	if len(r.ents) == cap(r.ents) {
+		r.ents = slices.Grow(r.ents, len(r.ents)+1)
+	}
+	r.ents = append(r.ents, touchedEntry{epoch: epoch, inst: inst})
+	if 2*r.stale > len(r.ents) {
+		r.compact()
+	}
 }
 
-// push appends an entry, evicting the oldest once the ring holds cap. A
-// touch of the instance the newest entry already names only moves that
-// entry's epoch forward: every reader whose cursor predates the new epoch
-// still sees the instance, and bursts of edits to one instance (a merge's
-// pin-by-pin rewiring, a legalizer's moves) take one slot, not one each.
-func (r *classRing) push(ent touchedEntry, cap int) {
-	if r.n > 0 {
-		if last := &r.buf[(r.head+r.n-1)%len(r.buf)]; last.inst == ent.inst {
-			last.epoch = ent.epoch
-			return
+// compact drops the stale entries, keeping the live ones in order.
+func (r *classRecord) compact() {
+	live := r.ents[:0]
+	for _, ent := range r.ents {
+		if r.last[ent.inst] == ent.epoch {
+			live = append(live, ent)
 		}
 	}
-	if len(r.buf) < cap {
-		r.buf = append(r.buf, ent)
-		r.n++
-		return
-	}
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = ent
-		r.n++
-		return
-	}
-	r.trackedFrom = r.buf[r.head].epoch
-	r.buf[r.head] = ent
-	r.head = (r.head + 1) % len(r.buf)
-}
-
-// at returns the i-th oldest retained entry, 0 <= i < n.
-func (r *classRing) at(i int) touchedEntry {
-	return r.buf[(r.head+i)%len(r.buf)]
+	r.ents = live
+	r.stale = 0
 }
 
 // editLog is the per-Design edit tracker. The zero value is ready to use.
@@ -132,16 +128,10 @@ type editLog struct {
 	classStructural [numEditClasses]uint64
 	// class is the edit class subsequent edits are recorded under.
 	class EditClass
-	// cap is the per-class ring capacity (0 = defaultTouchedRingCap).
-	cap   int
-	rings [numEditClasses]classRing
-}
-
-func (e *editLog) ringCap() int {
-	if e.cap > 0 {
-		return e.cap
-	}
-	return defaultTouchedRingCap
+	// trackedFrom is the epoch of the last ResetTouchedLog: a read is
+	// complete iff its cursor is at or past it.
+	trackedFrom uint64
+	records     [numEditClasses]classRecord
 }
 
 // Epoch returns the design's current edit epoch. It increases by at least
@@ -168,7 +158,7 @@ func (d *Design) StructuralEpochOf(c EditClass) uint64 {
 func (d *Design) EditClass() EditClass { return d.edits.class }
 
 // SetEditClass routes subsequent edits' touched records to the given
-// class's ring and returns the previous class. Prefer WithEditClass for
+// class's record and returns the previous class. Prefer WithEditClass for
 // scoped use.
 func (d *Design) SetEditClass(c EditClass) EditClass {
 	prev := d.edits.class
@@ -186,73 +176,37 @@ func (d *Design) WithEditClass(c EditClass, fn func()) {
 	fn()
 }
 
-// TouchedLogCap returns the per-class touched-ring capacity.
-func (d *Design) TouchedLogCap() int { return d.edits.ringCap() }
-
-// SetTouchedLogCap sets the per-class touched-ring capacity (entries).
-// n <= 0 restores the default. Non-empty rings are dropped wholesale on
-// any capacity change (consumers degrade to a full rebuild once, exactly
-// as on an overflowed cursor).
-// ResetTouchedLog drops every class's touched ring, marking all past
-// edits untracked (readers with older cursors see an incomplete record
-// and degrade to their full paths, exactly as after an overflow). Callers
-// that create their incremental consumers *after* a bulk construction
-// phase — the flow does, its engines' first looks are full rebuilds by
-// definition — use this to hand the rings' whole capacity to the edits
-// that follow instead of the build churn that preceded them.
+// ResetTouchedLog empties every class's touched record, freeing its
+// memory, and marks all past edits untracked: a read with an older cursor
+// reports an incomplete record. Callers that create their incremental
+// consumers *after* a bulk construction phase — the flow does, its
+// engines' first looks are full rebuilds by definition — use it to drop
+// the build churn that preceded them. A consumer with an older cursor
+// treats the incomplete read as its Invalidate.
 func (d *Design) ResetTouchedLog() {
-	e := &d.edits
-	for i := range e.rings {
-		e.rings[i].clear(e.epoch)
-	}
+	d.edits.records = [numEditClasses]classRecord{}
+	d.edits.trackedFrom = d.edits.epoch
 }
 
-func (d *Design) SetTouchedLogCap(n int) {
-	e := &d.edits
-	if n <= 0 {
-		n = 0
+// TouchedSinceClass appends to buf the IDs of instances touched by edits
+// of the given class after the given epoch, most recent touch first and
+// deduplicated, and reports whether the record is complete: false only
+// for a cursor older than the last ResetTouchedLog, after which the
+// caller must assume anything changed. Returned IDs may refer to
+// since-removed instances (Inst returns nil). It writes nothing but buf,
+// so concurrent readers with their own buffers may share a design, and a
+// buffer with room allocates nothing.
+func (d *Design) TouchedSinceClass(epoch uint64, class EditClass, buf []InstID) (touched []InstID, complete bool) {
+	if class >= numEditClasses || epoch < d.edits.trackedFrom {
+		return buf, false
 	}
-	e.cap = n
-	// Changing capacity re-shapes the circular storage; drop non-empty
-	// rings wholesale rather than re-index them (consumers degrade to one
-	// full rebuild, exactly as on an overflowed cursor).
-	for i := range e.rings {
-		if r := &e.rings[i]; r.n > 0 {
-			r.clear(e.epoch)
+	r := &d.edits.records[class]
+	for i := len(r.ents) - 1; i >= 0 && r.ents[i].epoch > epoch; i-- {
+		if ent := r.ents[i]; r.last[ent.inst] == ent.epoch {
+			buf = append(buf, ent.inst)
 		}
 	}
-}
-
-// TouchedSince returns the IDs of instances touched by EditClassFlow edits
-// after the given epoch, most recent first and deduplicated, plus whether
-// the record is complete. complete == false means the ring was overwritten
-// past the cursor and the caller must assume anything changed. Returned
-// IDs may refer to since-removed instances (Inst returns nil).
-func (d *Design) TouchedSince(epoch uint64) (touched []InstID, complete bool) {
-	return d.TouchedSinceClass(epoch, EditClassFlow)
-}
-
-// TouchedSinceClass is TouchedSince restricted to one edit class's record.
-func (d *Design) TouchedSinceClass(epoch uint64, class EditClass) (touched []InstID, complete bool) {
-	if class >= numEditClasses {
-		return nil, false
-	}
-	r := &d.edits.rings[class]
-	if epoch < r.trackedFrom {
-		return nil, false
-	}
-	seen := map[InstID]bool{}
-	for i := r.n - 1; i >= 0; i-- {
-		ent := r.at(i)
-		if ent.epoch <= epoch {
-			break
-		}
-		if !seen[ent.inst] {
-			seen[ent.inst] = true
-			touched = append(touched, ent.inst)
-		}
-	}
-	return touched, true
+	return buf, true
 }
 
 // noteTouch records a parametric edit to the instance under the current
@@ -260,7 +214,7 @@ func (d *Design) TouchedSinceClass(epoch uint64, class EditClass) (touched []Ins
 func (d *Design) noteTouch(inst InstID) {
 	e := &d.edits
 	e.epoch++
-	e.rings[e.class].push(touchedEntry{epoch: e.epoch, inst: inst}, e.ringCap())
+	e.records[e.class].note(inst, e.epoch)
 }
 
 // noteStructural records a data-path connectivity edit at the instance.

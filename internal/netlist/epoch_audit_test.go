@@ -32,7 +32,7 @@ func snapshot(d *Design) map[InstID]instSnap {
 // TestTouchedLogCoversEdits is the satellite audit test: after a battery of
 // edits through the Design API, every instance whose observable state
 // changed — including created and removed ones — must appear in
-// TouchedSince, and the log must report itself complete.
+// the flow-class touched record, and the log must report itself complete.
 func TestTouchedLogCoversEdits(t *testing.T) {
 	d, r1, r2 := buildPair(t)
 	cursor := d.Epoch()
@@ -82,7 +82,7 @@ func TestTouchedLogCoversEdits(t *testing.T) {
 		}
 	}
 
-	touched, complete := d.TouchedSince(cursor)
+	touched, complete := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 	if !complete {
 		t.Fatalf("touched log overflowed on %d edits", len(touched))
 	}
@@ -106,7 +106,7 @@ func TestCreationIsLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	touched, complete := d.TouchedSince(cursor)
+	touched, complete := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 	if !complete {
 		t.Fatal("log overflowed")
 	}

@@ -77,7 +77,7 @@ func TestControlNetEditBumpsEpochOnce(t *testing.T) {
 		if d.Epoch() != cur+1 {
 			t.Fatalf("reset-net edit moved the epoch %d -> %d, want +1", cur, d.Epoch())
 		}
-		touched, ok := d.TouchedSince(cur)
+		touched, ok := d.TouchedSinceClass(cur, EditClassFlow, nil)
 		if !ok || len(touched) != 1 || touched[0] != r1.ID {
 			t.Fatalf("touched = %v (complete %v), want only r1", touched, ok)
 		}
@@ -92,7 +92,7 @@ func TestTouchedSinceDedupAndOrder(t *testing.T) {
 	d.MoveInst(r2, geom.Point{X: 4000, Y: 1200})
 	d.MoveInst(r1, geom.Point{X: 2500, Y: 1200})
 
-	touched, complete := d.TouchedSince(cursor)
+	touched, complete := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 	if !complete {
 		t.Fatalf("record unexpectedly incomplete")
 	}
@@ -105,16 +105,16 @@ func TestTouchedSinceDedupAndOrder(t *testing.T) {
 	}
 
 	// A cursor at the current epoch sees nothing.
-	if got, ok := d.TouchedSince(d.Epoch()); !ok || len(got) != 0 {
-		t.Fatalf("TouchedSince(now) = %v, %v; want empty, complete", got, ok)
+	if got, ok := d.TouchedSinceClass(d.Epoch(), EditClassFlow, nil); !ok || len(got) != 0 {
+		t.Fatalf("read(now) = %v, %v; want empty, complete", got, ok)
 	}
 
 	// A mid-sequence cursor sees only the later edits.
 	mid := d.Epoch()
 	d.MoveInst(r2, geom.Point{X: 4500, Y: 1200})
-	got, ok := d.TouchedSince(mid)
+	got, ok := d.TouchedSinceClass(mid, EditClassFlow, nil)
 	if !ok || len(got) != 1 || got[0] != r2.ID {
-		t.Fatalf("TouchedSince(mid) = %v, %v; want [%d], complete", got, ok, r2.ID)
+		t.Fatalf("read(mid) = %v, %v; want [%d], complete", got, ok, r2.ID)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestTouchedSinceRemovedInst(t *testing.T) {
 	cursor := d.Epoch()
 	id := r1.ID
 	d.RemoveInst(r1)
-	touched, complete := d.TouchedSince(cursor)
+	touched, complete := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 	if !complete {
 		t.Fatalf("record unexpectedly incomplete")
 	}
@@ -135,32 +135,6 @@ func TestTouchedSinceRemovedInst(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("RemoveInst not recorded in touched set %v", touched)
-	}
-}
-
-// moveAlternating moves r1 and r2 in turn, n edits in all: consecutive
-// touches name different instances, so each takes its own ring slot.
-func moveAlternating(d *Design, r1, r2 *Inst, n int) {
-	for i := 0; i < n; i++ {
-		r := []*Inst{r1, r2}[i%2]
-		d.MoveInst(r, geom.Point{X: int64(1000 + i), Y: r.Pos.Y})
-	}
-}
-
-func TestTouchedSinceRingOverflow(t *testing.T) {
-	d, r1, r2 := buildPair(t)
-	cursor := d.Epoch()
-	moveAlternating(d, r1, r2, defaultTouchedRingCap+5)
-	if _, complete := d.TouchedSince(cursor); complete {
-		t.Fatalf("record complete across ring overflow")
-	}
-	// A cursor taken after the overflow is tracked again.
-	cursor = d.Epoch()
-	d.MoveInst(r1, geom.Point{X: 9000, Y: 1200})
-	touched, complete := d.TouchedSince(cursor)
-	if !complete || len(touched) != 1 || touched[0] != r1.ID {
-		t.Fatalf("post-overflow TouchedSince = %v, %v; want [%d], complete",
-			touched, complete, r1.ID)
 	}
 }
 
@@ -185,11 +159,11 @@ func TestEditClassScoping(t *testing.T) {
 	}
 
 	// The CTS edit is invisible to the flow record but on the CTS record.
-	flow, ok := d.TouchedSince(cursor)
+	flow, ok := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 	if !ok || len(flow) != 0 {
 		t.Fatalf("flow record sees CTS-class edit: %v, %v", flow, ok)
 	}
-	ctsT, ok := d.TouchedSinceClass(cursor, EditClassCTS)
+	ctsT, ok := d.TouchedSinceClass(cursor, EditClassCTS, nil)
 	if !ok || len(ctsT) != 1 || ctsT[0] != r1.ID {
 		t.Fatalf("CTS record = %v, %v; want [%d], complete", ctsT, ok, r1.ID)
 	}
@@ -197,10 +171,10 @@ func TestEditClassScoping(t *testing.T) {
 	// And vice versa: a flow edit stays off the CTS record.
 	cursor = d.Epoch()
 	d.MoveInst(r2, geom.Point{X: 4000, Y: 1200})
-	if got, ok := d.TouchedSinceClass(cursor, EditClassCTS); !ok || len(got) != 0 {
+	if got, ok := d.TouchedSinceClass(cursor, EditClassCTS, nil); !ok || len(got) != 0 {
 		t.Fatalf("CTS record sees flow-class edit: %v, %v", got, ok)
 	}
-	if got, ok := d.TouchedSince(cursor); !ok || len(got) != 1 || got[0] != r2.ID {
+	if got, ok := d.TouchedSinceClass(cursor, EditClassFlow, nil); !ok || len(got) != 1 || got[0] != r2.ID {
 		t.Fatalf("flow record = %v, %v; want [%d], complete", got, ok, r2.ID)
 	}
 
@@ -215,68 +189,6 @@ func TestEditClassScoping(t *testing.T) {
 			t.Fatalf("nested WithEditClass did not restore outer class")
 		}
 	})
-}
-
-func TestEditClassOverflowIsolation(t *testing.T) {
-	d, r1, r2 := buildPair(t)
-	cursor := d.Epoch()
-	// Overflow the CTS ring only.
-	d.WithEditClass(EditClassCTS, func() {
-		moveAlternating(d, r1, r2, defaultTouchedRingCap+5)
-	})
-	d.MoveInst(r2, geom.Point{X: 4000, Y: 1200})
-	if _, ok := d.TouchedSinceClass(cursor, EditClassCTS); ok {
-		t.Fatalf("CTS record survived its own overflow")
-	}
-	got, ok := d.TouchedSince(cursor)
-	if !ok || len(got) != 1 || got[0] != r2.ID {
-		t.Fatalf("flow record degraded by CTS overflow: %v, %v", got, ok)
-	}
-}
-
-func TestSetTouchedLogCap(t *testing.T) {
-	d, r1, r2 := buildPair(t)
-	if d.TouchedLogCap() != defaultTouchedRingCap {
-		t.Fatalf("default cap = %d, want %d", d.TouchedLogCap(), defaultTouchedRingCap)
-	}
-
-	d.SetTouchedLogCap(8)
-	if d.TouchedLogCap() != 8 {
-		t.Fatalf("cap = %d after SetTouchedLogCap(8)", d.TouchedLogCap())
-	}
-	cursor := d.Epoch()
-	moveAlternating(d, r1, r2, 6)
-	if _, ok := d.TouchedSince(cursor); !ok {
-		t.Fatalf("record incomplete below the configured cap")
-	}
-	moveAlternating(d, r1, r2, 8)
-	if _, ok := d.TouchedSince(cursor); ok {
-		t.Fatalf("record complete across a 14-edit burst at cap 8")
-	}
-
-	// Growing the cap keeps the (complete) suffix tracked; a fresh cursor
-	// is tracked again.
-	cursor = d.Epoch()
-	d.SetTouchedLogCap(0)
-	if d.TouchedLogCap() != defaultTouchedRingCap {
-		t.Fatalf("SetTouchedLogCap(0) did not restore the default")
-	}
-	d.MoveInst(r1, geom.Point{X: 9000, Y: 1200})
-	if got, ok := d.TouchedSince(cursor); !ok || len(got) != 1 {
-		t.Fatalf("post-resize record = %v, %v; want 1 entry, complete", got, ok)
-	}
-
-	// Shrinking below the ring's current length drops it wholesale: one
-	// degradation, then tracking resumes.
-	d.SetTouchedLogCap(2)
-	if _, ok := d.TouchedSince(cursor); ok {
-		t.Fatalf("record survived a shrink below its length")
-	}
-	cursor = d.Epoch()
-	d.MoveInst(r1, geom.Point{X: 9500, Y: 1200})
-	if got, ok := d.TouchedSince(cursor); !ok || len(got) != 1 {
-		t.Fatalf("record did not resume after shrink: %v, %v", got, ok)
-	}
 }
 
 func TestPinSpaceCoversRemovedInsts(t *testing.T) {
@@ -297,13 +209,10 @@ func TestPinSpaceCoversRemovedInsts(t *testing.T) {
 	}
 }
 
-// Consecutive touches of one instance share a ring slot: a burst far past
-// the capacity stays complete, and a reader whose cursor falls between two
-// coalesced touches still gets the instance.
+// Consecutive touches of one instance share one entry: a reader whose
+// cursor falls between two coalesced touches still gets the instance.
 func TestCoalescedTouchesStayVisible(t *testing.T) {
 	d, r1, r2 := buildPair(t)
-	d.SetTouchedLogCap(4)
-	defer d.SetTouchedLogCap(0)
 	start := d.Epoch()
 	d.MoveInst(r1, geom.Point{X: 1100, Y: 1200})
 	between := d.Epoch()
@@ -311,20 +220,20 @@ func TestCoalescedTouchesStayVisible(t *testing.T) {
 		d.MoveInst(r1, geom.Point{X: int64(1200 + i), Y: 1200})
 	}
 	for _, cursor := range []uint64{start, between, d.Epoch() - 1} {
-		got, ok := d.TouchedSince(cursor)
+		got, ok := d.TouchedSinceClass(cursor, EditClassFlow, nil)
 		if !ok || len(got) != 1 || got[0] != r1.ID {
-			t.Fatalf("cursor %d: TouchedSince = %v, %v; want [%d], complete", cursor, got, ok, r1.ID)
+			t.Fatalf("cursor %d: read = %v, %v; want [%d], complete", cursor, got, ok, r1.ID)
 		}
 	}
-	if got, ok := d.TouchedSince(d.Epoch()); !ok || len(got) != 0 {
+	if got, ok := d.TouchedSinceClass(d.Epoch(), EditClassFlow, nil); !ok || len(got) != 0 {
 		t.Fatalf("current cursor sees %v, %v; want nothing", got, ok)
 	}
 	// Another instance in between keeps both entries.
 	mid := d.Epoch()
 	d.MoveInst(r2, geom.Point{X: 3100, Y: 1200})
 	d.MoveInst(r1, geom.Point{X: 1500, Y: 1200})
-	got, ok := d.TouchedSince(mid)
+	got, ok := d.TouchedSinceClass(mid, EditClassFlow, nil)
 	if !ok || len(got) != 2 || got[0] != r1.ID || got[1] != r2.ID {
-		t.Fatalf("TouchedSince = %v, %v; want [%d %d], complete", got, ok, r1.ID, r2.ID)
+		t.Fatalf("read = %v, %v; want [%d %d], complete", got, ok, r1.ID, r2.ID)
 	}
 }

@@ -463,7 +463,7 @@ func (d *Design) Disconnect(p *Pin) {
 // point its former neighbors are unreachable from the edit log alone.
 // Only register data pins are noted: nothing position-derived is cached
 // for other members, and high-fanout control stars (reset, enable,
-// scan-enable) would flood the ring. Clock nets are exempt for the same
+// scan-enable) would flood the record. Clock nets are exempt for the same
 // reason (a clock-net edit records only the editing instance).
 func (d *Design) noteNetMembers(n *Net, excl PinID) {
 	if n.regDQ == 0 {

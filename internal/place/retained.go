@@ -30,8 +30,14 @@ type Legalizer struct {
 
 // NewLegalizer builds the occupancy from the design's current state.
 func NewLegalizer(d *netlist.Design) *Legalizer {
-	l := &Legalizer{d: d}
-	l.Rebuild()
+	l := &Legalizer{d: d, rs: newRowSpace(d), blocked: map[netlist.InstID]geom.Rect{}}
+	d.Insts(func(in *netlist.Inst) {
+		if obstacle(in) {
+			b := in.Bounds()
+			l.rs.block(b)
+			l.blocked[in.ID] = b
+		}
+	})
 	return l
 }
 
@@ -42,25 +48,10 @@ func obstacle(in *netlist.Inst) bool {
 	return in != nil && in.Area() > 0 && in.Kind != netlist.KindClockBuf
 }
 
-// Rebuild rebuilds the occupancy from scratch — the fallback when the
-// edit record since the last Sync is incomplete.
-func (l *Legalizer) Rebuild() {
-	rs := newRowSpace(l.d)
-	l.rs = rs
-	l.blocked = make(map[netlist.InstID]geom.Rect, len(l.blocked))
-	l.d.Insts(func(in *netlist.Inst) {
-		if obstacle(in) {
-			b := in.Bounds()
-			rs.block(b)
-			l.blocked[in.ID] = b
-		}
-	})
-}
-
 // Sync folds the given edited instances (moved, resized, added or
 // removed) into the occupancy. Callers obtain the list from the design's
-// touched record since their last Sync; an incomplete record requires
-// Rebuild instead.
+// touched record since their last Sync; an incomplete record requires a
+// new Legalizer instead.
 func (l *Legalizer) Sync(touched []netlist.InstID) {
 	for _, id := range touched {
 		if b, ok := l.blocked[id]; ok {

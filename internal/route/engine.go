@@ -16,9 +16,9 @@ type Stats struct {
 	// counts calls with nothing to do.
 	Updates int
 	Cleans  int
-	// Deltas counts updates served from the touched rings alone; Rebuilds
-	// counts from-scratch re-estimates (first update, ring overflow,
-	// Invalidate).
+	// Deltas counts updates served from the touched records alone;
+	// Rebuilds counts from-scratch re-estimates (first update, Invalidate,
+	// a cursor older than netlist.ResetTouchedLog, a changed core).
 	Deltas   int
 	Rebuilds int
 	// NetsDelta and TilesTouched count the delta paths' actual work:
@@ -36,8 +36,7 @@ type Stats struct {
 	LastRebuildNS int64
 	// LastKind names the most recent update's outcome: "clean", "delta" or
 	// "rebuild". LastFallback names what forced the most recent rebuild
-	// ("attach", "invalidate", "flow-ring-overflow", "cts-ring-overflow",
-	// "core-changed").
+	// ("attach", "invalidate", "reset", "core-changed").
 	LastKind     string
 	LastFallback string
 }
@@ -48,11 +47,11 @@ type Stats struct {
 // contribution, add the new one — instead of re-walking every net the way
 // the batch Estimate does.
 //
-// It consumes the netlist's per-edit-class touched rings exactly like the
-// other retained engines: flow-class edits (moves, resizes, merges) and
-// CTS-class edits (clock-buffer churn, leaf-net rewires) both matter,
-// since clock nets contribute demand. An overflowed ring downgrades the
-// update to a full rebuild — correctness never depends on a ring.
+// It consumes the netlist's per-edit-class touched records exactly like
+// the other retained engines: flow-class edits (moves, resizes, merges)
+// and CTS-class edits (clock-buffer churn, leaf-net rewires) both matter,
+// since clock nets contribute demand; a CTS-class edit moves clock nets
+// only (see delta).
 //
 // Because demand is held in fixed-point (see demandUnit), delta retraction
 // is exact and the engine's map is bit-identical to Estimate's at every
@@ -86,11 +85,13 @@ type Engine struct {
 	hStamp, vStamp []uint32
 	hDirty, vDirty []int
 	// netGen/netStamp dedupe a delta's dirty nets the same way, by NetID;
-	// dirtyNets and netBuf are the delta's reused buffers.
-	netGen    uint32
-	netStamp  []uint32
-	dirtyNets []netlist.NetID
-	netBuf    []netlist.NetID
+	// dirtyNets and netBuf are the delta's reused buffers, flowT and ctsT
+	// those of its touched reads.
+	netGen      uint32
+	netStamp    []uint32
+	dirtyNets   []netlist.NetID
+	netBuf      []netlist.NetID
+	flowT, ctsT []netlist.InstID
 
 	stats Stats
 }
@@ -169,18 +170,15 @@ func (e *Engine) Update() {
 		e.rebuild("core-changed")
 		return
 	}
-	flow, flowOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow)
-	if !flowOK {
-		e.rebuild("flow-ring-overflow")
+	var complete bool
+	if e.flowT, complete = e.d.TouchedSinceClass(e.cursor, netlist.EditClassFlow, e.flowT[:0]); !complete {
+		e.rebuild("reset")
 		return
 	}
-	ctsT, ctsOK := e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-	if !ctsOK {
-		e.rebuild("cts-ring-overflow")
-		return
-	}
+	// The CTS-class read at the same cursor is complete too.
+	e.ctsT, _ = e.d.TouchedSinceClass(e.cursor, netlist.EditClassCTS, e.ctsT[:0])
 	t0 := time.Now()
-	e.delta(append(flow, ctsT...))
+	e.delta(e.flowT, e.ctsT, e.d.StructuralEpochOf(netlist.EditClassCTS) > e.cursor)
 	e.stats.LastDeltaNS = time.Since(t0).Nanoseconds()
 	e.stats.DeltaNS += e.stats.LastDeltaNS
 	e.stats.Deltas++
@@ -190,24 +188,37 @@ func (e *Engine) Update() {
 
 // delta re-contributes exactly the nets whose geometry a touched instance
 // can have changed: the nets the instance was on at the last sync plus the
-// nets it is on now.
-func (e *Engine) delta(touched []netlist.InstID) {
+// nets it is on now. A CTS-class edit only rewires clock pins and adds,
+// moves or removes clock buffers, so of a CTS-class instance's nets only
+// the clock nets and the nets since removed can have changed — unless
+// ctsFull reports a CTS-class structural edit, which breaks that rule.
+// The flow-class instances go first: an instance on both lists then has a
+// current snapshot before its clock-only pass.
+func (e *Engine) delta(flowT, ctsT []netlist.InstID, ctsFull bool) {
 	e.grow()
 	e.netGen++
 	dirty := e.dirtyNets[:0]
-	add := func(nets []netlist.NetID) {
+	add := func(nets []netlist.NetID, clockOnly bool) {
 		for _, nid := range nets {
+			if clockOnly {
+				if n := e.d.Net(nid); n != nil && !n.IsClock {
+					continue
+				}
+			}
 			if e.netStamp[nid] != e.netGen {
 				e.netStamp[nid] = e.netGen
 				dirty = append(dirty, nid)
 			}
 		}
 	}
-	for _, id := range touched {
-		add(e.snaps[id])
-		e.netBuf = e.d.InstNets(id, false, e.netBuf[:0])
-		add(e.netBuf)
-		e.snapInst(id)
+	for k, touched := range [2][]netlist.InstID{flowT, ctsT} {
+		clockOnly := k == 1 && !ctsFull
+		for _, id := range touched {
+			add(e.snaps[id], clockOnly)
+			e.netBuf = e.d.InstNets(id, false, e.netBuf[:0])
+			add(e.netBuf, clockOnly)
+			e.snapInst(id)
+		}
 	}
 	e.dirtyNets = dirty
 	e.gen++

@@ -301,33 +301,6 @@ func TestDeltaTouchesOnlyAffectedNets(t *testing.T) {
 	requireMapsEqual(t, "single-move delta", rt, d, opts)
 }
 
-// TestOverflowFallsBackToRebuild floods the touched ring and checks the
-// engine takes the rebuild path and still matches the oracle.
-func TestOverflowFallsBackToRebuild(t *testing.T) {
-	b := genProfile(t, "D1")
-	d := b.Design
-	opts := route.DefaultOptions()
-	rt := route.NewEngine(d, opts)
-	rt.Update()
-
-	rng := rand.New(rand.NewSource(1))
-	regs := d.Registers()
-	for moved := 0; moved < d.TouchedLogCap()+100; {
-		r := regs[rng.Intn(len(regs))]
-		if r.Fixed {
-			continue
-		}
-		d.MoveInst(r, geom.Point{X: r.Pos.X + 1, Y: r.Pos.Y})
-		moved++
-	}
-	rt.Update()
-	st := rt.Stats()
-	if st.LastKind != "rebuild" || st.LastFallback != "flow-ring-overflow" {
-		t.Fatalf("expected flow-ring-overflow rebuild, got %q/%q", st.LastKind, st.LastFallback)
-	}
-	requireMapsEqual(t, "overflow", rt, d, opts)
-}
-
 // TestInvalidateForcesRebuild checks the engine's Invalidate: after
 // Invalidate the next sync rebuilds from scratch and matches the oracle.
 func TestInvalidateForcesRebuild(t *testing.T) {

@@ -59,6 +59,8 @@ type clockState struct {
 	depth             []int32
 	buckets           [][]netlist.NetID
 	regs              []netlist.InstID
+	// ctsT is the reused buffer of the CTS-class touched read.
+	ctsT []netlist.InstID
 }
 
 // grow sizes the per-ID slices to the design's ID spaces.
@@ -130,9 +132,8 @@ func (e *Engine) clockFull(diff bool) ([]netlist.InstID, error) {
 
 // clockIncremental recomputes the clock arrivals the edits since the last
 // run can have moved, given the flow-class touched instances, and returns
-// the registers whose effective arrival changed. An incomplete CTS-class
-// record or an arrival read from a data net sends it to the full
-// recompute.
+// the registers whose effective arrival changed. An arrival read from a
+// data net sends it to the full recompute.
 //
 // The nets the touched instances' pins sit on (or sat on) are recomputed
 // in order of depth below their clock source, so every net's input net is
@@ -143,17 +144,18 @@ func (e *Engine) clockFull(diff bool) ([]netlist.InstID, error) {
 // CTS engine's centroid and legalization round trip) passes nothing on.
 func (e *Engine) clockIncremental(flowT []netlist.InstID) ([]netlist.InstID, error) {
 	d, c := e.d, &e.clk
-	ctsT, ok := d.TouchedSinceClass(e.cursor, netlist.EditClassCTS)
-	if !ok || c.dataDep {
+	if c.dataDep {
 		return e.clockFull(true)
 	}
+	// The flow-class read at the same cursor was complete, so this one is.
+	c.ctsT, _ = d.TouchedSinceClass(e.cursor, netlist.EditClassCTS, c.ctsT[:0])
 	c.grow(d)
 	c.gen++
 	c.regs = c.regs[:0]
 	for i := range c.buckets {
 		c.buckets[i] = c.buckets[i][:0]
 	}
-	for _, ids := range [2][]netlist.InstID{flowT, ctsT} {
+	for _, ids := range [2][]netlist.InstID{flowT, c.ctsT} {
 		for _, id := range ids {
 			in := d.Inst(id)
 			if in == nil {

@@ -166,6 +166,7 @@ type Engine struct {
 	fwdQueued, bwdQueued   []uint32
 	fwdBuckets, bwdBuckets [][]int32
 	slackDirty             []int32
+	flowT                  []netlist.InstID // the flow-class touched read
 	stats                  RunStats
 }
 
@@ -230,10 +231,10 @@ const negInf = math.MaxFloat64 * -1
 // a run re-propagates only the affected cone; register-only rewiring
 // (merges, splits) is patched into the graph first; an ideal-clock flip
 // re-seeds every register and sweeps the retained graph in full. Only a
-// Timing change, Invalidate, an incomplete edit record or rewiring the
-// patch cannot prove level-preserving (a combinational or port pin
-// changing nets) rebuilds the graph. Either way the returned snapshot is
-// bit-identical to a from-scratch analysis.
+// Timing change, Invalidate, a cursor older than the last ResetTouchedLog
+// or rewiring the patch cannot prove level-preserving (a combinational or
+// port pin changing nets) rebuilds the graph. Either way the returned
+// snapshot is bit-identical to a from-scratch analysis.
 func (e *Engine) Run() (*Results, error) {
 	if err := e.update(); err != nil {
 		return nil, err
@@ -263,16 +264,15 @@ func (e *Engine) PinSlack(id netlist.PinID) float64 {
 func (e *Engine) update() error {
 	d := e.d
 	full := !e.valid || d.Timing != e.timingSnap
-	var touched []netlist.InstID
 	if !full {
 		var complete bool
-		touched, complete = d.TouchedSince(e.cursor)
+		e.flowT, complete = d.TouchedSinceClass(e.cursor, netlist.EditClassFlow, e.flowT[:0])
 		full = !complete
 	}
 
 	var err error
 	if !full {
-		full, err = e.runDelta(touched)
+		full, err = e.runDelta(e.flowT)
 	}
 	if full {
 		err = e.runFull()
