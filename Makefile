@@ -47,9 +47,9 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# go build ./... compiles the examples but nothing else runs them; they are
-# the only non-test callers of compat.Build. Each one exits non-zero when a
-# step it drives fails.
+# go build ./... compiles the examples but nothing else runs them. Each one
+# drives the public packages (compat.Build among them) outside the flow and
+# exits non-zero when a step it drives fails.
 examples-smoke:
 	@set -e; for e in ./examples/*/; do \
 		echo "examples: $$e"; \
@@ -160,7 +160,7 @@ FUZZ_TARGETS = \
 	./internal/netlist:FuzzTouchedRecordMatchesOracle \
 	./internal/place:FuzzRowSearchMatchesScan \
 	./internal/sta:FuzzStructuralDeltaMatchesFull \
-	./internal/compatgraph:FuzzSweepMatchesPairScan \
+	./internal/compat:FuzzSweepMatchesPairScan \
 	./internal/flow:FuzzEditDecode \
 	./internal/flow:FuzzSessionOps
 FUZZTIME ?= 30s

@@ -1,6 +1,6 @@
 // Command mbrserved serves the incremental composition flow over HTTP:
-// named sessions hold a design plus its five engines (timing,
-// compatibility graph, clock trees, congestion, metrics),
+// named sessions hold a design plus its retained engines (timing,
+// clock trees, congestion, metrics),
 // edit batches stream in, and measurements/compositions stream out at
 // O(touched) incremental cost per request. Sessions are snapshotable as
 // source + op journal; restore replays and verifies a state digest.

@@ -3,9 +3,9 @@
 // reasons, clock domain population, scan chain shapes, timing summary, and
 // clock network metrics. The default run does not modify the design;
 // -passes N additionally runs N composition passes on the in-memory copy
-// and reports, per pass, what the compatibility-graph engine built
-// (node/edge counts, connected components, pairs tested and the tests that
-// rejected them), what composition did (MBRs formed,
+// and reports, per pass, the compatibility graph it built (node/edge
+// counts, connected components, pairs tested and the tests that rejected
+// them, build time), what composition did (MBRs formed,
 // truncated subgraphs), and what the retained clock-tree engine did to fold
 // the merges into its live trees (re-clustered leaves, repaired ancestors,
 // buffer churn, fallback reason).
@@ -27,10 +27,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/compat"
-	"repro/internal/compatgraph"
 	"repro/internal/core"
 	"repro/internal/cts"
 	"repro/internal/engine"
@@ -231,8 +231,7 @@ func main() {
 			res.WNS, -res.TNS/1000, res.FailingEndpoints, res.TotalEndpoints)
 	}
 
-	cg := compatgraph.New(d, plan, compatgraph.Options{Compat: compat.DefaultOptions()})
-	g := cg.Update(eng)
+	g := compat.Build(d, eng, plan, compat.DefaultOptions())
 	st := g.Stats()
 	components := len(partition.ConnectedComponents(len(g.Regs), g.Adj))
 	excluded := map[string]int{}
@@ -326,7 +325,7 @@ func main() {
 	}
 
 	if *passes > 0 {
-		rep.Passes, rep.Engines = runPasses(d, plan, eng, cg, *passes, text)
+		rep.Passes, rep.Engines = runPasses(d, plan, eng, *passes, text)
 	}
 
 	if *jsonOut {
@@ -339,8 +338,8 @@ func main() {
 	}
 }
 
-// passStats is one composition pass's engine accounting: what the
-// compatibility-graph, clock-tree and congestion engines did to serve the
+// passStats is one composition pass's accounting: the compatibility graph
+// it built, what the clock-tree and congestion engines did to serve the
 // pass, and what composition formed. -passes emits one per pass.
 type passStats struct {
 	Pass int `json:"pass"`
@@ -351,7 +350,7 @@ type passStats struct {
 	STAKind     string `json:"staKind"`
 	STAConePins int    `json:"staConePins"`
 
-	// Compatibility-graph engine.
+	// Compatibility graph.
 	Nodes       int `json:"nodes"`
 	Edges       int `json:"edges"`
 	Components  int `json:"components"`
@@ -381,10 +380,12 @@ type passStats struct {
 }
 
 // runPasses drives composition passes on the in-memory design, reporting
-// what the compatibility-graph, clock-tree and congestion engines
-// do on each one. It returns per-pass stats and the final engine
-// summaries.
-func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgraph.Engine, passes int, text bool) ([]passStats, wire.EngineSummaries) {
+// the compatibility graph each one builds and what the clock-tree and
+// congestion engines do on it. It returns per-pass stats and the final
+// engine summaries, where "compat" counts the header's graph and every
+// pass's build.
+func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, passes int, text bool) ([]passStats, wire.EngineSummaries) {
+	builds := 1 // the header's graph
 	ct := cts.NewEngine(d, cts.DefaultOptions())
 	if err := ct.Attach(); err != nil {
 		fatal(err)
@@ -399,27 +400,29 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		if _, err := eng.RunEndpoints(); err != nil {
 			fatal(err)
 		}
-		g := cg.Update(eng)
-		cs := cg.Stats()
+		t0 := time.Now()
+		g := compat.Build(d, eng, plan, compat.DefaultOptions())
+		buildTime := time.Since(t0)
+		builds++
+		cs := g.Stats()
 		ss := eng.Stats()
 		ps := passStats{
 			Pass:        p,
 			STAKind:     ss.LastKind,
 			STAConePins: ss.LastConePins,
-			Nodes:       cs.LastNodes,
-			Edges:       cs.LastEdges,
+			Nodes:       cs.ComposableRegs,
+			Edges:       cs.Edges,
 			Components:  len(partition.ConnectedComponents(len(g.Regs), g.Adj)),
-			PairsTested: cs.LastPairsTested,
+			PairsTested: cs.PairsTested,
 		}
 		if text {
 			fmt.Printf("pass %d: %d nodes, %d edges, %d components\n",
-				p, cs.LastNodes, cs.LastEdges, ps.Components)
+				p, cs.ComposableRegs, cs.Edges, ps.Components)
 			fmt.Printf("  sta %s: %d pins re-evaluated\n", ss.LastKind, ss.LastConePins)
 			fmt.Printf("  pairs tested %d; rejected by func/scan/place/timing: %d/%d/%d/%d\n",
-				cs.LastPairsTested, cs.LastRejectsByTest[0], cs.LastRejectsByTest[1],
-				cs.LastRejectsByTest[2], cs.LastRejectsByTest[3])
-			fmt.Printf("  phases: node %.2f ms, edges %.2f ms\n",
-				float64(cs.LastNodePhaseNS)/1e6, float64(cs.LastEdgePhaseNS)/1e6)
+				cs.PairsTested, cs.RejectsByTest[0], cs.RejectsByTest[1],
+				cs.RejectsByTest[2], cs.RejectsByTest[3])
+			fmt.Printf("  build %.2f ms\n", float64(buildTime)/1e6)
 		}
 		opts := core.DefaultOptions()
 		opts.NamePrefix = fmt.Sprintf("mbrp%d", p)
@@ -487,26 +490,24 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, cg *compatgr
 		out = append(out, ps)
 		if len(cres.MBRs) == 0 {
 			if text {
-				fmt.Printf("  converged after %d passes (%d compat builds)\n",
-					p, cg.Stats().Updates)
+				fmt.Printf("  converged after %d passes (%d compat builds)\n", p, builds)
 			}
 			break
 		}
 	}
-	cs := cg.Stats()
 	ts := ct.Stats()
 	rs := rt.Stats()
 	ss := eng.Stats()
 	if text && len(out) == passes {
 		fmt.Printf("  totals: sta %d full, %d structural, %d reseed, %d incremental; compat %d builds; cts %d updates (%d delta, %d rebuilds, %d clean); route %d updates (%d delta, %d rebuilds, %d clean)\n",
 			ss.FullBuilds, ss.StructuralDeltas, ss.Reseeds, ss.IncrementalRuns,
-			cs.Updates,
+			builds,
 			ts.Updates, ts.Deltas, ts.Rebuilds, ts.Cleans,
 			rs.Updates, rs.Deltas, rs.Rebuilds, rs.Cleans)
 	}
 	return out, wire.Engines(map[string]engine.Summary{
 		"sta":    eng.Summary(),
-		"compat": cg.Summary(),
+		"compat": {Updates: builds, Rebuilds: builds, LastKind: "build"},
 		"cts":    ct.Summary(),
 		"route":  rt.Summary(),
 	})

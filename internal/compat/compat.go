@@ -3,6 +3,16 @@
 // are functionally, scan-, placement- and timing-compatible. Candidate MBRs
 // are then cliques of this graph (package clique), selected by the ILP
 // (package core).
+//
+// Build is the one builder. Its node phase computes each register's
+// eligibility, slacks, feasible region and static signature; its edge
+// phase (sweep) never scans all pairs. Only registers with equal
+// functional keys can pass the functional test, and only overlapping move
+// regions the placement test, so the sweep buckets the nodes by key and
+// finds each node's candidate partners through a geometric grid over its
+// bucket's regions. The graph equals the all-pairs scan's (the tests'
+// oracle) at any worker count. The flow builds it only at composition
+// sites, under ideal clocks (the paper analyzes compatibility before CTS).
 package compat
 
 import (
@@ -20,11 +30,10 @@ type Options struct {
 	// MaxSlackDiff is the largest allowed difference between the D-pin
 	// slacks (and, separately, Q-pin slacks) of two compatible registers,
 	// in ps (§2: similar magnitude, to avoid upsizing for one critical bit
-	// and to keep one shared useful skew workable).
+	// and to keep one shared useful skew workable). Slacks are compared
+	// after clamping to ±the clock period, so unconstrained (+Inf) slacks
+	// compare equal.
 	MaxSlackDiff float64
-	// SlackClamp bounds slacks before comparison; unconstrained (+Inf)
-	// slacks are clamped here. Defaults to the clock period when zero.
-	SlackClamp float64
 }
 
 // DefaultOptions returns the rules used by the benchmarks.
@@ -32,19 +41,16 @@ func DefaultOptions() Options {
 	return Options{MaxSlackDiff: 150}
 }
 
-// TestMask identifies the four §2 pairwise compatibility tests. A set bit
+// testMask identifies the four §2 pairwise compatibility tests. A set bit
 // means the test passed.
-type TestMask uint8
+type testMask uint8
 
 // The four tests, in evaluation order.
 const (
-	TestFunctional TestMask = 1 << iota
-	TestScan
-	TestPlacement
-	TestTiming
-
-	// TestAll is the mask of a compatible pair: all four tests pass.
-	TestAll = TestFunctional | TestScan | TestPlacement | TestTiming
+	testFunctional testMask = 1 << iota
+	testScan
+	testPlacement
+	testTiming
 )
 
 // NotComposableReason explains why a register was excluded from the graph.
@@ -70,13 +76,13 @@ type RegInfo struct {
 	ClockPos geom.Point
 }
 
-// FuncKey is the input of the functional pairwise test: two registers are
+// funcKey is the input of the functional pairwise test: two registers are
 // functionally compatible iff their keys are equal — same functional class,
 // same root-resolved clock net, same clock-gating group, and identical
 // control nets (reset, enable, scan enable) so the MBR's shared control pins
-// can connect legally. The sweep in internal/compatgraph buckets registers
-// by it, so it only tests pairs that can pass.
-type FuncKey struct {
+// can connect legally. The sweep buckets registers by it, so it only tests
+// pairs that can pass.
+type funcKey struct {
 	Class     lib.FuncClass
 	GateGroup int
 	Clock     netlist.NetID
@@ -85,21 +91,21 @@ type FuncKey struct {
 	ScanEn    netlist.NetID
 }
 
-// StaticSig captures the structural inputs of the functional and scan
-// pairwise tests for one register: equal FuncKeys pass the functional
+// staticSig captures the structural inputs of the functional and scan
+// pairwise tests for one register: equal funcKeys pass the functional
 // test, and scan.PairRule decides the scan test on the Slots (see
-// PairTest). Clock is the root-resolved clock net (Design.ClockRootNet):
+// pairTest). Clock is the root-resolved clock net (Design.ClockRootNet):
 // two sinks of the same distribution root stay clock-compatible even while
 // a retained clock tree parents them under different leaf buffers.
-type StaticSig struct {
-	FuncKey
+type staticSig struct {
+	funcKey
 	scan.Slot
 }
 
-// SigOf computes the static signature of a register under a scan plan (plan
+// sigOf computes the static signature of a register under a scan plan (plan
 // may be nil for unscanned designs).
-func SigOf(d *netlist.Design, plan *scan.Plan, in *netlist.Inst) StaticSig {
-	s := StaticSig{FuncKey: FuncKey{
+func sigOf(d *netlist.Design, plan *scan.Plan, in *netlist.Inst) staticSig {
+	s := staticSig{funcKey: funcKey{
 		Class:     in.RegCell.Class,
 		GateGroup: in.GateGroup,
 		Clock:     d.ClockRootNet(d.ClockNet(in)),
@@ -115,17 +121,18 @@ func SigOf(d *netlist.Design, plan *scan.Plan, in *netlist.Inst) StaticSig {
 
 // Graph is the compatibility graph over composable registers.
 type Graph struct {
-	// Regs are the nodes; index = node id.
+	// Regs are the nodes, in ascending instance-ID order; index = node id.
 	Regs []*RegInfo
-	// Adj are adjacency lists over node ids.
+	// Adj are adjacency lists over node ids, each sorted ascending.
 	Adj [][]int
 	// Excluded maps non-composable register instances to the reason.
 	Excluded map[netlist.InstID]NotComposableReason
 	// Plan is the scan plan used for group-level checks (may be nil).
 	Plan *scan.Plan
 
-	opts Options
-	d    *netlist.Design
+	// pairsTested and rejects are the edge phase's counters (see Stats).
+	pairsTested int
+	rejects     [4]int
 }
 
 // NumEdges returns the edge count of the graph.
@@ -147,68 +154,54 @@ func (g *Graph) NodeOf(id netlist.InstID) int {
 	return -1
 }
 
-// Build constructs the compatibility graph for the design's current state.
-// slacks must be up to date with d: a Results snapshot, or an sta.Engine
-// after its Run or RunEndpoints, with no edit since. plan may be nil for
-// unscanned designs.
+// Build constructs the compatibility graph for the design's current state,
+// testing pairs on one worker per CPU (see BuildN).
 func Build(d *netlist.Design, slacks sta.SlackSource, plan *scan.Plan, opts Options) *Graph {
-	if opts.SlackClamp == 0 {
-		opts.SlackClamp = d.Timing.ClockPeriod
-	}
+	return BuildN(d, slacks, plan, opts, 0)
+}
+
+// BuildN constructs the compatibility graph for the design's current
+// state. slacks must be up to date with d: a Results snapshot, or an
+// sta.Engine after its Run or RunEndpoints, with no edit since; they are
+// read on the calling goroutine. plan may be nil for unscanned designs.
+// The edge phase (sweep) spreads its pair tests over workers goroutines
+// (0 = runtime.GOMAXPROCS(0), 1 = sequential); the graph and its Stats are
+// identical at any worker count.
+func BuildN(d *netlist.Design, slacks sta.SlackSource, plan *scan.Plan, opts Options, workers int) *Graph {
+	g, sigs := buildNodes(d, slacks, plan)
+	g.sweep(d.Core, opts, sigs, workers)
+	return g
+}
+
+// buildNodes is the node phase: every register's eligibility, and each
+// eligible one's RegInfo and signature, in ascending instance-ID order.
+func buildNodes(d *netlist.Design, slacks sta.SlackSource, plan *scan.Plan) (*Graph, []staticSig) {
+	regs := d.Registers()
 	g := &Graph{
+		Regs:     make([]*RegInfo, 0, len(regs)),
 		Excluded: map[netlist.InstID]NotComposableReason{},
 		Plan:     plan,
-		opts:     opts,
-		d:        d,
 	}
-	var sigs []StaticSig
-	for _, in := range d.Registers() {
+	sigs := make([]staticSig, 0, len(regs))
+	for _, in := range regs {
 		if reason, bad := Exclusion(d, in); bad {
 			g.Excluded[in.ID] = reason
 			continue
 		}
-		g.Regs = append(g.Regs, NewRegInfo(d, slacks, in, opts))
-		sigs = append(sigs, SigOf(d, plan, in))
+		g.Regs = append(g.Regs, newRegInfo(d, slacks, in))
+		sigs = append(sigs, sigOf(d, plan, in))
 	}
-	allowCross := plan == nil || plan.AllowCrossChain
-	g.Adj = make([][]int, len(g.Regs))
-	for i := 0; i < len(g.Regs); i++ {
-		for j := i + 1; j < len(g.Regs); j++ {
-			if _, ok := PairTest(g.opts, g.Regs[i], g.Regs[j], sigs[i], sigs[j], allowCross); ok {
-				g.Adj[i] = append(g.Adj[i], j)
-				g.Adj[j] = append(g.Adj[j], i)
-			}
-		}
-	}
-	return g
+	return g, sigs
 }
 
-// FromParts assembles a Graph from externally built pieces (the grid sweep
-// in internal/compatgraph). regs must be in ascending instance-ID order
-// with ascending-sorted adjacency rows — the same layout Build produces —
-// so downstream consumers see byte-identical graphs.
-func FromParts(d *netlist.Design, plan *scan.Plan, opts Options, regs []*RegInfo, adj [][]int, excludedIDs map[netlist.InstID]NotComposableReason) *Graph {
-	if opts.SlackClamp == 0 {
-		opts.SlackClamp = d.Timing.ClockPeriod
-	}
-	return &Graph{
-		Regs:     regs,
-		Adj:      adj,
-		Excluded: excludedIDs,
-		Plan:     plan,
-		opts:     opts,
-		d:        d,
-	}
-}
-
-// NewRegInfo computes the per-register data for one eligible register.
-// opts.SlackClamp must already be resolved (Build and internal/compatgraph
-// default it to the clock period).
-func NewRegInfo(d *netlist.Design, slacks sta.SlackSource, in *netlist.Inst, opts Options) *RegInfo {
+// newRegInfo computes the per-register data for one eligible register. Its
+// slacks are clamped to ±the clock period.
+func newRegInfo(d *netlist.Design, slacks sta.SlackSource, in *netlist.Inst) *RegInfo {
+	clamp := d.Timing.ClockPeriod
 	info := &RegInfo{
 		Inst:   in,
-		DSlack: clampSlack(sta.RegDSlack(d, slacks, in), opts.SlackClamp),
-		QSlack: clampSlack(sta.RegQSlack(d, slacks, in), opts.SlackClamp),
+		DSlack: clampSlack(sta.RegDSlack(d, slacks, in), clamp),
+		QSlack: clampSlack(sta.RegQSlack(d, slacks, in), clamp),
 		Region: sta.FeasibleRegion(d, slacks, in),
 	}
 	if cp := d.ClockPin(in); cp != nil {
@@ -248,37 +241,28 @@ func clampSlack(s, clamp float64) float64 {
 	return s
 }
 
-// compatible implements the pairwise edge rule: functional, scan, placement
-// and timing compatibility.
-func (g *Graph) compatible(a, b *RegInfo) bool {
-	allowCross := g.Plan == nil || g.Plan.AllowCrossChain
-	_, ok := PairTest(g.opts, a, b,
-		SigOf(g.d, g.Plan, a.Inst), SigOf(g.d, g.Plan, b.Inst), allowCross)
-	return ok
-}
-
-// PairTest runs the four §2 pairwise tests in evaluation order (functional,
+// pairTest runs the four §2 pairwise tests in evaluation order (functional,
 // scan, placement, timing) and returns the mask of tests that passed; ok
-// reports full compatibility (mask == TestAll). allowCross is the scan
+// reports full compatibility (all four passed). allowCross is the scan
 // plan's AllowCrossChain flag (true for a nil plan).
-func PairTest(opts Options, a, b *RegInfo, sa, sb StaticSig, allowCross bool) (TestMask, bool) {
-	var m TestMask
-	if sa.FuncKey != sb.FuncKey {
+func pairTest(opts Options, a, b *RegInfo, sa, sb staticSig, allowCross bool) (testMask, bool) {
+	var m testMask
+	if sa.funcKey != sb.funcKey {
 		return m, false
 	}
-	m |= TestFunctional
+	m |= testFunctional
 	if !scan.PairRule(sa.Slot, sb.Slot, allowCross) {
 		return m, false
 	}
-	m |= TestScan
+	m |= testScan
 	if !placementCompatible(a, b) {
 		return m, false
 	}
-	m |= TestPlacement
+	m |= testPlacement
 	if !timingCompatible(opts, a, b) {
 		return m, false
 	}
-	return m | TestTiming, true
+	return m | testTiming, true
 }
 
 // placementCompatible: the timing-feasible regions must overlap, providing
@@ -340,6 +324,13 @@ type Stats struct {
 	ComposableRegs int
 	Edges          int
 	ExcludedByWhy  map[NotComposableReason]int
+	// PairsTested counts the pair tests the edge phase evaluated: only
+	// pairs with equal functional keys whose regions share a grid cell.
+	PairsTested int
+	// RejectsByTest counts the tested pairs rejected by each test
+	// (functional, scan, placement, timing), by the first one they failed.
+	// Only same-key pairs are tested, so the functional count is always 0.
+	RejectsByTest [4]int
 }
 
 // Stats computes summary statistics.
@@ -349,6 +340,8 @@ func (g *Graph) Stats() Stats {
 		ComposableRegs: len(g.Regs),
 		Edges:          g.NumEdges(),
 		ExcludedByWhy:  map[NotComposableReason]int{},
+		PairsTested:    g.pairsTested,
+		RejectsByTest:  g.rejects,
 	}
 	for _, why := range g.Excluded {
 		s.ExcludedByWhy[why]++

@@ -279,7 +279,7 @@ func TestGroupScanCompatible(t *testing.T) {
 
 func TestSlackClampEqualizesUnconstrained(t *testing.T) {
 	// Two registers with unconstrained Q slacks (no fanout): after
-	// clamping, both Q slacks equal SlackClamp → timing compatible.
+	// clamping, both Q slacks equal the clock period → timing compatible.
 	f := newFixture(t, 2)
 	for i := 0; i < 2; i++ {
 		q := f.d.QPin(f.regs[i], 0)

@@ -1,28 +1,27 @@
-package compatgraph_test
+package compat_test
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/compat"
-	"repro/internal/compatgraph"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/netlist"
-	"repro/internal/scan"
 	"repro/internal/sta"
 )
 
 // oracleScale keeps the five profiles small enough for many edit rounds.
 const oracleScale = 300
 
-// rebuildScale is small enough for per-bucket grids of several cells on
-// most profiles (at Scale 20 only D4 has them) and large enough to keep the
-// rebuild oracle's -race time modest.
-const rebuildScale = 10
+// gridScale is small enough for per-bucket grids of several cells on most
+// profiles (at Scale 20 only D4 has them) and large enough to keep the
+// at-scale oracle's -race time modest.
+const gridScale = 10
 
 func genProfile(t testing.TB, name string) *bench.Result {
 	t.Helper()
@@ -49,8 +48,8 @@ func genProfile(t testing.TB, name string) *bench.Result {
 	return b
 }
 
-// requireGraphsEqual asserts exact equality with the compat.Build oracle:
-// node set and order, every RegInfo field, adjacency, and exclusions.
+// requireGraphsEqual asserts exact equality with the pair-scan oracle: node
+// set and order, every RegInfo field, adjacency, and exclusions.
 func requireGraphsEqual(t *testing.T, ctx string, got, want *compat.Graph) {
 	t.Helper()
 	if len(got.Regs) != len(want.Regs) {
@@ -91,7 +90,7 @@ func requireGraphsEqual(t *testing.T, ctx string, got, want *compat.Graph) {
 
 // freshSnapshot is the oracle's timing: the Run snapshot of a new engine
 // given eng's useful skews, under ideal clocks as compat graphs are built.
-// An Update that reads eng must see exactly these slacks.
+// A build that reads eng must see exactly these slacks.
 func freshSnapshot(t *testing.T, d *netlist.Design, eng *sta.Engine) *sta.Results {
 	t.Helper()
 	fresh := sta.New(d)
@@ -109,7 +108,7 @@ func freshSnapshot(t *testing.T, d *netlist.Design, eng *sta.Engine) *sta.Result
 }
 
 // runEngine brings the retained engine up to date, as a compose site does
-// before it reads the engine's slacks.
+// before it builds the graph from the engine's slacks.
 func runEngine(t *testing.T, eng *sta.Engine) {
 	t.Helper()
 	if _, err := eng.RunEndpoints(); err != nil {
@@ -167,12 +166,12 @@ func mutate(t *testing.T, b *bench.Result, eng *sta.Engine, rng *rand.Rand, roun
 	}
 }
 
-// TestUpdateEqualsBuildOracle is the equivalence oracle of the sweep and
+// TestBuildEqualsPairScanOracle is the equivalence oracle of the sweep and
 // of its timing read: after randomized rounds of merge/move/resize/skew
-// edits on all five profiles, every Update reading the retained STA engine
-// must equal a compat.Build over a fresh engine's snapshot exactly, at
+// edits on all five profiles, every build reading the retained STA engine
+// must equal the all-pairs scan over a fresh engine's snapshot exactly, at
 // several worker counts.
-func TestUpdateEqualsBuildOracle(t *testing.T) {
+func TestBuildEqualsPairScanOracle(t *testing.T) {
 	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
 			t.Run(fmt.Sprintf("%s/w%d", profile, workers), func(t *testing.T) {
@@ -180,13 +179,12 @@ func TestUpdateEqualsBuildOracle(t *testing.T) {
 				d := b.Design
 				eng := sta.New(d)
 				eng.SetIdealClocks(true)
-				cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: workers})
 				rng := rand.New(rand.NewSource(int64(len(profile)*1000 + workers)))
 
 				for round := 0; round < 8; round++ {
 					runEngine(t, eng)
-					got := cg.Update(eng)
-					want := compat.Build(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions())
+					got := compat.BuildN(d, eng, b.Plan, compat.DefaultOptions(), workers)
+					want := compat.BuildByPairScan(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions())
 					requireGraphsEqual(t, fmt.Sprintf("%s w%d round %d", profile, workers, round), got, want)
 					mutate(t, b, eng, rng, round)
 				}
@@ -195,24 +193,19 @@ func TestUpdateEqualsBuildOracle(t *testing.T) {
 	}
 }
 
-// TestEngineDeterministicAcrossWorkers materializes the same edit sequence
-// at several worker counts and requires identical graphs.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
-	type snap struct {
-		g  *compat.Graph
-		st compatgraph.Stats
-	}
-	run := func(workers int) []snap {
+// TestBuildDeterministicAcrossWorkers materializes the same edit sequence
+// at several worker counts and requires identical graphs and counters.
+func TestBuildDeterministicAcrossWorkers(t *testing.T) {
+	run := func(workers int) []*compat.Graph {
 		b := genProfile(t, "D2")
 		d := b.Design
 		eng := sta.New(d)
 		eng.SetIdealClocks(true)
-		cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: workers})
 		rng := rand.New(rand.NewSource(99))
-		var out []snap
+		var out []*compat.Graph
 		for round := 0; round < 6; round++ {
 			runEngine(t, eng)
-			out = append(out, snap{cg.Update(eng), cg.Stats()})
+			out = append(out, compat.BuildN(d, eng, b.Plan, compat.DefaultOptions(), workers))
 			mutate(t, b, eng, rng, round)
 		}
 		return out
@@ -221,32 +214,27 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		other := run(w)
 		for i := range base {
-			requireGraphsEqual(t, fmt.Sprintf("w%d round %d", w, i), other[i].g, base[i].g)
-			// Decision stats must also be scheduling-independent.
-			bs, os := base[i].st, other[i].st
-			// Wall time is not reproducible across runs.
-			bs.NodePhaseNS, os.NodePhaseNS = 0, 0
-			bs.EdgePhaseNS, os.EdgePhaseNS = 0, 0
-			bs.LastNodePhaseNS, os.LastNodePhaseNS = 0, 0
-			bs.LastEdgePhaseNS, os.LastEdgePhaseNS = 0, 0
-			if bs != os {
-				t.Fatalf("w%d round %d stats diverged:\n base %+v\nother %+v", w, i, bs, os)
+			ctx := fmt.Sprintf("w%d round %d", w, i)
+			requireGraphsEqual(t, ctx, other[i], base[i])
+			// The edge-phase counters must also be scheduling-independent.
+			if bs, os := base[i].Stats(), other[i].Stats(); !reflect.DeepEqual(bs, os) {
+				t.Fatalf("%s stats diverged:\n base %+v\nother %+v", ctx, bs, os)
 			}
 		}
 	}
 }
 
-// TestRebuildEqualsBuildAtScale checks the sweep, reading the retained
-// engine, against the dense compat.Build reference over a fresh engine's
-// snapshot at a scale where the per-bucket grids have several cells, so
-// their spatial filter actually prunes pairs (at oracleScale every
-// bucket's grid is a single cell): the first Update, and an Update after
-// one edit round, on all five profiles. Testing fewer pairs than the
-// buckets hold proves some grid was multi-cell.
-func TestRebuildEqualsBuildAtScale(t *testing.T) {
+// TestBuildEqualsPairScanAtScale checks the sweep, reading the retained
+// engine, against the all-pairs scan over a fresh engine's snapshot at a
+// scale where the per-bucket grids have several cells, so their spatial
+// filter actually prunes pairs (at oracleScale every bucket's grid is a
+// single cell): the first build, and a build after one edit round, on all
+// five profiles. Testing fewer pairs than the buckets hold proves some grid
+// was multi-cell.
+func TestBuildEqualsPairScanAtScale(t *testing.T) {
 	filtered := false
 	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
-		spec, _ := bench.ProfileByName(profile, bench.ProfileOpts{Scale: rebuildScale})
+		spec, _ := bench.ProfileByName(profile, bench.ProfileOpts{Scale: gridScale})
 		b, err := bench.Generate(spec)
 		if err != nil {
 			t.Fatalf("generate %s: %v", profile, err)
@@ -254,37 +242,21 @@ func TestRebuildEqualsBuildAtScale(t *testing.T) {
 		d := b.Design
 		eng := sta.New(d)
 		eng.SetIdealClocks(true)
-		cg := compatgraph.New(d, b.Plan, compatgraph.Options{Compat: compat.DefaultOptions(), Workers: 2})
 		rng := rand.New(rand.NewSource(int64(len(profile))))
 		for round := 0; round < 2; round++ {
 			if round > 0 {
 				mutate(t, b, eng, rng, 0) // moves, resizes and skews
 			}
 			runEngine(t, eng)
-			got := cg.Update(eng)
-			st := cg.Stats()
+			got := compat.BuildN(d, eng, b.Plan, compat.DefaultOptions(), 2)
 			ctx := fmt.Sprintf("%s round %d", profile, round)
-			requireGraphsEqual(t, ctx, got, compat.Build(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions()))
-			if st.LastPairsTested < sameKeyPairs(d, b.Plan, got) {
+			requireGraphsEqual(t, ctx, got, compat.BuildByPairScan(d, freshSnapshot(t, d, eng), b.Plan, compat.DefaultOptions()))
+			if got.Stats().PairsTested < compat.SameKeyPairs(d, got) {
 				filtered = true
 			}
 		}
 	}
 	if !filtered {
-		t.Fatal("no rebuild tested fewer pairs than its buckets hold: every grid was a single cell")
+		t.Fatal("no build tested fewer pairs than its buckets hold: every grid was a single cell")
 	}
-}
-
-// sameKeyPairs counts the node pairs sharing a functional key — the pairs a
-// rebuild tests when every bucket's grid is a single cell.
-func sameKeyPairs(d *netlist.Design, plan *scan.Plan, g *compat.Graph) int {
-	size := map[compat.FuncKey]int{}
-	for _, r := range g.Regs {
-		size[compat.SigOf(d, plan, r.Inst).FuncKey]++
-	}
-	pairs := 0
-	for _, m := range size {
-		pairs += m * (m - 1) / 2
-	}
-	return pairs
 }

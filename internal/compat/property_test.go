@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/netlist"
 	"repro/internal/sta"
 )
 
@@ -13,7 +14,7 @@ import (
 // must be a simple undirected graph whose edges all satisfy the §2 rules,
 // with the composable/excluded split partitioning the register set.
 
-func buildGraphFor(t testing.TB, spec bench.Spec) (*Graph, int) {
+func buildGraphFor(t testing.TB, spec bench.Spec) (*Graph, *netlist.Design) {
 	t.Helper()
 	b, err := bench.Generate(spec)
 	if err != nil {
@@ -25,7 +26,7 @@ func buildGraphFor(t testing.TB, spec bench.Spec) (*Graph, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(b.Design, res, b.Plan, DefaultOptions()), len(b.Design.Registers())
+	return Build(b.Design, res, b.Plan, DefaultOptions()), b.Design
 }
 
 func propertySpec(seed int64) bench.Spec {
@@ -80,8 +81,8 @@ func TestGraphIsSimpleAndSymmetric(t *testing.T) {
 func TestEdgesSatisfyCompatibilityRules(t *testing.T) {
 	for _, seed := range []int64{6, 7, 8} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			g, _ := buildGraphFor(t, propertySpec(seed))
-			opts := g.opts
+			g, d := buildGraphFor(t, propertySpec(seed))
+			opts := DefaultOptions()
 			for i, adj := range g.Adj {
 				a := g.Regs[i]
 				for _, j := range adj {
@@ -91,7 +92,7 @@ func TestEdgesSatisfyCompatibilityRules(t *testing.T) {
 					b := g.Regs[j]
 					// The predicate itself must agree with the edge and be
 					// symmetric in its arguments.
-					if !g.compatible(a, b) || !g.compatible(b, a) {
+					if !compatible(d, g.Plan, opts, a, b) || !compatible(d, g.Plan, opts, b, a) {
 						t.Fatalf("edge %d-%d fails the compatibility predicate", i, j)
 					}
 					if a.Inst.RegCell.Class != b.Inst.RegCell.Class {
@@ -116,7 +117,8 @@ func TestEdgesSatisfyCompatibilityRules(t *testing.T) {
 func TestComposableExcludedPartition(t *testing.T) {
 	for _, seed := range []int64{9, 10} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			g, total := buildGraphFor(t, propertySpec(seed))
+			g, d := buildGraphFor(t, propertySpec(seed))
+			total := len(d.Registers())
 			if len(g.Regs)+len(g.Excluded) != total {
 				t.Fatalf("nodes (%d) + excluded (%d) != registers (%d)",
 					len(g.Regs), len(g.Excluded), total)

@@ -1,17 +1,15 @@
-package compatgraph
+package compat
 
 import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/compat"
 	"repro/internal/geom"
-	"repro/internal/netlist"
 	"repro/internal/scan"
 )
 
 // FuzzSweepMatchesPairScan checks the bucketed grid sweep against the
-// all-pairs PairTest scan on random registers: a few functional keys, scan
+// all-pairs pairTest scan on random registers: a few functional keys, scan
 // signatures under a plan that does or does not allow cross-chain moves,
 // slacks on a coarse lattice (so the slack-difference bound and
 // the sign tests are hit exactly), and move regions that are zero-area, sit
@@ -46,8 +44,8 @@ func FuzzSweepMatchesPairScan(f *testing.F) {
 		}
 		slack := func() float64 { return float64(rng.Intn(13)-6) * 50 }
 
-		infos := make([]*compat.RegInfo, n)
-		sigs := make([]compat.StaticSig, n)
+		infos := make([]*RegInfo, n)
+		sigs := make([]staticSig, n)
 		for i := range infos {
 			x0, x1 := coord(core.Lo.X), coord(core.Lo.X)
 			y0, y1 := coord(core.Lo.Y), coord(core.Lo.Y)
@@ -58,9 +56,9 @@ func FuzzSweepMatchesPairScan(f *testing.F) {
 				Lo: geom.Point{X: min(x0, x1), Y: min(y0, y1)},
 				Hi: geom.Point{X: max(x0, x1), Y: max(y0, y1)},
 			}
-			infos[i] = &compat.RegInfo{DSlack: slack(), QSlack: slack(), Region: r}
-			sigs[i] = compat.StaticSig{
-				FuncKey: compat.FuncKey{GateGroup: rng.Intn(1 + int(nkeys%4))},
+			infos[i] = &RegInfo{DSlack: slack(), QSlack: slack(), Region: r}
+			sigs[i] = staticSig{
+				funcKey: funcKey{GateGroup: rng.Intn(1 + int(nkeys%4))},
 				Slot: scan.Slot{
 					Scanned:   rng.Intn(2) == 0,
 					Chain:     rng.Intn(2),
@@ -70,24 +68,12 @@ func FuzzSweepMatchesPairScan(f *testing.F) {
 			}
 		}
 
-		opts := compat.DefaultOptions()
-		plan := &scan.Plan{AllowCrossChain: rng.Intn(2) == 0}
-		e := New(&netlist.Design{Core: core}, plan, Options{Workers: 1 + int(workers%4)})
-		got := e.sweep(opts, infos, sigs)
+		opts := DefaultOptions()
+		g := &Graph{Regs: infos, Plan: &scan.Plan{AllowCrossChain: rng.Intn(2) == 0}}
+		g.sweep(core, opts, sigs, 1+int(workers%4))
+		got := g.Adj
 
-		want := make([][]int, n)
-		sameKey := 0
-		for i := range infos {
-			for j := i + 1; j < len(infos); j++ {
-				if sigs[i].FuncKey == sigs[j].FuncKey {
-					sameKey++
-				}
-				if _, ok := compat.PairTest(opts, infos[i], infos[j], sigs[i], sigs[j], plan.AllowCrossChain); ok {
-					want[i] = append(want[i], j)
-					want[j] = append(want[j], i)
-				}
-			}
-		}
+		want, sameKey := pairScan(g, opts, sigs)
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
 				t.Fatalf("node %d: sweep row %v, scan row %v", i, got[i], want[i])
@@ -98,8 +84,8 @@ func FuzzSweepMatchesPairScan(f *testing.F) {
 				}
 			}
 		}
-		if st := e.Stats(); st.LastPairsTested > sameKey {
-			t.Fatalf("sweep tested %d pairs, only %d share a key", st.LastPairsTested, sameKey)
+		if st := g.Stats(); st.PairsTested > sameKey {
+			t.Fatalf("sweep tested %d pairs, only %d share a key", st.PairsTested, sameKey)
 		}
 	})
 }

@@ -166,7 +166,7 @@ func enumerateCandidates(
 		Bits:            bits,
 		Widths:          widths,
 		AllowIncomplete: opts.AllowIncomplete,
-		MaxCandidates:   opts.MaxCandidatesPerSubgraph,
+		MaxCandidates:   maxCandidates(opts.UseWeights),
 	}
 	res, err := clique.EnumerateSubCliques(cg, spec)
 	if err != nil {

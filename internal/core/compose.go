@@ -45,17 +45,18 @@ func NormalizeOptions(opts Options) Options {
 	if opts.NamePrefix == "" {
 		opts.NamePrefix = defaultNamePrefix
 	}
-	if opts.MaxCandidatesPerSubgraph <= 0 {
-		opts.MaxCandidatesPerSubgraph = defaultMaxCandidates
-	}
-	// Without the §3.2 weights nothing prunes the candidate columns, and a
-	// unit-cost set partitioning is maximally degenerate for branch &
-	// bound; keep the unweighted ablation tractable with a tighter
-	// enumeration cap.
-	if !opts.UseWeights && opts.MaxCandidatesPerSubgraph > 1500 {
-		opts.MaxCandidatesPerSubgraph = 1500
-	}
 	return opts
+}
+
+// maxCandidates is the clique-enumeration cap per subgraph. Without the
+// §3.2 weights nothing prunes the candidate columns, and a unit-cost set
+// partitioning is maximally degenerate for branch & bound; the unweighted
+// ablation stays tractable with a tighter cap.
+func maxCandidates(useWeights bool) int {
+	if !useWeights {
+		return 1500
+	}
+	return 6000
 }
 
 // decompose is the preamble every composition entry point shares: it

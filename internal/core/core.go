@@ -76,8 +76,6 @@ type Options struct {
 	// every candidate costs 1 (pure register-count minimization) — the
 	// ablation showing why the weights matter for congestion/wirelength.
 	UseWeights bool
-	// MaxCandidatesPerSubgraph caps enumeration per subgraph (0 = default).
-	MaxCandidatesPerSubgraph int
 	// ILPNodeLimit caps branch & bound nodes per subgraph (0 = default).
 	ILPNodeLimit int
 	// NamePrefix names the created MBR instances (default "mbrc").
@@ -101,20 +99,18 @@ type Options struct {
 // sets them explicitly.
 const (
 	defaultMaxSubgraphNodes = 30
-	defaultMaxCandidates    = 6000
 	defaultNamePrefix       = "mbrc"
 )
 
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		Method:                   MethodILP,
-		MaxSubgraphNodes:         defaultMaxSubgraphNodes,
-		AllowIncomplete:          true,
-		IncompleteAreaOverhead:   0.05,
-		UseWeights:               true,
-		MaxCandidatesPerSubgraph: defaultMaxCandidates,
-		NamePrefix:               defaultNamePrefix,
+		Method:                 MethodILP,
+		MaxSubgraphNodes:       defaultMaxSubgraphNodes,
+		AllowIncomplete:        true,
+		IncompleteAreaOverhead: 0.05,
+		UseWeights:             true,
+		NamePrefix:             defaultNamePrefix,
 	}
 }
 

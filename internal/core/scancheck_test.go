@@ -80,7 +80,7 @@ func checkCliques(t *testing.T, ctx string, d *netlist.Design, g *compat.Graph, 
 			Bits:            bits,
 			Widths:          d.Lib.Widths(regOf(g, nodes[0]).RegCell.Class),
 			AllowIncomplete: opts.AllowIncomplete,
-			MaxCandidates:   opts.MaxCandidatesPerSubgraph,
+			MaxCandidates:   maxCandidates(opts.UseWeights),
 		})
 		if err != nil {
 			t.Fatal(err)

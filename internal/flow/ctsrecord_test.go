@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compat"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/netlist"
@@ -30,7 +31,7 @@ func TestCTSClassEditsTouchOnlyClocks(t *testing.T) {
 		}
 		d, cfg := b.Design, DefaultConfig()
 		d.ResetTouchedLog()
-		s := &Session{d: d, plan: b.Plan, cfg: cfg, engs: newEngines(d, b.Plan, cfg)}
+		s := &Session{d: d, plan: b.Plan, cfg: cfg, engs: newEngines(d, cfg)}
 		t.Cleanup(s.Close)
 		type instState struct {
 			pos  geom.Point
@@ -88,7 +89,7 @@ func TestCTSClassEditsTouchOnlyClocks(t *testing.T) {
 		if _, err := s.engs.sta.RunEndpoints(); err != nil {
 			t.Fatal(err)
 		}
-		cres, err := core.Compose(d, s.engs.cg.Update(s.engs.sta), b.Plan, opts)
+		cres, err := core.Compose(d, compat.BuildN(d, s.engs.sta, b.Plan, cfg.Compat.Rules, cfg.Workers), b.Plan, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,13 +4,13 @@
 // sizing → CTS update, and measure again. Its Report holds one Table 1
 // row pair (Base / Ours).
 //
-// Five engines serve the run, each reporting an engine.Summary.
-// Four retain state across it: the incremental STA engine, the clock-tree
-// engine, the design-aggregate tracker and the congestion engine. The
-// fifth, the compatibility-graph engine, builds the graph from scratch at
-// each composition site. The clock tree is attached once for the Base
-// measurement and then delta-maintained — never torn down and rebuilt
-// between measurements. Its edits are scoped to the netlist's CTS edit
+// Four engines retain state across the run, each reporting an
+// engine.Summary: the incremental STA engine, the clock-tree engine, the
+// design-aggregate tracker and the congestion engine. The compatibility
+// graph is built from scratch (compat.BuildN) at each composition site,
+// and the session reports its build count beside them. The clock tree is
+// attached once for the Base measurement and then delta-maintained —
+// never torn down and rebuilt between measurements. Its edits are scoped to the netlist's CTS edit
 // class, so tree churn cannot evict the flow-class touched log that the
 // STA delta depends on.
 package flow
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/clique"
 	"repro/internal/compat"
-	"repro/internal/compatgraph"
 	"repro/internal/core"
 	"repro/internal/cts"
 	"repro/internal/engine"
@@ -51,10 +50,10 @@ type Metrics struct {
 	WLSigMM          float64
 }
 
-// CompatConfig groups the compatibility-graph engine's options.
+// CompatConfig groups the compatibility graph's options.
 type CompatConfig struct {
-	// Rules are the pairwise compatibility tests' options (§3.1 rules,
-	// slack thresholds, region slack).
+	// Rules are the pairwise compatibility tests' options (the §2 slack
+	// threshold).
 	Rules compat.Options
 }
 
@@ -67,8 +66,8 @@ type CTSConfig struct {
 
 // RouteConfig groups the retained congestion engine's options.
 type RouteConfig struct {
-	// Est holds the G-cell pitch, edge capacities and clock-net inclusion
-	// the congestion map is estimated with.
+	// Est holds the G-cell pitch and edge capacities the congestion map is
+	// estimated with.
 	Est route.Options
 }
 
@@ -77,7 +76,8 @@ type Config struct {
 	// Compose holds the composition options. Its Workers must stay 0: the
 	// flow's one worker setting is Config.Workers.
 	Compose core.Options
-	// Compat, CTS and Route configure the retained engines.
+	// Compat configures the compatibility graph; CTS and Route configure
+	// the retained engines.
 	Compat CompatConfig
 	CTS    CTSConfig
 	Route  RouteConfig
@@ -98,7 +98,7 @@ type Config struct {
 	Decompose DecomposeConfig
 	// Workers is the flow's only worker setting. Composition and every
 	// retained engine get it: the composition shard pool, the STA engine's
-	// levelized sweeps, the compat engine's pairwise tests, the CTS
+	// levelized sweeps, the compatibility graph's pairwise tests, the CTS
 	// clustering plan and the congestion rebuild. Any value but 1 also
 	// makes measure sync its engines concurrently. 0 = one worker per
 	// available CPU (runtime.GOMAXPROCS(0)), 1 = a single worker. Reports
@@ -116,8 +116,7 @@ const (
 
 // Validate rejects configs whose knobs are out of range, with an error
 // naming the offending field. Every count-like knob treats 0 as "use the
-// default"; negative values were previously accepted silently and clamped
-// (or worse, threaded into worker pools), so they are now explicit errors.
+// default" and rejects negative values.
 func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("flow: Config.Workers = %d: must be >= 0 (0 selects the default)", c.Workers)
@@ -160,11 +159,8 @@ type Report struct {
 	// repeated composition goes through Session.ComposePass. The field stays
 	// until benchmark/trace.go stops reading it.
 	ExtraPasses []*core.Result
-	// CompatStats reports what the compatibility-graph engine did across
-	// the whole flow (graph size, pairs tested, phase times).
-	CompatStats compatgraph.Stats
-	// STAStats and CTSStats are the same accounting for the retained
-	// timing and clock-tree engines.
+	// STAStats and CTSStats account for the retained timing and
+	// clock-tree engines.
 	STAStats sta.RunStats
 	CTSStats cts.Stats
 	// MetricsStats accounts for the retained design-aggregate tracker the
@@ -173,8 +169,9 @@ type Report struct {
 	// RouteStats accounts for the retained congestion engine (delta vs
 	// rebuild decisions, re-contributed nets, touched grid edges).
 	RouteStats route.Stats
-	// Engines is the uniform engine.Summary view of the retained engines,
-	// keyed "sta", "compat", "cts", "metrics", "route".
+	// Engines is the uniform engine.Summary view of the retained engines
+	// and the compatibility-graph builds, keyed "sta", "compat", "cts",
+	// "metrics", "route".
 	Engines map[string]engine.Summary
 	// SkewedMBRs and ResizedMBRs count the post-composition optimizations.
 	SkewedMBRs  int
@@ -197,7 +194,6 @@ type Report struct {
 // their stats survive to the Report.
 type engines struct {
 	sta *sta.Engine
-	cg  *compatgraph.Engine
 	cts *cts.Engine
 	// met retains the design-level report aggregates (cells, registers,
 	// area, signal wirelength) so measure never walks the whole design.
@@ -210,13 +206,9 @@ type engines struct {
 	workers int
 }
 
-func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
+func newEngines(d *netlist.Design, cfg Config) *engines {
 	e := &engines{
-		sta: sta.New(d),
-		cg: compatgraph.New(d, plan, compatgraph.Options{
-			Compat:  cfg.Compat.Rules,
-			Workers: cfg.Workers,
-		}),
+		sta:     sta.New(d),
 		cts:     cts.NewEngine(d, cfg.CTS.Tree),
 		met:     metrics.New(d),
 		rt:      route.NewEngine(d, cfg.Route.Est),
@@ -226,17 +218,6 @@ func newEngines(d *netlist.Design, plan *scan.Plan, cfg Config) *engines {
 	e.rt.SetWorkers(cfg.Workers)
 	e.cts.SetWorkers(cfg.Workers)
 	return e
-}
-
-// summaries is the uniform contract view of the retained engines.
-func (e *engines) summaries() map[string]engine.Summary {
-	return map[string]engine.Summary{
-		"sta":     e.sta.Summary(),
-		"compat":  e.cg.Summary(),
-		"cts":     e.cts.Summary(),
-		"metrics": e.met.Summary(),
-		"route":   e.rt.Summary(),
-	}
 }
 
 // Run executes the flow on the design in place. The design must be placed
@@ -263,7 +244,7 @@ func Run(d *netlist.Design, plan *scan.Plan, cfg Config) (*Report, error) {
 func (s *Session) runFlow() (*Report, error) {
 	d, cfg, engs := s.d, s.cfg, s.engs
 	rep := &Report{Design: d.Name}
-	eng, cg := engs.sta, engs.cg
+	eng := engs.sta
 
 	// ---- Base measurement: the trees were attached by NewSession and
 	// stay attached for the rest of the run; composition edits are folded
@@ -343,12 +324,11 @@ func (s *Session) runFlow() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.CompatStats = cg.Stats()
 	rep.STAStats = eng.Stats()
 	rep.CTSStats = engs.cts.Stats()
 	rep.MetricsStats = engs.met.Stats()
 	rep.RouteStats = engs.rt.Stats()
-	rep.Engines = engs.summaries()
+	rep.Engines = s.Engines()
 	return rep, nil
 }
 
@@ -357,8 +337,8 @@ func (s *Session) runFlow() (*Report, error) {
 // CTS engine's cached tree metrics, the design-aggregate tracker and the
 // congestion engine's maintained overflow count — so no stage walks the
 // full design on the delta path. It
-// reads no compat state: the composable-register count comes from the
-// tracker, and only compose sites update the compat engine. Every
+// builds no compatibility graph: the composable-register count comes from
+// the tracker, and only compose sites build the graph. Every
 // retained value equals its batch oracle bit-for-bit (cts.Metrics vs
 // cts.Measure, metrics.Tracker vs the netlist walks, route.Engine vs
 // route.Estimate), which keeps reports byte-identical with the former

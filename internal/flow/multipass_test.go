@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/netlist"
 )
 
@@ -68,8 +69,8 @@ func checkPassWorkers(t *testing.T, passes []*core.Result, workers int) {
 }
 
 // TestMultiPassFlow exercises repeated composition through
-// Session.ComposePass: the compat engine is updated once per pass (never
-// by a measure), later passes never increase the register count, every
+// Session.ComposePass: the compatibility graph is built once per pass
+// (never by a measure), later passes never increase the register count, every
 // pass runs at the session's worker count, and the measured bytes stay
 // identical across worker counts.
 func TestMultiPassFlow(t *testing.T) {
@@ -78,9 +79,11 @@ func TestMultiPassFlow(t *testing.T) {
 	if len(passes[0].MBRs) == 0 {
 		t.Fatal("first pass composed nothing")
 	}
-	st := s.engs.cg.Stats()
-	if st.Updates != len(passes) {
-		t.Fatalf("engine should update once per compose pass (%d), got %+v", len(passes), st)
+	if s.compatBuilds != len(passes) {
+		t.Fatalf("session should build one graph per compose pass (%d), built %d", len(passes), s.compatBuilds)
+	}
+	if got, want := s.Engines()["compat"], (engine.Summary{Updates: len(passes), Rebuilds: len(passes), LastKind: "build"}); got != want {
+		t.Fatalf("compat summary %+v, want %+v", got, want)
 	}
 	prev := passes[0].RegsBefore
 	for i, c := range passes {
@@ -112,11 +115,10 @@ func TestReportCarriesEngineStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.CompatStats
-	// The compose pass is the flow's only compat update; the base and
-	// final measures read none.
-	if st.Updates != 1 {
-		t.Fatalf("expected exactly the compose pass's update, got %+v", st)
+	// The compose pass is the flow's only compatibility-graph build; the
+	// base and final measures build none.
+	if st := rep.Engines["compat"]; st != (engine.Summary{Updates: 1, Rebuilds: 1, LastKind: "build"}) {
+		t.Fatalf("expected exactly the compose pass's build, got %+v", st)
 	}
 	ct := rep.CTSStats
 	if ct.Attaches == 0 {

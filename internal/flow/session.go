@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/compat"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/netlist"
@@ -13,7 +14,7 @@ import (
 )
 
 // Session is a long-lived flow instance: the design, its scan plan and the
-// five retained engines, held together so edits can stream in and
+// four retained engines, held together so edits can stream in and
 // measurements stream out with O(touched) incremental cost per request.
 // It is the in-memory state of one composition-server tenant; Run is a
 // thin one-shot wrapper that creates a Session, drives the paper's flow
@@ -32,6 +33,8 @@ type Session struct {
 	// passSeq numbers ComposePass invocations so MBR names stay unique
 	// across a session's lifetime.
 	passSeq int
+	// compatBuilds counts the compatibility graphs ComposePass built.
+	compatBuilds int
 
 	// splitGroups accumulates what DecomposePassWith split so RestorePass can
 	// re-merge the leftovers; restoredGroups offsets restore-merge names
@@ -55,7 +58,7 @@ func NewSession(d *netlist.Design, plan *scan.Plan, cfg Config) (*Session, error
 	// construction, most commonly — is ever read. Dropping it keeps the
 	// records to the session's own edits.
 	d.ResetTouchedLog()
-	s.engs = newEngines(d, plan, cfg)
+	s.engs = newEngines(d, cfg)
 	if err := s.engs.cts.Attach(); err != nil {
 		s.Close()
 		return nil, fmt.Errorf("flow: base CTS: %w", err)
@@ -73,9 +76,21 @@ func (s *Session) Plan() *scan.Plan { return s.plan }
 func (s *Session) Config() Config { return s.cfg }
 
 // Engines returns the uniform engine.Summary view of the retained engines,
-// keyed "sta", "compat", "cts", "metrics", "route".
+// keyed "sta", "cts", "metrics", "route", and of the compatibility-graph
+// builds under "compat": every build is a rebuild of kind "build".
 func (s *Session) Engines() map[string]engine.Summary {
-	return s.engs.summaries()
+	e := s.engs
+	builds := engine.Summary{Updates: s.compatBuilds, Rebuilds: s.compatBuilds}
+	if s.compatBuilds > 0 {
+		builds.LastKind = "build"
+	}
+	return map[string]engine.Summary{
+		"sta":     e.sta.Summary(),
+		"compat":  builds,
+		"cts":     e.cts.Summary(),
+		"metrics": e.met.Summary(),
+		"route":   e.rt.Summary(),
+	}
 }
 
 // Epoch returns the design's current edit epoch.
@@ -103,11 +118,12 @@ func (s *Session) Measure() (Metrics, error) {
 	return measure(s.engs)
 }
 
-// ComposePass runs one incremental MBR composition pass over the retained
-// compatibility graph (timing under ideal clocks, as post-place
-// composition is analyzed before tree synthesis) and folds the merges
-// into the retained clock trees. MBR names are unique across a session's
-// passes: pass n > 1 gets the prefix "<NamePrefix>_p<n>".
+// ComposePass runs one incremental MBR composition pass over a
+// compatibility graph built for the design's current state (timing under
+// ideal clocks, as post-place composition is analyzed before tree
+// synthesis) and folds the merges into the retained clock trees. MBR names
+// are unique across a session's passes: pass n > 1 gets the prefix
+// "<NamePrefix>_p<n>".
 func (s *Session) ComposePass() (*core.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("flow: session closed")
@@ -127,7 +143,8 @@ func (s *Session) ComposePass() (*core.Result, error) {
 	if _, err := s.engs.sta.RunEndpoints(); err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)
 	}
-	g := s.engs.cg.Update(s.engs.sta)
+	g := compat.BuildN(s.d, s.engs.sta, s.plan, s.cfg.Compat.Rules, s.cfg.Workers)
+	s.compatBuilds++
 	cres, err := core.Compose(s.d, g, s.plan, opts)
 	if err != nil {
 		return nil, fmt.Errorf("flow: compose: %w", err)

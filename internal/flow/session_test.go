@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compat"
 	"repro/internal/lib"
 	"repro/internal/netlist"
 )
@@ -370,11 +371,12 @@ func TestRejectedSplitEditIsSideEffectFree(t *testing.T) {
 	}
 }
 
-// TestMeasureNeverUpdatesCompat pins where the compat engine runs: only at
-// compose sites. Measures after parametric and merge edits leave its update
-// count at zero, and the composable-register count a measure reports (from
-// the design-aggregate tracker) equals the node count of the graph the next
-// compose pass builds.
+// TestMeasureNeverUpdatesCompat pins where the compatibility graph is
+// built: only at compose sites. Measures after parametric and merge edits
+// leave the session's build count at zero, and the composable-register
+// count a measure reports (from the design-aggregate tracker) equals the
+// node count of the graph the next compose pass sees, built here under
+// ideal clocks right before the pass.
 func TestMeasureNeverUpdatesCompat(t *testing.T) {
 	s, _ := sessionBench(t, DefaultConfig())
 	measure := func(ctx string, wantUpdates int) Metrics {
@@ -383,8 +385,11 @@ func TestMeasureNeverUpdatesCompat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: measure: %v", ctx, err)
 		}
-		if got := s.engs.cg.Stats().Updates; got != wantUpdates {
-			t.Fatalf("%s: compat updates %d, want %d", ctx, got, wantUpdates)
+		if got := s.compatBuilds; got != wantUpdates {
+			t.Fatalf("%s: compat builds %d, want %d", ctx, got, wantUpdates)
+		}
+		if got := s.Engines()["compat"].Updates; got != wantUpdates {
+			t.Fatalf("%s: compat summary reports %d builds, want %d", ctx, got, wantUpdates)
 		}
 		return m
 	}
@@ -402,14 +407,20 @@ func TestMeasureNeverUpdatesCompat(t *testing.T) {
 	mergePair(t, s, "measure_mbr")
 	m := measure("after merge", 0)
 
+	s.engs.sta.SetIdealClocks(true)
+	if _, err := s.engs.sta.RunEndpoints(); err != nil {
+		t.Fatal(err)
+	}
+	g := compat.BuildN(s.d, s.engs.sta, s.plan, s.cfg.Compat.Rules, s.cfg.Workers)
+	s.engs.sta.SetIdealClocks(false)
+	if n := len(g.Regs); n != m.CompRegs {
+		t.Fatalf("measure reported %d composable registers, the compose pass's graph has %d", m.CompRegs, n)
+	}
 	if _, err := s.ComposePass(); err != nil {
 		t.Fatalf("compose: %v", err)
 	}
-	if got := s.engs.cg.Stats().Updates; got != 1 {
-		t.Fatalf("compose pass ran %d compat updates, want 1", got)
-	}
-	if n := len(s.engs.cg.Graph().Regs); n != m.CompRegs {
-		t.Fatalf("measure reported %d composable registers, the compose pass's graph has %d", m.CompRegs, n)
+	if got := s.compatBuilds; got != 1 {
+		t.Fatalf("compose pass ran %d compat builds, want 1", got)
 	}
 	measure("after compose", 1)
 }

@@ -3,8 +3,8 @@ package geom
 // Grid is a uniform spatial hash over a bounding rectangle: rectangles are
 // inserted into every cell they overlap, and QueryRect visits the ids of
 // every inserted rectangle whose cell range overlaps the query range. It
-// exists so neighborhood-limited searches (the incremental compatibility
-// engine) avoid all-pairs scans. Visits may repeat an id (a rectangle can
+// exists so neighborhood-limited searches (the compatibility-graph sweep)
+// avoid all-pairs scans. Visits may repeat an id (a rectangle can
 // span several cells); callers dedup, typically with a stamp slice.
 //
 // A Grid is immutable after the insert phase as far as queries are

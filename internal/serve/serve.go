@@ -1,6 +1,6 @@
 // Package serve turns the retained-engine composition flow into a
 // long-running multi-tenant service: named sessions, each wrapping a
-// flow.Session (design + scan plan + the flow's five engines),
+// flow.Session (design + scan plan + the flow's retained engines),
 // held in an LRU-bounded registry. Edits stream in per session and
 // measurements stream out with O(touched) incremental cost; the op
 // journal makes every session snapshotable and deterministically

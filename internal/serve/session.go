@@ -29,8 +29,8 @@ type SessionConfig struct {
 	// when set, which is fine here: session determinism is per op
 	// sequence, and snapshots replay the full journal.
 	RecenterThresholdDBU int64 `json:"recenterThresholdDBU,omitempty"`
-	// CompatMaxDeltaFrac is ignored: the compatibility-graph engine builds
-	// its graph from scratch at every compose. It stays accepted on the
+	// CompatMaxDeltaFrac is ignored: every compose builds the
+	// compatibility graph from scratch. It stays accepted on the
 	// wire and in snapshots until the benchmark's session stops setting it.
 	CompatMaxDeltaFrac float64 `json:"compatMaxDeltaFrac,omitempty"`
 }
