@@ -157,6 +157,7 @@ FUZZ_TARGETS = \
 	./internal/route:FuzzEstimateDeltaEquivalence \
 	./internal/ilp:FuzzSolveCoverMatchesBruteForce \
 	./internal/core:FuzzRegIndexMatchesScan \
+	./internal/core:FuzzClosedFormMatchesSimplex \
 	./internal/netlist:FuzzTouchedRecordMatchesOracle \
 	./internal/place:FuzzRowSearchMatchesScan \
 	./internal/sta:FuzzStructuralDeltaMatchesFull \

@@ -127,9 +127,10 @@ func main() {
 	}
 	report.Table1Header(os.Stdout)
 	report.Table1Rows(os.Stdout, rep)
-	fmt.Printf("\ncomposed %d MBRs (%d incomplete), %d candidates over %d subgraphs, %d B&B nodes, skewed %d, resized %d\n",
+	fmt.Printf("\ncomposed %d MBRs (%d incomplete), %d candidates over %d subgraphs, %d B&B nodes, %d closed-form placements, skewed %d, resized %d\n",
 		len(rep.Compose.MBRs), rep.Compose.IncompleteMBRs, rep.Compose.Candidates,
-		rep.Compose.Subgraphs, rep.Compose.ILPNodes, rep.SkewedMBRs, rep.ResizedMBRs)
+		rep.Compose.Subgraphs, rep.Compose.ILPNodes, rep.Compose.ClosedFormPlacements,
+		rep.SkewedMBRs, rep.ResizedMBRs)
 	if *fig5 {
 		fmt.Println()
 		report.Histogram(os.Stdout, "Register bit widths before composition:", before)

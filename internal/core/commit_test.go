@@ -85,7 +85,7 @@ func linkedPairsFixture(t testing.TB, pairs int, seed int64) (*netlist.Design, *
 // so the inputs its shard solved from no longer hold at commit time. Each
 // MBR position must equal a sequential replay on a JSON copy of the
 // pre-compose design that solves every LP at its turn in the commit order
-// and merges, at any worker count.
+// and merges, at any worker count, and the simplex's answer to that LP.
 func TestCommitReusesOnlyMatchingPlacements(t *testing.T) {
 	const pairs = 6
 	for _, workers := range []int{1, 2, 8} {
@@ -128,12 +128,24 @@ func TestCommitReusesOnlyMatchingPlacements(t *testing.T) {
 					nodes[i] = nodeOf[id]
 				}
 				in := placementInputs(replay, g, nodes, ordered, m.Cell)
-				pos, err := solvePlacement(replay, &in)
+				pos, _, err := solvePlacement(replay, &in)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if pos != m.Pos {
 					t.Fatalf("%s placed at %v, sequential replay at %v", m.Inst.Name, m.Pos, pos)
+				}
+				// Whichever path solvePlacement took, the position must be
+				// the simplex's answer to the same LP (which needs a job;
+				// without one the MBR goes to the centroid).
+				if len(in.jobs) > 0 {
+					sp, err := simplexPlacement(replay, &in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sp != m.Pos {
+						t.Fatalf("%s placed at %v, simplex replay at %v", m.Inst.Name, m.Pos, sp)
+					}
 				}
 				if _, err := replay.MergeRegisters(ordered, m.Cell, m.Inst.Name, pos); err != nil {
 					t.Fatal(err)

@@ -127,6 +127,7 @@ func reduceResults(subResults []subgraphResult, res *Result) []candidate {
 		}
 		res.Candidates += sr.candidates
 		res.ILPNodes += sr.ilpNodes
+		res.ClosedFormPlacements += sr.closedForm
 		res.ObjectiveSum += sr.objective
 		selected = append(selected, sr.picked...)
 	}
@@ -152,12 +153,9 @@ func commitSelected(
 
 	var newInsts []*netlist.Inst
 	for idx, c := range selected {
-		m, resolved, err := commit(d, g, plan, c, fmt.Sprintf("%s_%d", opts.NamePrefix, idx), opts.ReleaseClocks)
+		m, err := commit(d, g, plan, c, fmt.Sprintf("%s_%d", opts.NamePrefix, idx), opts.ReleaseClocks, res)
 		if err != nil {
 			return err
-		}
-		if resolved {
-			res.PlacementResolves++
 		}
 		res.MBRs = append(res.MBRs, *m)
 		if m.Incomplete {
@@ -348,26 +346,27 @@ func mapMBR(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) (m
 }
 
 // preplace maps a selected candidate and solves its placement LP against
-// the design as it stands before any commit. It returns nil when the
-// candidate cannot be mapped or its LP fails; the commit then maps and
-// solves again and reports the error.
-func preplace(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) *placedMBR {
+// the design as it stands before any commit, reporting whether the solve
+// took the closed form. It returns nil when the candidate cannot be mapped
+// or its LP fails; the commit then maps and solves again and reports the
+// error.
+func preplace(d *netlist.Design, g *compat.Graph, plan *scan.Plan, c candidate) (*placedMBR, bool) {
 	m, err := mapMBR(d, g, plan, c)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	pos, err := solvePlacement(d, &m.place)
+	pos, closed, err := solvePlacement(d, &m.place)
 	if err != nil {
-		return nil
+		return nil, false
 	}
-	return &placedMBR{in: m.place, pos: pos}
+	return &placedMBR{in: m.place, pos: pos}, closed
 }
 
-// commit maps, places and banks one selected candidate. It reports
-// whether it had to solve the placement LP itself: an earlier merge of
-// this commit can move a pin on one of the MBR's nets or reorder its scan
-// chain, so the shard's position is reused only when the LP inputs read
-// now equal the ones it was solved from.
+// commit maps, places and banks one selected candidate. It solves the
+// placement LP itself only when it must, counting the solve in res: an
+// earlier merge of this commit can move a pin on one of the MBR's nets or
+// reorder its scan chain, so the shard's position is reused only when the
+// LP inputs read now equal the ones it was solved from.
 func commit(
 	d *netlist.Design,
 	g *compat.Graph,
@@ -375,16 +374,21 @@ func commit(
 	c candidate,
 	name string,
 	release func([]*netlist.Inst),
-) (*ComposedMBR, bool, error) {
+	res *Result,
+) (*ComposedMBR, error) {
 	m, err := mapMBR(d, g, plan, c)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	resolved := c.placed == nil || !c.placed.in.equal(&m.place)
 	var pos geom.Point
-	if resolved {
-		if pos, err = solvePlacement(d, &m.place); err != nil {
-			return nil, false, err
+	if c.placed == nil || !c.placed.in.equal(&m.place) {
+		var closed bool
+		if pos, closed, err = solvePlacement(d, &m.place); err != nil {
+			return nil, err
+		}
+		res.PlacementResolves++
+		if closed {
+			res.ClosedFormPlacements++
 		}
 	} else {
 		pos = c.placed.pos
@@ -392,7 +396,7 @@ func commit(
 
 	mr, err := Bank(d, plan, release, m.ordered, m.cell, name, pos)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	return &ComposedMBR{
 		Inst:       mr.MBR,
@@ -402,5 +406,5 @@ func commit(
 		Incomplete: mr.UnusedBits > 0,
 		Pos:        pos,
 		Weight:     c.weight,
-	}, resolved, nil
+	}, nil
 }

@@ -174,6 +174,10 @@ type Result struct {
 	// solved from; every other MBR takes its shard's position. The
 	// positions are the same either way.
 	PlacementResolves int
+	// ClosedFormPlacements counts the §4.2 solves, shard and commit
+	// re-solves alike, that took the LP's closed form instead of the
+	// simplex (see solvePlacement). Both give the same position there.
+	ClosedFormPlacements int
 
 	// PeakLiveShards is the most shard results held at once. Every shard's
 	// result slot lives until the ordered reduce, so it equals Subgraphs;

@@ -52,6 +52,8 @@ type subgraphResult struct {
 	objective float64
 	// ilpNodes is the branch & bound node count (0 for greedy).
 	ilpNodes int
+	// closedForm counts the shard's placements solved in closed form.
+	closedForm int
 	// candidates is the enumerated candidate count, singletons included.
 	candidates int
 	// truncated reports that candidate enumeration hit its cap.
@@ -103,7 +105,11 @@ func solveSubgraph(
 	}
 	for _, c := range picked {
 		if len(c.nodes) > 1 {
-			c.placed = preplace(d, g, plan, c)
+			var closed bool
+			c.placed, closed = preplace(d, g, plan, c)
+			if closed {
+				sr.closedForm++
+			}
 			sr.picked = append(sr.picked, c)
 		}
 	}

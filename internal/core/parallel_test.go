@@ -61,10 +61,10 @@ func genComposeInput(t testing.TB, spec bench.Spec) (*netlist.Design, *compat.Gr
 // the resulting design state, excluding wall-clock time and worker count.
 func composeSummary(res *Result, d *netlist.Design) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "regs %d->%d composable %d subgraphs %d cands %d trunc %d nodes %d obj %.12g incomplete %d moved %d failed %d\n",
+	fmt.Fprintf(&sb, "regs %d->%d composable %d subgraphs %d cands %d trunc %d nodes %d obj %.12g incomplete %d moved %d failed %d closed-form %d\n",
 		res.RegsBefore, res.RegsAfter, res.ComposableRegs, res.Subgraphs,
 		res.Candidates, res.TruncatedSubgraphs, res.ILPNodes, res.ObjectiveSum,
-		res.IncompleteMBRs, res.LegalizationMoved, res.LegalizationFailed)
+		res.IncompleteMBRs, res.LegalizationMoved, res.LegalizationFailed, res.ClosedFormPlacements)
 	for _, m := range res.MBRs {
 		fmt.Fprintf(&sb, "mbr %s cell %s bits %d members %v pos %v w %.12g\n",
 			m.Inst.Name, m.Cell.Name, m.Bits, m.Members, m.Pos, m.Weight)

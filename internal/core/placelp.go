@@ -89,18 +89,100 @@ func (a *placeInputs) equal(b *placeInputs) bool {
 	return a.region == b.region && a.centroid == b.centroid && slices.Equal(a.jobs, b.jobs)
 }
 
+// closedFormJobs is the fewest jobs at which solvePlacement takes the
+// closed form for an LP whose optimum set spans more than one grid point
+// (see leftEndDomain). Below it the simplex stays: its pivot path
+// sometimes ends at an interval's right end, and the positions must not
+// move.
+const closedFormJobs = 10
+
 // solvePlacement solves the §4.2 linear program: find the MBR corner
 // position (x, y) inside the region that minimizes the total
-// half-perimeter wirelength of the nets on the MBR's D and Q pins. Pin
-// coordinates are expressed as corner + per-bit offset of the chosen cell;
-// the max/min terms of the HPWL are linearized with helper variables.
-// Without jobs the MBR goes to the members' centroid, clamped.
-func solvePlacement(d *netlist.Design, in *placeInputs) (geom.Point, error) {
+// half-perimeter wirelength of the nets on the MBR's D and Q pins. Each
+// axis of that LP is a convex piecewise-linear function whose optimum set
+// axisInterval gives in closed form. The simplex ends at an optimum, so
+// its position snaps into the box the two intervals' snapped ends span.
+// solvePlacement takes the snapped left ends when that box is one grid
+// point (which it is when both intervals are single points) or the LP lies
+// in leftEndDomain, where the left ends are the simplex's answer too, and
+// asks simplexPlacement otherwise; closed reports which. Without jobs the
+// MBR goes to the members' centroid, clamped.
+func solvePlacement(d *netlist.Design, in *placeInputs) (pos geom.Point, closed bool, err error) {
 	region := in.region
 	if len(in.jobs) == 0 {
-		return snapToGrid(d, region.ClampPoint(in.centroid), region), nil
+		return snapToGrid(d, region.ClampPoint(in.centroid), region), false, nil
 	}
+	xl, xr := axisInterval(region.Lo.X, region.Hi.X, in.jobs, axisX)
+	yl, yr := axisInterval(region.Lo.Y, region.Hi.Y, in.jobs, axisY)
+	left := snapToGrid(d, geom.Point{X: xl, Y: yl}, region)
+	if left == snapToGrid(d, geom.Point{X: xr, Y: yr}, region) || leftEndDomain(in) {
+		return left, true, nil
+	}
+	pos, err = simplexPlacement(d, in)
+	return pos, false, err
+}
 
+// leftEndDomain reports whether the LP lies where the simplex has been
+// seen to end at the left end of both axes' optimum sets, which is an
+// observed property of its pivot path, not a proven one
+// (FuzzClosedFormMatchesSimplex searches for counterexamples). The LP
+// needs at least closedFormJobs jobs, a region with extent on both axes
+// (a zero-width axis makes degenerate pivots that can end either way),
+// and corner-plus-offset rows with non-negative right-hand sides: lo + off
+// below zero flips the row before phase 1, and the simplex then ends at
+// either end at any job count.
+func leftEndDomain(in *placeInputs) bool {
+	r := in.region
+	if len(in.jobs) < closedFormJobs || r.Lo.X == r.Hi.X || r.Lo.Y == r.Hi.Y {
+		return false
+	}
+	for _, j := range in.jobs {
+		if r.Lo.X+j.off.DX < 0 || r.Lo.Y+j.off.DY < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// axis names one coordinate of the §4.2 LP.
+type axis uint8
+
+const (
+	axisX axis = iota
+	axisY
+)
+
+// axisInterval returns the optimum set [left, right] of one axis of the
+// §4.2 LP over the region's [lo, hi]. Job j contributes
+// max(box.Hi, c+off) − min(box.Lo, c+off) at corner coordinate c, whose
+// slope steps from −1 to 0 at box.Lo − off and from 0 to +1 at
+// box.Hi − off. The sum of the n jobs therefore has slope −n below all
+// 2n breakpoints, gains one at each, and is flat exactly between the n-th
+// and (n+1)-th sorted breakpoints; clamping both to the region gives the
+// constrained optimum set.
+func axisInterval(lo, hi int64, jobs []pinJob, a axis) (left, right int64) {
+	// The default library's widest cell has 8 bits: 16 jobs and 32
+	// breakpoints. A wider cell's breakpoints spill to the heap.
+	var buf [32]int64
+	bp := buf[:0]
+	for _, j := range jobs {
+		if a == axisX {
+			bp = append(bp, j.box.Lo.X-j.off.DX, j.box.Hi.X-j.off.DX)
+		} else {
+			bp = append(bp, j.box.Lo.Y-j.off.DY, j.box.Hi.Y-j.off.DY)
+		}
+	}
+	slices.Sort(bp)
+	n := len(jobs)
+	return min(max(bp[n-1], lo), hi), min(max(bp[n], lo), hi)
+}
+
+// simplexPlacement solves the §4.2 LP with the simplex. Pin coordinates
+// are expressed as corner + per-bit offset of the chosen cell; the max/min
+// terms of the HPWL are linearized with helper variables. The LP needs at
+// least one job.
+func simplexPlacement(d *netlist.Design, in *placeInputs) (geom.Point, error) {
+	region := in.region
 	prob := lp.New(lp.Minimize)
 	x := prob.AddVar(float64(region.Lo.X), float64(region.Hi.X), 0, "x")
 	y := prob.AddVar(float64(region.Lo.Y), float64(region.Hi.Y), 0, "y")

@@ -54,13 +54,14 @@ func BenchmarkSimplexSetPartitioning(b *testing.B) {
 }
 
 // BenchmarkSimplexPlacement measures the §4.2 MBR-placement LP of a
-// 16-pin (8-bit) MBR: 66 variables, 128 rows, built and solved per
-// iteration as the placer does.
+// 4-pin (2-bit) MBR: 18 variables, 32 rows, built and solved per
+// iteration. That is the shape the placer most often still hands the
+// simplex; wide MBRs' LPs are solved in closed form (core.solvePlacement).
 func BenchmarkSimplexPlacement(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < b.N; i++ {
 		rng.Seed(11)
-		s, err := placementLP(rng, 16).Solve()
+		s, err := placementLP(rng, 4).Solve()
 		if err != nil || s.Status != Optimal {
 			b.Fatalf("status %v err %v", s.Status, err)
 		}
