@@ -139,11 +139,11 @@ eco-seeds:
 # End-to-end scale run: Table 1 at Scale 5 (a fifth of the paper's cell
 # counts), i.e. the full paper flow (generate, STA, compat, compose, CTS,
 # route, useful skew, sizing) on all five profiles in one process, with its
-# peak RSS asserted under 4 GB (an unreadable RSS fails too). Catches both
-# wall-time blowups (CI's job timeout) and memory regressions anywhere in
-# the pipeline.
+# peak RSS asserted under 1 GB (an unreadable RSS fails too; the run peaks
+# at roughly 290-400 MB). Catches both wall-time blowups (CI's job timeout)
+# and memory regressions anywhere in the pipeline.
 scale-smoke:
-	$(GO) run ./cmd/paperrepro -table1 -scale 5 -maxrss-mb 4096
+	$(GO) run ./cmd/paperrepro -table1 -scale 5 -maxrss-mb 1024
 
 golden:
 	$(GO) test ./internal/flow -run TestGolden -update

@@ -477,7 +477,7 @@ func runPasses(d *netlist.Design, plan *scan.Plan, eng *sta.Engine, g *compat.Gr
 		ps.ClockCapPF = pm.TotalCapFF / 1000
 		ps.ClockWLMM = float64(pm.WirelengthDBU) / 1e6
 		if text {
-			fmt.Printf("  clock network (cached): %d buffers, %.2f pF, %.2f mm (%d metric fallbacks)\n",
+			fmt.Printf("  clock network: %d buffers, %.2f pF, %.2f mm (%d metric fallbacks)\n",
 				pm.Buffers, pm.TotalCapFF/1000, float64(pm.WirelengthDBU)/1e6,
 				ts.MetricsFallbacks)
 		}

@@ -14,7 +14,7 @@
 // -scale divides the paper's design sizes (default 20; smaller = bigger
 // designs and longer runtime). -maxrss-mb N exits 1 when the process's
 // peak resident set exceeds N MB, or cannot be read; the scale smoke gate
-// runs `paperrepro -table1 -scale 5 -maxrss-mb 4096`.
+// runs `paperrepro -table1 -scale 5 -maxrss-mb 1024`.
 package main
 
 import (

@@ -150,12 +150,6 @@ type node struct {
 	// bit-identical to a fresh Build.
 	memberPins []netlist.PinID
 	centroid   geom.Point
-	// legalPos is where the last shared legalization pass left the buffer.
-	// Every update moves buffers to their plan centroids and re-legalizes;
-	// a node whose plan did not change lands back on the same site, so
-	// comparing against legalPos (not the centroid) tells the metrics cache
-	// whether the buffer really moved.
-	legalPos geom.Point
 }
 
 // namer produces the buffer and net names for freshly realized clusters.
@@ -271,7 +265,7 @@ func Measure(d *netlist.Design) Metrics {
 			return
 		}
 		// NetContrib is the shared per-net helper also behind the Engine's
-		// cached metrics, so batch and cached totals agree bit-for-bit (and
+		// Metrics fold, so batch and retained totals agree bit-for-bit (and
 		// each net's bounding box is computed once, not twice).
 		capFF, hpwl := d.NetContrib(n)
 		m.TotalCapFF += capFF

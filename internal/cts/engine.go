@@ -94,11 +94,9 @@ type Stats struct {
 
 	// MetricsCalls counts Engine.Metrics calls; MetricsFallbacks counts the
 	// ones that fell back to a batch Measure walk (engine detached, or
-	// design edited since the last Update); MetricsDomainsRecomputed counts
-	// per-tree cache refreshes.
-	MetricsCalls             int
-	MetricsFallbacks         int
-	MetricsDomainsRecomputed int
+	// design edited since the last Update).
+	MetricsCalls     int
+	MetricsFallbacks int
 }
 
 // Engine is the retained clock-tree engine: Attach builds a tree per clock
@@ -156,8 +154,10 @@ type Engine struct {
 	foreignBufs  int
 	foreignSinks int
 	stats        Stats
-	// idBuf is updateDomain's sink-collection scratch.
-	idBuf []netlist.PinID
+	// idBuf is updateDomain's sink-collection scratch; netBuf is Metrics'
+	// fold buffer.
+	idBuf  []netlist.PinID
+	netBuf []netMetric
 }
 
 // domain is one clock root's retained tree. levels is nil while the root
@@ -172,18 +172,6 @@ type domain struct {
 	// are nil while the domain has no sinks.
 	plan   *treePlan
 	planIn []planSink
-	// Cached per-tree metrics (metrics.go): the root's and tree nets'
-	// contributions plus the domain's register-sink count. Invalidation is
-	// keyed per domain: an update clears mValid only when the domain
-	// contained a touched sink (dirtySinkDomains), when its repair actually
-	// mutated the tree (membership rewires, buffer churn, centroid moves —
-	// the safety net for removed sinks the record can no longer resolve), or
-	// when the shared legalization pass displaced one of its buffers.
-	// Untouched domains keep their cached values across updates. mValid is
-	// set again by the next Metrics refresh.
-	mValid bool
-	mNets  []netMetric
-	mSinks int
 }
 
 // NewEngine creates a detached engine for the design. Call Attach (or the
@@ -279,8 +267,7 @@ func (e *Engine) Attach() error {
 
 // snapshotForeign counts the clock buffers and register clock sinks outside
 // every retained domain. Runs once per Attach (which already walks the
-// design); the cached Metrics path adds these constants to the per-domain
-// sums.
+// design); Metrics adds these constants to its per-domain fold.
 func (e *Engine) snapshotForeign() {
 	e.foreignBufs, e.foreignSinks = 0, 0
 	e.d.Insts(func(in *netlist.Inst) {
@@ -361,11 +348,10 @@ func (e *Engine) Update() error {
 	if e.rootSetChanged(e.flowT, e.ctsT) {
 		return e.rebuild("clock-roots-changed")
 	}
-	dirty := e.dirtySinkDomains(e.flowT, e.ctsT)
 	var err error
 	e.d.WithEditClass(netlist.EditClassCTS, func() {
 		for _, dom := range e.domains {
-			if err = e.updateDomain(dom, dirty[dom]); err != nil {
+			if err = e.updateDomain(dom); err != nil {
 				return
 			}
 		}
@@ -484,38 +470,6 @@ func (e *Engine) ReleaseClocks(regs []*netlist.Inst) {
 			e.d.Connect(cp, dom.root)
 		}
 	})
-}
-
-// dirtySinkDomains maps the instances touched since the last sync (the
-// flow- and CTS-class records, both complete) to the retained domains
-// whose cached metrics they can have dirtied: a touched live instance
-// dirties every domain owning (or rooting) a net its pins sit on — a moved
-// or resized register changes its leaf net's HPWL and cap without any tree
-// mutation, so touched-sink detection cannot be replaced by mutation
-// tracking. Removed instances are unresolvable here (their nets are gone
-// from the edit record); they are covered by updateDomain's mutation
-// tracking, because losing a sink always rewires its cluster.
-func (e *Engine) dirtySinkDomains(flowT, ctsT []netlist.InstID) map[*domain]bool {
-	dirty := map[*domain]bool{}
-	var buf []netlist.NetID
-	mark := func(ids []netlist.InstID) {
-		for _, id := range ids {
-			if e.ownBuf[id] {
-				continue // engine buffers are handled by mutation tracking
-			}
-			buf = e.d.InstNets(id, false, buf[:0])
-			for _, nid := range buf {
-				if dom := e.ownNet[nid]; dom != nil {
-					dirty[dom] = true
-				} else if dom := e.rootOf[nid]; dom != nil {
-					dirty[dom] = true
-				}
-			}
-		}
-	}
-	mark(flowT)
-	mark(ctsT)
-	return dirty
 }
 
 // rootSetChanged reports whether a clock net outside the retained domains
@@ -652,21 +606,6 @@ func (e *Engine) relegalize() {
 	}
 	e.legCursor = e.d.Epoch()
 	e.leg.Legalize(bufs)
-	// Legalization is one shared pass over all domains' buffers competing
-	// for the same sites: repairing one domain can displace another's
-	// buffer. A node whose plan did not change went centroid→legalize back
-	// to its previous site, so comparing against the last legalized
-	// position invalidates exactly the domains whose buffers really moved.
-	for _, dom := range e.domains {
-		for _, lvl := range dom.levels {
-			for _, nd := range lvl {
-				if nd.buf.Pos != nd.legalPos {
-					dom.mValid = false
-					nd.legalPos = nd.buf.Pos
-				}
-			}
-		}
-	}
 }
 
 // sinksKey is a canonical (order-independent) fingerprint of a pin-ID set,
@@ -687,19 +626,9 @@ func sinksKey(ids []netlist.PinID) string {
 }
 
 // updateDomain repairs one domain's tree to equal a fresh Build of its
-// current sink set. sinkDirty reports that the edit record placed a
-// touched instance on one of the domain's nets; together with the repair's
-// own mutation tracking it decides whether the domain's metrics cache
-// survives the update (legalization displacement is checked separately in
-// relegalize).
-func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
+// current sink set.
+func (e *Engine) updateDomain(dom *domain) error {
 	d := e.d
-	mutated := false
-	defer func() {
-		if sinkDirty || mutated {
-			dom.mValid = false
-		}
-	}()
 	// 1. Collect the current real sinks: non-engine pins on the root or on
 	// any tree net (new sinks land on the root via ReleaseClocks/merging,
 	// or on a leaf net via register splitting), in canonical order.
@@ -726,7 +655,6 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	}
 	if len(ids) == 0 {
 		// Domain went sink-less: a fresh build would build nothing.
-		mutated = len(retained) > 0
 		e.removeNodes(retained)
 		e.stats.LastBuffersRemoved += len(retained)
 		e.stats.BuffersRemoved += len(retained)
@@ -757,12 +685,10 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	intact := reused && membersIntact(retained)
 	assigned, used := dom.levels, map[*node]bool(nil)
 	if !intact {
-		added := e.stats.BuffersAdded
 		var err error
 		if assigned, used, err = e.matchNodes(dom, p, retained); err != nil {
 			return err
 		}
-		mutated = e.stats.BuffersAdded > added
 	}
 
 	// 3. Rewire bottom-up: every buffer back to its plan centroid, every
@@ -789,18 +715,11 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 			if !held {
 				if nd.buf.Pos != cl.centroid {
 					d.MoveInst(nd.buf, cl.centroid)
-					// Moving back to an unchanged centroid is the normal
-					// centroid→legalize round trip, not a mutation; relegalize
-					// detects real displacement against legalPos.
-					if nd.centroid != cl.centroid {
-						mutated = true
-					}
 				}
 				nd.centroid = cl.centroid
 			}
 			switch {
 			case !same:
-				mutated = true
 				for len(nd.net.Sinks) > 0 {
 					d.Disconnect(d.Pin(nd.net.Sinks[len(nd.net.Sinks)-1]))
 				}
@@ -839,7 +758,6 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 			e.removeNodes(doomed)
 			e.stats.LastBuffersRemoved += len(doomed)
 			e.stats.BuffersRemoved += len(doomed)
-			mutated = true
 		}
 	}
 
@@ -847,7 +765,6 @@ func (e *Engine) updateDomain(dom *domain, sinkDirty bool) error {
 	top := assigned[len(assigned)-1][0]
 	if tp := inPin(d, top.buf); tp.Net != dom.root.ID {
 		d.Connect(tp, dom.root)
-		mutated = true
 	}
 	dom.levels = assigned
 	return nil

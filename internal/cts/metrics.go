@@ -1,32 +1,30 @@
 package cts
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/netlist"
 )
 
 // Retained clock-network metrics: Measure walks every instance and every
-// net of the design on every call, which made the flow's measurement points
-// the last O(design) scans of the multi-pass loop. The Engine instead keeps
-// a per-tree cache of each domain's metric contributions — the root net's
-// and every tree net's (capFF, HPWL) pair via the shared
-// netlist.Design.NetContrib helper, plus the domain's register-sink count —
-// invalidated whenever the domain's update path runs and refreshed lazily
-// by the next Metrics call. Assembly then costs O(clock nets): integer
-// totals are order-free sums, and the one float total (TotalCapFF) is
-// re-folded over the cached per-net values in ascending net-ID order —
-// exactly Measure's fold order — so the cached result is bit-identical to
-// the batch walk. (Clock nets outside every domain are sink-less while the
-// cache is valid, and a sink-less net contributes exactly 0 to both totals,
-// so skipping them does not perturb the fold: adding 0.0 is exact.)
+// net of the design. While the engine's trees are in sync with the design,
+// Metrics instead folds only the nets it owns — every domain's root net and
+// tree nets, via the shared netlist.Design.NetContrib helper — and counts
+// the register sinks on them, adding the foreign buffer and sink counts
+// snapshotted at Attach. That costs O(clock nets + clock pins) per call,
+// the same walk Update already makes over every domain's sinks. The one
+// float total (TotalCapFF) is folded in ascending net-ID order — exactly
+// Measure's fold order — so the result is bit-identical to the batch walk.
+// (Clock nets outside every domain are sink-less while the engine is in
+// sync, and a sink-less net contributes exactly 0 to both totals, so
+// skipping them does not perturb the fold: adding 0.0 is exact.)
 //
-// The cache is only trusted while the engine's trees are in sync with the
-// design (attached, and no edit since the last Update/Canonicalize). Any
-// other state falls back to the batch Measure — the oracle the cached path
-// is tested against — and counts Stats.MetricsFallbacks.
+// Any other state (detached, or an edit since the last Update/Canonicalize)
+// falls back to the batch Measure — the oracle the fold is tested against —
+// and counts Stats.MetricsFallbacks.
 
-// netMetric is one clock net's cached contribution to Metrics.
+// netMetric is one clock net's contribution to Metrics.
 type netMetric struct {
 	id    netlist.NetID
 	capFF float64
@@ -34,59 +32,47 @@ type netMetric struct {
 }
 
 // Metrics returns the design's clock-network metrics, equal bit-for-bit to
-// Measure(d), from the per-tree caches when the retained trees are in sync
-// with the design and by a batch walk otherwise.
+// Measure(d), by a fold over the retained domains' nets when the trees are
+// in sync with the design and by a batch walk otherwise.
 func (e *Engine) Metrics() Metrics {
 	e.stats.MetricsCalls++
 	if !e.attached || e.d.Epoch() != e.cursor {
 		e.stats.MetricsFallbacks++
 		return Measure(e.d)
 	}
-	var m Metrics
-	m.Buffers = len(e.ownBuf) + e.foreignBufs
-	m.Sinks = e.foreignSinks
-	entries := make([]netMetric, 0, len(e.ownNet)+len(e.domains))
+	m := Metrics{Buffers: len(e.ownBuf) + e.foreignBufs, Sinks: e.foreignSinks}
+	e.netBuf = e.netBuf[:0]
 	for _, dom := range e.domains {
-		if !dom.mValid {
-			e.refreshDomainMetrics(dom)
-			e.stats.MetricsDomainsRecomputed++
+		m.Sinks += e.appendNetMetric(dom.root)
+		for _, lvl := range dom.levels {
+			for _, nd := range lvl {
+				m.Sinks += e.appendNetMetric(nd.net)
+			}
 		}
-		m.Sinks += dom.mSinks
-		entries = append(entries, dom.mNets...)
 	}
-	// Fold the float total in ascending net-ID order — Measure's order.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].id < entries[j].id })
-	for _, en := range entries {
+	slices.SortFunc(e.netBuf, func(a, b netMetric) int { return cmp.Compare(a.id, b.id) })
+	for _, en := range e.netBuf {
 		m.TotalCapFF += en.capFF
 		m.WirelengthDBU += en.hpwl
 	}
 	return m
 }
 
-// refreshDomainMetrics recomputes one domain's cached contributions from
-// its current nets, via the same per-net helper Measure uses.
-func (e *Engine) refreshDomainMetrics(dom *domain) {
+// appendNetMetric appends n's contribution to the engine's fold buffer and
+// returns the number of register clock sinks on n.
+func (e *Engine) appendNetMetric(n *netlist.Net) int {
 	d := e.d
-	dom.mNets = dom.mNets[:0]
-	dom.mSinks = 0
-	add := func(n *netlist.Net) {
-		capFF, hpwl := d.NetContrib(n)
-		dom.mNets = append(dom.mNets, netMetric{id: n.ID, capFF: capFF, hpwl: hpwl})
-		for _, pid := range n.Sinks {
-			p := d.Pin(pid)
-			if p.Kind != netlist.PinClock {
-				continue
-			}
-			if in := d.Inst(p.Inst); in != nil && in.Kind == netlist.KindReg {
-				dom.mSinks++
-			}
+	capFF, hpwl := d.NetContrib(n)
+	e.netBuf = append(e.netBuf, netMetric{id: n.ID, capFF: capFF, hpwl: hpwl})
+	sinks := 0
+	for _, pid := range n.Sinks {
+		p := d.Pin(pid)
+		if p.Kind != netlist.PinClock {
+			continue
+		}
+		if in := d.Inst(p.Inst); in != nil && in.Kind == netlist.KindReg {
+			sinks++
 		}
 	}
-	add(dom.root)
-	for _, lvl := range dom.levels {
-		for _, nd := range lvl {
-			add(nd.net)
-		}
-	}
-	dom.mValid = true
+	return sinks
 }

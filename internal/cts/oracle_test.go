@@ -382,123 +382,77 @@ func TestNewDomainFallsBackToRebuild(t *testing.T) {
 }
 
 // TestCachedMetricsEqualsMeasure is the retained-metrics oracle: after every
-// engine update the cached Metrics must equal the batch Measure of the same
-// design bit-for-bit (same per-net helper, same ascending-net-ID fold), and a
-// design edited since the last update must be answered by the batch fallback,
-// again exactly.
+// engine update the retained Metrics fold must equal the batch Measure of
+// the same design bit-for-bit (same per-net helper, same ascending-net-ID
+// fold), and a design edited since the last update must be answered by the
+// batch fallback, again exactly; an in-sync call must not allocate. It runs
+// at the default options and under the 4000-DBU re-center hysteresis the
+// server and benchmark use, where held buffers leave the trees different
+// from a fresh Build.
 func TestCachedMetricsEqualsMeasure(t *testing.T) {
-	for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			t.Run(fmt.Sprintf("%s/w%d", profile, workers), func(t *testing.T) {
-				tw := makeTwin(t, profile)
-				eng := cts.NewEngine(tw.a.Design, cts.DefaultOptions())
-				eng.SetWorkers(workers)
-				if err := eng.Attach(); err != nil {
-					t.Fatalf("attach: %v", err)
+	for _, hold := range []int64{0, 4000} {
+		for _, profile := range []string{"D1", "D2", "D3", "D4", "D5"} {
+			for _, workers := range []int{1, 2, runtime.NumCPU()} {
+				name := fmt.Sprintf("%s/w%d", profile, workers)
+				if hold > 0 {
+					name = fmt.Sprintf("%s/w%d-hold%d", profile, workers, hold)
 				}
-				rng := rand.New(rand.NewSource(int64(len(profile)*77 + workers)))
-				for round := 0; round < 8; round++ {
-					before := eng.Stats().MetricsFallbacks
-					got := eng.Metrics()
-					want := cts.Measure(tw.a.Design)
-					if got != want {
-						t.Fatalf("round %d: cached metrics %+v != Measure %+v",
-							round, got, want)
-					}
-					if eng.Stats().MetricsFallbacks != before {
-						t.Fatalf("round %d: in-sync Metrics took the fallback", round)
-					}
-					tw.mutate(t, rng)
-					// Edited since the last update: the cache may not be
-					// trusted, so Metrics must detect it and fall back — and
-					// still agree with the oracle.
-					got = eng.Metrics()
-					want = cts.Measure(tw.a.Design)
-					if got != want {
-						t.Fatalf("round %d: fallback metrics %+v != Measure %+v",
-							round, got, want)
-					}
-					if eng.Stats().MetricsFallbacks != before+1 {
-						t.Fatalf("round %d: stale Metrics did not fall back", round)
-					}
-					if err := eng.Update(); err != nil {
-						t.Fatalf("round %d: update: %v", round, err)
-					}
-				}
-				st := eng.Stats()
-				if st.MetricsDomainsRecomputed == 0 {
-					t.Fatalf("cached path never refreshed a domain: %+v", st)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					opts := cts.DefaultOptions()
+					opts.RecenterThresholdDBU = hold
+					checkMetricsEqualsMeasure(t, profile, workers, opts)
+				})
+			}
 		}
 	}
 }
 
-// TestPerDomainMetricInvalidation pins the per-domain keying of the
-// metrics cache: an edit that touches sinks of one clock domain must not
-// cost the other domains their cached values — only the touched domain
-// (plus any domain whose buffers the shared legalization pass displaced)
-// may be recomputed on the next Metrics call, and the cached result must
-// still equal the batch Measure bit-for-bit.
-func TestPerDomainMetricInvalidation(t *testing.T) {
-	b := genProfile(t, "D1")
-	d := b.Design
-	eng := cts.NewEngine(d, cts.DefaultOptions())
+func checkMetricsEqualsMeasure(t *testing.T, profile string, workers int, opts cts.Options) {
+	tw := makeTwin(t, profile)
+	eng := cts.NewEngine(tw.a.Design, opts)
+	eng.SetWorkers(workers)
 	if err := eng.Attach(); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
-	// The first Metrics refreshes every domain once: its recompute count is
-	// the domain total.
-	if got, want := eng.Metrics(), cts.Measure(d); got != want {
-		t.Fatalf("baseline metrics %+v != Measure %+v", got, want)
-	}
-	domains := eng.Stats().MetricsDomainsRecomputed
-	if domains < 3 {
-		t.Fatalf("profile too small for the per-domain claim: %d domains", domains)
-	}
-
-	// A clean update must not invalidate anything.
-	if err := eng.Update(); err != nil {
-		t.Fatalf("clean update: %v", err)
-	}
-	if got, want := eng.Metrics(), cts.Measure(d); got != want {
-		t.Fatalf("post-clean metrics %+v != Measure %+v", got, want)
-	}
-	if n := eng.Stats().MetricsDomainsRecomputed; n != domains {
-		t.Fatalf("clean update recomputed %d domains", n-domains)
-	}
-
-	// Move one clocked register: only its domain (and at most a legalizer
-	// neighbour) may be recomputed; the untouched domains must keep their
-	// cached values — which the bit-exact equality with Measure proves are
-	// still right.
-	for round := 0; round < 3; round++ {
-		var r *netlist.Inst
-		for _, c := range d.Registers() {
-			if !c.Fixed && d.ClockPin(c) != nil && d.ClockPin(c).Net != netlist.NoID {
-				r = c
-				break
-			}
+	rng := rand.New(rand.NewSource(int64(len(profile)*77 + workers)))
+	held := 0
+	for round := 0; round < 8; round++ {
+		before := eng.Stats().MetricsFallbacks
+		got := eng.Metrics()
+		want := cts.Measure(tw.a.Design)
+		if got != want {
+			t.Fatalf("round %d: retained metrics %+v != Measure %+v",
+				round, got, want)
 		}
-		if r == nil {
-			t.Fatal("no movable clocked register")
+		if eng.Stats().MetricsFallbacks != before {
+			t.Fatalf("round %d: in-sync Metrics took the fallback", round)
 		}
-		before := eng.Stats().MetricsDomainsRecomputed
-		d.MoveInst(r, geom.Point{X: r.Pos.X + 700, Y: r.Pos.Y + 700})
+		tw.mutate(t, rng)
+		// Edited since the last update: the retained trees may not be
+		// trusted, so Metrics must detect it and fall back — and still
+		// agree with the oracle.
+		got = eng.Metrics()
+		want = cts.Measure(tw.a.Design)
+		if got != want {
+			t.Fatalf("round %d: fallback metrics %+v != Measure %+v",
+				round, got, want)
+		}
+		if eng.Stats().MetricsFallbacks != before+1 {
+			t.Fatalf("round %d: stale Metrics did not fall back", round)
+		}
 		if err := eng.Update(); err != nil {
 			t.Fatalf("round %d: update: %v", round, err)
 		}
-		if got, want := eng.Metrics(), cts.Measure(d); got != want {
-			t.Fatalf("round %d: metrics %+v != Measure %+v", round, got, want)
-		}
-		recomputed := eng.Stats().MetricsDomainsRecomputed - before
-		if recomputed == 0 {
-			t.Fatalf("round %d: touched domain kept a stale cache", round)
-		}
-		if recomputed >= domains {
-			t.Fatalf("round %d: single-domain edit recomputed %d of %d domains — invalidation is not per-domain",
-				round, recomputed, domains)
-		}
+		held += eng.Stats().LastHeldCentroids
+	}
+	if opts.RecenterThresholdDBU > 0 && held == 0 {
+		t.Fatalf("hysteresis run never held a buffer: the configuration tests nothing")
+	}
+	// The in-sync fold reuses its buffer: once grown, Metrics allocates
+	// nothing.
+	eng.Metrics()
+	if n := testing.AllocsPerRun(10, func() { eng.Metrics() }); n != 0 {
+		t.Fatalf("in-sync Metrics allocates %.1f times per call, want 0", n)
 	}
 }
 

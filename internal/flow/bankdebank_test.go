@@ -7,9 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/compat"
 	"repro/internal/core"
+	"repro/internal/cts"
 	"repro/internal/lib"
 	"repro/internal/netlist"
+	"repro/internal/route"
+	"repro/internal/sta"
 )
 
 // TestGoldenBankDebank pins the bytes of every bank and debank path, which
@@ -323,6 +327,11 @@ func fuzzSessionOps(f *testing.F, allOps bool, seeds [][]byte) {
 			if err := s.Plan().Validate(d); err != nil {
 				t.Fatalf("step %d: plan invalid after %s: %v", step, opLabel(op), err)
 			}
+			if op.Kind == OpMeasure {
+				if got, want := res.Metrics.Canonical(), batchMeasure(t, s).Canonical(); got != want {
+					t.Fatalf("step %d: session measure differs from the batch measurement\nsession:\n%sbatch:\n%s", step, got, want)
+				}
+			}
 			if res.Apply == nil {
 				continue
 			}
@@ -347,6 +356,48 @@ func fuzzSessionOps(f *testing.F, allOps bool, seeds [][]byte) {
 			}
 		}
 	})
+}
+
+// batchMeasure measures the session's design the way measure does, but
+// from batch walks and a fresh STA engine carrying the session's skews, so
+// it shares no retained state with the session's engines.
+func batchMeasure(t *testing.T, s *Session) Metrics {
+	t.Helper()
+	d := s.Design()
+	eng := sta.New(d)
+	d.Insts(func(in *netlist.Inst) {
+		if sk := s.engs.sta.Skew(in.ID); sk != 0 {
+			eng.SetSkew(in.ID, sk)
+		}
+	})
+	res, err := eng.RunEndpoints()
+	if err != nil {
+		t.Fatalf("batch STA: %v", err)
+	}
+	cm := cts.Measure(d)
+	regs := d.Registers()
+	comp := 0
+	for _, in := range regs {
+		if _, excluded := compat.Exclusion(d, in); !excluded {
+			comp++
+		}
+	}
+	_, sigWL := d.Wirelength()
+	return Metrics{
+		AreaUM2:          float64(d.TotalArea()) / 1e6,
+		Cells:            d.NumInsts(),
+		TotalRegs:        len(regs),
+		CompRegs:         comp,
+		ClkBufs:          cm.Buffers,
+		ClkCapPF:         cm.TotalCapFF / 1000,
+		TNSNS:            -res.TNS / 1000,
+		WNSPS:            res.WNS,
+		FailingEndpoints: res.FailingEndpoints,
+		TotalEndpoints:   res.TotalEndpoints,
+		OverflowEdges:    route.Estimate(d, s.cfg.Route.Est).OverflowEdges(),
+		WLClkMM:          float64(cm.WirelengthDBU) / 1e6,
+		WLSigMM:          float64(sigWL) / 1e6,
+	}
 }
 
 // opLabel names an op for a failure message: its kind, or its one edit's.

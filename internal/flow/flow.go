@@ -124,8 +124,11 @@ func (c Config) Validate() error {
 	if c.Compose.Workers != 0 {
 		return fmt.Errorf("flow: Config.Compose.Workers = %d: must be 0 (set Config.Workers, the flow's one worker setting)", c.Compose.Workers)
 	}
-	if c.Compose.MaxSubgraphNodes > clique.MaxNodes {
-		return fmt.Errorf("flow: Config.Compose.MaxSubgraphNodes = %d: must be <= %d (clique.MaxNodes)", c.Compose.MaxSubgraphNodes, clique.MaxNodes)
+	if c.Compose.MaxSubgraphNodes < 0 || c.Compose.MaxSubgraphNodes > clique.MaxNodes {
+		return fmt.Errorf("flow: Config.Compose.MaxSubgraphNodes = %d: must be in 0..%d (0 selects the default; clique.MaxNodes)", c.Compose.MaxSubgraphNodes, clique.MaxNodes)
+	}
+	if c.Compose.ILPNodeLimit < 0 {
+		return fmt.Errorf("flow: Config.Compose.ILPNodeLimit = %d: must be >= 0 (0 selects the default)", c.Compose.ILPNodeLimit)
 	}
 	if c.CTS.Tree.RecenterThresholdDBU < 0 {
 		return fmt.Errorf("flow: Config.CTS.Tree.RecenterThresholdDBU = %d: must be >= 0 (0 disables hysteresis)", c.CTS.Tree.RecenterThresholdDBU)
@@ -334,11 +337,11 @@ func (s *Session) runFlow() (*Report, error) {
 
 // measure snapshots the Table 1 metrics of the design's current state. It
 // reads only retained layers — the STA engine's endpoint statistics, the
-// CTS engine's cached tree metrics, the design-aggregate tracker and the
-// congestion engine's maintained overflow count — so no stage walks the
-// full design on the delta path. It
-// builds no compatibility graph: the composable-register count comes from
-// the tracker, and only compose sites build the graph. Every
+// CTS engine's fold over its own clock nets, the design-aggregate tracker
+// and the congestion engine's maintained overflow count — so no stage
+// walks the full design on the delta path. It builds no compatibility
+// graph: the composable-register count comes from the tracker, and only
+// compose sites build the graph. Every
 // retained value equals its batch oracle bit-for-bit (cts.Metrics vs
 // cts.Measure, metrics.Tracker vs the netlist walks, route.Engine vs
 // route.Estimate), which keeps reports byte-identical with the former

@@ -35,6 +35,8 @@ func TestConfigValidateRejectsEachField(t *testing.T) {
 		// value would be silently ignored, so any non-zero one is rejected.
 		{"Compose.Workers", func(c *Config) { c.Compose.Workers = 2 }},
 		{"Compose.MaxSubgraphNodes", func(c *Config) { c.Compose.MaxSubgraphNodes = 65 }},
+		{"Compose.MaxSubgraphNodes", func(c *Config) { c.Compose.MaxSubgraphNodes = -3 }},
+		{"Compose.ILPNodeLimit", func(c *Config) { c.Compose.ILPNodeLimit = -5 }},
 		{"CTS.Tree.RecenterThresholdDBU", func(c *Config) { c.CTS.Tree.RecenterThresholdDBU = -100 }},
 		{"Decompose.Budget", func(c *Config) { c.Decompose.Budget = -1 }},
 	}

@@ -595,9 +595,9 @@ func (d *Design) Wirelength() (clock, signal int64) {
 // NetContrib returns one net's contribution to the design-level metrics:
 // its load capacitance (connected sink pin caps plus routing capacitance
 // estimated from HPWL) and its HPWL, computing the bounding box once. It is
-// the single per-net helper both the batch measurers (cts.Measure,
-// Wirelength) and the retained metric caches (cts.Engine, metrics.Tracker)
-// share, so cached and recomputed values agree bit-for-bit by construction.
+// the single per-net helper both the batch cts.Measure and the retained
+// cts.Engine.Metrics fold share, so their values agree bit-for-bit by
+// construction.
 func (d *Design) NetContrib(n *Net) (capFF float64, hpwl int64) {
 	for _, s := range n.Sinks {
 		capFF += d.pins[s].Cap
